@@ -269,7 +269,8 @@ def soc_table(solution, catalog, scenario_id):
 @dataclass
 class SweepLevel:
     """One carbon-tax level of a sweep; failed levels carry an error and
-    hold no breakdown."""
+    hold no breakdown. lp_counters holds the level's pivot counters
+    (BnbSolution.lp_counters), empty when the level raised."""
 
     carbon_tax: float  # yuan per ton
     status: str
@@ -280,6 +281,7 @@ class SweepLevel:
     n_nodes: int = 0
     wall_time: float = 0.0
     error: str = None
+    lp_counters: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -298,21 +300,28 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     set, pointwise-larger objective); a violation is a solver defect and
     raises SolverError. Trend observations (fuel-cell mix, substandard
     counts) are reported in notes, never asserted.
+
+    Only the objective changes between levels, so each level's root LP
+    starts from the previous level's root basis, which stays primal
+    feasible: the new root needs phase 2 only.
     """
     if not tax_levels:
         raise InvalidParameterError("tax_levels must not be empty")
     m = annualization_factor(grid)
     levels = []
+    warm = None
     for tax in tax_levels:
         tar = replace(tariffs, carbon_tax=float(tax) / 1000.0)
         try:
             model = assemble_model(grid, catalog, tar, scenario_set, config)
-            bnb = branch_and_bound(model, **solver_kwargs)
+            bnb = branch_and_bound(model, warm=warm, **solver_kwargs)
+            warm = bnb.root_warm
             if bnb.status != "optimal":
                 levels.append(SweepLevel(
                     carbon_tax=float(tax), status=bnb.status,
                     n_nodes=bnb.n_nodes, wall_time=bnb.wall_time,
-                    error=f"solver ended {bnb.status}"))
+                    error=f"solver ended {bnb.status}",
+                    lp_counters=bnb.lp_counters()))
                 continue
             plan = extract_solution(bnb, model.var_index)
             report = check_solution(model, bnb.x)
@@ -325,7 +334,8 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
                 carbon_tax=float(tax), status="optimal", x_fc=plan.x_fc,
                 x_ess=plan.x_ess, substandard_count=audit.count,
                 breakdown=cost_breakdown(plan, catalog, tar, m),
-                n_nodes=bnb.n_nodes, wall_time=bnb.wall_time))
+                n_nodes=bnb.n_nodes, wall_time=bnb.wall_time,
+                lp_counters=bnb.lp_counters()))
         except (SolverError, InfeasibleSolutionError) as exc:
             levels.append(SweepLevel(carbon_tax=float(tax), status="error",
                                      error=str(exc)))

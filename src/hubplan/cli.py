@@ -205,6 +205,11 @@ def _solve(case, scen, cfg, tax=None):
 
 def cmd_plan(cfg):
     case = read_case(_require(cfg, "case", "case file"))
+    taxes = _tax_list(cfg)
+    if taxes is not None and len(taxes) != 1:
+        raise InvalidParameterError(
+            "plan takes a single carbon tax; use sweep for a list")
+    tax = taxes[0] if taxes else None
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(cfg, case)
@@ -213,11 +218,6 @@ def cmd_plan(cfg):
                           os.path.join(out, "scenarios_ev.csv"))
         write_audit_json(os.path.join(out, "scen_log.json"), log)
 
-    taxes = _tax_list(cfg)
-    if taxes is not None and len(taxes) != 1:
-        raise InvalidParameterError(
-            "plan takes a single carbon tax; use sweep for a list")
-    tax = taxes[0] if taxes else None
     model, tariffs, sol, wall = _solve(case, scen, cfg, tax)
 
     if cfg["export_mps"]:
@@ -228,6 +228,7 @@ def cmd_plan(cfg):
         "command": "plan",
         "status": sol.status,
         "nodes": sol.n_nodes,
+        **sol.lp_counters(),
         "wall_time_s": wall,
         "zeta": float(cfg["zeta"]),
         "mode": cfg["mode"],
@@ -239,7 +240,7 @@ def cmd_plan(cfg):
         audit_doc["seed"] = int(cfg["seed"])
 
     if sol.status == "infeasible":
-        lp = solve_lp(model)
+        lp = solve_lp(model, warm=sol.root_warm)
         fams = _constraint_families(model, lp.infeasible_rows)
         hint = (f"LP stage violates: {', '.join(fams)}" if fams
                 else "LP relaxation is feasible; integer restrictions bind")
@@ -328,7 +329,7 @@ def cmd_sweep(cfg):
         "scenario_source": source,
         "levels": [
             {"carbon_tax_yuan_per_ton": lv.carbon_tax, "status": lv.status,
-             "nodes": lv.n_nodes, "error": lv.error,
+             "nodes": lv.n_nodes, **lv.lp_counters, "error": lv.error,
              "total": None if lv.breakdown is None else lv.breakdown.total}
             for lv in sweep.levels],
         "notes": sweep.notes,

@@ -8,6 +8,14 @@ to the lowest column id. A single rounding dive from the root supplies an
 early incumbent; every incumbent must pass the independent checker before
 it is accepted. No cuts, and no presolve beyond fixed columns never
 pricing in and empty rows keeping their slack basic.
+
+Only the root LP can start cold. Each child node's LP starts from its
+parent's optimal basis (both children share the parent's arrays), and each
+dive step from the previous step's basis; a branched column that the
+tightened bound leaves out of bounds is walked back by the simplex's
+composite phase 1. The root itself starts from the caller's warm basis
+when one is given, and the run returns the root's final basis so that a
+related solve (the next carbon-tax level) can start from it.
 """
 
 import heapq
@@ -32,6 +40,11 @@ class BnbSolution:
     (inf when none was found), best_bound the proven lower bound, and x the
     incumbent column values with integer columns within int_tol of
     integers. gap is relative to max(1, |objective|).
+
+    root_warm is the root LP's final (basis, stat), to pass as warm= to a
+    solve of a model with the same rows and columns; None when the root's
+    bounds crossed. The counters split the simplex pivots: the root LP's,
+    the node LPs' (one per node after the root) and the rounding dive's.
     """
 
     status: str
@@ -41,6 +54,18 @@ class BnbSolution:
     x: np.ndarray
     gap: float
     wall_time: float
+    root_warm: tuple = None
+    root_pivots: int = 0
+    node_lps: int = 0
+    node_pivots: int = 0
+    dive_lps: int = 0
+    dive_pivots: int = 0
+
+    def lp_counters(self) -> dict:
+        """The pivot counters by name, as audit.json records them."""
+        return {"root_pivots": self.root_pivots, "node_lps": self.node_lps,
+                "node_pivots": self.node_pivots, "dive_lps": self.dive_lps,
+                "dive_pivots": self.dive_pivots}
 
 
 def _fractional(x, int_cols, int_tol):
@@ -56,53 +81,58 @@ def _fractional(x, int_cols, int_tol):
     return int(int_cols[j]), float(dist[j])
 
 
-def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root_x):
+def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root):
     """Rounding dive from the root relaxation.
 
-    Fixes the most fractional column to its nearest integer and re-solves;
-    on infeasibility retries the other side once, abandoning the dive when
-    both fail. Returns (x, objective) or (None, inf).
+    Fixes the most fractional column to its nearest integer and re-solves
+    from the previous step's basis; on infeasibility retries the other side
+    once, abandoning the dive when both fail. Returns (x or None, LPs
+    solved, pivots made).
     """
     lb = lb0.copy()
     ub = ub0.copy()
-    x = root_x
+    sol = root
+    n_lps = n_pivots = 0
     for _ in range(int_cols.size):
-        j, _d = _fractional(x, int_cols, int_tol)
+        j, _d = _fractional(sol.x, int_cols, int_tol)
         if j < 0:
-            return x, None
-        lo_try = float(np.rint(x[j]))
+            return sol.x, n_lps, n_pivots
+        xj = sol.x[j]
+        lo_try = float(np.rint(xj))
         lo_try = min(max(lo_try, lb[j]), ub[j])
-        alt = lo_try + 1.0 if lo_try <= x[j] else lo_try - 1.0
-        sol = None
+        alt = lo_try + 1.0 if lo_try <= xj else lo_try - 1.0
+        step = None
         for fix in (lo_try, alt):
             if fix < lb[j] - 0.5 or fix > ub[j] + 0.5:
                 continue
             lb_t, ub_t = lb.copy(), ub.copy()
             lb_t[j] = ub_t[j] = fix
             cand = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                            col_lb=lb_t, col_ub=ub_t)
+                            col_lb=lb_t, col_ub=ub_t,
+                            warm=(sol.basis, sol.stat))
+            n_lps += 1
+            n_pivots += cand.iterations
             if cand.status == "optimal":
-                lb, ub, sol = lb_t, ub_t, cand
+                lb, ub, step = lb_t, ub_t, cand
                 break
-        if sol is None:
-            return None, None
-        x = sol.x
-    j, _d = _fractional(x, int_cols, int_tol)
-    if j < 0:
-        return x, None
-    return None, None
+        if step is None:
+            return None, n_lps, n_pivots
+        sol = step
+    j, _d = _fractional(sol.x, int_cols, int_tol)
+    return (sol.x if j < 0 else None), n_lps, n_pivots
 
 
 def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
                      rel_gap=1e-6, max_nodes=100000,
-                     time_limit_s=None) -> BnbSolution:
+                     time_limit_s=None, warm=None) -> BnbSolution:
     """Minimize model over its integer marks.
 
     Returns status optimal once the relative gap between incumbent and
     best outstanding bound is at most rel_gap (or the tree is exhausted),
     infeasible when no integer point exists, node_limit/gap_limit when a
     limit strikes first — carrying the incumbent if any. LP failures
-    (singular bases, iteration stalls) propagate as SolverError.
+    (singular bases, iteration stalls) propagate as SolverError. warm is a
+    (basis, stat) for the root LP, as solve_lp takes it.
     """
     t0 = time.monotonic()
     int_cols = np.flatnonzero(model.col_kind != CONT)
@@ -114,6 +144,7 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
 
     inc_x = None
     inc_obj = np.inf
+    dive_lps = dive_pivots = node_pivots = 0
 
     def finish(status, bound, n_nodes):
         gap = _gap(inc_obj, bound)
@@ -121,7 +152,11 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
             status=status, objective=float(inc_obj),
             best_bound=float(bound), n_nodes=n_nodes,
             x=inc_x if inc_x is None else inc_x.copy(), gap=gap,
-            wall_time=time.monotonic() - t0)
+            wall_time=time.monotonic() - t0,
+            root_warm=None if root.basis is None else (root.basis, root.stat),
+            root_pivots=root.iterations, node_lps=n_nodes - 1,
+            node_pivots=node_pivots, dive_lps=dive_lps,
+            dive_pivots=dive_pivots)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -142,7 +177,7 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
         inc_x, inc_obj = x.copy(), float(obj)
 
     root = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                    col_lb=lb0, col_ub=ub0)
+                    col_lb=lb0, col_ub=ub0, warm=warm)
     if root.status == "infeasible":
         return finish("infeasible", np.inf, 1)
     if root.status != "optimal":
@@ -153,20 +188,21 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
         accept(root.x, root.objective)
         return finish("optimal", root.objective, 1)
 
-    dive_x, _ = _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol,
-                      int_tol, root.x)
+    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols,
+                                          feas_tol, opt_tol, int_tol, root)
     if dive_x is not None:
         accept(dive_x, float(model.obj @ dive_x))
 
     next_id = 1
     heap = []
     for half in _split(lb0, ub0, j0, root.x[j0]):
-        heapq.heappush(heap, (root.objective, next_id, half))
+        heapq.heappush(heap, (root.objective, next_id, half,
+                              (root.basis, root.stat)))
         next_id += 1
     n_nodes = 1
 
     while heap:
-        bound_est, _nid, (lb, ub) = heapq.heappop(heap)
+        bound_est, _nid, (lb, ub), parent = heapq.heappop(heap)
         # the heap is bound-ordered, so this is the weakest open bound; the
         # incumbent itself bounds whatever the open nodes still hide
         global_bound = min(bound_est, inc_obj)
@@ -178,8 +214,9 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
             return finish("gap_limit", global_bound, n_nodes)
 
         node = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                        col_lb=lb, col_ub=ub)
+                        col_lb=lb, col_ub=ub, warm=parent)
         n_nodes += 1
+        node_pivots += node.iterations
         if node.status == "infeasible":
             continue
         if node.status != "optimal":
@@ -191,7 +228,8 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
             accept(node.x, node.objective)
             continue
         for half in _split(lb, ub, j, node.x[j]):
-            heapq.heappush(heap, (node.objective, next_id, half))
+            heapq.heappush(heap, (node.objective, next_id, half,
+                                  (node.basis, node.stat)))
             next_id += 1
 
     if inc_x is None:

@@ -9,8 +9,12 @@ lowest-index tie-breaks, switching to Bland's rule after a run of degenerate
 pivots. Entering steps handle bound flips; the ratio test keeps feasible
 basics inside their bounds and walks infeasible ones back.
 
-Deterministic: identical inputs give identical pivot sequences on both
-kernel paths.
+A solve starts from the slack basis, or warm from the final ``(basis,
+stat)`` of a solve of the same rows: each nonbasic column is re-seated on
+the bound it sat at, and basics that tightened bounds leave out of bounds
+are walked back by the composite phase 1, so changed bounds or costs need
+no dual simplex. Deterministic: identical inputs, warm start included, give
+identical pivot sequences.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ..errors import SolverError
+from ..errors import InvalidParameterError, SolverError
 from ..model import EQ, GE, LE
 from . import _kernels as ker
 
@@ -37,6 +41,12 @@ class LpSolution:
     the structural columns only; duals one multiplier per row.
     infeasible_rows lists rows whose slack stayed out of bounds when phase 1
     stalled (the irreducible-cause hint).
+
+    basis holds the column id (structurals first, then one slack per row)
+    basic in each row position when the solve ended, and stat the status
+    code of every column (NB_LO, NB_UP, BASIC, NB_FIXED, NB_FREE). Passed
+    back as ``warm=(basis, stat)`` they restart a related solve from here;
+    both are None when the bounds crossed before any basis was formed.
     """
 
     status: str
@@ -46,6 +56,8 @@ class LpSolution:
     iterations: int
     max_violation: float = 0.0
     infeasible_rows: list = field(default_factory=list)
+    basis: np.ndarray = None
+    stat: np.ndarray = None
 
 
 def _slack_bounds(senses):
@@ -59,18 +71,25 @@ def _slack_bounds(senses):
 
 def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
              col_lb=None, col_ub=None, refactor_every=50,
-             bland_after=1000) -> LpSolution:
+             bland_after=1000, warm=None) -> LpSolution:
     """Solve the LP relaxation of a MilpModel.
 
     Integrality marks are ignored. col_lb/col_ub override the structural
     bounds (used for branching). Columns fixed by equal bounds never price
     in, which removes them from the search exactly as a presolve would.
+    warm is the (basis, stat) of an earlier solve of the same rows and
+    columns, under any bounds and costs; None starts from the slack basis.
+    The arrays are read, never written, so several solves may share them.
     """
     m = model.n_rows
     n_struct = model.n_cols
     n_tot = n_struct + m
     if max_iters is None:
         max_iters = 20000 + 10 * (m + n_struct)
+    if warm is not None and (len(warm[0]) != m or len(warm[1]) != n_tot):
+        raise InvalidParameterError(
+            f"warm start has {len(warm[0])} basics and {len(warm[1])} "
+            f"columns; the model needs {m} and {n_tot}")
 
     a_full = sparse.hstack(
         [model.a_matrix.tocsc(),
@@ -86,18 +105,25 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
                           max_violation=np.inf)
     b = model.rhs.astype(float)
 
-    # start on the slack basis, structurals at a finite bound (or 0 if free)
+    # nonbasics sit on a finite bound (or at 0 if free): the upper one when
+    # the warm start left them there and it is finite, else the lower one
+    # when finite; equal bounds make them fixed
+    if warm is None:
+        basis = n_struct + np.arange(m, dtype=np.int64)
+        kept_up = False
+    else:
+        basis = np.array(warm[0], dtype=np.int64)
+        kept_up = warm[1] == NB_UP
     stat = np.full(n_tot, NB_FREE, dtype=np.int8)
     x = np.zeros(n_tot)
     lo_fin = np.isfinite(lb)
     up_fin = np.isfinite(ub)
     stat[up_fin] = NB_UP
     x[up_fin] = ub[up_fin]
-    stat[lo_fin] = NB_LO
-    x[lo_fin] = lb[lo_fin]
-    fixed = lb == ub
-    stat[fixed] = NB_FIXED
-    basis = n_struct + np.arange(m, dtype=np.int64)
+    at_lo = lo_fin & ~(up_fin & kept_up)
+    stat[at_lo] = NB_LO
+    x[at_lo] = lb[at_lo]
+    stat[lb == ub] = NB_FIXED
     stat[basis] = BASIC
     x[basis] = 0.0
 
@@ -133,6 +159,14 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
         ker.btran_etas(etas, eta_piv, n_eta, out)
         return lu.solve(out, trans="T")
 
+    def result(status, duals, max_viol, **extra):
+        x[basis] = xb
+        extra.setdefault("objective", float(c @ x))
+        return LpSolution(status=status, x=x[:n_struct].copy(),
+                          duals=np.asarray(duals), iterations=iters,
+                          max_violation=max_viol, basis=basis, stat=stat,
+                          **extra)
+
     refactor()
     iters = 0
     degen_streak = 0
@@ -163,19 +197,13 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
                 refactor()
                 cleaned = True
                 continue
-            x[basis] = xb
             if phase1:
                 bad_rows = sorted({int(basis[p]) - n_struct
                                    for p in np.flatnonzero(gamma != 0)
                                    if basis[p] >= n_struct})
-                return LpSolution(
-                    status="infeasible", objective=float(c @ x),
-                    x=x[:n_struct].copy(), duals=np.asarray(y), iterations=iters,
-                    max_violation=max_viol, infeasible_rows=bad_rows)
-            return LpSolution(
-                status="optimal", objective=float(c @ x),
-                x=x[:n_struct].copy(), duals=np.asarray(y), iterations=iters,
-                max_violation=max_viol)
+                return result("infeasible", y, max_viol,
+                              infeasible_rows=bad_rows)
+            return result("optimal", y, max_viol)
         cleaned = False
 
         if bland:
@@ -183,11 +211,7 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
         else:
             q = int(np.argmin(score))
         if iters >= max_iters:
-            x[basis] = xb
-            return LpSolution(
-                status="iteration_limit", objective=float(c @ x),
-                x=x[:n_struct].copy(), duals=np.zeros(m), iterations=iters,
-                max_violation=max_viol)
+            return result("iteration_limit", np.zeros(m), max_viol)
 
         col = np.zeros(m)
         st, en = a_full.indptr[q], a_full.indptr[q + 1]
@@ -202,13 +226,11 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
         t, pos, bcode = ker.ratio_test(w, xb, lb_b, ub_b, gamma, sigma,
                                        gap, _PIVOT_TOL, prio)
         if pos == ker.POS_UNBOUNDED:
-            x[basis] = xb
             if phase1:
                 raise SolverError("unblocked ray while infeasible "
                                   "(numerical breakdown)")
-            return LpSolution(
-                status="unbounded", objective=-np.inf, x=x[:n_struct].copy(),
-                duals=np.zeros(m), iterations=iters, max_violation=max_viol)
+            return result("unbounded", np.zeros(m), max_viol,
+                          objective=-np.inf)
 
         if t <= _DEGEN_TOL:
             degen_streak += 1

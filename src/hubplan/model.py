@@ -71,7 +71,6 @@ class ModelConfig:
     exclusivity_mode  "relaxed" drops charge/discharge exclusivity binaries
                       (round-trip losses make overlap dominated at optimum);
                       "binary" keeps them
-    penalty_basis     departure shortfalls are priced per kWh below target
 
     Big-M constants are bound-tightened per row from catalog data: storage
     rate caps use rate_fraction * capacity, the shortfall cap uses
@@ -80,15 +79,12 @@ class ModelConfig:
 
     zeta: float = 0.05
     exclusivity_mode: str = "relaxed"
-    penalty_basis: str = "kwh"
 
     def __post_init__(self):
         if not (0.0 <= self.zeta < 1.0):
             raise InvalidParameterError("zeta must be in [0, 1)")
         if self.exclusivity_mode not in ("relaxed", "binary"):
             raise InvalidParameterError("exclusivity_mode must be 'relaxed' or 'binary'")
-        if self.penalty_basis != "kwh":
-            raise InvalidParameterError("only the kWh penalty basis is supported")
 
 
 def max_substandard(n_scenarios: int, zeta: float) -> int:

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import hubplan.milp.bnb as bnb_mod
 from conftest import make_model
 from hubplan.milp import branch_and_bound, solve_lp
-from hubplan.model import BINARY, CONT, EQ, GE, INTEGER, LE
+from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
+                           assemble_model)
 
 
 def test_binary_knapsack():
@@ -107,3 +109,60 @@ def test_fuzz_against_scipy_milp():
         elif ref.status == 2:
             assert mine.status == "infeasible", (trial, mine.status)
     assert agree > 30
+
+
+def _solve_recording(monkeypatch, model):
+    """branch_and_bound(model), and the (warm, LpSolution) of each LP it
+    solved in solve order: root, dive steps, nodes."""
+    calls = []
+    real = bnb_mod.solve_lp
+
+    def recording(*args, warm=None, **kwargs):
+        lp = real(*args, warm=warm, **kwargs)
+        calls.append((warm, lp))
+        return lp
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb_mod, "solve_lp", recording)
+        s = branch_and_bound(model)
+    assert len(calls) == 1 + s.dive_lps + s.node_lps
+    return s, calls
+
+
+def test_warm_started_lps_cost_less_than_the_root(tiny_solved, monkeypatch):
+    # the tiny hub case branches once: root, dive and two node LPs
+    s, calls = _solve_recording(monkeypatch, tiny_solved.model)
+    assert s.objective == tiny_solved.sol.objective
+    assert s.n_nodes > 1 and s.node_lps == s.n_nodes - 1 and s.dive_lps > 0
+    pivots = [lp.iterations for _w, lp in calls]
+    assert s.root_pivots == pivots[0]
+    assert sum(pivots) == s.root_pivots + s.dive_pivots + s.node_pivots
+    assert s.node_pivots < s.root_pivots
+    assert s.dive_pivots < s.root_pivots
+
+
+def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):
+    # binary exclusivity gives a ten-step dive and a 45-node tree
+    for mode in ("relaxed", "binary"):
+        model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
+                               tiny.scen, ModelConfig(zeta=0.0,
+                                                      exclusivity_mode=mode))
+        s, calls = _solve_recording(monkeypatch, model)
+        # the root starts cold, a dive step from the last optimal LP before
+        # it, a node from an earlier optimal LP (its parent)
+        assert calls[0][0] is None
+        solved = [calls[0][1]]
+        for k, (warm, lp) in enumerate(calls[1:], start=1):
+            if k <= s.dive_lps:
+                assert warm[0] is solved[-1].basis, (mode, k)
+            else:
+                assert any(warm[0] is p.basis for p in solved), (mode, k)
+            if lp.status == "optimal":
+                solved.append(lp)
+
+
+def test_root_warm_start_skips_the_root_pivots(tiny_solved):
+    s = tiny_solved.sol
+    again = branch_and_bound(tiny_solved.model, warm=s.root_warm)
+    assert again.root_pivots == 0 < s.root_pivots
+    assert again.objective == s.objective and again.n_nodes == s.n_nodes

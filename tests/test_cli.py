@@ -67,6 +67,8 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["solution_check"]["ok"] and doc["plan_check"]["ok"]
     assert doc["breakdown"]["total"] == pytest.approx(doc["objective"],
                                                       rel=1e-9)
+    assert doc["node_lps"] == doc["nodes"] - 1
+    assert doc["node_pivots"] + doc["dive_pivots"] < doc["root_pivots"]
     sid = doc["extreme_scenario"]
     assert sid == 1
     assert (out / f"dispatch_{sid}.csv").exists()
@@ -88,6 +90,17 @@ def test_plan_rejects_tax_list(ws, tmp_path, capsys):
                                       "--carbon-tax", "40,100"))
     assert rc == 1
     assert "single carbon tax" in capsys.readouterr().err
+
+
+def test_plan_rejects_tax_list_before_generating(data_dir, tmp_path, capsys):
+    # desk_run.json carries a five-level list: refused before any scenario
+    # generation starts
+    out = tmp_path / "o"
+    rc = cli.main(["plan", "--config", os.path.join(data_dir, "desk_run.json"),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "single carbon tax" in capsys.readouterr().err
+    assert not (out / "scenarios.csv").exists()
 
 
 def test_plan_export_mps(ws, tiny, tmp_path):
@@ -167,6 +180,8 @@ def test_sweep_audit(ws, tmp_path, capsys):
     levels = doc["levels"]
     assert [lv["carbon_tax_yuan_per_ton"] for lv in levels] == [40.0, 1000.0]
     assert levels[0]["total"] <= levels[1]["total"] + 1e-9
+    # the second level's root starts from the first level's root basis
+    assert levels[1]["root_pivots"] < levels[0]["root_pivots"]
     assert doc["notes"]
     assert (out / "cost_breakdown.csv").exists()
 

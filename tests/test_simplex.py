@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 import hubplan
 from conftest import make_model
+from hubplan.errors import InvalidParameterError
 from hubplan.milp import _kernels as ker
 from hubplan.milp import solve_lp
 from hubplan.model import EQ, GE, LE
@@ -98,23 +99,29 @@ def _linprog_ref(obj, a, senses, rhs, lb, ub):
                    bounds=list(zip(lb, ub)), method="highs")
 
 
+def _random_lp(rng):
+    """(obj, a, senses, rhs, lb, ub) of a small random LP with some
+    infinite bounds; most draws are solvable."""
+    m = int(rng.integers(1, 12))
+    n = int(rng.integers(1, 12))
+    dens = rng.uniform(0.3, 1.0)
+    a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < dens)
+    obj = rng.normal(size=n)
+    senses = rng.integers(0, 3, size=m)
+    lb = np.where(rng.random(n) < 0.15, -np.inf, rng.uniform(-5, 0, n))
+    ub = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0.5, 6, n))
+    x0 = np.clip(rng.uniform(0, 1, size=n),
+                 np.where(np.isfinite(lb), lb, 0),
+                 np.where(np.isfinite(ub), ub, 1))
+    rhs = a @ x0 + rng.normal(size=m)
+    return obj, a, senses, rhs, lb, ub
+
+
 def test_random_instances_match_linprog():
     rng = np.random.default_rng(7)
     checked = 0
     for trial in range(150):
-        m = int(rng.integers(1, 12))
-        n = int(rng.integers(1, 12))
-        dens = rng.uniform(0.3, 1.0)
-        a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < dens)
-        obj = rng.normal(size=n)
-        senses = rng.integers(0, 3, size=m)
-        lb = np.where(rng.random(n) < 0.15, -np.inf, rng.uniform(-5, 0, n))
-        ub = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0.5, 6, n))
-        x0 = np.clip(rng.uniform(0, 1, size=n),
-                     np.where(np.isfinite(lb), lb, 0),
-                     np.where(np.isfinite(ub), ub, 1))
-        rhs = a @ x0 + rng.normal(size=m)
-
+        obj, a, senses, rhs, lb, ub = _random_lp(rng)
         mine = solve_lp(make_model(obj, a, senses, rhs, lb, ub))
         ref = _linprog_ref(obj, a, senses, rhs, lb, ub)
         if ref.status == 0:
@@ -128,6 +135,70 @@ def test_random_instances_match_linprog():
         elif ref.status == 3:
             assert mine.status == "unbounded", (trial, mine.status)
     assert checked > 40  # enough solvable draws to mean something
+
+
+def test_warm_start_after_bound_change_matches_cold():
+    # a branch-and-bound child (one bound tightened past the parent's
+    # value) or a sweep level (new costs), solved warm and cold
+    rng = np.random.default_rng(11)
+    seen = {"bound:optimal": 0, "bound:infeasible": 0, "cost:optimal": 0}
+    for trial in range(300):
+        obj, a, senses, rhs, lb, ub = _random_lp(rng)
+        parent = solve_lp(make_model(obj, a, senses, rhs, lb, ub))
+        if parent.status != "optimal":
+            continue
+        basis, stat = parent.basis.copy(), parent.stat.copy()
+        lb2, ub2 = lb.copy(), ub.copy()
+        j = int(rng.integers(obj.size))
+        step = rng.uniform(0.0, 5.0)
+        kind = ("cost", "down", "up")[int(rng.integers(3))]
+        if kind == "cost":
+            obj = obj + rng.normal(size=obj.size)
+        elif kind == "down":
+            ub2[j] = max(parent.x[j] - step, lb[j])
+        else:
+            lb2[j] = min(parent.x[j] + step, ub[j])
+        model = make_model(obj, a, senses, rhs, lb, ub)
+        warm = solve_lp(model, col_lb=lb2, col_ub=ub2,
+                        warm=(parent.basis, parent.stat))
+        cold = solve_lp(model, col_lb=lb2, col_ub=ub2)
+        assert warm.status == cold.status, (trial, kind)
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (
+                1 + abs(cold.objective)), (trial, kind)
+            assert warm.max_violation <= 1e-7
+        # children share the parent's arrays, so a warm solve must not
+        # write them
+        assert np.array_equal(parent.basis, basis)
+        assert np.array_equal(parent.stat, stat)
+        key = f"{'cost' if kind == 'cost' else 'bound'}:{cold.status}"
+        seen[key] = seen.get(key, 0) + 1
+    assert min(seen[k] for k in ("bound:optimal", "bound:infeasible",
+                                 "cost:optimal")) >= 15, seen
+
+
+def test_warm_start_from_own_optimum_takes_no_pivots():
+    rng = np.random.default_rng(5)
+    solved = 0
+    for trial in range(60):
+        model = make_model(*_random_lp(rng))
+        cold = solve_lp(model)
+        if cold.status != "optimal":
+            continue
+        again = solve_lp(model, warm=(cold.basis, cold.stat))
+        assert again.status == "optimal" and again.iterations == 0, trial
+        assert again.objective == cold.objective
+        assert np.array_equal(again.x, cold.x)
+        solved += 1
+    assert solved > 15
+
+
+def test_warm_start_shape_is_checked():
+    m = make_model([1.0, 1.0], [[1.0, 1.0]], [GE], [2.0], [0.0, 0.0],
+                   [10.0, 10.0])
+    s = solve_lp(m)
+    with pytest.raises(InvalidParameterError):
+        solve_lp(m, warm=(s.basis, s.stat[:-1]))
 
 
 def _child_pythonpath(here):
