@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
-                   Scenario, ScenarioSet, TariffSet, TessSpec, TimeGrid)
+                   Scenario, ScenarioSet, TariffSet, TessSpec, TimeGrid,
+                   validate_scenario_set)
 from .errors import InvalidParameterError, ParseError
 
 PROFILE_HEADER = ["scenario", "hour", "elec_load_kw", "heat_load_kw", "pv_avail_kw"]
@@ -267,7 +268,12 @@ def _read_ev_table(path, n_days, integer_hours):
 
 
 def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:
-    """Read scenario CSVs and assemble a validated ScenarioSet."""
+    """Read scenario CSVs and assemble a validated ScenarioSet.
+
+    Raises ParseError naming the first few violations when the set breaks
+    an invariant of validate_scenario_set against the case (negative
+    loads, PV above pv_cap, EV visits outside the day or SOC range).
+    """
     n, t_day, elec, heat, pv = _read_profile_table(loads_path)
     if t_day != case.hours_per_day:
         raise ParseError(f"profiles span {t_day} hours, case expects "
@@ -292,8 +298,14 @@ def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:
             except InvalidParameterError as exc:
                 raise ParseError(f"scenario {s}: {exc}", path=ev_path) from exc
         scenarios.append(Scenario(tuple(elec[s]), tuple(heat[s]), tuple(pv[s]), recs))
-    grid = case.time_grid(n)
-    return ScenarioSet(grid=grid, scenarios=tuple(scenarios))
+    scen_set = ScenarioSet(grid=case.time_grid(n), scenarios=tuple(scenarios))
+    bad = validate_scenario_set(scen_set, case.catalog, case.tariffs)
+    if bad:
+        more = f" (and {len(bad) - 3} more)" if len(bad) > 3 else ""
+        raise ParseError(f"{len(bad)} invalid scenario values: "
+                         + "; ".join(str(v) for v in bad[:3]) + more,
+                         path=ev_path if bad[0].ev is not None else loads_path)
+    return scen_set
 
 
 def write_scenario_set(scen_set: ScenarioSet, loads_path, ev_path=None):

@@ -1,216 +1,92 @@
-"""Hot inner loops of the simplex, in two interchangeable flavors.
+"""Hot inner loops of the simplex, vectorized with numpy.
 
-The numba-jitted versions carry the solve; setting HUBPLAN_PURE_NUMPY=1 (or
-running without numba installed) selects vectorized numpy equivalents. Both
-paths implement the same selection rules and give identical pivots;
-benchmarks/bench_kernels.py compares their speed.
+The simplex looks these up on the module (``ker.<name>``) at call time, so
+the benchmark's tracer can wrap them. tests/test_simplex.py keeps scalar
+loop versions of each kernel as the reference they must match.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-_PURE = os.environ.get("HUBPLAN_PURE_NUMPY", "").strip().lower() in ("1", "true", "yes")
-USE_NUMBA = HAS_NUMBA and not _PURE
+# recorded in the benchmark's environment record; the kernels are plain numpy
+USE_NUMBA = False
 
 # position codes returned by ratio_test
 POS_FLIP = -1
 POS_UNBOUNDED = -2
 
 
-def _ftran_etas_py(etas, eta_piv, n_eta, v):
-    for k in range(n_eta):
-        r = eta_piv[k]
-        w = etas[k]
-        vr = v[r] / w[r]
-        for i in range(v.shape[0]):
-            v[i] -= w[i] * vr
-        v[r] = vr
-    return v
-
-
-def _btran_etas_py(etas, eta_piv, n_eta, v):
-    for k in range(n_eta - 1, -1, -1):
-        r = eta_piv[k]
-        w = etas[k]
-        s = 0.0
-        for i in range(v.shape[0]):
-            s += w[i] * v[i]
-        v[r] = (v[r] - (s - w[r] * v[r])) / w[r]
-    return v
-
-
-def _basic_state_py(xb, lb_b, ub_b, feas_tol):
-    m = xb.shape[0]
-    gamma = np.zeros(m, dtype=np.int8)
-    max_viol = 0.0
-    for i in range(m):
-        lo, hi = lb_b[i], ub_b[i]
-        if xb[i] < lo:
-            viol = (lo - xb[i]) / (1.0 + abs(lo))
-            if viol > feas_tol:
-                gamma[i] = -1
-            if viol > max_viol:
-                max_viol = viol
-        elif xb[i] > hi:
-            viol = (xb[i] - hi) / (1.0 + abs(hi))
-            if viol > feas_tol:
-                gamma[i] = 1
-            if viol > max_viol:
-                max_viol = viol
-    return gamma, max_viol
-
-
-def _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol):
-    """Step at which basic i blocks, and the bound code it lands on.
-
-    Returns (t, code) with t = inf when i never blocks. Infeasible basics
-    block at the bound they are returning to, feasible ones at the bound
-    they approach.
-    """
-    rho = -sigma * w[i]
-    if rho > pivot_tol:
-        if gamma[i] == -1:
-            t, code = (lb_b[i] - xb[i]) / rho, 0
-        elif gamma[i] == 0 and np.isfinite(ub_b[i]):
-            t, code = (ub_b[i] - xb[i]) / rho, 1
-        else:
-            # above its upper bound and climbing: no bound ahead
-            return np.inf, 0
-    elif rho < -pivot_tol:
-        if gamma[i] == 1:
-            t, code = (xb[i] - ub_b[i]) / (-rho), 1
-        elif gamma[i] == 0 and np.isfinite(lb_b[i]):
-            t, code = (xb[i] - lb_b[i]) / (-rho), 0
-        else:
-            return np.inf, 0
-    else:
-        return np.inf, 0
-    if t < 0.0:
-        t = 0.0
-    return t, code
-
-
-def _ratio_test_py(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
+def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     """Smallest step before a bound is hit, and who blocks.
 
     Returns (t, pos, code): pos is the blocking basis position, POS_FLIP for
     an entering-variable bound flip, or POS_UNBOUNDED; code 0/1 says the
-    leaving variable lands on its lower/upper bound. Among blockers tying
-    within a relative 1e-10 window the smallest prio wins; a flip is taken
-    only when no basic ties.
+    leaving variable lands on its lower/upper bound. Infeasible basics block
+    at the bound they are returning to, feasible ones at the bound they
+    approach. Among blockers tying within a relative 1e-10 window the
+    smallest prio wins; a flip is taken only when no basic ties.
     """
     m = xb.shape[0]
-    t_min = enter_gap
-    for i in range(m):
-        t, _code = _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
-        if t < t_min:
-            t_min = t
+    rho = -sigma * w
+    t = np.full(m, np.inf)
+    code = np.zeros(m, dtype=np.int8)
+    up = rho > pivot_tol
+    dn = rho < -pivot_tol
+    sel = up & (gamma == -1)
+    t[sel] = (lb_b[sel] - xb[sel]) / rho[sel]
+    sel = up & (gamma == 0) & np.isfinite(ub_b)
+    t[sel] = (ub_b[sel] - xb[sel]) / rho[sel]
+    code[sel] = 1
+    sel = dn & (gamma == 1)
+    t[sel] = (xb[sel] - ub_b[sel]) / (-rho[sel])
+    code[sel] = 1
+    sel = dn & (gamma == 0) & np.isfinite(lb_b)
+    t[sel] = (xb[sel] - lb_b[sel]) / (-rho[sel])
+    np.maximum(t, 0.0, out=t)
+    t_min = min(float(np.min(t, initial=np.inf)), enter_gap)
     if not np.isfinite(t_min):
         return t_min, POS_UNBOUNDED, 0
     tie = t_min + 1e-10 * (1.0 + t_min)
-    best_pos = POS_FLIP
-    best_code = 0
-    best_prio = np.inf
-    for i in range(m):
-        t, code = _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
-        if t <= tie and prio[i] < best_prio:
-            best_prio = prio[i]
-            best_pos = i
-            best_code = code
-    return t_min, best_pos, best_code
+    idx = np.flatnonzero(t <= tie)
+    if idx.size == 0:
+        return t_min, POS_FLIP, 0
+    best = int(idx[np.argmin(prio[idx])])
+    return t_min, best, int(code[best])
 
 
-if USE_NUMBA:
-    ftran_etas = njit(cache=True)(_ftran_etas_py)
-    btran_etas = njit(cache=True)(_btran_etas_py)
-    basic_state = njit(cache=True)(_basic_state_py)
-    _block_at = njit(cache=True)(_block_at_py)
+def ftran_etas(etas, eta_piv, n_eta, v):
+    """Apply the first n_eta eta columns to v in place, oldest first."""
+    for k in range(n_eta):
+        r = eta_piv[k]
+        w = etas[k]
+        vr = v[r] / w[r]
+        v -= w * vr
+        v[r] = vr
+    return v
 
-    @njit(cache=True)
-    def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
-        m = xb.shape[0]
-        t_min = enter_gap
-        for i in range(m):
-            t, _code = _block_at(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
-            if t < t_min:
-                t_min = t
-        if not np.isfinite(t_min):
-            return t_min, POS_UNBOUNDED, 0
-        tie = t_min + 1e-10 * (1.0 + t_min)
-        best_pos = POS_FLIP
-        best_code = 0
-        best_prio = np.inf
-        for i in range(m):
-            t, code = _block_at(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
-            if t <= tie and prio[i] < best_prio:
-                best_prio = prio[i]
-                best_pos = i
-                best_code = code
-        return t_min, best_pos, best_code
-else:
-    def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
-        m = xb.shape[0]
-        rho = -sigma * w
-        t = np.full(m, np.inf)
-        code = np.zeros(m, dtype=np.int8)
-        up = rho > pivot_tol
-        dn = rho < -pivot_tol
-        sel = up & (gamma == -1)
-        t[sel] = (lb_b[sel] - xb[sel]) / rho[sel]
-        sel = up & (gamma == 0) & np.isfinite(ub_b)
-        t[sel] = (ub_b[sel] - xb[sel]) / rho[sel]
-        code[sel] = 1
-        sel = dn & (gamma == 1)
-        t[sel] = (xb[sel] - ub_b[sel]) / (-rho[sel])
-        code[sel] = 1
-        sel = dn & (gamma == 0) & np.isfinite(lb_b)
-        t[sel] = (xb[sel] - lb_b[sel]) / (-rho[sel])
-        np.maximum(t, 0.0, out=t)
-        t_min = min(float(np.min(t, initial=np.inf)), enter_gap)
-        if not np.isfinite(t_min):
-            return t_min, POS_UNBOUNDED, 0
-        tie = t_min + 1e-10 * (1.0 + t_min)
-        idx = np.flatnonzero(t <= tie)
-        if idx.size == 0:
-            return t_min, POS_FLIP, 0
-        best = int(idx[np.argmin(prio[idx])])
-        return t_min, best, int(code[best])
 
-    def ftran_etas(etas, eta_piv, n_eta, v):
-        for k in range(n_eta):
-            r = eta_piv[k]
-            w = etas[k]
-            vr = v[r] / w[r]
-            v -= w * vr
-            v[r] = vr
-        return v
+def btran_etas(etas, eta_piv, n_eta, v):
+    """Apply the transposed first n_eta etas to v in place, newest first."""
+    for k in range(n_eta - 1, -1, -1):
+        r = eta_piv[k]
+        w = etas[k]
+        s = float(w @ v)
+        v[r] = (v[r] - (s - w[r] * v[r])) / w[r]
+    return v
 
-    def btran_etas(etas, eta_piv, n_eta, v):
-        for k in range(n_eta - 1, -1, -1):
-            r = eta_piv[k]
-            w = etas[k]
-            s = float(w @ v)
-            v[r] = (v[r] - (s - w[r] * v[r])) / w[r]
-        return v
 
-    def basic_state(xb, lb_b, ub_b, feas_tol):
-        m = xb.shape[0]
-        gamma = np.zeros(m, dtype=np.int8)
-        lo_viol = np.zeros(m)
-        up_viol = np.zeros(m)
-        fin_lo = np.isfinite(lb_b)
-        fin_up = np.isfinite(ub_b)
-        lo_viol[fin_lo] = (lb_b[fin_lo] - xb[fin_lo]) / (1.0 + np.abs(lb_b[fin_lo]))
-        up_viol[fin_up] = (xb[fin_up] - ub_b[fin_up]) / (1.0 + np.abs(ub_b[fin_up]))
-        gamma[lo_viol > feas_tol] = -1
-        gamma[up_viol > feas_tol] = 1
-        max_viol = max(float(np.max(lo_viol, initial=0.0)),
-                       float(np.max(up_viol, initial=0.0)))
-        return gamma, max_viol
+def basic_state(xb, lb_b, ub_b, feas_tol):
+    """Bound-violation code of each basic (-1 below, 1 above, 0 within
+    feas_tol, relative to 1 + |bound|) and the largest violation."""
+    m = xb.shape[0]
+    gamma = np.zeros(m, dtype=np.int8)
+    lo_viol = np.zeros(m)
+    up_viol = np.zeros(m)
+    fin_lo = np.isfinite(lb_b)
+    fin_up = np.isfinite(ub_b)
+    lo_viol[fin_lo] = (lb_b[fin_lo] - xb[fin_lo]) / (1.0 + np.abs(lb_b[fin_lo]))
+    up_viol[fin_up] = (xb[fin_up] - ub_b[fin_up]) / (1.0 + np.abs(ub_b[fin_up]))
+    gamma[lo_viol > feas_tol] = -1
+    gamma[up_viol > feas_tol] = 1
+    max_viol = max(float(np.max(lo_viol, initial=0.0)),
+                   float(np.max(up_viol, initial=0.0)))
+    return gamma, max_viol

@@ -3,11 +3,13 @@
 Nodes are ordered by (parent LP bound, creation id) and solved lazily at
 pop time, so the tree explores the most promising bound first and the id
 makes the order — and therefore the node count and incumbent — fully
-deterministic. Branching picks the most fractional integer column, ties
-to the lowest column id. A single rounding dive from the root supplies an
-early incumbent; every incumbent must pass the independent checker before
-it is accepted. No cuts, and no presolve beyond fixed columns never
-pricing in and empty rows keeping their slack basic.
+deterministic. An integer column counts as integral within INT_TOL
+(1e-6, shared with the checker); branching picks the most fractional one,
+ties to the lowest column id. A single rounding dive from the root supplies
+an early incumbent; every incumbent must pass the independent checker, at
+its default tolerances, before it is accepted. No cuts, and no presolve
+beyond fixed columns never pricing in and empty rows keeping their slack
+basic.
 
 Only the root LP can start cold. Each child node's LP starts from its
 parent's optimal basis (both children share the parent's arrays), and each
@@ -28,7 +30,7 @@ import numpy as np
 from ..errors import SolverError
 from ..model import CONT
 from .simplex import solve_lp
-from .verify import check_solution
+from .verify import INT_TOL, check_solution
 
 
 @dataclass
@@ -38,8 +40,8 @@ class BnbSolution:
     status is one of optimal, infeasible, gap_limit, node_limit; gap_limit
     covers hitting the wall-clock limit. objective is the incumbent value
     (inf when none was found), best_bound the proven lower bound, and x the
-    incumbent column values with integer columns within int_tol of
-    integers. gap is relative to max(1, |objective|).
+    incumbent column values with integer columns within INT_TOL (1e-6)
+    of integers. gap is relative to max(1, |objective|).
 
     root_warm is the root LP's final (basis, stat), to pass as warm= to a
     solve of a model with the same rows and columns; None when the root's
@@ -68,20 +70,20 @@ class BnbSolution:
                 "dive_pivots": self.dive_pivots}
 
 
-def _fractional(x, int_cols, int_tol):
+def _fractional(x, int_cols):
     """Most fractional integer column and its distance to the nearest
-    integer; (-1, 0.0) when all are within int_tol."""
+    integer; (-1, 0.0) when all are within INT_TOL."""
     if int_cols.size == 0:
         return -1, 0.0
     vals = x[int_cols]
     dist = np.abs(vals - np.rint(vals))
     j = int(np.argmax(dist))
-    if dist[j] <= int_tol:
+    if dist[j] <= INT_TOL:
         return -1, 0.0
     return int(int_cols[j]), float(dist[j])
 
 
-def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root):
+def _dive(model, lb0, ub0, int_cols, root):
     """Rounding dive from the root relaxation.
 
     Fixes the most fractional column to its nearest integer and re-solves
@@ -94,7 +96,7 @@ def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root):
     sol = root
     n_lps = n_pivots = 0
     for _ in range(int_cols.size):
-        j, _d = _fractional(sol.x, int_cols, int_tol)
+        j, _d = _fractional(sol.x, int_cols)
         if j < 0:
             return sol.x, n_lps, n_pivots
         xj = sol.x[j]
@@ -107,8 +109,7 @@ def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root):
                 continue
             lb_t, ub_t = lb.copy(), ub.copy()
             lb_t[j] = ub_t[j] = fix
-            cand = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                            col_lb=lb_t, col_ub=ub_t,
+            cand = solve_lp(model, col_lb=lb_t, col_ub=ub_t,
                             warm=(sol.basis, sol.stat))
             n_lps += 1
             n_pivots += cand.iterations
@@ -118,12 +119,11 @@ def _dive(model, lb0, ub0, int_cols, feas_tol, opt_tol, int_tol, root):
         if step is None:
             return None, n_lps, n_pivots
         sol = step
-    j, _d = _fractional(sol.x, int_cols, int_tol)
+    j, _d = _fractional(sol.x, int_cols)
     return (sol.x if j < 0 else None), n_lps, n_pivots
 
 
-def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
-                     rel_gap=1e-6, max_nodes=100000,
+def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
                      time_limit_s=None, warm=None) -> BnbSolution:
     """Minimize model over its integer marks.
 
@@ -139,8 +139,8 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
     lb0 = model.col_lb.astype(float).copy()
     ub0 = model.col_ub.astype(float).copy()
     # integer bounds can be tightened to integers once, up front
-    lb0[int_cols] = np.ceil(lb0[int_cols] - int_tol)
-    ub0[int_cols] = np.floor(ub0[int_cols] + int_tol)
+    lb0[int_cols] = np.ceil(lb0[int_cols] - INT_TOL)
+    ub0[int_cols] = np.floor(ub0[int_cols] + INT_TOL)
 
     inc_x = None
     inc_obj = np.inf
@@ -167,8 +167,7 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
         nonlocal inc_x, inc_obj
         if obj >= inc_obj:
             return
-        report = check_solution(model, x, feas_tol=10 * feas_tol,
-                                int_tol=int_tol)
+        report = check_solution(model, x)
         if not report.ok:
             raise SolverError(
                 "candidate incumbent failed independent verification: "
@@ -176,20 +175,18 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
                 f"{report.bad_integrality[:3]}")
         inc_x, inc_obj = x.copy(), float(obj)
 
-    root = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                    col_lb=lb0, col_ub=ub0, warm=warm)
+    root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
     if root.status == "infeasible":
         return finish("infeasible", np.inf, 1)
     if root.status != "optimal":
         raise SolverError(f"root relaxation ended {root.status}")
 
-    j0, _ = _fractional(root.x, int_cols, int_tol)
+    j0, _ = _fractional(root.x, int_cols)
     if j0 < 0:
         accept(root.x, root.objective)
         return finish("optimal", root.objective, 1)
 
-    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols,
-                                          feas_tol, opt_tol, int_tol, root)
+    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols, root)
     if dive_x is not None:
         accept(dive_x, float(model.obj @ dive_x))
 
@@ -213,8 +210,7 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
         if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
             return finish("gap_limit", global_bound, n_nodes)
 
-        node = solve_lp(model, feas_tol=feas_tol, opt_tol=opt_tol,
-                        col_lb=lb, col_ub=ub, warm=parent)
+        node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent)
         n_nodes += 1
         node_pivots += node.iterations
         if node.status == "infeasible":
@@ -223,7 +219,7 @@ def branch_and_bound(model, feas_tol=1e-7, opt_tol=1e-7, int_tol=1e-6,
             raise SolverError(f"node relaxation ended {node.status}")
         if _gap(inc_obj, node.objective) <= rel_gap:
             continue
-        j, _d = _fractional(node.x, int_cols, int_tol)
+        j, _d = _fractional(node.x, int_cols)
         if j < 0:
             accept(node.x, node.objective)
             continue

@@ -2,12 +2,14 @@
 
 Rows are brought to equality form with one slack per row; the basis inverse
 is held as a sparse LU factorization plus a product-form eta chain,
-refactorized every ``refactor_every`` pivots. Phase 1 runs the composite
-method: infeasibility costs recomputed from the current basic state each
-iteration, so no auxiliary variables are added. Pricing is Dantzig with
-lowest-index tie-breaks, switching to Bland's rule after a run of degenerate
-pivots. Entering steps handle bound flips; the ratio test keeps feasible
-basics inside their bounds and walks infeasible ones back.
+refactorized every 50 pivots. Phase 1 runs the composite method:
+infeasibility costs recomputed from the current basic state each iteration,
+so no auxiliary variables are added. Pricing is Dantzig with lowest-index
+tie-breaks, switching to Bland's rule after 1000 degenerate pivots in a row.
+Entering steps handle bound flips; the ratio test keeps feasible basics
+inside their bounds and walks infeasible ones back. Tolerances: 1e-7 on
+bound violations (relative to 1 + |bound|) and on reduced costs, 1e-9 on
+pivot elements and degenerate steps.
 
 A solve starts from the slack basis, or warm from the final ``(basis,
 stat)`` of a solve of the same rows: each nonbasic column is re-seated on
@@ -29,8 +31,12 @@ from . import _kernels as ker
 
 NB_LO, NB_UP, BASIC, NB_FIXED, NB_FREE = 0, 1, 2, 3, 4
 
+_FEAS_TOL = 1e-7
+_OPT_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _DEGEN_TOL = 1e-9
+_REFACTOR_EVERY = 50
+_BLAND_AFTER = 1000
 
 
 @dataclass
@@ -69,9 +75,7 @@ def _slack_bounds(senses):
     return lo, hi
 
 
-def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
-             col_lb=None, col_ub=None, refactor_every=50,
-             bland_after=1000, warm=None) -> LpSolution:
+def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     """Solve the LP relaxation of a MilpModel.
 
     Integrality marks are ignored. col_lb/col_ub override the structural
@@ -80,12 +84,13 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
     warm is the (basis, stat) of an earlier solve of the same rows and
     columns, under any bounds and costs; None starts from the slack basis.
     The arrays are read, never written, so several solves may share them.
+    After 20000 + 10 (rows + columns) pivots the solve stops with status
+    iteration_limit.
     """
     m = model.n_rows
     n_struct = model.n_cols
     n_tot = n_struct + m
-    if max_iters is None:
-        max_iters = 20000 + 10 * (m + n_struct)
+    max_iters = 20000 + 10 * (m + n_struct)
     if warm is not None and (len(warm[0]) != m or len(warm[1]) != n_tot):
         raise InvalidParameterError(
             f"warm start has {len(warm[0])} basics and {len(warm[1])} "
@@ -130,8 +135,8 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
     xb = np.zeros(m)
     lb_b = lb[basis].copy()
     ub_b = ub[basis].copy()
-    etas = np.empty((refactor_every, m))
-    eta_piv = np.zeros(refactor_every, dtype=np.int64)
+    etas = np.empty((_REFACTOR_EVERY, m))
+    eta_piv = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
     n_eta = 0
     lu = None
 
@@ -174,10 +179,10 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
     cleaned = False
 
     while True:
-        if n_eta >= refactor_every:
+        if n_eta >= _REFACTOR_EVERY:
             refactor()
-        gamma, max_viol = ker.basic_state(xb, lb_b, ub_b, feas_tol)
-        phase1 = max_viol > feas_tol
+        gamma, max_viol = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)
+        phase1 = max_viol > _FEAS_TOL
 
         if phase1:
             y = btran(gamma.astype(float))
@@ -190,7 +195,7 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
                          np.where(stat == NB_UP, -d,
                                   np.where(stat == NB_FREE, -np.abs(d),
                                            np.inf)))
-        cand = score < -opt_tol
+        cand = score < -_OPT_TOL
         if not cand.any():
             # claim needs a clean factorization behind it
             if n_eta > 0 and not cleaned:
@@ -234,7 +239,7 @@ def solve_lp(model, feas_tol=1e-7, opt_tol=1e-7, max_iters=None,
 
         if t <= _DEGEN_TOL:
             degen_streak += 1
-            if degen_streak >= bland_after:
+            if degen_streak >= _BLAND_AFTER:
                 bland = True
         else:
             degen_streak = 0

@@ -8,6 +8,7 @@ from ..errors import SolverError
 from ..model import (K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV, K_SHORT,
                      K_TCH, K_TDIS, K_TE, K_VCH, K_VDIS, K_VE, K_XESS, K_XFC,
                      K_YB, K_YEV, K_YT, K_Z)
+from .verify import INT_TOL
 
 
 @dataclass
@@ -46,19 +47,19 @@ class PlanSolution:
     y_ev: np.ndarray = None
 
 
-def _round_int(v, name, int_tol):
+def _round_int(v, name):
     r = float(np.rint(v))
-    if abs(v - r) > int_tol:
+    if abs(v - r) > INT_TOL:
         raise SolverError(f"column {name} = {v!r} is not integral "
-                          f"within {int_tol}")
+                          f"within {INT_TOL}")
     return r
 
 
-def extract_solution(bnb, index, int_tol=1e-6) -> PlanSolution:
+def extract_solution(bnb, index) -> PlanSolution:
     """Turn a BnbSolution's column vector into a PlanSolution.
 
     Integer columns are rounded to exact integers (values further than
-    int_tol from an integer are refused). Missing keys in the index are an
+    INT_TOL from an integer are refused). Missing keys in the index are an
     internal consistency error and raise KeyError.
     """
     x = np.asarray(bnb.x, dtype=float)
@@ -75,7 +76,7 @@ def extract_solution(bnb, index, int_tol=1e-6) -> PlanSolution:
     x_ess = grab(K_XESS)
     x_fc = {}
     for i, fc_id in enumerate(index.fc_ids):
-        x_fc[fc_id] = int(_round_int(grab(K_XFC, i), f"XFC{i}", int_tol))
+        x_fc[fc_id] = int(_round_int(grab(K_XFC, i), f"XFC{i}"))
 
     grid = np.empty((n, t_day))
     pv = np.empty((n, t_day))
@@ -112,7 +113,7 @@ def extract_solution(bnb, index, int_tol=1e-6) -> PlanSolution:
 
     z = np.empty(n, dtype=np.int64)
     for s in range(n):
-        z[s] = int(_round_int(grab(K_Z, s), f"Z{s}", int_tol))
+        z[s] = int(_round_int(grab(K_Z, s), f"Z{s}"))
     substandard = [int(s) for s in np.flatnonzero(z == 1)]
 
     y_bess = y_tess = y_ev = None
@@ -122,15 +123,13 @@ def extract_solution(bnb, index, int_tol=1e-6) -> PlanSolution:
         y_ev = np.full((n, n_ev, t_day), np.nan)
         for s in range(n):
             for t in range(t_day):
-                y_bess[s, t] = int(_round_int(grab(K_YB, s, t),
-                                              f"YB{s}_{t}", int_tol))
-                y_tess[s, t] = int(_round_int(grab(K_YT, s, t),
-                                              f"YT{s}_{t}", int_tol))
+                y_bess[s, t] = int(_round_int(grab(K_YB, s, t), f"YB{s}_{t}"))
+                y_tess[s, t] = int(_round_int(grab(K_YT, s, t), f"YT{s}_{t}"))
             for j in range(n_ev):
                 arrive, depart = index.window(s, j)
                 for t in range(arrive, depart):
                     y_ev[s, j, t] = _round_int(grab(K_YEV, s, t, j),
-                                               f"YV{s}_{t}_{j}", int_tol)
+                                               f"YV{s}_{t}_{j}")
 
     return PlanSolution(
         objective=float(bnb.objective), x_ess=x_ess, x_fc=x_fc, grid=grid,

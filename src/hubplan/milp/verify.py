@@ -12,6 +12,10 @@ import numpy as np
 
 from ..model import CONT, EQ, GE, LE
 
+# distance from an integer that an integer column may keep; branch and bound
+# and extract_solution use it too
+INT_TOL = 1e-6
+
 
 @dataclass
 class VerifyReport:
@@ -28,7 +32,7 @@ class VerifyReport:
     bad_integrality: list = field(default_factory=list)
 
 
-def check_solution(model, x, feas_tol=1e-6, int_tol=1e-6) -> VerifyReport:
+def check_solution(model, x, feas_tol=1e-6, int_tol=INT_TOL) -> VerifyReport:
     """Check x against all rows, bounds and integrality marks of model.
 
     Row residuals are measured relative to max(1, |rhs|); bounds relative

@@ -63,7 +63,8 @@ class MomentTargets:
 @dataclass(frozen=True)
 class RawSampleMatrix:
     """Generated panel (n rows, one column per dimension) plus the iteration
-    log of (moment error, correlation error) pairs."""
+    log: per round its moment error, correlation error and fit_fails, the
+    number of dimensions whose cubic fit failed and stayed affine."""
 
     values: np.ndarray
     seed: int
@@ -316,17 +317,19 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     best_w, best_err, best_it = w.copy(), math.inf, 0
     converged = False
     for it in range(1, max_iters + 1):
+        fit_fails = 0
         for j in range(d):
             col = w[:, j]
             try:
                 coef = fit_cubic_transform(*std_targets[j], _raw_moments(col, 12))
                 col = coef[0] + col * (coef[1] + col * (coef[2] + col * coef[3]))
             except MomentFitError:
-                pass  # keep the affine-only (standardized) column this round
+                fit_fails += 1  # the column stays affine (standardized) this round
             w[:, j] = _standardize(col)
         w = impose_correlation(w, targets.correlation)
         moment_err, corr_err = _panel_errors(w, targets)
-        log.append({"iteration": it, "moment_err": moment_err, "corr_err": corr_err})
+        log.append({"iteration": it, "moment_err": moment_err, "corr_err": corr_err,
+                    "fit_fails": fit_fails})
         if max(moment_err, corr_err) < best_err:
             best_err = max(moment_err, corr_err)
             best_w, best_it = w.copy(), it

@@ -212,6 +212,30 @@ def test_infeasible_exit(ws, tiny, tmp_path, capsys):
     assert doc["infeasible_hint"]
 
 
+def test_invalid_scenario_values_exit_before_solving(ws, tiny, tmp_path,
+                                                    capsys):
+    # PV above the case's pv_cap (50) and a negative heat load parse as
+    # numbers; validation on read refuses them before any model is built
+    s0, s1 = tiny.scen.scenarios
+    bad = dataclasses.replace(tiny.scen, scenarios=(
+        dataclasses.replace(s0, pv_avail=(0.0, 60.0, 12.0, 2.0)),
+        dataclasses.replace(s1, heat_load=(9.0, 14.0, -1.0, 5.0))))
+    write_scenario_set(bad, str(tmp_path / "s.csv"),
+                       str(tmp_path / "s_ev.csv"))
+    for command in (["validate"], ["plan"],
+                    ["sweep", "--carbon-tax", "100,200"]):
+        out = tmp_path / ("out_" + command[0])
+        rc = cli.main(command + [
+            "--case", str(ws / "case.json"),
+            "--scenarios", str(tmp_path / "s.csv"),
+            "--scenario-ev", str(tmp_path / "s_ev.csv"), "--out", str(out)])
+        assert rc == 1, command
+        err = capsys.readouterr().err
+        assert "scenario 0, hour 1: pv_avail: 60.0 exceeds pv_cap" in err
+        assert "scenario 1, hour 2: heat_load: negative value -1.0" in err
+        assert not (out / "audit.json").exists()
+
+
 def test_scen_gen(data_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

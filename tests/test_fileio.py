@@ -145,6 +145,19 @@ def test_ev_count_mismatch(tiny, tiny_case_file, tmp_path):
         read_scenario_set(str(loads), case, str(p))  # fleet has one vehicle
 
 
+def test_ev_visit_past_day_end_names_ev_table(tiny, tiny_case_file, tmp_path):
+    case, _ = tiny_case_file
+    loads = tmp_path / "scen.csv"
+    write_scenario_set(tiny.scen, str(loads))
+    p = tmp_path / "ev.csv"
+    p.write_text("scenario,ev_id,arrive_hour,depart_hour,initial_soc\n"
+                 "0,0,0,3,0.4\n1,0,1,9,0.5\n")  # T = 4
+    with pytest.raises(ParseError) as ei:
+        read_scenario_set(str(loads), case, str(p))
+    assert ei.value.path == str(p)
+    assert "scenario 1, ev 0: depart_hour" in str(ei.value)
+
+
 def test_missing_file_error():
     with pytest.raises((ParseError, FileNotFoundError)):
         read_case("/nonexistent/case.json")

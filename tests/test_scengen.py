@@ -207,3 +207,17 @@ def test_generate_scenarios_small_n_warns(bundled):
     # result is still a valid scenario set with per-day variety
     sums = {round(sum(sc.elec_load), 6) for sc in scen.scenarios}
     assert len(sums) > 1
+
+
+def test_fit_failures_are_counted(bundled):
+    # platykurtic load columns have no cubic-of-normal fit; each round
+    # counts the dimensions that stayed affine, which is why this run
+    # cannot converge
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
+                                        n_scenarios=6, seed=1, max_iters=1,
+                                        n_ev=case.catalog.ev_fleet.n_ev)
+    assert not raw.converged
+    (entry,) = raw.iteration_log
+    assert 0 < entry["fit_fails"] < raw.values.shape[1]

@@ -1,17 +1,13 @@
 """Bounded-variable primal simplex against closed forms and linprog."""
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-import hubplan
 from conftest import make_model
 from hubplan.errors import InvalidParameterError
 from hubplan.milp import _kernels as ker
 from hubplan.milp import solve_lp
+from hubplan.milp._kernels import POS_FLIP, POS_UNBOUNDED
 from hubplan.model import EQ, GE, LE
 
 
@@ -201,53 +197,110 @@ def test_warm_start_shape_is_checked():
         solve_lp(m, warm=(s.basis, s.stat[:-1]))
 
 
-def _child_pythonpath(here):
-    """PYTHONPATH for a child interpreter that imports the hubplan under test.
+# Scalar loop versions of the simplex kernels: the reference that the
+# vectorized numpy kernels in hubplan.milp._kernels must match.
 
-    Absolute entries only, so the child finds conftest (in `here`) and the
-    same hubplan whatever its working directory: a relative inherited entry
-    such as PYTHONPATH=src names a different directory once cwd changes.
+def _ftran_etas_py(etas, eta_piv, n_eta, v):
+    for k in range(n_eta):
+        r = eta_piv[k]
+        w = etas[k]
+        vr = v[r] / w[r]
+        for i in range(v.shape[0]):
+            v[i] -= w[i] * vr
+        v[r] = vr
+    return v
+
+
+def _btran_etas_py(etas, eta_piv, n_eta, v):
+    for k in range(n_eta - 1, -1, -1):
+        r = eta_piv[k]
+        w = etas[k]
+        s = 0.0
+        for i in range(v.shape[0]):
+            s += w[i] * v[i]
+        v[r] = (v[r] - (s - w[r] * v[r])) / w[r]
+    return v
+
+
+def _basic_state_py(xb, lb_b, ub_b, feas_tol):
+    m = xb.shape[0]
+    gamma = np.zeros(m, dtype=np.int8)
+    max_viol = 0.0
+    for i in range(m):
+        lo, hi = lb_b[i], ub_b[i]
+        if xb[i] < lo:
+            viol = (lo - xb[i]) / (1.0 + abs(lo))
+            if viol > feas_tol:
+                gamma[i] = -1
+            if viol > max_viol:
+                max_viol = viol
+        elif xb[i] > hi:
+            viol = (xb[i] - hi) / (1.0 + abs(hi))
+            if viol > feas_tol:
+                gamma[i] = 1
+            if viol > max_viol:
+                max_viol = viol
+    return gamma, max_viol
+
+
+def _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol):
+    """Step at which basic i blocks, and the bound code it lands on.
+
+    Returns (t, code) with t = inf when i never blocks. Infeasible basics
+    block at the bound they are returning to, feasible ones at the bound
+    they approach.
     """
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(hubplan.__file__)))
-    inherited = [os.path.abspath(p)
-                 for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    return os.pathsep.join([here, pkg_root] + inherited)
+    rho = -sigma * w[i]
+    if rho > pivot_tol:
+        if gamma[i] == -1:
+            t, code = (lb_b[i] - xb[i]) / rho, 0
+        elif gamma[i] == 0 and np.isfinite(ub_b[i]):
+            t, code = (ub_b[i] - xb[i]) / rho, 1
+        else:
+            # above its upper bound and climbing: no bound ahead
+            return np.inf, 0
+    elif rho < -pivot_tol:
+        if gamma[i] == 1:
+            t, code = (xb[i] - ub_b[i]) / (-rho), 1
+        elif gamma[i] == 0 and np.isfinite(lb_b[i]):
+            t, code = (xb[i] - lb_b[i]) / (-rho), 0
+        else:
+            return np.inf, 0
+    else:
+        return np.inf, 0
+    if t < 0.0:
+        t = 0.0
+    return t, code
 
 
-def test_pure_numpy_backend_matches():
-    # the env switch is read at import time, so compare across processes;
-    # without numba both children run numpy, and the first line says so
-    code = (
-        "import numpy as np\n"
-        "from conftest import make_model\n"
-        "from hubplan.milp import _kernels, solve_lp\n"
-        "from hubplan.model import LE, GE, EQ\n"
-        "print(_kernels.USE_NUMBA)\n"
-        "rng = np.random.default_rng(123)\n"
-        "out = []\n"
-        "for _ in range(20):\n"
-        "    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))\n"
-        "    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)\n"
-        "    obj = rng.normal(size=n)\n"
-        "    senses = rng.integers(0, 3, size=m)\n"
-        "    rhs = a @ rng.uniform(0, 1, n) + rng.normal(size=m) * 0.3\n"
-        "    s = solve_lp(make_model(obj, a, senses, rhs,\n"
-        "                            np.zeros(n), np.full(n, 5.0)))\n"
-        "    out.append(s.status + ':' + ('%.12e' % s.objective\n"
-        "               if s.status == 'optimal' else '-'))\n"
-        "print('\\n'.join(out))\n")
-    here = os.path.dirname(os.path.abspath(__file__))
-    outs = []
-    for pure, use_numba in (("0", ker.HAS_NUMBA), ("1", False)):
-        env = dict(os.environ, HUBPLAN_PURE_NUMPY=pure,
-                   PYTHONPATH=_child_pythonpath(here))
-        r = subprocess.run([sys.executable, "-c", code], cwd=here, env=env,
-                           capture_output=True, text=True, timeout=300)
-        assert r.returncode == 0, r.stderr
-        flag, rest = r.stdout.split("\n", 1)
-        assert flag == str(use_numba), (pure, flag)
-        outs.append(rest)
-    assert outs[0] == outs[1]
+def _ratio_test_py(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
+    """Smallest step before a bound is hit, and who blocks.
+
+    Returns (t, pos, code): pos is the blocking basis position, POS_FLIP for
+    an entering-variable bound flip, or POS_UNBOUNDED; code 0/1 says the
+    leaving variable lands on its lower/upper bound. Among blockers tying
+    within a relative 1e-10 window the smallest prio wins; a flip is taken
+    only when no basic ties.
+    """
+    m = xb.shape[0]
+    t_min = enter_gap
+    for i in range(m):
+        t, _code = _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
+        if t < t_min:
+            t_min = t
+    if not np.isfinite(t_min):
+        return t_min, POS_UNBOUNDED, 0
+    tie = t_min + 1e-10 * (1.0 + t_min)
+    best_pos = POS_FLIP
+    best_code = 0
+    best_prio = np.inf
+    for i in range(m):
+        t, code = _block_at_py(i, w, xb, lb_b, ub_b, gamma, sigma, pivot_tol)
+        if t <= tie and prio[i] < best_prio:
+            best_prio = prio[i]
+            best_pos = i
+            best_code = code
+    return t_min, best_pos, best_code
 
 
 def _random_basics(rng, m):
@@ -267,16 +320,15 @@ def _random_basics(rng, m):
     return xb, lb, ub
 
 
-def test_loop_kernels_match_active_kernels():
-    # the loops are what numba compiles; without numba the active kernels
-    # are the numpy ones, so this keeps "identical pivots" checked in-process
+def test_kernels_match_scalar_reference():
+    # the numpy kernels select the same pivots as the scalar loops above
     piv_tol = 1e-9
     seen = dict(gamma=0, tie=0, flip=0, unbounded=0, basic=0)
     for trial in range(300):
         rng = np.random.default_rng(trial)
         m = int(rng.integers(1, 10))
         xb, lb, ub = _random_basics(rng, m)
-        g_loop, v_loop = ker._basic_state_py(xb, lb, ub, 1e-7)
+        g_loop, v_loop = _basic_state_py(xb, lb, ub, 1e-7)
         gamma, viol = ker.basic_state(xb, lb, ub, 1e-7)
         assert gamma.dtype == g_loop.dtype, trial
         assert np.array_equal(gamma, g_loop) and viol == v_loop, trial
@@ -290,8 +342,8 @@ def test_loop_kernels_match_active_kernels():
         sigma = float(rng.choice([-1.0, 1.0]))
 
         def steps():
-            return np.array([ker._block_at_py(i, w, xb, lb, ub, gamma, sigma,
-                                              piv_tol)[0] for i in range(m)])
+            return np.array([_block_at_py(i, w, xb, lb, ub, gamma, sigma,
+                                          piv_tol)[0] for i in range(m)])
 
         if m >= 2 and rng.random() < 0.5:  # an exact tie: a copied row
             i, j = rng.choice(m, 2, replace=False)
@@ -319,8 +371,8 @@ def test_loop_kernels_match_active_kernels():
             gap = float(np.min(t))  # the entering bound ties a basic
 
         for prio in (rng.permutation(m).astype(np.float64), -np.abs(w)):
-            want = ker._ratio_test_py(w, xb, lb, ub, gamma, sigma, gap,
-                                      piv_tol, prio)
+            want = _ratio_test_py(w, xb, lb, ub, gamma, sigma, gap,
+                                  piv_tol, prio)
             got = ker.ratio_test(w, xb, lb, ub, gamma, sigma, gap, piv_tol,
                                  prio)
             assert ((float(got[0]), int(got[1]), int(got[2]))
@@ -330,8 +382,8 @@ def test_loop_kernels_match_active_kernels():
             window = t_min + 1e-10 * (1.0 + t_min)
             seen["tie"] += int(np.sum(t <= window)) + (gap <= window) >= 2
         pos = int(want[1])
-        seen["flip"] += pos == ker.POS_FLIP
-        seen["unbounded"] += pos == ker.POS_UNBOUNDED
+        seen["flip"] += pos == POS_FLIP
+        seen["unbounded"] += pos == POS_UNBOUNDED
         seen["basic"] += pos >= 0
     assert min(seen.values()) >= 10, seen
 
@@ -345,10 +397,10 @@ def test_loop_kernels_match_active_kernels():
             rng.choice([-1.0, 1.0], n_eta) * rng.uniform(0.5, 2, n_eta))
         v = rng.normal(size=m)
         assert np.array_equal(ker.ftran_etas(etas, eta_piv, n_eta, v.copy()),
-                              ker._ftran_etas_py(etas, eta_piv, n_eta,
-                                                 v.copy())), trial
+                              _ftran_etas_py(etas, eta_piv, n_eta,
+                                             v.copy())), trial
         # a sequential sum and w @ v add in different orders
         np.testing.assert_allclose(
             ker.btran_etas(etas, eta_piv, n_eta, v.copy()),
-            ker._btran_etas_py(etas, eta_piv, n_eta, v.copy()),
+            _btran_etas_py(etas, eta_piv, n_eta, v.copy()),
             rtol=1e-12, atol=0, err_msg=str(trial))
