@@ -26,6 +26,7 @@ from .fileio import (read_case, read_history, read_scenario_set,
                      write_scenario_set)
 from .milp import (branch_and_bound, check_solution, extract_solution,
                    solve_lp, write_mps)
+from .milp.bnb import check_limits
 from .model import ModelConfig, assemble_model
 from .scengen import generate_scenarios
 
@@ -187,19 +188,37 @@ def cmd_scen_gen(cfg):
     return EXIT_OK if log["converged"] else EXIT_PARTIAL
 
 
-def _solve(case, scen, cfg, tax=None):
+def _model_config(cfg):
+    """ModelConfig from cfg; raises InvalidParameterError on a bad value."""
+    try:
+        zeta = float(cfg["zeta"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"zeta must be a number: {exc}") from exc
+    return ModelConfig(zeta=zeta, exclusivity_mode=cfg["mode"])
+
+
+def _bnb_limits(cfg):
+    """branch_and_bound's limit keywords from cfg, checked."""
+    try:
+        limits = {"rel_gap": float(cfg["rel_gap"]),
+                  "max_nodes": int(cfg["max_nodes"]),
+                  "time_limit_s": None if cfg["time_limit_s"] is None
+                  else float(cfg["time_limit_s"])}
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"solver limits must be numbers: {exc}") from exc
+    check_limits(**limits)
+    return limits
+
+
+def _solve(case, scen, config, limits, tax=None):
     tariffs = case.tariffs
     if tax is not None:
         import dataclasses
         tariffs = dataclasses.replace(tariffs, carbon_tax=tax / 1000.0)
-    config = ModelConfig(zeta=float(cfg["zeta"]),
-                         exclusivity_mode=cfg["mode"])
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     t0 = time.perf_counter()
-    sol = branch_and_bound(
-        model, rel_gap=float(cfg["rel_gap"]),
-        max_nodes=int(cfg["max_nodes"]),
-        time_limit_s=cfg["time_limit_s"])
+    sol = branch_and_bound(model, **limits)
     return model, tariffs, sol, time.perf_counter() - t0
 
 
@@ -210,6 +229,9 @@ def cmd_plan(cfg):
         raise InvalidParameterError(
             "plan takes a single carbon tax; use sweep for a list")
     tax = taxes[0] if taxes else None
+    # options are checked before the scenarios are read or generated
+    config = _model_config(cfg)
+    limits = _bnb_limits(cfg)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(cfg, case)
@@ -218,7 +240,7 @@ def cmd_plan(cfg):
                           os.path.join(out, "scenarios_ev.csv"))
         write_audit_json(os.path.join(out, "scen_log.json"), log)
 
-    model, tariffs, sol, wall = _solve(case, scen, cfg, tax)
+    model, tariffs, sol, wall = _solve(case, scen, config, limits, tax)
 
     if cfg["export_mps"]:
         with open(os.path.join(out, "model.mps"), "w") as fh:
@@ -230,8 +252,8 @@ def cmd_plan(cfg):
         "nodes": sol.n_nodes,
         **sol.lp_counters(),
         "wall_time_s": wall,
-        "zeta": float(cfg["zeta"]),
-        "mode": cfg["mode"],
+        "zeta": config.zeta,
+        "mode": config.exclusivity_mode,
         "carbon_tax_yuan_per_ton": tax if tax is not None
         else tariffs.carbon_tax * 1000.0,
         "scenario_source": source,
@@ -261,7 +283,7 @@ def cmd_plan(cfg):
     plan = extract_solution(sol, model.var_index)
     m = annualization_factor(scen.grid)
     breakdown = cost_breakdown(plan, case.catalog, tariffs, m)
-    audit = chance_audit(plan, case.catalog.ev_fleet, float(cfg["zeta"]),
+    audit = chance_audit(plan, case.catalog.ev_fleet, config.zeta,
                          scen.grid.n_scenarios)
     plan_chk = verify_plan(plan, scen, case.catalog, tariffs)
 
@@ -304,6 +326,8 @@ def cmd_sweep(cfg):
     if not taxes:
         raise InvalidParameterError("sweep needs --carbon-tax with at least "
                                     "one level (yuan per ton)")
+    config = _model_config(cfg)
+    limits = _bnb_limits(cfg)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(cfg, case)
@@ -311,13 +335,9 @@ def cmd_sweep(cfg):
         write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
                            os.path.join(out, "scenarios_ev.csv"))
 
-    config = ModelConfig(zeta=float(cfg["zeta"]),
-                         exclusivity_mode=cfg["mode"])
     t0 = time.perf_counter()
-    sweep = sweep_carbon_tax(
-        scen.grid, case.catalog, case.tariffs, scen, config, taxes,
-        rel_gap=float(cfg["rel_gap"]), max_nodes=int(cfg["max_nodes"]),
-        time_limit_s=cfg["time_limit_s"])
+    sweep = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
+                             config, taxes, **limits)
     wall = time.perf_counter() - t0
 
     write_plan_summary(os.path.join(out, "plan_summary.csv"), sweep,
@@ -343,9 +363,8 @@ def cmd_sweep(cfg):
 
 def cmd_export_mps(cfg):
     case = read_case(_require(cfg, "case", "case file"))
+    config = _model_config(cfg)
     scen, _source, _log = _load_scenarios(cfg, case)
-    config = ModelConfig(zeta=float(cfg["zeta"]),
-                         exclusivity_mode=cfg["mode"])
     taxes = _tax_list(cfg)
     tariffs = case.tariffs
     if taxes:

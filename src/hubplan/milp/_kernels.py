@@ -3,9 +3,21 @@
 The simplex looks these up on the module (``ker.<name>``) at call time, so
 the benchmark's tracer can wrap them. tests/test_simplex.py keeps scalar
 loop versions of each kernel as the reference they must match.
+
+The eta file is applied as one block. Eta j replaces basis position r_j
+by the ftran'ed entering column w_j; row j of ``etas`` stores
+u_j = w_j - e_{r_j}, and the lower-triangular ``tri`` holds
+tri[j, i] = u_i[r_j] for i < j and tri[j, j] = w_j[r_j]. Applying the
+etas oldest first to v subtracts u_j alpha_j, where alpha_j is v[r_j] at
+that moment over w_j[r_j]; stacked, that is tri alpha = v[R] (R the pivot
+rows) and v -= etas^T alpha. The transposed etas, newest first, give
+tri^T beta = etas v and v[R] -= beta. Each is one matrix-vector product
+and one triangular solve of at most 50 rows, in place of a loop over the
+etas (Dantzig & Orchard-Hays' product form, applied blockwise).
 """
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 
 # recorded in the benchmark's environment record; the kernels are plain numpy
 USE_NUMBA = False
@@ -53,24 +65,43 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     return t_min, best, int(code[best])
 
 
-def ftran_etas(etas, eta_piv, n_eta, v):
-    """Apply the first n_eta eta columns to v in place, oldest first."""
-    for k in range(n_eta):
-        r = eta_piv[k]
-        w = etas[k]
-        vr = v[r] / w[r]
-        v -= w * vr
-        v[r] = vr
+def push_eta(etas, tri, eta_piv, n_eta, w, r):
+    """Append the eta of entering column w (pivot row r) as entry n_eta.
+
+    Row n_eta of etas becomes w - e_r and row n_eta of tri its pivot
+    element plus the earlier etas' entries in row r; O(n_eta) beyond the
+    copy of w.
+    """
+    etas[n_eta] = w
+    etas[n_eta, r] -= 1.0
+    tri[n_eta, :n_eta] = etas[:n_eta, r]
+    tri[n_eta, n_eta] = w[r]
+    eta_piv[n_eta] = r
+
+
+def ftran_etas(etas, tri, eta_piv, n_eta, v):
+    """Apply the first n_eta etas to v in place, as one block.
+
+    The etas' multipliers alpha solve tri alpha = v[eta_piv] by forward
+    substitution; then v -= etas^T alpha.
+    """
+    if n_eta == 0:
+        return v
+    alpha = dtrsv(tri[:n_eta, :n_eta], v[eta_piv[:n_eta]], lower=1)
+    v -= alpha @ etas[:n_eta]
     return v
 
 
-def btran_etas(etas, eta_piv, n_eta, v):
-    """Apply the transposed first n_eta etas to v in place, newest first."""
-    for k in range(n_eta - 1, -1, -1):
-        r = eta_piv[k]
-        w = etas[k]
-        s = float(w @ v)
-        v[r] = (v[r] - (s - w[r] * v[r])) / w[r]
+def btran_etas(etas, tri, eta_piv, n_eta, v):
+    """Apply the transposed first n_eta etas to v in place, as one block.
+
+    beta solves tri^T beta = etas v; each pivot row then loses its etas'
+    beta, summed where a row was pivoted on more than once.
+    """
+    if n_eta == 0:
+        return v
+    beta = dtrsv(tri[:n_eta, :n_eta], etas[:n_eta] @ v, lower=1, trans=1)
+    np.subtract.at(v, eta_piv[:n_eta], beta)
     return v
 
 

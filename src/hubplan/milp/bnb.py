@@ -27,10 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SolverError
+from ..errors import InvalidParameterError, SolverError
 from ..model import CONT
 from .simplex import solve_lp
 from .verify import INT_TOL, check_solution
+
+
+# LpSolution counters that branch and bound sums over its LPs
+LP_COUNTERS = ("phase1_pivots", "refactors", "degenerate_pivots",
+               "bland_pivots")
 
 
 @dataclass
@@ -47,6 +52,8 @@ class BnbSolution:
     solve of a model with the same rows and columns; None when the root's
     bounds crossed. The counters split the simplex pivots: the root LP's,
     the node LPs' (one per node after the root) and the rounding dive's.
+    phase1_pivots, refactors, degenerate_pivots and bland_pivots are the
+    LpSolution counters summed over all of those LPs.
     """
 
     status: str
@@ -62,12 +69,22 @@ class BnbSolution:
     node_pivots: int = 0
     dive_lps: int = 0
     dive_pivots: int = 0
+    phase1_pivots: int = 0
+    refactors: int = 0
+    degenerate_pivots: int = 0
+    bland_pivots: int = 0
 
     def lp_counters(self) -> dict:
         """The pivot counters by name, as audit.json records them."""
-        return {"root_pivots": self.root_pivots, "node_lps": self.node_lps,
-                "node_pivots": self.node_pivots, "dive_lps": self.dive_lps,
-                "dive_pivots": self.dive_pivots}
+        return {key: getattr(self, key) for key in (
+            "root_pivots", "node_lps", "node_pivots", "dive_lps",
+            "dive_pivots", *LP_COUNTERS)}
+
+
+def _count(totals, lp):
+    """Add lp's LP_COUNTERS to the totals dict."""
+    for key in LP_COUNTERS:
+        totals[key] += getattr(lp, key)
 
 
 def _fractional(x, int_cols):
@@ -83,13 +100,13 @@ def _fractional(x, int_cols):
     return int(int_cols[j]), float(dist[j])
 
 
-def _dive(model, lb0, ub0, int_cols, root):
+def _dive(model, lb0, ub0, int_cols, root, totals):
     """Rounding dive from the root relaxation.
 
     Fixes the most fractional column to its nearest integer and re-solves
     from the previous step's basis; on infeasibility retries the other side
     once, abandoning the dive when both fail. Returns (x or None, LPs
-    solved, pivots made).
+    solved, pivots made) and adds each LP's counters to totals.
     """
     lb = lb0.copy()
     ub = ub0.copy()
@@ -113,6 +130,7 @@ def _dive(model, lb0, ub0, int_cols, root):
                             warm=(sol.basis, sol.stat))
             n_lps += 1
             n_pivots += cand.iterations
+            _count(totals, cand)
             if cand.status == "optimal":
                 lb, ub, step = lb_t, ub_t, cand
                 break
@@ -121,6 +139,19 @@ def _dive(model, lb0, ub0, int_cols, root):
         sol = step
     j, _d = _fractional(sol.x, int_cols)
     return (sol.x if j < 0 else None), n_lps, n_pivots
+
+
+def check_limits(rel_gap, max_nodes, time_limit_s):
+    """Raise InvalidParameterError unless rel_gap >= 0, max_nodes >= 1 and
+    time_limit_s is None or positive."""
+    if not rel_gap >= 0.0:
+        raise InvalidParameterError(f"rel_gap must be >= 0, got {rel_gap}")
+    if not max_nodes >= 1:
+        raise InvalidParameterError(
+            f"max_nodes must be >= 1, got {max_nodes}")
+    if time_limit_s is not None and not time_limit_s > 0.0:
+        raise InvalidParameterError(
+            f"time_limit_s must be > 0, got {time_limit_s}")
 
 
 def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
@@ -132,8 +163,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     infeasible when no integer point exists, node_limit/gap_limit when a
     limit strikes first — carrying the incumbent if any. LP failures
     (singular bases, iteration stalls) propagate as SolverError. warm is a
-    (basis, stat) for the root LP, as solve_lp takes it.
+    (basis, stat) for the root LP, as solve_lp takes it. Limits outside
+    their range (check_limits) raise InvalidParameterError.
     """
+    check_limits(rel_gap, max_nodes, time_limit_s)
     t0 = time.monotonic()
     int_cols = np.flatnonzero(model.col_kind != CONT)
     lb0 = model.col_lb.astype(float).copy()
@@ -145,6 +178,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     inc_x = None
     inc_obj = np.inf
     dive_lps = dive_pivots = node_pivots = 0
+    totals = dict.fromkeys(LP_COUNTERS, 0)
 
     def finish(status, bound, n_nodes):
         gap = _gap(inc_obj, bound)
@@ -156,7 +190,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             root_warm=None if root.basis is None else (root.basis, root.stat),
             root_pivots=root.iterations, node_lps=n_nodes - 1,
             node_pivots=node_pivots, dive_lps=dive_lps,
-            dive_pivots=dive_pivots)
+            dive_pivots=dive_pivots, **totals)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -176,6 +210,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         inc_x, inc_obj = x.copy(), float(obj)
 
     root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
+    _count(totals, root)
     if root.status == "infeasible":
         return finish("infeasible", np.inf, 1)
     if root.status != "optimal":
@@ -186,7 +221,8 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         accept(root.x, root.objective)
         return finish("optimal", root.objective, 1)
 
-    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols, root)
+    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols, root,
+                                          totals)
     if dive_x is not None:
         accept(dive_x, float(model.obj @ dive_x))
 
@@ -213,6 +249,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent)
         n_nodes += 1
         node_pivots += node.iterations
+        _count(totals, node)
         if node.status == "infeasible":
             continue
         if node.status != "optimal":

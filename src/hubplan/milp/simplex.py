@@ -1,15 +1,17 @@
 """Bounded-variable revised primal simplex.
 
 Rows are brought to equality form with one slack per row; the basis inverse
-is held as a sparse LU factorization plus a product-form eta chain,
-refactorized every 50 pivots. Phase 1 runs the composite method:
-infeasibility costs recomputed from the current basic state each iteration,
-so no auxiliary variables are added. Pricing is Dantzig with lowest-index
-tie-breaks, switching to Bland's rule after 1000 degenerate pivots in a row.
-Entering steps handle bound flips; the ratio test keeps feasible basics
-inside their bounds and walks infeasible ones back. Tolerances: 1e-7 on
-bound violations (relative to 1 + |bound|) and on reduced costs, 1e-9 on
-pivot elements and degenerate steps.
+is held as a sparse LU factorization plus a product-form eta file,
+refactorized every 50 basis changes. The eta file is applied as one block
+per ftran or btran (one matrix-vector product and a small triangular
+solve, see ``_kernels``), not eta by eta. Phase 1 runs the composite
+method: infeasibility costs recomputed from the current basic state each
+iteration, so no auxiliary variables are added. Pricing is Dantzig with
+lowest-index tie-breaks, switching to Bland's rule after 1000 degenerate
+pivots in a row. Entering steps handle bound flips; the ratio test keeps
+feasible basics inside their bounds and walks infeasible ones back.
+Tolerances: 1e-7 on bound violations (relative to 1 + |bound|) and on
+reduced costs, 1e-9 on pivot elements and degenerate steps.
 
 A solve starts from the slack basis, or warm from the final ``(basis,
 stat)`` of a solve of the same rows: each nonbasic column is re-seated on
@@ -53,6 +55,11 @@ class LpSolution:
     code of every column (NB_LO, NB_UP, BASIC, NB_FIXED, NB_FREE). Passed
     back as ``warm=(basis, stat)`` they restart a related solve from here;
     both are None when the bounds crossed before any basis was formed.
+
+    The counters split the cost: phase1_pivots of the iterations ran while
+    some basic was out of bounds, degenerate_pivots stepped by at most 1e-9,
+    bland_pivots chose the entering column by Bland's rule, and refactors
+    counts LU factorizations of the basis, the first one included.
     """
 
     status: str
@@ -64,6 +71,10 @@ class LpSolution:
     infeasible_rows: list = field(default_factory=list)
     basis: np.ndarray = None
     stat: np.ndarray = None
+    phase1_pivots: int = 0
+    refactors: int = 0
+    degenerate_pivots: int = 0
+    bland_pivots: int = 0
 
 
 def _slack_bounds(senses):
@@ -136,12 +147,14 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     lb_b = lb[basis].copy()
     ub_b = ub[basis].copy()
     etas = np.empty((_REFACTOR_EVERY, m))
+    tri = np.empty((_REFACTOR_EVERY, _REFACTOR_EVERY))
     eta_piv = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
     n_eta = 0
     lu = None
 
     def refactor():
-        nonlocal lu, n_eta
+        nonlocal lu, n_eta, refactors
+        refactors += 1
         try:
             lu = splu(a_full[:, basis].tocsc())
         except RuntimeError as exc:
@@ -156,12 +169,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
 
     def ftran(v):
         out = lu.solve(v)
-        ker.ftran_etas(etas, eta_piv, n_eta, out)
+        ker.ftran_etas(etas, tri, eta_piv, n_eta, out)
         return out
 
     def btran(v):
         out = v.copy()
-        ker.btran_etas(etas, eta_piv, n_eta, out)
+        ker.btran_etas(etas, tri, eta_piv, n_eta, out)
         return lu.solve(out, trans="T")
 
     def result(status, duals, max_viol, **extra):
@@ -170,10 +183,13 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         return LpSolution(status=status, x=x[:n_struct].copy(),
                           duals=np.asarray(duals), iterations=iters,
                           max_violation=max_viol, basis=basis, stat=stat,
-                          **extra)
+                          phase1_pivots=phase1_pivots, refactors=refactors,
+                          degenerate_pivots=degenerate_pivots,
+                          bland_pivots=bland_pivots, **extra)
 
+    refactors = 0
     refactor()
-    iters = 0
+    iters = phase1_pivots = degenerate_pivots = bland_pivots = 0
     degen_streak = 0
     bland = False
     cleaned = False
@@ -237,7 +253,10 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             return result("unbounded", np.zeros(m), max_viol,
                           objective=-np.inf)
 
+        phase1_pivots += phase1
+        bland_pivots += bland
         if t <= _DEGEN_TOL:
+            degenerate_pivots += 1
             degen_streak += 1
             if degen_streak >= _BLAND_AFTER:
                 bland = True
@@ -261,7 +280,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             xb[pos] = xq_new
             lb_b[pos] = lb[q]
             ub_b[pos] = ub[q]
-            etas[n_eta] = w
-            eta_piv[n_eta] = pos
+            ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
             n_eta += 1
         iters += 1

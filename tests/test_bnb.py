@@ -5,6 +5,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import hubplan.milp.bnb as bnb_mod
 from conftest import make_model
+from hubplan.errors import InvalidParameterError
 from hubplan.milp import branch_and_bound, solve_lp
 from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
                            assemble_model)
@@ -139,6 +140,31 @@ def test_warm_started_lps_cost_less_than_the_root(tiny_solved, monkeypatch):
     assert sum(pivots) == s.root_pivots + s.dive_pivots + s.node_pivots
     assert s.node_pivots < s.root_pivots
     assert s.dive_pivots < s.root_pivots
+
+
+def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
+    s, calls = _solve_recording(monkeypatch, tiny_solved.model)
+    lps = [lp for _w, lp in calls]
+    for lp in lps:
+        assert 0 <= lp.phase1_pivots <= lp.iterations
+        assert 0 <= lp.degenerate_pivots <= lp.iterations
+        assert 0 <= lp.bland_pivots <= lp.iterations
+        assert lp.refactors >= 1
+    for key in bnb_mod.LP_COUNTERS:
+        assert getattr(s, key) == sum(getattr(lp, key) for lp in lps), key
+        assert s.lp_counters()[key] == getattr(s, key)
+    # the cold root walks out of an infeasible slack basis first
+    assert lps[0].phase1_pivots > 0
+
+
+@pytest.mark.parametrize("limits", [
+    {"rel_gap": -1.0}, {"rel_gap": float("nan")}, {"max_nodes": 0},
+    {"time_limit_s": 0.0}, {"time_limit_s": -5.0}])
+def test_bad_limits_are_rejected(limits):
+    m = make_model([-1, -1], [[1, 1]], [LE], [1.5], [0, 0], [1, 1],
+                   [BINARY, BINARY])
+    with pytest.raises(InvalidParameterError):
+        branch_and_bound(m, **limits)
 
 
 def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):

@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import hubplan
 from hubplan import cli
 from hubplan.core import EvRecord, ScenarioSet
 from hubplan.fileio import CaseData, write_case, write_scenario_set
@@ -69,6 +71,11 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
                                                       rel=1e-9)
     assert doc["node_lps"] == doc["nodes"] - 1
     assert doc["node_pivots"] + doc["dive_pivots"] < doc["root_pivots"]
+    pivots = doc["root_pivots"] + doc["node_pivots"] + doc["dive_pivots"]
+    assert 0 < doc["phase1_pivots"] <= pivots
+    assert doc["degenerate_pivots"] <= pivots
+    assert doc["bland_pivots"] <= pivots
+    assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
     sid = doc["extreme_scenario"]
     assert sid == 1
     assert (out / f"dispatch_{sid}.csv").exists()
@@ -101,6 +108,37 @@ def test_plan_rejects_tax_list_before_generating(data_dir, tmp_path, capsys):
     assert rc == 1
     assert "single carbon tax" in capsys.readouterr().err
     assert not (out / "scenarios.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+@pytest.mark.parametrize("flags, doc_update", [
+    (["--zeta", "1.5"], {}),
+    ([], {"mode": "bogus"}),  # a config value skips argparse's choices
+    (["--rel-gap", "-1"], {}),
+    (["--max-nodes", "0"], {}),
+    (["--time-limit", "0"], {}),
+])
+def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
+                                            command, flags, doc_update):
+    # desk_run.json generates scenarios from history: every bad option is
+    # refused before that starts, and nothing is written
+    with open(os.path.join(data_dir, "desk_run.json")) as fh:
+        doc = json.load(fh)
+    doc = {k: (os.path.join(data_dir, v) if k in cli._PATH_KEYS else v)
+           for k, v in doc.items()}
+    doc.update(doc_update)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = [command, "--config", str(config), "--out", str(out)] + flags
+    if command == "plan":
+        argv += ["--carbon-tax", "40"]
+    t0 = time.perf_counter()
+    rc = cli.main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_plan_export_mps(ws, tiny, tmp_path):
@@ -182,6 +220,9 @@ def test_sweep_audit(ws, tmp_path, capsys):
     assert levels[0]["total"] <= levels[1]["total"] + 1e-9
     # the second level's root starts from the first level's root basis
     assert levels[1]["root_pivots"] < levels[0]["root_pivots"]
+    # the cold first root starts outside the feasible region
+    assert levels[0]["phase1_pivots"] > 0
+    assert all(lv["refactors"] >= 1 for lv in levels)
     assert doc["notes"]
     assert (out / "cost_breakdown.csv").exists()
 
@@ -271,13 +312,20 @@ def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
 
 
 def test_fresh_process_determinism(ws, tmp_path):
+    # the children import the hubplan these tests import, also when pytest
+    # put it on sys.path (pyproject's pythonpath) rather than PYTHONPATH
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        hubplan.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [pkg_root] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "hubplan.cli", "plan"]
             + args_for(ws, "--out", str(out)),
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     a, b = outs

@@ -16,6 +16,8 @@ def test_single_bound_optimum():
     s = solve_lp(m)
     assert s.status == "optimal"
     assert abs(s.objective + 3.0) < 1e-9 and abs(s.x[0] - 3.0) < 1e-9
+    # the slack basis is feasible: no phase 1
+    assert s.iterations >= 1 and s.phase1_pivots == 0
 
 
 def test_two_var_ge():
@@ -60,6 +62,8 @@ def test_degenerate_rows():
                    [0, 0], [9, 9])
     s = solve_lp(m)
     assert s.status == "optimal" and abs(s.objective - 3.0) < 1e-9
+    assert s.phase1_pivots >= 1 and s.degenerate_pivots >= 1
+    assert s.bland_pivots == 0 and s.refactors >= 1
 
 
 def test_fixed_variable():
@@ -163,6 +167,9 @@ def test_warm_start_after_bound_change_matches_cold():
             assert abs(warm.objective - cold.objective) <= 1e-9 * (
                 1 + abs(cold.objective)), (trial, kind)
             assert warm.max_violation <= 1e-7
+        if kind == "cost":
+            # new costs leave the parent's basis primal feasible
+            assert warm.phase1_pivots == 0, trial
         # children share the parent's arrays, so a warm solve must not
         # write them
         assert np.array_equal(parent.basis, basis)
@@ -387,20 +394,31 @@ def test_kernels_match_scalar_reference():
         seen["basic"] += pos >= 0
     assert min(seen.values()) >= 10, seen
 
+    # the block eta kernels against the per-eta loops, on files built
+    # through push_eta as solve_lp builds them
+    n_full = n_repeat = 0
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        m, n_eta = int(rng.integers(1, 12)), int(rng.integers(0, 8))
-        etas = np.full((8, m), np.nan)  # rows past n_eta must stay unread
-        eta_piv = rng.integers(0, m, size=8)
-        etas[:n_eta] = rng.normal(size=(n_eta, m))
-        etas[np.arange(n_eta), eta_piv[:n_eta]] = (
-            rng.choice([-1.0, 1.0], n_eta) * rng.uniform(0.5, 2, n_eta))
+        m = int(rng.integers(1, 12))
+        n_eta = 50 if rng.random() < 0.1 else int(rng.integers(0, 50))
+        eta_piv = rng.integers(0, m, size=50)
+        cols = np.full((50, m), np.nan)  # the ftran'ed columns, for the loops
+        # entries past n_eta, and above the diagonal of tri, stay unread
+        etas = np.full((50, m), np.nan)
+        tri = np.full((50, 50), np.nan)
+        for k in range(n_eta):
+            w = rng.normal(size=m) * (rng.random(m) < 0.4)
+            w[eta_piv[k]] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2)
+            cols[k] = w
+            ker.push_eta(etas, tri, eta_piv, k, w, eta_piv[k])
+        n_full += n_eta == 50
+        n_repeat += np.unique(eta_piv[:n_eta]).size < n_eta
         v = rng.normal(size=m)
-        assert np.array_equal(ker.ftran_etas(etas, eta_piv, n_eta, v.copy()),
-                              _ftran_etas_py(etas, eta_piv, n_eta,
-                                             v.copy())), trial
-        # a sequential sum and w @ v add in different orders
-        np.testing.assert_allclose(
-            ker.btran_etas(etas, eta_piv, n_eta, v.copy()),
-            _btran_etas_py(etas, eta_piv, n_eta, v.copy()),
-            rtol=1e-12, atol=0, err_msg=str(trial))
+        # the block forms sum in another order than the loops
+        for kernel, loop in ((ker.ftran_etas, _ftran_etas_py),
+                             (ker.btran_etas, _btran_etas_py)):
+            got = kernel(etas, tri, eta_piv, n_eta, v.copy())
+            want = loop(cols, eta_piv, n_eta, v.copy())
+            assert (np.linalg.norm(got - want)
+                    <= 1e-10 * np.linalg.norm(want)), (trial, kernel.__name__)
+    assert n_full >= 1 and n_repeat >= 10, (n_full, n_repeat)
