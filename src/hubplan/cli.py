@@ -147,7 +147,7 @@ def _load_scenarios(cfg, case):
     loads = _require(cfg, "history_loads", "history or scenario files")
     elec, heat, pv, ev = read_history(loads, cfg["history_ev"])
     scen, raw = generate_scenarios(
-        case, elec, heat, pv, ev, n_scenarios=int(cfg["n_scenarios"]),
+        case, elec, heat, pv, ev, n_scenarios=_n_scenarios(cfg),
         seed=int(cfg["seed"]), tol=float(cfg["gen_tol"]),
         max_iters=int(cfg["gen_max_iters"]),
         n_ev=case.catalog.ev_fleet.n_ev)
@@ -173,6 +173,7 @@ def cmd_validate(cfg):
 
 
 def cmd_scen_gen(cfg):
+    _n_scenarios(cfg)
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -195,6 +196,17 @@ def _model_config(cfg):
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"zeta must be a number: {exc}") from exc
     return ModelConfig(zeta=zeta, exclusivity_mode=cfg["mode"])
+
+
+def _n_scenarios(cfg):
+    """The number of scenarios to generate, checked."""
+    try:
+        n = int(cfg["n_scenarios"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"n must be an integer: {exc}") from exc
+    if n < 2:
+        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    return n
 
 
 def _bnb_limits(cfg):
@@ -223,15 +235,16 @@ def _solve(case, scen, config, limits, tax=None):
 
 
 def cmd_plan(cfg):
-    case = read_case(_require(cfg, "case", "case file"))
+    # options are checked before any input is read
     taxes = _tax_list(cfg)
     if taxes is not None and len(taxes) != 1:
         raise InvalidParameterError(
             "plan takes a single carbon tax; use sweep for a list")
     tax = taxes[0] if taxes else None
-    # options are checked before the scenarios are read or generated
     config = _model_config(cfg)
     limits = _bnb_limits(cfg)
+    _n_scenarios(cfg)
+    case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(cfg, case)
@@ -321,13 +334,15 @@ def cmd_plan(cfg):
 
 
 def cmd_sweep(cfg):
-    case = read_case(_require(cfg, "case", "case file"))
+    # options are checked before any input is read
     taxes = _tax_list(cfg)
     if not taxes:
         raise InvalidParameterError("sweep needs --carbon-tax with at least "
                                     "one level (yuan per ton)")
     config = _model_config(cfg)
     limits = _bnb_limits(cfg)
+    _n_scenarios(cfg)
+    case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(cfg, case)

@@ -1,16 +1,25 @@
 """Moment-matching scenario generation.
 
 Scenario days are drawn to reproduce the first four marginal moments and the
-correlation matrix of historical data. Each dimension starts from counter-based
-normal seed noise, is pushed through a cubic transform fitted so its raw
-moments hit the targets, and the panel is then re-mixed through Cholesky
-factors so the sample correlation matches the target exactly. Transform and
-mixing are alternated until both errors sit inside tolerance.
+correlation matrix of historical data (Hoyland, Kaut & Wallace 2003). Each
+dimension starts from counter-based normal seed noise, is pushed through a
+cubic transform fitted so its raw moments hit the targets (Fleishman 1978),
+and the panel is then re-mixed through Cholesky factors so the sample
+correlation matches the target exactly. Transform and mixing are alternated
+until both errors sit inside tolerance.
+
+All dimensions' cubics are fitted in one batched damped Newton solve per
+round (fit_cubic_batch): the seed moments come from one power table, the
+stacked 4x4 Newton systems are solved together, and the line search tries
+the full step for every row, then the 30 halved steps of the rows that
+reject it in one evaluation. A dimension whose fit stalls stays affine for
+that round, and the round's log names it.
 
 Everything here is deterministic in (targets, n, seed): reruns give
 bit-identical output.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,8 +72,9 @@ class MomentTargets:
 @dataclass(frozen=True)
 class RawSampleMatrix:
     """Generated panel (n rows, one column per dimension) plus the iteration
-    log: per round its moment error, correlation error and fit_fails, the
-    number of dimensions whose cubic fit failed and stayed affine."""
+    log: per round its moment error, correlation error, fit_failed (the
+    sorted dimensions whose cubic fit failed and stayed affine) and
+    fit_fails, the length of fit_failed."""
 
     values: np.ndarray
     seed: int
@@ -89,10 +99,6 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
         if j + 1 < n:
             low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return low
-
-
-def _pop_std(x):
-    return math.sqrt(float(np.mean((x - np.mean(x)) ** 2)))
 
 
 def sample_moments(values: np.ndarray) -> MomentTargets:
@@ -125,16 +131,6 @@ def sample_moments(values: np.ndarray) -> MomentTargets:
                          kurtosis=kurt, correlation=corr)
 
 
-def _raw_moments(x: np.ndarray, upto: int) -> np.ndarray:
-    out = np.empty(upto + 1)
-    out[0] = 1.0
-    p = np.ones_like(x)
-    for k in range(1, upto + 1):
-        p = p * x
-        out[k] = np.mean(p)
-    return out
-
-
 def _raw_targets(mean, var, skew, kurt):
     m3c = skew * var ** 1.5
     m4c = kurt * var ** 2
@@ -145,24 +141,128 @@ def _raw_targets(mean, var, skew, kurt):
     return np.array([r1, r2, r3, r4])
 
 
-def _cubic_system(coef, m):
-    """Raw moments of Y = p(X) and their Jacobian wrt the cubic coefficients.
+def _seed_moments(rows):
+    """Raw moments E[X^k], k = 0..12, of each row of a (d, n) sample."""
+    m = np.ones((rows.shape[0], 13))
+    p = np.ones_like(rows)
+    for k in range(1, 13):
+        p = p * rows
+        m[:, k] = p.mean(axis=1)
+    return m
 
-    coef are the coefficients of powers 0..3; m holds seed raw moments up to
-    order 12 (products of two cubics need X powers up to 3*4).
+
+def _affine_start(mean, var, m):
+    """(d, 4) coefficients of the affine map giving seed rows the target mean
+    and variance: Newton's starting point."""
+    b0 = np.sqrt(np.maximum(var, _VAR_FLOOR)
+                 / np.maximum(m[:, 2] - m[:, 1] ** 2, _VAR_FLOOR))
+    zero = np.zeros_like(b0)
+    return np.column_stack([mean - b0 * m[:, 1], b0, zero, zero])
+
+
+@functools.cache
+def _selector(n):
+    """0/1 matrix taking the flattened outer product of a polynomial's n
+    coefficients and a cubic's 4 to the coefficients of their product."""
+    k = np.arange(4 * n)
+    sel = np.zeros((4 * n, n + 3))
+    sel[k, k // 4 + k % 4] = 1.0
+    return sel
+
+
+_JAC_ORDER = np.arange(1.0, 5.0)[:, None]
+
+
+def _hankel(seed_moments):
+    """(d, 4, 10) tables hank[:, j, i] = E[X^(i+j)] of (d, >= 13) moments."""
+    return np.asarray(seed_moments, dtype=float)[
+        :, np.add.outer(np.arange(4), np.arange(10))]
+
+
+def _moment_system(coef, hank):
+    """Raw moments E[Y^k], k = 1..4, of Y = p(X) and their Jacobian wrt p.
+
+    coef (..., 4) holds the coefficients of powers 0..3. hank (..., 4, 10) is
+    the seed's Hankel table hank[j, i] = E[X^(i+j)], broadcast against
+    coef's leading axes. Returns ey (..., 4) and jac (..., 4, 4).
     """
-    p1 = coef
-    p2 = np.convolve(p1, p1)
-    p3 = np.convolve(p2, p1)
-    p4 = np.convolve(p3, p1)
-    ey = np.array([p1 @ m[:4], p2 @ m[:7], p3 @ m[:10], p4 @ m[:13]])
-    jac = np.empty((4, 4))
-    powers = [np.array([1.0]), p1, p2, p3]
-    for k in range(4):
-        pk = powers[k]
-        for j in range(4):
-            jac[k, j] = (k + 1) * (pk @ m[j:j + pk.size])
-    return ey, jac
+    lead = coef.shape[:-1]
+    cols = [np.broadcast_to(hank[..., :1], lead + (4, 1)),
+            hank[..., :4] @ coef[..., None]]
+    pk = coef  # coefficients of p^k, k = 1, 2, 3
+    for _ in range(2):
+        pk = ((pk[..., :, None] * coef[..., None, :]).reshape(lead + (-1,))
+              @ _selector(pk.shape[-1]))
+        cols.append(hank[..., :pk.shape[-1]] @ pk[..., None])
+    g = np.concatenate(cols, axis=-1)  # g[j, k] = E[X^j Y^k]
+    ey4 = coef[..., None, :] @ cols[3]  # E[Y^4] = sum_j p_j E[X^j Y^3]
+    return (np.concatenate([g[..., 0, 1:], ey4[..., 0]], axis=-1),
+            _JAC_ORDER * np.swapaxes(g, -1, -2))
+
+
+def _newton_step(jac, rhs):
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+
+
+def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
+    """Fit one cubic transform Y = p(X) per row so Y's raw moments hit target.
+
+    target (d, 4) holds E[Y^k], k = 1..4; seed_moments (d, >= 13) the seed
+    rows' raw moments E[X^k], k = 0..12; coef0 (d, 4) the starting
+    coefficients of powers 0..3. Every row takes damped Newton steps on its
+    four raw-moment equations, all rows together: each step accepts the
+    largest lam = 2^-j (j = 0..30) that strictly lowers the row's largest
+    residual scaled by max(1, |target|). lam = 1 is tried for every row
+    first, then the other 30 rungs at once for the rows that reject it. A row
+    with no improving rung has stalled.
+
+    Returns (coef, failed): failed marks the rows that stalled or were not
+    within tol after max_iters steps; their coef is the last iterate.
+    """
+    target = np.asarray(target, dtype=float)
+    coef = np.array(coef0, dtype=float)
+    scale = np.maximum(1.0, np.abs(target))
+    hank = _hankel(seed_moments)
+    ladder = 0.5 ** np.arange(1, 31)  # the damped steps tried after lam = 1
+    ey, jac = _moment_system(coef, hank)
+    err = np.max(np.abs((ey - target) / scale), axis=-1)
+    failed = np.zeros(coef.shape[0], dtype=bool)
+    for _ in range(max_iters):
+        act = np.flatnonzero(~(err <= tol) & ~failed)
+        if act.size == 0:
+            break
+        rhs = -(ey[act] - target[act])
+        try:
+            step = np.linalg.solve(jac[act], rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.array([_newton_step(a, b) for a, b in zip(jac[act], rhs)])
+        cand = coef[act] + step
+        ey_c, jac_c = _moment_system(cand, hank[act])
+        err_c = np.max(np.abs((ey_c - target[act]) / scale[act]), axis=-1)
+        ok = err_c < err[act]
+        rej = np.flatnonzero(~ok)
+        if rej.size:
+            rows = act[rej]
+            cands = coef[rows, None] + ladder[:, None] * step[rej, None]
+            ey_l, jac_l = _moment_system(cands, hank[rows, None])
+            err_l = np.max(np.abs((ey_l - target[rows, None])
+                                  / scale[rows, None]), axis=-1)
+            better = err_l < err[rows, None]
+            rung = np.argmax(better, axis=1)
+            moved = better[np.arange(rows.size), rung]
+            failed[rows[~moved]] = True
+            pick, rung = rej[moved], rung[moved]
+            cand[pick] = cands[moved, rung]
+            ey_c[pick], jac_c[pick] = ey_l[moved, rung], jac_l[moved, rung]
+            err_c[pick] = err_l[moved, rung]
+            ok[pick] = True
+        take = act[ok]
+        coef[take], ey[take], jac[take], err[take] = (
+            cand[ok], ey_c[ok], jac_c[ok], err_c[ok])
+    return coef, failed | ~(err <= tol)
 
 
 def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
@@ -170,8 +270,8 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
     """Fit Y = a + bX + cX^2 + dX^3 so Y's first four moments hit the targets.
 
     seed_moments are the raw moments of the seed sample X up to order 12
-    (seed_moments[k] = E[X^k], length >= 13). Solved by damped Newton on the
-    four raw-moment equations; tol is relative to max(1, |target|).
+    (seed_moments[k] = E[X^k], length >= 13). The one-row case of
+    fit_cubic_batch; tol is relative to max(1, |target|).
 
     Raises MomentFitError when the targets violate the kurtosis feasibility
     bound (kurt >= skew^2 + 1) or Newton stalls.
@@ -182,39 +282,18 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
     if kurt < skew * skew + 1.0 - 1e-9:
         raise MomentFitError(
             f"infeasible targets: kurtosis {kurt} below bound {skew * skew + 1.0}")
+    m = m[None, :13]
     target = _raw_targets(float(mean), float(var), float(skew), float(kurt))
-    scale = np.maximum(1.0, np.abs(target))
-
-    seed_var = m[2] - m[1] ** 2
-    b0 = math.sqrt(max(var, _VAR_FLOOR) / max(seed_var, _VAR_FLOOR))
-    coef = np.array([mean - b0 * m[1], b0, 0.0, 0.0])
-
-    ey, jac = _cubic_system(coef, m)
-    resid = (ey - target) / scale
-    err = float(np.max(np.abs(resid)))
-    for _ in range(max_iters):
-        if err <= tol:
-            return tuple(coef)
-        try:
-            step = np.linalg.solve(jac, -(ey - target))
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -(ey - target), rcond=None)[0]
-        lam = 1.0
-        improved = False
-        while lam >= 2.0 ** -30:
-            cand = coef + lam * step
-            ey_c, jac_c = _cubic_system(cand, m)
-            err_c = float(np.max(np.abs((ey_c - target) / scale)))
-            if err_c < err:
-                coef, ey, jac, err = cand, ey_c, jac_c, err_c
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            raise MomentFitError("Newton stalled", residual=err)
-    if err <= tol:
-        return tuple(coef)
-    raise MomentFitError(f"no convergence in {max_iters} iterations", residual=err)
+    coef, failed = fit_cubic_batch(target[None], m,
+                                   _affine_start(float(mean), float(var), m),
+                                   tol=tol, max_iters=max_iters)
+    if failed[0]:
+        ey, _jac = _moment_system(coef, _hankel(m))
+        resid = np.abs(ey[0] - target) / np.maximum(1.0, np.abs(target))
+        raise MomentFitError(
+            f"Newton stalled or not within {tol} after {max_iters} iterations",
+            residual=float(np.max(resid)))
+    return tuple(coef[0])
 
 
 def impose_correlation(values: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -251,12 +330,14 @@ def impose_correlation(values: np.ndarray, corr: np.ndarray) -> np.ndarray:
     return (l_tgt @ white).T
 
 
-def _standardize(col):
-    mu = float(np.mean(col))
-    sd = _pop_std(col)
-    if sd <= 0.0:
-        raise DegenerateColumnError(column=-1, message="seed column collapsed")
-    return (col - mu) / sd
+def _standardize(rows):
+    """Rows of a (d, n) array shifted and scaled to mean 0, variance 1."""
+    mu = rows.mean(axis=1, keepdims=True)
+    sd = np.sqrt(np.mean((rows - mu) ** 2, axis=1, keepdims=True))
+    if np.any(sd <= 0.0):
+        raise DegenerateColumnError(column=int(np.argmax(sd <= 0.0)),
+                                    message="seed column collapsed")
+    return (rows - mu) / sd
 
 
 def _panel_errors(w, targets):
@@ -283,10 +364,10 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
                  max_iters=50) -> RawSampleMatrix:
     """Generate n rows matching the target moments and correlation.
 
-    Alternates per-dimension cubic re-fitting with correlation re-mixing and
-    returns the best iterate. ``converged`` reports whether both the largest
-    marginal-moment error and the largest correlation-entry error made it
-    below tol.
+    Alternates a batched cubic re-fit of every dimension with correlation
+    re-mixing and returns the best iterate. ``converged`` reports whether
+    both the largest marginal-moment error and the largest
+    correlation-entry error made it below tol.
 
     Seed noise is drawn from a counter-based generator keyed on
     (seed, dimension), so results do not depend on evaluation order.
@@ -297,39 +378,39 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     if n < 8 * d:
         warnings.warn(f"n = {n} is small for {d} dimensions; "
                       f"moment estimates will be noisy", stacklevel=2)
-    for j in range(d):
+    short = targets.kurtosis < targets.skewness ** 2 + 1.0 - 1e-9
+    if np.any(short):
+        j = int(np.argmax(short))
         s, k = targets.skewness[j], targets.kurtosis[j]
-        if k < s * s + 1.0 - 1e-9:
-            raise MomentFitError(
-                f"dimension {j}: kurtosis {k} below feasibility bound {s * s + 1.0}",
-                dimension=j)
+        raise MomentFitError(
+            f"dimension {j}: kurtosis {k} below feasibility bound {s * s + 1.0}",
+            dimension=j)
     # fail fast on a non-PD target correlation
     cholesky_lower(targets.correlation)
 
-    w = np.empty((n, d))
+    wt = np.empty((d, n))  # the panel transposed: one row per dimension
     for j in range(d):
         gen = np.random.Generator(np.random.Philox(key=[seed, j]))
-        w[:, j] = _standardize(gen.standard_normal(n))
+        wt[j] = gen.standard_normal(n)
+    w = _standardize(wt).T
 
-    std_targets = [(0.0, 1.0, targets.skewness[j], targets.kurtosis[j])
-                   for j in range(d)]
+    target = np.column_stack([np.zeros(d), np.ones(d), targets.skewness,
+                              targets.kurtosis])
     log = []
     best_w, best_err, best_it = w.copy(), math.inf, 0
     converged = False
     for it in range(1, max_iters + 1):
-        fit_fails = 0
-        for j in range(d):
-            col = w[:, j]
-            try:
-                coef = fit_cubic_transform(*std_targets[j], _raw_moments(col, 12))
-                col = coef[0] + col * (coef[1] + col * (coef[2] + col * coef[3]))
-            except MomentFitError:
-                fit_fails += 1  # the column stays affine (standardized) this round
-            w[:, j] = _standardize(col)
-        w = impose_correlation(w, targets.correlation)
+        wt = w.T
+        m = _seed_moments(wt)
+        coef, failed = fit_cubic_batch(target, m, _affine_start(0.0, 1.0, m))
+        # a failed dimension stays affine (standardized) this round
+        c, x = coef[~failed].T[:, :, None], wt[~failed]
+        wt[~failed] = c[0] + x * (c[1] + x * (c[2] + x * c[3]))
+        w = impose_correlation(_standardize(wt).T, targets.correlation)
         moment_err, corr_err = _panel_errors(w, targets)
         log.append({"iteration": it, "moment_err": moment_err, "corr_err": corr_err,
-                    "fit_fails": fit_fails})
+                    "fit_fails": int(failed.sum()),
+                    "fit_failed": np.flatnonzero(failed).tolist()})
         if max(moment_err, corr_err) < best_err:
             best_err = max(moment_err, corr_err)
             best_w, best_it = w.copy(), it
@@ -340,8 +421,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
             break  # plateaued; keep the best iterate seen
     # per-column affine maps leave skewness, kurtosis and correlation alone,
     # so pin the sample mean and variance exactly
-    for j in range(d):
-        best_w[:, j] = _standardize(best_w[:, j])
+    best_w = _standardize(best_w.T).T
     values = targets.mean + np.sqrt(targets.variance) * best_w
     return RawSampleMatrix(values=values, seed=seed, iteration_log=log,
                            converged=converged)
@@ -405,6 +485,8 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     Returns (scenario_set, raw) where raw is the RawSampleMatrix with its
     iteration log.
     """
+    if n_scenarios < 2:
+        raise InvalidParameterError(f"n_scenarios must be >= 2, got {n_scenarios}")
     elec = np.asarray(history_elec, dtype=float)
     heat = np.asarray(history_heat, dtype=float)
     pv = np.asarray(history_pv, dtype=float)

@@ -141,6 +141,21 @@ def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["plan"], ["sweep"], ["scen", "gen"]])
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_bad_n_exits_before_reading_inputs(data_dir, tmp_path, capsys,
+                                           command, n):
+    # the history path does not exist: the scenario count is refused first
+    out = tmp_path / "o"
+    rc = cli.main(command + [
+        "--case", os.path.join(data_dir, "case.json"),
+        "--history-loads", str(tmp_path / "missing.csv"),
+        "--carbon-tax", "40", "--n", n, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: n must be >= 2, got {n}")
+    assert not out.exists()
+
+
 def test_plan_export_mps(ws, tiny, tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out), "--export-mps"))

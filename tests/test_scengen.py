@@ -1,16 +1,18 @@
 """Moment-matching scenario generation: estimators, transforms, pipeline."""
+import inspect
 import os
 
 import numpy as np
 import pytest
 
+from hubplan import scengen
 from hubplan.errors import (DecompositionError, DegenerateColumnError,
-                            MomentFitError)
+                            InvalidParameterError, MomentFitError)
 from hubplan.fileio import read_case, read_history, write_scenario_set
 from hubplan.scengen import (MomentTargets, cholesky_lower,
-                             discretize_ev_fields, fit_cubic_transform,
-                             generate_scenarios, hmm_generate,
-                             impose_correlation, sample_moments)
+                             discretize_ev_fields, fit_cubic_batch,
+                             fit_cubic_transform, generate_scenarios,
+                             hmm_generate, impose_correlation, sample_moments)
 
 # raw moments of N(0,1) up to order 12: E[X^k] = (k-1)!! for even k
 _NORMAL_MOMENTS = [1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0, 0.0,
@@ -85,6 +87,111 @@ def test_fit_cubic_hits_targets_on_sample():
 def test_fit_cubic_infeasible_kurtosis():
     with pytest.raises(MomentFitError):
         fit_cubic_transform(0.0, 1.0, 2.0, 2.0, _NORMAL_MOMENTS)  # < s^2+1
+    # inside the bound, but no cubic of a normal is that platykurtic
+    with pytest.raises(MomentFitError) as info:
+        fit_cubic_transform(0.0, 1.0, 0.0, 1.2, _NORMAL_MOMENTS)
+    assert info.value.residual > 1e-10
+
+
+# The scalar damped Newton fit that fit_cubic_batch replaces, kept as its
+# reference: one row at a time, halving lam from 1 until the largest scaled
+# residual falls.
+def _ref_cubic_system(coef, m):
+    p1 = coef
+    p2 = np.convolve(p1, p1)
+    p3 = np.convolve(p2, p1)
+    p4 = np.convolve(p3, p1)
+    ey = np.array([p1 @ m[:4], p2 @ m[:7], p3 @ m[:10], p4 @ m[:13]])
+    jac = np.empty((4, 4))
+    powers = [np.array([1.0]), p1, p2, p3]
+    for k in range(4):
+        pk = powers[k]
+        for j in range(4):
+            jac[k, j] = (k + 1) * (pk @ m[j:j + pk.size])
+    return ey, jac
+
+
+def _ref_fit(target, m, coef, tol=1e-10, max_iters=200):
+    """(coef, ok, err, lams): the last iterate, whether it reached tol, its
+    largest scaled residual and the lam each Newton step accepted."""
+    scale = np.maximum(1.0, np.abs(target))
+    ey, jac = _ref_cubic_system(coef, m)
+    err = float(np.max(np.abs((ey - target) / scale)))
+    lams = []
+    for _ in range(max_iters):
+        if err <= tol:
+            break
+        try:
+            step = np.linalg.solve(jac, -(ey - target))
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -(ey - target), rcond=None)[0]
+        lam = 1.0
+        while lam >= 2.0 ** -30:
+            cand = coef + lam * step
+            ey_c, jac_c = _ref_cubic_system(cand, m)
+            err_c = float(np.max(np.abs((ey_c - target) / scale)))
+            if err_c < err:
+                coef, ey, jac, err = cand, ey_c, jac_c, err_c
+                lams.append(lam)
+                break
+            lam *= 0.5
+        else:
+            return coef, False, err, lams  # stalled
+    return coef, err <= tol, err, lams
+
+
+def test_fit_cubic_batch_matches_reference():
+    # standardized seeds (as hmm_generate passes them) of 6..200 normal or
+    # lognormal draws; targets with a kurtosis margin of 0.2..4 above
+    # skew^2 + 1, so some fits converge and the platykurtic ones stall; all
+    # rows go through one batched call
+    rng = np.random.default_rng(21)
+    tol, rows = 1e-10, 300
+    m = np.empty((rows, 13))
+    target = np.empty((rows, 4))
+    for r in range(rows):
+        x = rng.standard_normal(rng.integers(6, 201))
+        if r % 3 == 0:
+            x = np.exp(0.5 * x)
+        x = (x - x.mean()) / x.std()
+        m[r] = [np.mean(x ** k) for k in range(13)]
+        mean, var = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)
+        skew = rng.uniform(-1.5, 1.5)
+        kurt = skew * skew + 1.0 + rng.uniform(0.2, 4.0)
+        target[r] = scengen._raw_targets(mean, var, skew, kurt)
+    b0 = np.sqrt((target[:, 1] - target[:, 0] ** 2) / (m[:, 2] - m[:, 1] ** 2))
+    coef0 = np.column_stack([target[:, 0] - b0 * m[:, 1], b0,
+                             np.zeros(rows), np.zeros(rows)])
+    coef, failed = fit_cubic_batch(target, m, coef0, tol=tol)
+    seen = {True: 0, False: 0}
+    for r in range(rows):
+        ref, ok, err, _lams = _ref_fit(target[r], m[r], coef0[r], tol=tol)
+        if tol / 10 <= err <= 10 * tol:
+            continue  # borderline: rounding may decide either way
+        seen[ok] += 1
+        assert failed[r] == (not ok), r
+        if ok:
+            assert np.all(np.abs(coef[r] - ref)
+                          <= 1e-9 * np.maximum(1.0, np.abs(ref))), r
+    assert seen[True] >= 50 and seen[False] >= 50
+
+
+def test_fit_ladder_accepts_first_improving_halving():
+    # from this start the full step, 1/2 and 1/4 all raise the residual
+    target = np.array([0.0, 1.0, 1.3, 5.0])  # mean 0, var 1, skew 1.3, kurt 5
+    coef0 = np.array([0.4, -0.35, 0.45, -0.15])
+    m = np.array(_NORMAL_MOMENTS)
+    ref, _ok, _err, lams = _ref_fit(target, m, coef0, max_iters=1)
+    assert lams == [0.125]
+    coef, failed = fit_cubic_batch(target[None], m[None], coef0[None],
+                                   max_iters=1)
+    assert failed[0]  # one step does not reach tol
+    np.testing.assert_allclose(coef[0], ref, rtol=1e-12)
+    # and over the whole fit
+    ref, ok, _err, lams = _ref_fit(target, m, coef0)
+    coef, failed = fit_cubic_batch(target[None], m[None], coef0[None])
+    assert ok and not failed[0] and len(lams) > 1
+    np.testing.assert_allclose(coef[0], ref, rtol=1e-9)
 
 
 def test_impose_correlation_exact_full_rank():
@@ -221,3 +328,45 @@ def test_fit_failures_are_counted(bundled):
     assert not raw.converged
     (entry,) = raw.iteration_log
     assert 0 < entry["fit_fails"] < raw.values.shape[1]
+    failed = entry["fit_failed"]
+    assert len(failed) == entry["fit_fails"]
+    assert failed == sorted(set(failed))
+    assert 0 <= failed[0] and failed[-1] < raw.values.shape[1]
+
+
+def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
+    # the line search tries lam = 1 in one batched evaluation and all other
+    # rungs in one more, so a round costs at most 2 * max_iters + 1
+    # evaluations however many dimensions stall
+    system, batch = scengen._moment_system, scengen.fit_cubic_batch
+    calls, per_round = [0], []
+
+    def counted_system(*args):
+        calls[0] += 1
+        return system(*args)
+
+    def counted_batch(*args, **kwargs):
+        before = calls[0]
+        out = batch(*args, **kwargs)
+        per_round.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(scengen, "_moment_system", counted_system)
+    monkeypatch.setattr(scengen, "fit_cubic_batch", counted_batch)
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
+                                        n_scenarios=6, seed=3,
+                                        n_ev=case.catalog.ev_fleet.n_ev)
+    max_iters = inspect.signature(batch).parameters["max_iters"].default
+    assert len(per_round) == len(raw.iteration_log)
+    assert 1 < max(per_round) <= 2 * max_iters + 1
+    assert sum(e["fit_fails"] for e in raw.iteration_log) > 0
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_generate_scenarios_rejects_small_n(bundled, n):
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.raises(InvalidParameterError):
+        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=n, seed=3,
+                           n_ev=case.catalog.ev_fleet.n_ev)
