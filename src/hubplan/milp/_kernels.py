@@ -37,22 +37,16 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     approach. Among blockers tying within a relative 1e-10 window the
     smallest prio wins; a flip is taken only when no basic ties.
     """
-    m = xb.shape[0]
+    # a basic rising (rho > 0) blocks at its lower bound when below it, at
+    # its upper bound when within; a falling one at its upper bound when
+    # above it, at its lower bound when within. (bound - xb) / rho is the
+    # step either way, and +inf when that bound is infinite.
     rho = -sigma * w
-    t = np.full(m, np.inf)
-    code = np.zeros(m, dtype=np.int8)
     up = rho > pivot_tol
-    dn = rho < -pivot_tol
-    sel = up & (gamma == -1)
-    t[sel] = (lb_b[sel] - xb[sel]) / rho[sel]
-    sel = up & (gamma == 0) & np.isfinite(ub_b)
-    t[sel] = (ub_b[sel] - xb[sel]) / rho[sel]
-    code[sel] = 1
-    sel = dn & (gamma == 1)
-    t[sel] = (xb[sel] - ub_b[sel]) / (-rho[sel])
-    code[sel] = 1
-    sel = dn & (gamma == 0) & np.isfinite(lb_b)
-    t[sel] = (xb[sel] - lb_b[sel]) / (-rho[sel])
+    blocks = np.where(up, gamma != 1, (rho < -pivot_tol) & (gamma != -1))
+    hit_ub = np.where(up, gamma == 0, gamma == 1)
+    t = np.full(rho.shape[0], np.inf)
+    np.divide(np.where(hit_ub, ub_b, lb_b) - xb, rho, out=t, where=blocks)
     np.maximum(t, 0.0, out=t)
     t_min = min(float(np.min(t, initial=np.inf)), enter_gap)
     if not np.isfinite(t_min):
@@ -62,7 +56,7 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     if idx.size == 0:
         return t_min, POS_FLIP, 0
     best = int(idx[np.argmin(prio[idx])])
-    return t_min, best, int(code[best])
+    return t_min, best, int(hit_ub[best])
 
 
 def push_eta(etas, tri, eta_piv, n_eta, w, r):
@@ -109,15 +103,15 @@ def basic_state(xb, lb_b, ub_b, feas_tol):
     """Bound-violation code of each basic (-1 below, 1 above, 0 within
     feas_tol, relative to 1 + |bound|) and the largest violation."""
     m = xb.shape[0]
-    gamma = np.zeros(m, dtype=np.int8)
     lo_viol = np.zeros(m)
     up_viol = np.zeros(m)
-    fin_lo = np.isfinite(lb_b)
-    fin_up = np.isfinite(ub_b)
-    lo_viol[fin_lo] = (lb_b[fin_lo] - xb[fin_lo]) / (1.0 + np.abs(lb_b[fin_lo]))
-    up_viol[fin_up] = (xb[fin_up] - ub_b[fin_up]) / (1.0 + np.abs(ub_b[fin_up]))
+    np.divide(lb_b - xb, 1.0 + np.abs(lb_b), out=lo_viol,
+              where=np.isfinite(lb_b))
+    np.divide(xb - ub_b, 1.0 + np.abs(ub_b), out=up_viol,
+              where=np.isfinite(ub_b))
+    gamma = np.zeros(m, dtype=np.int8)
     gamma[lo_viol > feas_tol] = -1
     gamma[up_viol > feas_tol] = 1
-    max_viol = max(float(np.max(lo_viol, initial=0.0)),
-                   float(np.max(up_viol, initial=0.0)))
+    max_viol = max(float(lo_viol.max(initial=0.0)),
+                   float(up_viol.max(initial=0.0)))
     return gamma, max_viol

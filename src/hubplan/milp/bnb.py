@@ -23,7 +23,7 @@ related solve (the next carbon-tax level) can start from it.
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,11 @@ class BnbSolution:
     the node LPs' (one per node after the root) and the rounding dive's.
     phase1_pivots, refactors, degenerate_pivots and bland_pivots are the
     LpSolution counters summed over all of those LPs.
+
+    max_depth is the depth of the deepest node LP solved (the root is 0),
+    infeasible_nodes the number of node LPs that ended infeasible (the
+    root's not counted), and incumbents the objective of each accepted
+    incumbent in the order accepted, the dive's included.
     """
 
     status: str
@@ -73,12 +78,17 @@ class BnbSolution:
     refactors: int = 0
     degenerate_pivots: int = 0
     bland_pivots: int = 0
+    max_depth: int = 0
+    infeasible_nodes: int = 0
+    incumbents: list = field(default_factory=list)
 
     def lp_counters(self) -> dict:
-        """The pivot counters by name, as audit.json records them."""
+        """The pivot and tree counters by name, as audit.json records
+        them."""
         return {key: getattr(self, key) for key in (
             "root_pivots", "node_lps", "node_pivots", "dive_lps",
-            "dive_pivots", *LP_COUNTERS)}
+            "dive_pivots", *LP_COUNTERS, "max_depth", "infeasible_nodes",
+            "incumbents")}
 
 
 def _count(totals, lp):
@@ -178,6 +188,8 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     inc_x = None
     inc_obj = np.inf
     dive_lps = dive_pivots = node_pivots = 0
+    max_depth = infeasible_nodes = 0
+    incumbents = []
     totals = dict.fromkeys(LP_COUNTERS, 0)
 
     def finish(status, bound, n_nodes):
@@ -190,7 +202,9 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             root_warm=None if root.basis is None else (root.basis, root.stat),
             root_pivots=root.iterations, node_lps=n_nodes - 1,
             node_pivots=node_pivots, dive_lps=dive_lps,
-            dive_pivots=dive_pivots, **totals)
+            dive_pivots=dive_pivots, max_depth=max_depth,
+            infeasible_nodes=infeasible_nodes, incumbents=incumbents,
+            **totals)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -208,6 +222,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
                 f"{report.bad_rows[:3]} {report.bad_bounds[:3]} "
                 f"{report.bad_integrality[:3]}")
         inc_x, inc_obj = x.copy(), float(obj)
+        incumbents.append(inc_obj)
 
     root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
     _count(totals, root)
@@ -229,13 +244,13 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     next_id = 1
     heap = []
     for half in _split(lb0, ub0, j0, root.x[j0]):
-        heapq.heappush(heap, (root.objective, next_id, half,
+        heapq.heappush(heap, (root.objective, next_id, half, 1,
                               (root.basis, root.stat)))
         next_id += 1
     n_nodes = 1
 
     while heap:
-        bound_est, _nid, (lb, ub), parent = heapq.heappop(heap)
+        bound_est, _nid, (lb, ub), depth, parent = heapq.heappop(heap)
         # the heap is bound-ordered, so this is the weakest open bound; the
         # incumbent itself bounds whatever the open nodes still hide
         global_bound = min(bound_est, inc_obj)
@@ -249,8 +264,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent)
         n_nodes += 1
         node_pivots += node.iterations
+        max_depth = max(max_depth, depth)
         _count(totals, node)
         if node.status == "infeasible":
+            infeasible_nodes += 1
             continue
         if node.status != "optimal":
             raise SolverError(f"node relaxation ended {node.status}")
@@ -261,7 +278,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             accept(node.x, node.objective)
             continue
         for half in _split(lb, ub, j, node.x[j]):
-            heapq.heappush(heap, (node.objective, next_id, half,
+            heapq.heappush(heap, (node.objective, next_id, half, depth + 1,
                                   (node.basis, node.stat)))
             next_id += 1
 

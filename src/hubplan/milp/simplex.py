@@ -2,16 +2,30 @@
 
 Rows are brought to equality form with one slack per row; the basis inverse
 is held as a sparse LU factorization plus a product-form eta file,
-refactorized every 50 basis changes. The eta file is applied as one block
-per ftran or btran (one matrix-vector product and a small triangular
-solve, see ``_kernels``), not eta by eta. Phase 1 runs the composite
-method: infeasibility costs recomputed from the current basic state each
-iteration, so no auxiliary variables are added. Pricing is Dantzig with
-lowest-index tie-breaks, switching to Bland's rule after 1000 degenerate
-pivots in a row. Entering steps handle bound flips; the ratio test keeps
-feasible basics inside their bounds and walks infeasible ones back.
-Tolerances: 1e-7 on bound violations (relative to 1 + |bound|) and on
-reduced costs, 1e-9 on pivot elements and degenerate steps.
+refactorized every 50 basis changes. The factorization is SuperLU's
+(COLAMD ordering, partial pivoting) with relaxed supernodes and panels
+both set to one column, which factors and solves these very sparse bases
+fastest. The eta file is applied as one block per ftran or btran (one
+matrix-vector product and a small triangular solve, see ``_kernels``),
+not eta by eta. Phase 1 runs the composite method: infeasibility costs
+from the current basic state each iteration, so no auxiliary variables
+are added. Pricing is Dantzig with lowest-index tie-breaks, switching to
+Bland's rule after 1000 degenerate pivots in a row. Entering steps handle
+bound flips; the ratio test keeps feasible basics inside their bounds and
+walks infeasible ones back. Tolerances: 1e-7 on bound violations
+(relative to 1 + |bound|) and on reduced costs, 1e-9 on pivot elements
+and degenerate steps.
+
+A pivot touches only the rows where the entering column w = B^-1 a_q is
+nonzero: a median of about ten of the 3951 rows of the bundled plan. The
+basic values and their bound-violation codes are updated on those rows
+alone (the codes are recomputed in full at each factorization), and the
+ratio test runs on the rows with |w| above the pivot tolerance, the only
+ones that can block; they keep their index order, so every tie breaks as
+over all rows. Pricing multiplies the reduced costs by a sign vector (+1
+at a lower bound, -1 at an upper one, 0 for basics and fixed columns),
+kept up to date at each pivot, and scores the few free nonbasics by -|d|
+apart.
 
 A solve starts from the slack basis, or warm from the final ``(basis,
 stat)`` of a solve of the same rows: each nonbasic column is re-seated on
@@ -39,6 +53,9 @@ _PIVOT_TOL = 1e-9
 _DEGEN_TOL = 1e-9
 _REFACTOR_EVERY = 50
 _BLAND_AFTER = 1000
+# SuperLU supernode settings (see the module docstring)
+_SPLU_RELAX = 1
+_SPLU_PANEL_SIZE = 1
 
 
 @dataclass
@@ -107,10 +124,11 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             f"warm start has {len(warm[0])} basics and {len(warm[1])} "
             f"columns; the model needs {m} and {n_tot}")
 
+    a_s = model.a_matrix.tocsc()
     a_full = sparse.hstack(
-        [model.a_matrix.tocsc(),
-         sparse.identity(m, format="csc", dtype=float)], format="csc")
-    at_full = a_full.T.tocsr()
+        [a_s, sparse.identity(m, format="csc", dtype=float)], format="csc")
+    # reduced costs are c_s - A^T y on the structurals and -y on the slacks
+    at_s = a_s.T.tocsr()
     c = np.concatenate([model.obj, np.zeros(m)])
     s_lo, s_hi = _slack_bounds(model.row_sense)
     lb = np.concatenate([model.col_lb if col_lb is None else col_lb, s_lo])
@@ -142,8 +160,17 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     stat[lb == ub] = NB_FIXED
     stat[basis] = BASIC
     x[basis] = 0.0
+    # pricing signs: a nonbasic at its lower bound improves when d < 0, one
+    # at its upper bound when d > 0; basics and fixed columns never price
+    # in, and the few free nonbasics are scored apart by -|d|
+    dirn = np.zeros(n_tot)
+    dirn[stat == NB_LO] = 1.0
+    dirn[stat == NB_UP] = -1.0
+    free = np.flatnonzero(stat == NB_FREE)
+    d = np.empty(n_tot)
 
     xb = np.zeros(m)
+    gamma = np.zeros(m, dtype=np.int8)
     lb_b = lb[basis].copy()
     ub_b = ub[basis].copy()
     etas = np.empty((_REFACTOR_EVERY, m))
@@ -156,7 +183,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         nonlocal lu, n_eta, refactors
         refactors += 1
         try:
-            lu = splu(a_full[:, basis].tocsc())
+            lu = splu(a_full[:, basis].tocsc(), relax=_SPLU_RELAX,
+                      panel_size=_SPLU_PANEL_SIZE)
         except RuntimeError as exc:
             bad = int(basis.min())
             raise SolverError(f"singular basis factorization ({exc}); "
@@ -166,6 +194,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         resid = b - a_full @ x
         xb[:] = lu.solve(resid)
         x[basis] = xb
+        gamma[:] = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[0]
 
     def ftran(v):
         out = lu.solve(v)
@@ -177,9 +206,10 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         ker.btran_etas(etas, tri, eta_piv, n_eta, out)
         return lu.solve(out, trans="T")
 
-    def result(status, duals, max_viol, **extra):
+    def result(status, duals, **extra):
         x[basis] = xb
         extra.setdefault("objective", float(c @ x))
+        max_viol = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[1]
         return LpSolution(status=status, x=x[:n_struct].copy(),
                           duals=np.asarray(duals), iterations=iters,
                           max_violation=max_viol, basis=basis, stat=stat,
@@ -197,22 +227,20 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     while True:
         if n_eta >= _REFACTOR_EVERY:
             refactor()
-        gamma, max_viol = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)
-        phase1 = max_viol > _FEAS_TOL
+        phase1 = bool(gamma.any())
 
         if phase1:
             y = btran(gamma.astype(float))
-            d = -(at_full @ y)
+            d[:n_struct] = -(at_s @ y)
         else:
             y = btran(c[basis])
-            d = c - at_full @ y
+            d[:n_struct] = c[:n_struct] - at_s @ y
+        d[n_struct:] = -y
 
-        score = np.where(stat == NB_LO, d,
-                         np.where(stat == NB_UP, -d,
-                                  np.where(stat == NB_FREE, -np.abs(d),
-                                           np.inf)))
-        cand = score < -_OPT_TOL
-        if not cand.any():
+        score = dirn * d
+        score[free] = -np.abs(d[free])
+        q = int(np.argmin(score))
+        if score[q] >= -_OPT_TOL:
             # claim needs a clean factorization behind it
             if n_eta > 0 and not cleaned:
                 refactor()
@@ -222,17 +250,14 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
                 bad_rows = sorted({int(basis[p]) - n_struct
                                    for p in np.flatnonzero(gamma != 0)
                                    if basis[p] >= n_struct})
-                return result("infeasible", y, max_viol,
-                              infeasible_rows=bad_rows)
-            return result("optimal", y, max_viol)
+                return result("infeasible", y, infeasible_rows=bad_rows)
+            return result("optimal", y)
         cleaned = False
 
         if bland:
-            q = int(np.flatnonzero(cand)[0])
-        else:
-            q = int(np.argmin(score))
+            q = int(np.flatnonzero(score < -_OPT_TOL)[0])
         if iters >= max_iters:
-            return result("iteration_limit", np.zeros(m), max_viol)
+            return result("iteration_limit", np.zeros(m))
 
         col = np.zeros(m)
         st, en = a_full.indptr[q], a_full.indptr[q + 1]
@@ -243,15 +268,20 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         else:
             sigma = 1.0 if stat[q] == NB_LO else -1.0
         gap = ub[q] - lb[q]
-        prio = basis.astype(np.float64) if bland else -np.abs(w)
-        t, pos, bcode = ker.ratio_test(w, xb, lb_b, ub_b, gamma, sigma,
-                                       gap, _PIVOT_TOL, prio)
+        # only rows with |w| above the pivot tolerance can block; the subset
+        # keeps index order, so ties break as they would over all rows
+        nz = np.flatnonzero(w)
+        rows = nz[np.abs(w[nz]) > _PIVOT_TOL]
+        w_r = w[rows]
+        prio = basis[rows].astype(np.float64) if bland else -np.abs(w_r)
+        t, pos, bcode = ker.ratio_test(w_r, xb[rows], lb_b[rows], ub_b[rows],
+                                       gamma[rows], sigma, gap, _PIVOT_TOL,
+                                       prio)
         if pos == ker.POS_UNBOUNDED:
             if phase1:
                 raise SolverError("unblocked ray while infeasible "
                                   "(numerical breakdown)")
-            return result("unbounded", np.zeros(m), max_viol,
-                          objective=-np.inf)
+            return result("unbounded", np.zeros(m), objective=-np.inf)
 
         phase1_pivots += phase1
         bland_pivots += bland
@@ -264,22 +294,33 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             degen_streak = 0
             bland = False
 
-        xb -= (sigma * t) * w
+        xb[nz] -= (sigma * t) * w[nz]
         if pos == ker.POS_FLIP:
             x[q] = ub[q] if stat[q] == NB_LO else lb[q]
             stat[q] = NB_UP if stat[q] == NB_LO else NB_LO
+            dirn[q] = -dirn[q]
         else:
+            pos = int(rows[pos])
             xq_new = x[q] + sigma * t
             leave = int(basis[pos])
             x[leave] = lb[leave] if bcode == 0 else ub[leave]
-            stat[leave] = (NB_FIXED if lb[leave] == ub[leave]
-                           else (NB_LO if bcode == 0 else NB_UP))
+            if lb[leave] == ub[leave]:
+                stat[leave], dirn[leave] = NB_FIXED, 0.0
+            elif bcode == 0:
+                stat[leave], dirn[leave] = NB_LO, 1.0
+            else:
+                stat[leave], dirn[leave] = NB_UP, -1.0
+            if stat[q] == NB_FREE:
+                free = free[free != q]
             basis[pos] = q
             stat[q] = BASIC
+            dirn[q] = 0.0
             x[q] = xq_new
             xb[pos] = xq_new
             lb_b[pos] = lb[q]
             ub_b[pos] = ub[q]
             ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
             n_eta += 1
+        # xb moved only on the nonzeros of w, the pivot row among them
+        gamma[nz] = ker.basic_state(xb[nz], lb_b[nz], ub_b[nz], _FEAS_TOL)[0]
         iters += 1

@@ -5,11 +5,19 @@ time; a hook that no longer resolves turns its per-layer metrics into
 "missing" without failing the benchmark. This reads the hook list from the
 tracer file and checks each entry against the package.
 """
+import collections
 import importlib
 import importlib.util
 import os
+import types
 
+from scipy.sparse.linalg import splu as scipy_splu
+
+import hubplan.milp._kernels as ker_mod
 import hubplan.milp.bnb as bnb_mod
+import hubplan.milp.simplex as simplex_mod
+from conftest import make_model
+from hubplan.model import GE, LE
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -36,3 +44,63 @@ def test_dive_lps_stay_attributable():
     assert callable(getattr(bnb_mod, "_dive", None))
     assert "solve_lp" in bnb_mod._dive.__code__.co_names
     assert "solve_lp" in bnb_mod.branch_and_bound.__code__.co_names
+
+
+def _names(code):
+    """Global and attribute names looked up by code and the functions
+    nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_simplex_spans_stay_attributable():
+    # simplex.factor, simplex.state and simplex.ratio wrap module globals;
+    # a local alias or an inlined kernel would read 0 s without failing
+    names = _names(simplex_mod.solve_lp.__code__)
+    assert {"splu", "ker", "basic_state", "ratio_test"} <= names
+    assert simplex_mod.splu is scipy_splu
+    assert simplex_mod.ker is ker_mod
+
+
+class _SolveOnly:
+    """The tracer's stand-in for a factor: a solve method and nothing
+    else."""
+
+    __slots__ = ("solve",)
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def test_simplex_calls_its_hooks(monkeypatch):
+    calls = collections.Counter()
+    real_splu = simplex_mod.splu
+
+    def factor(*args, **kwargs):
+        calls["splu"] += 1
+        return _SolveOnly(real_splu(*args, **kwargs))
+
+    def counted(name):
+        real = getattr(ker_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(simplex_mod, "splu", factor)
+    for name in ("basic_state", "ratio_test"):
+        monkeypatch.setattr(ker_mod, name, counted(name))
+    # max x + 2y s.t. x + y <= 4, x - y >= -2, from the slack basis
+    model = make_model([-1.0, -2.0], [[1.0, 1.0], [1.0, -1.0]], [LE, GE],
+                       [4.0, -2.0], [0.0, 0.0], [10.0, 10.0])
+    s = simplex_mod.solve_lp(model)
+    assert s.status == "optimal" and abs(s.objective + 7.0) < 1e-9
+    assert s.iterations >= 2
+    assert calls["splu"] == s.refactors
+    assert calls["ratio_test"] == s.iterations
+    # one full state per factorization and at exit, one partial per pivot
+    assert calls["basic_state"] == s.refactors + s.iterations + 1

@@ -168,7 +168,7 @@ def test_bad_limits_are_rejected(limits):
 
 
 def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):
-    # binary exclusivity gives a ten-step dive and a 45-node tree
+    # binary exclusivity gives an eight-LP dive and a tree of about 60 nodes
     for mode in ("relaxed", "binary"):
         model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
                                tiny.scen, ModelConfig(zeta=0.0,
@@ -192,3 +192,34 @@ def test_root_warm_start_skips_the_root_pivots(tiny_solved):
     again = branch_and_bound(tiny_solved.model, warm=s.root_warm)
     assert again.root_pivots == 0 < s.root_pivots
     assert again.objective == s.objective and again.n_nodes == s.n_nodes
+
+
+def test_tree_counters(tiny, monkeypatch):
+    # relaxed exclusivity branches once; binary builds a tree of about 60
+    # nodes, a third of them infeasible, and improves on the dive's incumbent
+    for mode in ("relaxed", "binary"):
+        model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
+                               tiny.scen, ModelConfig(zeta=0.0,
+                                                      exclusivity_mode=mode))
+        s, calls = _solve_recording(monkeypatch, model)
+        assert s.n_nodes > 1 and s.max_depth >= 1, mode
+        # no node sits deeper than the number of nodes after the root
+        assert s.max_depth <= s.node_lps, mode
+        node_lps = [lp for _w, lp in calls[1 + s.dive_lps:]]
+        assert s.infeasible_nodes == sum(lp.status == "infeasible"
+                                         for lp in node_lps), mode
+        assert 0 <= s.infeasible_nodes <= s.node_lps, mode
+        assert s.incumbents and s.incumbents[-1] == s.objective, mode
+        assert all(a > b for a, b in zip(s.incumbents, s.incumbents[1:])), \
+            mode
+        counters = s.lp_counters()
+        for key in ("max_depth", "infeasible_nodes", "incumbents"):
+            assert counters[key] == getattr(s, key), (mode, key)
+
+
+def test_tree_counters_without_branching():
+    s = branch_and_bound(make_model([-1.0], [[1.0]], [LE], [3.0], [0], [5],
+                                    [INTEGER]))
+    assert s.status == "optimal" and s.n_nodes == 1
+    assert (s.max_depth, s.infeasible_nodes) == (0, 0)
+    assert s.incumbents == [s.objective]

@@ -76,6 +76,9 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["degenerate_pivots"] <= pivots
     assert doc["bland_pivots"] <= pivots
     assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
+    assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]
+    assert (doc["max_depth"] >= 1) == (doc["nodes"] > 1)
+    assert doc["incumbents"][-1] == doc["objective"]
     sid = doc["extreme_scenario"]
     assert sid == 1
     assert (out / f"dispatch_{sid}.csv").exists()
@@ -238,6 +241,10 @@ def test_sweep_audit(ws, tmp_path, capsys):
     # the cold first root starts outside the feasible region
     assert levels[0]["phase1_pivots"] > 0
     assert all(lv["refactors"] >= 1 for lv in levels)
+    for lv in levels:
+        assert 0 <= lv["infeasible_nodes"] <= lv["node_lps"]
+        assert lv["incumbents"] == sorted(lv["incumbents"], reverse=True)
+        assert lv["incumbents"][-1] == pytest.approx(lv["total"], rel=1e-9)
     assert doc["notes"]
     assert (out / "cost_breakdown.csv").exists()
 

@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 from conftest import make_model
 from hubplan.errors import InvalidParameterError
 from hubplan.milp import _kernels as ker
+from hubplan.milp import simplex as simplex_mod
 from hubplan.milp import solve_lp
 from hubplan.milp._kernels import POS_FLIP, POS_UNBOUNDED
 from hubplan.model import EQ, GE, LE
@@ -137,9 +138,25 @@ def test_random_instances_match_linprog():
     assert checked > 40  # enough solvable draws to mean something
 
 
+def _warm_child(rng, parent, obj, lb, ub):
+    """(kind, obj, col_lb, col_ub) of an LP related to the solved parent: a
+    branch-and-bound child (one bound tightened past the parent's value,
+    kind down or up) or a sweep level (new costs, kind cost)."""
+    lb2, ub2 = lb.copy(), ub.copy()
+    j = int(rng.integers(obj.size))
+    step = rng.uniform(0.0, 5.0)
+    kind = ("cost", "down", "up")[int(rng.integers(3))]
+    if kind == "cost":
+        obj = obj + rng.normal(size=obj.size)
+    elif kind == "down":
+        ub2[j] = max(parent.x[j] - step, lb[j])
+    else:
+        lb2[j] = min(parent.x[j] + step, ub[j])
+    return kind, obj, lb2, ub2
+
+
 def test_warm_start_after_bound_change_matches_cold():
-    # a branch-and-bound child (one bound tightened past the parent's
-    # value) or a sweep level (new costs), solved warm and cold
+    # a child or a sweep level, solved warm and cold
     rng = np.random.default_rng(11)
     seen = {"bound:optimal": 0, "bound:infeasible": 0, "cost:optimal": 0}
     for trial in range(300):
@@ -148,16 +165,7 @@ def test_warm_start_after_bound_change_matches_cold():
         if parent.status != "optimal":
             continue
         basis, stat = parent.basis.copy(), parent.stat.copy()
-        lb2, ub2 = lb.copy(), ub.copy()
-        j = int(rng.integers(obj.size))
-        step = rng.uniform(0.0, 5.0)
-        kind = ("cost", "down", "up")[int(rng.integers(3))]
-        if kind == "cost":
-            obj = obj + rng.normal(size=obj.size)
-        elif kind == "down":
-            ub2[j] = max(parent.x[j] - step, lb[j])
-        else:
-            lb2[j] = min(parent.x[j] + step, ub[j])
+        kind, obj, lb2, ub2 = _warm_child(rng, parent, obj, lb, ub)
         model = make_model(obj, a, senses, rhs, lb, ub)
         warm = solve_lp(model, col_lb=lb2, col_ub=ub2,
                         warm=(parent.basis, parent.stat))
@@ -194,6 +202,66 @@ def test_warm_start_from_own_optimum_takes_no_pivots():
         assert np.array_equal(again.x, cold.x)
         solved += 1
     assert solved > 15
+
+
+@pytest.fixture
+def checked_ratio_tests(monkeypatch):
+    """Make every ker.ratio_test call of solve_lp check the basic state it
+    is passed against a fresh basic_state of the basics it is passed.
+
+    solve_lp carries the violation codes across pivots and recomputes them
+    only on the rows a pivot moved. Returns a dict counting the calls and
+    those made while some passed basic was out of bounds.
+    """
+    real_ratio, real_state = ker.ratio_test, ker.basic_state
+    seen = {"calls": 0, "infeasible": 0}
+
+    def checking(w, xb, lb_b, ub_b, gamma, *rest):
+        fresh, _viol = real_state(xb, lb_b, ub_b, simplex_mod._FEAS_TOL)
+        assert np.array_equal(gamma, fresh)
+        seen["calls"] += 1
+        seen["infeasible"] += bool(gamma.any())
+        return real_ratio(w, xb, lb_b, ub_b, gamma, *rest)
+
+    monkeypatch.setattr(ker, "ratio_test", checking)
+    return seen
+
+
+def _assert_exit_violation(model, sol, col_lb, col_ub):
+    """sol.max_violation is the largest bound violation of the point it
+    returns, with the slacks recomputed as rhs - A x."""
+    slack = model.rhs - model.a_matrix @ sol.x
+    s_lo, s_hi = simplex_mod._slack_bounds(model.row_sense)
+    _gamma, viol = ker.basic_state(np.concatenate([sol.x, slack]),
+                                   np.concatenate([col_lb, s_lo]),
+                                   np.concatenate([col_ub, s_hi]),
+                                   simplex_mod._FEAS_TOL)
+    assert abs(sol.max_violation - viol) <= 1e-9, (sol.status,
+                                                   sol.max_violation, viol)
+
+
+def test_basic_state_carried_across_pivots(checked_ratio_tests):
+    # cold solves of the random LPs, then a warm solve of a child of each
+    # optimum, as in the warm-start fuzz above
+    rng = np.random.default_rng(7)
+    statuses = set()
+    for _trial in range(150):
+        obj, a, senses, rhs, lb, ub = _random_lp(rng)
+        model = make_model(obj, a, senses, rhs, lb, ub)
+        cold = solve_lp(model)
+        _assert_exit_violation(model, cold, lb, ub)
+        statuses.add(cold.status)
+        if cold.status != "optimal":
+            continue
+        _kind, obj2, lb2, ub2 = _warm_child(rng, cold, obj, lb, ub)
+        child = make_model(obj2, a, senses, rhs, lb, ub)
+        warm = solve_lp(child, col_lb=lb2, col_ub=ub2,
+                        warm=(cold.basis, cold.stat))
+        _assert_exit_violation(child, warm, lb2, ub2)
+        statuses.add(warm.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert checked_ratio_tests["calls"] > 500
+    assert checked_ratio_tests["infeasible"] > 100, checked_ratio_tests
 
 
 def test_warm_start_shape_is_checked():
@@ -330,7 +398,7 @@ def _random_basics(rng, m):
 def test_kernels_match_scalar_reference():
     # the numpy kernels select the same pivots as the scalar loops above
     piv_tol = 1e-9
-    seen = dict(gamma=0, tie=0, flip=0, unbounded=0, basic=0)
+    seen = dict(gamma=0, tie=0, flip=0, unbounded=0, basic=0, dropped=0)
     for trial in range(300):
         rng = np.random.default_rng(trial)
         m = int(rng.integers(1, 10))
@@ -377,13 +445,24 @@ def test_kernels_match_scalar_reference():
         else:
             gap = float(np.min(t))  # the entering bound ties a basic
 
+        # solve_lp passes only the rows with |w| above the pivot tolerance
+        # and maps the blocking position back
+        rows = np.flatnonzero(np.abs(w) > piv_tol)
+        seen["dropped"] += rows.size < m
+        # Bland's priorities (basis column ids) and Dantzig's (-|w|)
         for prio in (rng.permutation(m).astype(np.float64), -np.abs(w)):
             want = _ratio_test_py(w, xb, lb, ub, gamma, sigma, gap,
                                   piv_tol, prio)
+            want = (float(want[0]), int(want[1]), int(want[2]))
             got = ker.ratio_test(w, xb, lb, ub, gamma, sigma, gap, piv_tol,
                                  prio)
-            assert ((float(got[0]), int(got[1]), int(got[2]))
-                    == (float(want[0]), int(want[1]), int(want[2]))), trial
+            assert (float(got[0]), int(got[1]), int(got[2])) == want, trial
+            t_sub, pos, code = ker.ratio_test(
+                w[rows], xb[rows], lb[rows], ub[rows], gamma[rows], sigma,
+                gap, piv_tol, prio[rows])
+            if pos >= 0:
+                pos = rows[pos]
+            assert (float(t_sub), int(pos), int(code)) == want, trial
         t_min = min(float(np.min(t)), gap)
         if np.isfinite(t_min):
             window = t_min + 1e-10 * (1.0 + t_min)
