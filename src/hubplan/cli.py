@@ -72,7 +72,6 @@ _DEFAULTS = {
     "rel_gap": 1e-6,
     "max_nodes": 100000,
     "time_limit_s": None,
-    "export_mps": False,
 }
 
 
@@ -254,10 +253,6 @@ def cmd_plan(cfg):
         write_audit_json(os.path.join(out, "scen_log.json"), log)
 
     model, tariffs, sol, wall = _solve(case, scen, config, limits, tax)
-
-    if cfg["export_mps"]:
-        with open(os.path.join(out, "model.mps"), "w") as fh:
-            fh.write(write_mps(model))
 
     audit_doc = {
         "command": "plan",
@@ -452,12 +447,7 @@ def build_parser():
             ("sweep", "solve across carbon-tax levels"),
             ("export-mps", "write the assembled model in MPS format"),
             ("validate", "parse and validate inputs, then stop")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "plan":
-            p.add_argument("--export-mps", dest="export_mps",
-                           action="store_true",
-                           help="also write model.mps next to the reports")
+        _add_common(sub.add_parser(name, help=help_text))
     return ap
 
 

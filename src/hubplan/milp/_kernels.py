@@ -59,6 +59,33 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     return t_min, best, int(hit_ub[best])
 
 
+def dual_ratio_test(alpha, d, dirn, free, s, pivot_tol):
+    """Entering column of a dual simplex pivot, and its dual step.
+
+    alpha is the pivot row over all columns, d their reduced costs, dirn
+    their pricing signs (+1 at a lower bound, -1 at an upper one, 0 basic
+    or fixed) and free the free nonbasics. s is +1 when the leaving basic
+    is above its upper bound, -1 when below its lower one. A column is
+    eligible when |alpha| exceeds pivot_tol and moving it off its bound
+    pushes the leaving basic back toward that bound (s dirn alpha > 0;
+    either sign for a free one). Returns (q, t): the eligible column with
+    the smallest max(dirn d, 0) / |alpha|, ties within a relative 1e-10
+    window going to the largest |alpha|, then the lowest index, and that
+    ratio; (-1, inf) when none is eligible (a dual ray).
+    """
+    elig = (s * dirn) * alpha > pivot_tol
+    if free.size:
+        elig[free] = np.abs(alpha[free]) > pivot_tol
+    idx = np.flatnonzero(elig)
+    if idx.size == 0:
+        return -1, np.inf
+    mag = np.abs(alpha[idx])
+    ratio = np.maximum(dirn[idx] * d[idx], 0.0) / mag
+    t_min = float(ratio.min())
+    tie = np.flatnonzero(ratio <= t_min + 1e-10 * (1.0 + t_min))
+    return int(idx[tie[np.argmax(mag[tie])]]), t_min
+
+
 def push_eta(etas, tri, eta_piv, n_eta, w, r):
     """Append the eta of entering column w (pivot row r) as entry n_eta.
 

@@ -13,11 +13,12 @@ basic.
 
 Only the root LP can start cold. Each child node's LP starts from its
 parent's optimal basis (both children share the parent's arrays), and each
-dive step from the previous step's basis; a branched column that the
-tightened bound leaves out of bounds is walked back by the simplex's
-composite phase 1. The root itself starts from the caller's warm basis
-when one is given, and the run returns the root's final basis so that a
-related solve (the next carbon-tax level) can start from it.
+dive step from the previous step's basis; the tightened bound leaves that
+basis dual feasible and the branched column out of bounds, so the
+simplex's dual phase reoptimizes it. The root itself starts from the
+caller's warm basis when one is given, and the run returns the root's
+final basis so that a related solve (the next carbon-tax level) can start
+from it.
 """
 
 import heapq
@@ -34,8 +35,8 @@ from .verify import INT_TOL, check_solution
 
 
 # LpSolution counters that branch and bound sums over its LPs
-LP_COUNTERS = ("phase1_pivots", "refactors", "degenerate_pivots",
-               "bland_pivots")
+LP_COUNTERS = ("phase1_pivots", "dual_pivots", "refactors",
+               "degenerate_pivots", "bland_pivots")
 
 
 @dataclass
@@ -52,13 +53,16 @@ class BnbSolution:
     solve of a model with the same rows and columns; None when the root's
     bounds crossed. The counters split the simplex pivots: the root LP's,
     the node LPs' (one per node after the root) and the rounding dive's.
-    phase1_pivots, refactors, degenerate_pivots and bland_pivots are the
-    LpSolution counters summed over all of those LPs.
+    phase1_pivots, dual_pivots, refactors, degenerate_pivots and
+    bland_pivots are the LpSolution counters summed over all of those LPs.
 
     max_depth is the depth of the deepest node LP solved (the root is 0),
     infeasible_nodes the number of node LPs that ended infeasible (the
     root's not counted), and incumbents the objective of each accepted
-    incumbent in the order accepted, the dive's included.
+    incumbent in the order accepted, the dive's included. node_log holds
+    one dict per node LP, in the order solved: its depth, the parent's
+    LP bound, its pivots and dual_pivots, its status, and whether it gave
+    an accepted incumbent.
     """
 
     status: str
@@ -75,20 +79,22 @@ class BnbSolution:
     dive_lps: int = 0
     dive_pivots: int = 0
     phase1_pivots: int = 0
+    dual_pivots: int = 0
     refactors: int = 0
     degenerate_pivots: int = 0
     bland_pivots: int = 0
     max_depth: int = 0
     infeasible_nodes: int = 0
     incumbents: list = field(default_factory=list)
+    node_log: list = field(default_factory=list)
 
     def lp_counters(self) -> dict:
-        """The pivot and tree counters by name, as audit.json records
-        them."""
+        """The pivot and tree counters and the node log by name, as
+        audit.json records them."""
         return {key: getattr(self, key) for key in (
             "root_pivots", "node_lps", "node_pivots", "dive_lps",
             "dive_pivots", *LP_COUNTERS, "max_depth", "infeasible_nodes",
-            "incumbents")}
+            "incumbents", "node_log")}
 
 
 def _count(totals, lp):
@@ -190,6 +196,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     dive_lps = dive_pivots = node_pivots = 0
     max_depth = infeasible_nodes = 0
     incumbents = []
+    node_log = []
     totals = dict.fromkeys(LP_COUNTERS, 0)
 
     def finish(status, bound, n_nodes):
@@ -204,7 +211,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             node_pivots=node_pivots, dive_lps=dive_lps,
             dive_pivots=dive_pivots, max_depth=max_depth,
             infeasible_nodes=infeasible_nodes, incumbents=incumbents,
-            **totals)
+            node_log=node_log, **totals)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -212,9 +219,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         return max(0.0, (obj - bound) / max(1.0, abs(obj)))
 
     def accept(x, obj):
+        """Make x the incumbent if it improves on it; True if it did."""
         nonlocal inc_x, inc_obj
         if obj >= inc_obj:
-            return
+            return False
         report = check_solution(model, x)
         if not report.ok:
             raise SolverError(
@@ -223,6 +231,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
                 f"{report.bad_integrality[:3]}")
         inc_x, inc_obj = x.copy(), float(obj)
         incumbents.append(inc_obj)
+        return True
 
     root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
     _count(totals, root)
@@ -266,6 +275,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         node_pivots += node.iterations
         max_depth = max(max_depth, depth)
         _count(totals, node)
+        entry = {"depth": depth, "bound": bound_est,
+                 "pivots": node.iterations, "dual_pivots": node.dual_pivots,
+                 "status": node.status, "incumbent": False}
+        node_log.append(entry)
         if node.status == "infeasible":
             infeasible_nodes += 1
             continue
@@ -275,7 +288,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             continue
         j, _d = _fractional(node.x, int_cols)
         if j < 0:
-            accept(node.x, node.objective)
+            entry["incumbent"] = accept(node.x, node.objective)
             continue
         for half in _split(lb, ub, j, node.x[j]):
             heapq.heappush(heap, (node.objective, next_id, half, depth + 1,

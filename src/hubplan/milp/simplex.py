@@ -1,4 +1,5 @@
-"""Bounded-variable revised primal simplex.
+"""Bounded-variable revised simplex: primal, with a dual phase for warm
+starts.
 
 Rows are brought to equality form with one slack per row; the basis inverse
 is held as a sparse LU factorization plus a product-form eta file,
@@ -29,10 +30,22 @@ apart.
 
 A solve starts from the slack basis, or warm from the final ``(basis,
 stat)`` of a solve of the same rows: each nonbasic column is re-seated on
-the bound it sat at, and basics that tightened bounds leave out of bounds
-are walked back by the composite phase 1, so changed bounds or costs need
-no dual simplex. Deterministic: identical inputs, warm start included, give
-identical pivot sequences.
+the bound it sat at. New costs (a sweep level) leave that basis primal
+feasible, and the primal simplex carries on from it. Tightened bounds (a
+branch-and-bound child, a dive step) leave some basics out of bounds
+while the reduced costs keep their signs: when every nonbasic is then
+dual feasible (dirn * d >= -1e-7, |d| <= 1e-7 for a free one), a dual
+simplex phase (Lemke 1954; textbook ratio test, no bound flipping)
+reoptimizes first. It shares the factor, the eta file and the pivot
+bookkeeping with the primal. Its leaving row is the largest bound
+violation, lowest row on ties; its entering column the smallest ratio
+max(dirn * d, 0) / |alpha| over the pivot row alpha, ties to the largest
+|alpha|, then the lowest index. It hands the basis to the primal once the
+basics are within bounds, on a dual ray, after 1000 dual-degenerate
+pivots in a row, or if the pivot element fails to match its row entry.
+Only the primal claims a status, so an infeasibility claim and its
+infeasible rows always come from phase 1. Deterministic: identical inputs,
+warm start included, give identical pivot sequences.
 """
 
 from dataclasses import dataclass, field
@@ -73,10 +86,12 @@ class LpSolution:
     back as ``warm=(basis, stat)`` they restart a related solve from here;
     both are None when the bounds crossed before any basis was formed.
 
-    The counters split the cost: phase1_pivots of the iterations ran while
-    some basic was out of bounds, degenerate_pivots stepped by at most 1e-9,
-    bland_pivots chose the entering column by Bland's rule, and refactors
-    counts LU factorizations of the basis, the first one included.
+    The counters split the cost: dual_pivots of the iterations ran in the
+    dual phase of a warm start, phase1_pivots in the primal while some
+    basic was out of bounds, degenerate_pivots stepped by at most 1e-9
+    (the dual step for a dual pivot), bland_pivots chose the entering
+    column by Bland's rule, and refactors counts LU factorizations of the
+    basis, the first one included.
     """
 
     status: str
@@ -92,6 +107,7 @@ class LpSolution:
     refactors: int = 0
     degenerate_pivots: int = 0
     bland_pivots: int = 0
+    dual_pivots: int = 0
 
 
 def _slack_bounds(senses):
@@ -206,6 +222,50 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         ker.btran_etas(etas, tri, eta_piv, n_eta, out)
         return lu.solve(out, trans="T")
 
+    def ftran_col(q):
+        col = np.zeros(m)
+        st, en = a_full.indptr[q], a_full.indptr[q + 1]
+        col[a_full.indices[st:en]] = a_full.data[st:en]
+        return ftran(col)
+
+    def price(y, phase1):
+        """Fill d from the row prices y (of the infeasibility costs in
+        phase 1, of c otherwise) and return the pricing scores."""
+        if phase1:
+            d[:n_struct] = -(at_s @ y)
+        else:
+            d[:n_struct] = c[:n_struct] - at_s @ y
+        d[n_struct:] = -y
+        score = dirn * d
+        score[free] = -np.abs(d[free])
+        return score
+
+    def pivot(q, pos, leave_up, xq_new, w):
+        """Make column q basic in position pos at value xq_new; the column
+        it replaces leaves on its upper bound if leave_up, else its lower
+        one. Returns the leaving column."""
+        nonlocal free, n_eta
+        leave = int(basis[pos])
+        x[leave] = ub[leave] if leave_up else lb[leave]
+        if lb[leave] == ub[leave]:
+            stat[leave], dirn[leave] = NB_FIXED, 0.0
+        elif leave_up:
+            stat[leave], dirn[leave] = NB_UP, -1.0
+        else:
+            stat[leave], dirn[leave] = NB_LO, 1.0
+        if stat[q] == NB_FREE:
+            free = free[free != q]
+        basis[pos] = q
+        stat[q] = BASIC
+        dirn[q] = 0.0
+        x[q] = xq_new
+        xb[pos] = xq_new
+        lb_b[pos] = lb[q]
+        ub_b[pos] = ub[q]
+        ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
+        n_eta += 1
+        return leave
+
     def result(status, duals, **extra):
         x[basis] = xb
         extra.setdefault("objective", float(c @ x))
@@ -215,11 +275,65 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
                           max_violation=max_viol, basis=basis, stat=stat,
                           phase1_pivots=phase1_pivots, refactors=refactors,
                           degenerate_pivots=degenerate_pivots,
-                          bland_pivots=bland_pivots, **extra)
+                          bland_pivots=bland_pivots, dual_pivots=dual_pivots,
+                          **extra)
 
     refactors = 0
     refactor()
     iters = phase1_pivots = degenerate_pivots = bland_pivots = 0
+    dual_pivots = 0
+
+    # dual phase: a warm start whose tightened bounds leave it primal
+    # infeasible but dual feasible is moved to primal feasibility by the
+    # dual simplex; the primal loop below then finishes and makes the claim
+    if warm is not None and gamma.any():
+        dual = price(btran(c[basis]), False).min() >= -_OPT_TOL
+        alpha = np.empty(n_tot)
+        e_r = np.zeros(m)
+        degen_streak = 0
+        while dual and iters < max_iters and degen_streak < _BLAND_AFTER:
+            if n_eta >= _REFACTOR_EVERY:
+                refactor()
+                price(btran(c[basis]), False)
+            # leave: the largest bound violation, lowest row on ties
+            rows = np.flatnonzero(gamma)
+            if rows.size == 0:
+                break
+            viol = np.where(gamma[rows] < 0, lb_b[rows] - xb[rows],
+                            xb[rows] - ub_b[rows])
+            r = int(rows[np.argmax(viol)])
+            s = float(gamma[r])
+            e_r[r] = 1.0
+            rho = btran(e_r)
+            e_r[r] = 0.0
+            alpha[:n_struct] = at_s @ rho
+            alpha[n_struct:] = rho
+            q, t = ker.dual_ratio_test(alpha, d, dirn, free, s, _PIVOT_TOL)
+            if q < 0:
+                break  # a dual ray: phase 1 proves the LP infeasible
+            w = ftran_col(q)
+            if abs(w[r]) <= _PIVOT_TOL:
+                # w[r] (ftran) and alpha[q] (btran) are the same pivot
+                # element; a tiny one means the two solves disagree
+                break
+            step = (xb[r] - (ub_b[r] if s > 0 else lb_b[r])) / w[r]
+            theta = s * t
+            d -= theta * alpha
+            nz = np.flatnonzero(w != 0.0)
+            xb[nz] -= step * w[nz]
+            leave = pivot(q, r, s > 0, x[q] + step, w)
+            d[q] = 0.0
+            d[leave] = -theta
+            gamma[nz] = ker.basic_state(xb[nz], lb_b[nz], ub_b[nz],
+                                        _FEAS_TOL)[0]
+            iters += 1
+            dual_pivots += 1
+            if t <= _DEGEN_TOL:
+                degenerate_pivots += 1
+                degen_streak += 1
+            else:
+                degen_streak = 0
+
     degen_streak = 0
     bland = False
     cleaned = False
@@ -229,16 +343,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             refactor()
         phase1 = bool(gamma.any())
 
-        if phase1:
-            y = btran(gamma.astype(float))
-            d[:n_struct] = -(at_s @ y)
-        else:
-            y = btran(c[basis])
-            d[:n_struct] = c[:n_struct] - at_s @ y
-        d[n_struct:] = -y
-
-        score = dirn * d
-        score[free] = -np.abs(d[free])
+        y = btran(gamma.astype(float) if phase1 else c[basis])
+        score = price(y, phase1)
         q = int(np.argmin(score))
         if score[q] >= -_OPT_TOL:
             # claim needs a clean factorization behind it
@@ -259,10 +365,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         if iters >= max_iters:
             return result("iteration_limit", np.zeros(m))
 
-        col = np.zeros(m)
-        st, en = a_full.indptr[q], a_full.indptr[q + 1]
-        col[a_full.indices[st:en]] = a_full.data[st:en]
-        w = ftran(col)
+        w = ftran_col(q)
         if stat[q] == NB_FREE:
             sigma = 1.0 if d[q] < 0.0 else -1.0
         else:
@@ -270,7 +373,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         gap = ub[q] - lb[q]
         # only rows with |w| above the pivot tolerance can block; the subset
         # keeps index order, so ties break as they would over all rows
-        nz = np.flatnonzero(w)
+        nz = np.flatnonzero(w != 0.0)
         rows = nz[np.abs(w[nz]) > _PIVOT_TOL]
         w_r = w[rows]
         prio = basis[rows].astype(np.float64) if bland else -np.abs(w_r)
@@ -300,27 +403,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             stat[q] = NB_UP if stat[q] == NB_LO else NB_LO
             dirn[q] = -dirn[q]
         else:
-            pos = int(rows[pos])
-            xq_new = x[q] + sigma * t
-            leave = int(basis[pos])
-            x[leave] = lb[leave] if bcode == 0 else ub[leave]
-            if lb[leave] == ub[leave]:
-                stat[leave], dirn[leave] = NB_FIXED, 0.0
-            elif bcode == 0:
-                stat[leave], dirn[leave] = NB_LO, 1.0
-            else:
-                stat[leave], dirn[leave] = NB_UP, -1.0
-            if stat[q] == NB_FREE:
-                free = free[free != q]
-            basis[pos] = q
-            stat[q] = BASIC
-            dirn[q] = 0.0
-            x[q] = xq_new
-            xb[pos] = xq_new
-            lb_b[pos] = lb[q]
-            ub_b[pos] = ub[q]
-            ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
-            n_eta += 1
+            pivot(q, int(rows[pos]), bcode == 1, x[q] + sigma * t, w)
         # xb moved only on the nonzeros of w, the pivot row among them
         gamma[nz] = ker.basic_state(xb[nz], lb_b[nz], ub_b[nz], _FEAS_TOL)[0]
         iters += 1

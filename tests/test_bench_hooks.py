@@ -11,6 +11,7 @@ import importlib.util
 import os
 import types
 
+import numpy as np
 from scipy.sparse.linalg import splu as scipy_splu
 
 import hubplan.milp._kernels as ker_mod
@@ -99,8 +100,21 @@ def test_simplex_calls_its_hooks(monkeypatch):
                        [4.0, -2.0], [0.0, 0.0], [10.0, 10.0])
     s = simplex_mod.solve_lp(model)
     assert s.status == "optimal" and abs(s.objective + 7.0) < 1e-9
-    assert s.iterations >= 2
+    assert s.iterations >= 2 and s.dual_pivots == 0
     assert calls["splu"] == s.refactors
     assert calls["ratio_test"] == s.iterations
     # one full state per factorization and at exit, one partial per pivot
     assert calls["basic_state"] == s.refactors + s.iterations + 1
+
+    # y <= 2 leaves the optimum's basic y = 3 out of bounds: the dual phase
+    # pivots through the same factor and state kernels, and only the
+    # primal pivots run the primal ratio test
+    calls.clear()
+    child = simplex_mod.solve_lp(model, col_lb=np.zeros(2),
+                                 col_ub=np.array([10.0, 2.0]),
+                                 warm=(s.basis, s.stat))
+    assert child.status == "optimal" and abs(child.objective + 6.0) < 1e-9
+    assert child.dual_pivots >= 1
+    assert calls["splu"] == child.refactors
+    assert calls["ratio_test"] == child.iterations - child.dual_pivots
+    assert calls["basic_state"] == child.refactors + child.iterations + 1

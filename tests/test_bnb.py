@@ -147,14 +147,17 @@ def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
     lps = [lp for _w, lp in calls]
     for lp in lps:
         assert 0 <= lp.phase1_pivots <= lp.iterations
+        assert 0 <= lp.dual_pivots <= lp.iterations - lp.phase1_pivots
         assert 0 <= lp.degenerate_pivots <= lp.iterations
         assert 0 <= lp.bland_pivots <= lp.iterations
         assert lp.refactors >= 1
     for key in bnb_mod.LP_COUNTERS:
         assert getattr(s, key) == sum(getattr(lp, key) for lp in lps), key
         assert s.lp_counters()[key] == getattr(s, key)
-    # the cold root walks out of an infeasible slack basis first
-    assert lps[0].phase1_pivots > 0
+    # the cold root walks out of an infeasible slack basis first; warm node
+    # and dive LPs are reoptimized by the dual phase
+    assert lps[0].phase1_pivots > 0 and lps[0].dual_pivots == 0
+    assert s.dual_pivots > 0
 
 
 @pytest.mark.parametrize("limits", [
@@ -213,8 +216,31 @@ def test_tree_counters(tiny, monkeypatch):
         assert all(a > b for a, b in zip(s.incumbents, s.incumbents[1:])), \
             mode
         counters = s.lp_counters()
-        for key in ("max_depth", "infeasible_nodes", "incumbents"):
+        for key in ("max_depth", "infeasible_nodes", "incumbents",
+                    "node_log"):
             assert counters[key] == getattr(s, key), (mode, key)
+        # one node_log entry per node LP, in the order solved
+        log = s.node_log
+        assert len(log) == s.node_lps, mode
+        assert [e["pivots"] for e in log] == [lp.iterations
+                                              for lp in node_lps], mode
+        assert [e["dual_pivots"] for e in log] == [lp.dual_pivots
+                                                   for lp in node_lps], mode
+        assert sum(e["pivots"] for e in log) == s.node_pivots, mode
+        assert sum(e["status"] == "infeasible"
+                   for e in log) == s.infeasible_nodes, mode
+        assert max(e["depth"] for e in log) == s.max_depth, mode
+        # a child's bound is its parent's LP objective: never above its own
+        for e, lp in zip(log, node_lps):
+            if lp.status == "optimal":
+                assert e["bound"] <= lp.objective + 1e-9 * (
+                    1 + abs(lp.objective)), mode
+        # the flagged nodes gave the incumbents after the dive's
+        found = [lp.objective for e, lp in zip(log, node_lps)
+                 if e["incumbent"]]
+        assert len(found) in (len(s.incumbents), len(s.incumbents) - 1), \
+            mode
+        assert found == s.incumbents[len(s.incumbents) - len(found):], mode
 
 
 def test_tree_counters_without_branching():

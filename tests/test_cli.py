@@ -14,7 +14,7 @@ from hubplan import cli
 from hubplan.core import EvRecord, ScenarioSet
 from hubplan.fileio import CaseData, write_case, write_scenario_set
 from hubplan.milp import write_mps
-from hubplan.model import ModelConfig, assemble_model
+from hubplan.model import assemble_model
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +73,21 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["node_pivots"] + doc["dive_pivots"] < doc["root_pivots"]
     pivots = doc["root_pivots"] + doc["node_pivots"] + doc["dive_pivots"]
     assert 0 < doc["phase1_pivots"] <= pivots
+    # the dual phase reoptimizes node and dive LPs only, never the cold root
+    assert 0 < doc["dual_pivots"] <= doc["node_pivots"] + doc["dive_pivots"]
+    assert doc["phase1_pivots"] + doc["dual_pivots"] <= pivots
     assert doc["degenerate_pivots"] <= pivots
     assert doc["bland_pivots"] <= pivots
     assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
     assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]
     assert (doc["max_depth"] >= 1) == (doc["nodes"] > 1)
     assert doc["incumbents"][-1] == doc["objective"]
+    log = doc["node_log"]
+    assert len(log) == doc["node_lps"]
+    assert sum(e["pivots"] for e in log) == doc["node_pivots"]
+    assert sum(e["dual_pivots"] for e in log) <= doc["dual_pivots"]
+    assert all(e["depth"] >= 1 and e["bound"] <= doc["objective"] + 1e-9
+               for e in log)
     sid = doc["extreme_scenario"]
     assert sid == 1
     assert (out / f"dispatch_{sid}.csv").exists()
@@ -159,16 +168,6 @@ def test_bad_n_exits_before_reading_inputs(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_plan_export_mps(ws, tiny, tmp_path):
-    out = tmp_path / "out"
-    rc = cli.main(["plan"] + args_for(ws, "--out", str(out), "--export-mps"))
-    assert rc == 0
-    text = (out / "model.mps").read_text()
-    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
-                           ModelConfig(zeta=0.05, exclusivity_mode="relaxed"))
-    assert text == write_mps(model)
-
-
 def test_export_mps_subcommand(ws, tiny, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["export-mps"] + args_for(ws, "--out", str(out),
@@ -245,6 +244,11 @@ def test_sweep_audit(ws, tmp_path, capsys):
         assert 0 <= lv["infeasible_nodes"] <= lv["node_lps"]
         assert lv["incumbents"] == sorted(lv["incumbents"], reverse=True)
         assert lv["incumbents"][-1] == pytest.approx(lv["total"], rel=1e-9)
+        assert 0 <= lv["dual_pivots"] <= lv["node_pivots"] + lv["dive_pivots"]
+        assert len(lv["node_log"]) == lv["node_lps"]
+        assert sum(e["pivots"] for e in lv["node_log"]) == lv["node_pivots"]
+    # sweep levels' roots start primal feasible: the dual serves the tree
+    assert any(lv["dual_pivots"] > 0 for lv in levels)
     assert doc["notes"]
     assert (out / "cost_breakdown.csv").exists()
 

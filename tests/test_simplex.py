@@ -158,7 +158,8 @@ def _warm_child(rng, parent, obj, lb, ub):
 def test_warm_start_after_bound_change_matches_cold():
     # a child or a sweep level, solved warm and cold
     rng = np.random.default_rng(11)
-    seen = {"bound:optimal": 0, "bound:infeasible": 0, "cost:optimal": 0}
+    seen = {"bound:optimal": 0, "bound:infeasible": 0, "cost:optimal": 0,
+            "bound:dual": 0}
     for trial in range(300):
         obj, a, senses, rhs, lb, ub = _random_lp(rng)
         parent = solve_lp(make_model(obj, a, senses, rhs, lb, ub))
@@ -176,8 +177,11 @@ def test_warm_start_after_bound_change_matches_cold():
                 1 + abs(cold.objective)), (trial, kind)
             assert warm.max_violation <= 1e-7
         if kind == "cost":
-            # new costs leave the parent's basis primal feasible
-            assert warm.phase1_pivots == 0, trial
+            # new costs leave the parent's basis primal feasible, so the
+            # primal carries on and the dual phase never starts
+            assert warm.phase1_pivots == 0 and warm.dual_pivots == 0, trial
+        else:
+            seen["bound:dual"] += warm.dual_pivots > 0
         # children share the parent's arrays, so a warm solve must not
         # write them
         assert np.array_equal(parent.basis, basis)
@@ -185,7 +189,78 @@ def test_warm_start_after_bound_change_matches_cold():
         key = f"{'cost' if kind == 'cost' else 'bound'}:{cold.status}"
         seen[key] = seen.get(key, 0) + 1
     assert min(seen[k] for k in ("bound:optimal", "bound:infeasible",
-                                 "cost:optimal")) >= 15, seen
+                                 "cost:optimal", "bound:dual")) >= 15, seen
+
+
+def _branched_parent():
+    """min x1 + 2 x2 s.t. x1 + x2 >= 4, x2 <= 1 over [0, 5]^2, and its
+    optimum: x1 = 4 basic, x2 at its lower bound."""
+    model = make_model([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [GE, LE],
+                       [4.0, 1.0], [0.0, 0.0], [5.0, 5.0])
+    parent = solve_lp(model)
+    assert parent.status == "optimal"
+    np.testing.assert_allclose(parent.x, [4.0, 0.0], atol=1e-12)
+    return model, parent
+
+
+def test_dual_infeasible_warm_start_takes_the_primal_path():
+    # x1 <= 3 leaves the basic x1 above its bound. Under the parent's costs
+    # the basis stays dual feasible and the dual phase reoptimizes; with
+    # x2's cost turned negative the re-seated x2 prices in, so the basis is
+    # dual infeasible and phase 1 walks x1 back instead
+    model, parent = _branched_parent()
+    warm = (parent.basis, parent.stat)
+    lb, ub = np.zeros(2), np.array([3.0, 5.0])
+    for obj, dual in (([1.0, 2.0], True), ([1.0, -1.0], False)):
+        child = make_model(obj, model.a_matrix.toarray(), model.row_sense,
+                           model.rhs, model.col_lb, model.col_ub)
+        got = solve_lp(child, col_lb=lb, col_ub=ub, warm=warm)
+        cold = solve_lp(child, col_lb=lb, col_ub=ub)
+        assert got.status == cold.status == "optimal", obj
+        assert abs(got.objective - cold.objective) <= 1e-12, obj
+        assert (got.dual_pivots > 0) == dual, obj
+        assert (got.phase1_pivots > 0) != dual, obj
+
+
+def test_dual_hands_an_infeasible_child_to_phase_1():
+    # x1 <= 2 cannot meet x1 + x2 >= 4 with x2 <= 1. The dual brings x2 in
+    # for x1, overruns the second row and finds no column to repair it (a
+    # dual ray); phase 1 then proves infeasibility and names that row
+    model, parent = _branched_parent()
+    lb, ub = np.zeros(2), np.array([2.0, 5.0])
+    got = solve_lp(model, col_lb=lb, col_ub=ub,
+                   warm=(parent.basis, parent.stat))
+    assert got.status == "infeasible" and got.dual_pivots == 1
+    assert got.infeasible_rows == [1]
+    assert solve_lp(model, col_lb=lb, col_ub=ub).status == "infeasible"
+
+
+def test_dual_stall_hands_over_to_the_primal(monkeypatch):
+    # after one dual-degenerate pivot the dual gives the basis to the
+    # primal, which must finish each LP as a cold solve does; costs rounded
+    # to mostly 0 (some +-1) leave many reduced costs at 0, so dual steps of
+    # 0 are common
+    monkeypatch.setattr(simplex_mod, "_BLAND_AFTER", 1)
+    rng = np.random.default_rng(11)
+    handed = 0
+    for trial in range(300):
+        obj, a, senses, rhs, lb, ub = _random_lp(rng)
+        obj = np.rint(obj / 2.0)
+        parent = solve_lp(make_model(obj, a, senses, rhs, lb, ub))
+        if parent.status != "optimal":
+            continue
+        _kind, obj, lb2, ub2 = _warm_child(rng, parent, obj, lb, ub)
+        model = make_model(obj, a, senses, rhs, lb, ub)
+        warm = solve_lp(model, col_lb=lb2, col_ub=ub2,
+                        warm=(parent.basis, parent.stat))
+        cold = solve_lp(model, col_lb=lb2, col_ub=ub2)
+        assert warm.status == cold.status, trial
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (
+                1 + abs(cold.objective)), trial
+            # the dual stopped short of feasibility; phase 1 went on
+            handed += warm.dual_pivots > 0 and warm.phase1_pivots > 0
+    assert handed >= 5, handed
 
 
 def test_warm_start_from_own_optimum_takes_no_pivots():
@@ -376,6 +451,75 @@ def _ratio_test_py(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
             best_pos = i
             best_code = code
     return t_min, best_pos, best_code
+
+
+def _dual_ratios_py(alpha, d, dirn, free, s, pivot_tol):
+    """Dual ratio max(dirn d, 0) / |alpha| of each column; inf unless
+    |alpha| exceeds pivot_tol and s dirn alpha > 0 or the column is a free
+    nonbasic."""
+    out = []
+    for j in range(alpha.shape[0]):
+        if abs(alpha[j]) <= pivot_tol or (
+                j not in free and s * dirn[j] * alpha[j] <= 0.0):
+            out.append(np.inf)
+        else:
+            out.append(max(dirn[j] * d[j], 0.0) / abs(alpha[j]))
+    return out
+
+
+def _dual_ratio_test_py(alpha, d, dirn, free, s, pivot_tol):
+    """Entering column of a dual simplex pivot, and its dual step.
+
+    Returns (q, t): the column with the smallest finite dual ratio, ties
+    within a relative 1e-10 window going to the largest |alpha|, then the
+    lowest index; (-1, inf) when no ratio is finite.
+    """
+    ratios = _dual_ratios_py(alpha, d, dirn, free, s, pivot_tol)
+    t_min = min(ratios, default=np.inf)
+    if not np.isfinite(t_min):
+        return -1, np.inf
+    tie = t_min + 1e-10 * (1.0 + t_min)
+    best, best_mag = -1, -1.0
+    for j, t in enumerate(ratios):
+        if t <= tie and abs(alpha[j]) > best_mag:
+            best, best_mag = j, abs(alpha[j])
+    return best, t_min
+
+
+def test_dual_ratio_test_matches_scalar_reference():
+    piv_tol = 1e-9
+    seen = dict(free=0, tie=0, ray=0, zero=0)
+    for trial in range(300):
+        rng = np.random.default_rng(1000 + trial)
+        n = int(rng.integers(1, 12))
+        dirn = rng.choice([-1.0, 0.0, 1.0], size=n)
+        # dual feasible reduced costs, a few slightly infeasible, some 0
+        d = dirn * rng.uniform(0, 2, n) * (rng.random(n) < 0.8)
+        d[rng.random(n) < 0.1] *= -1e-8
+        free = np.flatnonzero((dirn == 0) & (rng.random(n) < 0.3))
+        d[free] = rng.normal(size=free.size) * 1e-8
+        alpha = rng.normal(size=n) * (rng.random(n) < 0.7)
+        alpha[rng.random(n) < 0.1] = 1e-11  # below the pivot tolerance
+        if n >= 2 and rng.random() < 0.4:  # a tie: a copied column
+            i, j = rng.choice(n, 2, replace=False)
+            for arr in (alpha, d, dirn):
+                arr[j] = arr[i]
+            if rng.random() < 0.5:  # same ratio, larger |alpha|
+                alpha[j] *= 2.0
+                d[j] *= 2.0
+        s = float(rng.choice([-1.0, 1.0]))
+        want = _dual_ratio_test_py(alpha, d, dirn, free, s, piv_tol)
+        got = ker.dual_ratio_test(alpha, d, dirn, free, s, piv_tol)
+        assert (int(got[0]), float(got[1])) == (int(want[0]),
+                                                float(want[1])), trial
+        q, t = want
+        seen["ray"] += q < 0
+        seen["free"] += q in free
+        seen["zero"] += q >= 0 and t == 0.0
+        if q >= 0:
+            ratios = _dual_ratios_py(alpha, d, dirn, free, s, piv_tol)
+            seen["tie"] += sum(r <= t + 1e-10 * (1 + t) for r in ratios) >= 2
+    assert min(seen.values()) >= 10, seen
 
 
 def _random_basics(rng, m):
