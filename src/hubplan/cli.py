@@ -175,8 +175,8 @@ def cmd_scen_gen(cfg):
     _n_scenarios(cfg)
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     scen, source, log = _load_scenarios(dict(cfg, scenarios=None), case)
+    os.makedirs(out, exist_ok=True)
     write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
                        os.path.join(out, "scenarios_ev.csv"))
     write_audit_json(os.path.join(out, "scen_log.json"), log)

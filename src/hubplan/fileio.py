@@ -5,7 +5,10 @@ Scenario days live in two CSVs: an hourly profile table with columns
 ``scenario,hour,elec_load_kw,heat_load_kw,pv_avail_kw`` and an optional EV
 table with columns ``scenario,ev_id,arrive_hour,depart_hour,initial_soc``.
 Historical day tables reuse the same layouts (day index in the scenario
-column, fractional EV hours allowed).
+column, fractional EV hours allowed). Every cell must be a finite number,
+and each (scenario, hour) or (scenario, ev_id) key a pair of non-negative
+integers given once; a ParseError names the line and column of the first
+fault.
 
 Floats are written with ``str`` (shortest round-trip form), so a
 write/read cycle reproduces values exactly.
@@ -185,7 +188,7 @@ def _read_rows(path, header):
             raise ParseError(f"header must be {','.join(header)}", path=path, line=1)
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}",
@@ -194,77 +197,110 @@ def _read_rows(path, header):
     return rows
 
 
-def _num(tok, path, lineno, column):
+# per-cell faults, in the order a cell is checked
+_CELL_FAULTS = (
+    "not a number: {!r}",
+    "not a finite number: {!r}",
+    "expected an integer, got {!r}",
+    "expected a non-negative integer, got {!r}",
+)
+
+
+def _read_table(path, header, int_cols):
+    """Read a table's data rows into a float array, one row per record.
+
+    Every cell must be a finite number; the columns int_cols hold integers,
+    and the first two columns, the record's key, non-negative ones. The
+    key must not repeat. A ParseError names the first fault in file order
+    (within a row: the key cells, then a repeated key, then the rest),
+    with its line and column.
+    """
+    rows = _read_rows(path, header)
+    cells = [row for _, row in rows]
+    shape = (len(cells), len(header))
+    bad = np.zeros(shape, dtype=bool)
     try:
-        return float(tok)
+        vals = np.array(cells, dtype=float).reshape(shape)
     except ValueError:
-        raise ParseError(f"not a number: {tok!r}", path=path, line=lineno,
-                         column=column) from None
+        # name the bad cells; only a faulty table takes this path
+        vals = np.full(shape, np.nan)
+        for i, row in enumerate(cells):
+            for j, tok in enumerate(row):
+                try:
+                    vals[i, j] = float(tok)
+                except ValueError:
+                    bad[i, j] = True
+    is_int = np.zeros(shape, dtype=bool)
+    is_int[:, int_cols] = True
+    finite = np.isfinite(vals)
+    fault = np.select(
+        [bad, ~finite, is_int & (vals != np.floor(vals)),
+         (np.arange(shape[1]) < 2) & (vals < 0)],
+        [1, 2, 3, 4], 0)
+    # a key repeats when an earlier record with a valid key has it too; the
+    # sort is stable, so each key's first record in the file comes first
+    keyed = np.flatnonzero(~fault[:, :2].any(axis=1))
+    order = keyed[np.lexsort((vals[keyed, 1], vals[keyed, 0]))]
+    keys = vals[order, :2]
+    repeat = np.zeros(shape[0], dtype=bool)
+    repeat[order[1:][(keys[1:] == keys[:-1]).all(axis=1)]] = True
+    faulty = np.flatnonzero(fault.any(axis=1) | repeat)
+    if faulty.size:
+        i = int(faulty[0])
+        lineno = rows[i][0]
+        # only a record with valid key cells can repeat a key
+        if repeat[i]:
+            raise ParseError(f"duplicate ({header[0]}, {header[1]}) = "
+                             f"({int(vals[i, 0])}, {int(vals[i, 1])})",
+                             path=path, line=lineno)
+        j = int(np.flatnonzero(fault[i])[0])
+        raise ParseError(_CELL_FAULTS[fault[i, j] - 1].format(cells[i][j]),
+                         path=path, line=lineno, column=header[j])
+    return vals
 
 
-def _int(tok, path, lineno, column):
-    v = _num(tok, path, lineno, column)
-    if v != int(v):
-        raise ParseError(f"expected an integer, got {tok!r}", path=path,
-                         line=lineno, column=column)
-    return int(v)
+def _by_key(vals, path, inner, n_outer=None):
+    """Arrange records keyed (scenario, inner id) as an (n_outer, n_inner,
+    n_fields) array of their remaining fields.
+
+    n_inner is one past the largest inner id; n_outer is one past the
+    largest scenario unless given, when records of later scenarios are
+    left out. Every pair below those counts must be present.
+    """
+    n_inner = vals[:, 1].max() + 1.0
+    if n_outer is None:
+        n_outer = int(vals[:, 0].max()) + 1
+    vals = vals[vals[:, 0] < n_outer]
+    vals = vals[np.lexsort((vals[:, 1], vals[:, 0]))]
+    # keys are unique, so in key order the first record off the dense
+    # sequence (0, 0), (0, 1), ... marks the first missing pair
+    seq = np.arange(vals.shape[0])
+    off = np.flatnonzero((vals[:, 0] != seq // n_inner)
+                         | (vals[:, 1] != seq % n_inner))
+    first = off[0] if off.size else vals.shape[0]
+    if first < n_outer * n_inner:
+        raise ParseError(f"missing row for scenario {int(first // n_inner)}, "
+                         f"{inner} {int(first % n_inner)}", path=path)
+    return vals[:, 2:].reshape(n_outer, int(n_inner), -1)
 
 
 def _read_profile_table(path):
     """Return (n_days, T, elec, heat, pv) with each profile shaped (n_days, T)."""
-    rows = _read_rows(path, PROFILE_HEADER)
-    if not rows:
+    vals = _read_table(path, PROFILE_HEADER, [0, 1])
+    if vals.shape[0] == 0:
         raise ParseError("no data rows", path=path, line=2)
-    recs = {}
-    for lineno, row in rows:
-        s = _int(row[0], path, lineno, "scenario")
-        h = _int(row[1], path, lineno, "hour")
-        if (s, h) in recs:
-            raise ParseError(f"duplicate (scenario, hour) = ({s}, {h})",
-                             path=path, line=lineno)
-        recs[(s, h)] = (_num(row[2], path, lineno, "elec_load_kw"),
-                        _num(row[3], path, lineno, "heat_load_kw"),
-                        _num(row[4], path, lineno, "pv_avail_kw"))
-    n_days = max(s for s, _ in recs) + 1
-    t_day = max(h for _, h in recs) + 1
-    elec = np.empty((n_days, t_day))
-    heat = np.empty((n_days, t_day))
-    pv = np.empty((n_days, t_day))
-    for s in range(n_days):
-        for h in range(t_day):
-            if (s, h) not in recs:
-                raise ParseError(f"missing row for scenario {s}, hour {h}", path=path)
-            elec[s, h], heat[s, h], pv[s, h] = recs[(s, h)]
-    return n_days, t_day, elec, heat, pv
+    table = _by_key(vals, path, "hour")
+    elec, heat, pv = table.transpose(2, 0, 1).copy()
+    return table.shape[0], table.shape[1], elec, heat, pv
 
 
 def _read_ev_table(path, n_days, integer_hours):
     """Return an (n_days, n_ev, 3) array of (arrive, depart, initial_soc)."""
-    rows = _read_rows(path, EV_HEADER)
-    recs = {}
-    for lineno, row in rows:
-        s = _int(row[0], path, lineno, "scenario")
-        j = _int(row[1], path, lineno, "ev_id")
-        if (s, j) in recs:
-            raise ParseError(f"duplicate (scenario, ev_id) = ({s}, {j})",
-                             path=path, line=lineno)
-        if integer_hours:
-            a = _int(row[2], path, lineno, "arrive_hour")
-            d = _int(row[3], path, lineno, "depart_hour")
-        else:
-            a = _num(row[2], path, lineno, "arrive_hour")
-            d = _num(row[3], path, lineno, "depart_hour")
-        recs[(s, j)] = (a, d, _num(row[4], path, lineno, "initial_soc"))
-    if not recs:
+    vals = _read_table(path, EV_HEADER, [0, 1, 2, 3] if integer_hours
+                       else [0, 1])
+    if vals.shape[0] == 0:
         return np.zeros((n_days, 0, 3))
-    n_ev = max(j for _, j in recs) + 1
-    out = np.empty((n_days, n_ev, 3))
-    for s in range(n_days):
-        for j in range(n_ev):
-            if (s, j) not in recs:
-                raise ParseError(f"missing row for scenario {s}, ev_id {j}", path=path)
-            out[s, j] = recs[(s, j)]
-    return out
+    return _by_key(vals, path, "ev_id", n_days).copy()
 
 
 def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:

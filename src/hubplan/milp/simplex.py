@@ -3,19 +3,32 @@ starts.
 
 Rows are brought to equality form with one slack per row; the basis inverse
 is held as a sparse LU factorization plus a product-form eta file,
-refactorized every 50 basis changes. The factorization is SuperLU's
-(COLAMD ordering, partial pivoting) with relaxed supernodes and panels
-both set to one column, which factors and solves these very sparse bases
-fastest. The eta file is applied as one block per ftran or btran (one
-matrix-vector product and a small triangular solve, see ``_kernels``),
-not eta by eta. Phase 1 runs the composite method: infeasibility costs
-from the current basic state each iteration, so no auxiliary variables
-are added. Pricing is Dantzig with lowest-index tie-breaks, switching to
-Bland's rule after 1000 degenerate pivots in a row. Entering steps handle
-bound flips; the ratio test keeps feasible basics inside their bounds and
-walks infeasible ones back. Tolerances: 1e-7 on bound violations
-(relative to 1 + |bound|) and on reduced costs, 1e-9 on pivot elements
-and degenerate steps.
+refactorized every 50 basis changes. Phase 1 runs the composite method:
+infeasibility costs from the current basic state each iteration, so no
+auxiliary variables are added. Pricing is Dantzig with lowest-index
+tie-breaks, switching to Bland's rule after 1000 degenerate pivots in a
+row. Entering steps handle bound flips; the ratio test keeps feasible
+basics inside their bounds and walks infeasible ones back. Tolerances:
+1e-7 on bound violations (relative to 1 + |bound|) and on reduced costs,
+1e-9 on pivot elements and degenerate steps.
+
+Only the structural block of the basis is factored: every basic slack is
+a unit column, so it is solved by substitution instead (slacks taken out
+before the LU, as in Suhl & Suhl 1990 and Bixby 1992). With P_S the
+positions holding a structural basic, P_L those holding a slack, R2 the
+rows of those slacks and R1 the other rows, the basis is block-triangular,
+[[B_K, 0], [B_21, I]], with the k x k kernel B_K = A[R1, basis[P_S]] and
+B_21 = A[R2, basis[P_S]]. ftran solves B_K w[P_S] = v[R1] and sets
+w[P_L] = v[R2] - B_21 w[P_S]; btran sets y[R2] = u[P_L] and solves
+B_K^T y[R1] = u[P_S] - B_21^T u[P_L], skipping the product when u[P_L] is
+zero (every phase-2 btran of the costs, since slacks cost nothing). The
+basis is singular exactly when B_K is, and an all-slack basis (k = 0, the
+cold start) is a permutation with nothing to factor. B_K is factored by
+SuperLU (COLAMD ordering, partial pivoting) with relaxed supernodes and
+panels both set to one column, which factors and solves these very sparse
+blocks fastest. The eta file is applied as one block per ftran or btran
+(one matrix-vector product and a small triangular solve, see
+``_kernels``), not eta by eta.
 
 A pivot touches only the rows where the entering column w = B^-1 a_q is
 nonzero: a median of about ten of the 3951 rows of the bundled plan. The
@@ -90,8 +103,11 @@ class LpSolution:
     dual phase of a warm start, phase1_pivots in the primal while some
     basic was out of bounds, degenerate_pivots stepped by at most 1e-9
     (the dual step for a dual pivot), bland_pivots chose the entering
-    column by Bland's rule, and refactors counts LU factorizations of the
-    basis, the first one included.
+    column by Bland's rule, and refactors counts the LU factorizations of
+    the basis's structural block, the first one included. A refactorization
+    of an all-slack basis (the cold start) factors nothing and is not
+    counted. kernel_cols sums the order k of the factored blocks, so
+    kernel_cols / refactors is their mean size.
     """
 
     status: str
@@ -108,6 +124,7 @@ class LpSolution:
     degenerate_pivots: int = 0
     bland_pivots: int = 0
     dual_pivots: int = 0
+    kernel_cols: int = 0
 
 
 def _slack_bounds(senses):
@@ -117,6 +134,82 @@ def _slack_bounds(senses):
     hi[senses == LE] = np.inf
     lo[senses == GE] = -np.inf
     return lo, hi
+
+
+class _BlockBasis:
+    """A basis split into its structural block and its basic slacks.
+
+    basis holds the column in each row position (structurals first, then
+    one slack per row, so column n_struct + i is row i's unit column). k
+    is the number of structural basics, struct_cols those columns.
+    row_perm lists the rows R1 then R2 (the basic slacks' rows, in position
+    order), pos_perm the positions P_S then P_L, so that past index k a
+    basic slack's row and position sit at the same index; row_at and
+    pos_at are their inverses. b_k is the kernel A[R1, struct_cols] in
+    CSC, for the caller to factor into lu; b21 is A[R2, struct_cols] in CSC
+    and b21t its transpose (a CSR view). A slack basic in two positions
+    makes the basis singular.
+    """
+
+    def __init__(self, a_s, basis, n_struct):
+        m = basis.shape[0]
+        struct = basis < n_struct
+        p_l = np.flatnonzero(~struct)
+        r2 = basis[p_l] - n_struct
+        in_r1 = np.ones(m, dtype=bool)
+        in_r1[r2] = False
+        self.k = k = m - p_l.size
+        if np.count_nonzero(in_r1) != k:
+            raise SolverError("singular basis: a slack column is basic in "
+                              "two positions")
+        self.row_perm = np.concatenate([np.flatnonzero(in_r1), r2])
+        self.pos_perm = np.concatenate([np.flatnonzero(struct), p_l])
+        self.row_at = np.empty(m, dtype=np.intp)
+        self.row_at[self.row_perm] = np.arange(m)
+        self.pos_at = np.empty(m, dtype=np.intp)
+        self.pos_at[self.pos_perm] = np.arange(m)
+        self.struct_cols = cols = basis[self.pos_perm[:k]]
+        self.lu = self.b_k = self.b21 = self.b21t = None
+        if k == 0:
+            return
+        # the entries of the basic structural columns in column order, rows
+        # renumbered along row_perm: rows before k form B_K, the rest B_21
+        start = a_s.indptr[cols]
+        size = a_s.indptr[cols + 1] - start
+        ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(size, out=ptr[1:])
+        at = np.repeat(start - ptr[:-1], size) + np.arange(ptr[-1])
+        rows = self.row_at[a_s.indices[at]]
+        data = a_s.data[at]
+        top = rows < k
+        top_ptr = np.concatenate([[0], np.cumsum(top)])[ptr]
+        self.b_k = sparse.csc_matrix((data[top], rows[top], top_ptr),
+                                     shape=(k, k))
+        self.b21 = sparse.csc_matrix(
+            (data[~top], rows[~top] - k, ptr - top_ptr), shape=(m - k, k))
+        self.b21t = self.b21.T
+
+    def solve(self, v):
+        """B^-1 v: B_K w[P_S] = v[R1], then w[P_L] = v[R2] - B_21 w[P_S]."""
+        k = self.k
+        vp = v[self.row_perm]
+        if k:
+            w_s = self.lu.solve(vp[:k])
+            vp[k:] -= self.b21 @ w_s
+            vp[:k] = w_s
+        return vp[self.pos_at]
+
+    def solve_t(self, u):
+        """B^-T u: y[R2] = u[P_L], then B_K^T y[R1] = u[P_S] - B_21^T u[P_L];
+        the product is skipped when u[P_L] is zero."""
+        k = self.k
+        up = u[self.pos_perm]
+        if k:
+            u_l = up[k:]
+            if u_l.any():
+                up[:k] -= self.b21t @ u_l
+            up[:k] = self.lu.solve(up[:k], trans="T")
+        return up[self.row_at]
 
 
 def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
@@ -141,8 +234,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             f"columns; the model needs {m} and {n_tot}")
 
     a_s = model.a_matrix.tocsc()
-    a_full = sparse.hstack(
-        [a_s, sparse.identity(m, format="csc", dtype=float)], format="csc")
     # reduced costs are c_s - A^T y on the structurals and -y on the slacks
     at_s = a_s.T.tocsr()
     c = np.concatenate([model.obj, np.zeros(m)])
@@ -193,39 +284,45 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     tri = np.empty((_REFACTOR_EVERY, _REFACTOR_EVERY))
     eta_piv = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
     n_eta = 0
-    lu = None
+    blk = None
 
     def refactor():
-        nonlocal lu, n_eta, refactors
-        refactors += 1
-        try:
-            lu = splu(a_full[:, basis].tocsc(), relax=_SPLU_RELAX,
-                      panel_size=_SPLU_PANEL_SIZE)
-        except RuntimeError as exc:
-            bad = int(basis.min())
-            raise SolverError(f"singular basis factorization ({exc}); "
-                              f"first basic column {bad}") from exc
+        nonlocal blk, n_eta, refactors, kernel_cols
+        blk = _BlockBasis(a_s, basis, n_struct)
+        if blk.k:
+            refactors += 1
+            kernel_cols += blk.k
+            try:
+                blk.lu = splu(blk.b_k, relax=_SPLU_RELAX,
+                              panel_size=_SPLU_PANEL_SIZE)
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"singular basis factorization ({exc}); first structural "
+                    f"basic column {int(blk.struct_cols.min())}") from exc
         n_eta = 0
         x[basis] = 0.0
-        resid = b - a_full @ x
-        xb[:] = lu.solve(resid)
+        resid = b - (a_s @ x[:n_struct] + x[n_struct:])
+        xb[:] = blk.solve(resid)
         x[basis] = xb
         gamma[:] = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[0]
 
     def ftran(v):
-        out = lu.solve(v)
+        out = blk.solve(v)
         ker.ftran_etas(etas, tri, eta_piv, n_eta, out)
         return out
 
     def btran(v):
-        out = v.copy()
-        ker.btran_etas(etas, tri, eta_piv, n_eta, out)
-        return lu.solve(out, trans="T")
+        u = v.copy()
+        ker.btran_etas(etas, tri, eta_piv, n_eta, u)
+        return blk.solve_t(u)
 
     def ftran_col(q):
         col = np.zeros(m)
-        st, en = a_full.indptr[q], a_full.indptr[q + 1]
-        col[a_full.indices[st:en]] = a_full.data[st:en]
+        if q < n_struct:
+            st, en = a_s.indptr[q], a_s.indptr[q + 1]
+            col[a_s.indices[st:en]] = a_s.data[st:en]
+        else:
+            col[q - n_struct] = 1.0
         return ftran(col)
 
     def price(y, phase1):
@@ -276,9 +373,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
                           phase1_pivots=phase1_pivots, refactors=refactors,
                           degenerate_pivots=degenerate_pivots,
                           bland_pivots=bland_pivots, dual_pivots=dual_pivots,
-                          **extra)
+                          kernel_cols=kernel_cols, **extra)
 
-    refactors = 0
+    refactors = kernel_cols = 0
     refactor()
     iters = phase1_pivots = degenerate_pivots = bland_pivots = 0
     dual_pivots = 0

@@ -101,10 +101,14 @@ def test_simplex_calls_its_hooks(monkeypatch):
     s = simplex_mod.solve_lp(model)
     assert s.status == "optimal" and abs(s.objective + 7.0) < 1e-9
     assert s.iterations >= 2 and s.dual_pivots == 0
+    # the cold start's all-slack basis is a permutation: no splu call, and
+    # not counted in refactors
     assert calls["splu"] == s.refactors
+    assert s.kernel_cols >= s.refactors >= 1
     assert calls["ratio_test"] == s.iterations
-    # one full state per factorization and at exit, one partial per pivot
-    assert calls["basic_state"] == s.refactors + s.iterations + 1
+    # one full state per factorization, at the all-slack start and at exit,
+    # one partial per pivot
+    assert calls["basic_state"] == s.refactors + 1 + s.iterations + 1
 
     # y <= 2 leaves the optimum's basic y = 3 out of bounds: the dual phase
     # pivots through the same factor and state kernels, and only the

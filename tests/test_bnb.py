@@ -151,6 +151,9 @@ def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
         assert 0 <= lp.degenerate_pivots <= lp.iterations
         assert 0 <= lp.bland_pivots <= lp.iterations
         assert lp.refactors >= 1
+        # each factored block is 1 to n_rows structural columns
+        assert (lp.refactors <= lp.kernel_cols
+                <= lp.refactors * tiny_solved.model.n_rows)
     for key in bnb_mod.LP_COUNTERS:
         assert getattr(s, key) == sum(getattr(lp, key) for lp in lps), key
         assert s.lp_counters()[key] == getattr(s, key)

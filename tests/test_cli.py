@@ -79,6 +79,7 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["degenerate_pivots"] <= pivots
     assert doc["bland_pivots"] <= pivots
     assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
+    assert doc["kernel_cols"] >= doc["refactors"]
     assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]
     assert (doc["max_depth"] >= 1) == (doc["nodes"] > 1)
     assert doc["incumbents"][-1] == doc["objective"]
@@ -239,7 +240,7 @@ def test_sweep_audit(ws, tmp_path, capsys):
     assert levels[1]["root_pivots"] < levels[0]["root_pivots"]
     # the cold first root starts outside the feasible region
     assert levels[0]["phase1_pivots"] > 0
-    assert all(lv["refactors"] >= 1 for lv in levels)
+    assert all(lv["kernel_cols"] >= lv["refactors"] >= 1 for lv in levels)
     for lv in levels:
         assert 0 <= lv["infeasible_nodes"] <= lv["node_lps"]
         assert lv["incumbents"] == sorted(lv["incumbents"], reverse=True)
@@ -335,6 +336,35 @@ def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
     assert rc == 2
     assert "converged=False" in capsys.readouterr().out
     assert (out / "scenarios.csv").exists()  # best effort still lands
+
+
+@pytest.mark.parametrize("table, row, column", [
+    ("history_loads", "nan,0,88.596,51.308,0.0", "scenario"),
+    ("history_loads", "inf,0,88.596,51.308,0.0", "scenario"),
+    ("history_loads", "0,0,nan,51.308,0.0", "elec_load_kw"),
+    ("history_ev", "0,nan,8.2525,18.3808,0.3447", "ev_id"),
+])
+def test_scen_gen_rejects_non_finite_history(data_dir, tmp_path, capsys,
+                                             table, row, column):
+    # a non-finite cell in line 2 is refused on read, before generation
+    paths = {}
+    for name in ("history_loads", "history_ev"):
+        with open(os.path.join(data_dir, name + ".csv")) as fh:
+            lines = fh.read().splitlines()
+        if name == table:
+            lines[1] = row
+        paths[name] = tmp_path / (name + ".csv")
+        paths[name].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(["scen", "gen", "--case", os.path.join(data_dir, "case.json"),
+                   "--history-loads", str(paths["history_loads"]),
+                   "--history-ev", str(paths["history_ev"]), "--n", "5",
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"line 2, column '{column}': not a finite number" in err
+    assert not out.exists()
 
 
 def test_fresh_process_determinism(ws, tmp_path):

@@ -1,4 +1,5 @@
 """File round-trips and parse diagnostics for the case/scenario formats."""
+import csv
 import os
 
 import numpy as np
@@ -115,6 +116,51 @@ def test_scenario_missing_hour(tiny_case_file, tmp_path):
         read_scenario_set(str(p), case)
 
 
+def _history(tmp_path, rows):
+    p = tmp_path / "hist.csv"
+    p.write_text("scenario,hour,elec_load_kw,heat_load_kw,pv_avail_kw\n"
+                 + "".join(r + "\n" for r in rows))
+    return str(p)
+
+
+_DAY = [f"{s},{h},{s + 1}.5,2.0,0.{h}" for s in range(2) for h in range(3)]
+
+
+@pytest.mark.parametrize("rows, line, column, message", [
+    # the first fault in file order wins: a repeated key in line 5 over a
+    # bad number in line 6, and a bad number in line 4 over a repeat after
+    (_DAY[:3] + ["0,1,3,3,3", "1,0,bad,1,1"] + _DAY[4:], 5, None,
+     "duplicate (scenario, hour) = (0, 1)"),
+    (_DAY[:2] + ["0,2,bad,1,1", "0,1,3,3,3"] + _DAY[3:], 4, "elec_load_kw",
+     "not a number: 'bad'"),
+    # within a row the key cells come first, then a repeated key
+    (_DAY[:1] + ["0,1.5,zz,1,1"] + _DAY[2:], 3, "hour",
+     "expected an integer, got '1.5'"),
+    (_DAY[:3] + ["0,1,zz,3,3"] + _DAY[3:], 5, None,
+     "duplicate (scenario, hour) = (0, 1)"),
+    (_DAY + ["-1,0,1,1,1"], 8, "scenario",
+     "expected a non-negative integer, got '-1'"),
+    (["0,0,1,inf,1"] + _DAY[1:], 2, "heat_load_kw",
+     "not a finite number: 'inf'"),
+    (_DAY[:4] + _DAY[5:], None, None, "missing row for scenario 1, hour 1"),
+])
+def test_history_faults(tmp_path, rows, line, column, message):
+    with pytest.raises(ParseError) as ei:
+        read_history(_history(tmp_path, rows))
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value).endswith(message)
+
+
+def test_history_rows_in_any_order(tmp_path):
+    # records are placed by key, not by file position
+    fwd = read_history(_history(tmp_path, _DAY))
+    back = read_history(_history(tmp_path, _DAY[::-1]))
+    for a, b in zip(fwd[:3], back[:3]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(fwd[0], [[1.5] * 3, [2.5] * 3])
+    np.testing.assert_array_equal(fwd[2], [[0.0, 0.1, 0.2]] * 2)
+
+
 def test_scenario_wrong_header(tiny_case_file, tmp_path):
     case, _ = tiny_case_file
     p = tmp_path / "hdr.csv"
@@ -173,6 +219,15 @@ def test_read_history_bundled(data_dir):
     assert np.all(elec >= 0) and np.all(pv >= 0)
     # history keeps fractional hours; the day index is dense
     assert np.all(ev[:, :, 0] < ev[:, :, 1])
+    # the same values a cell-by-cell float() read gives, bit for bit
+    for name, got in (("history_loads.csv", (elec, heat, pv)),
+                      ("history_ev.csv", tuple(np.moveaxis(ev, 2, 0)))):
+        with open(os.path.join(data_dir, name), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        want = np.full(got[0].shape + (len(got),), np.nan)
+        for row in rows:
+            want[int(row[0]), int(row[1])] = [float(c) for c in row[2:]]
+        np.testing.assert_array_equal(np.stack(got, axis=-1), want)
 
 
 def test_bundled_case_reads(data_dir):

@@ -1,10 +1,11 @@
 """Bounded-variable primal simplex against closed forms and linprog."""
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from conftest import make_model
-from hubplan.errors import InvalidParameterError
+from hubplan.errors import InvalidParameterError, SolverError
 from hubplan.milp import _kernels as ker
 from hubplan.milp import simplex as simplex_mod
 from hubplan.milp import solve_lp
@@ -345,6 +346,89 @@ def test_warm_start_shape_is_checked():
     s = solve_lp(m)
     with pytest.raises(InvalidParameterError):
         solve_lp(m, warm=(s.basis, s.stat[:-1]))
+
+
+def _block_basis(a, basis):
+    """The split basis of the structurals a (dense) at basis, factored with
+    solve_lp's SuperLU settings."""
+    blk = simplex_mod._BlockBasis(sparse.csc_matrix(a), basis, a.shape[1])
+    if blk.k:
+        blk.lu = simplex_mod.splu(blk.b_k, relax=simplex_mod._SPLU_RELAX,
+                                  panel_size=simplex_mod._SPLU_PANEL_SIZE)
+    return blk
+
+
+def _check_block_solves(rng, a, basis):
+    """ftran and btran through the split basis against dense solves of the
+    full basis [A | I][:, basis]; btran both with a right-hand side that is
+    nonzero on the slack positions and with one that is zero there."""
+    m = a.shape[0]
+    dense = np.hstack([a, np.eye(m)])[:, basis]
+    blk = _block_basis(a, basis)
+    assert blk.k == np.count_nonzero(basis < a.shape[1])
+    v = rng.normal(size=m)
+    u_zero = rng.normal(size=m)
+    u_zero[basis >= a.shape[1]] = 0.0
+    for got, want in ((blk.solve(v), np.linalg.solve(dense, v)),
+                      (blk.solve_t(v), np.linalg.solve(dense.T, v)),
+                      (blk.solve_t(u_zero), np.linalg.solve(dense.T, u_zero))):
+        assert (np.linalg.norm(got - want)
+                <= 1e-10 * max(np.linalg.norm(want), 1.0))
+    return blk.k
+
+
+def test_block_solves_match_dense_basis():
+    # all-slack (k = 0), all-structural (k = m) and mixed bases drawn at
+    # random, redrawn until the full basis is well conditioned
+    rng = np.random.default_rng(23)
+    seen = set()
+    for trial in range(90):
+        m = int(rng.integers(1, 15))
+        n = m + int(rng.integers(0, 8))
+        a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+        k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
+        for _draw in range(200):
+            basis = np.concatenate([
+                rng.choice(n, k, replace=False),
+                n + rng.choice(m, m - k, replace=False)])
+            rng.shuffle(basis)
+            full = np.hstack([a, np.eye(m)])[:, basis]
+            if np.linalg.cond(full) < 1e4:
+                break
+        else:
+            continue
+        k = _check_block_solves(rng, a, basis)
+        seen.add("slack" if k == 0 else "struct" if k == m else "mixed")
+    assert seen == {"slack", "struct", "mixed"}
+
+
+def test_block_solves_at_warm_bases():
+    # the final bases of solved random LPs, as warm starts hand them on
+    rng = np.random.default_rng(29)
+    mixed = 0
+    for _trial in range(60):
+        obj, a, senses, rhs, lb, ub = _random_lp(rng)
+        s = solve_lp(make_model(obj, a, senses, rhs, lb, ub))
+        if s.status != "optimal":
+            continue
+        full = np.hstack([a, np.eye(a.shape[0])])[:, s.basis]
+        if np.linalg.cond(full) < 1e4:
+            k = _check_block_solves(rng, a, s.basis)
+            mixed += 0 < k < a.shape[0]
+    assert mixed > 10
+
+
+def test_singular_warm_basis_raises():
+    # columns 0 and 1 are equal, so a basis holding both is singular; so is
+    # one holding row 0's slack twice
+    m = make_model([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]],
+                   [LE, LE], [4.0, 4.0], [0.0] * 3, [5.0] * 3)
+    stat = np.full(5, simplex_mod.NB_LO, dtype=np.int8)
+    stat[[0, 1]] = simplex_mod.BASIC
+    with pytest.raises(SolverError, match="first structural basic column 0"):
+        solve_lp(m, warm=(np.array([0, 1]), stat))
+    with pytest.raises(SolverError, match="slack column is basic in two"):
+        solve_lp(m, warm=(np.array([3, 3]), stat))
 
 
 # Scalar loop versions of the simplex kernels: the reference that the
