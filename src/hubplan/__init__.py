@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
                    MONEY_SCALE, Scenario, ScenarioSet, TariffSet, TessSpec,
-                   TimeGrid, annualization_factor, fuel_price_per_kwh,
-                   validate_scenario_set)
+                   TimeGrid, annualization_factor, validate_scenario_set)
 from .errors import (DecompositionError, DegenerateColumnError, HubplanError,
                      InfeasibleSolutionError, InvalidParameterError,
                      ModelBuildError, MomentFitError, MpsFormatError,
@@ -22,8 +21,7 @@ from .errors import (DecompositionError, DegenerateColumnError, HubplanError,
 __all__ = [
     "BessSpec", "EquipmentCatalog", "EvFleetSpec", "EvRecord", "FcSpec",
     "MONEY_SCALE", "Scenario", "ScenarioSet", "TariffSet", "TessSpec",
-    "TimeGrid", "annualization_factor", "fuel_price_per_kwh",
-    "validate_scenario_set",
+    "TimeGrid", "annualization_factor", "validate_scenario_set",
     "DecompositionError", "DegenerateColumnError", "HubplanError",
     "InfeasibleSolutionError", "InvalidParameterError", "ModelBuildError",
     "MomentFitError", "MpsFormatError", "ParseError", "SolverError",

@@ -16,7 +16,7 @@ import numpy as np
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
 from .milp import branch_and_bound, check_solution, extract_solution
-from .model import assemble_model, max_substandard
+from .model import assemble_model, build_objective, max_substandard
 
 _SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
 
@@ -301,19 +301,22 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     raises SolverError. Trend observations (fuel-cell mix, substandard
     counts) are reported in notes, never asserted.
 
-    Only the objective changes between levels, so each level's root LP
-    starts from the previous level's root basis, which stays primal
-    feasible: the new root needs phase 2 only.
+    Only the objective changes between levels: the model is assembled
+    once and re-priced at each level, and each level's root LP starts from
+    the previous level's root basis, which stays primal feasible: the new
+    root needs phase 2 only.
     """
     if not tax_levels:
         raise InvalidParameterError("tax_levels must not be empty")
     m = annualization_factor(grid)
+    base = assemble_model(grid, catalog, tariffs, scenario_set, config)
     levels = []
     warm = None
     for tax in tax_levels:
-        tar = replace(tariffs, carbon_tax=float(tax) / 1000.0)
+        tar = tariffs.with_carbon_tax(tax)
+        model = replace(base, obj=build_objective(base.var_index, catalog,
+                                                  tar, m))
         try:
-            model = assemble_model(grid, catalog, tar, scenario_set, config)
             bnb = branch_and_bound(model, warm=warm, **solver_kwargs)
             warm = bnb.root_warm
             if bnb.status != "optimal":

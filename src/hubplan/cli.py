@@ -148,8 +148,7 @@ def _load_scenarios(cfg, case):
     scen, raw = generate_scenarios(
         case, elec, heat, pv, ev, n_scenarios=_n_scenarios(cfg),
         seed=int(cfg["seed"]), tol=float(cfg["gen_tol"]),
-        max_iters=int(cfg["gen_max_iters"]),
-        n_ev=case.catalog.ev_fleet.n_ev)
+        max_iters=int(cfg["gen_max_iters"]))
     log = {"seed": raw.seed, "converged": raw.converged,
            "iterations": raw.iteration_log}
     return scen, "generated", log
@@ -222,17 +221,6 @@ def _bnb_limits(cfg):
     return limits
 
 
-def _solve(case, scen, config, limits, tax=None):
-    tariffs = case.tariffs
-    if tax is not None:
-        import dataclasses
-        tariffs = dataclasses.replace(tariffs, carbon_tax=tax / 1000.0)
-    model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
-    t0 = time.perf_counter()
-    sol = branch_and_bound(model, **limits)
-    return model, tariffs, sol, time.perf_counter() - t0
-
-
 def cmd_plan(cfg):
     # options are checked before any input is read
     taxes = _tax_list(cfg)
@@ -252,7 +240,11 @@ def cmd_plan(cfg):
                           os.path.join(out, "scenarios_ev.csv"))
         write_audit_json(os.path.join(out, "scen_log.json"), log)
 
-    model, tariffs, sol, wall = _solve(case, scen, config, limits, tax)
+    tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
+    model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
+    t0 = time.perf_counter()
+    sol = branch_and_bound(model, **limits)
+    wall = time.perf_counter() - t0
 
     audit_doc = {
         "command": "plan",
@@ -376,11 +368,7 @@ def cmd_export_mps(cfg):
     config = _model_config(cfg)
     scen, _source, _log = _load_scenarios(cfg, case)
     taxes = _tax_list(cfg)
-    tariffs = case.tariffs
-    if taxes:
-        import dataclasses
-        tariffs = dataclasses.replace(tariffs,
-                                      carbon_tax=taxes[0] / 1000.0)
+    tariffs = case.tariffs.with_carbon_tax(taxes[0]) if taxes else case.tariffs
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)

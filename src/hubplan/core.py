@@ -14,7 +14,7 @@ by value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParameterError
 
@@ -76,15 +76,6 @@ def annualization_factor(grid: TimeGrid) -> float:
     g = 1.0 + grid.discount_rate
     return sum(DAYS_PER_YEAR / (grid.n_scenarios * g ** (y - 1))
                for y in range(1, grid.planning_years + 1))
-
-
-def fuel_price_per_kwh(price_per_m3: float, lhv_kwh_per_m3: float) -> float:
-    """Convert a volumetric gas price (yuan/m3) to yuan/kWh of fuel energy."""
-    _check(math.isfinite(price_per_m3) and price_per_m3 >= 0.0,
-           "price_per_m3 must be finite and >= 0")
-    _check(math.isfinite(lhv_kwh_per_m3) and lhv_kwh_per_m3 > 0.0,
-           "lhv_kwh_per_m3 must be positive")
-    return price_per_m3 / lhv_kwh_per_m3
 
 
 @dataclass(frozen=True)
@@ -258,6 +249,10 @@ class TariffSet:
         _check(self.soc_penalty >= 0.0, "soc_penalty must be >= 0")
         _check(self.grid_cap >= 0.0, "grid_cap must be >= 0")
         _check(self.pv_cap >= 0.0, "pv_cap must be >= 0")
+
+    def with_carbon_tax(self, yuan_per_ton):
+        """These tariffs at a carbon tax quoted in yuan per ton of CO2."""
+        return replace(self, carbon_tax=float(yuan_per_ton) / 1000.0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ write/read cycle reproduces values exactly.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -52,12 +52,45 @@ def _get(obj, key, path, where):
     return obj[key]
 
 
-def _opt(obj, key, default):
-    return obj.get(key, default) if isinstance(obj, dict) else default
+# JSON key of a spec field where it differs from the field's name
+_JSON_KEY = {"fc_id": "id"}
+# the sections after "planning" and "fuel_cells", in file order
+_SECTIONS = (("bess", BessSpec), ("tess", TessSpec), ("ev_fleet", EvFleetSpec),
+             ("tariffs", TariffSet))
+# CaseData's own fields, the "planning" section
+_PLANNING = fields(CaseData)[2:]
+
+
+def _read_fields(obj, spec_fields, path, where):
+    """Keyword arguments for spec_fields read from the JSON object obj.
+
+    Each value is converted by its field's type (a str is kept as read);
+    an absent key takes the field's default where it has one.
+    """
+    kwargs = {}
+    for f in spec_fields:
+        key = _JSON_KEY.get(f.name, f.name)
+        if isinstance(obj, dict) and key not in obj and f.default is not MISSING:
+            val = f.default
+        else:
+            val = _get(obj, key, path, where)
+        kwargs[f.name] = val if f.type is str else f.type(val)
+    return kwargs
+
+
+def _write_fields(spec, spec_fields):
+    return {_JSON_KEY.get(f.name, f.name):
+            list(getattr(spec, f.name)) if f.type is tuple
+            else getattr(spec, f.name) for f in spec_fields}
 
 
 def read_case(path) -> CaseData:
-    """Parse a case JSON file into validated domain objects."""
+    """Parse a case JSON file into validated domain objects.
+
+    The file's sections are the fields of the spec dataclasses: planning
+    (CaseData's own fields), fuel_cells (a list of FcSpec, fc_id under the
+    key "id"), bess, tess, ev_fleet and tariffs.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -67,67 +100,16 @@ def read_case(path) -> CaseData:
                          column=exc.colno) from exc
     try:
         plan = _get(doc, "planning", path, "$")
-        fcs = []
-        for k, f in enumerate(_get(doc, "fuel_cells", path, "$")):
-            where = f"$.fuel_cells[{k}]"
-            fcs.append(FcSpec(
-                fc_id=_get(f, "id", path, where),
-                invest_cost=float(_get(f, "invest_cost", path, where)),
-                gas_to_elec=float(_get(f, "gas_to_elec", path, where)),
-                gas_to_heat=float(_get(f, "gas_to_heat", path, where)),
-                max_elec=float(_get(f, "max_elec", path, where)),
-                max_heat=float(_get(f, "max_heat", path, where)),
-                fuel_price=float(_get(f, "fuel_price", path, where)),
-                fuel_emission=float(_get(f, "fuel_emission", path, where)),
-                max_units=int(_get(f, "max_units", path, where)),
-            ))
-        b = _get(doc, "bess", path, "$")
-        bess = BessSpec(
-            invest_cost=float(_get(b, "invest_cost", path, "$.bess")),
-            rate_fraction=float(_get(b, "rate_fraction", path, "$.bess")),
-            eta_ch=float(_get(b, "eta_ch", path, "$.bess")),
-            eta_dis=float(_get(b, "eta_dis", path, "$.bess")),
-            soc_min=float(_get(b, "soc_min", path, "$.bess")),
-            soc_max=float(_get(b, "soc_max", path, "$.bess")),
-            lifetime_cycles=float(_get(b, "lifetime_cycles", path, "$.bess")),
-            max_capacity=float(_get(b, "max_capacity", path, "$.bess")),
-        )
-        t = _get(doc, "tess", path, "$")
-        tess = TessSpec(
-            capacity=float(_get(t, "capacity", path, "$.tess")),
-            rate_fraction=float(_get(t, "rate_fraction", path, "$.tess")),
-            eta_ch=float(_get(t, "eta_ch", path, "$.tess")),
-            eta_dis=float(_get(t, "eta_dis", path, "$.tess")),
-        )
-        e = _get(doc, "ev_fleet", path, "$")
-        fleet = EvFleetSpec(
-            n_ev=int(_get(e, "n_ev", path, "$.ev_fleet")),
-            capacity=float(_get(e, "capacity", path, "$.ev_fleet")),
-            charger_power=float(_get(e, "charger_power", path, "$.ev_fleet")),
-            discharge_rate_fraction=float(_get(e, "discharge_rate_fraction", path, "$.ev_fleet")),
-            eta_ch=float(_get(e, "eta_ch", path, "$.ev_fleet")),
-            eta_dis=float(_get(e, "eta_dis", path, "$.ev_fleet")),
-            soc_min=float(_get(e, "soc_min", path, "$.ev_fleet")),
-            soc_max=float(_get(e, "soc_max", path, "$.ev_fleet")),
-            target_departure_soc=float(_opt(e, "target_departure_soc", 0.9)),
-        )
-        tr = _get(doc, "tariffs", path, "$")
-        tariffs = TariffSet(
-            elec_price=tuple(_get(tr, "elec_price", path, "$.tariffs")),
-            grid_emission=tuple(_get(tr, "grid_emission", path, "$.tariffs")),
-            carbon_tax=float(_get(tr, "carbon_tax", path, "$.tariffs")),
-            soc_penalty=float(_get(tr, "soc_penalty", path, "$.tariffs")),
-            grid_cap=float(_get(tr, "grid_cap", path, "$.tariffs")),
-            pv_cap=float(_get(tr, "pv_cap", path, "$.tariffs")),
-        )
-        case = CaseData(
-            catalog=EquipmentCatalog(fuel_cells=tuple(fcs), bess=bess,
-                                     tess=tess, ev_fleet=fleet),
-            tariffs=tariffs,
-            hours_per_day=int(_get(plan, "hours_per_day", path, "$.planning")),
-            planning_years=int(_get(plan, "planning_years", path, "$.planning")),
-            discount_rate=float(_get(plan, "discount_rate", path, "$.planning")),
-        )
+        fcs = tuple(
+            FcSpec(**_read_fields(f, fields(FcSpec), path, f"$.fuel_cells[{k}]"))
+            for k, f in enumerate(_get(doc, "fuel_cells", path, "$")))
+        bess, tess, fleet, tariffs = (
+            cls(**_read_fields(_get(doc, key, path, "$"), fields(cls), path,
+                               f"$.{key}"))
+            for key, cls in _SECTIONS)
+        case = CaseData(catalog=EquipmentCatalog(fcs, bess, tess, fleet),
+                        tariffs=tariffs,
+                        **_read_fields(plan, _PLANNING, path, "$.planning"))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad value in case file: {exc}", path=path) from exc
     if len(tariffs.elec_price) != case.hours_per_day:
@@ -139,35 +121,12 @@ def read_case(path) -> CaseData:
 
 def case_to_dict(case: CaseData) -> dict:
     return {
-        "planning": {
-            "hours_per_day": case.hours_per_day,
-            "planning_years": case.planning_years,
-            "discount_rate": case.discount_rate,
-        },
-        "fuel_cells": [
-            {"id": f.fc_id, "invest_cost": f.invest_cost,
-             "gas_to_elec": f.gas_to_elec, "gas_to_heat": f.gas_to_heat,
-             "max_elec": f.max_elec, "max_heat": f.max_heat,
-             "fuel_price": f.fuel_price, "fuel_emission": f.fuel_emission,
-             "max_units": f.max_units}
-            for f in case.catalog.fuel_cells
-        ],
-        "bess": {k: getattr(case.catalog.bess, k) for k in
-                 ("invest_cost", "rate_fraction", "eta_ch", "eta_dis",
-                  "soc_min", "soc_max", "lifetime_cycles", "max_capacity")},
-        "tess": {k: getattr(case.catalog.tess, k) for k in
-                 ("capacity", "rate_fraction", "eta_ch", "eta_dis")},
-        "ev_fleet": {k: getattr(case.catalog.ev_fleet, k) for k in
-                     ("n_ev", "capacity", "charger_power", "discharge_rate_fraction",
-                      "eta_ch", "eta_dis", "soc_min", "soc_max", "target_departure_soc")},
-        "tariffs": {
-            "elec_price": list(case.tariffs.elec_price),
-            "grid_emission": list(case.tariffs.grid_emission),
-            "carbon_tax": case.tariffs.carbon_tax,
-            "soc_penalty": case.tariffs.soc_penalty,
-            "grid_cap": case.tariffs.grid_cap,
-            "pv_cap": case.tariffs.pv_cap,
-        },
+        "planning": _write_fields(case, _PLANNING),
+        "fuel_cells": [_write_fields(f, fields(FcSpec))
+                       for f in case.catalog.fuel_cells],
+        **{key: _write_fields(getattr(case if key == "tariffs" else case.catalog,
+                                      key), fields(cls))
+           for key, cls in _SECTIONS},
     }
 
 
@@ -207,7 +166,8 @@ _CELL_FAULTS = (
 
 
 def _read_table(path, header, int_cols):
-    """Read a table's data rows into a float array, one row per record.
+    """Read a table's data rows into a float array, one row per record,
+    and the file line of each record.
 
     Every cell must be a finite number; the columns int_cols hold integers,
     and the first two columns, the record's key, non-negative ones. The
@@ -256,21 +216,20 @@ def _read_table(path, header, int_cols):
         j = int(np.flatnonzero(fault[i])[0])
         raise ParseError(_CELL_FAULTS[fault[i, j] - 1].format(cells[i][j]),
                          path=path, line=lineno, column=header[j])
-    return vals
+    return vals, [lineno for lineno, _ in rows]
 
 
 def _by_key(vals, path, inner, n_outer=None):
     """Arrange records keyed (scenario, inner id) as an (n_outer, n_inner,
     n_fields) array of their remaining fields.
 
-    n_inner is one past the largest inner id; n_outer is one past the
-    largest scenario unless given, when records of later scenarios are
-    left out. Every pair below those counts must be present.
+    n_inner is one past the largest inner id; n_outer, when given, must
+    exceed every scenario, and is one past the largest one otherwise.
+    Every pair below those counts must be present.
     """
     n_inner = vals[:, 1].max() + 1.0
     if n_outer is None:
         n_outer = int(vals[:, 0].max()) + 1
-    vals = vals[vals[:, 0] < n_outer]
     vals = vals[np.lexsort((vals[:, 1], vals[:, 0]))]
     # keys are unique, so in key order the first record off the dense
     # sequence (0, 0), (0, 1), ... marks the first missing pair
@@ -286,7 +245,7 @@ def _by_key(vals, path, inner, n_outer=None):
 
 def _read_profile_table(path):
     """Return (n_days, T, elec, heat, pv) with each profile shaped (n_days, T)."""
-    vals = _read_table(path, PROFILE_HEADER, [0, 1])
+    vals, _lines = _read_table(path, PROFILE_HEADER, [0, 1])
     if vals.shape[0] == 0:
         raise ParseError("no data rows", path=path, line=2)
     table = _by_key(vals, path, "hour")
@@ -295,11 +254,21 @@ def _read_profile_table(path):
 
 
 def _read_ev_table(path, n_days, integer_hours):
-    """Return an (n_days, n_ev, 3) array of (arrive, depart, initial_soc)."""
-    vals = _read_table(path, EV_HEADER, [0, 1, 2, 3] if integer_hours
-                       else [0, 1])
+    """Return an (n_days, n_ev, 3) array of (arrive, depart, initial_soc).
+
+    A record of a scenario past the loads table's last day is a ParseError
+    naming the first such line.
+    """
+    vals, lines = _read_table(path, EV_HEADER, [0, 1, 2, 3] if integer_hours
+                              else [0, 1])
     if vals.shape[0] == 0:
         return np.zeros((n_days, 0, 3))
+    past = np.flatnonzero(vals[:, 0] >= n_days)
+    if past.size:
+        i = int(past[0])
+        raise ParseError(f"scenario {int(vals[i, 0])} is past the last day "
+                         f"of the loads table ({n_days} days)", path=path,
+                         line=lines[i], column=EV_HEADER[0])
     return _by_key(vals, path, "ev_id", n_days).copy()
 
 

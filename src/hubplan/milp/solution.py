@@ -47,94 +47,58 @@ class PlanSolution:
     y_ev: np.ndarray = None
 
 
-def _round_int(v, name):
-    r = float(np.rint(v))
-    if abs(v - r) > INT_TOL:
-        raise SolverError(f"column {name} = {v!r} is not integral "
-                          f"within {INT_TOL}")
-    return r
-
-
 def extract_solution(bnb, index) -> PlanSolution:
     """Turn a BnbSolution's column vector into a PlanSolution.
 
-    Integer columns are rounded to exact integers (values further than
-    INT_TOL from an integer are refused). Missing keys in the index are an
-    internal consistency error and raise KeyError.
+    Each array is gathered through the index's column-id array of its kind
+    (NaN where a key has no column). Integer columns are rounded to exact
+    integers; a value further than INT_TOL from an integer is refused,
+    naming the first such column of the first kind checked (XFC, Z, then
+    the exclusivity flags YB, YT and YV in binary mode).
     """
     x = np.asarray(bnb.x, dtype=float)
     if x.shape[0] != index.n_cols:
         raise SolverError(f"column vector has {x.shape[0]} entries, "
                           f"index describes {index.n_cols}")
-    n, t_day = index.n_scenarios, index.hours
-    n_fc = len(index.fc_ids)
-    n_ev = index.n_ev
 
-    def grab(kind, *idx):
-        return float(x[index.col(kind, *idx)]) + 0.0  # -0.0 -> 0.0
+    def gather(kind):
+        ids = index.ids[kind]
+        return np.where(ids >= 0, x[ids] + 0.0, np.nan)  # -0.0 -> 0.0
 
-    x_ess = grab(K_XESS)
-    x_fc = {}
-    for i, fc_id in enumerate(index.fc_ids):
-        x_fc[fc_id] = int(_round_int(grab(K_XFC, i), f"XFC{i}"))
+    def ev(vals):
+        # EV keys (kind, s, t, j) are reported at [s, j, t]
+        return np.ascontiguousarray(vals.transpose(0, 2, 1))
 
-    grid = np.empty((n, t_day))
-    pv = np.empty((n, t_day))
-    fuel = np.empty((n, t_day, n_fc))
-    bess = {k: np.empty((n, t_day)) for k in (K_BCH, K_BDIS, K_BE)}
-    tess = {k: np.empty((n, t_day)) for k in (K_TCH, K_TDIS, K_TE)}
-    for s in range(n):
-        for t in range(t_day):
-            grid[s, t] = grab(K_GRID, s, t)
-            pv[s, t] = grab(K_PV, s, t)
-            for i in range(n_fc):
-                fuel[s, t, i] = grab(K_FUEL, s, t, i)
-            for k, arr in bess.items():
-                arr[s, t] = grab(k, s, t)
-            for k, arr in tess.items():
-                arr[s, t] = grab(k, s, t)
+    def integral(kind):
+        vals = gather(kind)
+        r = np.rint(vals)
+        bad = np.flatnonzero(np.abs(vals - r) > INT_TOL)  # NaN never is
+        if bad.size:
+            name = index.names[index.ids[kind].flat[bad[0]]]
+            raise SolverError(f"column {name} = {float(vals.flat[bad[0]])!r} "
+                              f"is not integral within {INT_TOL}")
+        return r
 
-    ev_ch = np.full((n, n_ev, t_day), np.nan)
-    ev_dis = np.full((n, n_ev, t_day), np.nan)
-    ev_e = np.full((n, n_ev, t_day + 1), np.nan)
-    shortfall = np.empty((n, n_ev))
-    e_dep = np.empty((n, n_ev))
-    for s in range(n):
-        for j in range(n_ev):
-            arrive, depart = index.window(s, j)
-            ev_e[s, j, arrive] = index.ev_init[(s, j)]
-            for t in range(arrive, depart):
-                ev_ch[s, j, t] = grab(K_VCH, s, t, j)
-                ev_dis[s, j, t] = grab(K_VDIS, s, t, j)
-            for t in range(arrive + 1, depart + 1):
-                ev_e[s, j, t] = grab(K_VE, s, t, j)
-            shortfall[s, j] = grab(K_SHORT, s, j)
-            e_dep[s, j] = ev_e[s, j, depart]
-
-    z = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        z[s] = int(_round_int(grab(K_Z, s), f"Z{s}"))
-    substandard = [int(s) for s in np.flatnonzero(z == 1)]
+    x_fc = {fc_id: int(v) for fc_id, v in zip(index.fc_ids, integral(K_XFC))}
+    z = integral(K_Z).astype(np.int64)
+    ev_e = ev(gather(K_VE))
+    e_dep = np.empty(index.ids[K_SHORT].shape)
+    for (s, j), (arrive, depart) in index.windows.items():
+        ev_e[s, j, arrive] = index.ev_init[(s, j)]
+        e_dep[s, j] = ev_e[s, j, depart]
 
     y_bess = y_tess = y_ev = None
     if index.binary_mode:
-        y_bess = np.empty((n, t_day), dtype=np.int64)
-        y_tess = np.empty((n, t_day), dtype=np.int64)
-        y_ev = np.full((n, n_ev, t_day), np.nan)
-        for s in range(n):
-            for t in range(t_day):
-                y_bess[s, t] = int(_round_int(grab(K_YB, s, t), f"YB{s}_{t}"))
-                y_tess[s, t] = int(_round_int(grab(K_YT, s, t), f"YT{s}_{t}"))
-            for j in range(n_ev):
-                arrive, depart = index.window(s, j)
-                for t in range(arrive, depart):
-                    y_ev[s, j, t] = _round_int(grab(K_YEV, s, t, j),
-                                               f"YV{s}_{t}_{j}")
+        y_bess = integral(K_YB).astype(np.int64)
+        y_tess = integral(K_YT).astype(np.int64)
+        y_ev = ev(integral(K_YEV))
 
     return PlanSolution(
-        objective=float(bnb.objective), x_ess=x_ess, x_fc=x_fc, grid=grid,
-        pv=pv, fuel=fuel, bess_ch=bess[K_BCH], bess_dis=bess[K_BDIS],
-        bess_e=bess[K_BE], tess_ch=tess[K_TCH], tess_dis=tess[K_TDIS],
-        tess_e=tess[K_TE], ev_ch=ev_ch, ev_dis=ev_dis, ev_e=ev_e,
-        shortfall=shortfall, e_dep=e_dep, z=z, substandard=substandard,
+        objective=float(bnb.objective), x_ess=float(gather(K_XESS)),
+        x_fc=x_fc, grid=gather(K_GRID), pv=gather(K_PV), fuel=gather(K_FUEL),
+        bess_ch=gather(K_BCH), bess_dis=gather(K_BDIS), bess_e=gather(K_BE),
+        tess_ch=gather(K_TCH), tess_dis=gather(K_TDIS), tess_e=gather(K_TE),
+        ev_ch=ev(gather(K_VCH)), ev_dis=ev(gather(K_VDIS)), ev_e=ev_e,
+        shortfall=gather(K_SHORT), e_dep=e_dep, z=z,
+        substandard=[int(s) for s in np.flatnonzero(z == 1)],
         y_bess=y_bess, y_tess=y_tess, y_ev=y_ev)

@@ -48,8 +48,6 @@ CONT, INTEGER, BINARY = 0, 1, 2
 # row senses
 LE, EQ, GE = 0, 1, 2
 
-SENSE_STR = {LE: "<=", EQ: "=", GE: ">="}
-
 C_PV = 1.0   # PV availability is already electric power
 C_GRID = 1.0
 
@@ -100,26 +98,40 @@ class VarIndex:
     t in [arrive, depart); EV energies for t in [arrive+1, depart], the
     arrival state being the fixed datum initial_soc * capacity. Columns come
     out in deterministic order and all bounds are finite.
+
+    ids[kind] holds the column id of every key of one kind in an integer
+    array indexed by the key's indices, -1 where the key has no column
+    (EV hours outside the parking window; the Y kinds in relaxed mode).
     """
 
     def __init__(self, grid, catalog, config, scenario_set, tariffs):
-        self.n_scenarios = grid.n_scenarios
-        self.hours = grid.hours_per_day
+        n = self.n_scenarios = grid.n_scenarios
+        t_day = self.hours = grid.hours_per_day
         self.fc_ids = tuple(f.fc_id for f in catalog.fuel_cells)
-        self.n_ev = catalog.ev_fleet.n_ev
+        n_fc = len(self.fc_ids)
+        n_ev = self.n_ev = catalog.ev_fleet.n_ev
         self.binary_mode = config.exclusivity_mode == "binary"
         self.windows = {}  # (s, j) -> (arrive, depart)
         self.ev_init = {}  # (s, j) -> arrival energy datum (kWh)
+        shapes = {K_XESS: (), K_XFC: (n_fc,), K_FUEL: (n, t_day, n_fc),
+                  K_VCH: (n, t_day, n_ev), K_VDIS: (n, t_day, n_ev),
+                  K_VE: (n, t_day + 1, n_ev), K_SHORT: (n, n_ev),
+                  K_YEV: (n, t_day, n_ev), K_Z: (n,)}
+        for k in (K_GRID, K_PV, K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE,
+                  K_YB, K_YT):
+            shapes[k] = (n, t_day)
+        self.ids = {k: np.full(shape, -1, dtype=np.int64)
+                    for k, shape in shapes.items()}
 
         keys, lb, ub, kind = [], [], [], []
 
         def add(key, lo, hi, k):
+            self.ids[key[0]][key[1:]] = len(keys)
             keys.append(key)
             lb.append(lo)
             ub.append(hi)
             kind.append(k)
 
-        t_day = self.hours
         bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
         add((K_XESS,), 0.0, bess.max_capacity, CONT)
         for i, fc in enumerate(catalog.fuel_cells):
@@ -150,6 +162,10 @@ class VarIndex:
                 add((K_TE, s, t), 0.0, tess.capacity, CONT)
 
         for s, sc in enumerate(scenario_set.scenarios):
+            if len(sc.ev_records) != n_ev:
+                raise ModelBuildError(
+                    f"scenario {s} has {len(sc.ev_records)} vehicle records, "
+                    f"the fleet has {n_ev}")
             for j, rec in enumerate(sc.ev_records):
                 if rec.depart_hour > t_day:
                     raise ModelBuildError(
@@ -170,7 +186,7 @@ class VarIndex:
                     CONT)
 
         if self.binary_mode:
-            for s in range(self.n_scenarios):
+            for s in range(n):
                 for t in range(t_day):
                     add((K_YB, s, t), 0.0, 1.0, BINARY)
                     add((K_YT, s, t), 0.0, 1.0, BINARY)
@@ -179,7 +195,7 @@ class VarIndex:
                     for t in range(rec.arrive_hour, rec.depart_hour):
                         add((K_YEV, s, t, j), 0.0, 1.0, BINARY)
 
-        for s in range(self.n_scenarios):
+        for s in range(n):
             add((K_Z, s), 0.0, 1.0, BINARY)
 
         self.keys = keys
@@ -233,28 +249,26 @@ class MilpModel:
             raise ModelBuildError("matrix shape mismatch")
 
 
-def build_objective(index, grid, catalog, tariffs, m) -> np.ndarray:
+def build_objective(index, catalog, tariffs, m) -> np.ndarray:
     """Dense objective vector in money units (1e4 yuan), minimization.
 
     Investment costs land on the first-stage columns; m converts summed
     per-scenario hourly costs into planning-horizon present value and already
-    carries the scenario-average weight.
+    carries the scenario-average weight. Only this vector depends on the
+    tariffs' prices and carbon tax.
     """
-    obj = np.zeros(index.n_cols)
-    obj[index.col(K_XESS)] = catalog.bess.invest_cost
-    for i, fc in enumerate(catalog.fuel_cells):
-        obj[index.col(K_XFC, i)] = fc.invest_cost
+    ids = index.ids
+    fcs = catalog.fuel_cells
     tax = tariffs.carbon_tax
-    for s in range(index.n_scenarios):
-        for t in range(index.hours):
-            obj[index.col(K_GRID, s, t)] = m * (
-                tariffs.elec_price[t] + tax * tariffs.grid_emission[t]) / MONEY_SCALE
-            for i, fc in enumerate(catalog.fuel_cells):
-                obj[index.col(K_FUEL, s, t, i)] = m * (
-                    fc.fuel_price + tax * fc.fuel_emission) / MONEY_SCALE
-    pen = m * tariffs.soc_penalty / MONEY_SCALE
-    for (s, j) in index.windows:
-        obj[index.col(K_SHORT, s, j)] = pen
+    obj = np.zeros(index.n_cols)
+    obj[ids[K_XESS]] = catalog.bess.invest_cost
+    obj[ids[K_XFC]] = [fc.invest_cost for fc in fcs]
+    obj[ids[K_GRID]] = m * (np.array(tariffs.elec_price)
+                            + tax * np.array(tariffs.grid_emission)) / MONEY_SCALE
+    obj[ids[K_FUEL]] = m * (np.array([fc.fuel_price for fc in fcs])
+                            + tax * np.array([fc.fuel_emission for fc in fcs])
+                            ) / MONEY_SCALE
+    obj[ids[K_SHORT]] = m * tariffs.soc_penalty / MONEY_SCALE
     return obj
 
 
@@ -264,13 +278,8 @@ def build_energy_balance(index, scenario_set, catalog) -> list:
     eta = catalog.bess
     tes = catalog.tess
     fleet = catalog.ev_fleet
+    vch, vdis = index.ids[K_VCH], index.ids[K_VDIS]
     for s, sc in enumerate(scenario_set.scenarios):
-        parked = {}
-        for (ss, j), (a, d) in index.windows.items():
-            if ss != s:
-                continue
-            for t in range(a, d):
-                parked.setdefault(t, []).append(j)
         for t in range(index.hours):
             coefs = [(index.col(K_PV, s, t), C_PV),
                      (index.col(K_GRID, s, t), C_GRID)]
@@ -278,9 +287,9 @@ def build_energy_balance(index, scenario_set, catalog) -> list:
                 coefs.append((index.col(K_FUEL, s, t, i), fc.gas_to_elec))
             coefs.append((index.col(K_BCH, s, t), -1.0 / eta.eta_ch))
             coefs.append((index.col(K_BDIS, s, t), eta.eta_dis))
-            for j in parked.get(t, ()):
-                coefs.append((index.col(K_VCH, s, t, j), -1.0 / fleet.eta_ch))
-                coefs.append((index.col(K_VDIS, s, t, j), fleet.eta_dis))
+            for j in np.flatnonzero(vch[s, t] >= 0):  # vehicles parked at t
+                coefs.append((int(vch[s, t, j]), -1.0 / fleet.eta_ch))
+                coefs.append((int(vdis[s, t, j]), fleet.eta_dis))
             rows.append((f"EB{s}_{t}", EQ, sc.elec_load[t], coefs))
         for t in range(index.hours):
             coefs = [(index.col(K_FUEL, s, t, i), fc.gas_to_heat)
@@ -292,7 +301,7 @@ def build_energy_balance(index, scenario_set, catalog) -> list:
     return rows
 
 
-def build_device_bounds(index, scenario_set, catalog, tariffs) -> list:
+def build_device_bounds(index, catalog) -> list:
     """Fuel-cell output caps tied to installed counts.
 
     PV availability, grid import and dispatch rate limits are plain column
@@ -314,7 +323,7 @@ def build_device_bounds(index, scenario_set, catalog, tariffs) -> list:
     return rows
 
 
-def build_bess_constraints(index, grid, bess, config) -> list:
+def build_bess_constraints(index, grid, bess) -> list:
     """Battery SOC window, cyclic dynamics, rate caps, lifetime throughput.
 
     The lifetime row is the rearranged daily form:
@@ -355,7 +364,7 @@ def build_bess_constraints(index, grid, bess, config) -> list:
     return rows
 
 
-def build_tess_constraints(index, grid, tess, config) -> list:
+def build_tess_constraints(index, grid, tess) -> list:
     """Thermal store: cyclic dynamics plus optional exclusivity.
 
     Capacity is a fixed datum, so the SOC window and rate caps are column
@@ -382,7 +391,7 @@ def build_tess_constraints(index, grid, tess, config) -> list:
     return rows
 
 
-def build_ev_constraints(index, scenario_set, fleet, config) -> list:
+def build_ev_constraints(index, scenario_set, fleet) -> list:
     """Per-vehicle energy chains anchored at the arrival SOC.
 
     Charger and discharge rate caps are column bounds; the first chain row
@@ -448,13 +457,13 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     """Index variables, run every builder, and freeze the sparse model."""
     index = VarIndex(grid, catalog, config, scenario_set, tariffs)
     m = annualization_factor(grid)
-    obj = build_objective(index, grid, catalog, tariffs, m)
+    obj = build_objective(index, catalog, tariffs, m)
     rows = []
     rows += build_energy_balance(index, scenario_set, catalog)
-    rows += build_device_bounds(index, scenario_set, catalog, tariffs)
-    rows += build_bess_constraints(index, grid, catalog.bess, config)
-    rows += build_tess_constraints(index, grid, catalog.tess, config)
-    rows += build_ev_constraints(index, scenario_set, catalog.ev_fleet, config)
+    rows += build_device_bounds(index, catalog)
+    rows += build_bess_constraints(index, grid, catalog.bess)
+    rows += build_tess_constraints(index, grid, catalog.tess)
+    rows += build_ev_constraints(index, scenario_set, catalog.ev_fleet)
     rows += build_chance_constraints(index, scenario_set, catalog.ev_fleet, config)
 
     n_rows = len(rows)

@@ -445,7 +445,7 @@ def discretize_ev_fields(arrive, depart, soc, hours_per_day, fleet):
 
 
 def _block_mask(t_day, n_ev):
-    """Boolean mask of correlation entries kept in block mode."""
+    """Boolean mask of the correlation entries generate_scenarios keeps."""
     d = 3 * t_day + 3 * n_ev
     blocks = np.empty(d, dtype=int)
     blocks[:t_day] = 0          # electric load
@@ -470,8 +470,7 @@ def _nearest_corr(corr, floor=1e-8):
 
 
 def generate_scenarios(case, history_elec, history_heat, history_pv,
-                       history_ev, n_scenarios, seed, tol=0.05, max_iters=50,
-                       block_correlation=True, n_ev=None):
+                       history_ev, n_scenarios, seed, tol=0.05, max_iters=50):
     """Turn historical day tables into a moment-matched ScenarioSet.
 
     The joint distribution spans 3*T hourly dimensions plus 3 fields per
@@ -479,8 +478,10 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     are held at their mean instead of entering the fit. Generated profiles
     are clamped to physical ranges and EV visits discretized to whole hours.
 
-    n_ev limits how many of the history's vehicle columns are used (default
-    all); the case's fleet size must match the resulting count.
+    The fleet's n_ev vehicles take the history's first n_ev vehicle columns;
+    a history with fewer vehicles is an InvalidParameterError. Correlations
+    are kept within each block (electric load, heat load, PV, EV fields)
+    and between the loads and PV; the rest are set to zero.
 
     Returns (scenario_set, raw) where raw is the RawSampleMatrix with its
     iteration log.
@@ -499,14 +500,10 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
         ev = np.zeros((n_days, 0, 3))
     else:
         ev = np.asarray(history_ev, dtype=float)
-    if n_ev is not None:
-        if n_ev > ev.shape[1]:
-            raise InvalidParameterError(
-                f"history has {ev.shape[1]} vehicles, {n_ev} requested")
-        ev = ev[:, :n_ev, :]
-    if fleet.n_ev != ev.shape[1]:
+    if fleet.n_ev > ev.shape[1]:
         raise InvalidParameterError(
             f"fleet has {fleet.n_ev} vehicles, history provides {ev.shape[1]}")
+    ev = ev[:, :fleet.n_ev, :]
 
     panel = np.hstack([elec, heat, pv, ev.reshape(n_days, -1)])
     d_all = panel.shape[1]
@@ -519,14 +516,13 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
                           converged=True)
     if np.any(active):
         targets = sample_moments(panel[:, active])
-        if block_correlation:
-            keep = _block_mask(t_day, ev.shape[1])[np.ix_(active, active)]
-            corr = np.where(keep, targets.correlation, 0.0)
-            np.fill_diagonal(corr, 1.0)
-            targets = MomentTargets(mean=targets.mean, variance=targets.variance,
-                                    skewness=targets.skewness,
-                                    kurtosis=targets.kurtosis,
-                                    correlation=_nearest_corr(corr))
+        keep = _block_mask(t_day, ev.shape[1])[np.ix_(active, active)]
+        corr = np.where(keep, targets.correlation, 0.0)
+        np.fill_diagonal(corr, 1.0)
+        targets = MomentTargets(mean=targets.mean, variance=targets.variance,
+                                skewness=targets.skewness,
+                                kurtosis=targets.kurtosis,
+                                correlation=_nearest_corr(corr))
         raw = hmm_generate(targets, n_scenarios, seed, tol=tol,
                            max_iters=max_iters)
         out[:, active] = raw.values

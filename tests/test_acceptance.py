@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from conftest import make_model
+from mps_oracle import parse_mps
 from test_mps import assert_models_equal, rand_model
 
 from hubplan.analysis import chance_audit, cost_breakdown
@@ -21,7 +22,7 @@ from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           TimeGrid, annualization_factor)
 from hubplan.fileio import read_case, read_history
 from hubplan.milp import (branch_and_bound, check_solution, extract_solution,
-                          parse_mps, solve_lp, write_mps)
+                          solve_lp, write_mps)
 from hubplan.milp.solution import PlanSolution
 from hubplan.model import (BINARY, CONT, GE, INTEGER, K_BCH, K_BDIS, K_BE,
                            K_FUEL, K_GRID, K_PV, K_TCH, K_TDIS, K_TE, K_VCH,
@@ -391,8 +392,7 @@ def test_c6_carbon_tax_monotonicity(data_dir):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         scen, _ = generate_scenarios(case, elec, heat, pv, ev,
-                                     n_scenarios=10, seed=7,
-                                     n_ev=case.catalog.ev_fleet.n_ev)
+                                     n_scenarios=10, seed=7)
     grid = case.time_grid(10)
     m = annualization_factor(grid)
     config = ModelConfig(zeta=0.05, exclusivity_mode="relaxed")

@@ -217,3 +217,33 @@ def test_writer_determinism(tiny, tmp_path):
     write_plan_summary(str(p1), sw, tiny.catalog)
     write_plan_summary(str(p2), sw, tiny.catalog)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_assembles_once(tiny, monkeypatch):
+    # a carbon tax only re-prices the objective: one assembly serves every
+    # level, and each level's objective is bit-equal to a fresh assembly's
+    import hubplan.analysis as analysis
+    assembled, solved = [], []
+    assemble, solve = analysis.assemble_model, analysis.branch_and_bound
+
+    def counted(*args, **kwargs):
+        assembled.append(args)
+        return assemble(*args, **kwargs)
+
+    def captured(model, *args, **kwargs):
+        solved.append(model)
+        return solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble_model", counted)
+    monkeypatch.setattr(analysis, "branch_and_bound", captured)
+    taxes = [40.0, 400.0, 1000.0]
+    sw = analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+                                   tiny.scen, tiny.config, taxes)
+    assert [lv.status for lv in sw.levels] == ["optimal"] * 3
+    assert len(assembled) == 1 and len(solved) == 3
+    for tax, model in zip(taxes, solved):
+        tar = dataclasses.replace(tiny.tariffs, carbon_tax=tax / 1000.0)
+        fresh = assemble(tiny.grid, tiny.catalog, tar, tiny.scen, tiny.config)
+        assert model.obj.tobytes() == fresh.obj.tobytes()
+        assert (model.a_matrix != fresh.a_matrix).nnz == 0
+        assert np.array_equal(model.rhs, fresh.rhs)

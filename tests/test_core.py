@@ -7,8 +7,7 @@ import pytest
 from hubplan.core import (DAYS_PER_YEAR, FC_IDS, MONEY_SCALE, BessSpec,
                           EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
                           Scenario, ScenarioSet, TariffSet, TessSpec,
-                          TimeGrid, annualization_factor, fuel_price_per_kwh,
-                          validate_scenario_set)
+                          TimeGrid, annualization_factor, validate_scenario_set)
 from hubplan.errors import InvalidParameterError
 
 
@@ -42,14 +41,6 @@ def test_annualization_decreasing_in_discount():
     lo = annualization_factor(TimeGrid(24, 50, 15, 0.02))
     hi = annualization_factor(TimeGrid(24, 50, 15, 0.12))
     assert hi < lo
-
-
-def test_fuel_price_per_kwh():
-    assert abs(fuel_price_per_kwh(2.5, 9.7) - 2.5 / 9.7) < 1e-15
-    with pytest.raises(InvalidParameterError):
-        fuel_price_per_kwh(2.5, 0.0)
-    with pytest.raises(InvalidParameterError):
-        fuel_price_per_kwh(-1.0, 9.7)
 
 
 def test_time_grid_validation():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hubplan.errors import ParseError
+from hubplan.errors import InvalidParameterError, ParseError
 from hubplan.fileio import (CaseData, case_to_dict, read_case, read_history,
                             read_scenario_set, write_case, write_scenario_set)
 
@@ -236,3 +236,129 @@ def test_bundled_case_reads(data_dir):
     assert [fc.fc_id for fc in case.catalog.fuel_cells] == \
         ["SOFC", "PEM_gas", "PEM_H2"]
     assert case.catalog.ev_fleet.n_ev == 5
+
+
+def test_bundled_case_round_trips_bytes(data_dir, tmp_path):
+    src = os.path.join(data_dir, "case.json")
+    out = tmp_path / "case.json"
+    write_case(read_case(src), str(out))
+    assert out.read_bytes() == open(src, "rb").read()
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("planning", "discount_rate"), "missing key $.planning.discount_rate"),
+    (_drop("fuel_cells", 0, "id"), "missing key $.fuel_cells[0].id"),
+    (_drop("fuel_cells", 1, "max_units"),
+     "missing key $.fuel_cells[1].max_units"),
+    (_drop("bess", "lifetime_cycles"), "missing key $.bess.lifetime_cycles"),
+    (_drop("tess", "eta_dis"), "missing key $.tess.eta_dis"),
+    (_drop("ev_fleet", "n_ev"), "missing key $.ev_fleet.n_ev"),
+    (_drop("tariffs", "pv_cap"), "missing key $.tariffs.pv_cap"),
+    (_drop("tariffs"), "missing key $.tariffs"),
+    (_drop("fuel_cells"), "missing key $.fuel_cells"),
+    (_set("high", "bess", "eta_ch"),
+     "bad value in case file: could not convert string to float: 'high'"),
+    (_set("five", "ev_fleet", "n_ev"),
+     "bad value in case file: invalid literal for int() with base 10: "
+     "'five'"),
+    (_set(None, "planning", "planning_years"),
+     "bad value in case file: int() argument must be a string, a bytes-like "
+     "object or a real number, not 'NoneType'"),
+    (_set(0.3, "tariffs", "elec_price"),
+     "bad value in case file: 'float' object is not iterable"),
+    (_set([1, 2], "tess"), "expected an object at $.tess"),
+    (_set("PEM_H2", "fuel_cells", 2), "expected an object at $.fuel_cells[2]"),
+    (_set(3, "planning"), "expected an object at $.planning"),
+    (lambda doc: doc.clear(), "missing key $.planning"),
+])
+def test_case_faults(data_dir, tmp_path, edit, message):
+    import json
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as ei:
+        read_case(str(p))
+    assert str(ei.value) == f"{p}: {message}"
+
+
+def test_case_not_an_object(tmp_path):
+    p = tmp_path / "case.json"
+    p.write_text("[]")
+    with pytest.raises(ParseError) as ei:
+        read_case(str(p))
+    assert str(ei.value) == f"{p}: expected an object at $"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("MCFC", "fuel_cells", 0, "id"),
+     "fc_id must be one of ('SOFC', 'PEM_gas', 'PEM_H2'), got 'MCFC'"),
+    (_set(-1.0, "tess", "capacity"), "capacity must be >= 0"),
+])
+def test_case_invalid_values(data_dir, tmp_path, edit, message):
+    import json
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError) as ei:
+        read_case(str(p))
+    assert str(ei.value) == message
+
+
+def test_case_departure_soc_defaults(data_dir, tmp_path):
+    import json
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    doc["ev_fleet"]["target_departure_soc"] = 0.8
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    assert read_case(str(p)).catalog.ev_fleet.target_departure_soc == 0.8
+    del doc["ev_fleet"]["target_departure_soc"]
+    p.write_text(json.dumps(doc))
+    assert read_case(str(p)).catalog.ev_fleet.target_departure_soc == 0.9
+
+
+@pytest.mark.parametrize("last_row", ["5,0,9.0,17.0,0.5", "5,2,9.0,17.0,0.5"])
+def test_ev_rows_past_last_day(tmp_path, last_row):
+    # a 2-day loads table: an EV record for day 5 is refused, also when it
+    # is the only record of a new ev_id
+    ev = tmp_path / "ev.csv"
+    ev.write_text("scenario,ev_id,arrive_hour,depart_hour,initial_soc\n"
+                  "0,0,8.5,17.0,0.4\n1,0,9.0,18.0,0.5\n" + last_row + "\n")
+    with pytest.raises(ParseError) as ei:
+        read_history(_history(tmp_path, _DAY), str(ev))
+    assert (ei.value.line, ei.value.column) == (4, "scenario")
+    assert str(ei.value).endswith(
+        "scenario 5 is past the last day of the loads table (2 days)")
+
+
+def test_scenario_ev_rows_past_last_day(tiny, tiny_case_file, tmp_path):
+    case, _ = tiny_case_file
+    loads = tmp_path / "scen.csv"
+    write_scenario_set(tiny.scen, str(loads))
+    p = tmp_path / "ev.csv"
+    p.write_text("scenario,ev_id,arrive_hour,depart_hour,initial_soc\n"
+                 "0,0,0,3,0.4\n2,0,1,4,0.5\n1,0,1,4,0.5\n")
+    with pytest.raises(ParseError) as ei:
+        read_scenario_set(str(loads), case, str(p))
+    assert ei.value.line == 3 and "scenario 2 is past the last day" in str(
+        ei.value)

@@ -1,11 +1,13 @@
 """MILP assembly: variable census, row coefficients, bounds, chance budget."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
                           TimeGrid)
-from hubplan.errors import InvalidParameterError
+from hubplan.errors import InvalidParameterError, ModelBuildError
 from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
                            assemble_model, max_substandard)
 
@@ -246,3 +248,38 @@ def test_var_index_lookup(tiny):
     assert ix.window(0, 0) == (0, 3)
     with pytest.raises(KeyError):
         ix.col(K_GRID, 9, 0)
+
+
+def test_vehicle_count_must_match_fleet():
+    grid, catalog, tariffs, scen = micro_case(1)
+    bare = ScenarioSet(grid, (dataclasses.replace(scen.scenarios[0],
+                                                  ev_records=()),))
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(grid, catalog, tariffs, bare, ModelConfig(zeta=0.0))
+    assert str(ei.value) == "scenario 0 has 0 vehicle records, the fleet has 1"
+
+
+def test_objective_matches_per_column_loop(tiny):
+    # the loop that priced one column at a time is the reference, bit for bit
+    from hubplan.core import MONEY_SCALE, annualization_factor
+    from hubplan.model import K_FUEL, K_GRID, K_SHORT, K_XESS, K_XFC
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           tiny.config)
+    m = annualization_factor(tiny.grid)
+    tar, fcs, tax = tiny.tariffs, tiny.catalog.fuel_cells, tiny.tariffs.carbon_tax
+    want = np.zeros(model.n_cols)
+    for c, key in enumerate(model.var_index.keys):
+        if key[0] == K_XESS:
+            want[c] = tiny.catalog.bess.invest_cost
+        elif key[0] == K_XFC:
+            want[c] = fcs[key[1]].invest_cost
+        elif key[0] == K_GRID:
+            t = key[2]
+            want[c] = m * (tar.elec_price[t]
+                           + tax * tar.grid_emission[t]) / MONEY_SCALE
+        elif key[0] == K_FUEL:
+            fc = fcs[key[3]]
+            want[c] = m * (fc.fuel_price + tax * fc.fuel_emission) / MONEY_SCALE
+        elif key[0] == K_SHORT:
+            want[c] = m * tar.soc_penalty / MONEY_SCALE
+    assert model.obj.tobytes() == want.tobytes()

@@ -278,8 +278,7 @@ def bundled(data_dir):
 def test_generate_scenarios_bundled(bundled, tmp_path):
     case, (elec, heat, pv, ev) = bundled
     scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                   n_scenarios=25, seed=3,
-                                   n_ev=case.catalog.ev_fleet.n_ev)
+                                   n_scenarios=25, seed=3)
     assert scen.grid.n_scenarios == 25 and scen.grid.hours_per_day == 24
     fleet = case.catalog.ev_fleet
     for sc in scen.scenarios:
@@ -295,8 +294,7 @@ def test_generate_scenarios_bundled(bundled, tmp_path):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     e1, e2 = tmp_path / "ev1.csv", tmp_path / "ev2.csv"
     scen2, _ = generate_scenarios(case, elec, heat, pv, ev,
-                                  n_scenarios=25, seed=3,
-                                  n_ev=case.catalog.ev_fleet.n_ev)
+                                  n_scenarios=25, seed=3)
     write_scenario_set(scen, str(p1), str(e1))
     write_scenario_set(scen2, str(p2), str(e2))
     assert p1.read_bytes() == p2.read_bytes()
@@ -307,8 +305,7 @@ def test_generate_scenarios_small_n_warns(bundled):
     case, (elec, heat, pv, ev) = bundled
     with pytest.warns(UserWarning):
         scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                       n_scenarios=10, seed=7,
-                                       n_ev=case.catalog.ev_fleet.n_ev)
+                                       n_scenarios=10, seed=7)
     assert scen.grid.n_scenarios == 10
     # ten draws over many dimensions cannot hit every cross moment; the
     # result is still a valid scenario set with per-day variety
@@ -323,8 +320,7 @@ def test_fit_failures_are_counted(bundled):
     case, (elec, heat, pv, ev) = bundled
     with pytest.warns(UserWarning):
         _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=6, seed=1, max_iters=1,
-                                        n_ev=case.catalog.ev_fleet.n_ev)
+                                        n_scenarios=6, seed=1, max_iters=1)
     assert not raw.converged
     (entry,) = raw.iteration_log
     assert 0 < entry["fit_fails"] < raw.values.shape[1]
@@ -356,8 +352,7 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     case, (elec, heat, pv, ev) = bundled
     with pytest.warns(UserWarning):
         _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=6, seed=3,
-                                        n_ev=case.catalog.ev_fleet.n_ev)
+                                        n_scenarios=6, seed=3)
     max_iters = inspect.signature(batch).parameters["max_iters"].default
     assert len(per_round) == len(raw.iteration_log)
     assert 1 < max(per_round) <= 2 * max_iters + 1
@@ -368,5 +363,14 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
 def test_generate_scenarios_rejects_small_n(bundled, n):
     case, (elec, heat, pv, ev) = bundled
     with pytest.raises(InvalidParameterError):
-        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=n, seed=3,
-                           n_ev=case.catalog.ev_fleet.n_ev)
+        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=n, seed=3)
+
+
+def test_generate_scenarios_needs_fleet_vehicles(bundled):
+    # the fleet of 5 takes the history's first 5 of 10 vehicles; a history
+    # with fewer than 5 is refused before any fit
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.raises(InvalidParameterError) as ei:
+        generate_scenarios(case, elec, heat, pv, ev[:, :2], n_scenarios=6,
+                           seed=3)
+    assert str(ei.value) == "fleet has 5 vehicles, history provides 2"

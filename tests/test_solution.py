@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
-from hubplan.milp import extract_solution
+from hubplan.milp import branch_and_bound, extract_solution
+from hubplan.model import (CONT, K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV,
+                           K_SHORT, K_TCH, K_TDIS, K_TE, K_VCH, K_VDIS, K_VE,
+                           K_XESS, K_XFC, K_YB, K_YEV, K_YT, K_Z, ModelConfig,
+                           assemble_model)
 
 
 def test_first_stage(tiny_solved):
@@ -90,3 +94,69 @@ def test_idempotent(tiny_solved):
     assert np.array_equal(a.grid, b.grid)
     np.testing.assert_array_equal(a.ev_e, b.ev_e)
     assert a.x_fc == b.x_fc
+
+
+# kinds whose key (kind, s, t, j) is stored at [s, j, t] of the plan array
+_EV_FIELDS = {K_VCH: "ev_ch", K_VDIS: "ev_dis", K_VE: "ev_e", K_YEV: "y_ev"}
+_FIELDS = {K_GRID: "grid", K_PV: "pv", K_FUEL: "fuel", K_BCH: "bess_ch",
+           K_BDIS: "bess_dis", K_BE: "bess_e", K_TCH: "tess_ch",
+           K_TDIS: "tess_dis", K_TE: "tess_e", K_SHORT: "shortfall",
+           K_Z: "z", K_YB: "y_bess", K_YT: "y_tess"}
+
+
+def test_binary_plan_entries_are_their_columns(tiny):
+    # every entry of a binary-mode plan is the solver value of its column
+    # (rounded for integer columns), and NaN where the key has no column
+    config = ModelConfig(zeta=0.5, exclusivity_mode="binary")
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           config)
+    sol = branch_and_bound(model)
+    assert sol.status == "optimal"
+    ix = model.var_index
+    plan = extract_solution(sol, ix)
+    x = sol.x
+    covered = {name: np.zeros(np.shape(getattr(plan, name)), dtype=bool)
+               for name in list(_FIELDS.values()) + list(_EV_FIELDS.values())}
+    for c, key in enumerate(ix.keys):
+        kind, idx = key[0], key[1:]
+        want = x[c] if ix.kind[c] == CONT else np.rint(x[c])
+        if kind == K_XESS:
+            got = plan.x_ess
+        elif kind == K_XFC:
+            got = plan.x_fc[ix.fc_ids[idx[0]]]
+        elif kind in _EV_FIELDS:
+            s, t, j = idx
+            got = getattr(plan, _EV_FIELDS[kind])[s, j, t]
+            covered[_EV_FIELDS[kind]][s, j, t] = True
+        else:
+            got = getattr(plan, _FIELDS[kind])[idx]
+            covered[_FIELDS[kind]][idx] = True
+        assert got == want, key
+    for name, mask in covered.items():
+        arr = getattr(plan, name)
+        if name == "ev_e":
+            # the arrival datum is not a column
+            for (s, j), (a, _d) in ix.windows.items():
+                assert arr[s, j, a] == ix.ev_init[(s, j)]
+                mask[s, j, a] = True
+        if name in _EV_FIELDS.values():
+            assert np.isnan(arr[~mask]).all(), name
+        else:
+            assert mask.all(), name
+    for (s, j), (_a, d) in ix.windows.items():
+        assert plan.e_dep[s, j] == x[ix.col(K_VE, s, d, j)]
+    assert plan.substandard == [s for s in range(2) if plan.z[s] == 1]
+
+
+@pytest.mark.parametrize("key, name", [((K_XFC, 0), "XFC0"), ((K_Z, 1), "Z1")])
+def test_non_integral_column_refused(tiny_solved, key, name):
+    from types import SimpleNamespace
+    from hubplan.errors import SolverError
+    from hubplan.milp.verify import INT_TOL
+    ix = tiny_solved.model.var_index
+    x = tiny_solved.sol.x.copy()
+    x[ix.col(*key)] = 0.25
+    with pytest.raises(SolverError) as ei:
+        extract_solution(SimpleNamespace(x=x, objective=0.0), ix)
+    assert str(ei.value) == (f"column {name} = 0.25 is not integral "
+                             f"within {INT_TOL}")
