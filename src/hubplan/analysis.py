@@ -1,5 +1,5 @@
 """Reporting on solved plans: cost breakdowns, chance audits, dispatch and
-SOC tables, and carbon-tax sweeps.
+SOC tables, the verified solve of one priced model, and carbon-tax sweeps.
 
 Every number here is recomputed from the physical dispatch values; the
 solver objective is never echoed back, which is what makes the breakdown a
@@ -9,13 +9,15 @@ meaningful cross-check of the model assembly.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
-from .milp import branch_and_bound, check_solution, extract_solution
+from .milp import (BnbSolution, PlanSolution, VerifyReport,
+                   branch_and_bound, check_solution, extract_solution,
+                   solve_lp)
 from .model import assemble_model, build_objective, max_substandard
 
 _SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
@@ -35,9 +37,7 @@ class CostBreakdown:
     total: float = field(init=False)
 
     def __post_init__(self):
-        parts = (self.fc_investment, self.bess_investment, self.gas_cost,
-                 self.grid_cost, self.carbon_from_elec, self.carbon_from_gas,
-                 self.soc_penalty)
+        parts = [getattr(self, f.name) for f in fields(self) if f.init]
         for p in parts:
             if not (math.isfinite(p) and p >= 0.0):
                 raise InvalidParameterError(f"cost part {p!r} must be "
@@ -45,16 +45,7 @@ class CostBreakdown:
         self.total = float(sum(parts))
 
     def as_dict(self):
-        return {
-            "fc_investment": self.fc_investment,
-            "bess_investment": self.bess_investment,
-            "gas_cost": self.gas_cost,
-            "grid_cost": self.grid_cost,
-            "carbon_from_elec": self.carbon_from_elec,
-            "carbon_from_gas": self.carbon_from_gas,
-            "soc_penalty": self.soc_penalty,
-            "total": self.total,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _finite_nonneg(arr, label, issues, mask=None):
@@ -266,22 +257,111 @@ def soc_table(solution, catalog, scenario_id):
     return header, rows
 
 
+# constraint family of a model row, by the first letter of the row's name
+_FAMILIES = {"B": "battery storage", "C": "chance budget",
+             "E": "electric balance", "F": "fuel-cell limits",
+             "H": "heat balance", "S": "departure-SOC targets",
+             "T": "thermal storage", "V": "vehicle charging"}
+
+
+def _infeasible_hint(model, rows):
+    """Name the constraint families of rows, the rows an infeasible LP
+    relaxation violates, in order of first appearance."""
+    fams = dict.fromkeys(_FAMILIES[model.row_names[r][0]] for r in rows)
+    if not fams:
+        return "LP relaxation is feasible; integer restrictions bind"
+    return f"LP stage violates: {', '.join(fams)}"
+
+
+@dataclass
+class LevelSolve:
+    """One branch-and-bound solve of a priced model and the verdicts on it:
+    an optimal solve's plan, solution check, cost breakdown, chance audit
+    and plan check; an infeasible one's hint; a solve stopped by a limit
+    carries only bnb."""
+
+    bnb: BnbSolution
+    infeasible_hint: str = None
+    plan: PlanSolution = None
+    check: VerifyReport = None
+    breakdown: CostBreakdown = None
+    audit: ChanceAudit = None
+    plan_check: "PlanCheck" = None
+
+    def as_dict(self):
+        """The solve as audit.json records it."""
+        bnb = self.bnb
+        doc = {"status": bnb.status, "nodes": bnb.n_nodes,
+               **bnb.lp_counters(), "wall_time_s": bnb.wall_time}
+        if self.infeasible_hint is not None:
+            doc["infeasible_hint"] = self.infeasible_hint
+            return doc
+        doc.update(gap=bnb.gap, best_bound=bnb.best_bound)
+        if self.plan is not None:
+            doc.update({
+                "objective": bnb.objective,
+                "x_ess_kwh": self.plan.x_ess,
+                "x_fc": self.plan.x_fc,
+                "breakdown": self.breakdown.as_dict(),
+                "chance_audit": self.audit.as_dict(),
+                "solution_check": {"ok": self.check.ok,
+                                   "max_residual": self.check.max_residual},
+                "plan_check": {"ok": self.plan_check.ok,
+                               "max_residual": self.plan_check.max_residual,
+                               "issues": self.plan_check.issues[:20]},
+            })
+        return doc
+
+
+def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
+                **limits) -> LevelSolve:
+    """Solve model, assembled from scenario_set, catalog and config and
+    priced at tariffs, by branch_and_bound (warm root basis, limits) and
+    return the verdicts on the result, never acting on them. An infeasible
+    model's LP relaxation is re-solved to name the violated families."""
+    bnb = branch_and_bound(model, warm=warm, **limits)
+    if bnb.status == "infeasible":
+        lp = solve_lp(model, warm=bnb.root_warm)
+        return LevelSolve(bnb, infeasible_hint=_infeasible_hint(
+            model, lp.infeasible_rows))
+    if bnb.status != "optimal":
+        return LevelSolve(bnb)
+    grid = scenario_set.grid
+    plan = extract_solution(bnb, model.var_index)
+    return LevelSolve(
+        bnb, plan=plan, check=check_solution(model, bnb.x),
+        breakdown=cost_breakdown(plan, catalog, tariffs,
+                                 annualization_factor(grid)),
+        audit=chance_audit(plan, catalog.ev_fleet, config.zeta,
+                           grid.n_scenarios),
+        plan_check=verify_plan(plan, scenario_set, catalog, tariffs))
+
+
 @dataclass
 class SweepLevel:
-    """One carbon-tax level of a sweep; failed levels carry an error and
-    hold no breakdown. lp_counters holds the level's pivot counters
-    (BnbSolution.lp_counters), empty when the level raised."""
+    """One carbon-tax level of a sweep. solve is None when the level raised;
+    error says why a level is not optimal, and an optimal solution that
+    fails check_solution makes the status error."""
 
     carbon_tax: float  # yuan per ton
     status: str
-    x_fc: dict = field(default_factory=dict)
-    x_ess: float = 0.0
-    substandard_count: int = 0
-    breakdown: CostBreakdown = None
-    n_nodes: int = 0
-    wall_time: float = 0.0
+    solve: LevelSolve = None
     error: str = None
-    lp_counters: dict = field(default_factory=dict)
+
+    @property
+    def optimal(self):
+        """The level's solve when its status is optimal, else None."""
+        return self.solve if self.status == "optimal" else None
+
+    def as_dict(self):
+        """The level as sweep's audit.json records it: its solve's
+        as_dict with the level's tax, status, error and total."""
+        doc = {} if self.solve is None else self.solve.as_dict()
+        doc.update({"carbon_tax_yuan_per_ton": self.carbon_tax,
+                    "status": self.status, "error": self.error,
+                    "total": None if self.optimal is None
+                    else self.optimal.breakdown.total})
+        return doc
 
 
 @dataclass
@@ -317,49 +397,35 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
         model = replace(base, obj=build_objective(base.var_index, catalog,
                                                   tar, m))
         try:
-            bnb = branch_and_bound(model, warm=warm, **solver_kwargs)
-            warm = bnb.root_warm
-            if bnb.status != "optimal":
-                levels.append(SweepLevel(
-                    carbon_tax=float(tax), status=bnb.status,
-                    n_nodes=bnb.n_nodes, wall_time=bnb.wall_time,
-                    error=f"solver ended {bnb.status}",
-                    lp_counters=bnb.lp_counters()))
-                continue
-            plan = extract_solution(bnb, model.var_index)
-            report = check_solution(model, bnb.x)
-            if not report.ok:
-                raise SolverError("optimal solution failed verification: "
-                                  f"{report.bad_rows[:3]}")
-            audit = chance_audit(plan, catalog.ev_fleet, config.zeta,
-                                 grid.n_scenarios)
-            levels.append(SweepLevel(
-                carbon_tax=float(tax), status="optimal", x_fc=plan.x_fc,
-                x_ess=plan.x_ess, substandard_count=audit.count,
-                breakdown=cost_breakdown(plan, catalog, tar, m),
-                n_nodes=bnb.n_nodes, wall_time=bnb.wall_time,
-                lp_counters=bnb.lp_counters()))
+            solve = solve_level(model, scenario_set, catalog, tar, config,
+                                warm=warm, **solver_kwargs)
         except (SolverError, InfeasibleSolutionError) as exc:
-            levels.append(SweepLevel(carbon_tax=float(tax), status="error",
-                                     error=str(exc)))
+            levels.append(SweepLevel(float(tax), "error", error=str(exc)))
+            continue
+        warm, status, error = solve.bnb.root_warm, solve.bnb.status, None
+        if status != "optimal":
+            error = f"solver ended {status}"
+        elif not solve.check.ok:
+            status, error = "error", ("optimal solution failed verification: "
+                                      f"{solve.check.bad_rows[:3]}")
+        levels.append(SweepLevel(float(tax), status, solve, error))
 
-    good = [lv for lv in levels if lv.status == "optimal"]
-    ordered = sorted(good, key=lambda lv: lv.carbon_tax)
+    ordered = sorted((lv for lv in levels if lv.status == "optimal"),
+                     key=lambda lv: lv.carbon_tax)
     for a, b in zip(ordered, ordered[1:]):
-        slack = 1e-6 * (1.0 + abs(b.breakdown.total))
-        if b.breakdown.total < a.breakdown.total - slack:
+        lo, hi = a.solve.breakdown.total, b.solve.breakdown.total
+        if hi < lo - 1e-6 * (1.0 + abs(hi)):
             raise SolverError(
-                f"total cost fell from {a.breakdown.total} at tax "
-                f"{a.carbon_tax} to {b.breakdown.total} at tax "
-                f"{b.carbon_tax}; must be non-decreasing")
+                f"total cost fell from {lo} at tax {a.carbon_tax} to {hi} "
+                f"at tax {b.carbon_tax}; must be non-decreasing")
 
     notes = []
     if len(ordered) >= 2:
         for fc in catalog.fuel_cells:
-            counts = [lv.x_fc.get(fc.fc_id, 0) for lv in ordered]
+            counts = [lv.solve.plan.x_fc.get(fc.fc_id, 0) for lv in ordered]
             notes.append(f"{fc.fc_id} units across taxes: {counts}")
         notes.append("substandard scenarios across taxes: "
-                     f"{[lv.substandard_count for lv in ordered]}")
+                     f"{[lv.solve.audit.count for lv in ordered]}")
     return SweepResult(levels=levels, notes=notes)
 
 
@@ -388,23 +454,25 @@ def write_plan_summary(path, sweep, catalog):
               + ["bess_kwh", "substandard_scenarios", "status"])
     rows = []
     for lv in sweep.levels:
+        s = lv.optimal
+        x_fc = {} if s is None else s.plan.x_fc
         rows.append([lv.carbon_tax]
-                    + [lv.x_fc.get(fc.fc_id, 0) for fc in catalog.fuel_cells]
-                    + [lv.x_ess, lv.substandard_count, lv.status])
+                    + [x_fc.get(fc.fc_id, 0) for fc in catalog.fuel_cells]
+                    + ([0.0, 0] if s is None
+                       else [s.plan.x_ess, s.audit.count]) + [lv.status])
     write_table_csv(path, header, rows)
 
 
 def write_cost_breakdown(path, sweep):
     """Cost table: one row per tax level, empty parts on failed levels."""
-    parts = ["fc_investment", "bess_investment", "gas_cost", "grid_cost",
-             "carbon_from_elec", "carbon_from_gas", "soc_penalty", "total"]
+    parts = [f.name for f in fields(CostBreakdown)]
     header = ["carbon_tax_yuan_per_ton"] + parts + ["status"]
     rows = []
     for lv in sweep.levels:
-        if lv.breakdown is None:
+        if lv.optimal is None:
             rows.append([lv.carbon_tax] + [None] * len(parts) + [lv.status])
         else:
-            d = lv.breakdown.as_dict()
+            d = lv.optimal.breakdown.as_dict()
             rows.append([lv.carbon_tax] + [d[p] for p in parts]
                         + [lv.status])
     write_table_csv(path, header, rows)

@@ -14,18 +14,20 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (chance_audit, cost_breakdown, dispatch_table,
-                       select_extreme_scenario, soc_table, sweep_carbon_tax,
-                       verify_plan, write_audit_json, write_cost_breakdown,
-                       write_plan_summary, write_table_csv)
-from .core import annualization_factor
+from .analysis import (dispatch_table, select_extreme_scenario, soc_table,
+                       solve_level, sweep_carbon_tax, write_audit_json,
+                       write_cost_breakdown, write_plan_summary,
+                       write_table_csv)
+# perfbench/tracer.py hooks these names on this module; the pipeline calls
+# them through hubplan.analysis
+from .analysis import (branch_and_bound, chance_audit, check_solution,
+                       cost_breakdown, extract_solution, verify_plan)
 from .errors import (HubplanError, InfeasibleSolutionError,
                      InvalidParameterError, ModelBuildError, MomentFitError,
                      MpsFormatError, ParseError, SolverError)
 from .fileio import (read_case, read_history, read_scenario_set,
                      write_scenario_set)
-from .milp import (branch_and_bound, check_solution, extract_solution,
-                   solve_lp, write_mps)
+from .milp import write_mps
 from .milp.bnb import check_limits
 from .model import ModelConfig, assemble_model
 from .scengen import generate_scenarios
@@ -34,22 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARTIAL = 2
 EXIT_INFEASIBLE = 3
-
-# row-name prefixes -> constraint family, longest prefix first
-_FAMILIES = [
-    ("CARD", "chance budget"),
-    ("BRC", "battery storage"), ("BRD", "battery storage"),
-    ("BXC", "battery storage"), ("BXD", "battery storage"),
-    ("TXC", "thermal storage"), ("TXD", "thermal storage"),
-    ("VXC", "vehicle charging"), ("VXD", "vehicle charging"),
-    ("EB", "electric balance"), ("HB", "heat balance"),
-    ("FE", "fuel-cell limits"), ("FH", "fuel-cell limits"),
-    ("BL", "battery storage"), ("BU", "battery storage"),
-    ("BS", "battery storage"), ("BW", "battery storage"),
-    ("TS", "thermal storage"),
-    ("VS", "vehicle charging"),
-    ("SD", "departure-SOC targets"), ("SZ", "departure-SOC targets"),
-]
 
 _PATH_KEYS = ("case", "history_loads", "history_ev", "scenarios",
               "scenario_ev")
@@ -73,18 +59,6 @@ _DEFAULTS = {
     "max_nodes": 100000,
     "time_limit_s": None,
 }
-
-
-def _constraint_families(model, rows):
-    fams = []
-    for r in rows:
-        name = model.row_names[r]
-        for prefix, fam in _FAMILIES:
-            if name.startswith(prefix):
-                if fam not in fams:
-                    fams.append(fam)
-                break
-    return fams
 
 
 def load_config(args) -> dict:
@@ -134,15 +108,17 @@ def _tax_list(cfg):
     return [float(v) for v in taxes]
 
 
-def _load_scenarios(cfg, case):
-    """ScenarioSet from files when given, else generated from history.
+def _load_scenarios(cfg, case, out=None):
+    """ScenarioSet from files when given, else generated from history and,
+    with out given, written there with its generation log (scen_log.json).
 
-    Returns (scenario_set, source, gen_log_or_None).
+    Returns (scenario_set, source, gen_log_or_None); source holds what
+    audit.json records of where the scenarios came from.
     """
     if cfg["scenarios"]:
         scen = read_scenario_set(cfg["scenarios"], case,
                                  ev_path=cfg["scenario_ev"])
-        return scen, "files", None
+        return scen, {"scenario_source": "files"}, None
     loads = _require(cfg, "history_loads", "history or scenario files")
     elec, heat, pv, ev = read_history(loads, cfg["history_ev"])
     scen, raw = generate_scenarios(
@@ -151,7 +127,12 @@ def _load_scenarios(cfg, case):
         max_iters=int(cfg["gen_max_iters"]))
     log = {"seed": raw.seed, "converged": raw.converged,
            "iterations": raw.iteration_log}
-    return scen, "generated", log
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
+                           os.path.join(out, "scenarios_ev.csv"))
+        write_audit_json(os.path.join(out, "scen_log.json"), log)
+    return scen, {"scenario_source": "generated", "seed": raw.seed}, log
 
 
 def cmd_validate(cfg):
@@ -174,11 +155,7 @@ def cmd_scen_gen(cfg):
     _n_scenarios(cfg)
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
-    scen, source, log = _load_scenarios(dict(cfg, scenarios=None), case)
-    os.makedirs(out, exist_ok=True)
-    write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
-                       os.path.join(out, "scenarios_ev.csv"))
-    write_audit_json(os.path.join(out, "scen_log.json"), log)
+    scen, _source, log = _load_scenarios(dict(cfg, scenarios=None), case, out)
     last = log["iterations"][-1] if log["iterations"] else {}
     print(f"wrote {scen.grid.n_scenarios} scenarios to {out} "
           f"(converged={log['converged']}, "
@@ -221,100 +198,60 @@ def _bnb_limits(cfg):
     return limits
 
 
-def cmd_plan(cfg):
-    # options are checked before any input is read
+def _single_tax(cfg, command):
+    """The one carbon tax (yuan per ton) of cfg, or None for the case's."""
     taxes = _tax_list(cfg)
     if taxes is not None and len(taxes) != 1:
         raise InvalidParameterError(
-            "plan takes a single carbon tax; use sweep for a list")
-    tax = taxes[0] if taxes else None
+            f"{command} takes a single carbon tax; use sweep for a list")
+    return taxes[0] if taxes else None
+
+
+def cmd_plan(cfg):
+    # options are checked before any input is read
+    tax = _single_tax(cfg, "plan")
     config = _model_config(cfg)
     limits = _bnb_limits(cfg)
     _n_scenarios(cfg)
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    scen, source, log = _load_scenarios(cfg, case)
-    if source == "generated":
-        write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
-                          os.path.join(out, "scenarios_ev.csv"))
-        write_audit_json(os.path.join(out, "scen_log.json"), log)
+    scen, source, _log = _load_scenarios(cfg, case, out)
 
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
-    t0 = time.perf_counter()
-    sol = branch_and_bound(model, **limits)
-    wall = time.perf_counter() - t0
+    level = solve_level(model, scen, case.catalog, tariffs, config, **limits)
 
     audit_doc = {
         "command": "plan",
-        "status": sol.status,
-        "nodes": sol.n_nodes,
-        **sol.lp_counters(),
-        "wall_time_s": wall,
+        **level.as_dict(),
         "zeta": config.zeta,
         "mode": config.exclusivity_mode,
         "carbon_tax_yuan_per_ton": tax if tax is not None
         else tariffs.carbon_tax * 1000.0,
-        "scenario_source": source,
+        **source,
     }
-    if source == "generated":
-        audit_doc["seed"] = int(cfg["seed"])
-
-    if sol.status == "infeasible":
-        lp = solve_lp(model, warm=sol.root_warm)
-        fams = _constraint_families(model, lp.infeasible_rows)
-        hint = (f"LP stage violates: {', '.join(fams)}" if fams
-                else "LP relaxation is feasible; integer restrictions bind")
-        audit_doc["infeasible_hint"] = hint
-        write_audit_json(os.path.join(out, "audit.json"), audit_doc)
-        print(f"infeasible: {hint}", file=sys.stderr)
+    plan, audit, bnb = level.plan, level.audit, level.bnb
+    if plan is not None:
+        s_id = select_extreme_scenario(scen, cfg["extreme"])
+        hdr, rows = dispatch_table(plan, scen, case.catalog, tariffs, s_id)
+        write_table_csv(os.path.join(out, f"dispatch_{s_id}.csv"), hdr, rows)
+        hdr, rows = soc_table(plan, case.catalog, s_id)
+        write_table_csv(os.path.join(out, f"soc_{s_id}.csv"), hdr, rows)
+        audit_doc["extreme_scenario"] = s_id
+    write_audit_json(os.path.join(out, "audit.json"), audit_doc)
+    if level.infeasible_hint is not None:
+        print(f"infeasible: {level.infeasible_hint}", file=sys.stderr)
         return EXIT_INFEASIBLE
-
-    if sol.status != "optimal" or sol.x is None:
-        audit_doc["gap"] = sol.gap
-        audit_doc["best_bound"] = sol.best_bound
-        write_audit_json(os.path.join(out, "audit.json"), audit_doc)
-        print(f"solver stopped early ({sol.status}, gap {sol.gap:.3e})",
+    if plan is None:
+        print(f"solver stopped early ({bnb.status}, gap {bnb.gap:.3e})",
               file=sys.stderr)
         return EXIT_PARTIAL
-
-    report = check_solution(model, sol.x)
-    plan = extract_solution(sol, model.var_index)
-    m = annualization_factor(scen.grid)
-    breakdown = cost_breakdown(plan, case.catalog, tariffs, m)
-    audit = chance_audit(plan, case.catalog.ev_fleet, config.zeta,
-                         scen.grid.n_scenarios)
-    plan_chk = verify_plan(plan, scen, case.catalog, tariffs)
-
-    s_id = select_extreme_scenario(scen, cfg["extreme"])
-    hdr, rows = dispatch_table(plan, scen, case.catalog, tariffs, s_id)
-    write_table_csv(os.path.join(out, f"dispatch_{s_id}.csv"), hdr, rows)
-    hdr, rows = soc_table(plan, case.catalog, s_id)
-    write_table_csv(os.path.join(out, f"soc_{s_id}.csv"), hdr, rows)
-
-    audit_doc.update({
-        "objective": sol.objective,
-        "best_bound": sol.best_bound,
-        "gap": sol.gap,
-        "x_ess_kwh": plan.x_ess,
-        "x_fc": plan.x_fc,
-        "breakdown": breakdown.as_dict(),
-        "chance_audit": audit.as_dict(),
-        "solution_check": {"ok": report.ok,
-                           "max_residual": report.max_residual},
-        "plan_check": {"ok": plan_chk.ok,
-                       "max_residual": plan_chk.max_residual,
-                       "issues": plan_chk.issues[:20]},
-        "extreme_scenario": s_id,
-    })
-    write_audit_json(os.path.join(out, "audit.json"), audit_doc)
-
-    print(f"optimal {sol.objective:.4f} in {sol.n_nodes} nodes; "
+    print(f"optimal {bnb.objective:.4f} in {bnb.n_nodes} nodes; "
           f"x_fc {plan.x_fc}, bess {plan.x_ess:.1f} kWh; "
           f"audit {'passed' if audit.passed else 'FAILED'} "
           f"({audit.count}/{audit.limit} substandard)")
-    if not (report.ok and plan_chk.ok and audit.passed):
+    if not (level.check.ok and level.plan_check.ok and audit.passed):
         print("verification failed; see audit.json", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
@@ -332,10 +269,7 @@ def cmd_sweep(cfg):
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    scen, source, log = _load_scenarios(cfg, case)
-    if source == "generated":
-        write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
-                           os.path.join(out, "scenarios_ev.csv"))
+    scen, source, _log = _load_scenarios(cfg, case, out)
 
     t0 = time.perf_counter()
     sweep = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
@@ -348,27 +282,25 @@ def cmd_sweep(cfg):
     write_audit_json(os.path.join(out, "audit.json"), {
         "command": "sweep",
         "wall_time_s": wall,
-        "scenario_source": source,
-        "levels": [
-            {"carbon_tax_yuan_per_ton": lv.carbon_tax, "status": lv.status,
-             "nodes": lv.n_nodes, **lv.lp_counters, "error": lv.error,
-             "total": None if lv.breakdown is None else lv.breakdown.total}
-            for lv in sweep.levels],
+        **source,
+        "levels": [lv.as_dict() for lv in sweep.levels],
         "notes": sweep.notes,
     })
     n_ok = sum(lv.status == "optimal" for lv in sweep.levels)
     for lv in sweep.levels:
-        total = "-" if lv.breakdown is None else f"{lv.breakdown.total:.1f}"
+        total = "-" if lv.optimal is None \
+            else f"{lv.optimal.breakdown.total:.1f}"
         print(f"tax {lv.carbon_tax:7.1f}: {lv.status:10s} total {total}")
     return EXIT_OK if n_ok >= 1 else EXIT_PARTIAL
 
 
 def cmd_export_mps(cfg):
-    case = read_case(_require(cfg, "case", "case file"))
+    # options are checked before any input is read
+    tax = _single_tax(cfg, "export-mps")
     config = _model_config(cfg)
+    case = read_case(_require(cfg, "case", "case file"))
     scen, _source, _log = _load_scenarios(cfg, case)
-    taxes = _tax_list(cfg)
-    tariffs = case.tariffs.with_carbon_tax(taxes[0]) if taxes else case.tariffs
+    tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)

@@ -61,11 +61,19 @@ _SECTIONS = (("bess", BessSpec), ("tess", TessSpec), ("ev_fleet", EvFleetSpec),
 _PLANNING = fields(CaseData)[2:]
 
 
+def _no_other_keys(obj, keys, path, where):
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"unknown key {where}.{key}", path=path)
+
+
 def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
-    Each value is converted by its field's type (a str is kept as read);
-    an absent key takes the field's default where it has one.
+    Each value is converted by its field's type (a str is kept as read;
+    an int field refuses a fractional number); an absent key takes the
+    field's default where it has one. A key that names no field is
+    refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -74,7 +82,12 @@ def _read_fields(obj, spec_fields, path, where):
             val = f.default
         else:
             val = _get(obj, key, path, where)
+        if f.type is int and isinstance(val, float) and not val.is_integer():
+            raise ParseError(f"expected an integer at {where}.{key}, "
+                             f"got {val!r}", path=path)
         kwargs[f.name] = val if f.type is str else f.type(val)
+    _no_other_keys(obj, [_JSON_KEY.get(f.name, f.name) for f in spec_fields],
+                   path, where)
     return kwargs
 
 
@@ -110,6 +123,8 @@ def read_case(path) -> CaseData:
         case = CaseData(catalog=EquipmentCatalog(fcs, bess, tess, fleet),
                         tariffs=tariffs,
                         **_read_fields(plan, _PLANNING, path, "$.planning"))
+        _no_other_keys(doc, ["planning", "fuel_cells",
+                             *(key for key, _cls in _SECTIONS)], path, "$")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad value in case file: {exc}", path=path) from exc
     if len(tariffs.elec_price) != case.hours_per_day:

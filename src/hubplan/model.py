@@ -398,14 +398,9 @@ def build_ev_constraints(index, scenario_set, fleet) -> list:
     carries the arrival energy as its right-hand side.
     """
     rows = []
-    t_day = scenario_set.grid.hours_per_day
     m_dis = fleet.discharge_rate_fraction * fleet.capacity
     for s, sc in enumerate(scenario_set.scenarios):
         for j, rec in enumerate(sc.ev_records):
-            if not (0 <= rec.arrive_hour < rec.depart_hour <= t_day):
-                raise ModelBuildError(
-                    f"scenario {s}, ev {j}: window [{rec.arrive_hour}, "
-                    f"{rec.depart_hour}] outside [0, {t_day}]")
             a, d = rec.arrive_hour, rec.depart_hour
             for t in range(a + 1, d + 1):
                 coefs = [(index.col(K_VE, s, t, j), 1.0),

@@ -14,7 +14,7 @@ from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
 from hubplan.core import annualization_factor
 from hubplan.errors import InfeasibleSolutionError
 from hubplan.milp import branch_and_bound, extract_solution
-from hubplan.model import assemble_model
+from hubplan.model import ModelConfig, assemble_model
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +158,14 @@ def test_sweep_monotone_and_convertible(tiny):
     sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0, 1000.0])
     assert [lv.status for lv in sw.levels] == ["optimal", "optimal"]
-    assert sw.levels[1].breakdown.total >= sw.levels[0].breakdown.total - 1e-9
+    lo, hi = (lv.solve.breakdown.total for lv in sw.levels)
+    assert hi >= lo - 1e-9
 
     tar40 = dataclasses.replace(tiny.tariffs, carbon_tax=0.04)
     model = assemble_model(tiny.grid, tiny.catalog, tar40, tiny.scen,
                            tiny.config)
     direct = branch_and_bound(model)
-    assert sw.levels[0].breakdown.total == pytest.approx(direct.objective,
-                                                         rel=1e-9)
+    assert lo == pytest.approx(direct.objective, rel=1e-9)
     assert sw.notes  # trend notes always come back
 
 
@@ -174,9 +174,38 @@ def test_sweep_levels_carry_plan(tiny):
                           tiny.config, [40.0])
     lv = sw.levels[0]
     assert lv.carbon_tax == 40.0
-    assert lv.substandard_count == 0
-    assert lv.x_fc["PEM_gas"] >= 0 and lv.x_ess >= 0.0
-    assert lv.n_nodes >= 1 and lv.wall_time >= 0.0
+    assert lv.solve.audit.count == 0
+    assert lv.solve.plan.x_fc["PEM_gas"] >= 0 and lv.solve.plan.x_ess >= 0.0
+    assert lv.solve.bnb.n_nodes >= 1 and lv.solve.bnb.wall_time >= 0.0
+
+
+def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
+                                                    tmp_path):
+    # the level keeps its verdicts, but reports no plan and no total
+    import hubplan.analysis as analysis
+    from hubplan.milp import VerifyReport
+    monkeypatch.setattr(analysis, "check_solution", lambda model, x:
+                        VerifyReport(ok=False, max_residual=1.0,
+                                     bad_rows=[("EB0_0", 1.0)]))
+    sw = analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+                                   tiny.scen, tiny.config, [40.0])
+    lv, = sw.levels
+    assert lv.status == "error" and lv.optimal is None
+    assert lv.error == ("optimal solution failed verification: "
+                        "[('EB0_0', 1.0)]")
+    doc = lv.as_dict()
+    assert doc["total"] is None and doc["solution_check"]["ok"] is False
+    cb = tmp_path / "cost_breakdown.csv"
+    write_cost_breakdown(str(cb), sw)
+    assert list(csv.reader(cb.open()))[1] == ["40.0"] + [""] * 8 + ["error"]
+
+
+def test_every_row_has_a_constraint_family(tiny):
+    # the infeasibility hint names a row's family by its name's first letter
+    from hubplan.analysis import _FAMILIES
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           ModelConfig(zeta=0.5, exclusivity_mode="binary"))
+    assert {name[0] for name in model.row_names} == set(_FAMILIES)
 
 
 def test_writers(tiny, tiny_solved, tmp_path):

@@ -47,6 +47,20 @@ def test_dive_lps_stay_attributable():
     assert "solve_lp" in bnb_mod.branch_and_bound.__code__.co_names
 
 
+def test_level_solve_stays_attributable():
+    # plan and sweep reach the solver and the report functions only through
+    # analysis.solve_level, which looks each one up as a module global of
+    # hubplan.analysis, where the tracer's hooks sit
+    import hubplan.analysis as analysis
+    import hubplan.cli as cli
+    steps = {"branch_and_bound", "check_solution", "extract_solution",
+             "cost_breakdown", "chance_audit", "verify_plan", "solve_lp"}
+    assert steps <= set(analysis.solve_level.__code__.co_names)
+    assert "solve_level" in analysis.sweep_carbon_tax.__code__.co_names
+    assert not steps & _names(cli.cmd_plan.__code__)
+    assert not steps & _names(cli.cmd_sweep.__code__)
+
+
 def _names(code):
     """Global and attribute names looked up by code and the functions
     nested in it."""

@@ -181,6 +181,19 @@ def test_export_mps_subcommand(ws, tiny, tmp_path, capsys):
     assert text == write_mps(model)
 
 
+def test_export_mps_rejects_tax_list_before_reading(data_dir, tmp_path,
+                                                   capsys):
+    # desk_run.json carries a five-level list: refused before any input is
+    # read, not exported at its first level
+    out = tmp_path / "o"
+    rc = cli.main(["export-mps", "--config",
+                   os.path.join(data_dir, "desk_run.json"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: export-mps takes a single carbon tax; use sweep for a list\n")
+    assert not out.exists()
+
+
 def test_missing_case(tmp_path, capsys):
     rc = cli.main(["plan", "--case", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -254,6 +267,25 @@ def test_sweep_audit(ws, tmp_path, capsys):
     assert (out / "cost_breakdown.csv").exists()
 
 
+def test_sweep_level_records_what_plan_records(ws, tmp_path):
+    # plan and sweep share one verified solve: a one-level sweep at a tax
+    # records what plan records at that tax, verdicts included
+    po, so = tmp_path / "plan", tmp_path / "sweep"
+    for command, out in (("plan", po), ("sweep", so)):
+        assert cli.main([command] + args_for(ws, "--out", str(out),
+                                             "--carbon-tax", "400")) == 0
+    plan = json.loads((po / "audit.json").read_text())
+    level, = json.loads((so / "audit.json").read_text())["levels"]
+    command_keys = {"command", "zeta", "mode", "scenario_source",
+                    "extreme_scenario", "wall_time_s"}
+    keys = set(plan) - command_keys
+    assert {"objective", "x_fc", "x_ess_kwh", "breakdown", "chance_audit",
+            "solution_check", "plan_check", "root_pivots",
+            "node_log"} <= keys <= set(level)
+    assert {k: level[k] for k in keys} == {k: plan[k] for k in keys}
+    assert level["total"] == plan["breakdown"]["total"]
+
+
 def test_sweep_needs_taxes(ws, capsys):
     rc = cli.main(["sweep"] + args_for(ws))
     assert rc == 1
@@ -278,6 +310,17 @@ def test_infeasible_exit(ws, tiny, tmp_path, capsys):
     doc = json.loads((out / "audit.json").read_text())
     assert doc["status"] == "infeasible"
     assert doc["infeasible_hint"]
+    # a sweep level names the same violated families
+    rc = cli.main(["sweep", "--case", str(ws / "case.json"),
+                   "--scenarios", str(tmp_path / "s.csv"),
+                   "--scenario-ev", str(tmp_path / "s_ev.csv"),
+                   "--zeta", "0.0", "--carbon-tax", "100",
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    level, = json.loads((tmp_path / "sweep" / "audit.json").read_text())[
+        "levels"]
+    assert level["status"] == "infeasible"
+    assert level["infeasible_hint"] == doc["infeasible_hint"]
 
 
 def test_invalid_scenario_values_exit_before_solving(ws, tiny, tmp_path,

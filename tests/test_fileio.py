@@ -286,6 +286,17 @@ def _set(value, *path):
     (_set("PEM_H2", "fuel_cells", 2), "expected an object at $.fuel_cells[2]"),
     (_set(3, "planning"), "expected an object at $.planning"),
     (lambda doc: doc.clear(), "missing key $.planning"),
+    (_set(24.9, "planning", "hours_per_day"),
+     "expected an integer at $.planning.hours_per_day, got 24.9"),
+    (_set(2.7, "fuel_cells", 0, "max_units"),
+     "expected an integer at $.fuel_cells[0].max_units, got 2.7"),
+    (_set(5.5, "ev_fleet", "n_ev"),
+     "expected an integer at $.ev_fleet.n_ev, got 5.5"),
+    (_set(1, "planning", "typo_key"), "unknown key $.planning.typo_key"),
+    (_set(1, "fuel_cells", 1, "units"), "unknown key $.fuel_cells[1].units"),
+    (_set(0.5, "ev_fleet", "target_soc"),
+     "unknown key $.ev_fleet.target_soc"),
+    (_set({}, "grid"), "unknown key $.grid"),
 ])
 def test_case_faults(data_dir, tmp_path, edit, message):
     import json

@@ -259,6 +259,16 @@ def test_vehicle_count_must_match_fleet():
     assert str(ei.value) == "scenario 0 has 0 vehicle records, the fleet has 1"
 
 
+def test_vehicle_window_must_fit_the_day():
+    grid, catalog, tariffs, scen = micro_case(1)
+    late = ScenarioSet(grid, (dataclasses.replace(
+        scen.scenarios[0], ev_records=(EvRecord(0, 3, 0.5),)),))
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(grid, catalog, tariffs, late, ModelConfig(zeta=0.0))
+    assert str(ei.value) == \
+        "scenario 0, ev 0: window [0, 3] leaves the day (T=2)"
+
+
 def test_objective_matches_per_column_loop(tiny):
     # the loop that priced one column at a time is the reference, bit for bit
     from hubplan.core import MONEY_SCALE, annualization_factor
