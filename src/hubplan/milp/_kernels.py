@@ -13,11 +13,22 @@ that moment over w_j[r_j]; stacked, that is tri alpha = v[R] (R the pivot
 rows) and v -= etas^T alpha. The transposed etas, newest first, give
 tri^T beta = etas v and v[R] -= beta. Each is one matrix-vector product
 and one triangular solve of at most 50 rows, in place of a loop over the
-etas (Dantzig & Orchard-Hays' product form, applied blockwise).
+etas (Dantzig & Orchard-Hays' product form, applied blockwise). The
+ftran applies etas^T alpha as one axpy per nonzero multiplier: on the
+sparse columns the simplex ftrans, alpha has a median of one nonzero in
+25. A btran of the unit row e_r reads column r of ``etas`` in place of
+the product, O(n_eta): that is the pivot-row btran of the simplex's
+pricing update and of its dual phase.
+
+The ratio test takes only rows whose |w| is above the pivot tolerance
+(the others cannot block), so it divides by no zero. Bound-violation codes
+compare each value with its bounds shifted out by the feasibility
+tolerance (``shifted_bounds``); the simplex keeps those per basis position
+and updates the codes of the rows a pivot moved by the same comparison.
 """
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import daxpy, dtrsv
 
 # recorded in the benchmark's environment record; the kernels are plain numpy
 USE_NUMBA = False
@@ -27,35 +38,39 @@ POS_FLIP = -1
 POS_UNBOUNDED = -2
 
 
-def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
+def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, prio):
     """Smallest step before a bound is hit, and who blocks.
 
-    Returns (t, pos, code): pos is the blocking basis position, POS_FLIP for
-    an entering-variable bound flip, or POS_UNBOUNDED; code 0/1 says the
-    leaving variable lands on its lower/upper bound. Infeasible basics block
-    at the bound they are returning to, feasible ones at the bound they
-    approach. Among blockers tying within a relative 1e-10 window the
-    smallest prio wins; a flip is taken only when no basic ties.
+    The caller passes only rows with |w| above the pivot tolerance (the
+    others cannot block), so no entry of w is 0. Returns (t, pos, code):
+    pos is the blocking basis position, POS_FLIP for an entering-variable
+    bound flip, or POS_UNBOUNDED; code 0/1 says the leaving variable lands
+    on its lower/upper bound. Infeasible basics block at the bound they are
+    returning to, feasible ones at the bound they approach. Among blockers
+    tying within a relative 1e-10 window the smallest prio wins; a flip is
+    taken only when no basic ties.
     """
-    # a basic rising (rho > 0) blocks at its lower bound when below it, at
-    # its upper bound when within; a falling one at its upper bound when
-    # above it, at its lower bound when within. (bound - xb) / rho is the
-    # step either way, and +inf when that bound is infinite.
-    rho = -sigma * w
-    up = rho > pivot_tol
-    blocks = np.where(up, gamma != 1, (rho < -pivot_tol) & (gamma != -1))
-    hit_ub = np.where(up, gamma == 0, gamma == 1)
-    t = np.full(rho.shape[0], np.inf)
-    np.divide(np.where(hit_ub, ub_b, lb_b) - xb, rho, out=t, where=blocks)
+    # key = gamma + (rho > 0) names the blocking bound of each row: a basic
+    # rising (rho > 0) blocks at its lower bound when below it (key 0), at
+    # its upper bound when within (key 1), nowhere when above (key 2); a
+    # falling one nowhere when below (key -1), at its lower bound when
+    # within (key 0), at its upper bound when above (key 1). (bound - xb)
+    # / rho is the step either way, and +inf when that bound is infinite.
+    rho = w * -sigma
+    key = gamma + (rho > 0.0)
+    hit_ub = key == 1
+    t = np.where(hit_ub, ub_b, lb_b)
+    t -= xb
+    t /= rho
+    t[key.view(np.uint8) > 1] = np.inf
     np.maximum(t, 0.0, out=t)
-    t_min = min(float(np.min(t, initial=np.inf)), enter_gap)
-    if not np.isfinite(t_min):
+    t_min = min(float(t.min(initial=np.inf)), enter_gap)
+    if t_min == np.inf:
         return t_min, POS_UNBOUNDED, 0
-    tie = t_min + 1e-10 * (1.0 + t_min)
-    idx = np.flatnonzero(t <= tie)
+    idx = (t <= t_min + 1e-10 * (1.0 + t_min)).nonzero()[0]
     if idx.size == 0:
         return t_min, POS_FLIP, 0
-    best = int(idx[np.argmin(prio[idx])])
+    best = int(idx[prio[idx].argmin()])
     return t_min, best, int(hit_ub[best])
 
 
@@ -76,14 +91,14 @@ def dual_ratio_test(alpha, d, dirn, free, s, pivot_tol):
     elig = (s * dirn) * alpha > pivot_tol
     if free.size:
         elig[free] = np.abs(alpha[free]) > pivot_tol
-    idx = np.flatnonzero(elig)
+    idx = elig.nonzero()[0]
     if idx.size == 0:
         return -1, np.inf
     mag = np.abs(alpha[idx])
     ratio = np.maximum(dirn[idx] * d[idx], 0.0) / mag
     t_min = float(ratio.min())
-    tie = np.flatnonzero(ratio <= t_min + 1e-10 * (1.0 + t_min))
-    return int(idx[tie[np.argmax(mag[tie])]]), t_min
+    tie = (ratio <= t_min + 1e-10 * (1.0 + t_min)).nonzero()[0]
+    return int(idx[tie[mag[tie].argmax()]]), t_min
 
 
 def push_eta(etas, tri, eta_piv, n_eta, w, r):
@@ -101,34 +116,52 @@ def push_eta(etas, tri, eta_piv, n_eta, w, r):
 
 
 def ftran_etas(etas, tri, eta_piv, n_eta, v):
-    """Apply the first n_eta etas to v in place, as one block.
+    """Apply the first n_eta etas to v in place, as one block; v is a
+    contiguous float64 vector, which BLAS updates in place.
 
     The etas' multipliers alpha solve tri alpha = v[eta_piv] by forward
-    substitution; then v -= etas^T alpha.
+    substitution; then v -= etas^T alpha, one axpy per nonzero multiplier
+    (on a sparse column, a few of the etas).
     """
     if n_eta == 0:
         return v
     alpha = dtrsv(tri[:n_eta, :n_eta], v[eta_piv[:n_eta]], lower=1)
-    v -= alpha @ etas[:n_eta]
+    for j in (alpha != 0.0).nonzero()[0].tolist():
+        daxpy(etas[j], v, a=-alpha[j])
     return v
 
 
-def btran_etas(etas, tri, eta_piv, n_eta, v):
+def btran_etas(etas, tri, eta_piv, n_eta, v, row=None):
     """Apply the transposed first n_eta etas to v in place, as one block.
 
     beta solves tri^T beta = etas v; each pivot row then loses its etas'
-    beta, summed where a row was pivoted on more than once.
+    beta, summed where a row was pivoted on more than once. When v is the
+    unit vector e_row, etas v is column row of etas, read in O(n_eta) in
+    place of the product.
     """
     if n_eta == 0:
         return v
-    beta = dtrsv(tri[:n_eta, :n_eta], etas[:n_eta] @ v, lower=1, trans=1)
+    ev = etas[:n_eta] @ v if row is None else etas[:n_eta, row]
+    beta = dtrsv(tri[:n_eta, :n_eta], ev, lower=1, trans=1)
     np.subtract.at(v, eta_piv[:n_eta], beta)
     return v
 
 
+def shifted_bounds(lb, ub, feas_tol):
+    """The bounds moved out by the feasibility tolerance, relative to
+    1 + |bound|: a value is out of bounds exactly when it lies outside
+    them. Infinite bounds stay infinite."""
+    return lb - feas_tol * (1.0 + np.abs(lb)), ub + feas_tol * (1.0 + np.abs(ub))
+
+
 def basic_state(xb, lb_b, ub_b, feas_tol):
     """Bound-violation code of each basic (-1 below, 1 above, 0 within
-    feas_tol, relative to 1 + |bound|) and the largest violation."""
+    feas_tol, relative to 1 + |bound|) and the largest violation.
+
+    The codes compare xb with shifted_bounds, so a caller that keeps the
+    shifted bounds gets the same codes bit for bit by comparison."""
+    lo_s, hi_s = shifted_bounds(lb_b, ub_b, feas_tol)
+    gamma = (xb > hi_s).view(np.int8) - (xb < lo_s).view(np.int8)
     m = xb.shape[0]
     lo_viol = np.zeros(m)
     up_viol = np.zeros(m)
@@ -136,9 +169,6 @@ def basic_state(xb, lb_b, ub_b, feas_tol):
               where=np.isfinite(lb_b))
     np.divide(xb - ub_b, 1.0 + np.abs(ub_b), out=up_viol,
               where=np.isfinite(ub_b))
-    gamma = np.zeros(m, dtype=np.int8)
-    gamma[lo_viol > feas_tol] = -1
-    gamma[up_viol > feas_tol] = 1
     max_viol = max(float(lo_viol.max(initial=0.0)),
                    float(up_viol.max(initial=0.0)))
     return gamma, max_viol

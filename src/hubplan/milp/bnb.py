@@ -36,7 +36,7 @@ from .verify import INT_TOL, check_solution
 
 # LpSolution counters that branch and bound sums over its LPs
 LP_COUNTERS = ("phase1_pivots", "dual_pivots", "refactors", "kernel_cols",
-               "degenerate_pivots", "bland_pivots")
+               "degenerate_pivots", "bland_pivots", "priced")
 
 
 @dataclass
@@ -53,10 +53,10 @@ class BnbSolution:
     solve of a model with the same rows and columns; None when the root's
     bounds crossed. The counters split the simplex pivots: the root LP's,
     the node LPs' (one per node after the root) and the rounding dive's.
-    phase1_pivots, dual_pivots, refactors, kernel_cols, degenerate_pivots
-    and bland_pivots are the LpSolution counters summed over all of those
-    LPs; kernel_cols / refactors is the mean order of the factored basis
-    blocks.
+    phase1_pivots, dual_pivots, refactors, kernel_cols, degenerate_pivots,
+    bland_pivots and priced are the LpSolution counters summed over all of
+    those LPs; kernel_cols / refactors is the mean order of the factored
+    basis blocks.
 
     max_depth is the depth of the deepest node LP solved (the root is 0),
     infeasible_nodes the number of node LPs that ended infeasible (the
@@ -86,6 +86,7 @@ class BnbSolution:
     kernel_cols: int = 0
     degenerate_pivots: int = 0
     bland_pivots: int = 0
+    priced: int = 0
     max_depth: int = 0
     infeasible_nodes: int = 0
     incumbents: list = field(default_factory=list)

@@ -4,13 +4,14 @@ starts.
 Rows are brought to equality form with one slack per row; the basis inverse
 is held as a sparse LU factorization plus a product-form eta file,
 refactorized every 50 basis changes. Phase 1 runs the composite method:
-infeasibility costs from the current basic state each iteration, so no
-auxiliary variables are added. Pricing is Dantzig with lowest-index
-tie-breaks, switching to Bland's rule after 1000 degenerate pivots in a
-row. Entering steps handle bound flips; the ratio test keeps feasible
-basics inside their bounds and walks infeasible ones back. Tolerances:
-1e-7 on bound violations (relative to 1 + |bound|) and on reduced costs,
-1e-9 on pivot elements and degenerate steps.
+the cost of each basic is its bound-violation code (-1 below its lower
+bound, 1 above its upper one, 0 within), so no auxiliary variables are
+added. Pricing is Dantzig with lowest-index tie-breaks, switching to
+Bland's rule after 1000 degenerate pivots in a row. Entering steps handle
+bound flips; the ratio test keeps feasible basics inside their bounds and
+walks infeasible ones back. Tolerances: 1e-7 on bound violations
+(relative to 1 + |bound|) and on reduced costs, 1e-9 on pivot elements
+and degenerate steps.
 
 Only the structural block of the basis is factored: every basic slack is
 a unit column, so it is solved by substitution instead (slacks taken out
@@ -33,13 +34,30 @@ blocks fastest. The eta file is applied as one block per ftran or btran
 A pivot touches only the rows where the entering column w = B^-1 a_q is
 nonzero: a median of about ten of the 3951 rows of the bundled plan. The
 basic values and their bound-violation codes are updated on those rows
-alone (the codes are recomputed in full at each factorization), and the
-ratio test runs on the rows with |w| above the pivot tolerance, the only
-ones that can block; they keep their index order, so every tie breaks as
-over all rows. Pricing multiplies the reduced costs by a sign vector (+1
-at a lower bound, -1 at an upper one, 0 for basics and fixed columns),
-kept up to date at each pivot, and scores the few free nonbasics by -|d|
-apart.
+alone: a code is two comparisons with the basic's bounds shifted out by
+the tolerance, kept per position (the codes are recomputed in full at
+each factorization, by the same formula, so the two agree bit for bit).
+The ratio test runs on the rows with |w| above the pivot tolerance, the
+only ones that can block; they keep their index order, so every tie
+breaks as over all rows. Pricing multiplies the reduced costs by a sign
+vector (+1 at a lower bound, -1 at an upper one, 0 for basics and fixed
+columns), kept up to date at each pivot, and scores the few free
+nonbasics by -|d| apart.
+
+The reduced costs d are carried across primal pivots rather than priced
+afresh (Maros 2003, Computational Techniques of the Simplex Method, ch.
+9). After q enters in row r, rho = B^-T e_r of the new basis (a btran of
+a unit row, which reads one column of the eta file) gives the pivot row
+alpha = [A^T rho; rho], and d -= d_q alpha; q's entry becomes 0 and the
+leaving column's -d_q / w_r - c_p, where c_p is the leaving column's
+phase-1 cost, its violation code before the pivot (0 in phase 2). The
+entering column lands within its bounds, so its phase-1 cost is 0. A
+bound flip leaves d as it is. A full btran of the basic costs and a
+product with A^T (a full price) runs instead after each factorization,
+on a change of phase, after a phase-1 step that moved the violation code
+of a basic outside row r (the phase-1 costs changed beyond that row), and
+before every optimality or infeasibility claim, so the duals returned
+come from a fresh btran on a clean factor.
 
 A solve starts from the slack basis, or warm from the final ``(basis,
 stat)`` of a solve of the same rows: each nonbasic column is re-seated on
@@ -107,7 +125,10 @@ class LpSolution:
     the basis's structural block, the first one included. A refactorization
     of an all-slack basis (the cold start) factors nothing and is not
     counted. kernel_cols sums the order k of the factored blocks, so
-    kernel_cols / refactors is their mean size.
+    kernel_cols / refactors is their mean size. priced counts the full
+    pricing passes, each a btran of the basic costs and a product with A^T
+    (the dual phase's included); every other primal pivot took its
+    reduced costs from the row update of the pivot before.
     """
 
     status: str
@@ -125,6 +146,7 @@ class LpSolution:
     bland_pivots: int = 0
     dual_pivots: int = 0
     kernel_cols: int = 0
+    priced: int = 0
 
 
 def _slack_bounds(senses):
@@ -206,7 +228,7 @@ class _BlockBasis:
         up = u[self.pos_perm]
         if k:
             u_l = up[k:]
-            if u_l.any():
+            if np.count_nonzero(u_l):
                 up[:k] -= self.b21t @ u_l
             up[:k] = self.lu.solve(up[:k], trans="T")
         return up[self.row_at]
@@ -275,11 +297,16 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     dirn[stat == NB_UP] = -1.0
     free = np.flatnonzero(stat == NB_FREE)
     d = np.empty(n_tot)
+    score = np.empty(n_tot)
 
     xb = np.zeros(m)
     gamma = np.zeros(m, dtype=np.int8)
     lb_b = lb[basis].copy()
     ub_b = ub[basis].copy()
+    # a basic is out of bounds exactly when it is outside these
+    lo_sh, hi_sh = ker.shifted_bounds(lb, ub, _FEAS_TOL)
+    lo_s = lo_sh[basis]
+    hi_s = hi_sh[basis]
     etas = np.empty((_REFACTOR_EVERY, m))
     tri = np.empty((_REFACTOR_EVERY, _REFACTOR_EVERY))
     eta_piv = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
@@ -306,14 +333,29 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         x[basis] = xb
         gamma[:] = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[0]
 
+    def update_state(rows):
+        """Recompute the violation codes of the given rows by comparison
+        with the shifted bounds; returns them."""
+        xr = xb[rows]
+        g = (xr > hi_s[rows]).view(np.int8) - (xr < lo_s[rows]).view(np.int8)
+        gamma[rows] = g
+        return g
+
     def ftran(v):
         out = blk.solve(v)
         ker.ftran_etas(etas, tri, eta_piv, n_eta, out)
         return out
 
     def btran(v):
-        u = v.copy()
-        ker.btran_etas(etas, tri, eta_piv, n_eta, u)
+        """B^-T v; v is overwritten."""
+        ker.btran_etas(etas, tri, eta_piv, n_eta, v)
+        return blk.solve_t(v)
+
+    def btran_row(r):
+        """B^-T e_r, the eta file applied through its column r."""
+        u = np.zeros(m)
+        u[r] = 1.0
+        ker.btran_etas(etas, tri, eta_piv, n_eta, u, r)
         return blk.solve_t(u)
 
     def ftran_col(q):
@@ -325,16 +367,23 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             col[q - n_struct] = 1.0
         return ftran(col)
 
-    def price(y, phase1):
-        """Fill d from the row prices y (of the infeasibility costs in
-        phase 1, of c otherwise) and return the pricing scores."""
+    def price(phase1):
+        """Fill d from a fresh btran of the basic costs: the violation
+        codes in phase 1, c otherwise. Returns the row prices y."""
+        nonlocal priced
+        priced += 1
+        y = btran(gamma.astype(float) if phase1 else c[basis])
         if phase1:
-            d[:n_struct] = -(at_s @ y)
+            np.negative(at_s @ y, out=d[:n_struct])
         else:
-            d[:n_struct] = c[:n_struct] - at_s @ y
-        d[n_struct:] = -y
-        score = dirn * d
-        score[free] = -np.abs(d[free])
+            np.subtract(c[:n_struct], at_s @ y, out=d[:n_struct])
+        np.negative(y, out=d[n_struct:])
+        return y
+
+    def scores():
+        np.multiply(dirn, d, out=score)
+        if free.size:
+            score[free] = -np.abs(d[free])
         return score
 
     def pivot(q, pos, leave_up, xq_new, w):
@@ -359,6 +408,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         xb[pos] = xq_new
         lb_b[pos] = lb[q]
         ub_b[pos] = ub[q]
+        lo_s[pos] = lo_sh[q]
+        hi_s[pos] = hi_sh[q]
         ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
         n_eta += 1
         return leave
@@ -373,9 +424,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
                           phase1_pivots=phase1_pivots, refactors=refactors,
                           degenerate_pivots=degenerate_pivots,
                           bland_pivots=bland_pivots, dual_pivots=dual_pivots,
-                          kernel_cols=kernel_cols, **extra)
+                          kernel_cols=kernel_cols, priced=priced, **extra)
 
-    refactors = kernel_cols = 0
+    refactors = kernel_cols = priced = 0
     refactor()
     iters = phase1_pivots = degenerate_pivots = bland_pivots = 0
     dual_pivots = 0
@@ -384,25 +435,23 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     # infeasible but dual feasible is moved to primal feasibility by the
     # dual simplex; the primal loop below then finishes and makes the claim
     if warm is not None and gamma.any():
-        dual = price(btran(c[basis]), False).min() >= -_OPT_TOL
+        price(False)
+        dual = scores().min() >= -_OPT_TOL
         alpha = np.empty(n_tot)
-        e_r = np.zeros(m)
         degen_streak = 0
         while dual and iters < max_iters and degen_streak < _BLAND_AFTER:
             if n_eta >= _REFACTOR_EVERY:
                 refactor()
-                price(btran(c[basis]), False)
+                price(False)
             # leave: the largest bound violation, lowest row on ties
-            rows = np.flatnonzero(gamma)
+            rows = (gamma != 0).nonzero()[0]
             if rows.size == 0:
                 break
             viol = np.where(gamma[rows] < 0, lb_b[rows] - xb[rows],
                             xb[rows] - ub_b[rows])
-            r = int(rows[np.argmax(viol)])
+            r = int(rows[viol.argmax()])
             s = float(gamma[r])
-            e_r[r] = 1.0
-            rho = btran(e_r)
-            e_r[r] = 0.0
+            rho = btran_row(r)
             alpha[:n_struct] = at_s @ rho
             alpha[n_struct:] = rho
             q, t = ker.dual_ratio_test(alpha, d, dirn, free, s, _PIVOT_TOL)
@@ -416,13 +465,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
             step = (xb[r] - (ub_b[r] if s > 0 else lb_b[r])) / w[r]
             theta = s * t
             d -= theta * alpha
-            nz = np.flatnonzero(w != 0.0)
+            nz = (w != 0.0).nonzero()[0]
             xb[nz] -= step * w[nz]
             leave = pivot(q, r, s > 0, x[q] + step, w)
             d[q] = 0.0
             d[leave] = -theta
-            gamma[nz] = ker.basic_state(xb[nz], lb_b[nz], ub_b[nz],
-                                        _FEAS_TOL)[0]
+            update_state(nz)
             iters += 1
             dual_pivots += 1
             if t <= _DEGEN_TOL:
@@ -434,20 +482,35 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     degen_streak = 0
     bland = False
     cleaned = False
+    # d holds the reduced costs of the current basis, from a full price or
+    # carried from one by the row update of each pivot since; stale asks
+    # for a full price, fresh says no pivot was made since the last one
+    stale = True
+    phase1 = None
 
     while True:
         if n_eta >= _REFACTOR_EVERY:
             refactor()
-        phase1 = bool(gamma.any())
+            stale = True
+        infeasible = bool(np.count_nonzero(gamma))
+        if infeasible != phase1:
+            phase1 = infeasible
+            stale = True
+        if stale:
+            y = price(phase1)
+            stale = False
+            fresh = True
 
-        y = btran(gamma.astype(float) if phase1 else c[basis])
-        score = price(y, phase1)
-        q = int(np.argmin(score))
+        score = scores()
+        q = int(score.argmin())
         if score[q] >= -_OPT_TOL:
-            # claim needs a clean factorization behind it
+            # a claim needs a fresh price on a clean factorization
             if n_eta > 0 and not cleaned:
                 refactor()
-                cleaned = True
+                cleaned = stale = True
+                continue
+            if not fresh:
+                stale = True
                 continue
             if phase1:
                 bad_rows = sorted({int(basis[p]) - n_struct
@@ -470,13 +533,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         gap = ub[q] - lb[q]
         # only rows with |w| above the pivot tolerance can block; the subset
         # keeps index order, so ties break as they would over all rows
-        nz = np.flatnonzero(w != 0.0)
+        nz = (w != 0.0).nonzero()[0]
         rows = nz[np.abs(w[nz]) > _PIVOT_TOL]
         w_r = w[rows]
         prio = basis[rows].astype(np.float64) if bland else -np.abs(w_r)
         t, pos, bcode = ker.ratio_test(w_r, xb[rows], lb_b[rows], ub_b[rows],
-                                       gamma[rows], sigma, gap, _PIVOT_TOL,
-                                       prio)
+                                       gamma[rows], sigma, gap, prio)
         if pos == ker.POS_UNBOUNDED:
             if phase1:
                 raise SolverError("unblocked ray while infeasible "
@@ -493,14 +555,38 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         else:
             degen_streak = 0
             bland = False
+        iters += 1
+        fresh = False
 
+        # xb moves only on the nonzeros of w, the pivot row among them
         xb[nz] -= (sigma * t) * w[nz]
+        g_old = gamma[nz] if phase1 else None
         if pos == ker.POS_FLIP:
+            # the basis and the costs stay: so do the reduced costs
             x[q] = ub[q] if stat[q] == NB_LO else lb[q]
             stat[q] = NB_UP if stat[q] == NB_LO else NB_LO
             dirn[q] = -dirn[q]
+            r = -1
         else:
-            pivot(q, int(rows[pos]), bcode == 1, x[q] + sigma * t, w)
-        # xb moved only on the nonzeros of w, the pivot row among them
-        gamma[nz] = ker.basic_state(xb[nz], lb_b[nz], ub_b[nz], _FEAS_TOL)[0]
-        iters += 1
+            r = int(rows[pos])
+            g_r = int(gamma[r])
+            leave = pivot(q, r, bcode == 1, x[q] + sigma * t, w)
+        g_new = update_state(nz)
+        if phase1:
+            # the phase-1 costs are the codes: a code moved off row r
+            # changes them beyond what the row update carries
+            moved = np.count_nonzero(g_new != g_old)
+            stale = moved > (r >= 0 and gamma[r] != g_r)
+        if r < 0 or stale or n_eta >= _REFACTOR_EVERY:
+            continue
+        # the row update (Maros 2003, ch. 9): with rho = B^-T e_r of the
+        # new basis, d -= d_q [A^T rho; rho]. The leaving column's entry
+        # becomes -d_q / w_r less its phase-1 cost, the code g_r it left
+        # (0 in phase 2); q enters within its bounds, at cost 0
+        d_q = d[q]
+        rho = btran_row(r)
+        rho *= d_q
+        d[:n_struct] -= at_s @ rho
+        d[n_struct:] -= rho
+        d[q] = 0.0
+        d[leave] = -d_q / w[r] - g_r

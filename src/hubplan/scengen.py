@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .core import EvRecord, Scenario, ScenarioSet
 from .errors import (DecompositionError, DegenerateColumnError,
@@ -85,19 +86,17 @@ class RawSampleMatrix:
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    Raises DecompositionError carrying the 1-based order of the first
-    leading minor that fails positivity.
+    Only the lower triangle is read (LAPACK dpotrf). Raises
+    DecompositionError carrying the 1-based order of the first leading
+    minor that fails positivity, or that holds a non-finite entry.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        s = a[j, j] - low[j, :j] @ low[j, :j]
-        if s <= 0.0 or not math.isfinite(s):
-            raise DecompositionError(minor=j + 1)
-        low[j, j] = math.sqrt(s)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
+    if bad_rows.size:
+        raise DecompositionError(minor=int(bad_rows[0]) + 1)
+    low, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise DecompositionError(minor=int(info))
     return low
 
 

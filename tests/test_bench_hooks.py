@@ -120,9 +120,10 @@ def test_simplex_calls_its_hooks(monkeypatch):
     assert calls["splu"] == s.refactors
     assert s.kernel_cols >= s.refactors >= 1
     assert calls["ratio_test"] == s.iterations
-    # one full state per factorization, at the all-slack start and at exit,
-    # one partial per pivot
-    assert calls["basic_state"] == s.refactors + 1 + s.iterations + 1
+    # one full state per factorization, at the all-slack start and at exit;
+    # a pivot updates the state of the rows it moved by comparison, with no
+    # kernel call
+    assert calls["basic_state"] == s.refactors + 1 + 1
 
     # y <= 2 leaves the optimum's basic y = 3 out of bounds: the dual phase
     # pivots through the same factor and state kernels, and only the
@@ -135,4 +136,4 @@ def test_simplex_calls_its_hooks(monkeypatch):
     assert child.dual_pivots >= 1
     assert calls["splu"] == child.refactors
     assert calls["ratio_test"] == child.iterations - child.dual_pivots
-    assert calls["basic_state"] == child.refactors + child.iterations + 1
+    assert calls["basic_state"] == child.refactors + 1

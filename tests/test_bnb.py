@@ -150,6 +150,7 @@ def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
         assert 0 <= lp.dual_pivots <= lp.iterations - lp.phase1_pivots
         assert 0 <= lp.degenerate_pivots <= lp.iterations
         assert 0 <= lp.bland_pivots <= lp.iterations
+        assert lp.priced >= 1
         assert lp.refactors >= 1
         # each factored block is 1 to n_rows structural columns
         assert (lp.refactors <= lp.kernel_cols

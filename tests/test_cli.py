@@ -78,6 +78,8 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["phase1_pivots"] + doc["dual_pivots"] <= pivots
     assert doc["degenerate_pivots"] <= pivots
     assert doc["bland_pivots"] <= pivots
+    # most primal pivots carry the reduced costs by the row update
+    assert 1 <= doc["priced"] < pivots
     assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
     assert doc["kernel_cols"] >= doc["refactors"]
     assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]

@@ -58,6 +58,20 @@ def test_cholesky_rejects_indefinite():
         cholesky_lower(bad)
 
 
+def test_cholesky_names_the_failing_minor():
+    # the 2 x 2 leading block is indefinite; a non-finite entry fails the
+    # first minor holding it
+    bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(DecompositionError) as exc:
+        cholesky_lower(bad)
+    assert exc.value.minor == 2
+    nan = np.eye(3)
+    nan[2, 0] = np.nan
+    with pytest.raises(DecompositionError) as exc:
+        cholesky_lower(nan)
+    assert exc.value.minor == 3
+
+
 def test_fit_cubic_identity_on_normal_targets():
     a, b, c, d = fit_cubic_transform(0.0, 1.0, 0.0, 3.0, _NORMAL_MOMENTS)
     np.testing.assert_allclose([a, b, c, d], [0.0, 1.0, 0.0, 0.0], atol=1e-8)

@@ -1,4 +1,7 @@
 """Bounded-variable primal simplex against closed forms and linprog."""
+import collections
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -316,28 +319,99 @@ def _assert_exit_violation(model, sol, col_lb, col_ub):
                                                    sol.max_violation, viol)
 
 
-def test_basic_state_carried_across_pivots(checked_ratio_tests):
-    # cold solves of the random LPs, then a warm solve of a child of each
-    # optimum, as in the warm-start fuzz above
+@pytest.fixture
+def checked_reduced_costs(monkeypatch):
+    """Make every ker.ratio_test and ker.dual_ratio_test call of solve_lp
+    (one per primal or dual pivot) check solve_lp's reduced costs against
+    a fresh pricing pass.
+
+    solve_lp prices in full only now and then and carries the reduced costs
+    across the other pivots: by the row update in the primal, by the dual
+    step in the dual phase. The fresh pass solves the dense basis for the
+    row prices of the current phase's costs (the violation codes in phase
+    1, c in phase 2 and in the dual phase) and compares the nonbasic
+    columns to 1e-9 (1 + |d|). Returns a dict counting the checks whose d
+    was carried: by primal phase, and by start, "dual" for the dual phase
+    and otherwise the start tag that the test sets under "start".
+    """
+    real_primal, real_dual = ker.ratio_test, ker.dual_ratio_test
+    seen = collections.Counter(start="cold")
+
+    def check(f, phase1):
+        a_full = np.hstack([f["a_s"].toarray(), np.eye(f["m"])])
+        basis, d = f["basis"], f["d"]
+        cost = np.zeros(a_full.shape[1]) if phase1 else f["c"]
+        cost_b = f["gamma"].astype(float) if phase1 else cost[basis]
+        y = np.linalg.solve(a_full[:, basis].T, cost_b)
+        fresh = cost - a_full.T @ y
+        nonbasic = f["stat"] != simplex_mod.BASIC
+        assert np.all(np.abs(d - fresh)[nonbasic]
+                      <= 1e-9 * (1.0 + np.abs(fresh[nonbasic])))
+
+    def primal(*args):
+        f = sys._getframe(1).f_locals
+        check(f, f["phase1"])
+        if not f["fresh"]:
+            seen["phase1" if f["phase1"] else "phase2"] += 1
+            seen[seen["start"]] += 1
+        return real_primal(*args)
+
+    def dual(*args):
+        f = sys._getframe(1).f_locals
+        check(f, False)
+        seen["dual"] += f["dual_pivots"] > 0
+        return real_dual(*args)
+
+    monkeypatch.setattr(ker, "ratio_test", primal)
+    monkeypatch.setattr(ker, "dual_ratio_test", dual)
+    return seen
+
+
+def _solve_random_lps_and_children(seen=None):
+    """Cold solves of 150 random LPs, then a warm solve of a child of each
+    optimum, as in the warm-start fuzz above; each solve's exit violation
+    is checked. Sets seen["start"] to the kind of each solve before it
+    runs. Returns the statuses met."""
+    seen = {} if seen is None else seen
     rng = np.random.default_rng(7)
     statuses = set()
     for _trial in range(150):
         obj, a, senses, rhs, lb, ub = _random_lp(rng)
         model = make_model(obj, a, senses, rhs, lb, ub)
+        seen["start"] = "cold"
         cold = solve_lp(model)
         _assert_exit_violation(model, cold, lb, ub)
         statuses.add(cold.status)
         if cold.status != "optimal":
             continue
-        _kind, obj2, lb2, ub2 = _warm_child(rng, cold, obj, lb, ub)
+        kind, obj2, lb2, ub2 = _warm_child(rng, cold, obj, lb, ub)
         child = make_model(obj2, a, senses, rhs, lb, ub)
+        seen["start"] = kind
         warm = solve_lp(child, col_lb=lb2, col_ub=ub2,
                         warm=(cold.basis, cold.stat))
         _assert_exit_violation(child, warm, lb2, ub2)
         statuses.add(warm.status)
+    return statuses
+
+
+def test_basic_state_carried_across_pivots(checked_ratio_tests):
+    statuses = _solve_random_lps_and_children()
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert checked_ratio_tests["calls"] > 500
     assert checked_ratio_tests["infeasible"] > 100, checked_ratio_tests
+
+
+def test_reduced_costs_carried_across_pivots(checked_reduced_costs):
+    # two rows reach their bound in the same phase-1 step: one leaves, the
+    # other's violation code turns 0, which changes the phase-1 costs off
+    # the pivot row, while the third row keeps phase 1 going
+    tie = make_model([1.0, 1.0, 1.0], [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+                     [GE, GE, GE], [2.0, 2.0, 1.0], [0.0] * 3, [10.0] * 3)
+    assert solve_lp(tie).status == "optimal"
+    _solve_random_lps_and_children(checked_reduced_costs)
+    seen = checked_reduced_costs
+    assert min(seen[k] for k in ("phase1", "phase2", "cold", "cost",
+                                 "dual")) >= 10, seen
 
 
 def test_warm_start_shape_is_checked():
@@ -674,20 +748,22 @@ def test_kernels_match_scalar_reference():
             gap = float(np.min(t))  # the entering bound ties a basic
 
         # solve_lp passes only the rows with |w| above the pivot tolerance
-        # and maps the blocking position back
+        # (the kernel's precondition) and maps the blocking position back;
+        # the rows it drops never block
         rows = np.flatnonzero(np.abs(w) > piv_tol)
         seen["dropped"] += rows.size < m
         # Bland's priorities (basis column ids) and Dantzig's (-|w|)
         for prio in (rng.permutation(m).astype(np.float64), -np.abs(w)):
-            want = _ratio_test_py(w, xb, lb, ub, gamma, sigma, gap,
-                                  piv_tol, prio)
-            want = (float(want[0]), int(want[1]), int(want[2]))
-            got = ker.ratio_test(w, xb, lb, ub, gamma, sigma, gap, piv_tol,
-                                 prio)
-            assert (float(got[0]), int(got[1]), int(got[2])) == want, trial
-            t_sub, pos, code = ker.ratio_test(
-                w[rows], xb[rows], lb[rows], ub[rows], gamma[rows], sigma,
-                gap, piv_tol, prio[rows])
+            sub = (w[rows], xb[rows], lb[rows], ub[rows], gamma[rows], sigma,
+                   gap)
+            want = _ratio_test_py(*sub, piv_tol, prio[rows])
+            pos = int(want[1])
+            want = (float(want[0]), int(rows[pos]) if pos >= 0 else pos,
+                    int(want[2]))
+            full = _ratio_test_py(w, xb, lb, ub, gamma, sigma, gap, piv_tol,
+                                  prio)
+            assert (float(full[0]), int(full[1]), int(full[2])) == want, trial
+            t_sub, pos, code = ker.ratio_test(*sub, prio[rows])
             if pos >= 0:
                 pos = rows[pos]
             assert (float(t_sub), int(pos), int(code)) == want, trial
@@ -728,4 +804,12 @@ def test_kernels_match_scalar_reference():
             want = loop(cols, eta_piv, n_eta, v.copy())
             assert (np.linalg.norm(got - want)
                     <= 1e-10 * np.linalg.norm(want)), (trial, kernel.__name__)
+        # the unit-row btran reads column r of etas in place of the product
+        r = int(rng.integers(m))
+        e_r = np.zeros(m)
+        e_r[r] = 1.0
+        got = ker.btran_etas(etas, tri, eta_piv, n_eta, e_r.copy(), r)
+        want = _btran_etas_py(cols, eta_piv, n_eta, e_r.copy())
+        assert (np.linalg.norm(got - want)
+                <= 1e-10 * np.linalg.norm(want)), trial
     assert n_full >= 1 and n_repeat >= 10, (n_full, n_repeat)
