@@ -384,16 +384,19 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     Only the objective changes between levels: the model is assembled
     once and re-priced at each level, and each level's root LP starts from
     the previous level's root basis, which stays primal feasible: the new
-    root needs phase 2 only.
+    root needs phase 2 only. Every level's tariffs are built, and so a
+    bad level (negative or not finite) raises InvalidParameterError, before
+    the model is assembled.
     """
     if not tax_levels:
         raise InvalidParameterError("tax_levels must not be empty")
+    level_tariffs = [(tax, tariffs.with_carbon_tax(tax))
+                     for tax in tax_levels]
     m = annualization_factor(grid)
     base = assemble_model(grid, catalog, tariffs, scenario_set, config)
     levels = []
     warm = None
-    for tax in tax_levels:
-        tar = tariffs.with_carbon_tax(tax)
+    for tax, tar in level_tariffs:
         model = replace(base, obj=build_objective(base.var_index, catalog,
                                                   tar, m))
         try:

@@ -9,6 +9,7 @@ only in its wall-time field.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -100,12 +101,23 @@ def _require(cfg, key, hint):
 
 
 def _tax_list(cfg):
+    """The carbon-tax levels of cfg (yuan per ton), each checked finite and
+    >= 0; None when none is given."""
     taxes = cfg.get("carbon_tax")
     if taxes is None:
         return None
-    if isinstance(taxes, (int, float)):
-        return [float(taxes)]
-    return [float(v) for v in taxes]
+    if not isinstance(taxes, (list, tuple)):
+        taxes = [taxes]
+    try:
+        levels = [float(v) for v in taxes]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"carbon_tax must be numbers: {exc}") from exc
+    for tax in levels:
+        if not (math.isfinite(tax) and tax >= 0.0):
+            raise InvalidParameterError(
+                f"carbon_tax must be finite and >= 0, got {tax}")
+    return levels
 
 
 def _load_scenarios(cfg, case, out=None):

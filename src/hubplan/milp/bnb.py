@@ -15,10 +15,15 @@ Only the root LP can start cold. Each child node's LP starts from its
 parent's optimal basis (both children share the parent's arrays), and each
 dive step from the previous step's basis; the tightened bound leaves that
 basis dual feasible and the branched column out of bounds, so the
-simplex's dual phase reoptimizes it. The root itself starts from the
-caller's warm basis when one is given, and the run returns the root's
-final basis so that a related solve (the next carbon-tax level) can start
-from it.
+simplex's dual phase reoptimizes it. Once an incumbent exists, a node LP
+gets the cutoff inc_obj - rel_gap max(1, |inc_obj|), the objective at
+which the node would be pruned anyway: its dual phase stops as soon as a
+bound proves the node reaches it, and the node is pruned without being
+solved to the end. The root and the dive get no cutoff, so every node,
+child and incumbent is the one the full solve would give. The root
+itself starts from the caller's warm basis when one is given, and the run
+returns the root's final basis so that a related solve (the next
+carbon-tax level) can start from it.
 """
 
 import heapq
@@ -60,7 +65,9 @@ class BnbSolution:
 
     max_depth is the depth of the deepest node LP solved (the root is 0),
     infeasible_nodes the number of node LPs that ended infeasible (the
-    root's not counted), and incumbents the objective of each accepted
+    root's not counted), cutoff_nodes the number whose dual phase stopped
+    at the incumbent's cutoff (an infeasible node LP may stop there first;
+    it then counts here), and incumbents the objective of each accepted
     incumbent in the order accepted, the dive's included. node_log holds
     one dict per node LP, in the order solved: its depth, the parent's
     LP bound, its pivots and dual_pivots, its status, and whether it gave
@@ -89,6 +96,7 @@ class BnbSolution:
     priced: int = 0
     max_depth: int = 0
     infeasible_nodes: int = 0
+    cutoff_nodes: int = 0
     incumbents: list = field(default_factory=list)
     node_log: list = field(default_factory=list)
 
@@ -98,7 +106,7 @@ class BnbSolution:
         return {key: getattr(self, key) for key in (
             "root_pivots", "node_lps", "node_pivots", "dive_lps",
             "dive_pivots", *LP_COUNTERS, "max_depth", "infeasible_nodes",
-            "incumbents", "node_log")}
+            "cutoff_nodes", "incumbents", "node_log")}
 
 
 def _count(totals, lp):
@@ -198,7 +206,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     inc_x = None
     inc_obj = np.inf
     dive_lps = dive_pivots = node_pivots = 0
-    max_depth = infeasible_nodes = 0
+    max_depth = infeasible_nodes = cutoff_nodes = 0
     incumbents = []
     node_log = []
     totals = dict.fromkeys(LP_COUNTERS, 0)
@@ -214,8 +222,8 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             root_pivots=root.iterations, node_lps=n_nodes - 1,
             node_pivots=node_pivots, dive_lps=dive_lps,
             dive_pivots=dive_pivots, max_depth=max_depth,
-            infeasible_nodes=infeasible_nodes, incumbents=incumbents,
-            node_log=node_log, **totals)
+            infeasible_nodes=infeasible_nodes, cutoff_nodes=cutoff_nodes,
+            incumbents=incumbents, node_log=node_log, **totals)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -274,7 +282,11 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
             return finish("gap_limit", global_bound, n_nodes)
 
-        node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent)
+        # the objective at which the gap test below prunes the node
+        cutoff = (inc_obj - rel_gap * max(1.0, abs(inc_obj))
+                  if np.isfinite(inc_obj) else np.inf)
+        node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent,
+                        cutoff=cutoff)
         n_nodes += 1
         node_pivots += node.iterations
         max_depth = max(max_depth, depth)
@@ -285,6 +297,9 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         node_log.append(entry)
         if node.status == "infeasible":
             infeasible_nodes += 1
+            continue
+        if node.status == "cutoff":
+            cutoff_nodes += 1
             continue
         if node.status != "optimal":
             raise SolverError(f"node relaxation ended {node.status}")

@@ -74,9 +74,23 @@ max(dirn * d, 0) / |alpha| over the pivot row alpha, ties to the largest
 |alpha|, then the lowest index. It hands the basis to the primal once the
 basics are within bounds, on a dual ray, after 1000 dual-degenerate
 pivots in a row, or if the pivot element fails to match its row entry.
-Only the primal claims a status, so an infeasibility claim and its
-infeasible rows always come from phase 1. Deterministic: identical inputs,
-warm start included, give identical pivot sequences.
+
+The dual phase's objective only rises, so given a cutoff (branch and
+bound's incumbent less its gap) it can stop early: the objective cutoff
+of the dual simplex (Koberstein 2005, PhD thesis, Paderborn). Before each
+dual pivot the objective c.x of the current basic solution is compared
+with the cutoff. Once it reaches it, one fresh btran of the basic costs,
+into new arrays (no refactorization; the carried d and xb stay as
+they are), gives row prices y, which take the sign that each slack's
+infinite bound asks for, and the rigorous bound b.y + sum over the
+nonbasics of min(d_j lb_j, d_j ub_j) (Neumaier & Shcherbina 2004, Math.
+Prog. 99); there is no bound when a reduced cost of the wrong sign meets
+an infinite bound. A bound at or above the cutoff ends the solve with
+status cutoff; a bound below it lets the dual phase go on, and the next
+check waits for the next refactorization. Otherwise only the primal
+claims a status, so an infeasibility claim and its infeasible rows always
+come from phase 1. Deterministic: identical inputs, warm start included,
+give identical pivot sequences.
 """
 
 from dataclasses import dataclass, field
@@ -106,8 +120,13 @@ _SPLU_PANEL_SIZE = 1
 class LpSolution:
     """Result of one LP solve.
 
-    status is one of optimal, infeasible, unbounded, iteration_limit. x holds
-    the structural columns only; duals one multiplier per row.
+    status is one of optimal, infeasible, unbounded, iteration_limit,
+    cutoff. x holds the structural columns only; duals one multiplier per
+    row. cutoff means the dual phase of a warm start proved the optimum
+    at least the cutoff passed to solve_lp: objective is then that proven
+    bound, duals the row prices that prove it, and x the basic solution the
+    dual phase stopped at, which is not a solution (some basics are out of
+    bounds).
     infeasible_rows lists rows whose slack stayed out of bounds when phase 1
     stalled (the irreducible-cause hint).
 
@@ -127,8 +146,9 @@ class LpSolution:
     counted. kernel_cols sums the order k of the factored blocks, so
     kernel_cols / refactors is their mean size. priced counts the full
     pricing passes, each a btran of the basic costs and a product with A^T
-    (the dual phase's included); every other primal pivot took its
-    reduced costs from the row update of the pivot before.
+    (the dual phase's and each cutoff check's included); every other
+    primal pivot took its reduced costs from the row update of the pivot
+    before.
     """
 
     status: str
@@ -234,7 +254,8 @@ class _BlockBasis:
         return up[self.row_at]
 
 
-def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
+def solve_lp(model, col_lb=None, col_ub=None, warm=None,
+             cutoff=np.inf) -> LpSolution:
     """Solve the LP relaxation of a MilpModel.
 
     Integrality marks are ignored. col_lb/col_ub override the structural
@@ -243,8 +264,10 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
     warm is the (basis, stat) of an earlier solve of the same rows and
     columns, under any bounds and costs; None starts from the slack basis.
     The arrays are read, never written, so several solves may share them.
-    After 20000 + 10 (rows + columns) pivots the solve stops with status
-    iteration_limit.
+    cutoff lets the dual phase of a warm start stop with status cutoff once
+    it proves the optimum is at least cutoff (see the module docstring);
+    the default never stops. After 20000 + 10 (rows + columns) pivots the
+    solve stops with status iteration_limit.
     """
     m = model.n_rows
     n_struct = model.n_cols
@@ -380,6 +403,28 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
         np.negative(y, out=d[n_struct:])
         return y
 
+    def dual_bound():
+        """Row prices y from a fresh btran of the basic costs, and the
+        bound b.y + sum over the nonbasics of min(d_j lb_j, d_j ub_j) on
+        the optimum, -inf when a d_j of the wrong sign meets an infinite
+        bound; d and xb are left as they are. The bound holds for any y, so
+        y is first given the sign that a slack's infinite bound asks for
+        (y_i <= 0 on a <= row, >= 0 on a >= row): rounding leaves some
+        1e-18 of the wrong sign there, which would forbid every claim."""
+        nonlocal priced
+        priced += 1
+        y = btran(c[basis])
+        np.minimum(y, 0.0, out=y, where=np.isinf(s_hi))
+        np.maximum(y, 0.0, out=y, where=np.isinf(s_lo))
+        d_f = np.concatenate([c[:n_struct] - at_s @ y, -y])
+        nb = stat != BASIC
+        d_n, lb_n, ub_n = d_f[nb], lb[nb], ub[nb]
+        at_lb, at_ub = d_n > 0.0, d_n < 0.0
+        lb_n, ub_n = lb_n[at_lb], ub_n[at_ub]
+        if np.isinf(lb_n).any() or np.isinf(ub_n).any():
+            return y, -np.inf
+        return y, float(b @ y + d_n[at_lb] @ lb_n + d_n[at_ub] @ ub_n)
+
     def scores():
         np.multiply(dirn, d, out=score)
         if free.size:
@@ -433,16 +478,27 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None) -> LpSolution:
 
     # dual phase: a warm start whose tightened bounds leave it primal
     # infeasible but dual feasible is moved to primal feasibility by the
-    # dual simplex; the primal loop below then finishes and makes the claim
+    # dual simplex; the primal loop below then finishes and makes the claim,
+    # unless a bound proves the optimum at or above the cutoff first
     if warm is not None and gamma.any():
         price(False)
         dual = scores().min() >= -_OPT_TOL
         alpha = np.empty(n_tot)
         degen_streak = 0
+        check_cutoff = cutoff < np.inf
         while dual and iters < max_iters and degen_streak < _BLAND_AFTER:
             if n_eta >= _REFACTOR_EVERY:
                 refactor()
                 price(False)
+                check_cutoff = cutoff < np.inf
+            if check_cutoff:
+                x[basis] = xb
+                if c @ x >= cutoff:
+                    y, bound = dual_bound()
+                    if bound >= cutoff:
+                        return result("cutoff", y, objective=bound)
+                    # one failed check per refactorization period
+                    check_cutoff = False
             # leave: the largest bound violation, lowest row on ties
             rows = (gamma != 0).nonzero()[0]
             if rows.size == 0:

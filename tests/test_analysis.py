@@ -12,7 +12,7 @@ from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
                               write_cost_breakdown, write_plan_summary,
                               write_table_csv)
 from hubplan.core import annualization_factor
-from hubplan.errors import InfeasibleSolutionError
+from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
 from hubplan.milp import branch_and_bound, extract_solution
 from hubplan.model import ModelConfig, assemble_model
 
@@ -177,6 +177,21 @@ def test_sweep_levels_carry_plan(tiny):
     assert lv.solve.audit.count == 0
     assert lv.solve.plan.x_fc["PEM_gas"] >= 0 and lv.solve.plan.x_ess >= 0.0
     assert lv.solve.bnb.n_nodes >= 1 and lv.solve.bnb.wall_time >= 0.0
+
+
+def test_sweep_refuses_a_bad_level_before_solving(tiny, monkeypatch):
+    # the bad level is the last: nothing is assembled or solved before it
+    import hubplan.analysis as analysis
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the bad level was refused")
+
+    monkeypatch.setattr(analysis, "assemble_model", must_not_run)
+    monkeypatch.setattr(analysis, "solve_level", must_not_run)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="carbon_tax"):
+            analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+                                      tiny.scen, tiny.config, [40.0, bad])
 
 
 def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,

@@ -1,4 +1,6 @@
 """Branch and bound: small closed forms, limits, and a fuzz run vs milp."""
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -6,6 +8,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import hubplan.milp.bnb as bnb_mod
 from conftest import make_model
 from hubplan.errors import InvalidParameterError
+from hubplan.fileio import read_case, read_scenario_set
 from hubplan.milp import branch_and_bound, solve_lp
 from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
                            assemble_model)
@@ -175,7 +178,7 @@ def test_bad_limits_are_rejected(limits):
 
 
 def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):
-    # binary exclusivity gives an eight-LP dive and a tree of about 60 nodes
+    # binary exclusivity gives an eight-LP dive and a tree of about 30 nodes
     for mode in ("relaxed", "binary"):
         model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
                                tiny.scen, ModelConfig(zeta=0.0,
@@ -202,8 +205,8 @@ def test_root_warm_start_skips_the_root_pivots(tiny_solved):
 
 
 def test_tree_counters(tiny, monkeypatch):
-    # relaxed exclusivity branches once; binary builds a tree of about 60
-    # nodes, a third of them infeasible, and improves on the dive's incumbent
+    # relaxed exclusivity branches once; binary builds a tree of about 30
+    # nodes, some of them infeasible, and improves on the dive's incumbent
     for mode in ("relaxed", "binary"):
         model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
                                tiny.scen, ModelConfig(zeta=0.0,
@@ -233,10 +236,14 @@ def test_tree_counters(tiny, monkeypatch):
         assert sum(e["pivots"] for e in log) == s.node_pivots, mode
         assert sum(e["status"] == "infeasible"
                    for e in log) == s.infeasible_nodes, mode
+        assert sum(e["status"] == "cutoff" for e in log) == s.cutoff_nodes, \
+            mode
+        assert counters["cutoff_nodes"] == s.cutoff_nodes, mode
         assert max(e["depth"] for e in log) == s.max_depth, mode
-        # a child's bound is its parent's LP objective: never above its own
+        # a child's bound is its parent's LP objective: never above its own,
+        # nor above the bound that a node stopped at the cutoff proved
         for e, lp in zip(log, node_lps):
-            if lp.status == "optimal":
+            if lp.status in ("optimal", "cutoff"):
                 assert e["bound"] <= lp.objective + 1e-9 * (
                     1 + abs(lp.objective)), mode
         # the flagged nodes gave the incumbents after the dive's
@@ -245,6 +252,56 @@ def test_tree_counters(tiny, monkeypatch):
         assert len(found) in (len(s.incumbents), len(s.incumbents) - 1), \
             mode
         assert found == s.incumbents[len(s.incumbents) - len(found):], mode
+
+
+def _n3_model(data_dir, tax):
+    """The three-day model of the benchmark's sweep at one carbon tax."""
+    case = read_case(os.path.join(data_dir, "case.json"))
+    days = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "data")
+    scen = read_scenario_set(os.path.join(days, "n3_scenarios.csv"), case,
+                             ev_path=os.path.join(days, "n3_scenarios_ev.csv"))
+    return assemble_model(scen.grid, case.catalog,
+                          case.tariffs.with_carbon_tax(tax), scen,
+                          ModelConfig())
+
+
+def test_cutoff_leaves_the_tree_unchanged(tiny, data_dir, monkeypatch):
+    # node LPs stopped at the incumbent's cutoff are pruned as the finished
+    # LPs would have been: the same nodes, incumbents and x
+    real = bnb_mod.solve_lp
+
+    def without_cutoff(*args, cutoff=None, **kwargs):
+        return real(*args, **kwargs)
+
+    models = [(mode, assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
+                                    tiny.scen, ModelConfig(
+                                        zeta=0.0, exclusivity_mode=mode)))
+              for mode in ("relaxed", "binary")]
+    models += [(f"n3 tax {tax}", _n3_model(data_dir, tax))
+               for tax in (40, 700)]
+    for name, model in models:
+        cut = branch_and_bound(model)
+        with monkeypatch.context() as mp:
+            mp.setattr(bnb_mod, "solve_lp", without_cutoff)
+            full = branch_and_bound(model)
+        assert full.cutoff_nodes == 0, name
+        assert cut.n_nodes == full.n_nodes, name
+        assert cut.incumbents == full.incumbents, name
+        assert cut.objective == full.objective, name
+        assert np.array_equal(cut.x, full.x), name
+        # a stopped node is one the full solve pruned: optimal at or above
+        # the cutoff, or infeasible (its dual objective grew past the
+        # cutoff before the dual ray showed)
+        assert [e["status"] for e in cut.node_log] == [
+            "cutoff" if c["status"] == "cutoff" else f["status"]
+            for c, f in zip(cut.node_log, full.node_log)], name
+        assert all(f["status"] in ("optimal", "infeasible") for c, f in
+                   zip(cut.node_log, full.node_log)
+                   if c["status"] == "cutoff"), name
+        if name.startswith("n3"):
+            assert cut.cutoff_nodes > 0, name
+            assert cut.node_pivots < full.node_pivots, name
 
 
 def test_tree_counters_without_branching():

@@ -83,10 +83,12 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
     assert doc["kernel_cols"] >= doc["refactors"]
     assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]
+    assert doc["infeasible_nodes"] + doc["cutoff_nodes"] <= doc["node_lps"]
     assert (doc["max_depth"] >= 1) == (doc["nodes"] > 1)
     assert doc["incumbents"][-1] == doc["objective"]
     log = doc["node_log"]
     assert len(log) == doc["node_lps"]
+    assert sum(e["status"] == "cutoff" for e in log) == doc["cutoff_nodes"]
     assert sum(e["pivots"] for e in log) == doc["node_pivots"]
     assert sum(e["dual_pivots"] for e in log) <= doc["dual_pivots"]
     assert all(e["depth"] >= 1 and e["bound"] <= doc["objective"] + 1e-9
@@ -125,6 +127,10 @@ def test_plan_rejects_tax_list_before_generating(data_dir, tmp_path, capsys):
     assert not (out / "scenarios.csv").exists()
 
 
+def _must_not_generate(*args, **kwargs):
+    raise AssertionError("scenario generation started")
+
+
 @pytest.mark.parametrize("command", ["plan", "sweep"])
 @pytest.mark.parametrize("flags, doc_update", [
     (["--zeta", "1.5"], {}),
@@ -132,11 +138,15 @@ def test_plan_rejects_tax_list_before_generating(data_dir, tmp_path, capsys):
     (["--rel-gap", "-1"], {}),
     (["--max-nodes", "0"], {}),
     (["--time-limit", "0"], {}),
+    (["--carbon-tax", "-40"], {}),
+    ([], {"carbon_tax": [40, -1]}),
 ])
 def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
-                                            command, flags, doc_update):
+                                            monkeypatch, command, flags,
+                                            doc_update):
     # desk_run.json generates scenarios from history: every bad option is
     # refused before that starts, and nothing is written
+    monkeypatch.setattr(cli, "generate_scenarios", _must_not_generate)
     with open(os.path.join(data_dir, "desk_run.json")) as fh:
         doc = json.load(fh)
     doc = {k: (os.path.join(data_dir, v) if k in cli._PATH_KEYS else v)
@@ -146,7 +156,8 @@ def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
     config.write_text(json.dumps(doc))
     out = tmp_path / "o"
     argv = [command, "--config", str(config), "--out", str(out)] + flags
-    if command == "plan":
+    if command == "plan" and "carbon_tax" not in doc_update \
+            and "--carbon-tax" not in flags:
         argv += ["--carbon-tax", "40"]
     t0 = time.perf_counter()
     rc = cli.main(argv)
@@ -193,6 +204,19 @@ def test_export_mps_rejects_tax_list_before_reading(data_dir, tmp_path,
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: export-mps takes a single carbon tax; use sweep for a list\n")
+    assert not out.exists()
+
+
+def test_export_mps_rejects_a_bad_tax_before_generating(data_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_scenarios", _must_not_generate)
+    out = tmp_path / "o"
+    rc = cli.main(["export-mps", "--config",
+                   os.path.join(data_dir, "desk_run.json"),
+                   "--carbon-tax", "-40", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: carbon_tax must be finite and >= 0, got -40.0\n")
     assert not out.exists()
 
 
@@ -258,6 +282,8 @@ def test_sweep_audit(ws, tmp_path, capsys):
     assert all(lv["kernel_cols"] >= lv["refactors"] >= 1 for lv in levels)
     for lv in levels:
         assert 0 <= lv["infeasible_nodes"] <= lv["node_lps"]
+        assert sum(e["status"] == "cutoff"
+                   for e in lv["node_log"]) == lv["cutoff_nodes"]
         assert lv["incumbents"] == sorted(lv["incumbents"], reverse=True)
         assert lv["incumbents"][-1] == pytest.approx(lv["total"], rel=1e-9)
         assert 0 <= lv["dual_pivots"] <= lv["node_pivots"] + lv["dive_pivots"]

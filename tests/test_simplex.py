@@ -367,11 +367,12 @@ def checked_reduced_costs(monkeypatch):
     return seen
 
 
-def _solve_random_lps_and_children(seen=None):
+def _solve_random_lps_and_children(seen=None, children=None):
     """Cold solves of 150 random LPs, then a warm solve of a child of each
     optimum, as in the warm-start fuzz above; each solve's exit violation
     is checked. Sets seen["start"] to the kind of each solve before it
-    runs. Returns the statuses met."""
+    runs, and appends (kind, child model, col_lb, col_ub, parent solution,
+    child solution) to children when given. Returns the statuses met."""
     seen = {} if seen is None else seen
     rng = np.random.default_rng(7)
     statuses = set()
@@ -391,6 +392,8 @@ def _solve_random_lps_and_children(seen=None):
                         warm=(cold.basis, cold.stat))
         _assert_exit_violation(child, warm, lb2, ub2)
         statuses.add(warm.status)
+        if children is not None:
+            children.append((kind, child, lb2, ub2, cold, warm))
     return statuses
 
 
@@ -412,6 +415,69 @@ def test_reduced_costs_carried_across_pivots(checked_reduced_costs):
     seen = checked_reduced_costs
     assert min(seen[k] for k in ("phase1", "phase2", "cold", "cost",
                                  "dual")) >= 10, seen
+
+
+def _with_ray(model, col_lb, col_ub, warm, side):
+    """The model with one more column, empty and with one infinite bound,
+    that starts on its finite bound (0) with a cost of 5e-8 towards the
+    infinite one: side "lo" is [0, inf) at cost -5e-8, side "up" (-inf, 0]
+    at cost 5e-8. Every basis prices it within the 1e-7 tolerance, yet the
+    LP is unbounded below, so no bound on it can be proven. Returns the
+    model, its column bounds and the warm start with the column added."""
+    n = model.n_cols
+    if side == "lo":
+        lo, hi, cost, stat_ray = 0.0, np.inf, -5e-8, simplex_mod.NB_LO
+    else:
+        lo, hi, cost, stat_ray = -np.inf, 0.0, 5e-8, simplex_mod.NB_UP
+    ray = make_model(np.append(model.obj, cost),
+                     np.hstack([model.a_matrix.toarray(),
+                                np.zeros((model.n_rows, 1))]),
+                     model.row_sense, model.rhs, np.append(model.col_lb, lo),
+                     np.append(model.col_ub, hi))
+    basis, stat = warm
+    return (ray, np.append(col_lb, lo), np.append(col_ub, hi),
+            (np.where(basis >= n, basis + 1, basis),
+             np.insert(stat, n, stat_ray)))
+
+
+def test_cutoff_claims_are_valid_bounds():
+    # the bound children of the fuzz above, solved warm with a cutoff: just
+    # above the child's optimum none may stop, and the solve must be the
+    # one without a cutoff; halfway between the parent's optimum and the
+    # child's, a stop must prove a bound in [cutoff, optimum]. The same
+    # children with an unbounded column priced within the tolerance
+    # (_with_ray) must never stop.
+    children = []
+    _solve_random_lps_and_children(children=children)
+    claims = 0
+    for kind, child, lb2, ub2, parent, warm in children:
+        if kind == "cost" or warm.status != "optimal":
+            continue
+        start = (parent.basis, parent.stat)
+        cold = solve_lp(child, col_lb=lb2, col_ub=ub2)
+        assert cold.status == "optimal"
+        tol = 1e-9 * (1.0 + abs(cold.objective))
+        cut_above = cold.objective + tol
+        cut_between = 0.5 * (parent.objective + cold.objective)
+        for cutoff in (cut_above, cut_between):
+            got = solve_lp(child, col_lb=lb2, col_ub=ub2, warm=start,
+                           cutoff=cutoff)
+            if got.status == "cutoff":
+                assert cutoff == cut_between
+                assert cutoff <= got.objective <= cold.objective + tol
+                claims += 1
+                for side in ("lo", "up"):
+                    ray = _with_ray(child, lb2, ub2, start, side)
+                    again = solve_lp(ray[0], col_lb=ray[1], col_ub=ray[2],
+                                     warm=ray[3], cutoff=cutoff)
+                    assert again.status == "optimal", side
+                    assert abs(again.objective - warm.objective) <= tol
+                continue
+            assert got.status == warm.status
+            assert got.objective == warm.objective
+            assert np.array_equal(got.x, warm.x)
+            assert got.iterations == warm.iterations
+    assert claims >= 10, claims
 
 
 def test_warm_start_shape_is_checked():
