@@ -138,6 +138,7 @@ def _load_scenarios(cfg, case, out=None):
         seed=int(cfg["seed"]), tol=float(cfg["gen_tol"]),
         max_iters=int(cfg["gen_max_iters"]))
     log = {"seed": raw.seed, "converged": raw.converged,
+           "best_iteration": raw.best_iteration,
            "iterations": raw.iteration_log}
     if out is not None:
         os.makedirs(out, exist_ok=True)
@@ -168,11 +169,13 @@ def cmd_scen_gen(cfg):
     case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
     scen, _source, log = _load_scenarios(dict(cfg, scenarios=None), case, out)
-    last = log["iterations"][-1] if log["iterations"] else {}
+    # the errors of the round whose panel was written
+    best = (log["iterations"][log["best_iteration"] - 1]
+            if log["best_iteration"] else {})
     print(f"wrote {scen.grid.n_scenarios} scenarios to {out} "
           f"(converged={log['converged']}, "
-          f"moment_err={last.get('moment_err', float('nan')):.4f}, "
-          f"corr_err={last.get('corr_err', float('nan')):.4f})")
+          f"moment_err={best.get('moment_err', float('nan')):.4f}, "
+          f"corr_err={best.get('corr_err', float('nan')):.4f})")
     return EXIT_OK if log["converged"] else EXIT_PARTIAL
 
 

@@ -15,6 +15,7 @@ write/read cycle reproduces values exactly.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import MISSING, dataclass, fields
 
@@ -151,7 +152,8 @@ def write_case(case: CaseData, path):
         fh.write("\n")
 
 
-def _read_rows(path, header):
+def _read_records(path, header):
+    """The records after a table's header row, as read by csv."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -160,15 +162,49 @@ def _read_rows(path, header):
             raise ParseError("empty file, header row required", path=path, line=1) from None
         if [h.strip() for h in got] != header:
             raise ParseError(f"header must be {','.join(header)}", path=path, line=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                 path=path, line=lineno)
-            rows.append((lineno, row))
-    return rows
+        return list(reader)
+
+
+def _one_pass(records, n_fields):
+    """Float array of a well-formed table's records, or None unless every
+    record has n_fields cells and float() takes each one (so none is
+    blank)."""
+    if set(map(len, records)) - {n_fields}:
+        return None
+    try:
+        return np.fromiter(map(float, itertools.chain.from_iterable(records)),
+                           dtype=float, count=len(records) * n_fields
+                           ).reshape(len(records), n_fields)
+    except ValueError:
+        return None
+
+
+def _parse_records(records, header, path):
+    """(rows, lines, vals, bad) of records that failed the one-pass read.
+
+    Blank records are skipped; a record with the wrong number of fields is
+    a ParseError. vals holds each kept cell's float, NaN where bad marks
+    that float() refused it.
+    """
+    rows, lines = [], []
+    for lineno, row in enumerate(records, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                             path=path, line=lineno)
+        rows.append(row)
+        lines.append(lineno)
+    shape = (len(rows), len(header))
+    vals = np.full(shape, np.nan)
+    bad = np.zeros(shape, dtype=bool)
+    for i, row in enumerate(rows):
+        for j, tok in enumerate(row):
+            try:
+                vals[i, j] = float(tok)
+            except ValueError:
+                bad[i, j] = True
+    return rows, lines, vals, bad
 
 
 # per-cell faults, in the order a cell is checked
@@ -190,21 +226,14 @@ def _read_table(path, header, int_cols):
     (within a row: the key cells, then a repeated key, then the rest),
     with its line and column.
     """
-    rows = _read_rows(path, header)
-    cells = [row for _, row in rows]
-    shape = (len(cells), len(header))
-    bad = np.zeros(shape, dtype=bool)
-    try:
-        vals = np.array(cells, dtype=float).reshape(shape)
-    except ValueError:
-        # name the bad cells; only a faulty table takes this path
-        vals = np.full(shape, np.nan)
-        for i, row in enumerate(cells):
-            for j, tok in enumerate(row):
-                try:
-                    vals[i, j] = float(tok)
-                except ValueError:
-                    bad[i, j] = True
+    rows = _read_records(path, header)
+    vals = _one_pass(rows, len(header))
+    if vals is None:
+        # name the faults; only a faulty or blank-rowed table takes this path
+        rows, lines, vals, bad = _parse_records(rows, header, path)
+    else:
+        lines, bad = range(2, len(rows) + 2), np.zeros(vals.shape, dtype=bool)
+    shape = vals.shape
     is_int = np.zeros(shape, dtype=bool)
     is_int[:, int_cols] = True
     finite = np.isfinite(vals)
@@ -222,16 +251,16 @@ def _read_table(path, header, int_cols):
     faulty = np.flatnonzero(fault.any(axis=1) | repeat)
     if faulty.size:
         i = int(faulty[0])
-        lineno = rows[i][0]
+        lineno = lines[i]
         # only a record with valid key cells can repeat a key
         if repeat[i]:
             raise ParseError(f"duplicate ({header[0]}, {header[1]}) = "
                              f"({int(vals[i, 0])}, {int(vals[i, 1])})",
                              path=path, line=lineno)
         j = int(np.flatnonzero(fault[i])[0])
-        raise ParseError(_CELL_FAULTS[fault[i, j] - 1].format(cells[i][j]),
+        raise ParseError(_CELL_FAULTS[fault[i, j] - 1].format(rows[i][j]),
                          path=path, line=lineno, column=header[j])
-    return vals, [lineno for lineno, _ in rows]
+    return vals, lines
 
 
 def _by_key(vals, path, inner, n_outer=None):

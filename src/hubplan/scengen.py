@@ -15,6 +15,14 @@ the full step for every row, then the 30 halved steps of the rows that
 reject it in one evaluation. A dimension whose fit stalls stays affine for
 that round, and the round's log names it.
 
+Every factorization, solve and product on this path runs on numpy's
+BLAS/LAPACK. numpy and scipy each bundle an OpenBLAS with its own thread
+pool, and a round that switched between them (a numpy product, then a
+scipy factor or solve) made each library wait for the other's spinning
+threads: on a 2-core machine with two threads, about 8 ms per re-mix at
+n = 200 and 77 dimensions, against under 1 ms on one library. scipy's dpotrf is called only to name the failing
+minor of a matrix that is not positive definite, as the error is raised.
+
 Everything here is deterministic in (targets, n, seed): reruns give
 bit-identical output.
 """
@@ -75,18 +83,21 @@ class RawSampleMatrix:
     """Generated panel (n rows, one column per dimension) plus the iteration
     log: per round its moment error, correlation error, fit_failed (the
     sorted dimensions whose cubic fit failed and stayed affine) and
-    fit_fails, the length of fit_failed."""
+    fit_fails, the length of fit_failed. values come from round
+    best_iteration (1-based), which need not be the last round logged; 0
+    means no round was kept."""
 
     values: np.ndarray
     seed: int
     iteration_log: list = field(default_factory=list)
     converged: bool = False
+    best_iteration: int = 0
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    Only the lower triangle is read (LAPACK dpotrf). Raises
+    Only the lower triangle is read (numpy's LAPACK). Raises
     DecompositionError carrying the 1-based order of the first leading
     minor that fails positivity, or that holds a non-finite entry.
     """
@@ -94,10 +105,15 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
     if bad_rows.size:
         raise DecompositionError(minor=int(bad_rows[0]) + 1)
-    low, info = dpotrf(a, lower=1, clean=1)
-    if info > 0:
-        raise DecompositionError(minor=int(info))
-    return low
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # numpy does not name the failing minor; scipy's dpotrf does, and
+        # is called only on the way out (see the module docstring). Should
+        # the two disagree on a borderline matrix, the whole matrix is the
+        # minor known to fail.
+        _low, info = dpotrf(a, lower=1, clean=1)
+        raise DecompositionError(minor=int(info) or a.shape[0]) from None
 
 
 def sample_moments(values: np.ndarray) -> MomentTargets:
@@ -295,12 +311,15 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
     return tuple(coef[0])
 
 
-def impose_correlation(values: np.ndarray, corr: np.ndarray) -> np.ndarray:
+def impose_correlation(values: np.ndarray, corr: np.ndarray, *,
+                       l_tgt=None) -> np.ndarray:
     """Re-mix standardized columns so their sample correlation becomes corr.
 
     Whitens with the Cholesky factor of the input's own sample correlation and
     colors with the factor of the target, so the result is exact (up to float
     arithmetic) for any full-rank input; columns keep unit sample variance.
+    l_tgt, when given, is cholesky_lower(corr), which a caller re-mixing
+    towards one target many times computes once.
 
     With fewer rows than dimensions the sample correlation is singular, so
     the whitening factor comes from a shrunk matrix (1-lam)*cur + lam*I with
@@ -312,21 +331,18 @@ def impose_correlation(values: np.ndarray, corr: np.ndarray) -> np.ndarray:
     cur = (w.T @ w) / n
     np.fill_diagonal(cur, 1.0)
     cur = 0.5 * (cur + cur.T)
-    lams = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)
-    for lam in lams:
-        shrunk = (1.0 - lam) * cur + lam * np.eye(cur.shape[0])
-        if lam == lams[-1]:
-            l_cur = cholesky_lower(shrunk)  # PD by construction
-            break
+    for lam in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1):
         try:
-            l_cur = cholesky_lower(shrunk)
+            l_cur = np.linalg.cholesky(
+                (1.0 - lam) * cur + lam * np.eye(cur.shape[0]))
             break
-        except DecompositionError:
+        except np.linalg.LinAlgError:
             continue
-    l_tgt = cholesky_lower(np.asarray(corr, dtype=float))
-    from scipy.linalg import solve_triangular
-    white = solve_triangular(l_cur, w.T, lower=True)
-    return (l_tgt @ white).T
+    else:  # lam = 0.5: PD by construction
+        l_cur = cholesky_lower(0.5 * cur + 0.5 * np.eye(cur.shape[0]))
+    if l_tgt is None:
+        l_tgt = cholesky_lower(np.asarray(corr, dtype=float))
+    return (l_tgt @ np.linalg.solve(l_cur, w.T)).T
 
 
 def _standardize(rows):
@@ -364,9 +380,10 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     """Generate n rows matching the target moments and correlation.
 
     Alternates a batched cubic re-fit of every dimension with correlation
-    re-mixing and returns the best iterate. ``converged`` reports whether
-    both the largest marginal-moment error and the largest
-    correlation-entry error made it below tol.
+    re-mixing and returns the best iterate: the first round with the
+    smallest max(moment_err, corr_err), named by ``best_iteration``.
+    ``converged`` reports whether both the largest marginal-moment error
+    and the largest correlation-entry error made it below tol.
 
     Seed noise is drawn from a counter-based generator keyed on
     (seed, dimension), so results do not depend on evaluation order.
@@ -384,8 +401,8 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
         raise MomentFitError(
             f"dimension {j}: kurtosis {k} below feasibility bound {s * s + 1.0}",
             dimension=j)
-    # fail fast on a non-PD target correlation
-    cholesky_lower(targets.correlation)
+    # fail fast on a non-PD target correlation; every round mixes with it
+    l_tgt = cholesky_lower(targets.correlation)
 
     wt = np.empty((d, n))  # the panel transposed: one row per dimension
     for j in range(d):
@@ -405,7 +422,8 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
         # a failed dimension stays affine (standardized) this round
         c, x = coef[~failed].T[:, :, None], wt[~failed]
         wt[~failed] = c[0] + x * (c[1] + x * (c[2] + x * c[3]))
-        w = impose_correlation(_standardize(wt).T, targets.correlation)
+        w = impose_correlation(_standardize(wt).T, targets.correlation,
+                               l_tgt=l_tgt)
         moment_err, corr_err = _panel_errors(w, targets)
         log.append({"iteration": it, "moment_err": moment_err, "corr_err": corr_err,
                     "fit_fails": int(failed.sum()),
@@ -423,7 +441,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     best_w = _standardize(best_w.T).T
     values = targets.mean + np.sqrt(targets.variance) * best_w
     return RawSampleMatrix(values=values, seed=seed, iteration_log=log,
-                           converged=converged)
+                           converged=converged, best_iteration=best_it)
 
 
 def discretize_ev_fields(arrive, depart, soc, hours_per_day, fleet):

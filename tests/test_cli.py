@@ -409,6 +409,26 @@ def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
     assert (out / "scenarios.csv").exists()  # best effort still lands
 
 
+def test_scen_gen_reports_the_round_it_wrote(data_dir, tmp_path, capsys):
+    # the written panel is the best round's, not the last round's
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning):
+        rc = cli.main(["scen", "gen", "--case",
+                       os.path.join(data_dir, "case.json"), "--history-loads",
+                       os.path.join(data_dir, "history_loads.csv"),
+                       "--history-ev", os.path.join(data_dir, "history_ev.csv"),
+                       "--n", "10", "--seed", "7", "--out", str(out)])
+    assert rc == 2
+    log = json.loads((out / "scen_log.json").read_text())
+    rounds = log["iterations"]
+    best = rounds[log["best_iteration"] - 1]
+    assert best["iteration"] == log["best_iteration"] < len(rounds)
+    printed = capsys.readouterr().out
+    assert (f"moment_err={best['moment_err']:.4f}, "
+            f"corr_err={best['corr_err']:.4f})") in printed
+    assert f"moment_err={rounds[-1]['moment_err']:.4f}" not in printed
+
+
 @pytest.mark.parametrize("table, row, column", [
     ("history_loads", "nan,0,88.596,51.308,0.0", "scenario"),
     ("history_loads", "inf,0,88.596,51.308,0.0", "scenario"),

@@ -230,6 +230,39 @@ def test_read_history_bundled(data_dir):
         np.testing.assert_array_equal(np.stack(got, axis=-1), want)
 
 
+def test_history_skips_blank_rows(data_dir, tmp_path):
+    # blank records, whitespace-only or empty cells, are skipped wherever
+    # they sit; a fault after them keeps its file line
+    paths = []
+    for name in ("history_loads.csv", "history_ev.csv"):
+        with open(os.path.join(data_dir, name)) as fh:
+            lines = fh.read().splitlines()
+        lines[2:2] = ["   ", ",,,,", ""]
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(lines + [" \t "]) + "\n")
+    got = read_history(*map(str, paths))
+    want = read_history(os.path.join(data_dir, "history_loads.csv"),
+                        os.path.join(data_dir, "history_ev.csv"))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    lines = paths[0].read_text().splitlines()
+    lines[6] = lines[6].replace(",", ",x", 1)
+    paths[0].write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as ei:
+        read_history(str(paths[0]))
+    assert (ei.value.line, ei.value.column) == (7, "hour")
+
+
+def test_history_field_count(tmp_path):
+    # a short and a long record hold the right number of cells between
+    # them; each record is still counted on its own
+    rows = _DAY[:2] + ["0,2,1,1", "1,0,1,1,1,1"] + _DAY[4:]
+    with pytest.raises(ParseError) as ei:
+        read_history(_history(tmp_path, rows))
+    assert ei.value.line == 4
+    assert str(ei.value).endswith("expected 5 fields, got 4")
+
+
 def test_bundled_case_reads(data_dir):
     case = read_case(os.path.join(data_dir, "case.json"))
     assert case.hours_per_day == 24

@@ -72,6 +72,16 @@ def test_cholesky_names_the_failing_minor():
     assert exc.value.minor == 3
 
 
+def test_cholesky_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(6, 6))
+    spd = a @ a.T + 6 * np.eye(6)
+    junk = spd.copy()
+    junk[np.triu_indices(6, 1)] = rng.normal(size=15) * 1e3
+    junk[0, 5] = np.nan
+    np.testing.assert_array_equal(cholesky_lower(junk), cholesky_lower(spd))
+
+
 def test_fit_cubic_identity_on_normal_targets():
     a, b, c, d = fit_cubic_transform(0.0, 1.0, 0.0, 3.0, _NORMAL_MOMENTS)
     np.testing.assert_allclose([a, b, c, d], [0.0, 1.0, 0.0, 0.0], atol=1e-8)
@@ -388,3 +398,50 @@ def test_generate_scenarios_needs_fleet_vehicles(bundled):
         generate_scenarios(case, elec, heat, pv, ev[:, :2], n_scenarios=6,
                            seed=3)
     assert str(ei.value) == "fleet has 5 vehicles, history provides 2"
+
+
+def _scipy_call(*_args, **_kwargs):
+    raise AssertionError("the scenario generator called into scipy.linalg")
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_generator_stays_on_numpy_blas(bundled, monkeypatch, n):
+    # numpy and scipy each bundle a BLAS with its own thread pool; switching
+    # between them every round makes each wait for the other's spinning
+    # threads. n = 50, below the 77 dimensions, fails shrink rungs.
+    import scipy.linalg
+    import scipy.linalg.lapack
+    monkeypatch.setattr(scengen, "dpotrf", _scipy_call)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _scipy_call)
+    for name in ("solve_triangular", "cholesky", "cho_factor", "solve",
+                 "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, name, _scipy_call)
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
+                                        n_scenarios=n, seed=3)
+    assert raw.iteration_log and np.all(np.isfinite(raw.values))
+
+
+def test_non_pd_target_names_its_minor():
+    corr = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    tg = MomentTargets(mean=np.zeros(3), variance=np.ones(3),
+                       skewness=np.zeros(3), kurtosis=np.full(3, 3.0),
+                       correlation=corr)
+    with pytest.raises(DecompositionError) as exc:
+        hmm_generate(tg, 64, seed=1)
+    assert exc.value.minor == 3
+
+
+def test_best_iteration_names_the_returned_round(bundled):
+    # the panel comes from the first round with the smallest
+    # max(moment_err, corr_err); here that is not the last round
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
+                                        n_scenarios=50, seed=3)
+    worst = [max(e["moment_err"], e["corr_err"]) for e in raw.iteration_log]
+    assert raw.best_iteration == int(np.argmin(worst)) + 1
+    assert raw.best_iteration < len(raw.iteration_log)
+    assert raw.iteration_log[raw.best_iteration - 1]["iteration"] == \
+        raw.best_iteration
