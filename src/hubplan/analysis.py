@@ -21,6 +21,8 @@ from .milp import (BnbSolution, PlanSolution, VerifyReport,
 from .model import assemble_model, build_objective, max_substandard
 
 _SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
+_PLAN_TOL = 1e-6  # verify_plan's tolerance on energies and residuals
+EXTREMES = ("elec", "heat")  # the legal select_extreme_scenario(which=)
 
 
 @dataclass
@@ -169,7 +171,7 @@ def chance_audit(solution, fleet, zeta, n_scenarios) -> ChanceAudit:
 def select_extreme_scenario(scenario_set, which) -> int:
     """Scenario with the largest total electric or heat load; ties go to
     the lowest scenario id."""
-    if which not in ("elec", "heat"):
+    if which not in EXTREMES:
         raise InvalidParameterError(f"which must be elec or heat, got "
                                     f"{which!r}")
     best, best_sum = 0, -np.inf
@@ -497,13 +499,12 @@ class PlanCheck:
     issues: list = field(default_factory=list)
 
 
-def verify_plan(solution, scenario_set, catalog, tariffs,
-                tol=1e-6) -> PlanCheck:
+def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
     """Recheck a plan from physics, without the model or the solver.
 
     Electric balance residuals are scaled by (1 + max electric load); heat
-    surplus must be >= -tol absolutely; storage dynamics, cyclic closure
-    and SOC windows are checked to tol on energies.
+    surplus must be >= -_PLAN_TOL absolutely; storage dynamics, cyclic closure
+    and SOC windows are checked to _PLAN_TOL on energies.
     """
     issues = []
     worst = 0.0
@@ -539,31 +540,31 @@ def verify_plan(solution, scenario_set, catalog, tariffs,
                     supply -= ch / fleet.eta_ch
                     supply += fleet.eta_dis * solution.ev_dis[s, j, t]
             resid(f"elec balance s{s} t{t}",
-                  (supply - sc.elec_load[t]) / e_scale, tol)
+                  (supply - sc.elec_load[t]) / e_scale, _PLAN_TOL)
 
             heat = (- solution.tess_ch[s, t] / tess.eta_ch
                     + tess.eta_dis * solution.tess_dis[s, t])
             for i, fc in enumerate(catalog.fuel_cells):
                 heat += fc.gas_to_heat * solution.fuel[s, t, i]
             surplus = heat - sc.heat_load[t]
-            flag(surplus >= -tol, f"heat surplus s{s} t{t}", surplus)
+            flag(surplus >= -_PLAN_TOL, f"heat surplus s{s} t{t}", surplus)
 
         # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
         for t in range(t_day):
             t_next = (t + 1) % t_day
             r_b = (solution.bess_e[s, t_next] - solution.bess_e[s, t]
                    - solution.bess_ch[s, t] + solution.bess_dis[s, t])
-            resid(f"bess chain s{s} t{t}", r_b, tol)
+            resid(f"bess chain s{s} t{t}", r_b, _PLAN_TOL)
             r_t = (solution.tess_e[s, t_next] - solution.tess_e[s, t]
                    - solution.tess_ch[s, t] + solution.tess_dis[s, t])
-            resid(f"tess chain s{s} t{t}", r_t, tol)
+            resid(f"tess chain s{s} t{t}", r_t, _PLAN_TOL)
 
         cap = solution.x_ess
         for t in range(t_day):
             e = solution.bess_e[s, t]
-            flag(e >= bess.soc_min * cap - tol * (1 + cap),
+            flag(e >= bess.soc_min * cap - _PLAN_TOL * (1 + cap),
                  f"bess soc low s{s} t{t}", e)
-            flag(e <= bess.soc_max * cap + tol * (1 + cap),
+            flag(e <= bess.soc_max * cap + _PLAN_TOL * (1 + cap),
                  f"bess soc high s{s} t{t}", e)
 
         for j in range(solution.ev_e.shape[1]):
@@ -573,23 +574,23 @@ def verify_plan(solution, scenario_set, catalog, tariffs,
             for t in range(arrive, depart):
                 r = (solution.ev_e[s, j, t + 1] - solution.ev_e[s, j, t]
                      - solution.ev_ch[s, j, t] + solution.ev_dis[s, j, t])
-                resid(f"ev chain s{s} j{j} t{t}", r, tol)
+                resid(f"ev chain s{s} j{j} t{t}", r, _PLAN_TOL)
             for t in range(arrive + 1, depart + 1):
                 e = solution.ev_e[s, j, t]
                 cap_ev = fleet.capacity
-                flag(e >= fleet.soc_min * cap_ev - tol * (1 + cap_ev),
+                flag(e >= fleet.soc_min * cap_ev - _PLAN_TOL * (1 + cap_ev),
                      f"ev soc low s{s} j{j} t{t}", e)
-                flag(e <= fleet.soc_max * cap_ev + tol * (1 + cap_ev),
+                flag(e <= fleet.soc_max * cap_ev + _PLAN_TOL * (1 + cap_ev),
                      f"ev soc high s{s} j{j} t{t}", e)
             # z=0 scenarios owe every EV its target at departure
             if solution.z[s] == 0:
                 dep_soc = solution.e_dep[s, j] / fleet.capacity
                 flag(dep_soc >= fleet.target_departure_soc
-                     - tol * (1 + fleet.target_departure_soc),
+                     - _PLAN_TOL * (1 + fleet.target_departure_soc),
                      f"departure soc s{s} j{j}", dep_soc)
 
     for fc_id, units in solution.x_fc.items():
-        flag(abs(units - round(units)) <= tol, f"integral x_fc {fc_id}",
+        flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",
              float(units))
     for s in range(n):
         flag(solution.z[s] in (0, 1), f"binary z s{s}", float(solution.z[s]))

@@ -13,12 +13,13 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from . import __version__
-from .analysis import (dispatch_table, select_extreme_scenario, soc_table,
-                       solve_level, sweep_carbon_tax, write_audit_json,
-                       write_cost_breakdown, write_plan_summary,
-                       write_table_csv)
+from .analysis import (EXTREMES, dispatch_table, select_extreme_scenario,
+                       soc_table, solve_level, sweep_carbon_tax,
+                       write_audit_json, write_cost_breakdown,
+                       write_plan_summary, write_table_csv)
 # perfbench/tracer.py hooks these names on this module; the pipeline calls
 # them through hubplan.analysis
 from .analysis import (branch_and_bound, chance_audit, check_solution,
@@ -30,41 +31,124 @@ from .fileio import (read_case, read_history, read_scenario_set,
                      write_scenario_set)
 from .milp import write_mps
 from .milp.bnb import check_limits
-from .model import ModelConfig, assemble_model
-from .scengen import generate_scenarios
+from .model import EXCLUSIVITY_MODES, ModelConfig, assemble_model
+from .scengen import check_history, generate_scenarios
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARTIAL = 2
 EXIT_INFEASIBLE = 3
 
-_PATH_KEYS = ("case", "history_loads", "history_ev", "scenarios",
-              "scenario_ev")
 
-_DEFAULTS = {
-    "case": None,
-    "history_loads": None,
-    "history_ev": None,
-    "scenarios": None,
-    "scenario_ev": None,
-    "out": "out",
-    "n_scenarios": 10,
-    "seed": 7,
-    "gen_tol": 0.05,
-    "gen_max_iters": 50,
-    "zeta": 0.05,
-    "carbon_tax": None,
-    "mode": "relaxed",
-    "extreme": "elec",
-    "rel_gap": 1e-6,
-    "max_nodes": 100000,
-    "time_limit_s": None,
+def _text(key, value):
+    if not isinstance(value, str):
+        raise InvalidParameterError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _path(key, value):
+    """A file path; in a config file, relative to the file's directory."""
+    return _text(key, value)
+
+
+def _int(key, value):
+    """value as an int; a bool or a fractional number is refused, not
+    truncated."""
+    if not isinstance(value, bool) \
+            and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+
+
+def _float(key, value):
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidParameterError(f"{key} must be a number, got {value!r}")
+
+
+def _checked(convert, ok, rule, name=None):
+    """A converter that refuses what ok rejects: '<name> must be <rule>',
+    name defaulting to the key."""
+    def check(key, value):
+        x = convert(key, value)
+        if not ok(x):
+            raise InvalidParameterError(f"{name or key} must be {rule}, "
+                                        f"got {x!r}")
+        return x
+    return check
+
+
+def _taxes(key, value):
+    """Carbon-tax levels (yuan per ton) from a number, a list or
+    comma-separated text."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    tax = _checked(_float, lambda t: math.isfinite(t) and t >= 0.0,
+                   "finite and >= 0")
+    return [tax(key, v) for v in (value if isinstance(value, list)
+                                  else [value])]
+
+
+class _Option(NamedTuple):
+    default: object
+    convert: object  # (key, value) -> checked value, or InvalidParameterError
+    flag: str = None  # None: set in the config file only
+    help: str = None
+    choices: tuple = None
+
+
+# Every run option, in --help order. A key whose default is None may stay
+# unset (None); every other value, default, config or flag, is converted.
+_OPTIONS = {
+    "case": _Option(None, _path, "--case",
+                    "case JSON (catalog, tariffs, horizon)"),
+    "out": _Option("out", _text, "--out", "output directory (default: out)"),
+    "seed": _Option(7, _checked(_int, lambda n: -2 ** 63 <= n < 2 ** 63,
+                                "a signed 64-bit integer"),
+                    "--seed", "scenario-generation seed"),
+    "zeta": _Option(0.05, _float, "--zeta", "chance-constraint risk level"),
+    "carbon_tax": _Option(None, _taxes, "--carbon-tax", "carbon tax "
+                          "level(s) in yuan/ton, comma-separated"),
+    "mode": _Option("relaxed", _text, "--mode",
+                    "charge/discharge exclusivity handling",
+                    EXCLUSIVITY_MODES),
+    "extreme": _Option("elec", _checked(_text, EXTREMES.__contains__,
+                                        f"one of {EXTREMES}"),
+                       "--extreme", "which extreme scenario to report in "
+                       "detail", EXTREMES),
+    "scenarios": _Option(None, _path, "--scenarios",
+                         "scenario profile CSV (skip generation)"),
+    "scenario_ev": _Option(None, _path, "--scenario-ev", "scenario EV CSV"),
+    "history_loads": _Option(None, _path, "--history-loads",
+                             "historical profile CSV"),
+    "history_ev": _Option(None, _path, "--history-ev", "historical EV CSV"),
+    "n_scenarios": _Option(10, _checked(_int, lambda n: n >= 2, ">= 2",
+                                        name="n"),
+                           "--n", "number of scenarios to generate"),
+    "rel_gap": _Option(1e-6, _float, "--rel-gap",
+                       "branch-and-bound relative gap"),
+    "max_nodes": _Option(100000, _int, "--max-nodes",
+                         "branch-and-bound node limit"),
+    "time_limit_s": _Option(None, _float, "--time-limit",
+                            "branch-and-bound time limit in seconds"),
+    "gen_tol": _Option(0.05, _checked(_float, math.isfinite, "finite")),
+    "gen_max_iters": _Option(50, _checked(_int, lambda n: n >= 0, ">= 0")),
 }
+
+_PATH_KEYS = tuple(k for k, opt in _OPTIONS.items() if opt.convert is _path)
 
 
 def load_config(args) -> dict:
-    """Merge defaults, the optional --config JSON, then explicit flags."""
-    cfg = dict(_DEFAULTS)
+    """Merge defaults, the optional --config JSON, then explicit flags, and
+    check each value by its _OPTIONS entry; adds "model_config" and the
+    checked branch-and-bound "limits"."""
+    raw = {key: opt.default for key, opt in _OPTIONS.items()}
     if getattr(args, "config", None):
         path = args.config
         try:
@@ -77,7 +161,7 @@ def load_config(args) -> dict:
                              line=exc.lineno, column=exc.colno) from exc
         if not isinstance(doc, dict):
             raise ParseError("config must be a JSON object", path=path)
-        unknown = sorted(set(doc) - set(_DEFAULTS))
+        unknown = sorted(set(doc) - set(_OPTIONS))
         if unknown:
             raise ParseError(f"unknown config keys: {', '.join(unknown)}",
                              path=path)
@@ -85,11 +169,18 @@ def load_config(args) -> dict:
         for key, val in doc.items():
             if key in _PATH_KEYS and isinstance(val, str):
                 val = os.path.join(base, val)
-            cfg[key] = val
-    for key in cfg:
+            raw[key] = val
+    for key in raw:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            cfg[key] = flag
+        if flag is not None:
+            raw[key] = flag
+    cfg = {key: None if val is None and _OPTIONS[key].default is None
+           else _OPTIONS[key].convert(key, val) for key, val in raw.items()}
+    cfg["model_config"] = ModelConfig(zeta=cfg["zeta"],
+                                      exclusivity_mode=cfg["mode"])
+    cfg["limits"] = {key: cfg[key]
+                     for key in ("rel_gap", "max_nodes", "time_limit_s")}
+    check_limits(**cfg["limits"])
     return cfg
 
 
@@ -100,43 +191,24 @@ def _require(cfg, key, hint):
     return cfg[key]
 
 
-def _tax_list(cfg):
-    """The carbon-tax levels of cfg (yuan per ton), each checked finite and
-    >= 0; None when none is given."""
-    taxes = cfg.get("carbon_tax")
-    if taxes is None:
-        return None
-    if not isinstance(taxes, (list, tuple)):
-        taxes = [taxes]
-    try:
-        levels = [float(v) for v in taxes]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"carbon_tax must be numbers: {exc}") from exc
-    for tax in levels:
-        if not (math.isfinite(tax) and tax >= 0.0):
-            raise InvalidParameterError(
-                f"carbon_tax must be finite and >= 0, got {tax}")
-    return levels
+def _read_inputs(cfg, out=None):
+    """The case and its ScenarioSet: read from files when given, else
+    generated from history and, with out given, written there with its
+    generation log (scen_log.json).
 
-
-def _load_scenarios(cfg, case, out=None):
-    """ScenarioSet from files when given, else generated from history and,
-    with out given, written there with its generation log (scen_log.json).
-
-    Returns (scenario_set, source, gen_log_or_None); source holds what
-    audit.json records of where the scenarios came from.
+    Returns (case, scenario_set, source, gen_log_or_None); source holds
+    what audit.json records of where the scenarios came from.
     """
+    case = read_case(_require(cfg, "case", "case file"))
     if cfg["scenarios"]:
         scen = read_scenario_set(cfg["scenarios"], case,
                                  ev_path=cfg["scenario_ev"])
-        return scen, {"scenario_source": "files"}, None
+        return case, scen, {"scenario_source": "files"}, None
     loads = _require(cfg, "history_loads", "history or scenario files")
     elec, heat, pv, ev = read_history(loads, cfg["history_ev"])
     scen, raw = generate_scenarios(
-        case, elec, heat, pv, ev, n_scenarios=_n_scenarios(cfg),
-        seed=int(cfg["seed"]), tol=float(cfg["gen_tol"]),
-        max_iters=int(cfg["gen_max_iters"]))
+        case, elec, heat, pv, ev, n_scenarios=cfg["n_scenarios"],
+        seed=cfg["seed"], tol=cfg["gen_tol"], max_iters=cfg["gen_max_iters"])
     log = {"seed": raw.seed, "converged": raw.converged,
            "best_iteration": raw.best_iteration,
            "iterations": raw.iteration_log}
@@ -145,7 +217,7 @@ def _load_scenarios(cfg, case, out=None):
         write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
                            os.path.join(out, "scenarios_ev.csv"))
         write_audit_json(os.path.join(out, "scen_log.json"), log)
-    return scen, {"scenario_source": "generated", "seed": raw.seed}, log
+    return case, scen, {"scenario_source": "generated", "seed": raw.seed}, log
 
 
 def cmd_validate(cfg):
@@ -160,15 +232,14 @@ def cmd_validate(cfg):
         elec, heat, pv, ev = read_history(cfg["history_loads"],
                                           cfg["history_ev"])
         n_ev = 0 if ev is None else ev.shape[1]
+        check_history(case, elec.shape[1], n_ev)
         print(f"history ok: {elec.shape[0]} days, {n_ev} vehicles")
     return EXIT_OK
 
 
 def cmd_scen_gen(cfg):
-    _n_scenarios(cfg)
-    case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
-    scen, _source, log = _load_scenarios(dict(cfg, scenarios=None), case, out)
+    _case, scen, _source, log = _read_inputs(dict(cfg, scenarios=None), out)
     # the errors of the round whose panel was written
     best = (log["iterations"][log["best_iteration"] - 1]
             if log["best_iteration"] else {})
@@ -179,43 +250,9 @@ def cmd_scen_gen(cfg):
     return EXIT_OK if log["converged"] else EXIT_PARTIAL
 
 
-def _model_config(cfg):
-    """ModelConfig from cfg; raises InvalidParameterError on a bad value."""
-    try:
-        zeta = float(cfg["zeta"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"zeta must be a number: {exc}") from exc
-    return ModelConfig(zeta=zeta, exclusivity_mode=cfg["mode"])
-
-
-def _n_scenarios(cfg):
-    """The number of scenarios to generate, checked."""
-    try:
-        n = int(cfg["n_scenarios"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"n must be an integer: {exc}") from exc
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    return n
-
-
-def _bnb_limits(cfg):
-    """branch_and_bound's limit keywords from cfg, checked."""
-    try:
-        limits = {"rel_gap": float(cfg["rel_gap"]),
-                  "max_nodes": int(cfg["max_nodes"]),
-                  "time_limit_s": None if cfg["time_limit_s"] is None
-                  else float(cfg["time_limit_s"])}
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"solver limits must be numbers: {exc}") from exc
-    check_limits(**limits)
-    return limits
-
-
 def _single_tax(cfg, command):
     """The one carbon tax (yuan per ton) of cfg, or None for the case's."""
-    taxes = _tax_list(cfg)
+    taxes = cfg["carbon_tax"]
     if taxes is not None and len(taxes) != 1:
         raise InvalidParameterError(
             f"{command} takes a single carbon tax; use sweep for a list")
@@ -223,19 +260,15 @@ def _single_tax(cfg, command):
 
 
 def cmd_plan(cfg):
-    # options are checked before any input is read
     tax = _single_tax(cfg, "plan")
-    config = _model_config(cfg)
-    limits = _bnb_limits(cfg)
-    _n_scenarios(cfg)
-    case = read_case(_require(cfg, "case", "case file"))
-    out = cfg["out"]
+    out, config = cfg["out"], cfg["model_config"]
+    case, scen, source, _log = _read_inputs(cfg, out)
     os.makedirs(out, exist_ok=True)
-    scen, source, _log = _load_scenarios(cfg, case, out)
 
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
-    level = solve_level(model, scen, case.catalog, tariffs, config, **limits)
+    level = solve_level(model, scen, case.catalog, tariffs, config,
+                        **cfg["limits"])
 
     audit_doc = {
         "command": "plan",
@@ -273,22 +306,17 @@ def cmd_plan(cfg):
 
 
 def cmd_sweep(cfg):
-    # options are checked before any input is read
-    taxes = _tax_list(cfg)
+    taxes = cfg["carbon_tax"]
     if not taxes:
         raise InvalidParameterError("sweep needs --carbon-tax with at least "
                                     "one level (yuan per ton)")
-    config = _model_config(cfg)
-    limits = _bnb_limits(cfg)
-    _n_scenarios(cfg)
-    case = read_case(_require(cfg, "case", "case file"))
     out = cfg["out"]
+    case, scen, source, _log = _read_inputs(cfg, out)
     os.makedirs(out, exist_ok=True)
-    scen, source, _log = _load_scenarios(cfg, case, out)
 
     t0 = time.perf_counter()
     sweep = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
-                             config, taxes, **limits)
+                             cfg["model_config"], taxes, **cfg["limits"])
     wall = time.perf_counter() - t0
 
     write_plan_summary(os.path.join(out, "plan_summary.csv"), sweep,
@@ -310,13 +338,11 @@ def cmd_sweep(cfg):
 
 
 def cmd_export_mps(cfg):
-    # options are checked before any input is read
     tax = _single_tax(cfg, "export-mps")
-    config = _model_config(cfg)
-    case = read_case(_require(cfg, "case", "case file"))
-    scen, _source, _log = _load_scenarios(cfg, case)
+    case, scen, _source, _log = _read_inputs(cfg)
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
-    model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
+    model = assemble_model(scen.grid, case.catalog, tariffs, scen,
+                           cfg["model_config"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "model.mps")
@@ -326,43 +352,6 @@ def cmd_export_mps(cfg):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config; flags override its keys")
-    p.add_argument("--case", help="case JSON (catalog, tariffs, horizon)")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="scenario-generation seed")
-    p.add_argument("--zeta", type=float,
-                   help="chance-constraint risk level")
-    p.add_argument("--carbon-tax", dest="carbon_tax", type=_parse_taxes,
-                   help="carbon tax level(s) in yuan/ton, comma-separated")
-    p.add_argument("--mode", choices=("relaxed", "binary"),
-                   help="charge/discharge exclusivity handling")
-    p.add_argument("--extreme", choices=("elec", "heat"),
-                   help="which extreme scenario to report in detail")
-    p.add_argument("--scenarios", help="scenario profile CSV (skip generation)")
-    p.add_argument("--scenario-ev", dest="scenario_ev",
-                   help="scenario EV CSV")
-    p.add_argument("--history-loads", dest="history_loads",
-                   help="historical profile CSV")
-    p.add_argument("--history-ev", dest="history_ev",
-                   help="historical EV CSV")
-    p.add_argument("--n", dest="n_scenarios", type=int,
-                   help="number of scenarios to generate")
-    p.add_argument("--rel-gap", dest="rel_gap", type=float,
-                   help="branch-and-bound relative gap")
-    p.add_argument("--max-nodes", dest="max_nodes", type=int,
-                   help="branch-and-bound node limit")
-    p.add_argument("--time-limit", dest="time_limit_s", type=float,
-                   help="branch-and-bound time limit in seconds")
-
-
-def _parse_taxes(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tax list: {text!r}")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="hubplan",
@@ -370,35 +359,38 @@ def build_parser():
                     "building-scale multi-energy hub")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # every command takes every option: flag values are strings here and
+    # are converted with config values in load_config
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config",
+                        help="JSON config; flags override its keys")
+    for key, opt in _OPTIONS.items():
+        if opt.flag is not None:
+            common.add_argument(opt.flag, dest=key, choices=opt.choices,
+                                help=opt.help)
 
     scen = sub.add_parser("scen", help="scenario utilities")
     scen_sub = scen.add_subparsers(dest="scen_command", required=True)
-    gen = scen_sub.add_parser("gen", help="generate moment-matched "
-                                          "scenario days from history")
-    _add_common(gen)
-
-    for name, help_text in (
-            ("plan", "solve the planning problem and write reports"),
-            ("sweep", "solve across carbon-tax levels"),
-            ("export-mps", "write the assembled model in MPS format"),
-            ("validate", "parse and validate inputs, then stop")):
-        _add_common(sub.add_parser(name, help=help_text))
+    scen_sub.add_parser("gen", parents=[common], help="generate "
+                        "moment-matched scenario days from history"
+                        ).set_defaults(run=cmd_scen_gen)
+    for name, run, help_text in (
+            ("plan", cmd_plan,
+             "solve the planning problem and write reports"),
+            ("sweep", cmd_sweep, "solve across carbon-tax levels"),
+            ("export-mps", cmd_export_mps,
+             "write the assembled model in MPS format"),
+            ("validate", cmd_validate,
+             "parse and validate inputs, then stop")):
+        sub.add_parser(name, parents=[common],
+                       help=help_text).set_defaults(run=run)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "scen":
-            return cmd_scen_gen(cfg)
-        if args.command == "plan":
-            return cmd_plan(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "export-mps":
-            return cmd_export_mps(cfg)
-        return cmd_validate(cfg)
+        return args.run(load_config(args))
     except (ParseError, InvalidParameterError, ModelBuildError,
             MpsFormatError, MomentFitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

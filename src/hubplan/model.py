@@ -22,6 +22,8 @@ from scipy import sparse
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InvalidParameterError, ModelBuildError
 
+EXCLUSIVITY_MODES = ("relaxed", "binary")  # ModelConfig's legal modes
+
 # variable kinds
 K_XESS = "x_ess"
 K_XFC = "x_fc"
@@ -81,7 +83,7 @@ class ModelConfig:
     def __post_init__(self):
         if not (0.0 <= self.zeta < 1.0):
             raise InvalidParameterError("zeta must be in [0, 1)")
-        if self.exclusivity_mode not in ("relaxed", "binary"):
+        if self.exclusivity_mode not in EXCLUSIVITY_MODES:
             raise InvalidParameterError("exclusivity_mode must be 'relaxed' or 'binary'")
 
 
@@ -211,12 +213,6 @@ class VarIndex:
         if key not in self._map:
             raise KeyError(f"no column for {key}")
         return self._map[key]
-
-    def has(self, kind, *idx) -> bool:
-        return (kind, *idx) in self._map
-
-    def window(self, s, j):
-        return self.windows[(s, j)]
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .errors import (DecompositionError, DegenerateColumnError,
                      InvalidParameterError, MomentFitError)
 
 _VAR_FLOOR = 1e-12
+_EIG_FLOOR = 1e-8  # smallest eigenvalue _nearest_corr leaves
 
 
 @dataclass(frozen=True)
@@ -475,15 +476,27 @@ def _block_mask(t_day, n_ev):
     return keep
 
 
-def _nearest_corr(corr, floor=1e-8):
-    """Clip eigenvalues and rescale so the matrix is a valid PD correlation."""
+def _nearest_corr(corr):
+    """Clip eigenvalues at _EIG_FLOOR and rescale to a PD correlation."""
     vals, vecs = np.linalg.eigh(corr)
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, _EIG_FLOOR)
     fixed = (vecs * vals) @ vecs.T
     d = np.sqrt(np.diag(fixed))
     fixed = fixed / np.outer(d, d)
     np.fill_diagonal(fixed, 1.0)
     return 0.5 * (fixed + fixed.T)
+
+
+def check_history(case, hours, vehicles):
+    """Raise InvalidParameterError unless a history of hours columns a day
+    and vehicles EV columns fits case's hours_per_day and fleet."""
+    if hours != case.hours_per_day:
+        raise InvalidParameterError(
+            f"history spans {hours} hours, case expects {case.hours_per_day}")
+    n_ev = case.catalog.ev_fleet.n_ev
+    if n_ev > vehicles:
+        raise InvalidParameterError(
+            f"fleet has {n_ev} vehicles, history provides {vehicles}")
 
 
 def generate_scenarios(case, history_elec, history_heat, history_pv,
@@ -509,17 +522,12 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     heat = np.asarray(history_heat, dtype=float)
     pv = np.asarray(history_pv, dtype=float)
     n_days, t_day = elec.shape
-    if t_day != case.hours_per_day:
-        raise InvalidParameterError(
-            f"history spans {t_day} hours, case expects {case.hours_per_day}")
     fleet = case.catalog.ev_fleet
     if history_ev is None:
         ev = np.zeros((n_days, 0, 3))
     else:
         ev = np.asarray(history_ev, dtype=float)
-    if fleet.n_ev > ev.shape[1]:
-        raise InvalidParameterError(
-            f"fleet has {fleet.n_ev} vehicles, history provides {ev.shape[1]}")
+    check_history(case, t_day, ev.shape[1])
     ev = ev[:, :fleet.n_ev, :]
 
     panel = np.hstack([elec, heat, pv, ev.reshape(n_days, -1)])

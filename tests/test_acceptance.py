@@ -222,7 +222,7 @@ def _lattice_witness(model, x):
                 j = vi.col(k, s, t)
                 w[j] = _floor_lattice(w[j])
         for jv in range(vi.n_ev):
-            a, d = vi.window(s, jv)
+            a, d = vi.windows[(s, jv)]
             for t in range(a, d):
                 for k in (K_VCH, K_VDIS):
                     j = vi.col(k, s, t, jv)
@@ -247,7 +247,7 @@ def _lattice_witness(model, x):
                 w[je[t]] = e * Q
                 e += uc[t] - ud[t]
         for jv in range(vi.n_ev):
-            a, d = vi.window(s, jv)
+            a, d = vi.windows[(s, jv)]
             e = float(vi.ev_init[(s, jv)])
             for t in range(a + 1, d + 1):
                 e += w[vi.col(K_VCH, s, t - 1, jv)] \

@@ -50,6 +50,22 @@ def test_validate_history(data_dir, capsys):
     assert "history ok: 365 days, 10 vehicles" in capsys.readouterr().out
 
 
+def test_validate_checks_history_against_case(data_dir, tmp_path, capsys):
+    # the bundled history has 10 vehicles: a fleet of 20 cannot be planned
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    doc["ev_fleet"]["n_ev"] = 20
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    rc = cli.main(["validate", "--case", str(case),
+                   "--history-loads",
+                   os.path.join(data_dir, "history_loads.csv"),
+                   "--history-ev", os.path.join(data_dir, "history_ev.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: fleet has 20 vehicles, history provides 10\n")
+
+
 def test_version():
     with pytest.raises(SystemExit) as ei:
         cli.main(["--version"])
@@ -131,7 +147,12 @@ def _must_not_generate(*args, **kwargs):
     raise AssertionError("scenario generation started")
 
 
-@pytest.mark.parametrize("command", ["plan", "sweep"])
+def _must_not_read(*args, **kwargs):
+    raise AssertionError("an input file was read")
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "export-mps",
+                                     "scen gen", "validate"])
 @pytest.mark.parametrize("flags, doc_update", [
     (["--zeta", "1.5"], {}),
     ([], {"mode": "bogus"}),  # a config value skips argparse's choices
@@ -140,13 +161,22 @@ def _must_not_generate(*args, **kwargs):
     (["--time-limit", "0"], {}),
     (["--carbon-tax", "-40"], {}),
     ([], {"carbon_tax": [40, -1]}),
+    ([], {"seed": "abc"}),
+    ([], {"gen_tol": "x"}),
+    ([], {"extreme": "wind"}),  # used only once the plan is solved
+    ([], {"n_scenarios": 2.7}),  # not truncated to 2
+    ([], {"seed": 1.5}),
+    ([], {"max_nodes": 2.5}),
+    ([], {"carbon_tax": True}),  # not taken as 1 yuan/t
+    (["--seed", "99999999999999999999999"], {}),  # beyond 2**63
 ])
 def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,
                                             doc_update):
     # desk_run.json generates scenarios from history: every bad option is
-    # refused before that starts, and nothing is written
+    # refused before any input is read, and nothing is written
     monkeypatch.setattr(cli, "generate_scenarios", _must_not_generate)
+    monkeypatch.setattr(cli, "read_case", _must_not_read)
     with open(os.path.join(data_dir, "desk_run.json")) as fh:
         doc = json.load(fh)
     doc = {k: (os.path.join(data_dir, v) if k in cli._PATH_KEYS else v)
@@ -155,15 +185,19 @@ def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
     config = tmp_path / "run.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "o"
-    argv = [command, "--config", str(config), "--out", str(out)] + flags
-    if command == "plan" and "carbon_tax" not in doc_update \
+    argv = command.split() + ["--config", str(config), "--out",
+                              str(out)] + flags
+    if command in ("plan", "export-mps") and "carbon_tax" not in doc_update \
             and "--carbon-tax" not in flags:
         argv += ["--carbon-tax", "40"]
     t0 = time.perf_counter()
     rc = cli.main(argv)
     assert time.perf_counter() - t0 < 1.0
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    key, = doc_update or [flags[0].lstrip("-").replace("-", "_")]
+    assert key in err
     assert not out.exists()
 
 

@@ -243,9 +243,9 @@ def test_var_index_lookup(tiny):
     ix = m.var_index
     assert m.col_names[ix.col(K_XESS)] == "XESS"
     assert m.col_names[ix.col(K_GRID, 1, 2)] == "GR1_2"
-    assert ix.has(K_VCH, 0, 0, 0)        # EV 0 parked at hour 0 in day 0
-    assert not ix.has(K_VCH, 0, 3, 0)    # departed by hour 3
-    assert ix.window(0, 0) == (0, 3)
+    assert ix.ids[K_VCH][0, 0, 0] >= 0      # EV 0 parked at hour 0 in day 0
+    assert ix.ids[K_VCH][0, 3, 0] < 0       # departed by hour 3
+    assert ix.windows[(0, 0)] == (0, 3)
     with pytest.raises(KeyError):
         ix.col(K_GRID, 9, 0)
 

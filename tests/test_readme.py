@@ -16,6 +16,14 @@ def _blocks(lang):
         return re.findall(rf"```{lang}\n(.*?)```", fh.read(), re.S)
 
 
+def _config_keys():
+    """The keys of the option table in the README's Command line section."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Command line")[1].split("\n## ")[0]
+    return re.findall(r"^\| `(\w+)` \|", section, re.M)
+
+
 def _commands():
     """argv of every ``hubplan`` command in the README's sh blocks."""
     out = []
@@ -39,6 +47,12 @@ def test_readme_has_examples():
     assert len(_blocks("python")) == 1
     assert [argv[0] for argv in _commands()] == [
         "scen", "plan", "sweep", "export-mps", "validate"]
+
+
+def test_readme_lists_every_config_key():
+    keys = _config_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli._OPTIONS)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
