@@ -453,18 +453,18 @@ def write_table_csv(path, header, rows):
 
 
 def write_plan_summary(path, sweep, catalog):
-    """Planning-result table: one row per tax level."""
+    """Planning-result table: one row per tax level, empty cells on failed
+    levels."""
     header = (["carbon_tax_yuan_per_ton"]
               + [f"fc_{fc.fc_id}_units" for fc in catalog.fuel_cells]
               + ["bess_kwh", "substandard_scenarios", "status"])
     rows = []
     for lv in sweep.levels:
         s = lv.optimal
-        x_fc = {} if s is None else s.plan.x_fc
-        rows.append([lv.carbon_tax]
-                    + [x_fc.get(fc.fc_id, 0) for fc in catalog.fuel_cells]
-                    + ([0.0, 0] if s is None
-                       else [s.plan.x_ess, s.audit.count]) + [lv.status])
+        cells = ([None] * (len(catalog.fuel_cells) + 2) if s is None
+                 else [s.plan.x_fc[fc.fc_id] for fc in catalog.fuel_cells]
+                 + [s.plan.x_ess, s.audit.count])
+        rows.append([lv.carbon_tax] + cells + [lv.status])
     write_table_csv(path, header, rows)
 
 

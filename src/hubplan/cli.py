@@ -352,8 +352,16 @@ def cmd_export_mps(cfg):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its subparsers are of its class too, so a usage error in any command
+    exits 1 with the `error: ` line of every other input error."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hubplan",
         description="chance-constrained capacity planning for a "
                     "building-scale multi-energy hub")

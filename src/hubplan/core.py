@@ -57,7 +57,8 @@ class TimeGrid:
     discount_rate: float
 
     def __post_init__(self):
-        _check(self.hours_per_day >= 1, "hours_per_day must be >= 1")
+        # a daily storage cycle links each hour to a different hour before it
+        _check(self.hours_per_day >= 2, "hours_per_day must be >= 2")
         _check(self.n_scenarios >= 1, "n_scenarios must be >= 1")
         _check(self.planning_years >= 1, "planning_years must be >= 1")
         _check(math.isfinite(self.discount_rate) and self.discount_rate >= 0.0,
@@ -309,10 +310,6 @@ class ScenarioSet:
             _check(isinstance(sc, Scenario), f"scenario {s} is not a Scenario")
             _check(len(sc.elec_load) == t,
                    f"scenario {s}: profile length {len(sc.elec_load)} != T={t}")
-
-    @property
-    def n_ev(self):
-        return len(self.scenarios[0].ev_records) if self.scenarios else 0
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ LP_COUNTERS = ("phase1_pivots", "dual_pivots", "refactors", "kernel_cols",
 class BnbSolution:
     """Result of a branch-and-bound run.
 
-    status is one of optimal, infeasible, gap_limit, node_limit; gap_limit
-    covers hitting the wall-clock limit. objective is the incumbent value
+    status is one of optimal, infeasible, node_limit (max_nodes reached) and
+    time_limit (time_limit_s passed). objective is the incumbent value
     (inf when none was found), best_bound the proven lower bound, and x the
     incumbent column values with integer columns within INT_TOL (1e-6)
     of integers. gap is relative to max(1, |objective|).
@@ -188,7 +188,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
 
     Returns status optimal once the relative gap between incumbent and
     best outstanding bound is at most rel_gap (or the tree is exhausted),
-    infeasible when no integer point exists, node_limit/gap_limit when a
+    infeasible when no integer point exists, node_limit/time_limit when a
     limit strikes first — carrying the incumbent if any. LP failures
     (singular bases, iteration stalls) propagate as SolverError. warm is a
     (basis, stat) for the root LP, as solve_lp takes it. Limits outside
@@ -280,7 +280,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         if n_nodes >= max_nodes:
             return finish("node_limit", global_bound, n_nodes)
         if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
-            return finish("gap_limit", global_bound, n_nodes)
+            return finish("time_limit", global_bound, n_nodes)
 
         # the objective at which the gap test below prunes the node
         cutoff = (inc_obj - rel_gap * max(1.0, abs(inc_obj))

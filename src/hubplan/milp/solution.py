@@ -1,6 +1,6 @@
 """Mapping solver column vectors back to semantic planning fields."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class PlanSolution:
     shortfall: np.ndarray
     e_dep: np.ndarray
     z: np.ndarray
-    substandard: list = field(default_factory=list)
     y_bess: np.ndarray = None
     y_tess: np.ndarray = None
     y_ev: np.ndarray = None
@@ -100,5 +99,4 @@ def extract_solution(bnb, index) -> PlanSolution:
         tess_ch=gather(K_TCH), tess_dis=gather(K_TDIS), tess_e=gather(K_TE),
         ev_ch=ev(gather(K_VCH)), ev_dis=ev(gather(K_VDIS)), ev_e=ev_e,
         shortfall=gather(K_SHORT), e_dep=e_dep, z=z,
-        substandard=[int(s) for s in np.flatnonzero(z == 1)],
         y_bess=y_bess, y_tess=y_tess, y_ev=y_ev)

@@ -15,6 +15,7 @@ All builders are pure and emit rows in deterministic (s,t,i,j) order.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -93,17 +94,15 @@ def max_substandard(n_scenarios: int, zeta: float) -> int:
 
 
 class VarIndex:
-    """Bijective map between semantic variable keys and column ids.
+    """The MILP's column layout.
 
-    Keys are tuples (kind, *indices): scenario s, hour t, fuel cell i and
-    vehicle j are 0-based. EV dispatch exists for parked hours
-    t in [arrive, depart); EV energies for t in [arrive+1, depart], the
-    arrival state being the fixed datum initial_soc * capacity. Columns come
-    out in deterministic order and all bounds are finite.
-
-    ids[kind] holds the column id of every key of one kind in an integer
-    array indexed by the key's indices, -1 where the key has no column
-    (EV hours outside the parking window; the Y kinds in relaxed mode).
+    ids[kind] holds the column id of every variable of one kind in an
+    integer array indexed by the variable's indices (scenario s, hour t,
+    fuel cell i and vehicle j, all 0-based), -1 where the variable has no
+    column. EV dispatch exists for parked hours t in [arrive, depart); EV
+    energies for t in [arrive+1, depart], the arrival state being the fixed
+    datum initial_soc * capacity; the Y kinds exist in binary mode only.
+    Columns come out in deterministic order and all bounds are finite.
     """
 
     def __init__(self, grid, catalog, config, scenario_set, tariffs):
@@ -122,97 +121,95 @@ class VarIndex:
         for k in (K_GRID, K_PV, K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE,
                   K_YB, K_YT):
             shapes[k] = (n, t_day)
-        self.ids = {k: np.full(shape, -1, dtype=np.int64)
-                    for k, shape in shapes.items()}
+        ids = self.ids = {k: np.full(shape, -1, dtype=np.int64)
+                          for k, shape in shapes.items()}
+        n_cols = 0
 
-        keys, lb, ub, kind = [], [], [], []
+        def new(*shape):  # the next prod(shape) column ids
+            nonlocal n_cols
+            block = n_cols + np.arange(math.prod(shape)).reshape(shape)
+            n_cols += block.size
+            return block
 
-        def add(key, lo, hi, k):
-            self.ids[key[0]][key[1:]] = len(keys)
-            keys.append(key)
-            lb.append(lo)
-            ub.append(hi)
-            kind.append(k)
+        ids[K_XESS][()] = new()
+        ids[K_XFC][:] = new(n_fc)
+        # each scenario-hour: grid, PV, the fuel cells, then the stores
+        hour = new(n, t_day, n_fc + 8)
+        ids[K_GRID][:], ids[K_PV][:] = hour[..., 0], hour[..., 1]
+        ids[K_FUEL][:] = hour[..., 2:2 + n_fc]
+        for q, k in enumerate((K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE)):
+            ids[k][:] = hour[..., 2 + n_fc + q]
 
-        bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
-        add((K_XESS,), 0.0, bess.max_capacity, CONT)
-        for i, fc in enumerate(catalog.fuel_cells):
-            add((K_XFC, i), 0.0, float(fc.max_units), INTEGER)
-
-        fuel_ub = []
-        for fc in catalog.fuel_cells:
-            caps = []
-            if fc.gas_to_elec > 0.0:
-                caps.append(fc.max_elec / fc.gas_to_elec)
-            if fc.gas_to_heat > 0.0:
-                caps.append(fc.max_heat / fc.gas_to_heat)
-            fuel_ub.append(fc.max_units * min(caps) if caps else 0.0)
-
-        for s, sc in enumerate(scenario_set.scenarios):
-            for t in range(t_day):
-                add((K_GRID, s, t), 0.0, tariffs.grid_cap, CONT)
-                add((K_PV, s, t), 0.0, min(sc.pv_avail[t], tariffs.pv_cap), CONT)
-                for i in range(len(catalog.fuel_cells)):
-                    add((K_FUEL, s, t, i), 0.0, fuel_ub[i], CONT)
-                rate = bess.rate_fraction * bess.max_capacity
-                add((K_BCH, s, t), 0.0, rate, CONT)
-                add((K_BDIS, s, t), 0.0, rate, CONT)
-                add((K_BE, s, t), 0.0, bess.soc_max * bess.max_capacity, CONT)
-                trate = tess.rate_fraction * tess.capacity
-                add((K_TCH, s, t), 0.0, trate, CONT)
-                add((K_TDIS, s, t), 0.0, trate, CONT)
-                add((K_TE, s, t), 0.0, tess.capacity, CONT)
-
+        fleet = catalog.ev_fleet
         for s, sc in enumerate(scenario_set.scenarios):
             if len(sc.ev_records) != n_ev:
                 raise ModelBuildError(
                     f"scenario {s} has {len(sc.ev_records)} vehicle records, "
                     f"the fleet has {n_ev}")
             for j, rec in enumerate(sc.ev_records):
-                if rec.depart_hour > t_day:
+                a, d = rec.arrive_hour, rec.depart_hour
+                if d > t_day:
                     raise ModelBuildError(
-                        f"scenario {s}, ev {j}: window [{rec.arrive_hour}, "
-                        f"{rec.depart_hour}] leaves the day (T={t_day})")
-                self.windows[(s, j)] = (rec.arrive_hour, rec.depart_hour)
+                        f"scenario {s}, ev {j}: window [{a}, {d}] leaves the "
+                        f"day (T={t_day})")
+                self.windows[(s, j)] = (a, d)
                 self.ev_init[(s, j)] = rec.initial_soc * fleet.capacity
-                for t in range(rec.arrive_hour, rec.depart_hour):
-                    add((K_VCH, s, t, j), 0.0, fleet.charger_power, CONT)
-                for t in range(rec.arrive_hour, rec.depart_hour):
-                    add((K_VDIS, s, t, j), 0.0,
-                        fleet.discharge_rate_fraction * fleet.capacity, CONT)
-                for t in range(rec.arrive_hour + 1, rec.depart_hour + 1):
-                    add((K_VE, s, t, j), fleet.soc_min * fleet.capacity,
-                        fleet.soc_max * fleet.capacity, CONT)
-                add((K_SHORT, s, j), 0.0,
-                    (fleet.target_departure_soc - fleet.soc_min) * fleet.capacity,
-                    CONT)
-
+                ids[K_VCH][s, a:d, j] = new(d - a)
+                ids[K_VDIS][s, a:d, j] = new(d - a)
+                ids[K_VE][s, a + 1:d + 1, j] = new(d - a)
+                ids[K_SHORT][s, j] = new()
         if self.binary_mode:
-            for s in range(n):
-                for t in range(t_day):
-                    add((K_YB, s, t), 0.0, 1.0, BINARY)
-                    add((K_YT, s, t), 0.0, 1.0, BINARY)
-            for s, sc in enumerate(scenario_set.scenarios):
-                for j, rec in enumerate(sc.ev_records):
-                    for t in range(rec.arrive_hour, rec.depart_hour):
-                        add((K_YEV, s, t, j), 0.0, 1.0, BINARY)
+            hour = new(n, t_day, 2)
+            ids[K_YB][:], ids[K_YT][:] = hour[..., 0], hour[..., 1]
+            for (s, j), (a, d) in self.windows.items():
+                ids[K_YEV][s, a:d, j] = new(d - a)
+        ids[K_Z][:] = new(n)
+        self.n_cols = n_cols
 
-        for s in range(n):
-            add((K_Z, s), 0.0, 1.0, BINARY)
+        def fill(values, kind, v):
+            have = ids[kind] >= 0
+            values[ids[kind][have]] = np.broadcast_to(v, have.shape)[have]
 
-        self.keys = keys
-        self.lb = np.array(lb)
-        self.ub = np.array(ub)
-        self.kind = np.array(kind, dtype=np.int8)
-        self.n_cols = len(keys)
-        self._map = {k: c for c, k in enumerate(keys)}
-        self.names = [_NAME_FMT[k[0]].format(*k[1:]) for k in keys]
-
-    def col(self, kind, *idx) -> int:
-        key = (kind, *idx)
-        if key not in self._map:
-            raise KeyError(f"no column for {key}")
-        return self._map[key]
+        bess, tess, fcs = catalog.bess, catalog.tess, catalog.fuel_cells
+        fuel_ub = []
+        for fc in fcs:
+            caps = []
+            if fc.gas_to_elec > 0.0:
+                caps.append(fc.max_elec / fc.gas_to_elec)
+            if fc.gas_to_heat > 0.0:
+                caps.append(fc.max_heat / fc.gas_to_heat)
+            fuel_ub.append(fc.max_units * min(caps) if caps else 0.0)
+        rate = bess.rate_fraction * bess.max_capacity
+        trate = tess.rate_fraction * tess.capacity
+        upper = {
+            K_XESS: bess.max_capacity,
+            K_XFC: [float(fc.max_units) for fc in fcs],
+            K_GRID: tariffs.grid_cap,
+            K_PV: np.minimum([sc.pv_avail for sc in scenario_set.scenarios],
+                             tariffs.pv_cap),
+            K_FUEL: fuel_ub, K_BCH: rate, K_BDIS: rate,
+            K_BE: bess.soc_max * bess.max_capacity,
+            K_TCH: trate, K_TDIS: trate, K_TE: tess.capacity,
+            K_VCH: fleet.charger_power,
+            K_VDIS: fleet.discharge_rate_fraction * fleet.capacity,
+            K_VE: fleet.soc_max * fleet.capacity,
+            K_SHORT: (fleet.target_departure_soc - fleet.soc_min)
+            * fleet.capacity,
+            **dict.fromkeys((K_YB, K_YT, K_YEV, K_Z), 1.0),
+        }
+        self.lb, self.ub = np.zeros(n_cols), np.zeros(n_cols)
+        self.kind = np.zeros(n_cols, dtype=np.int8)  # CONT
+        for k, hi in upper.items():
+            fill(self.ub, k, hi)
+        fill(self.lb, K_VE, fleet.soc_min * fleet.capacity)
+        fill(self.kind, K_XFC, INTEGER)
+        for k in (K_YB, K_YT, K_YEV, K_Z):
+            fill(self.kind, k, BINARY)
+        self.names = [None] * n_cols
+        for k, c in ids.items():
+            have = c >= 0
+            for col, at in zip(c[have].tolist(), np.argwhere(have).tolist()):
+                self.names[col] = _NAME_FMT[k].format(*at)
 
 
 @dataclass
@@ -271,29 +268,26 @@ def build_objective(index, catalog, tariffs, m) -> np.ndarray:
 def build_energy_balance(index, scenario_set, catalog) -> list:
     """Hourly electric equality and heat covering rows, per scenario."""
     rows = []
-    eta = catalog.bess
-    tes = catalog.tess
-    fleet = catalog.ev_fleet
-    vch, vdis = index.ids[K_VCH], index.ids[K_VDIS]
+    ids, fleet = index.ids, catalog.ev_fleet
+    bess, tess, fcs = catalog.bess, catalog.tess, catalog.fuel_cells
+    elec = [C_PV, C_GRID, *(fc.gas_to_elec for fc in fcs),
+            -1.0 / bess.eta_ch, bess.eta_dis]
+    heat = [*(fc.gas_to_heat for fc in fcs), -1.0 / tess.eta_ch, tess.eta_dis]
     for s, sc in enumerate(scenario_set.scenarios):
         for t in range(index.hours):
-            coefs = [(index.col(K_PV, s, t), C_PV),
-                     (index.col(K_GRID, s, t), C_GRID)]
-            for i, fc in enumerate(catalog.fuel_cells):
-                coefs.append((index.col(K_FUEL, s, t, i), fc.gas_to_elec))
-            coefs.append((index.col(K_BCH, s, t), -1.0 / eta.eta_ch))
-            coefs.append((index.col(K_BDIS, s, t), eta.eta_dis))
-            for j in np.flatnonzero(vch[s, t] >= 0):  # vehicles parked at t
-                coefs.append((int(vch[s, t, j]), -1.0 / fleet.eta_ch))
-                coefs.append((int(vdis[s, t, j]), fleet.eta_dis))
-            rows.append((f"EB{s}_{t}", EQ, sc.elec_load[t], coefs))
+            parked = ids[K_VCH][s, t] >= 0
+            n_parked = int(parked.sum())
+            rows.append((f"EB{s}_{t}", EQ, sc.elec_load[t],
+                         [ids[K_PV][s, t], ids[K_GRID][s, t],
+                          *ids[K_FUEL][s, t], ids[K_BCH][s, t],
+                          ids[K_BDIS][s, t], *ids[K_VCH][s, t, parked],
+                          *ids[K_VDIS][s, t, parked]],
+                         elec + [-1.0 / fleet.eta_ch] * n_parked
+                         + [fleet.eta_dis] * n_parked))
         for t in range(index.hours):
-            coefs = [(index.col(K_FUEL, s, t, i), fc.gas_to_heat)
-                     for i, fc in enumerate(catalog.fuel_cells)
-                     if fc.gas_to_heat != 0.0]
-            coefs.append((index.col(K_TCH, s, t), -1.0 / tes.eta_ch))
-            coefs.append((index.col(K_TDIS, s, t), tes.eta_dis))
-            rows.append((f"HB{s}_{t}", GE, sc.heat_load[t], coefs))
+            rows.append((f"HB{s}_{t}", GE, sc.heat_load[t],
+                         [*ids[K_FUEL][s, t], ids[K_TCH][s, t],
+                          ids[K_TDIS][s, t]], heat))
     return rows
 
 
@@ -305,17 +299,35 @@ def build_device_bounds(index, catalog) -> list:
     rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat.
     """
     rows = []
+    fuel, x = index.ids[K_FUEL], index.ids[K_XFC]
     for s in range(index.n_scenarios):
         for t in range(index.hours):
             for i, fc in enumerate(catalog.fuel_cells):
-                fuel = index.col(K_FUEL, s, t, i)
-                x = index.col(K_XFC, i)
-                rows.append((f"FE{s}_{t}_{i}", LE, 0.0,
-                             [(fuel, fc.gas_to_elec), (x, -fc.max_elec)]))
-                coefs = [(x, -fc.max_heat)]
-                if fc.gas_to_heat != 0.0:
-                    coefs.insert(0, (fuel, fc.gas_to_heat))
-                rows.append((f"FH{s}_{t}_{i}", LE, 0.0, coefs))
+                cols = (fuel[s, t, i], x[i])
+                rows.append((f"FE{s}_{t}_{i}", LE, 0.0, cols,
+                             (fc.gas_to_elec, -fc.max_elec)))
+                rows.append((f"FH{s}_{t}_{i}", LE, 0.0, cols,
+                             (fc.gas_to_heat, -fc.max_heat)))
+    return rows
+
+
+def _cyclic_chain(prefix, e, ch, dis) -> list:
+    """Lossless daily cycle of one store in one scenario, hour 0 following
+    the last: E(t) = E(t-1) + P_ch(t-1) - P_dis(t-1)."""
+    return [(f"{prefix}{t}", EQ, 0.0, (e[t], e[t - 1], ch[t - 1], dis[t - 1]),
+             (1.0, -1.0, -1.0, 1.0)) for t in range(len(e))]
+
+
+def _exclusivity(tag, where, ch, dis, y, m_ch, m_dis) -> list:
+    """Charge/discharge exclusivity at every hour t with a flag column Y
+    (none in relaxed mode): P_ch <= m_ch*Y and P_dis <= m_dis*(1 - Y).
+    where.format(t) ends each row name."""
+    rows = []
+    for t in np.flatnonzero(y >= 0):
+        rows.append((f"{tag}XC{where.format(t)}", LE, 0.0, (ch[t], y[t]),
+                     (1.0, -m_ch)))
+        rows.append((f"{tag}XD{where.format(t)}", LE, m_dis, (dis[t], y[t]),
+                     (1.0, m_dis)))
     return rows
 
 
@@ -327,36 +339,25 @@ def build_bess_constraints(index, grid, bess) -> list:
     """
     rows = []
     t_day = grid.hours_per_day
-    x = index.col(K_XESS)
+    ch, dis, e = index.ids[K_BCH], index.ids[K_BDIS], index.ids[K_BE]
+    x = int(index.ids[K_XESS])
     life = bess.lifetime_cycles / (grid.planning_years * 365.0)
     m_rate = bess.rate_fraction * bess.max_capacity
     for s in range(grid.n_scenarios):
         for t in range(t_day):
-            e = index.col(K_BE, s, t)
-            rows.append((f"BL{s}_{t}", LE, 0.0, [(x, bess.soc_min), (e, -1.0)]))
-            rows.append((f"BU{s}_{t}", LE, 0.0, [(e, 1.0), (x, -bess.soc_max)]))
+            rows.append((f"BL{s}_{t}", LE, 0.0, (x, e[s, t]),
+                         (bess.soc_min, -1.0)))
+            rows.append((f"BU{s}_{t}", LE, 0.0, (e[s, t], x),
+                         (1.0, -bess.soc_max)))
+        rows += _cyclic_chain(f"BS{s}_", e[s], ch[s], dis[s])
         for t in range(t_day):
-            prev = (t - 1) % t_day
-            rows.append((f"BS{s}_{t}", EQ, 0.0,
-                         [(index.col(K_BE, s, t), 1.0),
-                          (index.col(K_BE, s, prev), -1.0),
-                          (index.col(K_BCH, s, prev), -1.0),
-                          (index.col(K_BDIS, s, prev), 1.0)]))
-        for t in range(t_day):
-            rows.append((f"BRC{s}_{t}", LE, 0.0,
-                         [(index.col(K_BCH, s, t), 1.0), (x, -bess.rate_fraction)]))
-            rows.append((f"BRD{s}_{t}", LE, 0.0,
-                         [(index.col(K_BDIS, s, t), 1.0), (x, -bess.rate_fraction)]))
-        rows.append((f"BW{s}", LE, 0.0,
-                     [(index.col(K_BCH, s, t), 1.0) for t in range(t_day)]
-                     + [(x, -life)]))
-        if index.binary_mode:
-            for t in range(t_day):
-                y = index.col(K_YB, s, t)
-                rows.append((f"BXC{s}_{t}", LE, 0.0,
-                             [(index.col(K_BCH, s, t), 1.0), (y, -m_rate)]))
-                rows.append((f"BXD{s}_{t}", LE, m_rate,
-                             [(index.col(K_BDIS, s, t), 1.0), (y, m_rate)]))
+            rows.append((f"BRC{s}_{t}", LE, 0.0, (ch[s, t], x),
+                         (1.0, -bess.rate_fraction)))
+            rows.append((f"BRD{s}_{t}", LE, 0.0, (dis[s, t], x),
+                         (1.0, -bess.rate_fraction)))
+        rows.append((f"BW{s}", LE, 0.0, [*ch[s], x], [1.0] * t_day + [-life]))
+        rows += _exclusivity("B", f"{s}_{{}}", ch[s], dis[s],
+                             index.ids[K_YB][s], m_rate, m_rate)
     return rows
 
 
@@ -367,121 +368,95 @@ def build_tess_constraints(index, grid, tess) -> list:
     bounds; no lifetime row.
     """
     rows = []
-    t_day = grid.hours_per_day
+    ch, dis, e = index.ids[K_TCH], index.ids[K_TDIS], index.ids[K_TE]
     m_rate = tess.rate_fraction * tess.capacity
     for s in range(grid.n_scenarios):
-        for t in range(t_day):
-            prev = (t - 1) % t_day
-            rows.append((f"TS{s}_{t}", EQ, 0.0,
-                         [(index.col(K_TE, s, t), 1.0),
-                          (index.col(K_TE, s, prev), -1.0),
-                          (index.col(K_TCH, s, prev), -1.0),
-                          (index.col(K_TDIS, s, prev), 1.0)]))
-        if index.binary_mode:
-            for t in range(t_day):
-                y = index.col(K_YT, s, t)
-                rows.append((f"TXC{s}_{t}", LE, 0.0,
-                             [(index.col(K_TCH, s, t), 1.0), (y, -m_rate)]))
-                rows.append((f"TXD{s}_{t}", LE, m_rate,
-                             [(index.col(K_TDIS, s, t), 1.0), (y, m_rate)]))
+        rows += _cyclic_chain(f"TS{s}_", e[s], ch[s], dis[s])
+        rows += _exclusivity("T", f"{s}_{{}}", ch[s], dis[s],
+                             index.ids[K_YT][s], m_rate, m_rate)
     return rows
 
 
-def build_ev_constraints(index, scenario_set, fleet) -> list:
+def build_ev_constraints(index, fleet) -> list:
     """Per-vehicle energy chains anchored at the arrival SOC.
 
     Charger and discharge rate caps are column bounds; the first chain row
     carries the arrival energy as its right-hand side.
     """
     rows = []
+    ch, dis, e = index.ids[K_VCH], index.ids[K_VDIS], index.ids[K_VE]
     m_dis = fleet.discharge_rate_fraction * fleet.capacity
-    for s, sc in enumerate(scenario_set.scenarios):
-        for j, rec in enumerate(sc.ev_records):
-            a, d = rec.arrive_hour, rec.depart_hour
-            for t in range(a + 1, d + 1):
-                coefs = [(index.col(K_VE, s, t, j), 1.0),
-                         (index.col(K_VCH, s, t - 1, j), -1.0),
-                         (index.col(K_VDIS, s, t - 1, j), 1.0)]
-                rhs = 0.0
-                if t == a + 1:
-                    rhs = rec.initial_soc * fleet.capacity
-                else:
-                    coefs.append((index.col(K_VE, s, t - 1, j), -1.0))
-                rows.append((f"VS{s}_{t}_{j}", EQ, rhs, coefs))
-            if index.binary_mode:
-                for t in range(a, d):
-                    y = index.col(K_YEV, s, t, j)
-                    rows.append((f"VXC{s}_{t}_{j}", LE, 0.0,
-                                 [(index.col(K_VCH, s, t, j), 1.0),
-                                  (y, -fleet.charger_power)]))
-                    rows.append((f"VXD{s}_{t}_{j}", LE, m_dis,
-                                 [(index.col(K_VDIS, s, t, j), 1.0), (y, m_dis)]))
+    for (s, j), (a, d) in index.windows.items():
+        rows.append((f"VS{s}_{a + 1}_{j}", EQ, index.ev_init[(s, j)],
+                     (e[s, a + 1, j], ch[s, a, j], dis[s, a, j]),
+                     (1.0, -1.0, 1.0)))
+        for t in range(a + 2, d + 1):
+            rows.append((f"VS{s}_{t}_{j}", EQ, 0.0,
+                         (e[s, t, j], ch[s, t - 1, j], dis[s, t - 1, j],
+                          e[s, t - 1, j]), (1.0, -1.0, 1.0, -1.0)))
+        rows += _exclusivity("V", f"{s}_{{}}_{j}", ch[s, :, j], dis[s, :, j],
+                             index.ids[K_YEV][s, :, j], fleet.charger_power,
+                             m_dis)
     return rows
 
 
-def build_chance_constraints(index, scenario_set, fleet, config) -> list:
+def build_chance_constraints(index, fleet, config) -> list:
     """Shortfall definition, big-M activation, and the cardinality cap.
 
     Z(s)=0 forces every vehicle in scenario s to depart at or above the
     target SOC; at most floor(N*zeta) scenarios may set Z=1.
     """
     rows = []
-    cap = fleet.capacity
-    target = fleet.target_departure_soc * cap
-    m_soc = (fleet.target_departure_soc - fleet.soc_min) * cap
-    for s, sc in enumerate(scenario_set.scenarios):
-        for j, rec in enumerate(sc.ev_records):
-            short = index.col(K_SHORT, s, j)
-            e_dep = index.col(K_VE, s, rec.depart_hour, j)
-            rows.append((f"SD{s}_{j}", GE, target,
-                         [(short, 1.0), (e_dep, 1.0)]))
-            rows.append((f"SZ{s}_{j}", LE, 0.0,
-                         [(short, 1.0), (index.col(K_Z, s), -m_soc)]))
-    limit = max_substandard(scenario_set.grid.n_scenarios, config.zeta)
-    rows.append(("CARD", LE, float(limit),
-                 [(index.col(K_Z, s), 1.0)
-                  for s in range(scenario_set.grid.n_scenarios)]))
+    short, e, z = index.ids[K_SHORT], index.ids[K_VE], index.ids[K_Z]
+    target = fleet.target_departure_soc * fleet.capacity
+    m_soc = (fleet.target_departure_soc - fleet.soc_min) * fleet.capacity
+    for (s, j), (_a, d) in index.windows.items():
+        rows.append((f"SD{s}_{j}", GE, target, (short[s, j], e[s, d, j]),
+                     (1.0, 1.0)))
+        rows.append((f"SZ{s}_{j}", LE, 0.0, (short[s, j], z[s]),
+                     (1.0, -m_soc)))
+    limit = max_substandard(index.n_scenarios, config.zeta)
+    rows.append(("CARD", LE, float(limit), z, [1.0] * index.n_scenarios))
     return rows
 
 
 def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
-    """Index variables, run every builder, and freeze the sparse model."""
+    """Index variables, run every builder, and freeze the sparse model.
+
+    Each row is (name, sense, rhs, columns, coefficients); a row that names
+    a column twice is refused, and zero coefficients are left out.
+    """
     index = VarIndex(grid, catalog, config, scenario_set, tariffs)
     m = annualization_factor(grid)
     obj = build_objective(index, catalog, tariffs, m)
-    rows = []
-    rows += build_energy_balance(index, scenario_set, catalog)
-    rows += build_device_bounds(index, catalog)
-    rows += build_bess_constraints(index, grid, catalog.bess)
-    rows += build_tess_constraints(index, grid, catalog.tess)
-    rows += build_ev_constraints(index, scenario_set, catalog.ev_fleet)
-    rows += build_chance_constraints(index, scenario_set, catalog.ev_fleet, config)
+    rows = (build_energy_balance(index, scenario_set, catalog)
+            + build_device_bounds(index, catalog)
+            + build_bess_constraints(index, grid, catalog.bess)
+            + build_tess_constraints(index, grid, catalog.tess)
+            + build_ev_constraints(index, catalog.ev_fleet)
+            + build_chance_constraints(index, catalog.ev_fleet, config))
 
+    names, senses, rhs, cols, vals = zip(*rows)
     n_rows = len(rows)
-    names = []
-    senses = np.empty(n_rows, dtype=np.int8)
-    rhs = np.empty(n_rows)
-    ri, ci, vv = [], [], []
-    for r, (name, sense, b, coefs) in enumerate(rows):
-        names.append(name)
-        senses[r] = sense
-        rhs[r] = b
-        seen = set()
-        for c, v in coefs:
-            if c in seen:
-                raise ModelBuildError(f"row {name}: duplicate column {c}")
-            seen.add(c)
-            if v != 0.0:
-                ri.append(r)
-                ci.append(c)
-                vv.append(v)
-    a_matrix = sparse.csr_matrix(
-        (np.array(vv), (np.array(ri, dtype=np.int64), np.array(ci, dtype=np.int64))),
-        shape=(n_rows, index.n_cols))
+    ri = np.repeat(np.arange(n_rows), [len(c) for c in cols])
+    ci = np.fromiter(chain.from_iterable(cols), np.int64, ri.size)
+    vv = np.fromiter(chain.from_iterable(vals), float, ri.size)
+    key = ri * index.n_cols + ci
+    order = np.argsort(key, kind="stable")
+    repeat = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeat.size:
+        at = repeat.min()
+        raise ModelBuildError(
+            f"row {names[ri[at]]}: duplicate column {ci[at]}")
+    keep = vv != 0.0
+    a_matrix = sparse.csr_matrix((vv[keep], (ri[keep], ci[keep])),
+                                 shape=(n_rows, index.n_cols))
     model = MilpModel(
         n_rows=n_rows, n_cols=index.n_cols, obj=obj, a_matrix=a_matrix,
-        row_sense=senses, rhs=rhs, row_names=names,
-        col_lb=index.lb.copy(), col_ub=index.ub.copy(), col_kind=index.kind.copy(),
+        row_sense=np.array(senses, dtype=np.int8),
+        rhs=np.array(rhs, dtype=float), row_names=list(names),
+        col_lb=index.lb.copy(), col_ub=index.ub.copy(),
+        col_kind=index.kind.copy(),
         col_names=list(index.names), var_index=index)
     model.check()
     return model

@@ -216,21 +216,19 @@ def _lattice_witness(model, x):
     for s in range(vi.n_scenarios):
         for t in range(vi.hours):
             for i in range(len(vi.fc_ids)):
-                j = vi.col(K_FUEL, s, t, i)
+                j = vi.ids[K_FUEL][s, t, i]
                 w[j] = _floor_lattice(w[j])
             for k in (K_BCH, K_BDIS, K_TCH, K_TDIS):
-                j = vi.col(k, s, t)
+                j = vi.ids[k][s, t]
                 w[j] = _floor_lattice(w[j])
         for jv in range(vi.n_ev):
             a, d = vi.windows[(s, jv)]
             for t in range(a, d):
                 for k in (K_VCH, K_VDIS):
-                    j = vi.col(k, s, t, jv)
+                    j = vi.ids[k][s, t, jv]
                     w[j] = _floor_lattice(w[j])
         for kc, kd, ke in ((K_BCH, K_BDIS, K_BE), (K_TCH, K_TDIS, K_TE)):
-            jc = [vi.col(kc, s, t) for t in range(vi.hours)]
-            jd = [vi.col(kd, s, t) for t in range(vi.hours)]
-            je = [vi.col(ke, s, t) for t in range(vi.hours)]
+            jc, jd, je = vi.ids[kc][s], vi.ids[kd][s], vi.ids[ke][s]
             uc = np.rint(w[jc] / Q).astype(int)
             ud = np.rint(w[jd] / Q).astype(int)
             delta = int(uc.sum() - ud.sum())
@@ -250,17 +248,17 @@ def _lattice_witness(model, x):
             a, d = vi.windows[(s, jv)]
             e = float(vi.ev_init[(s, jv)])
             for t in range(a + 1, d + 1):
-                e += w[vi.col(K_VCH, s, t - 1, jv)] \
-                    - w[vi.col(K_VDIS, s, t - 1, jv)]
-                w[vi.col(K_VE, s, t, jv)] = e
-        w[vi.col(K_Z, s)] = 0.0
+                e += w[vi.ids[K_VCH][s, t - 1, jv]] \
+                    - w[vi.ids[K_VDIS][s, t - 1, jv]]
+                w[vi.ids[K_VE][s, t, jv]] = e
+        w[vi.ids[K_Z][s]] = 0.0
     amat = model.a_matrix
     row_of = {nm: r for r, nm in enumerate(model.row_names)}
     for s in range(vi.n_scenarios):
         for t in range(vi.hours):
             r = row_of[f"EB{s}_{t}"]
-            jg = vi.col(K_GRID, s, t)
-            jp = vi.col(K_PV, s, t)
+            jg = vi.ids[K_GRID][s, t]
+            jp = vi.ids[K_PV][s, t]
             sl = slice(amat.indptr[r], amat.indptr[r + 1])
             cols, vals = amat.indices[sl], amat.data[sl]
             ag = float(vals[cols == jg][0])
@@ -279,7 +277,7 @@ def test_c4_lattice_oracle_brackets_bnb(tiny, tiny_solved):
     model, sol = tiny_solved.model, tiny_solved.sol
     root = solve_lp(model)
     mm, lb, ub = _margined(model)
-    jf = model.var_index.col(K_XFC, 0)
+    jf = model.var_index.ids[K_XFC][0]
     best = np.inf
     feasible = 0
     for k in range(int(model.col_ub[jf]) + 1):

@@ -213,6 +213,10 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
     cb = tmp_path / "cost_breakdown.csv"
     write_cost_breakdown(str(cb), sw)
     assert list(csv.reader(cb.open()))[1] == ["40.0"] + [""] * 8 + ["error"]
+    # no units, kWh or substandard count that would read as a plan
+    ps = tmp_path / "plan_summary.csv"
+    write_plan_summary(str(ps), sw, tiny.catalog)
+    assert list(csv.reader(ps.open()))[1] == ["40.0", "", "", "", "error"]
 
 
 def test_every_row_has_a_constraint_family(tiny):

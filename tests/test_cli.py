@@ -72,6 +72,68 @@ def test_version():
     assert ei.value.code == 0
 
 
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hubplan")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--bogus"], "unrecognized arguments: --bogus"),
+    (["plan", "--extreme", "wind"],
+     "argument --extreme: invalid choice: 'wind' (choose from 'elec', "
+     "'heat')"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 means a generation or solver failure; a usage error is an input
+    # error, reported on one line like the others
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["validate"], ["plan"]])
+def test_one_hour_day_exits_before_reading_inputs(data_dir, tmp_path, capsys,
+                                                  monkeypatch, command):
+    # the storage cycle of a one-hour day would link hour 0 to itself
+    monkeypatch.setattr(cli, "read_scenario_set", _must_not_read)
+    monkeypatch.setattr(cli, "read_history", _must_not_read)
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    doc["planning"]["hours_per_day"] = 1
+    doc["tariffs"]["elec_price"] = [0.5]
+    doc["tariffs"]["grid_emission"] = [0.6]
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = cli.main(command + [
+        "--case", str(case), "--history-loads",
+        os.path.join(data_dir, "history_loads.csv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {case}: planning.hours_per_day must be >= 2, got 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, status", [
+    (["--max-nodes", "1"], "node_limit"),
+    (["--time-limit", "1e-9"], "time_limit"),
+])
+def test_plan_stopped_by_a_limit_exits_2(ws, tmp_path, capsys, flags, status):
+    out = tmp_path / "out"
+    rc = cli.main(["plan"] + args_for(ws, "--out", str(out), *flags))
+    assert rc == 2
+    assert f"solver stopped early ({status}," in capsys.readouterr().err
+    doc = json.loads((out / "audit.json").read_text())
+    assert doc["status"] == status
+    assert "objective" not in doc and "gap" in doc
+
+
 def test_plan_writes_reports(ws, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out)))

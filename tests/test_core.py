@@ -46,6 +46,8 @@ def test_annualization_decreasing_in_discount():
 def test_time_grid_validation():
     with pytest.raises(InvalidParameterError):
         TimeGrid(0, 1, 1, 0.0)
+    with pytest.raises(InvalidParameterError, match="hours_per_day"):
+        TimeGrid(1, 1, 1, 0.0)  # an hour cannot close a storage cycle alone
     with pytest.raises(InvalidParameterError):
         TimeGrid(24, 0, 1, 0.0)
     with pytest.raises(InvalidParameterError):

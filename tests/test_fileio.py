@@ -319,6 +319,8 @@ def _set(value, *path):
     (_set("PEM_H2", "fuel_cells", 2), "expected an object at $.fuel_cells[2]"),
     (_set(3, "planning"), "expected an object at $.planning"),
     (lambda doc: doc.clear(), "missing key $.planning"),
+    (_set(1, "planning", "hours_per_day"),
+     "planning.hours_per_day must be >= 2, got 1"),
     (_set(24.9, "planning", "hours_per_day"),
      "expected an integer at $.planning.hours_per_day, got 24.9"),
     (_set(2.7, "fuel_cells", 0, "max_units"),

@@ -1,5 +1,6 @@
 """MILP assembly: variable census, row coefficients, bounds, chance budget."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -241,13 +242,16 @@ def test_var_index_lookup(tiny):
     m = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                        tiny.config)
     ix = m.var_index
-    assert m.col_names[ix.col(K_XESS)] == "XESS"
-    assert m.col_names[ix.col(K_GRID, 1, 2)] == "GR1_2"
+    assert m.col_names[ix.ids[K_XESS]] == "XESS"
+    assert m.col_names[ix.ids[K_GRID][1, 2]] == "GR1_2"
     assert ix.ids[K_VCH][0, 0, 0] >= 0      # EV 0 parked at hour 0 in day 0
     assert ix.ids[K_VCH][0, 3, 0] < 0       # departed by hour 3
     assert ix.windows[(0, 0)] == (0, 3)
-    with pytest.raises(KeyError):
-        ix.col(K_GRID, 9, 0)
+    with pytest.raises(IndexError):
+        ix.ids[K_GRID][9, 0]
+    # the id arrays own every column exactly once
+    owned = np.concatenate([c[c >= 0] for c in ix.ids.values()])
+    assert np.array_equal(np.sort(owned), np.arange(m.n_cols))
 
 
 def test_vehicle_count_must_match_fleet():
@@ -278,18 +282,46 @@ def test_objective_matches_per_column_loop(tiny):
     m = annualization_factor(tiny.grid)
     tar, fcs, tax = tiny.tariffs, tiny.catalog.fuel_cells, tiny.tariffs.carbon_tax
     want = np.zeros(model.n_cols)
-    for c, key in enumerate(model.var_index.keys):
-        if key[0] == K_XESS:
-            want[c] = tiny.catalog.bess.invest_cost
-        elif key[0] == K_XFC:
-            want[c] = fcs[key[1]].invest_cost
-        elif key[0] == K_GRID:
-            t = key[2]
-            want[c] = m * (tar.elec_price[t]
-                           + tax * tar.grid_emission[t]) / MONEY_SCALE
-        elif key[0] == K_FUEL:
-            fc = fcs[key[3]]
-            want[c] = m * (fc.fuel_price + tax * fc.fuel_emission) / MONEY_SCALE
-        elif key[0] == K_SHORT:
-            want[c] = m * tar.soc_penalty / MONEY_SCALE
+    for kind, cols in model.var_index.ids.items():
+        for idx in map(tuple, np.argwhere(cols >= 0)):
+            c = cols[idx]
+            if kind == K_XESS:
+                want[c] = tiny.catalog.bess.invest_cost
+            elif kind == K_XFC:
+                want[c] = fcs[idx[0]].invest_cost
+            elif kind == K_GRID:
+                t = idx[1]
+                want[c] = m * (tar.elec_price[t]
+                               + tax * tar.grid_emission[t]) / MONEY_SCALE
+            elif kind == K_FUEL:
+                fc = fcs[idx[2]]
+                want[c] = m * (fc.fuel_price
+                               + tax * fc.fuel_emission) / MONEY_SCALE
+            elif kind == K_SHORT:
+                want[c] = m * tar.soc_penalty / MONEY_SCALE
     assert model.obj.tobytes() == want.tobytes()
+
+
+def _model_digest(model):
+    h = hashlib.sha256()
+    for names in (model.row_names, model.col_names):
+        h.update("\n".join(names).encode() + b"\0")
+    a = model.a_matrix
+    for arr in (model.row_sense, model.rhs, model.obj, model.col_lb,
+                model.col_ub, model.col_kind, a.indptr.astype(np.int64),
+                a.indices.astype(np.int64), a.data):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("relaxed", "b57ae8880d1d8b55"),
+    ("binary", "4c6ba82417cc564b"),
+])
+def test_tiny_model_is_pinned(tiny, mode, digest):
+    # any change to row order, column order, a bound or a coefficient of
+    # the assembled model moves this digest
+    config = ModelConfig(zeta=0.0, exclusivity_mode=mode)
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           config)
+    assert _model_digest(model) == digest

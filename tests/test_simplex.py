@@ -879,3 +879,15 @@ def test_kernels_match_scalar_reference():
         assert (np.linalg.norm(got - want)
                 <= 1e-10 * np.linalg.norm(want)), trial
     assert n_full >= 1 and n_repeat >= 10, (n_full, n_repeat)
+
+
+def test_bland_rule_reaches_the_same_optimum(tiny_solved, monkeypatch):
+    # after one degenerate pivot the primal switches to Bland's rule; the
+    # tiny root LP must still end at the default rule's optimum
+    model = tiny_solved.model
+    ref = solve_lp(model)
+    monkeypatch.setattr(simplex_mod, "_BLAND_AFTER", 1)
+    s = solve_lp(model)
+    assert s.status == "optimal" and s.bland_pivots > 0
+    assert abs(s.objective - ref.objective) \
+        <= 1e-9 * max(1.0, abs(ref.objective))

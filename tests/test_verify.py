@@ -16,7 +16,7 @@ def test_clean_solution(tiny_solved):
 
 def test_row_violation_named(tiny_solved):
     x = tiny_solved.sol.x.copy()
-    j = tiny_solved.model.var_index.col(K_GRID, 0, 0)
+    j = tiny_solved.model.var_index.ids[K_GRID][0, 0]
     x[j] += 5.0  # breaks the hour-0 electric balance
     rep = check_solution(tiny_solved.model, x)
     assert not rep.ok
@@ -34,7 +34,7 @@ def test_bound_violation_named(tiny_solved):
 
 def test_integrality_violation_named(tiny_solved):
     x = tiny_solved.sol.x.copy()
-    j = tiny_solved.model.var_index.col(K_XFC, 0)
+    j = tiny_solved.model.var_index.ids[K_XFC][0]
     x[j] += 0.5
     rep = check_solution(tiny_solved.model, x, feas_tol=1e3)  # isolate kinds
     assert any(name == "XFC0" for name, _ in rep.bad_integrality)
