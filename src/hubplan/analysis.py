@@ -16,8 +16,7 @@ import numpy as np
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
 from .milp import (BnbSolution, PlanSolution, VerifyReport,
-                   branch_and_bound, check_solution, extract_solution,
-                   solve_lp)
+                   branch_and_bound, check_solution, extract_solution)
 from .model import assemble_model, build_objective, max_substandard
 
 _SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
@@ -267,8 +266,8 @@ _FAMILIES = {"B": "battery storage", "C": "chance budget",
 
 
 def _infeasible_hint(model, rows):
-    """Name the constraint families of rows, the rows an infeasible LP
-    relaxation violates, in order of first appearance."""
+    """Name the constraint families of rows, the rows the root LP
+    relaxation's phase 1 left violated, in order of first appearance."""
     fams = dict.fromkeys(_FAMILIES[model.row_names[r][0]] for r in rows)
     if not fams:
         return "LP relaxation is feasible; integer restrictions bind"
@@ -278,9 +277,9 @@ def _infeasible_hint(model, rows):
 @dataclass
 class LevelSolve:
     """One branch-and-bound solve of a priced model and the verdicts on it:
-    an optimal solve's plan, solution check, cost breakdown, chance audit
-    and plan check; an infeasible one's hint; a solve stopped by a limit
-    carries only bnb."""
+    the plan, solution check, cost breakdown, chance audit and plan check
+    of its incumbent when it has one (a solve stopped by a limit may), and
+    an infeasible one's hint."""
 
     bnb: BnbSolution
     infeasible_hint: str = None
@@ -319,14 +318,14 @@ def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
                 **limits) -> LevelSolve:
     """Solve model, assembled from scenario_set, catalog and config and
     priced at tariffs, by branch_and_bound (warm root basis, limits) and
-    return the verdicts on the result, never acting on them. An infeasible
-    model's LP relaxation is re-solved to name the violated families."""
+    return the verdicts on its incumbent, if any, never acting on them. An
+    infeasible model's hint names the families of the rows its root LP
+    left violated."""
     bnb = branch_and_bound(model, warm=warm, **limits)
     if bnb.status == "infeasible":
-        lp = solve_lp(model, warm=bnb.root_warm)
         return LevelSolve(bnb, infeasible_hint=_infeasible_hint(
-            model, lp.infeasible_rows))
-    if bnb.status != "optimal":
+            model, bnb.infeasible_rows))
+    if bnb.x is None:
         return LevelSolve(bnb)
     grid = scenario_set.grid
     plan = extract_solution(bnb, model.var_index)

@@ -291,7 +291,7 @@ def cmd_plan(cfg):
     if level.infeasible_hint is not None:
         print(f"infeasible: {level.infeasible_hint}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if plan is None:
+    if bnb.status != "optimal":
         print(f"solver stopped early ({bnb.status}, gap {bnb.gap:.3e})",
               file=sys.stderr)
         return EXIT_PARTIAL

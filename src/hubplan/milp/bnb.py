@@ -63,15 +63,18 @@ class BnbSolution:
     those LPs; kernel_cols / refactors is the mean order of the factored
     basis blocks.
 
-    max_depth is the depth of the deepest node LP solved (the root is 0),
-    infeasible_nodes the number of node LPs that ended infeasible (the
-    root's not counted), cutoff_nodes the number whose dual phase stopped
-    at the incumbent's cutoff (an infeasible node LP may stop there first;
-    it then counts here), and incumbents the objective of each accepted
-    incumbent in the order accepted, the dive's included. node_log holds
-    one dict per node LP, in the order solved: its depth, the parent's
-    LP bound, its pivots and dual_pivots, its status, and whether it gave
-    an accepted incumbent.
+    node_log holds one dict per node LP, in the order solved: its depth,
+    the parent's LP bound, its pivots and dual_pivots, its status, and
+    whether it gave an accepted incumbent. The tree counters are read off
+    it: n_nodes is 1 + its length (the root counts) and node_lps its
+    length, max_depth the depth of the deepest node LP solved (the root is
+    0), infeasible_nodes the node LPs that ended infeasible and
+    cutoff_nodes those whose dual phase stopped at the incumbent's cutoff
+    (an infeasible node LP may stop there first; it then counts here).
+    incumbents holds the objective of each accepted incumbent in the order
+    accepted, the dive's included. infeasible_rows lists the rows whose
+    slack the root LP's phase 1 left out of bounds (LpSolution's
+    infeasible_rows; empty unless the root LP ended infeasible).
     """
 
     status: str
@@ -99,6 +102,7 @@ class BnbSolution:
     cutoff_nodes: int = 0
     incumbents: list = field(default_factory=list)
     node_log: list = field(default_factory=list)
+    infeasible_rows: list = field(default_factory=list)
 
     def lp_counters(self) -> dict:
         """The pivot and tree counters and the node log by name, as
@@ -128,22 +132,20 @@ def _fractional(x, int_cols):
     return int(int_cols[j]), float(dist[j])
 
 
-def _dive(model, lb0, ub0, int_cols, root, totals):
+def _dive(model, lb0, ub0, int_cols, root, deadline, totals, pivots):
     """Rounding dive from the root relaxation.
 
     Fixes the most fractional column to its nearest integer and re-solves
     from the previous step's basis; on infeasibility retries the other side
-    once, abandoning the dive when both fail. Returns (x or None, LPs
-    solved, pivots made) and adds each LP's counters to totals.
+    once, abandoning the dive when both fail or when time.monotonic() has
+    passed deadline before an LP. Returns x or None, adds each LP's
+    counters to totals and appends its pivots to pivots.
     """
-    lb = lb0.copy()
-    ub = ub0.copy()
-    sol = root
-    n_lps = n_pivots = 0
+    lb, ub, sol = lb0, ub0, root
     for _ in range(int_cols.size):
         j, _d = _fractional(sol.x, int_cols)
         if j < 0:
-            return sol.x, n_lps, n_pivots
+            return sol.x
         xj = sol.x[j]
         lo_try = float(np.rint(xj))
         lo_try = min(max(lo_try, lb[j]), ub[j])
@@ -152,21 +154,22 @@ def _dive(model, lb0, ub0, int_cols, root, totals):
         for fix in (lo_try, alt):
             if fix < lb[j] - 0.5 or fix > ub[j] + 0.5:
                 continue
+            if time.monotonic() > deadline:
+                return None
             lb_t, ub_t = lb.copy(), ub.copy()
             lb_t[j] = ub_t[j] = fix
             cand = solve_lp(model, col_lb=lb_t, col_ub=ub_t,
                             warm=(sol.basis, sol.stat))
-            n_lps += 1
-            n_pivots += cand.iterations
             _count(totals, cand)
+            pivots.append(cand.iterations)
             if cand.status == "optimal":
                 lb, ub, step = lb_t, ub_t, cand
                 break
         if step is None:
-            return None, n_lps, n_pivots
+            return None
         sol = step
     j, _d = _fractional(sol.x, int_cols)
-    return (sol.x if j < 0 else None), n_lps, n_pivots
+    return sol.x if j < 0 else None
 
 
 def check_limits(rel_gap, max_nodes, time_limit_s):
@@ -189,13 +192,16 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     Returns status optimal once the relative gap between incumbent and
     best outstanding bound is at most rel_gap (or the tree is exhausted),
     infeasible when no integer point exists, node_limit/time_limit when a
-    limit strikes first — carrying the incumbent if any. LP failures
-    (singular bases, iteration stalls) propagate as SolverError. warm is a
-    (basis, stat) for the root LP, as solve_lp takes it. Limits outside
-    their range (check_limits) raise InvalidParameterError.
+    limit strikes first — carrying the incumbent if any. time_limit_s is
+    checked before each dive LP and each node LP; the root LP and an LP
+    already started run to their end. LP failures (singular bases,
+    iteration stalls) propagate as SolverError. warm is a (basis, stat) for
+    the root LP, as solve_lp takes it. Limits outside their range
+    (check_limits) raise InvalidParameterError.
     """
     check_limits(rel_gap, max_nodes, time_limit_s)
     t0 = time.monotonic()
+    deadline = math.inf if time_limit_s is None else t0 + time_limit_s
     int_cols = np.flatnonzero(model.col_kind != CONT)
     lb0 = model.col_lb.astype(float).copy()
     ub0 = model.col_ub.astype(float).copy()
@@ -205,25 +211,26 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
 
     inc_x = None
     inc_obj = np.inf
-    dive_lps = dive_pivots = node_pivots = 0
-    max_depth = infeasible_nodes = cutoff_nodes = 0
     incumbents = []
     node_log = []
+    dive_log = []  # pivots of each dive LP
     totals = dict.fromkeys(LP_COUNTERS, 0)
 
-    def finish(status, bound, n_nodes):
-        gap = _gap(inc_obj, bound)
+    def finish(status, bound):
+        statuses = [e["status"] for e in node_log]
         return BnbSolution(
             status=status, objective=float(inc_obj),
-            best_bound=float(bound), n_nodes=n_nodes,
-            x=inc_x if inc_x is None else inc_x.copy(), gap=gap,
-            wall_time=time.monotonic() - t0,
+            best_bound=float(bound), n_nodes=1 + len(node_log),
+            x=inc_x, gap=_gap(inc_obj, bound), wall_time=time.monotonic() - t0,
             root_warm=None if root.basis is None else (root.basis, root.stat),
-            root_pivots=root.iterations, node_lps=n_nodes - 1,
-            node_pivots=node_pivots, dive_lps=dive_lps,
-            dive_pivots=dive_pivots, max_depth=max_depth,
-            infeasible_nodes=infeasible_nodes, cutoff_nodes=cutoff_nodes,
-            incumbents=incumbents, node_log=node_log, **totals)
+            root_pivots=root.iterations, node_lps=len(node_log),
+            node_pivots=sum(e["pivots"] for e in node_log),
+            dive_lps=len(dive_log), dive_pivots=sum(dive_log),
+            max_depth=max((e["depth"] for e in node_log), default=0),
+            infeasible_nodes=statuses.count("infeasible"),
+            cutoff_nodes=statuses.count("cutoff"), incumbents=incumbents,
+            node_log=node_log, infeasible_rows=root.infeasible_rows,
+            **totals)
 
     def _gap(obj, bound):
         if not np.isfinite(obj):
@@ -248,17 +255,17 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
     _count(totals, root)
     if root.status == "infeasible":
-        return finish("infeasible", np.inf, 1)
+        return finish("infeasible", np.inf)
     if root.status != "optimal":
         raise SolverError(f"root relaxation ended {root.status}")
 
     j0, _ = _fractional(root.x, int_cols)
     if j0 < 0:
         accept(root.x, root.objective)
-        return finish("optimal", root.objective, 1)
+        return finish("optimal", root.objective)
 
-    dive_x, dive_lps, dive_pivots = _dive(model, lb0, ub0, int_cols, root,
-                                          totals)
+    dive_x = _dive(model, lb0, ub0, int_cols, root, deadline, totals,
+                   dive_log)
     if dive_x is not None:
         accept(dive_x, float(model.obj @ dive_x))
 
@@ -268,7 +275,6 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         heapq.heappush(heap, (root.objective, next_id, half, 1,
                               (root.basis, root.stat)))
         next_id += 1
-    n_nodes = 1
 
     while heap:
         bound_est, _nid, (lb, ub), depth, parent = heapq.heappop(heap)
@@ -276,30 +282,23 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         # incumbent itself bounds whatever the open nodes still hide
         global_bound = min(bound_est, inc_obj)
         if _gap(inc_obj, global_bound) <= rel_gap:
-            return finish("optimal", global_bound, n_nodes)
-        if n_nodes >= max_nodes:
-            return finish("node_limit", global_bound, n_nodes)
-        if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
-            return finish("time_limit", global_bound, n_nodes)
+            return finish("optimal", global_bound)
+        if 1 + len(node_log) >= max_nodes:
+            return finish("node_limit", global_bound)
+        if time.monotonic() > deadline:
+            return finish("time_limit", global_bound)
 
         # the objective at which the gap test below prunes the node
         cutoff = (inc_obj - rel_gap * max(1.0, abs(inc_obj))
                   if np.isfinite(inc_obj) else np.inf)
         node = solve_lp(model, col_lb=lb, col_ub=ub, warm=parent,
                         cutoff=cutoff)
-        n_nodes += 1
-        node_pivots += node.iterations
-        max_depth = max(max_depth, depth)
         _count(totals, node)
         entry = {"depth": depth, "bound": bound_est,
                  "pivots": node.iterations, "dual_pivots": node.dual_pivots,
                  "status": node.status, "incumbent": False}
         node_log.append(entry)
-        if node.status == "infeasible":
-            infeasible_nodes += 1
-            continue
-        if node.status == "cutoff":
-            cutoff_nodes += 1
+        if node.status in ("infeasible", "cutoff"):
             continue
         if node.status != "optimal":
             raise SolverError(f"node relaxation ended {node.status}")
@@ -315,8 +314,8 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             next_id += 1
 
     if inc_x is None:
-        return finish("infeasible", np.inf, n_nodes)
-    return finish("optimal", inc_obj, n_nodes)
+        return finish("infeasible", np.inf)
+    return finish("optimal", inc_obj)
 
 
 def _split(lb, ub, j, xj):

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import SolverError
 from ..model import (K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV, K_SHORT,
                      K_TCH, K_TDIS, K_TE, K_VCH, K_VDIS, K_VE, K_XESS, K_XFC,
-                     K_YB, K_YEV, K_YT, K_Z)
+                     K_Z)
 from .verify import INT_TOL
 
 
@@ -20,10 +20,11 @@ class PlanSolution:
     or vehicle where present); EV arrays hold NaN outside each vehicle's
     parking window, and ev_e spans T+1 points with the arrival datum at
     index arrive. e_dep is the departure energy (kWh), z the per-scenario
-    substandard flags. objective is in the solver's money unit.
+    substandard flags. The binary mode's exclusivity flags are not
+    carried: check_solution gates every integer column of the incumbent,
+    flags included, at INT_TOL.
     """
 
-    objective: float
     x_ess: float
     x_fc: dict
     grid: np.ndarray
@@ -41,9 +42,6 @@ class PlanSolution:
     shortfall: np.ndarray
     e_dep: np.ndarray
     z: np.ndarray
-    y_bess: np.ndarray = None
-    y_tess: np.ndarray = None
-    y_ev: np.ndarray = None
 
 
 def extract_solution(bnb, index) -> PlanSolution:
@@ -52,8 +50,8 @@ def extract_solution(bnb, index) -> PlanSolution:
     Each array is gathered through the index's column-id array of its kind
     (NaN where a key has no column). Integer columns are rounded to exact
     integers; a value further than INT_TOL from an integer is refused,
-    naming the first such column of the first kind checked (XFC, Z, then
-    the exclusivity flags YB, YT and YV in binary mode).
+    naming the first such column of the first kind checked (XFC, then Z).
+    Only bnb.x is read.
     """
     x = np.asarray(bnb.x, dtype=float)
     if x.shape[0] != index.n_cols:
@@ -78,25 +76,19 @@ def extract_solution(bnb, index) -> PlanSolution:
                               f"is not integral within {INT_TOL}")
         return r
 
-    x_fc = {fc_id: int(v) for fc_id, v in zip(index.fc_ids, integral(K_XFC))}
-    z = integral(K_Z).astype(np.int64)
     ev_e = ev(gather(K_VE))
     e_dep = np.empty(index.ids[K_SHORT].shape)
     for (s, j), (arrive, depart) in index.windows.items():
         ev_e[s, j, arrive] = index.ev_init[(s, j)]
         e_dep[s, j] = ev_e[s, j, depart]
 
-    y_bess = y_tess = y_ev = None
-    if index.binary_mode:
-        y_bess = integral(K_YB).astype(np.int64)
-        y_tess = integral(K_YT).astype(np.int64)
-        y_ev = ev(integral(K_YEV))
-
     return PlanSolution(
-        objective=float(bnb.objective), x_ess=float(gather(K_XESS)),
-        x_fc=x_fc, grid=gather(K_GRID), pv=gather(K_PV), fuel=gather(K_FUEL),
+        x_ess=float(gather(K_XESS)),
+        x_fc={fc_id: int(v)
+              for fc_id, v in zip(index.fc_ids, integral(K_XFC))},
+        z=integral(K_Z).astype(np.int64), grid=gather(K_GRID),
+        pv=gather(K_PV), fuel=gather(K_FUEL),
         bess_ch=gather(K_BCH), bess_dis=gather(K_BDIS), bess_e=gather(K_BE),
         tess_ch=gather(K_TCH), tess_dis=gather(K_TDIS), tess_e=gather(K_TE),
         ev_ch=ev(gather(K_VCH)), ev_dis=ev(gather(K_VDIS)), ev_e=ev_e,
-        shortfall=gather(K_SHORT), e_dep=e_dep, z=z,
-        y_bess=y_bess, y_tess=y_tess, y_ev=y_ev)
+        shortfall=gather(K_SHORT), e_dep=e_dep)

@@ -52,7 +52,7 @@ def _zero_plan(n, t, n_fc, n_ev, x_ess, x_fc):
         return np.zeros(shape)
 
     return PlanSolution(
-        objective=0.0, x_ess=x_ess, x_fc=x_fc, grid=z(n, t), pv=z(n, t),
+        x_ess=x_ess, x_fc=x_fc, grid=z(n, t), pv=z(n, t),
         fuel=z(n, t, n_fc), bess_ch=z(n, t), bess_dis=z(n, t),
         bess_e=z(n, t), tess_ch=z(n, t), tess_dis=z(n, t), tess_e=z(n, t),
         ev_ch=np.full((n, n_ev, t), np.nan),

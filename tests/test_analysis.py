@@ -219,6 +219,42 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
     assert list(csv.reader(ps.open()))[1] == ["40.0", "", "", "", "error"]
 
 
+def test_stopped_level_reports_its_incumbent(tiny, tmp_path):
+    # one node: the sweep level holds the dive's incumbent and its verdicts,
+    # but keeps its status and reports no plan or total in the tables
+    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                          tiny.config, [40.0], max_nodes=1)
+    lv, = sw.levels
+    assert (lv.status, lv.error) == ("node_limit", "solver ended node_limit")
+    assert lv.optimal is None and lv.solve.check.ok
+    assert lv.solve.breakdown.total == pytest.approx(lv.solve.bnb.objective,
+                                                     rel=1e-9)
+    doc = lv.as_dict()
+    assert doc["objective"] == lv.solve.bnb.objective
+    assert doc["total"] is None and doc["gap"] > 0
+    ps, cb = tmp_path / "plan_summary.csv", tmp_path / "cost_breakdown.csv"
+    write_plan_summary(str(ps), sw, tiny.catalog)
+    write_cost_breakdown(str(cb), sw)
+    assert list(csv.reader(ps.open()))[1] == ["40.0", "", "", "",
+                                              "node_limit"]
+    assert list(csv.reader(cb.open()))[1] == (["40.0"] + [""] * 8
+                                              + ["node_limit"])
+
+
+def test_hint_when_only_integrality_binds():
+    # 2x = 1 has the LP solution x = 0.5 and no binary one
+    import hubplan.analysis as analysis
+    from conftest import make_model
+    from hubplan.model import BINARY, EQ
+    model = make_model([1.0], [[2.0]], [EQ], [1.0], [0.0], [1.0], [BINARY])
+    level = analysis.solve_level(model, None, None, None, None)
+    assert level.bnb.status == "infeasible" and level.bnb.n_nodes > 1
+    assert level.bnb.infeasible_rows == [] and level.plan is None
+    assert level.infeasible_hint == ("LP relaxation is feasible; integer "
+                                     "restrictions bind")
+    assert level.as_dict()["infeasible_hint"] == level.infeasible_hint
+
+
 def test_every_row_has_a_constraint_family(tiny):
     # the infeasibility hint names a row's family by its name's first letter
     from hubplan.analysis import _FAMILIES

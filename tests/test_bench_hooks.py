@@ -54,7 +54,7 @@ def test_level_solve_stays_attributable():
     import hubplan.analysis as analysis
     import hubplan.cli as cli
     steps = {"branch_and_bound", "check_solution", "extract_solution",
-             "cost_breakdown", "chance_audit", "verify_plan", "solve_lp"}
+             "cost_breakdown", "chance_audit", "verify_plan"}
     assert steps <= set(analysis.solve_level.__code__.co_names)
     assert "solve_level" in analysis.sweep_carbon_tax.__code__.co_names
     assert not steps & _names(cli.cmd_plan.__code__)

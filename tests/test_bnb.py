@@ -46,7 +46,21 @@ def test_integer_infeasible_window():
 def test_lp_infeasible_propagates():
     m = make_model([1.0], [[1.0], [1.0]], [LE, GE], [1.0, 3.0], [0.0],
                    [10.0], [INTEGER])
-    assert branch_and_bound(m).status == "infeasible"
+    s = branch_and_bound(m)
+    assert s.status == "infeasible"
+    # the rows the root LP's phase 1 left violated, as solve_lp names them
+    assert s.infeasible_rows == solve_lp(m).infeasible_rows != []
+
+
+def test_time_limit_stops_the_dive(tiny_solved):
+    # the root LP runs to its end; the limit has passed before the dive's
+    # first LP and before the first node LP
+    assert tiny_solved.sol.dive_lps > 0
+    s = branch_and_bound(tiny_solved.model, time_limit_s=1e-9)
+    assert s.status == "time_limit" and s.x is None
+    assert (s.dive_lps, s.dive_pivots, s.n_nodes) == (0, 0, 1)
+    assert s.incumbents == [] and s.gap == np.inf
+    assert s.root_pivots == tiny_solved.sol.root_pivots
 
 
 def test_deterministic_replay():

@@ -125,13 +125,57 @@ def test_one_hour_day_exits_before_reading_inputs(data_dir, tmp_path, capsys,
     (["--time-limit", "1e-9"], "time_limit"),
 ])
 def test_plan_stopped_by_a_limit_exits_2(ws, tmp_path, capsys, flags, status):
+    # one node holds the dive's incumbent, which is reported; the time
+    # limit has passed before the dive's first LP
+    incumbent = status == "node_limit"
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out), *flags))
     assert rc == 2
     assert f"solver stopped early ({status}," in capsys.readouterr().err
     doc = json.loads((out / "audit.json").read_text())
-    assert doc["status"] == status
-    assert "objective" not in doc and "gap" in doc
+    assert doc["status"] == status and "gap" in doc
+    assert ("objective" in doc) == incumbent
+    assert bool(list(out.glob("dispatch_*.csv"))) == incumbent
+    if incumbent:
+        assert doc["incumbents"] == [doc["objective"]]
+        assert doc["gap"] > 0 and doc["solution_check"]["ok"]
+        assert doc["breakdown"]["total"] == pytest.approx(doc["objective"],
+                                                          rel=1e-9)
+        assert (out / f"soc_{doc['extreme_scenario']}.csv").exists()
+    else:
+        assert doc["dive_lps"] == 0 and doc["incumbents"] == []
+
+
+def test_plan_whose_plan_check_fails_exits_2(ws, tmp_path, capsys,
+                                             monkeypatch):
+    from hubplan import analysis
+    check = analysis.PlanCheck(ok=False, max_residual=1.0, issues=["stub"])
+    monkeypatch.setattr(analysis, "verify_plan", lambda *args: check)
+    out = tmp_path / "out"
+    rc = cli.main(["plan"] + args_for(ws, "--out", str(out)))
+    assert rc == 2
+    assert "verification failed; see audit.json" in capsys.readouterr().err
+    doc = json.loads((out / "audit.json").read_text())
+    assert doc["status"] == "optimal"
+    assert doc["plan_check"] == {"ok": False, "max_residual": 1.0,
+                                 "issues": ["stub"]}
+
+
+@pytest.mark.parametrize("exc, rc, prefix", [
+    ("InfeasibleSolutionError", 3, "infeasible: "),
+    ("SolverError", 2, "solver failure: "),
+    ("HubplanError", 2, "solver failure: "),
+])
+def test_main_maps_solver_errors_to_exit_codes(ws, capsys, monkeypatch, exc,
+                                               rc, prefix):
+    from hubplan import errors
+
+    def fail(cfg):
+        raise getattr(errors, exc)("stub")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert cli.main(["validate"] + args_for(ws)) == rc
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_plan_writes_reports(ws, tmp_path, capsys):
@@ -408,6 +452,36 @@ def test_sweep_level_records_what_plan_records(ws, tmp_path):
             "node_log"} <= keys <= set(level)
     assert {k: level[k] for k in keys} == {k: plan[k] for k in keys}
     assert level["total"] == plan["breakdown"]["total"]
+
+
+def test_sweep_level_whose_solve_raises(ws, tmp_path, capsys, monkeypatch):
+    # the second of three levels raises; it keeps the message and the
+    # others still solve
+    from hubplan import analysis
+    from hubplan.errors import SolverError
+    solve_level, calls = analysis.solve_level, []
+
+    def second_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverError("stub failure")
+        return solve_level(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_level", second_raises)
+    out = tmp_path / "out"
+    rc = cli.main(["sweep"] + args_for(ws, "--out", str(out),
+                                       "--carbon-tax", "40,400,1000"))
+    assert rc == 0 and len(calls) == 3
+    assert "tax   400.0: error      total -" in capsys.readouterr().out
+    levels = json.loads((out / "audit.json").read_text())["levels"]
+    assert [lv["status"] for lv in levels] == ["optimal", "error", "optimal"]
+    assert levels[1] == {"carbon_tax_yuan_per_ton": 400.0, "status": "error",
+                         "error": "stub failure", "total": None}
+    with open(out / "plan_summary.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[-1] for r in rows[1:]] == ["optimal", "error", "optimal"]
+    assert rows[2][1:-1] == [""] * (len(rows[0]) - 2)
+    assert "" not in rows[1] + rows[3]
 
 
 def test_sweep_needs_taxes(ws, capsys):

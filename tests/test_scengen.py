@@ -200,6 +200,25 @@ def test_fit_cubic_batch_matches_reference():
     assert seen[True] >= 50 and seen[False] >= 50
 
 
+def test_fit_batch_falls_back_per_row_on_a_singular_jacobian(monkeypatch):
+    # a +-1 coin seed has E[X^k] alternating 1, 0, so its Jacobian is
+    # singular and the batched solve raises; each row is then solved alone
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(40)
+    x = (x - x.mean()) / x.std()
+    m = scengen._seed_moments(np.stack([x, np.tile([1.0, -1.0], 20)]))
+    target = np.tile(scengen._raw_targets(0.0, 1.0, 0.5, 3.5), (2, 1))
+    coef0 = scengen._affine_start(np.zeros(2), np.ones(2), m)
+    step, calls = scengen._newton_step, []
+    monkeypatch.setattr(scengen, "_newton_step",
+                        lambda a, b: calls.append(1) or step(a, b))
+    coef, failed = fit_cubic_batch(target, m, coef0)
+    assert calls and failed.tolist() == [False, True]
+    alone, failed_alone = fit_cubic_batch(target[:1], m[:1], coef0[:1])
+    assert not failed_alone[0]
+    assert np.array_equal(coef[0], alone[0])  # bit for bit
+
+
 def test_fit_ladder_accepts_first_improving_halving():
     # from this start the full step, 1/2 and 1/4 all raise the residual
     target = np.array([0.0, 1.0, 1.3, 5.0])  # mean 0, var 1, skew 1.3, kurt 5

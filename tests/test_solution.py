@@ -8,10 +8,12 @@ from hubplan.model import (CONT, K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV,
                            K_XESS, K_XFC, K_YB, K_YEV, K_YT, K_Z, ModelConfig,
                            assemble_model)
 
+# the binary mode's exclusivity flags, which a plan does not carry
+_FLAGS = (K_YB, K_YT, K_YEV)
+
 
 def test_first_stage(tiny_solved):
     plan = tiny_solved.plan
-    assert plan.objective == tiny_solved.sol.objective
     assert set(plan.x_fc) == {"PEM_gas"}
     assert isinstance(plan.x_fc["PEM_gas"], int)
     assert 0 <= plan.x_fc["PEM_gas"] <= 10
@@ -65,11 +67,6 @@ def test_departure_energy(tiny_solved):
     assert np.all(plan.shortfall <= 1e-9)
 
 
-def test_relaxed_mode_has_no_flags(tiny_solved):
-    plan = tiny_solved.plan
-    assert plan.y_bess is None and plan.y_tess is None and plan.y_ev is None
-
-
 def test_nonnegative_dispatch(tiny_solved):
     plan = tiny_solved.plan
     for arr in (plan.grid, plan.pv, plan.fuel, plan.bess_ch, plan.bess_dis,
@@ -97,16 +94,17 @@ def test_idempotent(tiny_solved):
 
 
 # kinds whose key (kind, s, t, j) is stored at [s, j, t] of the plan array
-_EV_FIELDS = {K_VCH: "ev_ch", K_VDIS: "ev_dis", K_VE: "ev_e", K_YEV: "y_ev"}
+_EV_FIELDS = {K_VCH: "ev_ch", K_VDIS: "ev_dis", K_VE: "ev_e"}
 _FIELDS = {K_GRID: "grid", K_PV: "pv", K_FUEL: "fuel", K_BCH: "bess_ch",
            K_BDIS: "bess_dis", K_BE: "bess_e", K_TCH: "tess_ch",
            K_TDIS: "tess_dis", K_TE: "tess_e", K_SHORT: "shortfall",
-           K_Z: "z", K_YB: "y_bess", K_YT: "y_tess"}
+           K_Z: "z"}
 
 
 def test_binary_plan_entries_are_their_columns(tiny):
     # every entry of a binary-mode plan is the solver value of its column
-    # (rounded for integer columns), and NaN where the key has no column
+    # (rounded for integer columns), and NaN where the key has no column;
+    # the flag columns have no entry
     config = ModelConfig(zeta=0.5, exclusivity_mode="binary")
     model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                            config)
@@ -117,7 +115,10 @@ def test_binary_plan_entries_are_their_columns(tiny):
     x = sol.x
     covered = {name: np.zeros(np.shape(getattr(plan, name)), dtype=bool)
                for name in list(_FIELDS.values()) + list(_EV_FIELDS.values())}
+    assert set(ix.ids) >= set(_FLAGS)
     for kind, cols in ix.ids.items():
+        if kind in _FLAGS:
+            continue
         for idx in map(tuple, np.argwhere(cols >= 0)):
             c = cols[idx]
             want = x[c] if ix.kind[c] == CONT else np.rint(x[c])
