@@ -11,9 +11,10 @@ until both errors sit inside tolerance.
 All dimensions' cubics are fitted in one batched damped Newton solve per
 round (fit_cubic_batch): the seed moments come from one power table, the
 stacked 4x4 Newton systems are solved together, and the line search tries
-the full step for every row, then the 30 halved steps of the rows that
-reject it in one evaluation. A dimension whose fit stalls stays affine for
-that round, and the round's log names it.
+the full step for every row, then the 20 halved steps of the rows that
+reject it in one evaluation. A row that no step of at least 2^-20 of its
+Newton step improves has stalled: it stays affine for that round, and the
+round's log names it.
 
 Every factorization, solve and product on this path runs on numpy's
 BLAS/LAPACK. numpy and scipy each bundle an OpenBLAS with its own thread
@@ -187,6 +188,8 @@ def _selector(n):
 
 
 _JAC_ORDER = np.arange(1.0, 5.0)[:, None]
+# fit_cubic_batch's line search halves lam from 1 down to 2^-_LAM_HALVINGS
+_LAM_HALVINGS = 20
 
 
 def _hankel(seed_moments):
@@ -230,10 +233,14 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     rows' raw moments E[X^k], k = 0..12; coef0 (d, 4) the starting
     coefficients of powers 0..3. Every row takes damped Newton steps on its
     four raw-moment equations, all rows together: each step accepts the
-    largest lam = 2^-j (j = 0..30) that strictly lowers the row's largest
+    largest lam = 2^-j (j = 0..20) that strictly lowers the row's largest
     residual scaled by max(1, |target|). lam = 1 is tried for every row
-    first, then the other 30 rungs at once for the rows that reject it. A row
-    with no improving rung has stalled.
+    first, then the other 20 rungs at once for the rows that reject it. A row
+    with no improving rung has stalled. The ladder stops at 2^-20: a step of
+    lam lowers the residual by about lam * err, so a row that needs
+    lam <= 2^-20 would cut its residual by less than 2e-4 of itself over
+    the whole 200-step budget. Shorter rungs only kept the batched loop
+    running, at a fixed cost per step, for rows that fail anyway.
 
     Returns (coef, failed): failed marks the rows that stalled or were not
     within tol after max_iters steps; their coef is the last iterate.
@@ -242,7 +249,7 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     coef = np.array(coef0, dtype=float)
     scale = np.maximum(1.0, np.abs(target))
     hank = _hankel(seed_moments)
-    ladder = 0.5 ** np.arange(1, 31)  # the damped steps tried after lam = 1
+    ladder = 0.5 ** np.arange(1, _LAM_HALVINGS + 1)  # tried after lam = 1
     ey, jac = _moment_system(coef, hank)
     err = np.max(np.abs((ey - target) / scale), axis=-1)
     failed = np.zeros(coef.shape[0], dtype=bool)

@@ -118,8 +118,8 @@ def test_fit_cubic_infeasible_kurtosis():
 
 
 # The scalar damped Newton fit that fit_cubic_batch replaces, kept as its
-# reference: one row at a time, halving lam from 1 until the largest scaled
-# residual falls.
+# reference: one row at a time, halving lam from 1 down to 2^-halvings until
+# the largest scaled residual falls.
 def _ref_cubic_system(coef, m):
     p1 = coef
     p2 = np.convolve(p1, p1)
@@ -135,7 +135,7 @@ def _ref_cubic_system(coef, m):
     return ey, jac
 
 
-def _ref_fit(target, m, coef, tol=1e-10, max_iters=200):
+def _ref_fit(target, m, coef, tol=1e-10, max_iters=200, halvings=20):
     """(coef, ok, err, lams): the last iterate, whether it reached tol, its
     largest scaled residual and the lam each Newton step accepted."""
     scale = np.maximum(1.0, np.abs(target))
@@ -150,7 +150,7 @@ def _ref_fit(target, m, coef, tol=1e-10, max_iters=200):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -(ey - target), rcond=None)[0]
         lam = 1.0
-        while lam >= 2.0 ** -30:
+        while lam >= 2.0 ** -halvings:
             cand = coef + lam * step
             ey_c, jac_c = _ref_cubic_system(cand, m)
             err_c = float(np.max(np.abs((ey_c - target) / scale)))
@@ -235,6 +235,38 @@ def test_fit_ladder_accepts_first_improving_halving():
     coef, failed = fit_cubic_batch(target[None], m[None], coef0[None])
     assert ok and not failed[0] and len(lams) > 1
     np.testing.assert_allclose(coef[0], ref, rtol=1e-9)
+
+
+def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
+    # a platykurtic bundled dimension crawls: walked step by step with a
+    # 30-halving ladder, it reaches an iterate whose first improving step is
+    # shorter than 2^-20 of its Newton step; the batched fit stops there,
+    # leaves the row as it is and marks it failed
+    batch, fits = scengen.fit_cubic_batch, []
+    monkeypatch.setattr(scengen, "fit_cubic_batch",
+                        lambda *args: fits.append(args) or batch(*args))
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6, seed=3,
+                           max_iters=1)
+    (target, m, coef0), = fits
+    for r in np.flatnonzero(batch(target, m, coef0)[1]):
+        c = coef0[r]
+        for _ in range(200):
+            nxt, _ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1,
+                                            halvings=30)
+            if not lams or lams[0] < 2.0 ** -20:
+                break
+            c = nxt
+        if lams and lams[0] < 2.0 ** -20:
+            break
+    else:
+        pytest.fail("no failed row crawls below 2^-20")
+    _ref, ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1)
+    assert not ok and lams == []
+    coef, failed = batch(target[r][None], m[r][None], c[None], max_iters=1)
+    assert failed[0]
+    assert np.array_equal(coef[0], c)
 
 
 def test_impose_correlation_exact_full_rank():
@@ -376,7 +408,9 @@ def test_fit_failures_are_counted(bundled):
 def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     # the line search tries lam = 1 in one batched evaluation and all other
     # rungs in one more, so a round costs at most 2 * max_iters + 1
-    # evaluations however many dimensions stall
+    # evaluations however many dimensions stall. A row that needs a step
+    # shorter than 2^-20 stalls instead of crawling on, so here every round
+    # ends within half the step budget
     system, batch = scengen._moment_system, scengen.fit_cubic_batch
     calls, per_round = [0], []
 
@@ -399,7 +433,29 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     max_iters = inspect.signature(batch).parameters["max_iters"].default
     assert len(per_round) == len(raw.iteration_log)
     assert 1 < max(per_round) <= 2 * max_iters + 1
+    assert max(per_round) <= 2 * (max_iters // 2) + 1
     assert sum(e["fit_fails"] for e in raw.iteration_log) > 0
+
+
+@pytest.mark.parametrize("n, seed", [(6, 3), (10, 7)])
+def test_shorter_ladder_keeps_the_panel(bundled, monkeypatch, n, seed):
+    # a row that needs a step below 2^-20 fails either way, and a failed
+    # row's coefficients are never used (it stays affine), so stopping the
+    # ladder at 2^-20 instead of 2^-30 leaves every output as it was.
+    # (10, 7) is the README plan's draw
+    case, (elec, heat, pv, ev) = bundled
+
+    def draw():
+        with pytest.warns(UserWarning):
+            return generate_scenarios(case, elec, heat, pv, ev,
+                                      n_scenarios=n, seed=seed)[1]
+
+    short = draw()
+    monkeypatch.setattr(scengen, "_LAM_HALVINGS", 30)
+    long = draw()
+    assert np.array_equal(short.values, long.values)
+    assert short.iteration_log == long.iteration_log
+    assert short.best_iteration == long.best_iteration
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1])
