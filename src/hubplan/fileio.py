@@ -15,7 +15,7 @@ write/read cycle reproduces values exactly.
 """
 
 import csv
-import itertools
+import io
 import json
 from dataclasses import MISSING, dataclass, fields
 
@@ -25,6 +25,9 @@ from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
                    Scenario, ScenarioSet, TariffSet, TessSpec, TimeGrid,
                    validate_scenario_set)
 from .errors import InvalidParameterError, ParseError
+
+# loadtxt strips these information separators as space, float() does not
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 PROFILE_HEADER = ["scenario", "hour", "elec_load_kw", "heat_load_kw", "pv_avail_kw"]
 EV_HEADER = ["scenario", "ev_id", "arrive_hour", "depart_hour", "initial_soc"]
@@ -168,22 +171,34 @@ def _read_records(path, header):
         return list(reader)
 
 
-def _one_pass(records, n_fields):
-    """Float array of a well-formed table's records, or None unless every
-    record has n_fields cells and float() takes each one (so none is
-    blank)."""
-    if set(map(len, records)) - {n_fields}:
+def _load_plain(path, header):
+    """Float array of a plain table, read by numpy's C parser, or None.
+
+    A table is plain when its first line is exactly the header and every
+    later line holds one number per header field, unquoted, so that record
+    i sits on file line i + 2. loadtxt refuses quotes, blank cells and
+    numbers float() reads only in Python (1_000); it skips empty lines,
+    which csv counts, so a row count short of the line count means None
+    too. On the tables it takes, and that hold no _SEPARATORS, it gives
+    each cell float()'s value.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        body = fh.read()
+    if (first.rstrip("\r\n") != ",".join(header) or not body.strip()
+            or any(c in body for c in _SEPARATORS)):
         return None
     try:
-        return np.fromiter(map(float, itertools.chain.from_iterable(records)),
-                           dtype=float, count=len(records) * n_fields
-                           ).reshape(len(records), n_fields)
+        vals = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          ndmin=2)
     except ValueError:
         return None
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    return vals if vals.shape == (n_lines, len(header)) else None
 
 
 def _parse_records(records, header, path):
-    """(rows, lines, vals, bad) of records that failed the one-pass read.
+    """(rows, lines, vals, bad) of a table's records, read by csv.
 
     Blank records are skipped; a record with the wrong number of fields is
     a ParseError. vals holds each kept cell's float, NaN where bad marks
@@ -219,23 +234,9 @@ _CELL_FAULTS = (
 )
 
 
-def _read_table(path, header, int_cols):
-    """Read a table's data rows into a float array, one row per record,
-    and the file line of each record.
-
-    Every cell must be a finite number; the columns int_cols hold integers,
-    and the first two columns, the record's key, non-negative ones. The
-    key must not repeat. A ParseError names the first fault in file order
-    (within a row: the key cells, then a repeated key, then the rest),
-    with its line and column.
-    """
-    rows = _read_records(path, header)
-    vals = _one_pass(rows, len(header))
-    if vals is None:
-        # name the faults; only a faulty or blank-rowed table takes this path
-        rows, lines, vals, bad = _parse_records(rows, header, path)
-    else:
-        lines, bad = range(2, len(rows) + 2), np.zeros(vals.shape, dtype=bool)
+def _faults(vals, bad, int_cols):
+    """(fault, repeat): each cell's 1-based _CELL_FAULTS code, 0 when it is
+    sound, and the records that repeat an earlier record's valid key."""
     shape = vals.shape
     is_int = np.zeros(shape, dtype=bool)
     is_int[:, int_cols] = True
@@ -251,6 +252,30 @@ def _read_table(path, header, int_cols):
     keys = vals[order, :2]
     repeat = np.zeros(shape[0], dtype=bool)
     repeat[order[1:][(keys[1:] == keys[:-1]).all(axis=1)]] = True
+    return fault, repeat
+
+
+def _read_table(path, header, int_cols):
+    """Read a table's data rows into a float array, one row per record,
+    and the file line of each record.
+
+    Every cell must be a finite number; the columns int_cols hold integers,
+    and the first two columns, the record's key, non-negative ones. The
+    key must not repeat. A ParseError names the first fault in file order
+    (within a row: the key cells, then a repeated key, then the rest),
+    with its line and column.
+    """
+    vals = _load_plain(path, header)
+    if vals is not None:
+        fault, repeat = _faults(vals, np.zeros(vals.shape, dtype=bool),
+                                int_cols)
+        if not (fault.any() or repeat.any()):
+            return vals, range(2, len(vals) + 2)
+    # csv reads what loadtxt refused (quotes, blank records) and names the
+    # first fault of a faulty table by its text, line and column
+    rows, lines, vals, bad = _parse_records(_read_records(path, header),
+                                            header, path)
+    fault, repeat = _faults(vals, bad, int_cols)
     faulty = np.flatnonzero(fault.any(axis=1) | repeat)
     if faulty.size:
         i = int(faulty[0])

@@ -25,10 +25,15 @@ The ratio test takes only rows whose |w| is above the pivot tolerance
 compare each value with its bounds shifted out by the feasibility
 tolerance (``shifted_bounds``); the simplex keeps those per basis position
 and updates the codes of the rows a pivot moved by the same comparison.
+
+Sparse matrix-vector products (``spmv``) call the compiled kernel that
+scipy's ``@`` dispatches to, without the Python dispatch around it, which
+cost more than the product itself on the simplex's vectors.
 """
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dtrsv
+from scipy.sparse import _sparsetools
 
 # recorded in the benchmark's environment record; the kernels are plain numpy
 USE_NUMBA = False
@@ -145,6 +150,18 @@ def btran_etas(etas, tri, eta_piv, n_eta, v, row=None):
     beta = dtrsv(tri[:n_eta, :n_eta], ev, lower=1, trans=1)
     np.subtract.at(v, eta_piv[:n_eta], beta)
     return v
+
+
+def spmv(a, x):
+    """a @ x for a CSR or CSC matrix a and a float64 vector x, bit for bit:
+    scipy's own csr_matvec or csc_matvec, run into a fresh zero vector as
+    ``@`` runs it."""
+    m, n = a.shape
+    y = np.zeros(m)
+    matvec = (_sparsetools.csr_matvec if a.format == "csr"
+              else _sparsetools.csc_matvec)
+    matvec(m, n, a.indptr, a.indices, a.data, x, y)
+    return y
 
 
 def shifted_bounds(lb, ub, feas_tol):

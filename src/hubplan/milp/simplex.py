@@ -237,7 +237,7 @@ class _BlockBasis:
         vp = v[self.row_perm]
         if k:
             w_s = self.lu.solve(vp[:k])
-            vp[k:] -= self.b21 @ w_s
+            vp[k:] -= ker.spmv(self.b21, w_s)
             vp[:k] = w_s
         return vp[self.pos_at]
 
@@ -249,7 +249,7 @@ class _BlockBasis:
         if k:
             u_l = up[k:]
             if np.count_nonzero(u_l):
-                up[:k] -= self.b21t @ u_l
+                up[:k] -= ker.spmv(self.b21t, u_l)
             up[:k] = self.lu.solve(up[:k], trans="T")
         return up[self.row_at]
 
@@ -351,7 +351,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                     f"basic column {int(blk.struct_cols.min())}") from exc
         n_eta = 0
         x[basis] = 0.0
-        resid = b - (a_s @ x[:n_struct] + x[n_struct:])
+        resid = b - (ker.spmv(a_s, x[:n_struct]) + x[n_struct:])
         xb[:] = blk.solve(resid)
         x[basis] = xb
         gamma[:] = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[0]
@@ -397,9 +397,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         priced += 1
         y = btran(gamma.astype(float) if phase1 else c[basis])
         if phase1:
-            np.negative(at_s @ y, out=d[:n_struct])
+            np.negative(ker.spmv(at_s, y), out=d[:n_struct])
         else:
-            np.subtract(c[:n_struct], at_s @ y, out=d[:n_struct])
+            np.subtract(c[:n_struct], ker.spmv(at_s, y), out=d[:n_struct])
         np.negative(y, out=d[n_struct:])
         return y
 
@@ -416,7 +416,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         y = btran(c[basis])
         np.minimum(y, 0.0, out=y, where=np.isinf(s_hi))
         np.maximum(y, 0.0, out=y, where=np.isinf(s_lo))
-        d_f = np.concatenate([c[:n_struct] - at_s @ y, -y])
+        d_f = np.concatenate([c[:n_struct] - ker.spmv(at_s, y), -y])
         nb = stat != BASIC
         d_n, lb_n, ub_n = d_f[nb], lb[nb], ub[nb]
         at_lb, at_ub = d_n > 0.0, d_n < 0.0
@@ -508,7 +508,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             r = int(rows[viol.argmax()])
             s = float(gamma[r])
             rho = btran_row(r)
-            alpha[:n_struct] = at_s @ rho
+            alpha[:n_struct] = ker.spmv(at_s, rho)
             alpha[n_struct:] = rho
             q, t = ker.dual_ratio_test(alpha, d, dirn, free, s, _PIVOT_TOL)
             if q < 0:
@@ -642,7 +642,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         d_q = d[q]
         rho = btran_row(r)
         rho *= d_q
-        d[:n_struct] -= at_s @ rho
+        d[:n_struct] -= ker.spmv(at_s, rho)
         d[n_struct:] -= rho
         d[q] = 0.0
         d[leave] = -d_q / w[r] - g_r

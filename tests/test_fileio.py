@@ -151,6 +151,43 @@ def test_history_faults(tmp_path, rows, line, column, message):
     assert str(ei.value).endswith(message)
 
 
+@pytest.mark.parametrize("edited, plain", [
+    # cells that numpy's loadtxt and csv plus float() could read apart:
+    # each table reads as its plain twin does
+    (['0,0,"1.5",2.0,0.0'] + _DAY[1:], _DAY),
+    (["0,0,1_000,2.0,0.0"] + _DAY[1:], ["0,0,1000,2.0,0.0"] + _DAY[1:]),
+    (_DAY[:3] + [" \t "] + _DAY[3:], _DAY),
+    (_DAY[:3] + [""] + _DAY[3:], _DAY),
+    (["0,0, 1.5 ,\t2.0,0.0\r"] + _DAY[1:], _DAY),
+])
+def test_history_reads_as_csv_does(tmp_path, edited, plain):
+    want = read_history(_history(tmp_path, plain))
+    got = read_history(_history(tmp_path, edited))
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows, line, column, message", [
+    (["0,0,1.5#,2.0,0.0"] + _DAY[1:], 2, "elec_load_kw",
+     "not a number: '1.5#'"),
+    (["#0,0,1.5,2.0,0.0"] + _DAY[1:], 2, "scenario", "not a number: '#0'"),
+    # float() takes no information separator as space; loadtxt does
+    (_DAY[:2] + ["0,2,\x1c1,1,1"] + _DAY[3:], 4, "elec_load_kw",
+     "not a number: '\\x1c1'"),
+    # a blank line before a faulty row still counts
+    (_DAY[:2] + [""] + ["0,2,bad,1,1"] + _DAY[3:], 5, "elec_load_kw",
+     "not a number: 'bad'"),
+    (_DAY[:2] + [""] + ["0,1,3,3,3"] + _DAY[2:], 5, None,
+     "duplicate (scenario, hour) = (0, 1)"),
+])
+def test_history_cell_faults_keep_their_place(tmp_path, rows, line, column,
+                                              message):
+    with pytest.raises(ParseError) as ei:
+        read_history(_history(tmp_path, rows))
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value).endswith(message)
+
+
 def test_history_rows_in_any_order(tmp_path):
     # records are placed by key, not by file position
     fwd = read_history(_history(tmp_path, _DAY))

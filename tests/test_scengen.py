@@ -118,8 +118,9 @@ def test_fit_cubic_infeasible_kurtosis():
 
 
 # The scalar damped Newton fit that fit_cubic_batch replaces, kept as its
-# reference: one row at a time, halving lam from 1 down to 2^-halvings until
-# the largest scaled residual falls.
+# reference: one row at a time, halving lam from 1 down to 2^-halvings (by
+# default the shipped ladder's 2^-_LAM_HALVINGS) until the largest scaled
+# residual falls.
 def _ref_cubic_system(coef, m):
     p1 = coef
     p2 = np.convolve(p1, p1)
@@ -135,9 +136,11 @@ def _ref_cubic_system(coef, m):
     return ey, jac
 
 
-def _ref_fit(target, m, coef, tol=1e-10, max_iters=200, halvings=20):
+def _ref_fit(target, m, coef, tol=1e-10, max_iters=200, halvings=None):
     """(coef, ok, err, lams): the last iterate, whether it reached tol, its
     largest scaled residual and the lam each Newton step accepted."""
+    if halvings is None:
+        halvings = scengen._LAM_HALVINGS
     scale = np.maximum(1.0, np.abs(target))
     ey, jac = _ref_cubic_system(coef, m)
     err = float(np.max(np.abs((ey - target) / scale)))
@@ -240,8 +243,8 @@ def test_fit_ladder_accepts_first_improving_halving():
 def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
     # a platykurtic bundled dimension crawls: walked step by step with a
     # 30-halving ladder, it reaches an iterate whose first improving step is
-    # shorter than 2^-20 of its Newton step; the batched fit stops there,
-    # leaves the row as it is and marks it failed
+    # shorter than the shipped ladder's last rung; the batched fit stops
+    # there, leaves the row as it is and marks it failed
     batch, fits = scengen.fit_cubic_batch, []
     monkeypatch.setattr(scengen, "fit_cubic_batch",
                         lambda *args: fits.append(args) or batch(*args))
@@ -250,18 +253,19 @@ def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
         generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6, seed=3,
                            max_iters=1)
     (target, m, coef0), = fits
+    shortest = 2.0 ** -scengen._LAM_HALVINGS
     for r in np.flatnonzero(batch(target, m, coef0)[1]):
         c = coef0[r]
         for _ in range(200):
             nxt, _ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1,
                                             halvings=30)
-            if not lams or lams[0] < 2.0 ** -20:
+            if not lams or lams[0] < shortest:
                 break
             c = nxt
-        if lams and lams[0] < 2.0 ** -20:
+        if lams and lams[0] < shortest:
             break
     else:
-        pytest.fail("no failed row crawls below 2^-20")
+        pytest.fail("no failed row crawls below the shortest rung")
     _ref, ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1)
     assert not ok and lams == []
     coef, failed = batch(target[r][None], m[r][None], c[None], max_iters=1)
@@ -409,8 +413,8 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     # the line search tries lam = 1 in one batched evaluation and all other
     # rungs in one more, so a round costs at most 2 * max_iters + 1
     # evaluations however many dimensions stall. A row that needs a step
-    # shorter than 2^-20 stalls instead of crawling on, so here every round
-    # ends within half the step budget
+    # shorter than the ladder's last rung stalls instead of crawling on, so
+    # here every round ends within half the step budget
     system, batch = scengen._moment_system, scengen.fit_cubic_batch
     calls, per_round = [0], []
 
@@ -437,12 +441,14 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     assert sum(e["fit_fails"] for e in raw.iteration_log) > 0
 
 
-@pytest.mark.parametrize("n, seed", [(6, 3), (10, 7)])
+@pytest.mark.parametrize("n, seed", [(6, 3), (10, 7), (50, 4), (6, 7)])
 def test_shorter_ladder_keeps_the_panel(bundled, monkeypatch, n, seed):
-    # a row that needs a step below 2^-20 fails either way, and a failed
-    # row's coefficients are never used (it stays affine), so stopping the
-    # ladder at 2^-20 instead of 2^-30 leaves every output as it was.
-    # (10, 7) is the README plan's draw
+    # on these draws every row that converges keeps to steps the shipped
+    # ladder holds, and a failed row's coefficients are never used (it
+    # stays affine), so stopping the ladder there instead of at 2^-30
+    # leaves every output as it was. (10, 7) is the README plan's draw;
+    # (50, 4) and (6, 7) hold the grid's converging rows with the shortest
+    # steps, 2^-15 and 2^-13
     case, (elec, heat, pv, ev) = bundled
 
     def draw():
@@ -456,6 +462,26 @@ def test_shorter_ladder_keeps_the_panel(bundled, monkeypatch, n, seed):
     assert np.array_equal(short.values, long.values)
     assert short.iteration_log == long.iteration_log
     assert short.best_iteration == long.best_iteration
+
+
+def test_ladder_keeps_the_shortest_converging_step(bundled, monkeypatch):
+    # the shortest step any converging row of the bundled grid takes
+    # (tools/fit_grid.py): (n, seed) = (50, 4), round 1, row 25 converges
+    # only through a step of 2^-15, so the shipped ladder must reach it; a
+    # ladder of 14 rungs fails the row
+    batch, fits = scengen.fit_cubic_batch, []
+    monkeypatch.setattr(scengen, "fit_cubic_batch",
+                        lambda *args: fits.append(args) or batch(*args))
+    case, (elec, heat, pv, ev) = bundled
+    with pytest.warns(UserWarning):
+        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=50, seed=4,
+                           max_iters=1)
+    (target, m, coef0), = fits
+    _ref, ok, _err, lams = _ref_fit(target[25], m[25], coef0[25], halvings=30)
+    assert ok and min(lams) == 2.0 ** -15
+    assert not batch(target, m, coef0)[1][25]
+    monkeypatch.setattr(scengen, "_LAM_HALVINGS", 14)
+    assert batch(target, m, coef0)[1][25]
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1])

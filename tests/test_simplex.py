@@ -710,6 +710,33 @@ def _dual_ratio_test_py(alpha, d, dirn, free, s, pivot_tol):
     return best, t_min
 
 
+def test_spmv_is_scipys_product_bit_for_bit():
+    # spmv calls scipy's private compiled kernels; a change there must fail
+    # here, not move a pivot. Random CSR and CSC matrices, CSR views of
+    # CSC transposes as _BlockBasis builds them, with empty rows and
+    # columns, 32- and 64-bit indices, and no rows or columns at all
+    rng = np.random.default_rng(3)
+    mats = []
+    for m, n in ((1, 1), (7, 5), (40, 90), (200, 60), (0, 4), (5, 0)):
+        a = sparse.random(m, n, density=0.15, random_state=rng, format="csc")
+        a = a.tolil()
+        if m > 2 and n > 2:
+            a[m // 2, :] = 0.0  # an empty row
+            a[:, n // 3] = 0.0  # an empty column
+        a = a.tocsc()
+        a.data *= rng.uniform(-1e3, 1e3, a.data.size)
+        wide = a.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        mats += [a, a.tocsr(), a.T, wide, wide.T]
+    for a in mats:
+        x = rng.standard_normal(a.shape[1]) * 10.0 ** rng.integers(-8, 8)
+        got = ker.spmv(a, x)
+        want = a @ x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (a.format, a.shape)
+
+
 def test_dual_ratio_test_matches_scalar_reference():
     piv_tol = 1e-9
     seen = dict(free=0, tie=0, ray=0, zero=0)
