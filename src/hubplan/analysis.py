@@ -17,7 +17,8 @@ from .core import MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
 from .milp import (BnbSolution, PlanSolution, VerifyReport,
                    branch_and_bound, check_solution, extract_solution)
-from .model import assemble_model, build_objective, max_substandard
+from .model import (assemble_model, build_objective, max_substandard,
+                    repair_overlap)
 
 _SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
 _PLAN_TOL = 1e-6  # verify_plan's tolerance on energies and residuals
@@ -279,7 +280,13 @@ class LevelSolve:
     """One branch-and-bound solve of a priced model and the verdicts on it:
     the plan, solution check, cost breakdown, chance audit and plan check
     of its incumbent when it has one (a solve stopped by a limit may), and
-    an infeasible one's hint."""
+    an infeasible one's hint.
+
+    bnb.x is the incumbent after repair_overlap. overlap names the
+    store-hours (by charge column) that charged and discharged at once in
+    the incumbent branch and bound returned, unrepaired those the repair
+    had to leave, which plan_check fails.
+    """
 
     bnb: BnbSolution
     infeasible_hint: str = None
@@ -288,6 +295,8 @@ class LevelSolve:
     breakdown: CostBreakdown = None
     audit: ChanceAudit = None
     plan_check: "PlanCheck" = None
+    overlap: list = None
+    unrepaired: list = None
 
     def as_dict(self):
         """The solve as audit.json records it."""
@@ -310,6 +319,8 @@ class LevelSolve:
                 "plan_check": {"ok": self.plan_check.ok,
                                "max_residual": self.plan_check.max_residual,
                                "issues": self.plan_check.issues[:20]},
+                "overlap_hours": len(self.overlap),
+                "overlap_unrepaired": self.unrepaired,
             })
         return doc
 
@@ -317,8 +328,9 @@ class LevelSolve:
 def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
                 **limits) -> LevelSolve:
     """Solve model, assembled from scenario_set, catalog and config and
-    priced at tariffs, by branch_and_bound (warm root basis, limits) and
-    return the verdicts on its incumbent, if any, never acting on them. An
+    priced at tariffs, by branch_and_bound (warm root basis, limits),
+    repair its incumbent's charge/discharge overlaps, and return the
+    verdicts on the repaired incumbent, if any, never acting on them. An
     infeasible model's hint names the families of the rows its root LP
     left violated."""
     bnb = branch_and_bound(model, warm=warm, **limits)
@@ -327,15 +339,19 @@ def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
             model, bnb.infeasible_rows))
     if bnb.x is None:
         return LevelSolve(bnb)
+    x, overlap, unrepaired = repair_overlap(model.var_index, catalog, bnb.x,
+                                            _PLAN_TOL)
+    bnb = replace(bnb, x=x)
     grid = scenario_set.grid
     plan = extract_solution(bnb, model.var_index)
     return LevelSolve(
-        bnb, plan=plan, check=check_solution(model, bnb.x),
+        bnb, plan=plan, check=check_solution(model, x),
         breakdown=cost_breakdown(plan, catalog, tariffs,
                                  annualization_factor(grid)),
         audit=chance_audit(plan, catalog.ev_fleet, config.zeta,
                            grid.n_scenarios),
-        plan_check=verify_plan(plan, scenario_set, catalog, tariffs))
+        plan_check=verify_plan(plan, scenario_set, catalog, tariffs),
+        overlap=overlap, unrepaired=unrepaired)
 
 
 @dataclass
@@ -503,7 +519,8 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
 
     Electric balance residuals are scaled by (1 + max electric load); heat
     surplus must be >= -_PLAN_TOL absolutely; storage dynamics, cyclic closure
-    and SOC windows are checked to _PLAN_TOL on energies.
+    and SOC windows are checked to _PLAN_TOL on energies. A store may not
+    charge and discharge more than _PLAN_TOL each in the same hour.
     """
     issues = []
     worst = 0.0
@@ -587,6 +604,16 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
                 flag(dep_soc >= fleet.target_departure_soc
                      - _PLAN_TOL * (1 + fleet.target_departure_soc),
                      f"departure soc s{s} j{j}", dep_soc)
+
+    for store, ch, dis in (("bess", solution.bess_ch, solution.bess_dis),
+                           ("tess", solution.tess_ch, solution.tess_dis),
+                           ("ev", solution.ev_ch, solution.ev_dis)):
+        both = np.fmin(ch, dis)  # NaN outside a vehicle's window
+        for at in np.argwhere(both > _PLAN_TOL).tolist():
+            where = (f"s{at[0]} t{at[1]}" if len(at) == 2
+                     else f"s{at[0]} j{at[1]} t{at[2]}")
+            issues.append(f"{store} charges and discharges {where}: "
+                          f"{float(both[tuple(at)])!r}")
 
     for fc_id, units in solution.x_fc.items():
         flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",

@@ -27,11 +27,11 @@ from .analysis import (branch_and_bound, chance_audit, check_solution,
 from .errors import (HubplanError, InfeasibleSolutionError,
                      InvalidParameterError, ModelBuildError, MomentFitError,
                      MpsFormatError, ParseError, SolverError)
-from .fileio import (read_case, read_history, read_scenario_set,
+from .fileio import (not_utf8, read_case, read_history, read_scenario_set,
                      write_scenario_set)
 from .milp import write_mps
 from .milp.bnb import check_limits
-from .model import EXCLUSIVITY_MODES, ModelConfig, assemble_model
+from .model import ModelConfig, assemble_model
 from .scengen import check_history, generate_scenarios
 
 EXIT_OK = 0
@@ -115,9 +115,6 @@ _OPTIONS = {
     "zeta": _Option(0.05, _float, "--zeta", "chance-constraint risk level"),
     "carbon_tax": _Option(None, _taxes, "--carbon-tax", "carbon tax "
                           "level(s) in yuan/ton, comma-separated"),
-    "mode": _Option("relaxed", _text, "--mode",
-                    "charge/discharge exclusivity handling",
-                    EXCLUSIVITY_MODES),
     "extreme": _Option("elec", _checked(_text, EXTREMES.__contains__,
                                         f"one of {EXTREMES}"),
                        "--extreme", "which extreme scenario to report in "
@@ -156,6 +153,8 @@ def load_config(args) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read config: {exc}", path=path) from exc
+        except UnicodeDecodeError as exc:
+            raise not_utf8(exc, path) from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", path=path,
                              line=exc.lineno, column=exc.colno) from exc
@@ -176,8 +175,7 @@ def load_config(args) -> dict:
             raw[key] = flag
     cfg = {key: None if val is None and _OPTIONS[key].default is None
            else _OPTIONS[key].convert(key, val) for key, val in raw.items()}
-    cfg["model_config"] = ModelConfig(zeta=cfg["zeta"],
-                                      exclusivity_mode=cfg["mode"])
+    cfg["model_config"] = ModelConfig(zeta=cfg["zeta"])
     cfg["limits"] = {key: cfg[key]
                      for key in ("rel_gap", "max_nodes", "time_limit_s")}
     check_limits(**cfg["limits"])
@@ -274,7 +272,6 @@ def cmd_plan(cfg):
         "command": "plan",
         **level.as_dict(),
         "zeta": config.zeta,
-        "mode": config.exclusivity_mode,
         "carbon_tax_yuan_per_ton": tax if tax is not None
         else tariffs.carbon_tax * 1000.0,
         **source,

@@ -108,8 +108,11 @@ def read_case(path) -> CaseData:
     (CaseData's own fields), fuel_cells (a list of FcSpec, fc_id under the
     key "id"), bess, tess, ev_fleet and tariffs.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -158,17 +161,24 @@ def write_case(case: CaseData, path):
         fh.write("\n")
 
 
+def not_utf8(exc, path):
+    """The ParseError for a file whose text a UnicodeDecodeError stopped."""
+    return ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                      f"({exc.reason})", path=path)
+
+
 def _read_records(path, header):
     """The records after a table's header row, as read by csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, header row required", path=path, line=1) from None
-        if [h.strip() for h in got] != header:
-            raise ParseError(f"header must be {','.join(header)}", path=path, line=1)
-        return list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path) from exc
+    if not records:
+        raise ParseError("empty file, header row required", path=path, line=1)
+    if [h.strip() for h in records[0]] != header:
+        raise ParseError(f"header must be {','.join(header)}", path=path, line=1)
+    return records[1:]
 
 
 def _load_plain(path, header):
@@ -182,9 +192,12 @@ def _load_plain(path, header):
     too. On the tables it takes, and that hold no _SEPARATORS, it gives
     each cell float()'s value.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path) from exc
     if (first.rstrip("\r\n") != ",".join(header) or not body.strip()
             or any(c in body for c in _SEPARATORS)):
         return None

@@ -20,9 +20,9 @@ class PlanSolution:
     or vehicle where present); EV arrays hold NaN outside each vehicle's
     parking window, and ev_e spans T+1 points with the arrival datum at
     index arrive. e_dep is the departure energy (kWh), z the per-scenario
-    substandard flags. The binary mode's exclusivity flags are not
-    carried: check_solution gates every integer column of the incumbent,
-    flags included, at INT_TOL.
+    substandard flags. A plan that analysis.solve_level reports comes from
+    the incumbent after model.repair_overlap: no store charges and
+    discharges in the same hour, or verify_plan says where one does.
     """
 
     x_ess: float

@@ -8,7 +8,9 @@ shortfall slacks by big-M rows, with one cardinality row capping sum(Z).
 Storage dynamics use storage-side power: the state gains P_ch and loses
 P_dis one-for-one, while the bus pays P_ch/eta_ch and receives
 eta_dis*P_dis. Daily cycles are closed: the start-of-day energy equals the
-end-of-day energy plus the last hour's action.
+end-of-day energy plus the last hour's action. No row keeps a store from
+charging and discharging in the same hour; repair_overlap takes any such
+overlap out of a solved x at the same cost.
 
 All builders are pure and emit rows in deterministic (s,t,i,j) order.
 """
@@ -22,8 +24,6 @@ from scipy import sparse
 
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InvalidParameterError, ModelBuildError
-
-EXCLUSIVITY_MODES = ("relaxed", "binary")  # ModelConfig's legal modes
 
 # variable kinds
 K_XESS = "x_ess"
@@ -41,9 +41,6 @@ K_VCH = "ev_ch"
 K_VDIS = "ev_dis"
 K_VE = "ev_e"
 K_SHORT = "shortfall"
-K_YB = "y_bess"
-K_YT = "y_tess"
-K_YEV = "y_ev"
 K_Z = "z"
 
 # column kinds
@@ -59,33 +56,34 @@ _NAME_FMT = {
     K_FUEL: "FU{}_{}_{}", K_BCH: "BC{}_{}", K_BDIS: "BD{}_{}", K_BE: "BE{}_{}",
     K_TCH: "TC{}_{}", K_TDIS: "TD{}_{}", K_TE: "TE{}_{}",
     K_VCH: "VC{}_{}_{}", K_VDIS: "VD{}_{}_{}", K_VE: "VE{}_{}_{}",
-    K_SHORT: "SH{}_{}", K_YB: "YB{}_{}", K_YT: "YT{}_{}",
-    K_YEV: "YV{}_{}_{}", K_Z: "Z{}",
+    K_SHORT: "SH{}_{}", K_Z: "Z{}",
 }
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Chance level and formulation switches.
+    """Chance level of the planning model.
 
-    zeta              admissible fraction of substandard scenarios, in [0, 1)
-    exclusivity_mode  "relaxed" drops charge/discharge exclusivity binaries
-                      (round-trip losses make overlap dominated at optimum);
-                      "binary" keeps them
+    zeta  admissible fraction of substandard scenarios, in [0, 1)
 
-    Big-M constants are bound-tightened per row from catalog data: storage
-    rate caps use rate_fraction * capacity, the shortfall cap uses
-    (target_soc - soc_min) * ev capacity.
+    The chance rows' big-M, the shortfall cap, is bound-tightened from
+    catalog data: (target_soc - soc_min) * ev capacity. The model has no
+    charge/discharge exclusivity rows: repair_overlap makes a solved x
+    exclusive at the same cost.
     """
 
     zeta: float = 0.05
+    # accepts only "relaxed", which perfbench's chance workload still
+    # passes; it goes once the benchmark stops passing it (ROADMAP item 1)
     exclusivity_mode: str = "relaxed"
 
     def __post_init__(self):
         if not (0.0 <= self.zeta < 1.0):
             raise InvalidParameterError("zeta must be in [0, 1)")
-        if self.exclusivity_mode not in EXCLUSIVITY_MODES:
-            raise InvalidParameterError("exclusivity_mode must be 'relaxed' or 'binary'")
+        if self.exclusivity_mode != "relaxed":
+            raise InvalidParameterError(
+                "exclusivity_mode must be 'relaxed': binary mode was removed, "
+                "and overlap is repaired after the solve")
 
 
 def max_substandard(n_scenarios: int, zeta: float) -> int:
@@ -101,25 +99,22 @@ class VarIndex:
     fuel cell i and vehicle j, all 0-based), -1 where the variable has no
     column. EV dispatch exists for parked hours t in [arrive, depart); EV
     energies for t in [arrive+1, depart], the arrival state being the fixed
-    datum initial_soc * capacity; the Y kinds exist in binary mode only.
-    Columns come out in deterministic order and all bounds are finite.
+    datum initial_soc * capacity. Columns come out in deterministic order
+    and all bounds are finite.
     """
 
-    def __init__(self, grid, catalog, config, scenario_set, tariffs):
+    def __init__(self, grid, catalog, scenario_set, tariffs):
         n = self.n_scenarios = grid.n_scenarios
         t_day = self.hours = grid.hours_per_day
         self.fc_ids = tuple(f.fc_id for f in catalog.fuel_cells)
         n_fc = len(self.fc_ids)
         n_ev = self.n_ev = catalog.ev_fleet.n_ev
-        self.binary_mode = config.exclusivity_mode == "binary"
         self.windows = {}  # (s, j) -> (arrive, depart)
         self.ev_init = {}  # (s, j) -> arrival energy datum (kWh)
         shapes = {K_XESS: (), K_XFC: (n_fc,), K_FUEL: (n, t_day, n_fc),
                   K_VCH: (n, t_day, n_ev), K_VDIS: (n, t_day, n_ev),
-                  K_VE: (n, t_day + 1, n_ev), K_SHORT: (n, n_ev),
-                  K_YEV: (n, t_day, n_ev), K_Z: (n,)}
-        for k in (K_GRID, K_PV, K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE,
-                  K_YB, K_YT):
+                  K_VE: (n, t_day + 1, n_ev), K_SHORT: (n, n_ev), K_Z: (n,)}
+        for k in (K_GRID, K_PV, K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE):
             shapes[k] = (n, t_day)
         ids = self.ids = {k: np.full(shape, -1, dtype=np.int64)
                           for k, shape in shapes.items()}
@@ -158,11 +153,6 @@ class VarIndex:
                 ids[K_VDIS][s, a:d, j] = new(d - a)
                 ids[K_VE][s, a + 1:d + 1, j] = new(d - a)
                 ids[K_SHORT][s, j] = new()
-        if self.binary_mode:
-            hour = new(n, t_day, 2)
-            ids[K_YB][:], ids[K_YT][:] = hour[..., 0], hour[..., 1]
-            for (s, j), (a, d) in self.windows.items():
-                ids[K_YEV][s, a:d, j] = new(d - a)
         ids[K_Z][:] = new(n)
         self.n_cols = n_cols
 
@@ -195,7 +185,7 @@ class VarIndex:
             K_VE: fleet.soc_max * fleet.capacity,
             K_SHORT: (fleet.target_departure_soc - fleet.soc_min)
             * fleet.capacity,
-            **dict.fromkeys((K_YB, K_YT, K_YEV, K_Z), 1.0),
+            K_Z: 1.0,
         }
         self.lb, self.ub = np.zeros(n_cols), np.zeros(n_cols)
         self.kind = np.zeros(n_cols, dtype=np.int8)  # CONT
@@ -203,13 +193,53 @@ class VarIndex:
             fill(self.ub, k, hi)
         fill(self.lb, K_VE, fleet.soc_min * fleet.capacity)
         fill(self.kind, K_XFC, INTEGER)
-        for k in (K_YB, K_YT, K_YEV, K_Z):
-            fill(self.kind, k, BINARY)
+        fill(self.kind, K_Z, BINARY)
         self.names = [None] * n_cols
         for k, c in ids.items():
             have = c >= 0
             for col, at in zip(c[have].tolist(), np.argwhere(have).tolist()):
                 self.names[col] = _NAME_FMT[k].format(*at)
+
+
+def repair_overlap(index, catalog, x, tol):
+    """Take each store-hour's overlap, min(charge, discharge), off both its
+    charge and its discharge, and curtail PV by what the bus gains.
+
+    Every storage chain and departure energy stays as it was, and the rate
+    caps and the BESS throughput row still hold. A TESS hour's heat
+    surplus grows by overlap * (1/eta_ch - eta_dis), which the heat
+    balance, a >= row, takes. The electric bus gains as much from each
+    BESS and EV overlap of an hour; the hour's PV column, which costs
+    nothing, is curtailed by their sum, so c'x does not change. An hour
+    whose gain exceeds its PV keeps its electric overlaps. Only overlapping
+    store-hours and their PV are written: elsewhere x comes back bit for
+    bit.
+
+    Returns (x', found, left): the repaired copy of x, and the names of
+    the charge columns of the store-hours whose charge and discharge both
+    exceed tol in x and in x'.
+    """
+    ids, bess, fleet = index.ids, catalog.bess, catalog.ev_fleet
+    x = np.asarray(x, dtype=float)
+    stores = [(ids[K_BCH], ids[K_BDIS]), (ids[K_TCH], ids[K_TDIS]),
+              (ids[K_VCH], ids[K_VDIS])]
+    d_b, d_t, d_v = (np.where(ch >= 0, np.minimum(x[ch], x[dis]), 0.0)
+                     .clip(0.0) for ch, dis in stores)
+    gain = (d_b * (1.0 / bess.eta_ch - bess.eta_dis)
+            + d_v.sum(axis=2) * (1.0 / fleet.eta_ch - fleet.eta_dis))
+    fits = gain <= x[ids[K_PV]]
+    out = x.copy()
+    for (ch, dis), d in zip(stores, (d_b * fits, d_t, d_v * fits[..., None])):
+        on = d > 0.0
+        out[ch[on]] -= d[on]
+        out[dis[on]] -= d[on]
+    cut = fits & (gain > 0.0)
+    out[ids[K_PV][cut]] -= gain[cut]
+
+    def overlapping(v):
+        return [index.names[c] for ch, dis in stores
+                for c in ch[(ch >= 0) & (np.minimum(v[ch], v[dis]) > tol)]]
+    return out, overlapping(x), overlapping(out)
 
 
 @dataclass
@@ -318,19 +348,6 @@ def _cyclic_chain(prefix, e, ch, dis) -> list:
              (1.0, -1.0, -1.0, 1.0)) for t in range(len(e))]
 
 
-def _exclusivity(tag, where, ch, dis, y, m_ch, m_dis) -> list:
-    """Charge/discharge exclusivity at every hour t with a flag column Y
-    (none in relaxed mode): P_ch <= m_ch*Y and P_dis <= m_dis*(1 - Y).
-    where.format(t) ends each row name."""
-    rows = []
-    for t in np.flatnonzero(y >= 0):
-        rows.append((f"{tag}XC{where.format(t)}", LE, 0.0, (ch[t], y[t]),
-                     (1.0, -m_ch)))
-        rows.append((f"{tag}XD{where.format(t)}", LE, m_dis, (dis[t], y[t]),
-                     (1.0, m_dis)))
-    return rows
-
-
 def build_bess_constraints(index, grid, bess) -> list:
     """Battery SOC window, cyclic dynamics, rate caps, lifetime throughput.
 
@@ -342,7 +359,6 @@ def build_bess_constraints(index, grid, bess) -> list:
     ch, dis, e = index.ids[K_BCH], index.ids[K_BDIS], index.ids[K_BE]
     x = int(index.ids[K_XESS])
     life = bess.lifetime_cycles / (grid.planning_years * 365.0)
-    m_rate = bess.rate_fraction * bess.max_capacity
     for s in range(grid.n_scenarios):
         for t in range(t_day):
             rows.append((f"BL{s}_{t}", LE, 0.0, (x, e[s, t]),
@@ -356,28 +372,21 @@ def build_bess_constraints(index, grid, bess) -> list:
             rows.append((f"BRD{s}_{t}", LE, 0.0, (dis[s, t], x),
                          (1.0, -bess.rate_fraction)))
         rows.append((f"BW{s}", LE, 0.0, [*ch[s], x], [1.0] * t_day + [-life]))
-        rows += _exclusivity("B", f"{s}_{{}}", ch[s], dis[s],
-                             index.ids[K_YB][s], m_rate, m_rate)
     return rows
 
 
-def build_tess_constraints(index, grid, tess) -> list:
-    """Thermal store: cyclic dynamics plus optional exclusivity.
+def build_tess_constraints(index) -> list:
+    """Thermal store: cyclic dynamics.
 
     Capacity is a fixed datum, so the SOC window and rate caps are column
     bounds; no lifetime row.
     """
-    rows = []
     ch, dis, e = index.ids[K_TCH], index.ids[K_TDIS], index.ids[K_TE]
-    m_rate = tess.rate_fraction * tess.capacity
-    for s in range(grid.n_scenarios):
-        rows += _cyclic_chain(f"TS{s}_", e[s], ch[s], dis[s])
-        rows += _exclusivity("T", f"{s}_{{}}", ch[s], dis[s],
-                             index.ids[K_YT][s], m_rate, m_rate)
-    return rows
+    return [row for s in range(index.n_scenarios)
+            for row in _cyclic_chain(f"TS{s}_", e[s], ch[s], dis[s])]
 
 
-def build_ev_constraints(index, fleet) -> list:
+def build_ev_constraints(index) -> list:
     """Per-vehicle energy chains anchored at the arrival SOC.
 
     Charger and discharge rate caps are column bounds; the first chain row
@@ -385,7 +394,6 @@ def build_ev_constraints(index, fleet) -> list:
     """
     rows = []
     ch, dis, e = index.ids[K_VCH], index.ids[K_VDIS], index.ids[K_VE]
-    m_dis = fleet.discharge_rate_fraction * fleet.capacity
     for (s, j), (a, d) in index.windows.items():
         rows.append((f"VS{s}_{a + 1}_{j}", EQ, index.ev_init[(s, j)],
                      (e[s, a + 1, j], ch[s, a, j], dis[s, a, j]),
@@ -394,9 +402,6 @@ def build_ev_constraints(index, fleet) -> list:
             rows.append((f"VS{s}_{t}_{j}", EQ, 0.0,
                          (e[s, t, j], ch[s, t - 1, j], dis[s, t - 1, j],
                           e[s, t - 1, j]), (1.0, -1.0, 1.0, -1.0)))
-        rows += _exclusivity("V", f"{s}_{{}}_{j}", ch[s, :, j], dis[s, :, j],
-                             index.ids[K_YEV][s, :, j], fleet.charger_power,
-                             m_dis)
     return rows
 
 
@@ -426,14 +431,14 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     Each row is (name, sense, rhs, columns, coefficients); a row that names
     a column twice is refused, and zero coefficients are left out.
     """
-    index = VarIndex(grid, catalog, config, scenario_set, tariffs)
+    index = VarIndex(grid, catalog, scenario_set, tariffs)
     m = annualization_factor(grid)
     obj = build_objective(index, catalog, tariffs, m)
     rows = (build_energy_balance(index, scenario_set, catalog)
             + build_device_bounds(index, catalog)
             + build_bess_constraints(index, grid, catalog.bess)
-            + build_tess_constraints(index, grid, catalog.tess)
-            + build_ev_constraints(index, catalog.ev_fleet)
+            + build_tess_constraints(index)
+            + build_ev_constraints(index)
             + build_chance_constraints(index, catalog.ev_fleet, config))
 
     names, senses, rhs, cols, vals = zip(*rows)

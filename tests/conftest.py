@@ -1,4 +1,5 @@
-"""Shared fixtures: a four-hour two-day hub case and a raw-model builder."""
+"""Shared fixtures: a four-hour two-day hub case, a raw-model builder and
+the binary exclusivity formulation as a reference."""
 import os
 from types import SimpleNamespace
 
@@ -11,7 +12,8 @@ from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
                           TimeGrid)
 from hubplan.milp import branch_and_bound, extract_solution
-from hubplan.model import MilpModel, ModelConfig, assemble_model
+from hubplan.model import (BINARY, K_BCH, K_BDIS, K_TCH, K_TDIS, K_VCH,
+                           K_VDIS, LE, MilpModel, ModelConfig, assemble_model)
 
 
 def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
@@ -30,6 +32,68 @@ def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
         col_ub=np.asarray(ub, dtype=float),
         col_kind=np.asarray(kinds, dtype=np.int8),
         col_names=[f"C{j}" for j in range(n)])
+
+
+def with_exclusivity_flags(model):
+    """The binary formulation that hubplan.model.repair_overlap replaces:
+    model, as assemble_model builds it, with one flag column Y per
+    store-hour appended after its last column, and the rows
+    XC: P_ch <= M_ch * Y and XD: P_dis <= M_dis * (1 - Y), M being each
+    column's upper bound (its rate cap).
+
+    A flag is named Y plus its store's letter plus the charge column's
+    indices (YB0_1, YT0_1, YV0_1_0), its rows by the store's letter plus XC
+    or XD plus the same (BXC0_1, BXD0_1); each store-hour's two rows follow
+    the model's rows in the order of its flags. The result keeps the
+    model's var_index: extract a plan from x[:model.n_cols].
+    """
+    ids = model.var_index.ids
+    ch, dis = (np.concatenate([ids[k][ids[k] >= 0] for k in kinds])
+               for kinds in ((K_BCH, K_TCH, K_VCH), (K_BDIS, K_TDIS, K_VDIS)))
+    k, n = ch.size, model.n_cols
+    y = n + np.arange(k)
+    m_ch, m_dis = model.col_ub[ch], model.col_ub[dis]
+    rows = np.repeat(np.arange(2 * k), 2)
+    cols = np.stack([ch, y, dis, y], axis=1).ravel()
+    vals = np.stack([np.ones(k), -m_ch, np.ones(k), m_dis], axis=1).ravel()
+    flags = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * k, n + k))
+    a = model.a_matrix
+    wide = sparse.csr_matrix((a.data, a.indices, a.indptr),
+                             shape=(model.n_rows, n + k))
+    tails = [model.col_names[c][2:] for c in ch]
+    letters = [model.col_names[c][0] for c in ch]
+    return MilpModel(
+        n_rows=model.n_rows + 2 * k, n_cols=n + k,
+        obj=np.concatenate([model.obj, np.zeros(k)]),
+        a_matrix=sparse.vstack([wide, flags], format="csr"),
+        row_sense=np.concatenate([model.row_sense,
+                                  np.full(2 * k, LE, dtype=np.int8)]),
+        rhs=np.concatenate([model.rhs,
+                            np.stack([np.zeros(k), m_dis], axis=1).ravel()]),
+        row_names=model.row_names + [f"{a}X{b}{t}" for a, t in
+                                     zip(letters, tails) for b in "CD"],
+        col_lb=np.concatenate([model.col_lb, np.zeros(k)]),
+        col_ub=np.concatenate([model.col_ub, np.ones(k)]),
+        col_kind=np.concatenate([model.col_kind,
+                                 np.full(k, BINARY, dtype=np.int8)]),
+        col_names=model.col_names + [f"Y{a}{t}"
+                                     for a, t in zip(letters, tails)],
+        var_index=model.var_index)
+
+
+def with_pv_less_overlap(model, fleet, x):
+    """A copy of x, the tiny case's optimum, in which vehicle 0, charging
+    at its cap at s0 t0, also discharges 0.5 kW there and charges 0.5 kW
+    more at t1, the grid taking up the difference: still feasible, but an
+    overlap in an hour without PV to curtail, which cannot be repaired."""
+    col = model.col_names.index
+    x = x.copy()
+    x[col("VD0_0_0")] += 0.5
+    x[col("VE0_1_0")] -= 0.5
+    x[col("VC0_1_0")] += 0.5
+    x[col("GR0_0")] -= 0.5 * fleet.eta_dis
+    x[col("GR0_1")] += 0.5 / fleet.eta_ch
+    return x
 
 
 def tiny_case():
@@ -67,7 +131,7 @@ def tiny_case():
                  pv_avail=(0.0, 8.0, 15.0, 3.0),
                  ev_records=(EvRecord(1, 4, 0.5),)),
     ))
-    config = ModelConfig(zeta=0.0, exclusivity_mode="relaxed")
+    config = ModelConfig(zeta=0.0)
     return SimpleNamespace(grid=grid, fc=fc, bess=bess, tess=tess,
                            fleet=fleet, catalog=catalog, tariffs=tariffs,
                            scen=scen, config=config)

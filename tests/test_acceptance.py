@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from conftest import make_model
+from conftest import make_model, with_exclusivity_flags
 from mps_oracle import parse_mps
 from test_mps import assert_models_equal, rand_model
 
@@ -27,7 +27,7 @@ from hubplan.milp.solution import PlanSolution
 from hubplan.model import (BINARY, CONT, GE, INTEGER, K_BCH, K_BDIS, K_BE,
                            K_FUEL, K_GRID, K_PV, K_TCH, K_TDIS, K_TE, K_VCH,
                            K_VDIS, K_VE, K_XFC, K_Z, LE, ModelConfig,
-                           assemble_model, max_substandard)
+                           assemble_model, max_substandard, repair_overlap)
 from hubplan.scengen import (MomentTargets, generate_scenarios, hmm_generate,
                              sample_moments)
 
@@ -154,8 +154,7 @@ def test_c3_chance_budget_respected():
     for k in range(20):
         grid, catalog, tariffs, scen, n_forced = _c3_fixture(k)
         model = assemble_model(grid, catalog, tariffs, scen,
-                               ModelConfig(zeta=0.05,
-                                           exclusivity_mode="relaxed"))
+                               ModelConfig(zeta=0.05))
         sol = branch_and_bound(model)
         assert sol.status == "optimal", k
         plan = extract_solution(sol, model.var_index)
@@ -345,36 +344,42 @@ def _c5_fixture(k, n):
                                                scenarios=tuple(scens))
 
 
-def test_c5_exclusivity_without_binaries(tiny, tiny_solved):
-    worst = _overlap(tiny_solved.plan)
-    config = ModelConfig(zeta=0.0, exclusivity_mode="relaxed")
-    small = None
-    for k, n in ((0, 20), (1, 20), (2, 3)):
-        grid, catalog, tariffs, scen = _c5_fixture(k, n)
+def test_c5_exclusivity_without_binaries(tiny):
+    # a relaxed optimum, once repaired, charges and discharges no store in
+    # the same hour, costs what branch and bound found, and is feasible for
+    # the binary formulation, whose optimum it therefore is
+    config = ModelConfig(zeta=0.0)
+    cases = [("tiny", (tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen))]
+    cases += [(f"c5[{k}]", _c5_fixture(k, n))
+              for k, n in ((0, 20), (1, 20), (2, 3))]
+    worst, rels = 0.0, []
+    for label, (grid, catalog, tariffs, scen) in cases:
         model = assemble_model(grid, catalog, tariffs, scen, config)
         sol = branch_and_bound(model)
-        assert sol.status == "optimal", k
-        worst = max(worst, _overlap(extract_solution(sol, model.var_index)))
-        VERIFIED.append((f"c5[{k}]", model, sol.x))
-        if n == 3:
-            small = (grid, catalog, tariffs, scen, sol.objective)
+        assert sol.status == "optimal", label
+        x, _found, left = repair_overlap(model.var_index, catalog, sol.x,
+                                         1e-6)
+        assert left == [] and model.obj @ x == model.obj @ sol.x, label
+        worst = max(worst, _overlap(extract_solution(
+            dataclasses.replace(sol, x=x), model.var_index)))
+        VERIFIED.append((label, model, x))
+        binary = with_exclusivity_flags(model)
+        charging = [model.col_names.index(f"{name[1]}C{name[2:]}")
+                    for name in binary.col_names[model.n_cols:]]
+        flags = (x[charging] > 0.0).astype(float)
+        assert check_solution(binary, np.concatenate([x, flags])).ok, label
+        if label in ("tiny", "c5[2]"):
+            sb = branch_and_bound(binary)
+            assert sb.status == "optimal", label
+            rel = abs(sb.objective - sol.objective) / max(1.0,
+                                                          abs(sb.objective))
+            assert rel <= 1e-6, label
+            rels.append(rel)
+            VERIFIED.append((f"{label}-binary", binary, sb.x))
     assert worst <= 1e-6
-    rels = []
-    pairs = [(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
-              tiny_solved.sol.objective), small]
-    for grid, catalog, tariffs, scen, relaxed_obj in pairs:
-        binary = assemble_model(grid, catalog, tariffs, scen,
-                                ModelConfig(zeta=0.0,
-                                            exclusivity_mode="binary"))
-        sb = branch_and_bound(binary)
-        assert sb.status == "optimal"
-        rel = abs(sb.objective - relaxed_obj) / max(1.0, abs(sb.objective))
-        assert rel <= 1e-6
-        rels.append(rel)
-        VERIFIED.append(("c5-binary", binary, sb.x))
     print(f"\n[C5] charge*discharge overlap <= {worst:.2e} kW^2 on 4 "
-          f"relaxed plans; binary optima match relaxed to "
-          f"{max(rels):.2e}")
+          f"repaired relaxed plans, each feasible for the binary model; "
+          f"binary optima match relaxed to {max(rels):.2e}")
 
 
 # ---------------------------------------------------------------- c6
@@ -393,7 +398,7 @@ def test_c6_carbon_tax_monotonicity(data_dir):
                                      n_scenarios=10, seed=7)
     grid = case.time_grid(10)
     m = annualization_factor(grid)
-    config = ModelConfig(zeta=0.05, exclusivity_mode="relaxed")
+    config = ModelConfig(zeta=0.05)
     totals = []
     slowest = 0.0
     for tax in TAX_LEVELS:
@@ -457,7 +462,7 @@ def test_c7_moment_matched_generation(tmp_path):
 # ---------------------------------------------------------------- c8
 
 def test_c8_all_solutions_reverify():
-    assert len(VERIFIED) >= 31   # c3 (20) + c4 + c5 (5) + c6 (5)
+    assert len(VERIFIED) >= 32   # c3 (20) + c4 + c5 (6) + c6 (5)
     worst = 0.0
     for label, model, x in VERIFIED:
         rep = check_solution(model, x, feas_tol=1e-6, int_tol=1e-6)

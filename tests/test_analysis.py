@@ -2,10 +2,13 @@
 import csv
 import dataclasses
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import with_pv_less_overlap
 from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
                               select_extreme_scenario, soc_table,
                               sweep_carbon_tax, verify_plan, write_audit_json,
@@ -13,8 +16,10 @@ from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
                               write_table_csv)
 from hubplan.core import annualization_factor
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
+from hubplan.fileio import read_case, read_history
 from hubplan.milp import branch_and_bound, extract_solution
 from hubplan.model import ModelConfig, assemble_model
+from hubplan.scengen import generate_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +157,63 @@ def test_verify_plan_catches_soc_break(tiny, tiny_solved):
     assert not chk.ok
 
 
+def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
+    # the README's plan at seed 11 charges and discharges the BESS at s4
+    # t10 and vehicle 0 at s4 t8, with PV to curtail: solve_level repairs
+    # both, at the cost branch and bound found, to the bit
+    import hubplan.analysis as analysis
+    case = read_case(os.path.join(data_dir, "case.json"))
+    history = read_history(os.path.join(data_dir, "history_loads.csv"),
+                           os.path.join(data_dir, "history_ev.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        scen, _ = generate_scenarios(case, *history, n_scenarios=10, seed=11)
+    tariffs, config = case.tariffs.with_carbon_tax(40), ModelConfig()
+    model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
+    solved, real = [], analysis.branch_and_bound
+
+    def recorded(*args, **kwargs):
+        solved.append(real(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(analysis, "branch_and_bound", recorded)
+    level = analysis.solve_level(model, scen, case.catalog, tariffs, config)
+    raw, = solved
+    assert (level.overlap, level.unrepaired) == (["BC4_10", "VC4_8_0"], [])
+    raw_plan = extract_solution(raw, model.var_index)
+    assert not verify_plan(raw_plan, scen, case.catalog, tariffs).ok
+    assert level.check.ok and level.plan_check.ok
+    assert level.bnb.objective == raw.objective
+    assert model.obj @ level.bnb.x == model.obj @ raw.x
+    assert level.breakdown.as_dict() == cost_breakdown(
+        raw_plan, case.catalog, tariffs,
+        annualization_factor(scen.grid)).as_dict()
+    # only the overlapping store-hours and their hours' PV moved
+    assert {model.col_names[c] for c in np.flatnonzero(
+        level.bnb.x != raw.x)} == {"BC4_10", "BD4_10", "PV4_10", "VC4_8_0",
+                                   "VD4_8_0", "PV4_8"}
+
+
+def test_unrepairable_overlap_is_reported(tiny, tiny_solved, monkeypatch):
+    # an overlap in an hour without PV is left as it is, and fails the
+    # plan check
+    import hubplan.analysis as analysis
+    sol, model = tiny_solved.sol, tiny_solved.model
+    x = with_pv_less_overlap(model, tiny.fleet, sol.x)
+    monkeypatch.setattr(analysis, "branch_and_bound",
+                        lambda *a, **k: dataclasses.replace(sol, x=x))
+    level = analysis.solve_level(model, tiny.scen, tiny.catalog,
+                                 tiny.tariffs, tiny.config)
+    assert level.bnb.x.tobytes() == x.tobytes()
+    assert level.overlap == level.unrepaired == ["VC0_0_0"]
+    doc = level.as_dict()
+    assert (doc["overlap_hours"], doc["overlap_unrepaired"]) == (
+        1, ["VC0_0_0"])
+    assert level.check.ok and not level.plan_check.ok
+    assert level.plan_check.issues == [
+        "ev charges and discharges s0 j0 t0: 0.5"]
+
+
 def test_sweep_monotone_and_convertible(tiny):
     # two levels in yuan/ton; the 40-level must replay the direct solve
     # at carbon_tax = 0.04 yuan/kg
@@ -259,7 +321,7 @@ def test_every_row_has_a_constraint_family(tiny):
     # the infeasibility hint names a row's family by its name's first letter
     from hubplan.analysis import _FAMILIES
     model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
-                           ModelConfig(zeta=0.5, exclusivity_mode="binary"))
+                           ModelConfig(zeta=0.5))
     assert {name[0] for name in model.row_names} == set(_FAMILIES)
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import hubplan.milp.bnb as bnb_mod
-from conftest import make_model
+from conftest import make_model, with_exclusivity_flags
 from hubplan.errors import InvalidParameterError
 from hubplan.fileio import read_case, read_scenario_set
 from hubplan.milp import branch_and_bound, solve_lp
@@ -191,12 +191,16 @@ def test_bad_limits_are_rejected(limits):
         branch_and_bound(m, **limits)
 
 
+def _tiny_models(tiny):
+    """The tiny case's model and, as "binary", the same with exclusivity
+    flags, which give a tree of about 30 nodes."""
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           ModelConfig(zeta=0.0))
+    return {"relaxed": model, "binary": with_exclusivity_flags(model)}
+
+
 def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):
-    # binary exclusivity gives an eight-LP dive and a tree of about 30 nodes
-    for mode in ("relaxed", "binary"):
-        model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
-                               tiny.scen, ModelConfig(zeta=0.0,
-                                                      exclusivity_mode=mode))
+    for mode, model in _tiny_models(tiny).items():
         s, calls = _solve_recording(monkeypatch, model)
         # the root starts cold, a dive step from the last optimal LP before
         # it, a node from an earlier optimal LP (its parent)
@@ -219,12 +223,10 @@ def test_root_warm_start_skips_the_root_pivots(tiny_solved):
 
 
 def test_tree_counters(tiny, monkeypatch):
-    # relaxed exclusivity branches once; binary builds a tree of about 30
-    # nodes, some of them infeasible, and improves on the dive's incumbent
-    for mode in ("relaxed", "binary"):
-        model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
-                               tiny.scen, ModelConfig(zeta=0.0,
-                                                      exclusivity_mode=mode))
+    # the relaxed model branches once; with exclusivity flags the tree has
+    # about 30 nodes, some of them infeasible, and improves on the dive's
+    # incumbent
+    for mode, model in _tiny_models(tiny).items():
         s, calls = _solve_recording(monkeypatch, model)
         assert s.n_nodes > 1 and s.max_depth >= 1, mode
         # no node sits deeper than the number of nodes after the root
@@ -288,10 +290,7 @@ def test_cutoff_leaves_the_tree_unchanged(tiny, data_dir, monkeypatch):
     def without_cutoff(*args, cutoff=None, **kwargs):
         return real(*args, **kwargs)
 
-    models = [(mode, assemble_model(tiny.grid, tiny.catalog, tiny.tariffs,
-                                    tiny.scen, ModelConfig(
-                                        zeta=0.0, exclusivity_mode=mode)))
-              for mode in ("relaxed", "binary")]
+    models = list(_tiny_models(tiny).items())
     models += [(f"n3 tax {tax}", _n3_model(data_dir, tax))
                for tax in (40, 700)]
     for name, model in models:

@@ -86,6 +86,7 @@ def test_help_exits_0(capsys):
      "'heat')"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
+    (["plan", "--mode", "binary"], "unrecognized arguments: --mode binary"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # 2 means a generation or solver failure; a usage error is an input
@@ -261,7 +262,7 @@ def _must_not_read(*args, **kwargs):
                                      "scen gen", "validate"])
 @pytest.mark.parametrize("flags, doc_update", [
     (["--zeta", "1.5"], {}),
-    ([], {"mode": "bogus"}),  # a config value skips argparse's choices
+    ([], {"mode": "binary"}),  # a removed key, even with its old value
     (["--rel-gap", "-1"], {}),
     (["--max-nodes", "0"], {}),
     (["--time-limit", "0"], {}),
@@ -380,6 +381,27 @@ def test_unknown_config_key(ws, tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["config", "case", "history_loads"])
+def test_non_utf8_input_exits_1(data_dir, tmp_path, capsys, which):
+    # a 0xff byte, never UTF-8, in any input file is an input error naming
+    # the file, not a traceback
+    doc = {"case": os.path.join(data_dir, "case.json"),
+           "history_loads": os.path.join(data_dir, "history_loads.csv")}
+    cfg = bad = tmp_path / "bad"
+    if which == "config":
+        text = json.dumps(doc, indent=1).encode()
+    else:
+        with open(doc[which], "rb") as fh:
+            text = fh.read()
+        doc[which] = str(bad)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+    bad.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n")
+
+
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]\n")
@@ -444,7 +466,7 @@ def test_sweep_level_records_what_plan_records(ws, tmp_path):
                                              "--carbon-tax", "400")) == 0
     plan = json.loads((po / "audit.json").read_text())
     level, = json.loads((so / "audit.json").read_text())["levels"]
-    command_keys = {"command", "zeta", "mode", "scenario_source",
+    command_keys = {"command", "zeta", "scenario_source",
                     "extreme_scenario", "wall_time_s"}
     keys = set(plan) - command_keys
     assert {"objective", "x_fc", "x_ess_kwh", "breakdown", "chance_audit",
@@ -452,6 +474,28 @@ def test_sweep_level_records_what_plan_records(ws, tmp_path):
             "node_log"} <= keys <= set(level)
     assert {k: level[k] for k in keys} == {k: plan[k] for k in keys}
     assert level["total"] == plan["breakdown"]["total"]
+
+
+def test_plan_with_an_unrepaired_overlap_exits_2(ws, tiny, tmp_path, capsys,
+                                                 monkeypatch):
+    # an overlap the repair must leave is reported and fails the plan
+    from conftest import with_pv_less_overlap
+    from hubplan import analysis
+    real = analysis.branch_and_bound
+
+    def overlapping(model, **kwargs):
+        sol = real(model, **kwargs)
+        return dataclasses.replace(sol, x=with_pv_less_overlap(
+            model, tiny.fleet, sol.x))
+
+    monkeypatch.setattr(analysis, "branch_and_bound", overlapping)
+    out = tmp_path / "out"
+    assert cli.main(["plan"] + args_for(ws, "--out", str(out))) == 2
+    doc = json.loads((out / "audit.json").read_text())
+    assert (doc["overlap_hours"], doc["overlap_unrepaired"]) == (
+        1, ["VC0_0_0"])
+    assert doc["solution_check"]["ok"] and not doc["plan_check"]["ok"]
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_sweep_level_whose_solve_raises(ws, tmp_path, capsys, monkeypatch):

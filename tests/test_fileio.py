@@ -241,6 +241,44 @@ def test_ev_visit_past_day_end_names_ev_table(tiny, tiny_case_file, tmp_path):
     assert "scenario 1, ev 0: depart_hour" in str(ei.value)
 
 
+def _not_utf8(src, path):
+    """Copy file src to path with a 0xff byte, never UTF-8, at the start
+    of its second line; return the new path as a string."""
+    with open(src, "rb") as fh:
+        path.write_bytes(fh.read().replace(b"\n", b"\n\xff", 1))
+    return str(path)
+
+
+def _assert_not_utf8(exc, path):
+    assert isinstance(exc, ParseError) and exc.path == path
+    assert str(exc) == (f"{path}: not UTF-8 text: byte 0xff "
+                        "(invalid start byte)")
+
+
+def test_case_not_utf8(tiny_case_file, tmp_path):
+    path = _not_utf8(tiny_case_file[1], tmp_path / "bad.json")
+    with pytest.raises(ParseError) as ei:
+        read_case(path)
+    _assert_not_utf8(ei.value, path)
+
+
+def test_history_not_utf8(tmp_path):
+    # the plain-table reader meets the byte first
+    path = _not_utf8(_history(tmp_path, _DAY), tmp_path / "bad.csv")
+    with pytest.raises(ParseError) as ei:
+        read_history(path)
+    _assert_not_utf8(ei.value, path)
+
+
+def test_records_not_utf8(tmp_path):
+    # the csv reader, which reads what loadtxt refuses
+    from hubplan.fileio import PROFILE_HEADER, _read_records
+    path = _not_utf8(_history(tmp_path, _DAY), tmp_path / "bad.csv")
+    with pytest.raises(ParseError) as ei:
+        _read_records(path, PROFILE_HEADER)
+    _assert_not_utf8(ei.value, path)
+
+
 def test_missing_file_error():
     with pytest.raises((ParseError, FileNotFoundError)):
         read_case("/nonexistent/case.json")

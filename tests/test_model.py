@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import with_exclusivity_flags
 from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
                           TimeGrid)
@@ -50,8 +51,9 @@ def test_census_one_ev():
 
 
 def test_census_binary_mode():
-    m = assemble_model(*micro_case(1),
-                       ModelConfig(zeta=0.0, exclusivity_mode="binary"))
+    # the binary reference formulation the tests compare the repair with
+    m = with_exclusivity_flags(assemble_model(*micro_case(1),
+                                              ModelConfig(zeta=0.0)))
     assert m.n_cols == 34  # + Y for bess, tess, ev at each hour
     yb = [c for c in m.col_names if c.startswith("Y")]
     assert len(yb) == 6
@@ -156,8 +158,8 @@ def test_ev_rows():
 
 
 def test_exclusivity_binary_rows():
-    m = assemble_model(*micro_case(1),
-                       ModelConfig(zeta=0.0, exclusivity_mode="binary"))
+    m = with_exclusivity_flags(assemble_model(*micro_case(1),
+                                              ModelConfig(zeta=0.0)))
     sense, rhs, c = row(m, "BXC0_0")
     assert sense == LE and rhs == 0.0
     assert c == {"BC0_0": 1.0, "YB0_0": -50.0}
@@ -227,6 +229,8 @@ def test_model_config_validation():
         ModelConfig(zeta=1.0)
     with pytest.raises(InvalidParameterError):
         ModelConfig(zeta=0.05, exclusivity_mode="none")
+    with pytest.raises(InvalidParameterError, match="binary mode was removed"):
+        ModelConfig(exclusivity_mode="binary")
 
 
 def test_assemble_deterministic():
@@ -316,7 +320,6 @@ def _model_digest(model):
 
 @pytest.mark.parametrize("mode, digest", [
     ("relaxed", "b57ae8880d1d8b55"),
-    ("binary", "4c6ba82417cc564b"),
 ])
 def test_tiny_model_is_pinned(tiny, mode, digest):
     # any change to row order, column order, a bound or a coefficient of

@@ -1,15 +1,14 @@
 """Mapping raw MILP vectors back to named dispatch quantities."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import with_exclusivity_flags
 from hubplan.milp import branch_and_bound, extract_solution
 from hubplan.model import (CONT, K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV,
                            K_SHORT, K_TCH, K_TDIS, K_TE, K_VCH, K_VDIS, K_VE,
-                           K_XESS, K_XFC, K_YB, K_YEV, K_YT, K_Z, ModelConfig,
-                           assemble_model)
-
-# the binary mode's exclusivity flags, which a plan does not carry
-_FLAGS = (K_YB, K_YT, K_YEV)
+                           K_XESS, K_XFC, K_Z, ModelConfig, assemble_model)
 
 
 def test_first_stage(tiny_solved):
@@ -102,23 +101,20 @@ _FIELDS = {K_GRID: "grid", K_PV: "pv", K_FUEL: "fuel", K_BCH: "bess_ch",
 
 
 def test_binary_plan_entries_are_their_columns(tiny):
-    # every entry of a binary-mode plan is the solver value of its column
-    # (rounded for integer columns), and NaN where the key has no column;
-    # the flag columns have no entry
-    config = ModelConfig(zeta=0.5, exclusivity_mode="binary")
+    # every entry of a plan is the solver value of its column (rounded for
+    # integer columns), and NaN where the key has no column; here the x of
+    # the binary reference model, whose tree sets many integer columns,
+    # without its flag columns
     model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
-                           config)
-    sol = branch_and_bound(model)
+                           ModelConfig(zeta=0.5))
+    sol = branch_and_bound(with_exclusivity_flags(model))
     assert sol.status == "optimal"
     ix = model.var_index
-    plan = extract_solution(sol, ix)
-    x = sol.x
+    x = sol.x[:model.n_cols]
+    plan = extract_solution(dataclasses.replace(sol, x=x), ix)
     covered = {name: np.zeros(np.shape(getattr(plan, name)), dtype=bool)
                for name in list(_FIELDS.values()) + list(_EV_FIELDS.values())}
-    assert set(ix.ids) >= set(_FLAGS)
     for kind, cols in ix.ids.items():
-        if kind in _FLAGS:
-            continue
         for idx in map(tuple, np.argwhere(cols >= 0)):
             c = cols[idx]
             want = x[c] if ix.kind[c] == CONT else np.rint(x[c])
