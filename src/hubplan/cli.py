@@ -8,7 +8,6 @@ only in its wall-time field.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from .analysis import (branch_and_bound, chance_audit, check_solution,
 from .errors import (HubplanError, InfeasibleSolutionError,
                      InvalidParameterError, ModelBuildError, MomentFitError,
                      MpsFormatError, ParseError, SolverError)
-from .fileio import (not_utf8, read_case, read_history, read_scenario_set,
+from .fileio import (read_case, read_history, read_json, read_scenario_set,
                      write_scenario_set)
 from .milp import write_mps
 from .milp.bnb import check_limits
@@ -108,7 +107,10 @@ class _Option(NamedTuple):
 _OPTIONS = {
     "case": _Option(None, _path, "--case",
                     "case JSON (catalog, tariffs, horizon)"),
-    "out": _Option("out", _text, "--out", "output directory (default: out)"),
+    "out": _Option("out", _checked(_text, lambda p: os.path.isdir(p)
+                                   or not os.path.lexists(p),
+                                   "a directory or a path not yet taken"),
+                   "--out", "output directory (default: out)"),
     "seed": _Option(7, _checked(_int, lambda n: -2 ** 63 <= n < 2 ** 63,
                                 "a signed 64-bit integer"),
                     "--seed", "scenario-generation seed"),
@@ -148,16 +150,7 @@ def load_config(args) -> dict:
     raw = {key: opt.default for key, opt in _OPTIONS.items()}
     if getattr(args, "config", None):
         path = args.config
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read config: {exc}", path=path) from exc
-        except UnicodeDecodeError as exc:
-            raise not_utf8(exc, path) from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=path,
-                             line=exc.lineno, column=exc.colno) from exc
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ParseError("config must be a JSON object", path=path)
         unknown = sorted(set(doc) - set(_OPTIONS))
@@ -397,7 +390,7 @@ def main(argv=None) -> int:
     try:
         return args.run(load_config(args))
     except (ParseError, InvalidParameterError, ModelBuildError,
-            MpsFormatError, MomentFitError, FileNotFoundError) as exc:
+            MpsFormatError, MomentFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleSolutionError as exc:

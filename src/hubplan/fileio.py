@@ -108,16 +108,7 @@ def read_case(path) -> CaseData:
     (CaseData's own fields), fuel_cells (a list of FcSpec, fc_id under the
     key "id"), bess, tess, ev_fleet and tariffs.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise not_utf8(exc, path) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno,
-                         column=exc.colno) from exc
+    doc = read_json(path)
     try:
         plan = _get(doc, "planning", path, "$")
         fcs = tuple(
@@ -161,19 +152,35 @@ def write_case(case: CaseData, path):
         fh.write("\n")
 
 
-def not_utf8(exc, path):
-    """The ParseError for a file whose text a UnicodeDecodeError stopped."""
-    return ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                      f"({exc.reason})", path=path)
+def read_text(path, newline=None):
+    """The text of the file at path, read as UTF-8 with open's newline.
 
-
-def _read_records(path, header):
-    """The records after a table's header row, as read by csv."""
+    A file that cannot be read, or whose bytes are not UTF-8, is a
+    ParseError naming it.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            records = list(csv.reader(fh))
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", path=path) from exc
     except UnicodeDecodeError as exc:
-        raise not_utf8(exc, path) from exc
+        raise ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}"
+                         f" ({exc.reason})", path=path) from exc
+
+
+def read_json(path):
+    """The JSON document in the file at path, read by read_text; invalid
+    JSON is a ParseError naming its line and column."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path,
+                         line=exc.lineno, column=exc.colno) from exc
+
+
+def _read_records(text, path, header):
+    """The records after a table's header row, as read by csv."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
     if not records:
         raise ParseError("empty file, header row required", path=path, line=1)
     if [h.strip() for h in records[0]] != header:
@@ -181,7 +188,7 @@ def _read_records(path, header):
     return records[1:]
 
 
-def _load_plain(path, header):
+def _load_plain(text, header):
     """Float array of a plain table, read by numpy's C parser, or None.
 
     A table is plain when its first line is exactly the header and every
@@ -192,13 +199,8 @@ def _load_plain(path, header):
     too. On the tables it takes, and that hold no _SEPARATORS, it gives
     each cell float()'s value.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            first = fh.readline()
-            body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise not_utf8(exc, path) from exc
-    if (first.rstrip("\r\n") != ",".join(header) or not body.strip()
+    first, _nl, body = text.partition("\n")
+    if (first.rstrip("\r") != ",".join(header) or not body.strip()
             or any(c in body for c in _SEPARATORS)):
         return None
     try:
@@ -278,7 +280,8 @@ def _read_table(path, header, int_cols):
     (within a row: the key cells, then a repeated key, then the rest),
     with its line and column.
     """
-    vals = _load_plain(path, header)
+    text = read_text(path, newline="")
+    vals = _load_plain(text, header)
     if vals is not None:
         fault, repeat = _faults(vals, np.zeros(vals.shape, dtype=bool),
                                 int_cols)
@@ -286,8 +289,8 @@ def _read_table(path, header, int_cols):
             return vals, range(2, len(vals) + 2)
     # csv reads what loadtxt refused (quotes, blank records) and names the
     # first fault of a faulty table by its text, line and column
-    rows, lines, vals, bad = _parse_records(_read_records(path, header),
-                                            header, path)
+    rows, lines, vals, bad = _parse_records(
+        _read_records(text, path, header), header, path)
     fault, repeat = _faults(vals, bad, int_cols)
     faulty = np.flatnonzero(fault.any(axis=1) | repeat)
     if faulty.size:

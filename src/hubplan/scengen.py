@@ -15,9 +15,8 @@ the full step for every row, then the 16 halved steps of the rows that
 reject it in one evaluation. A row that no step of at least 2^-16 of its
 Newton step improves has stalled: it stays affine for that round, and the
 round's log names it. The ladder's length rests on measurement, not on a
-bound: on the 48 bundled-history cases of tools/fit_grid.py no row that
-converges needs a step shorter than 2^-15 (see fit_cubic_batch), and a
-failed row's coefficients are never used.
+bound (see fit_cubic_batch, which returns each row's Newton steps and
+deepest rung for tools/fit_grid.py to count).
 
 Every factorization, solve and product on this path runs on numpy's
 BLAS/LAPACK. numpy and scipy each bundle an OpenBLAS with its own thread
@@ -240,17 +239,19 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     residual scaled by max(1, |target|). lam = 1 is tried for every row
     first, then the other 16 rungs at once for the rows that reject it. A row
     with no improving rung has stalled. The ladder stops at 2^-16, one rung
-    below the shortest step a converging row is known to take. Over the
+    below the shortest step a converging row is known to take: over the
     bundled grid of tools/fit_grid.py (n = 3 to 365, seeds 1-5 and 7), one
     of the 39 923 row fits that converged after a Newton step took a step
-    shorter than 2^-13: 2^-15, at (n, seed) = (50, 4), round 1, row 25.
-    So every converging row keeps its path, and only rows that fail anyway
-    stop sooner; longer ladders kept the batched loop running for them, at
-    a fixed cost per step. With 14 rungs that row fails and the (50, 4)
-    panel changes; with 12, (6, 7) changes too.
+    shorter than 2^-13, 2^-15 at (n, seed) = (50, 4), round 1, row 25. So
+    converging rows keep their paths and only rows that fail anyway stop
+    sooner; with 14 rungs that row fails and the (50, 4) panel changes.
 
-    Returns (coef, failed): failed marks the rows that stalled or were not
-    within tol after max_iters steps; their coef is the last iterate.
+    Returns (coef, failed, steps, rung). failed marks the rows that stalled
+    or were not within tol after max_iters steps; their coef is the last
+    iterate. steps counts each row's Newton steps, the stalling pass
+    included; rows only ever leave the active set, so steps.max() is the
+    loop's pass count. rung is the largest j of a step lam = 2^-j the row
+    accepted, 0 when all its steps were full.
     """
     target = np.asarray(target, dtype=float)
     coef = np.array(coef0, dtype=float)
@@ -260,10 +261,13 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     ey, jac = _moment_system(coef, hank)
     err = np.max(np.abs((ey - target) / scale), axis=-1)
     failed = np.zeros(coef.shape[0], dtype=bool)
+    steps = np.zeros(coef.shape[0], dtype=int)
+    rung = np.zeros(coef.shape[0], dtype=int)
     for _ in range(max_iters):
         act = np.flatnonzero(~(err <= tol) & ~failed)
         if act.size == 0:
             break
+        steps[act] += 1
         rhs = -(ey[act] - target[act])
         try:
             step = np.linalg.solve(jac[act], rhs[:, :, None])[:, :, 0]
@@ -281,18 +285,19 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
             err_l = np.max(np.abs((ey_l - target[rows, None])
                                   / scale[rows, None]), axis=-1)
             better = err_l < err[rows, None]
-            rung = np.argmax(better, axis=1)
-            moved = better[np.arange(rows.size), rung]
+            j = np.argmax(better, axis=1)  # lam = 2^-(j + 1)
+            moved = better[np.arange(rows.size), j]
             failed[rows[~moved]] = True
-            pick, rung = rej[moved], rung[moved]
-            cand[pick] = cands[moved, rung]
-            ey_c[pick], jac_c[pick] = ey_l[moved, rung], jac_l[moved, rung]
-            err_c[pick] = err_l[moved, rung]
+            pick, j = rej[moved], j[moved]
+            rung[act[pick]] = np.maximum(rung[act[pick]], j + 1)
+            cand[pick] = cands[moved, j]
+            ey_c[pick], jac_c[pick] = ey_l[moved, j], jac_l[moved, j]
+            err_c[pick] = err_l[moved, j]
             ok[pick] = True
         take = act[ok]
         coef[take], ey[take], jac[take], err[take] = (
             cand[ok], ey_c[ok], jac_c[ok], err_c[ok])
-    return coef, failed | ~(err <= tol)
+    return coef, failed | ~(err <= tol), steps, rung
 
 
 def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
@@ -316,7 +321,7 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
     target = _raw_targets(float(mean), float(var), float(skew), float(kurt))
     coef, failed = fit_cubic_batch(target[None], m,
                                    _affine_start(float(mean), float(var), m),
-                                   tol=tol, max_iters=max_iters)
+                                   tol=tol, max_iters=max_iters)[:2]
     if failed[0]:
         ey, _jac = _moment_system(coef, _hankel(m))
         resid = np.abs(ey[0] - target) / np.maximum(1.0, np.abs(target))
@@ -433,7 +438,8 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     for it in range(1, max_iters + 1):
         wt = w.T
         m = _seed_moments(wt)
-        coef, failed = fit_cubic_batch(target, m, _affine_start(0.0, 1.0, m))
+        coef, failed = fit_cubic_batch(target, m,
+                                       _affine_start(0.0, 1.0, m))[:2]
         # a failed dimension stays affine (standardized) this round
         c, x = coef[~failed].T[:, :, None], wt[~failed]
         wt[~failed] = c[0] + x * (c[1] + x * (c[2] + x * c[3]))

@@ -276,6 +276,7 @@ def _must_not_read(*args, **kwargs):
     ([], {"max_nodes": 2.5}),
     ([], {"carbon_tax": True}),  # not taken as 1 yuan/t
     (["--seed", "99999999999999999999999"], {}),  # beyond 2**63
+    (["--out", os.path.abspath(__file__)], {}),  # an existing file
 ])
 def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,
@@ -400,6 +401,38 @@ def test_non_utf8_input_exits_1(data_dir, tmp_path, capsys, which):
     assert cli.main(["validate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("which", ["config", "case", "history_loads"])
+def test_directory_input_exits_1(data_dir, tmp_path, capsys, which):
+    # any input path that names a directory is an input error naming it
+    doc = {"case": os.path.join(data_dir, "case.json"),
+           "history_loads": os.path.join(data_dir, "history_loads.csv")}
+    cfg = tmp_path / "cfg.json"
+    if which == "config":
+        cfg = tmp_path
+    else:
+        doc[which] = str(tmp_path)
+        cfg.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}: cannot read: Is a directory\n")
+
+
+def test_config_out_resolves_against_the_working_directory(tmp_path,
+                                                           monkeypatch):
+    # out is a directory to create, not an input: a config's value is
+    # taken as given, relative to the working directory, while its input
+    # paths resolve against the config file's directory
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    cfg = cfg_dir / "run.json"
+    cfg.write_text(json.dumps({"out": "res", "case": "case.json"}))
+    monkeypatch.chdir(tmp_path)
+    got = cli.load_config(cli.build_parser().parse_args(
+        ["validate", "--config", os.path.join("cfgdir", "run.json")]))
+    assert got["out"] == "res"
+    assert got["case"] == str(cfg_dir / "case.json")
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -271,17 +271,33 @@ def test_history_not_utf8(tmp_path):
 
 
 def test_records_not_utf8(tmp_path):
-    # the csv reader, which reads what loadtxt refuses
-    from hubplan.fileio import PROFILE_HEADER, _read_records
-    path = _not_utf8(_history(tmp_path, _DAY), tmp_path / "bad.csv")
+    # a table loadtxt refuses (a quoted cell) and csv reads: the file is
+    # read once, and its bytes are refused before either parser sees them
+    path = _not_utf8(_history(tmp_path, ['"0",0,1.5,2.0,0.0'] + _DAY[1:]),
+                     tmp_path / "bad.csv")
     with pytest.raises(ParseError) as ei:
-        _read_records(path, PROFILE_HEADER)
+        read_history(path)
     _assert_not_utf8(ei.value, path)
 
 
-def test_missing_file_error():
-    with pytest.raises((ParseError, FileNotFoundError)):
-        read_case("/nonexistent/case.json")
+def test_missing_file_error(tmp_path):
+    # every file that cannot be read gets one text, naming it
+    for path in ("/nonexistent/case.json", str(tmp_path)):
+        with pytest.raises(ParseError) as ei:
+            read_case(path)
+        assert ei.value.path == path
+        assert str(ei.value).startswith(f"{path}: cannot read: ")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_case_bad_json_names_line_and_column(tmp_path, newline):
+    p = tmp_path / "bad.json"
+    p.write_bytes(newline.join(['{', ' "planning": {},', ' "bess": ]',
+                                '}']).encode())
+    with pytest.raises(ParseError) as ei:
+        read_case(str(p))
+    assert str(ei.value) == (f"{p}, line 3, column 10: invalid JSON: "
+                             "Expecting value")
 
 
 def test_read_history_bundled(data_dir):

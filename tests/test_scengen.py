@@ -189,17 +189,26 @@ def test_fit_cubic_batch_matches_reference():
     b0 = np.sqrt((target[:, 1] - target[:, 0] ** 2) / (m[:, 2] - m[:, 1] ** 2))
     coef0 = np.column_stack([target[:, 0] - b0 * m[:, 1], b0,
                              np.zeros(rows), np.zeros(rows)])
-    coef, failed = fit_cubic_batch(target, m, coef0, tol=tol)
+    coef, failed, steps, rung = fit_cubic_batch(target, m, coef0, tol=tol)
     seen = {True: 0, False: 0}
     for r in range(rows):
-        ref, ok, err, _lams = _ref_fit(target[r], m[r], coef0[r], tol=tol)
+        ref, ok, err, lams = _ref_fit(target[r], m[r], coef0[r], tol=tol)
         if tol / 10 <= err <= 10 * tol:
             continue  # borderline: rounding may decide either way
         seen[ok] += 1
         assert failed[r] == (not ok), r
         if ok:
+            assert steps[r] == len(lams), r
+            assert rung[r] == max((round(-np.log2(lam)) for lam in lams),
+                                  default=0), r
             assert np.all(np.abs(coef[r] - ref)
                           <= 1e-9 * np.maximum(1.0, np.abs(ref))), r
+        else:
+            # a failed row crawls at steps whose gain rounding decides, so
+            # its counts need not be the reference's; the pass in which it
+            # stalled is one of its steps
+            assert 0 < steps[r] <= 200, r
+            assert rung[r] <= scengen._LAM_HALVINGS, r
     assert seen[True] >= 50 and seen[False] >= 50
 
 
@@ -215,9 +224,9 @@ def test_fit_batch_falls_back_per_row_on_a_singular_jacobian(monkeypatch):
     step, calls = scengen._newton_step, []
     monkeypatch.setattr(scengen, "_newton_step",
                         lambda a, b: calls.append(1) or step(a, b))
-    coef, failed = fit_cubic_batch(target, m, coef0)
+    coef, failed = fit_cubic_batch(target, m, coef0)[:2]
     assert calls and failed.tolist() == [False, True]
-    alone, failed_alone = fit_cubic_batch(target[:1], m[:1], coef0[:1])
+    alone, failed_alone = fit_cubic_batch(target[:1], m[:1], coef0[:1])[:2]
     assert not failed_alone[0]
     assert np.array_equal(coef[0], alone[0])  # bit for bit
 
@@ -229,13 +238,14 @@ def test_fit_ladder_accepts_first_improving_halving():
     m = np.array(_NORMAL_MOMENTS)
     ref, _ok, _err, lams = _ref_fit(target, m, coef0, max_iters=1)
     assert lams == [0.125]
-    coef, failed = fit_cubic_batch(target[None], m[None], coef0[None],
-                                   max_iters=1)
+    coef, failed, steps, rung = fit_cubic_batch(target[None], m[None],
+                                                coef0[None], max_iters=1)
     assert failed[0]  # one step does not reach tol
+    assert steps.tolist() == [1] and rung.tolist() == [3]  # lam = 2^-3
     np.testing.assert_allclose(coef[0], ref, rtol=1e-12)
     # and over the whole fit
     ref, ok, _err, lams = _ref_fit(target, m, coef0)
-    coef, failed = fit_cubic_batch(target[None], m[None], coef0[None])
+    coef, failed = fit_cubic_batch(target[None], m[None], coef0[None])[:2]
     assert ok and not failed[0] and len(lams) > 1
     np.testing.assert_allclose(coef[0], ref, rtol=1e-9)
 
@@ -268,8 +278,10 @@ def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
         pytest.fail("no failed row crawls below the shortest rung")
     _ref, ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1)
     assert not ok and lams == []
-    coef, failed = batch(target[r][None], m[r][None], c[None], max_iters=1)
-    assert failed[0]
+    coef, failed, steps, rung = batch(target[r][None], m[r][None], c[None],
+                                      max_iters=1)
+    # the pass that found no improving rung is a step, and took no rung
+    assert failed[0] and steps.tolist() == [1] and rung.tolist() == [0]
     assert np.array_equal(coef[0], c)
 
 
@@ -479,7 +491,8 @@ def test_ladder_keeps_the_shortest_converging_step(bundled, monkeypatch):
     (target, m, coef0), = fits
     _ref, ok, _err, lams = _ref_fit(target[25], m[25], coef0[25], halvings=30)
     assert ok and min(lams) == 2.0 ** -15
-    assert not batch(target, m, coef0)[1][25]
+    _coef, failed, _steps, rung = batch(target, m, coef0)
+    assert not failed[25] and rung[25] == 15
     monkeypatch.setattr(scengen, "_LAM_HALVINGS", 14)
     assert batch(target, m, coef0)[1][25]
 
