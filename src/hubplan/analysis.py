@@ -6,8 +6,6 @@ solver objective is never echoed back, which is what makes the breakdown a
 meaningful cross-check of the model assembly.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -15,6 +13,7 @@ import numpy as np
 
 from .core import MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
+from .fileio import write_table_csv
 from .milp import (BnbSolution, PlanSolution, VerifyReport,
                    branch_and_bound, check_solution, extract_solution)
 from .model import (assemble_model, build_objective, max_substandard,
@@ -449,24 +448,6 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     return SweepResult(levels=levels, notes=notes)
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def write_table_csv(path, header, rows):
-    """Write (header, rows) as CSV; None becomes an empty cell and floats
-    keep full precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
-
-
 def write_plan_summary(path, sweep, catalog):
     """Planning-result table: one row per tax level, empty cells on failed
     levels."""
@@ -498,12 +479,6 @@ def write_cost_breakdown(path, sweep):
     write_table_csv(path, header, rows)
 
 
-def write_audit_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass
 class PlanCheck:
     """Semantic re-verification of a PlanSolution against raw scenario
@@ -530,12 +505,12 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
         nonlocal worst
         worst = max(worst, abs(value))
         if abs(value) > bar:
-            issues.append(f"{label}: {value!r}")
+            issues.append(f"{label}: {float(value)!r}")
 
     def flag(cond, label, value):
         # window/integrality check: counts only when violated
         if not cond:
-            issues.append(f"{label}: {value!r}")
+            issues.append(f"{label}: {float(value)!r}")
 
     bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
     n = scenario_set.grid.n_scenarios
@@ -617,8 +592,8 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
 
     for fc_id, units in solution.x_fc.items():
         flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",
-             float(units))
+             units)
     for s in range(n):
-        flag(solution.z[s] in (0, 1), f"binary z s{s}", float(solution.z[s]))
+        flag(solution.z[s] in (0, 1), f"binary z s{s}", solution.z[s])
 
     return PlanCheck(ok=not issues, max_residual=worst, issues=issues)

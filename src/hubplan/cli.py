@@ -17,8 +17,7 @@ from typing import NamedTuple
 from . import __version__
 from .analysis import (EXTREMES, dispatch_table, select_extreme_scenario,
                        soc_table, solve_level, sweep_carbon_tax,
-                       write_audit_json, write_cost_breakdown,
-                       write_plan_summary, write_table_csv)
+                       write_cost_breakdown, write_plan_summary)
 # perfbench/tracer.py hooks these names on this module; the pipeline calls
 # them through hubplan.analysis
 from .analysis import (branch_and_bound, chance_audit, check_solution,
@@ -27,7 +26,8 @@ from .errors import (HubplanError, InfeasibleSolutionError,
                      InvalidParameterError, ModelBuildError, MomentFitError,
                      MpsFormatError, ParseError, SolverError)
 from .fileio import (read_case, read_history, read_json, read_scenario_set,
-                     write_scenario_set)
+                     write_audit_json, write_scenario_set, write_table_csv,
+                     write_text)
 from .milp import write_mps
 from .milp.bnb import check_limits
 from .model import ModelConfig, assemble_model
@@ -94,6 +94,15 @@ def _taxes(key, value):
                                   else [value])]
 
 
+def _can_be_dir(path):
+    """Whether path is a directory or can be made one: the nearest of it
+    and its ancestors that exists is a directory."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
+
+
 class _Option(NamedTuple):
     default: object
     convert: object  # (key, value) -> checked value, or InvalidParameterError
@@ -107,9 +116,8 @@ class _Option(NamedTuple):
 _OPTIONS = {
     "case": _Option(None, _path, "--case",
                     "case JSON (catalog, tariffs, horizon)"),
-    "out": _Option("out", _checked(_text, lambda p: os.path.isdir(p)
-                                   or not os.path.lexists(p),
-                                   "a directory or a path not yet taken"),
+    "out": _Option("out", _checked(_text, _can_be_dir,
+                                   "a directory or a new path below one"),
                    "--out", "output directory (default: out)"),
     "seed": _Option(7, _checked(_int, lambda n: -2 ** 63 <= n < 2 ** 63,
                                 "a signed 64-bit integer"),
@@ -204,7 +212,6 @@ def _read_inputs(cfg, out=None):
            "best_iteration": raw.best_iteration,
            "iterations": raw.iteration_log}
     if out is not None:
-        os.makedirs(out, exist_ok=True)
         write_scenario_set(scen, os.path.join(out, "scenarios.csv"),
                            os.path.join(out, "scenarios_ev.csv"))
         write_audit_json(os.path.join(out, "scen_log.json"), log)
@@ -254,8 +261,6 @@ def cmd_plan(cfg):
     tax = _single_tax(cfg, "plan")
     out, config = cfg["out"], cfg["model_config"]
     case, scen, source, _log = _read_inputs(cfg, out)
-    os.makedirs(out, exist_ok=True)
-
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     level = solve_level(model, scen, case.catalog, tariffs, config,
@@ -302,8 +307,6 @@ def cmd_sweep(cfg):
                                     "one level (yuan per ton)")
     out = cfg["out"]
     case, scen, source, _log = _read_inputs(cfg, out)
-    os.makedirs(out, exist_ok=True)
-
     t0 = time.perf_counter()
     sweep = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
                              cfg["model_config"], taxes, **cfg["limits"])
@@ -333,11 +336,8 @@ def cmd_export_mps(cfg):
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen,
                            cfg["model_config"])
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "model.mps")
-    with open(path, "w") as fh:
-        fh.write(write_mps(model))
+    path = os.path.join(cfg["out"], "model.mps")
+    write_text(path, write_mps(model))
     print(f"wrote {path}: {model.n_rows} rows, {model.n_cols} cols")
     return EXIT_OK
 

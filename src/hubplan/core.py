@@ -34,11 +34,12 @@ def _finite_seq(name, seq, n=None, lo=None):
     vals = tuple(float(v) for v in seq)
     if n is not None:
         _check(len(vals) == n, f"{name} must have length {n}, got {len(vals)}")
-    for i, v in enumerate(vals):
+    finite = all(map(math.isfinite, vals))
+    if finite and (lo is None or min(vals, default=lo) >= lo):
+        return vals
+    for i, v in enumerate(vals):  # name the first bad entry
         _check(math.isfinite(v), f"{name}[{i}] is not finite")
-        if lo is not None:
-            _check(v >= lo, f"{name}[{i}] = {v} is below {lo}")
-    return vals
+        _check(lo is None or v >= lo, f"{name}[{i}] = {v} is below {lo}")
 
 
 @dataclass(frozen=True)

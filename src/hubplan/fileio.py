@@ -1,4 +1,6 @@
-"""Readers and writers for case files (JSON) and scenario/history tables (CSV).
+"""Readers and writers for case files (JSON) and scenario/history tables
+(CSV), and the writers of every output file: report tables, audit JSON and
+model text.
 
 One JSON document holds the equipment catalog, tariffs and planning horizon.
 Scenario days live in two CSVs: an hourly profile table with columns
@@ -10,13 +12,16 @@ and each (scenario, hour) or (scenario, ev_id) key a pair of non-negative
 integers given once; a ParseError names the line and column of the first
 fault.
 
-Floats are written with ``str`` (shortest round-trip form), so a
-write/read cycle reproduces values exactly.
+Every file is written as UTF-8 through one opener that first creates its
+directory. Table cells are converted by csv.writer: None becomes an empty
+cell and a float, numpy's included, is written with ``str`` (shortest
+round-trip form), so a write/read cycle reproduces values exactly.
 """
 
 import csv
 import io
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -146,10 +151,39 @@ def case_to_dict(case: CaseData) -> dict:
     }
 
 
-def write_case(case: CaseData, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case_to_dict(case), fh, indent=2)
+def _open_to_write(path):
+    """path opened to write UTF-8 text as given, its directory made first."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_text(path, text):
+    with _open_to_write(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path, doc, sort_keys):
+    with _open_to_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def write_case(case: CaseData, path):
+    """Write case as read_case reads it, keys in schema order."""
+    _write_json(path, case_to_dict(case), sort_keys=False)
+
+
+def write_audit_json(path, payload):
+    _write_json(path, payload, sort_keys=True)
+
+
+def write_table_csv(path, header, rows):
+    """Write (header, rows) as CSV; None becomes an empty cell and floats
+    keep full precision."""
+    with _open_to_write(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_text(path, newline=None):
@@ -403,19 +437,14 @@ def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:
 
 def write_scenario_set(scen_set: ScenarioSet, loads_path, ev_path=None):
     """Write a ScenarioSet back to the CSV pair (deterministic byte output)."""
-    with open(loads_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PROFILE_HEADER)
-        for s, sc in enumerate(scen_set.scenarios):
-            for h in range(scen_set.grid.hours_per_day):
-                w.writerow([s, h, sc.elec_load[h], sc.heat_load[h], sc.pv_avail[h]])
+    scens = list(enumerate(scen_set.scenarios))
+    write_table_csv(loads_path, PROFILE_HEADER, (
+        [s, h, *vals] for s, sc in scens for h, vals in enumerate(
+            zip(sc.elec_load, sc.heat_load, sc.pv_avail))))
     if ev_path is not None:
-        with open(ev_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(EV_HEADER)
-            for s, sc in enumerate(scen_set.scenarios):
-                for j, r in enumerate(sc.ev_records):
-                    w.writerow([s, j, r.arrive_hour, r.depart_hour, r.initial_soc])
+        write_table_csv(ev_path, EV_HEADER, (
+            [s, j, r.arrive_hour, r.depart_hour, r.initial_soc]
+            for s, sc in scens for j, r in enumerate(sc.ev_records)))
 
 
 def read_history(loads_path, ev_path=None):

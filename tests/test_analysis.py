@@ -11,12 +11,12 @@ import pytest
 from conftest import with_pv_less_overlap
 from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
                               select_extreme_scenario, soc_table,
-                              sweep_carbon_tax, verify_plan, write_audit_json,
-                              write_cost_breakdown, write_plan_summary,
-                              write_table_csv)
+                              sweep_carbon_tax, verify_plan,
+                              write_cost_breakdown, write_plan_summary)
 from hubplan.core import annualization_factor
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
-from hubplan.fileio import read_case, read_history
+from hubplan.fileio import (read_case, read_history, write_audit_json,
+                            write_table_csv)
 from hubplan.milp import branch_and_bound, extract_solution
 from hubplan.model import ModelConfig, assemble_model
 from hubplan.scengen import generate_scenarios
@@ -155,6 +155,55 @@ def test_verify_plan_catches_soc_break(tiny, tiny_solved):
     chk = verify_plan(dataclasses.replace(tiny_solved.plan, bess_e=e),
                       tiny.scen, tiny.catalog, tiny.tariffs)
     assert not chk.ok
+
+
+# (label, field, index, added value): each breaks one verify_plan check
+# family of the tiny plan (no BESS, one vehicle parked s0 t0..t3, z = 0)
+_BREAKS = [
+    ("elec balance", "grid", (0, 1), 1.0),
+    ("heat surplus", "tess_ch", (0, 1), 50.0),
+    ("bess chain", "bess_ch", (0, 1), 1.0),
+    ("tess chain", "tess_e", (0, 1), 1.0),
+    ("ev chain", "ev_e", (0, 0, 2), 1.0),
+    ("bess soc low", "bess_e", (0, 1), -1.0),
+    ("bess soc high", "bess_e", (0, 2), 1.0),
+    ("ev soc low", "ev_e", (0, 0, 1), -20.0),
+    ("ev soc high", "ev_e", (0, 0, 3), 30.0),
+    ("departure soc", "e_dep", (0, 0), -1.0),
+    ("tess charges and discharges", "tess_ch", (0, 0), 1.0),
+    ("integral x_fc", "x_fc", "PEM_gas", 0.5),
+    ("binary z", "z", (1,), 0.5),
+]
+
+
+def _broken(plan, breaks):
+    """A copy of plan with each break's value added."""
+    changed = {}
+    for _label, name, at, delta in breaks:
+        if name not in changed:
+            val = getattr(plan, name)
+            changed[name] = (dict(val) if isinstance(val, dict)
+                             else val.astype(float))
+        changed[name][at] += delta
+    return dataclasses.replace(plan, **changed)
+
+
+@pytest.mark.parametrize("brk", _BREAKS, ids=[b[0] for b in _BREAKS])
+def test_verify_plan_names_each_check_family(tiny, tiny_solved, brk):
+    chk = verify_plan(_broken(tiny_solved.plan, [brk]), tiny.scen,
+                      tiny.catalog, tiny.tariffs)
+    assert not chk.ok
+    assert any(issue.startswith(brk[0]) for issue in chk.issues), chk.issues
+
+
+def test_plan_check_issues_print_plain_numbers(tiny, tiny_solved):
+    chk = verify_plan(_broken(tiny_solved.plan, _BREAKS), tiny.scen,
+                      tiny.catalog, tiny.tariffs)
+    for label, *_rest in _BREAKS:
+        assert any(issue.startswith(label) for issue in chk.issues), label
+    for issue in chk.issues:
+        assert "np.float64" not in issue
+        float(issue.rpartition(": ")[2])
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):

@@ -277,6 +277,8 @@ def _must_not_read(*args, **kwargs):
     ([], {"carbon_tax": True}),  # not taken as 1 yuan/t
     (["--seed", "99999999999999999999999"], {}),  # beyond 2**63
     (["--out", os.path.abspath(__file__)], {}),  # an existing file
+    # below an existing file
+    (["--out", os.path.join(os.path.abspath(__file__), "sub")], {}),
 ])
 def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,

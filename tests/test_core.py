@@ -111,6 +111,35 @@ def test_tariff_validation():
         TariffSet(**{**ok, "carbon_tax": -0.1})
 
 
+_TARIFFS = dict(elec_price=(0.3, 1.0), grid_emission=(0.6, 0.8),
+                carbon_tax=0.1, soc_penalty=2.0, grid_cap=100.0, pv_cap=50.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TariffSet(**{**_TARIFFS, "grid_emission": (0.6, 0.8, 0.7)}),
+     "grid_emission must have length 2, got 3"),
+    (lambda: TariffSet(**{**_TARIFFS, "elec_price": (0.3, math.inf)}),
+     "elec_price[1] is not finite"),
+    (lambda: TariffSet(**{**_TARIFFS, "elec_price": (0.3, -1.5)}),
+     "elec_price[1] = -1.5 is below 0.0"),
+    # the first bad entry is named, a low one before a later NaN
+    (lambda: TariffSet(**{**_TARIFFS, "grid_emission": (-0.0625, math.nan)}),
+     "grid_emission[0] = -0.0625 is below 0.0"),
+    (lambda: TariffSet(**{**_TARIFFS, "grid_emission": (math.nan, -1.0)}),
+     "grid_emission[0] is not finite"),
+    (lambda: Scenario(elec_load=(1.0, 2.0), heat_load=(0.0, -math.inf),
+                      pv_avail=(0.0, 0.0)),
+     "heat_load[1] is not finite"),
+    (lambda: Scenario(elec_load=(1.0, 2.0), heat_load=(0.0, 0.0),
+                      pv_avail=(0.0,)),
+     "pv_avail must have length 2, got 1"),
+])
+def test_sequence_messages(make, message):
+    with pytest.raises(InvalidParameterError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_ev_record_validation():
     EvRecord(0, 3, 0.4)
     with pytest.raises(InvalidParameterError):

@@ -7,7 +7,8 @@ import pytest
 
 from hubplan.errors import InvalidParameterError, ParseError
 from hubplan.fileio import (CaseData, case_to_dict, read_case, read_history,
-                            read_scenario_set, write_case, write_scenario_set)
+                            read_scenario_set, write_case, write_scenario_set,
+                            write_table_csv)
 
 
 @pytest.fixture
@@ -93,6 +94,18 @@ def test_scenario_write_deterministic(tiny, tmp_path):
     write_scenario_set(tiny.scen, str(a2), str(e2))
     assert a1.read_bytes() == a2.read_bytes()
     assert e1.read_bytes() == e2.read_bytes()
+
+
+def test_table_cells_byte_for_byte(tmp_path):
+    # csv converts each cell: None is empty, a float (numpy's too) its
+    # shortest round-trip text; the missing directory is created
+    path = tmp_path / "new" / "t.csv"
+    write_table_csv(str(path), ["a", "b", "c", "d", "e", "f"],
+                    [[0, 1.5, None, "optimal", 0.1 + 0.2,
+                      np.float64(0.1) + 0.2]])
+    assert path.read_bytes() == (b"a,b,c,d,e,f\n"
+                                 b"0,1.5,,optimal,0.30000000000000004,"
+                                 b"0.30000000000000004\n")
 
 
 def test_scenario_bad_float(tiny_case_file, tmp_path):

@@ -1,4 +1,7 @@
 """The README's examples run as written against a copy of the bundled data."""
+import collections
+import dataclasses
+import json
 import os
 import re
 import shlex
@@ -7,6 +10,8 @@ import shutil
 import pytest
 
 from hubplan import cli
+from hubplan.core import EvRecord
+from hubplan.fileio import CaseData, write_case, write_scenario_set
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -22,6 +27,16 @@ def _config_keys():
         text = fh.read()
     section = text.split("## Command line")[1].split("\n## ")[0]
     return re.findall(r"^\| `(\w+)` \|", section, re.M)
+
+
+def _audit_keys():
+    """Each key of the README's audit.json table and who writes it: plan,
+    sweep, or level (each entry of sweep's levels)."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## audit.json\n")[1].split("\n## ")[0]
+    return {key: set(re.findall(r"\b(?:plan|sweep|level)\b", by))
+            for key, by in re.findall(r"^\| `(\w+)` \| (.*?) \|", section,
+                                      re.M)}
 
 
 def _commands():
@@ -53,6 +68,39 @@ def test_readme_lists_every_config_key():
     keys = _config_keys()
     assert len(keys) == len(set(keys))
     assert set(keys) == set(cli._OPTIONS)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_readme_lists_every_audit_key(data_dir, tiny, tmp_path):
+    # an optimal plan and sweep of generated days, and an infeasible one
+    # of the tiny case's days with a vehicle that cannot reach its target
+    stuck = tmp_path / "stuck"
+    write_case(CaseData(catalog=tiny.catalog, tariffs=tiny.tariffs,
+                        hours_per_day=4, planning_years=10,
+                        discount_rate=0.06), str(stuck / "case.json"))
+    write_scenario_set(dataclasses.replace(tiny.scen, scenarios=tuple(
+        dataclasses.replace(sc, ev_records=(EvRecord(0, 1, 0.2),))
+        for sc in tiny.scen.scenarios)), str(stuck / "s.csv"),
+        str(stuck / "s_ev.csv"))
+    runs = {"generated": ["--config", os.path.join(data_dir, "desk_run.json"),
+                          "--n", "2"],
+            "infeasible": ["--case", str(stuck / "case.json"),
+                           "--scenarios", str(stuck / "s.csv"),
+                           "--scenario-ev", str(stuck / "s_ev.csv"),
+                           "--zeta", "0.0"]}
+    written = collections.defaultdict(set)
+    for name, argv in runs.items():
+        for command in ("plan", "sweep"):
+            out = tmp_path / name / command
+            cli.main([command, *argv, "--carbon-tax", "40", "--out", str(out)])
+            with open(out / "audit.json", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            for key in doc:
+                written[key].add(command)
+            for level in doc.get("levels", []):
+                for key in level:
+                    written[key].add("level")
+    assert _audit_keys() == written
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -10,14 +10,14 @@ Run from the repo root:
 """
 
 import argparse
-import csv
 import os
 
 import numpy as np
 
 from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, FcSpec,
                           TariffSet, TessSpec)
-from hubplan.fileio import (CaseData, EV_HEADER, PROFILE_HEADER, write_case)
+from hubplan.fileio import (CaseData, EV_HEADER, PROFILE_HEADER, write_case,
+                            write_table_csv)
 
 T = 24
 N_DAYS = 365
@@ -133,19 +133,13 @@ def make_ev_log(rng):
 
 def write_history(out_dir, elec, heat, pv, ev):
     loads_path = os.path.join(out_dir, "history_loads.csv")
-    with open(loads_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PROFILE_HEADER)
-        for d in range(elec.shape[0]):
-            for h in range(T):
-                w.writerow([d, h, elec[d, h], heat[d, h], pv[d, h]])
+    write_table_csv(loads_path, PROFILE_HEADER, (
+        [d, h, *vals] for d in range(elec.shape[0])
+        for h, vals in enumerate(zip(elec[d], heat[d], pv[d]))))
     ev_path = os.path.join(out_dir, "history_ev.csv")
-    with open(ev_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(EV_HEADER)
-        for d in range(ev.shape[0]):
-            for j in range(ev.shape[1]):
-                w.writerow([d, j, ev[d, j, 0], ev[d, j, 1], ev[d, j, 2]])
+    write_table_csv(ev_path, EV_HEADER, (
+        [d, j, *visit] for d in range(ev.shape[0])
+        for j, visit in enumerate(ev[d])))
     return loads_path, ev_path
 
 
@@ -156,7 +150,6 @@ def main():
     ap.add_argument("--seed", type=int, default=7312)
     args = ap.parse_args()
 
-    os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     case = build_case()
     write_case(case, os.path.join(args.out, "case.json"))
