@@ -10,7 +10,7 @@ class InvalidParameterError(HubplanError):
 
 
 class ParseError(HubplanError):
-    """An input file could not be parsed.
+    """A file could not be read, parsed or written.
 
     Carries enough position information (path, line, column name) to point
     at the offending record.

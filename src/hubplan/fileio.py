@@ -13,9 +13,10 @@ integers given once; a ParseError names the line and column of the first
 fault.
 
 Every file is written as UTF-8 through one opener that first creates its
-directory. Table cells are converted by csv.writer: None becomes an empty
-cell and a float, numpy's included, is written with ``str`` (shortest
-round-trip form), so a write/read cycle reproduces values exactly.
+directory; a file that cannot be written is a ParseError naming it. Table
+cells are converted by csv.writer: None becomes an empty cell and a float,
+numpy's included, is written with ``str`` (shortest round-trip form), so a
+write/read cycle reproduces values exactly.
 """
 
 import csv
@@ -80,9 +81,9 @@ def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
     Each value is converted by its field's type (a str is kept as read;
-    an int field refuses a fractional number); an absent key takes the
-    field's default where it has one. A key that names no field is
-    refused.
+    an int field refuses a fractional number, a float field a non-finite
+    one); an absent key takes the field's default where it has one. A key
+    that names no field is refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -94,10 +95,28 @@ def _read_fields(obj, spec_fields, path, where):
         if f.type is int and isinstance(val, float) and not val.is_integer():
             raise ParseError(f"expected an integer at {where}.{key}, "
                              f"got {val!r}", path=path)
-        kwargs[f.name] = val if f.type is str else f.type(val)
+        val = val if f.type is str else f.type(val)
+        if f.type is float and not np.isfinite(val):
+            raise ParseError(f"expected a finite number at {where}.{key}, "
+                             f"got {val!r}", path=path)
+        kwargs[f.name] = val
     _no_other_keys(obj, [_JSON_KEY.get(f.name, f.name) for f in spec_fields],
                    path, where)
     return kwargs
+
+
+def _build(cls, path, where, *args, **kwargs):
+    """cls(*args, **kwargs), a value it refuses a ParseError at where."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidParameterError as exc:
+        raise ParseError(f"{where}: {exc}", path=path) from exc
+
+
+def _read_spec(cls, obj, path, where):
+    """The spec cls read from the JSON object obj at where."""
+    return _build(cls, path, where,
+                  **_read_fields(obj, fields(cls), path, where))
 
 
 def _write_fields(spec, spec_fields):
@@ -116,19 +135,18 @@ def read_case(path) -> CaseData:
     doc = read_json(path)
     try:
         plan = _get(doc, "planning", path, "$")
-        fcs = tuple(
-            FcSpec(**_read_fields(f, fields(FcSpec), path, f"$.fuel_cells[{k}]"))
-            for k, f in enumerate(_get(doc, "fuel_cells", path, "$")))
+        fcs = tuple(_read_spec(FcSpec, f, path, f"$.fuel_cells[{k}]")
+                    for k, f in enumerate(_get(doc, "fuel_cells", path, "$")))
         bess, tess, fleet, tariffs = (
-            cls(**_read_fields(_get(doc, key, path, "$"), fields(cls), path,
-                               f"$.{key}"))
+            _read_spec(cls, _get(doc, key, path, "$"), path, f"$.{key}")
             for key, cls in _SECTIONS)
-        case = CaseData(catalog=EquipmentCatalog(fcs, bess, tess, fleet),
-                        tariffs=tariffs,
+        catalog = _build(EquipmentCatalog, path, "$.fuel_cells", fcs, bess,
+                         tess, fleet)
+        case = CaseData(catalog=catalog, tariffs=tariffs,
                         **_read_fields(plan, _PLANNING, path, "$.planning"))
         _no_other_keys(doc, ["planning", "fuel_cells",
                              *(key for key, _cls in _SECTIONS)], path, "$")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad value in case file: {exc}", path=path) from exc
     if case.hours_per_day < 2:  # as TimeGrid requires
         raise ParseError("planning.hours_per_day must be >= 2, got "
@@ -152,9 +170,13 @@ def case_to_dict(case: CaseData) -> dict:
 
 
 def _open_to_write(path):
-    """path opened to write UTF-8 text as given, its directory made first."""
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+    """path opened to write UTF-8 text as given, its directory made first;
+    a ParseError names the file when either fails."""
+    try:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot write: {exc.strerror}", path=path) from exc
 
 
 def write_text(path, text):
@@ -406,24 +428,22 @@ def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:
         raise ParseError(f"profiles span {t_day} hours, case expects "
                          f"{case.hours_per_day}", path=loads_path)
     n_ev = case.catalog.ev_fleet.n_ev
-    ev = None
+    ev = np.zeros((n, 0, 3))
     if ev_path is not None:
         ev = _read_ev_table(ev_path, n, integer_hours=True)
+        if ev.shape[1] != n_ev:
+            raise ParseError(f"EV table has {ev.shape[1]} vehicles, fleet has {n_ev}",
+                             path=ev_path)
     elif n_ev > 0:
         raise ParseError(f"fleet has {n_ev} vehicles but no EV table was given",
                          path=loads_path)
     scenarios = []
     for s in range(n):
-        recs = ()
-        if ev is not None:
-            if ev.shape[1] != n_ev:
-                raise ParseError(f"EV table has {ev.shape[1]} vehicles, fleet has {n_ev}",
-                                 path=ev_path)
-            try:
-                recs = tuple(EvRecord(int(ev[s, j, 0]), int(ev[s, j, 1]), ev[s, j, 2])
-                             for j in range(n_ev))
-            except InvalidParameterError as exc:
-                raise ParseError(f"scenario {s}: {exc}", path=ev_path) from exc
+        try:
+            recs = tuple(EvRecord(int(ev[s, j, 0]), int(ev[s, j, 1]), ev[s, j, 2])
+                         for j in range(n_ev))
+        except InvalidParameterError as exc:
+            raise ParseError(f"scenario {s}: {exc}", path=ev_path) from exc
         scenarios.append(Scenario(tuple(elec[s]), tuple(heat[s]), tuple(pv[s]), recs))
     scen_set = ScenarioSet(grid=case.time_grid(n), scenarios=tuple(scenarios))
     bad = validate_scenario_set(scen_set, case.catalog, case.tariffs)

@@ -79,23 +79,21 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, prio):
     return t_min, best, int(hit_ub[best])
 
 
-def dual_ratio_test(alpha, d, dirn, free, s, pivot_tol):
+def dual_ratio_test(alpha, d, dirn, s, pivot_tol):
     """Entering column of a dual simplex pivot, and its dual step.
 
-    alpha is the pivot row over all columns, d their reduced costs, dirn
-    their pricing signs (+1 at a lower bound, -1 at an upper one, 0 basic
-    or fixed) and free the free nonbasics. s is +1 when the leaving basic
-    is above its upper bound, -1 when below its lower one. A column is
-    eligible when |alpha| exceeds pivot_tol and moving it off its bound
-    pushes the leaving basic back toward that bound (s dirn alpha > 0;
-    either sign for a free one). Returns (q, t): the eligible column with
-    the smallest max(dirn d, 0) / |alpha|, ties within a relative 1e-10
-    window going to the largest |alpha|, then the lowest index, and that
-    ratio; (-1, inf) when none is eligible (a dual ray).
+    alpha is the pivot row over all columns, d their reduced costs and
+    dirn their pricing signs (+1 at a lower bound, -1 at an upper one, 0
+    basic or fixed). s is +1 when the leaving basic is above its upper
+    bound, -1 when below its lower one. A column is eligible when |alpha|
+    exceeds pivot_tol and moving it off its bound pushes the leaving basic
+    back toward that bound (s dirn alpha > 0). Returns (q, t): the
+    eligible column with the smallest max(dirn d, 0) / |alpha|, ties
+    within a relative 1e-10 window going to the largest |alpha|, then the
+    lowest index, and that ratio; (-1, inf) when none is eligible (a dual
+    ray).
     """
     elig = (s * dirn) * alpha > pivot_tol
-    if free.size:
-        elig[free] = np.abs(alpha[free]) > pivot_tol
     idx = elig.nonzero()[0]
     if idx.size == 0:
         return -1, np.inf

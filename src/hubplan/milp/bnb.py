@@ -120,16 +120,14 @@ def _count(totals, lp):
 
 
 def _fractional(x, int_cols):
-    """Most fractional integer column and its distance to the nearest
-    integer; (-1, 0.0) when all are within INT_TOL."""
+    """Most fractional integer column, lowest id on ties; -1 when all are
+    within INT_TOL of an integer."""
     if int_cols.size == 0:
-        return -1, 0.0
+        return -1
     vals = x[int_cols]
     dist = np.abs(vals - np.rint(vals))
     j = int(np.argmax(dist))
-    if dist[j] <= INT_TOL:
-        return -1, 0.0
-    return int(int_cols[j]), float(dist[j])
+    return -1 if dist[j] <= INT_TOL else int(int_cols[j])
 
 
 def _dive(model, lb0, ub0, int_cols, root, deadline, totals, pivots):
@@ -143,7 +141,7 @@ def _dive(model, lb0, ub0, int_cols, root, deadline, totals, pivots):
     """
     lb, ub, sol = lb0, ub0, root
     for _ in range(int_cols.size):
-        j, _d = _fractional(sol.x, int_cols)
+        j = _fractional(sol.x, int_cols)
         if j < 0:
             return sol.x
         xj = sol.x[j]
@@ -168,7 +166,7 @@ def _dive(model, lb0, ub0, int_cols, root, deadline, totals, pivots):
         if step is None:
             return None
         sol = step
-    j, _d = _fractional(sol.x, int_cols)
+    j = _fractional(sol.x, int_cols)
     return sol.x if j < 0 else None
 
 
@@ -238,10 +236,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         return max(0.0, (obj - bound) / max(1.0, abs(obj)))
 
     def accept(x, obj):
-        """Make x the incumbent if it improves on it; True if it did."""
+        """Make x, of objective obj, the incumbent once the checker passes
+        it. Only improvements come: no incumbent exists at the root or after
+        the dive, and the gap prune skips node LPs not below the incumbent."""
         nonlocal inc_x, inc_obj
-        if obj >= inc_obj:
-            return False
         report = check_solution(model, x)
         if not report.ok:
             raise SolverError(
@@ -250,7 +248,6 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
                 f"{report.bad_integrality[:3]}")
         inc_x, inc_obj = x.copy(), float(obj)
         incumbents.append(inc_obj)
-        return True
 
     root = solve_lp(model, col_lb=lb0, col_ub=ub0, warm=warm)
     _count(totals, root)
@@ -259,7 +256,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     if root.status != "optimal":
         raise SolverError(f"root relaxation ended {root.status}")
 
-    j0, _ = _fractional(root.x, int_cols)
+    j0 = _fractional(root.x, int_cols)
     if j0 < 0:
         accept(root.x, root.objective)
         return finish("optimal", root.objective)
@@ -304,9 +301,10 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             raise SolverError(f"node relaxation ended {node.status}")
         if _gap(inc_obj, node.objective) <= rel_gap:
             continue
-        j, _d = _fractional(node.x, int_cols)
+        j = _fractional(node.x, int_cols)
         if j < 0:
-            entry["incumbent"] = accept(node.x, node.objective)
+            accept(node.x, node.objective)
+            entry["incumbent"] = True
             continue
         for half in _split(lb, ub, j, node.x[j]):
             heapq.heappush(heap, (node.objective, next_id, half, depth + 1,

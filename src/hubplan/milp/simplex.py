@@ -41,8 +41,8 @@ The ratio test runs on the rows with |w| above the pivot tolerance, the
 only ones that can block; they keep their index order, so every tie
 breaks as over all rows. Pricing multiplies the reduced costs by a sign
 vector (+1 at a lower bound, -1 at an upper one, 0 for basics and fixed
-columns), kept up to date at each pivot, and scores the few free
-nonbasics by -|d| apart.
+columns), kept up to date at each pivot: every column has a finite bound
+to sit on, as solve_lp refuses a structural column with neither.
 
 The reduced costs d are carried across primal pivots rather than priced
 afresh (Maros 2003, Computational Techniques of the Simplex Method, ch.
@@ -65,15 +65,15 @@ the bound it sat at. New costs (a sweep level) leave that basis primal
 feasible, and the primal simplex carries on from it. Tightened bounds (a
 branch-and-bound child, a dive step) leave some basics out of bounds
 while the reduced costs keep their signs: when every nonbasic is then
-dual feasible (dirn * d >= -1e-7, |d| <= 1e-7 for a free one), a dual
-simplex phase (Lemke 1954; textbook ratio test, no bound flipping)
-reoptimizes first. It shares the factor, the eta file and the pivot
-bookkeeping with the primal. Its leaving row is the largest bound
-violation, lowest row on ties; its entering column the smallest ratio
-max(dirn * d, 0) / |alpha| over the pivot row alpha, ties to the largest
-|alpha|, then the lowest index. It hands the basis to the primal once the
-basics are within bounds, on a dual ray, after 1000 dual-degenerate
-pivots in a row, or if the pivot element fails to match its row entry.
+dual feasible (dirn * d >= -1e-7), a dual simplex phase (Lemke 1954;
+textbook ratio test, no bound flipping) reoptimizes first. It shares the
+factor, the eta file and the pivot bookkeeping with the primal. Its
+leaving row is the largest bound violation, lowest row on ties; its
+entering column the smallest ratio max(dirn * d, 0) / |alpha| over the
+pivot row alpha, ties to the largest |alpha|, then the lowest index. It
+hands the basis to the primal once the basics are within bounds, on a
+dual ray, after 1000 dual-degenerate pivots in a row, or if the pivot
+element fails to match its row entry.
 
 The dual phase's objective only rises, so given a cutoff (branch and
 bound's incumbent less its gap) it can stop early: the objective cutoff
@@ -103,7 +103,8 @@ from ..errors import InvalidParameterError, SolverError
 from ..model import EQ, GE, LE
 from . import _kernels as ker
 
-NB_LO, NB_UP, BASIC, NB_FIXED, NB_FREE = 0, 1, 2, 3, 4
+NB_LO, NB_UP, BASIC, NB_FIXED = 0, 1, 2, 3
+_SIGN = np.array([1.0, -1.0, 0.0, 0.0])  # the pricing sign of each code
 
 _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
@@ -132,7 +133,7 @@ class LpSolution:
 
     basis holds the column id (structurals first, then one slack per row)
     basic in each row position when the solve ended, and stat the status
-    code of every column (NB_LO, NB_UP, BASIC, NB_FIXED, NB_FREE). Passed
+    code of every column (NB_LO, NB_UP, BASIC, NB_FIXED). Passed
     back as ``warm=(basis, stat)`` they restart a related solve from here;
     both are None when the bounds crossed before any basis was formed.
 
@@ -267,7 +268,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     cutoff lets the dual phase of a warm start stop with status cutoff once
     it proves the optimum is at least cutoff (see the module docstring);
     the default never stops. After 20000 + 10 (rows + columns) pivots the
-    solve stops with status iteration_limit.
+    solve stops with status iteration_limit. A column with no finite
+    bound is refused with an InvalidParameterError naming it.
     """
     m = model.n_rows
     n_struct = model.n_cols
@@ -285,40 +287,35 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     s_lo, s_hi = _slack_bounds(model.row_sense)
     lb = np.concatenate([model.col_lb if col_lb is None else col_lb, s_lo])
     ub = np.concatenate([model.col_ub if col_ub is None else col_ub, s_hi])
+    lo_fin, up_fin = np.isfinite(lb), np.isfinite(ub)
+    unbounded = np.flatnonzero(~(lo_fin | up_fin))
+    if unbounded.size:
+        raise InvalidParameterError(
+            f"column {model.col_names[unbounded[0]]} has no finite bound")
     if np.any(lb[:n_struct] > ub[:n_struct] + 1e-12):
         return LpSolution(status="infeasible", objective=np.inf,
                           x=np.zeros(n_struct), duals=np.zeros(m), iterations=0,
                           max_violation=np.inf)
     b = model.rhs.astype(float)
 
-    # nonbasics sit on a finite bound (or at 0 if free): the upper one when
-    # the warm start left them there and it is finite, else the lower one
-    # when finite; equal bounds make them fixed
+    # nonbasics sit on their lower bound when it is finite and the warm
+    # start did not leave them on their upper one, else on their upper
+    # bound; equal bounds make them fixed
     if warm is None:
         basis = n_struct + np.arange(m, dtype=np.int64)
         kept_up = False
     else:
         basis = np.array(warm[0], dtype=np.int64)
         kept_up = warm[1] == NB_UP
-    stat = np.full(n_tot, NB_FREE, dtype=np.int8)
-    x = np.zeros(n_tot)
-    lo_fin = np.isfinite(lb)
-    up_fin = np.isfinite(ub)
-    stat[up_fin] = NB_UP
-    x[up_fin] = ub[up_fin]
     at_lo = lo_fin & ~(up_fin & kept_up)
-    stat[at_lo] = NB_LO
-    x[at_lo] = lb[at_lo]
+    stat = np.where(at_lo, NB_LO, NB_UP).astype(np.int8)
+    x = np.where(at_lo, lb, ub)
     stat[lb == ub] = NB_FIXED
     stat[basis] = BASIC
     x[basis] = 0.0
     # pricing signs: a nonbasic at its lower bound improves when d < 0, one
-    # at its upper bound when d > 0; basics and fixed columns never price
-    # in, and the few free nonbasics are scored apart by -|d|
-    dirn = np.zeros(n_tot)
-    dirn[stat == NB_LO] = 1.0
-    dirn[stat == NB_UP] = -1.0
-    free = np.flatnonzero(stat == NB_FREE)
+    # at its upper bound when d > 0; basics and fixed columns never price in
+    dirn = _SIGN[stat]
     d = np.empty(n_tot)
     score = np.empty(n_tot)
 
@@ -425,27 +422,16 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             return y, -np.inf
         return y, float(b @ y + d_n[at_lb] @ lb_n + d_n[at_ub] @ ub_n)
 
-    def scores():
-        np.multiply(dirn, d, out=score)
-        if free.size:
-            score[free] = -np.abs(d[free])
-        return score
-
     def pivot(q, pos, leave_up, xq_new, w):
         """Make column q basic in position pos at value xq_new; the column
         it replaces leaves on its upper bound if leave_up, else its lower
         one. Returns the leaving column."""
-        nonlocal free, n_eta
+        nonlocal n_eta
         leave = int(basis[pos])
         x[leave] = ub[leave] if leave_up else lb[leave]
-        if lb[leave] == ub[leave]:
-            stat[leave], dirn[leave] = NB_FIXED, 0.0
-        elif leave_up:
-            stat[leave], dirn[leave] = NB_UP, -1.0
-        else:
-            stat[leave], dirn[leave] = NB_LO, 1.0
-        if stat[q] == NB_FREE:
-            free = free[free != q]
+        code = (NB_FIXED if lb[leave] == ub[leave]
+                else NB_UP if leave_up else NB_LO)
+        stat[leave], dirn[leave] = code, _SIGN[code]
         basis[pos] = q
         stat[q] = BASIC
         dirn[q] = 0.0
@@ -482,7 +468,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     # unless a bound proves the optimum at or above the cutoff first
     if warm is not None and gamma.any():
         price(False)
-        dual = scores().min() >= -_OPT_TOL
+        dual = np.multiply(dirn, d, out=score).min() >= -_OPT_TOL
         alpha = np.empty(n_tot)
         degen_streak = 0
         check_cutoff = cutoff < np.inf
@@ -510,7 +496,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             rho = btran_row(r)
             alpha[:n_struct] = ker.spmv(at_s, rho)
             alpha[n_struct:] = rho
-            q, t = ker.dual_ratio_test(alpha, d, dirn, free, s, _PIVOT_TOL)
+            q, t = ker.dual_ratio_test(alpha, d, dirn, s, _PIVOT_TOL)
             if q < 0:
                 break  # a dual ray: phase 1 proves the LP infeasible
             w = ftran_col(q)
@@ -557,7 +543,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             stale = False
             fresh = True
 
-        score = scores()
+        np.multiply(dirn, d, out=score)
         q = int(score.argmin())
         if score[q] >= -_OPT_TOL:
             # a claim needs a fresh price on a clean factorization
@@ -582,10 +568,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             return result("iteration_limit", np.zeros(m))
 
         w = ftran_col(q)
-        if stat[q] == NB_FREE:
-            sigma = 1.0 if d[q] < 0.0 else -1.0
-        else:
-            sigma = 1.0 if stat[q] == NB_LO else -1.0
+        sigma = 1.0 if stat[q] == NB_LO else -1.0
         gap = ub[q] - lb[q]
         # only rows with |w| above the pivot tolerance can block; the subset
         # keeps index order, so ties break as they would over all rows

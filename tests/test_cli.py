@@ -421,6 +421,72 @@ def test_directory_input_exits_1(data_dir, tmp_path, capsys, which):
         f"error: {tmp_path}: cannot read: Is a directory\n")
 
 
+_EV_HEADER = "scenario,ev_id,arrive_hour,depart_hour,initial_soc\n"
+
+
+def _first_day(data_dir):
+    """The bundled history's first day, as a one-day scenario table."""
+    with open(os.path.join(data_dir, "history_loads.csv")) as fh:
+        return "".join(fh.readlines()[:25])
+
+
+@pytest.mark.parametrize("files, flags, message", [
+    ({"loads": ""}, ["--scenarios", "loads"],
+     "{loads}, line 1: empty file, header row required"),
+    ({"loads": "scenario,hour,elec_load_kw,heat_load_kw,pv_avail_kw\n"},
+     ["--scenarios", "loads"], "{loads}, line 2: no data rows"),
+    ({"loads": _first_day, "ev": _EV_HEADER},
+     ["--scenarios", "loads", "--scenario-ev", "ev"],
+     "{ev}: EV table has 0 vehicles, fleet has 5"),
+    ({"ev": _EV_HEADER}, ["--history-ev", "ev"],
+     "fleet has 5 vehicles, history provides 0"),
+    ({"loads": _first_day}, ["--scenarios", "loads"],
+     "{loads}: fleet has 5 vehicles but no EV table was given"),
+    ({"loads": _first_day,
+      "ev": _EV_HEADER + "0,0,8,8,0.5\n"
+      + "".join(f"0,{j},8,17,0.5\n" for j in range(1, 5))},
+     ["--scenarios", "loads", "--scenario-ev", "ev"],
+     "{ev}: scenario 0: depart_hour must exceed arrive_hour"),
+])
+def test_input_table_errors_exit_1(data_dir, tmp_path, capsys, files, flags,
+                                   message):
+    # each is refused on read, naming the file, before an output directory
+    # is made; the other inputs are the bundled case and history
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text(data_dir) if callable(text) else text)
+    out = tmp_path / "out"
+    rc = cli.main(["plan", "--case", os.path.join(data_dir, "case.json"),
+                   "--history-loads",
+                   os.path.join(data_dir, "history_loads.csv"),
+                   "--carbon-tax", "40", "--out", str(out)]
+                  + [str(paths.get(f, f)) for f in flags])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {message.format(**paths)}\n")
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_1(ws, data_dir, tmp_path, capsys):
+    # an output file that cannot be opened is one error line naming it,
+    # exit 1, whether found after a solve or after a generation
+    out = tmp_path / "plan_out"
+    (out / "audit.json").mkdir(parents=True)
+    assert cli.main(["plan"] + args_for(ws, "--out", str(out))) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'audit.json'}: cannot write: Is a directory\n")
+    out = tmp_path / "gen_out"
+    (out / "scen_log.json").mkdir(parents=True)
+    with pytest.warns(UserWarning):
+        rc = cli.main(["scen", "gen", "--config",
+                       os.path.join(data_dir, "desk_run.json"), "--n", "6",
+                       "--seed", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'scen_log.json'}: cannot write: Is a directory\n")
+
+
 def test_config_out_resolves_against_the_working_directory(tmp_path,
                                                            monkeypatch):
     # out is a directory to create, not an input: a config's value is

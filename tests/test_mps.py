@@ -124,6 +124,9 @@ def test_parse_duplicate_row():
 def test_parsed_model_solves_identically():
     rng = np.random.default_rng(77)
     mod = rand_model(rng)
+    # solve_lp needs a finite bound on every column: box the free ones
+    free = np.isinf(mod.col_lb) & np.isinf(mod.col_ub)
+    mod.col_lb[free], mod.col_ub[free] = -10.0, 10.0
     s0 = solve_lp(mod)
     s1 = solve_lp(parse_mps(write_mps(mod)))
     assert s0.status == s1.status

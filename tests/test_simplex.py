@@ -46,8 +46,16 @@ def test_unbounded():
 
 
 def test_free_variable():
-    m = make_model([1.0], [[1.0]], [GE], [-4.0], [-np.inf], [np.inf])
-    s = solve_lp(m)
+    # every column needs a finite bound to sit on; one with neither is
+    # refused by name before any pivot, however the bounds are passed
+    m = make_model([1.0, 1.0], [[1.0, 1.0]], [GE], [-4.0], [0.0, -np.inf],
+                   [np.inf, np.inf])
+    with pytest.raises(InvalidParameterError,
+                       match="^column C1 has no finite bound$"):
+        solve_lp(m)
+    with pytest.raises(InvalidParameterError, match="^column C0 "):
+        solve_lp(m, col_lb=np.array([-np.inf, 0.0]))
+    s = solve_lp(m, col_lb=np.array([0.0, -9.0]))
     assert s.status == "optimal" and abs(s.objective + 4.0) < 1e-9
 
 
@@ -106,7 +114,7 @@ def _linprog_ref(obj, a, senses, rhs, lb, ub):
 
 def _random_lp(rng):
     """(obj, a, senses, rhs, lb, ub) of a small random LP with some
-    infinite bounds; most draws are solvable."""
+    infinite bounds, never both on one column; most draws are solvable."""
     m = int(rng.integers(1, 12))
     n = int(rng.integers(1, 12))
     dens = rng.uniform(0.3, 1.0)
@@ -114,7 +122,8 @@ def _random_lp(rng):
     obj = rng.normal(size=n)
     senses = rng.integers(0, 3, size=m)
     lb = np.where(rng.random(n) < 0.15, -np.inf, rng.uniform(-5, 0, n))
-    ub = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0.5, 6, n))
+    ub = np.where((rng.random(n) < 0.15) & np.isfinite(lb), np.inf,
+                  rng.uniform(0.5, 6, n))
     x0 = np.clip(rng.uniform(0, 1, size=n),
                  np.where(np.isfinite(lb), lb, 0),
                  np.where(np.isfinite(ub), ub, 1))
@@ -677,28 +686,26 @@ def _ratio_test_py(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, pivot_tol, prio):
     return t_min, best_pos, best_code
 
 
-def _dual_ratios_py(alpha, d, dirn, free, s, pivot_tol):
+def _dual_ratios_py(alpha, d, dirn, s, pivot_tol):
     """Dual ratio max(dirn d, 0) / |alpha| of each column; inf unless
-    |alpha| exceeds pivot_tol and s dirn alpha > 0 or the column is a free
-    nonbasic."""
+    |alpha| exceeds pivot_tol and s dirn alpha > 0."""
     out = []
     for j in range(alpha.shape[0]):
-        if abs(alpha[j]) <= pivot_tol or (
-                j not in free and s * dirn[j] * alpha[j] <= 0.0):
+        if abs(alpha[j]) <= pivot_tol or s * dirn[j] * alpha[j] <= 0.0:
             out.append(np.inf)
         else:
             out.append(max(dirn[j] * d[j], 0.0) / abs(alpha[j]))
     return out
 
 
-def _dual_ratio_test_py(alpha, d, dirn, free, s, pivot_tol):
+def _dual_ratio_test_py(alpha, d, dirn, s, pivot_tol):
     """Entering column of a dual simplex pivot, and its dual step.
 
     Returns (q, t): the column with the smallest finite dual ratio, ties
     within a relative 1e-10 window going to the largest |alpha|, then the
     lowest index; (-1, inf) when no ratio is finite.
     """
-    ratios = _dual_ratios_py(alpha, d, dirn, free, s, pivot_tol)
+    ratios = _dual_ratios_py(alpha, d, dirn, s, pivot_tol)
     t_min = min(ratios, default=np.inf)
     if not np.isfinite(t_min):
         return -1, np.inf
@@ -739,7 +746,7 @@ def test_spmv_is_scipys_product_bit_for_bit():
 
 def test_dual_ratio_test_matches_scalar_reference():
     piv_tol = 1e-9
-    seen = dict(free=0, tie=0, ray=0, zero=0)
+    seen = dict(tie=0, ray=0, zero=0)
     for trial in range(300):
         rng = np.random.default_rng(1000 + trial)
         n = int(rng.integers(1, 12))
@@ -747,8 +754,9 @@ def test_dual_ratio_test_matches_scalar_reference():
         # dual feasible reduced costs, a few slightly infeasible, some 0
         d = dirn * rng.uniform(0, 2, n) * (rng.random(n) < 0.8)
         d[rng.random(n) < 0.1] *= -1e-8
-        free = np.flatnonzero((dirn == 0) & (rng.random(n) < 0.3))
-        d[free] = rng.normal(size=free.size) * 1e-8
+        # basics and fixed columns (dirn 0) with a tiny nonzero d never enter
+        off = np.flatnonzero((dirn == 0) & (rng.random(n) < 0.3))
+        d[off] = rng.normal(size=off.size) * 1e-8
         alpha = rng.normal(size=n) * (rng.random(n) < 0.7)
         alpha[rng.random(n) < 0.1] = 1e-11  # below the pivot tolerance
         if n >= 2 and rng.random() < 0.4:  # a tie: a copied column
@@ -759,16 +767,15 @@ def test_dual_ratio_test_matches_scalar_reference():
                 alpha[j] *= 2.0
                 d[j] *= 2.0
         s = float(rng.choice([-1.0, 1.0]))
-        want = _dual_ratio_test_py(alpha, d, dirn, free, s, piv_tol)
-        got = ker.dual_ratio_test(alpha, d, dirn, free, s, piv_tol)
+        want = _dual_ratio_test_py(alpha, d, dirn, s, piv_tol)
+        got = ker.dual_ratio_test(alpha, d, dirn, s, piv_tol)
         assert (int(got[0]), float(got[1])) == (int(want[0]),
                                                 float(want[1])), trial
         q, t = want
         seen["ray"] += q < 0
-        seen["free"] += q in free
         seen["zero"] += q >= 0 and t == 0.0
         if q >= 0:
-            ratios = _dual_ratios_py(alpha, d, dirn, free, s, piv_tol)
+            ratios = _dual_ratios_py(alpha, d, dirn, s, piv_tol)
             seen["tie"] += sum(r <= t + 1e-10 * (1 + t) for r in ratios) >= 2
     assert min(seen.values()) >= 10, seen
 

@@ -1,18 +1,25 @@
-"""Line coverage of src/hubplan over a pytest run, built on sys.settrace.
+"""Line coverage of src/hubplan over a pytest run or hubplan commands,
+built on sys.settrace.
 
-Run from the repo root:
+Run from the repo root, as a pytest plugin over the tests:
     PYTHONPATH=src:tools python -m pytest -p line_coverage -q
+or as a script over hubplan commands, each one argument holding the
+command's arguments, run in turn through hubplan.cli.main in this process:
+    PYTHONPATH=src:tools python tools/line_coverage.py 'validate --config
+        src/hubplan/data/desk_run.json' ['<hubplan args>' ...]
 
 Every frame whose code lives under src/hubplan is traced line by line. At
-the end of the run the plugin prints, per module, the statements that never
-ran, by their first line. Docstrings, def and class lines and imports are
-left out, since they run at import. Code run in a subprocess (the README
-and fresh-process tests) or in another thread is not seen. Tracing slows
-the run several times over; plain test runs do not load this plugin.
+the end of the run the plugin, or the script, prints per module the
+statements that never ran, by their first line. Docstrings, def and class
+lines and imports are left out, since they run at import. Code run in a
+subprocess (the README and fresh-process tests) or in another thread is not
+seen. Tracing slows the run several times over; plain test runs do not
+load this plugin.
 """
 
 import ast
 import os
+import shlex
 import sys
 
 import pytest
@@ -117,9 +124,10 @@ def pytest_load_initial_conftests():
     sys.settrace(_on_call)
 
 
-def pytest_terminal_summary(terminalreporter):
+def report(write_line):
+    """Stop tracing and pass write_line, per module of src/hubplan with a
+    statement that never ran, its count and spans, then the totals."""
     sys.settrace(None)
-    terminalreporter.section("statements of src/hubplan never run")
     total = total_missed = 0
     for folder, _dirs, files in sorted(os.walk(ROOT)):
         for name in sorted(f for f in files if f.endswith(".py")):
@@ -128,8 +136,30 @@ def pytest_terminal_summary(terminalreporter):
             total, total_missed = total + len(every), total_missed + len(lines)
             if lines:
                 rel = os.path.relpath(path, os.path.dirname(ROOT[:-1]))
-                terminalreporter.write_line(
-                    f"{rel}: {len(lines)} of {len(every)}: "
-                    f"{_spans(lines, every)}")
-    terminalreporter.write_line(f"{total_missed} of {total} statements "
-                                "never ran")
+                write_line(f"{rel}: {len(lines)} of {len(every)}: "
+                           f"{_spans(lines, every)}")
+    write_line(f"{total_missed} of {total} statements never ran")
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.section("statements of src/hubplan never run")
+    report(terminalreporter.write_line)
+
+
+def main(commands):
+    """Run each hubplan command (a string of its arguments) under the
+    tracer, print its exit status, then the report."""
+    sys.settrace(_on_call)
+    from hubplan import cli  # traced from its module body on
+    for command in commands:
+        try:
+            status = cli.main(shlex.split(command))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            status = exc.code
+        print(f"exit {status}: hubplan {command}")
+    print("statements of src/hubplan never run")
+    report(print)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
