@@ -187,6 +187,16 @@ def _check_scenario_id(solution, scenario_id):
         raise KeyError(f"scenario {scenario_id} not in [0, {n})")
 
 
+def _table(columns):
+    """(header, rows) of a table of named columns of equal length: an hour
+    column first, then the columns' values as floats, NaN as None (an empty
+    cell)."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    rows = [[t] + [None if math.isnan(v) else v for v in row]
+            for t, row in enumerate(zip(*cols))]
+    return ["hour", *columns], rows
+
+
 def dispatch_table(solution, scenario_set, catalog, tariffs, scenario_id):
     """Hourly dispatch of one scenario as (header, rows).
 
@@ -194,37 +204,23 @@ def dispatch_table(solution, scenario_set, catalog, tariffs, scenario_id):
     C_gh * fuel). EV columns are None outside the parking window.
     """
     _check_scenario_id(solution, scenario_id)
-    sc = scenario_set.scenarios[scenario_id]
-    t_day = solution.grid.shape[1]
-    n_ev = solution.ev_ch.shape[1]
-
-    header = ["hour", "elec_load_kw", "heat_load_kw", "elec_price",
-              "grid_kw", "pv_kw"]
-    for fc in catalog.fuel_cells:
-        header += [f"fc_{fc.fc_id}_elec_kw", f"fc_{fc.fc_id}_heat_kw"]
-    header += ["bess_ch_kw", "bess_dis_kw", "bess_e_kwh",
-               "tess_ch_kw", "tess_dis_kw", "tess_e_kwh"]
-    for j in range(n_ev):
-        header += [f"ev{j}_ch_kw", f"ev{j}_dis_kw"]
-
-    rows = []
     s = scenario_id
-    for t in range(t_day):
-        row = [t, sc.elec_load[t], sc.heat_load[t], tariffs.elec_price[t],
-               float(solution.grid[s, t]), float(solution.pv[s, t])]
-        for i, fc in enumerate(catalog.fuel_cells):
-            fuel = float(solution.fuel[s, t, i])
-            row += [fc.gas_to_elec * fuel, fc.gas_to_heat * fuel]
-        row += [float(solution.bess_ch[s, t]), float(solution.bess_dis[s, t]),
-                float(solution.bess_e[s, t]), float(solution.tess_ch[s, t]),
-                float(solution.tess_dis[s, t]), float(solution.tess_e[s, t])]
-        for j in range(n_ev):
-            ch = solution.ev_ch[s, j, t]
-            dis = solution.ev_dis[s, j, t]
-            row += [None if np.isnan(ch) else float(ch),
-                    None if np.isnan(dis) else float(dis)]
-        rows.append(row)
-    return header, rows
+    sc = scenario_set.scenarios[s]
+    cols = {"elec_load_kw": sc.elec_load, "heat_load_kw": sc.heat_load,
+            "elec_price": tariffs.elec_price, "grid_kw": solution.grid[s],
+            "pv_kw": solution.pv[s]}
+    for i, fc in enumerate(catalog.fuel_cells):
+        fuel = solution.fuel[s, :, i]
+        cols[f"fc_{fc.fc_id}_elec_kw"] = fc.gas_to_elec * fuel
+        cols[f"fc_{fc.fc_id}_heat_kw"] = fc.gas_to_heat * fuel
+    for name in ("bess_ch", "bess_dis", "bess_e", "tess_ch", "tess_dis",
+                 "tess_e"):
+        unit = "kwh" if name.endswith("_e") else "kw"
+        cols[f"{name}_{unit}"] = getattr(solution, name)[s]
+    for j in range(solution.ev_ch.shape[1]):
+        cols[f"ev{j}_ch_kw"] = solution.ev_ch[s, j]
+        cols[f"ev{j}_dis_kw"] = solution.ev_dis[s, j]
+    return _table(cols)
 
 
 def soc_table(solution, catalog, scenario_id):
@@ -236,26 +232,16 @@ def soc_table(solution, catalog, scenario_id):
     """
     _check_scenario_id(solution, scenario_id)
     s = scenario_id
-    t_day = solution.grid.shape[1]
-    n_ev = solution.ev_e.shape[1]
-    header = ["hour", "bess_soc", "tess_soc"] + [f"ev{j}_soc"
-                                                 for j in range(n_ev)]
-    cap_b = float(solution.x_ess)
-    cap_t = catalog.tess.capacity
-    rows = []
-    for t in range(t_day + 1):
-        tw = t % t_day
-        row = [t]
-        row.append(None if cap_b <= 0.0
-                   else float(solution.bess_e[s, tw]) / cap_b)
-        row.append(None if cap_t <= 0.0
-                   else float(solution.tess_e[s, tw]) / cap_t)
-        for j in range(n_ev):
-            e = solution.ev_e[s, j, t]
-            row.append(None if np.isnan(e)
-                       else float(e) / catalog.ev_fleet.capacity)
-        rows.append(row)
-    return header, rows
+    cyc = np.arange(solution.grid.shape[1] + 1) % solution.grid.shape[1]
+
+    def soc(e, cap):
+        return e / cap if cap > 0.0 else np.full(e.shape, np.nan)
+
+    cols = {"bess_soc": soc(solution.bess_e[s, cyc], float(solution.x_ess)),
+            "tess_soc": soc(solution.tess_e[s, cyc], catalog.tess.capacity)}
+    for j in range(solution.ev_e.shape[1]):
+        cols[f"ev{j}_soc"] = solution.ev_e[s, j] / catalog.ev_fleet.capacity
+    return _table(cols)
 
 
 # constraint family of a model row, by the first letter of the row's name
@@ -448,152 +434,131 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     return SweepResult(levels=levels, notes=notes)
 
 
+def _write_levels(path, sweep, names, cells):
+    """Write one row per level of sweep: its tax, then the columns named by
+    names, cells(solve) of an optimal level and empty otherwise, then its
+    status."""
+    rows = [[lv.carbon_tax,
+             *([None] * len(names) if lv.optimal is None
+               else cells(lv.optimal)), lv.status] for lv in sweep.levels]
+    write_table_csv(path, ["carbon_tax_yuan_per_ton", *names, "status"],
+                    rows)
+
+
 def write_plan_summary(path, sweep, catalog):
     """Planning-result table: one row per tax level, empty cells on failed
     levels."""
-    header = (["carbon_tax_yuan_per_ton"]
-              + [f"fc_{fc.fc_id}_units" for fc in catalog.fuel_cells]
-              + ["bess_kwh", "substandard_scenarios", "status"])
-    rows = []
-    for lv in sweep.levels:
-        s = lv.optimal
-        cells = ([None] * (len(catalog.fuel_cells) + 2) if s is None
-                 else [s.plan.x_fc[fc.fc_id] for fc in catalog.fuel_cells]
-                 + [s.plan.x_ess, s.audit.count])
-        rows.append([lv.carbon_tax] + cells + [lv.status])
-    write_table_csv(path, header, rows)
+    fcs = catalog.fuel_cells
+    _write_levels(path, sweep, [f"fc_{fc.fc_id}_units" for fc in fcs]
+                  + ["bess_kwh", "substandard_scenarios"],
+                  lambda s: [s.plan.x_fc[fc.fc_id] for fc in fcs]
+                  + [s.plan.x_ess, s.audit.count])
 
 
 def write_cost_breakdown(path, sweep):
     """Cost table: one row per tax level, empty parts on failed levels."""
     parts = [f.name for f in fields(CostBreakdown)]
-    header = ["carbon_tax_yuan_per_ton"] + parts + ["status"]
-    rows = []
-    for lv in sweep.levels:
-        if lv.optimal is None:
-            rows.append([lv.carbon_tax] + [None] * len(parts) + [lv.status])
-        else:
-            d = lv.optimal.breakdown.as_dict()
-            rows.append([lv.carbon_tax] + [d[p] for p in parts]
-                        + [lv.status])
-    write_table_csv(path, header, rows)
+    _write_levels(path, sweep, parts,
+                  lambda s: [getattr(s.breakdown, p) for p in parts])
 
 
 @dataclass
 class PlanCheck:
     """Semantic re-verification of a PlanSolution against raw scenario
-    data: balances, storage chains, SOC windows, cyclic closure."""
+    data (see verify_plan). ok is True when issues is empty; max_residual
+    is the largest balance or storage-law residual; each issue reads
+    "<law> s<scenario> [j<vehicle>] [t<hour>]: <value>"."""
 
     ok: bool
     max_residual: float
     issues: list = field(default_factory=list)
 
 
+def _issues(label, bad, values, axes):
+    """'label s0 j1 t3: value' for each true entry of bad, in index order;
+    axes names bad's axes by letter."""
+    return [f"{label} {' '.join(map('{}{}'.format, axes, at))}: "
+            f"{float(values[tuple(at)])!r}" for at in np.argwhere(bad)]
+
+
 def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
     """Recheck a plan from physics, without the model or the solver.
 
-    Electric balance residuals are scaled by (1 + max electric load); heat
-    surplus must be >= -_PLAN_TOL absolutely; storage dynamics, cyclic closure
-    and SOC windows are checked to _PLAN_TOL on energies. A store may not
-    charge and discharge more than _PLAN_TOL each in the same hour.
+    The laws, each checked over whole arrays and reported in this order:
+    the electric balance, its residual scaled by (1 + max electric load);
+    the heat surplus, >= -_PLAN_TOL; then for the BESS, the TESS and the
+    vehicles in turn the storage law E(t+1) = E(t) + ch(t) - dis(t)
+    (cyclic over the day for BESS and TESS, over the parked hours for a
+    vehicle), the energy window widened by _PLAN_TOL * (1 + cap) (BESS
+    soc_min..soc_max times x_ess, TESS 0..capacity, a vehicle
+    soc_min..soc_max times its capacity over the hours after its arrival,
+    whose energy is data) and no charging and discharging of more than
+    _PLAN_TOL each in one hour; the departure target in every z = 0
+    scenario; integral x_fc and binary z. Issues of one law come by
+    scenario, vehicle and hour. Balance and storage-law residuals make
+    max_residual; a NaN one neither counts nor is reported, while a NaN in
+    any other test is reported.
     """
-    issues = []
-    worst = 0.0
-
-    def resid(label, value, bar):
-        # balance/chain residual: always counts toward max_residual
-        nonlocal worst
-        worst = max(worst, abs(value))
-        if abs(value) > bar:
-            issues.append(f"{label}: {float(value)!r}")
-
-    def flag(cond, label, value):
-        # window/integrality check: counts only when violated
-        if not cond:
-            issues.append(f"{label}: {float(value)!r}")
-
+    sol, days = solution, scenario_set.scenarios
     bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
-    n = scenario_set.grid.n_scenarios
-    t_day = scenario_set.grid.hours_per_day
-    max_e_load = max(max(sc.elec_load) for sc in scenario_set.scenarios)
-    e_scale = 1.0 + max_e_load
+    issues, worst = [], 0.0
 
-    for s, sc in enumerate(scenario_set.scenarios):
-        for t in range(t_day):
-            supply = (solution.grid[s, t] + solution.pv[s, t]
-                      - solution.bess_ch[s, t] / bess.eta_ch
-                      + bess.eta_dis * solution.bess_dis[s, t])
-            for i, fc in enumerate(catalog.fuel_cells):
-                supply += fc.gas_to_elec * solution.fuel[s, t, i]
-            for j in range(solution.ev_ch.shape[1]):
-                ch = solution.ev_ch[s, j, t]
-                if not np.isnan(ch):
-                    supply -= ch / fleet.eta_ch
-                    supply += fleet.eta_dis * solution.ev_dis[s, j, t]
-            resid(f"elec balance s{s} t{t}",
-                  (supply - sc.elec_load[t]) / e_scale, _PLAN_TOL)
+    def resid(label, r, axes):
+        nonlocal worst
+        worst = max(worst, np.fmax.reduce(np.abs(r), axis=None, initial=0.0))
+        issues.extend(_issues(label, np.abs(r) > _PLAN_TOL, r, axes))
 
-            heat = (- solution.tess_ch[s, t] / tess.eta_ch
-                    + tess.eta_dis * solution.tess_dis[s, t])
-            for i, fc in enumerate(catalog.fuel_cells):
-                heat += fc.gas_to_heat * solution.fuel[s, t, i]
-            surplus = heat - sc.heat_load[t]
-            flag(surplus >= -_PLAN_TOL, f"heat surplus s{s} t{t}", surplus)
+    def flag(label, ok, values, axes):
+        issues.extend(_issues(label, ~ok, values, axes))
 
-        # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
-        for t in range(t_day):
-            t_next = (t + 1) % t_day
-            r_b = (solution.bess_e[s, t_next] - solution.bess_e[s, t]
-                   - solution.bess_ch[s, t] + solution.bess_dis[s, t])
-            resid(f"bess chain s{s} t{t}", r_b, _PLAN_TOL)
-            r_t = (solution.tess_e[s, t_next] - solution.tess_e[s, t]
-                   - solution.tess_ch[s, t] + solution.tess_dis[s, t])
-            resid(f"tess chain s{s} t{t}", r_t, _PLAN_TOL)
+    # summed as grid, PV, BESS, each fuel cell, then each parked vehicle
+    supply = (sol.grid + sol.pv - sol.bess_ch / bess.eta_ch
+              + bess.eta_dis * sol.bess_dis)
+    heat = -sol.tess_ch / tess.eta_ch + tess.eta_dis * sol.tess_dis
+    for i, fc in enumerate(catalog.fuel_cells):
+        supply += fc.gas_to_elec * sol.fuel[:, :, i]
+        heat += fc.gas_to_heat * sol.fuel[:, :, i]
+    for j in range(sol.ev_ch.shape[1]):
+        ch, parked = sol.ev_ch[:, j], ~np.isnan(sol.ev_ch[:, j])
+        supply -= np.where(parked, ch / fleet.eta_ch, 0.0)
+        supply += np.where(parked, fleet.eta_dis * sol.ev_dis[:, j], 0.0)
+    elec = np.array([d.elec_load for d in days])
+    resid("elec balance", (supply - elec) / (1.0 + elec.max()), "st")
+    surplus = heat - np.array([d.heat_load for d in days])
+    flag("heat surplus", surplus >= -_PLAN_TOL, surplus, "st")
 
-        cap = solution.x_ess
-        for t in range(t_day):
-            e = solution.bess_e[s, t]
-            flag(e >= bess.soc_min * cap - _PLAN_TOL * (1 + cap),
-                 f"bess soc low s{s} t{t}", e)
-            flag(e <= bess.soc_max * cap + _PLAN_TOL * (1 + cap),
-                 f"bess soc high s{s} t{t}", e)
+    # each store's energy path: BESS and TESS wrap to hour 0, a vehicle's
+    # is NaN outside its parking window
+    def cyclic(e):
+        return np.concatenate([e, e[:, :1]], axis=1)
 
-        for j in range(solution.ev_e.shape[1]):
-            span = ~np.isnan(solution.ev_e[s, j])
-            hours = np.flatnonzero(span)
-            arrive, depart = int(hours[0]), int(hours[-1])
-            for t in range(arrive, depart):
-                r = (solution.ev_e[s, j, t + 1] - solution.ev_e[s, j, t]
-                     - solution.ev_ch[s, j, t] + solution.ev_dis[s, j, t])
-                resid(f"ev chain s{s} j{j} t{t}", r, _PLAN_TOL)
-            for t in range(arrive + 1, depart + 1):
-                e = solution.ev_e[s, j, t]
-                cap_ev = fleet.capacity
-                flag(e >= fleet.soc_min * cap_ev - _PLAN_TOL * (1 + cap_ev),
-                     f"ev soc low s{s} j{j} t{t}", e)
-                flag(e <= fleet.soc_max * cap_ev + _PLAN_TOL * (1 + cap_ev),
-                     f"ev soc high s{s} j{j} t{t}", e)
-            # z=0 scenarios owe every EV its target at departure
-            if solution.z[s] == 0:
-                dep_soc = solution.e_dep[s, j] / fleet.capacity
-                flag(dep_soc >= fleet.target_departure_soc
-                     - _PLAN_TOL * (1 + fleet.target_departure_soc),
-                     f"departure soc s{s} j{j}", dep_soc)
-
-    for store, ch, dis in (("bess", solution.bess_ch, solution.bess_dis),
-                           ("tess", solution.tess_ch, solution.tess_dis),
-                           ("ev", solution.ev_ch, solution.ev_dis)):
+    # the hours whose energy is windowed: a cyclic store's day, without its
+    # wrap; a vehicle's parked hours after the arrival, whose energy is data
+    day = np.arange(sol.grid.shape[1] + 1) < sol.grid.shape[1]
+    parked = ~np.isnan(sol.ev_e)
+    for name, e, window, ch, dis, lo, hi, cap in (
+            ("bess", cyclic(sol.bess_e), day, sol.bess_ch, sol.bess_dis,
+             bess.soc_min, bess.soc_max, sol.x_ess),
+            ("tess", cyclic(sol.tess_e), day, sol.tess_ch, sol.tess_dis,
+             0.0, 1.0, tess.capacity),
+            ("ev", sol.ev_e, parked & (parked.cumsum(axis=2) > 1),
+             sol.ev_ch, sol.ev_dis, fleet.soc_min, fleet.soc_max,
+             fleet.capacity)):
+        axes = "st" if ch.ndim == 2 else "sjt"
+        resid(f"{name} chain", e[..., 1:] - e[..., :-1] - ch + dis, axes)
+        tol = _PLAN_TOL * (1 + cap)
+        flag(f"{name} soc low", ~window | (e >= lo * cap - tol), e, axes)
+        flag(f"{name} soc high", ~window | (e <= hi * cap + tol), e, axes)
         both = np.fmin(ch, dis)  # NaN outside a vehicle's window
-        for at in np.argwhere(both > _PLAN_TOL).tolist():
-            where = (f"s{at[0]} t{at[1]}" if len(at) == 2
-                     else f"s{at[0]} j{at[1]} t{at[2]}")
-            issues.append(f"{store} charges and discharges {where}: "
-                          f"{float(both[tuple(at)])!r}")
+        issues.extend(_issues(f"{name} charges and discharges",
+                              both > _PLAN_TOL, both, axes))
 
-    for fc_id, units in solution.x_fc.items():
-        flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",
-             units)
-    for s in range(n):
-        flag(solution.z[s] in (0, 1), f"binary z s{s}", solution.z[s])
-
+    target = fleet.target_departure_soc
+    dep_soc = sol.e_dep / fleet.capacity
+    flag("departure soc", (sol.z != 0)[:, None]
+         | (dep_soc >= target - _PLAN_TOL * (1 + target)), dep_soc, "sj")
+    for fc_id, units in sol.x_fc.items():
+        if not abs(units - np.rint(units)) <= _PLAN_TOL:
+            issues.append(f"integral x_fc {fc_id}: {float(units)!r}")
+    flag("binary z", np.isin(sol.z, (0, 1)), sol.z, "s")
     return PlanCheck(ok=not issues, max_residual=worst, issues=issues)

@@ -64,6 +64,12 @@ class TimeGrid:
         _check(self.planning_years >= 1, "planning_years must be >= 1")
         _check(math.isfinite(self.discount_rate) and self.discount_rate >= 0.0,
                "discount_rate must be finite and >= 0")
+        try:  # annualization_factor's discount of the last year
+            (1.0 + self.discount_rate) ** (self.planning_years - 1)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"planning_years {self.planning_years} at discount_rate "
+                f"{self.discount_rate} overflows a float") from None
 
 
 def annualization_factor(grid: TimeGrid) -> float:

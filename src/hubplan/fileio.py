@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -81,9 +82,9 @@ def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
     Each value is converted by its field's type (a str is kept as read;
-    an int field refuses a fractional number, a float field a non-finite
-    one); an absent key takes the field's default where it has one. A key
-    that names no field is refused.
+    an int field refuses a fractional number or one too large for a float,
+    a float field a non-finite one); an absent key takes the field's
+    default where it has one. A key that names no field is refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -99,6 +100,9 @@ def _read_fields(obj, spec_fields, path, where):
         if f.type is float and not np.isfinite(val):
             raise ParseError(f"expected a finite number at {where}.{key}, "
                              f"got {val!r}", path=path)
+        if f.type is int and abs(val) > sys.float_info.max:
+            raise ParseError(f"expected a finite number at {where}.{key}, "
+                             "got an integer too large for a float", path=path)
         kwargs[f.name] = val
     _no_other_keys(obj, [_JSON_KEY.get(f.name, f.name) for f in spec_fields],
                    path, where)
@@ -130,7 +134,9 @@ def read_case(path) -> CaseData:
 
     The file's sections are the fields of the spec dataclasses: planning
     (CaseData's own fields), fuel_cells (a list of FcSpec, fc_id under the
-    key "id"), bess, tess, ev_fleet and tariffs.
+    key "id"), bess, tess, ev_fleet and tariffs. The planning section must
+    make a TimeGrid: a planning period that discounts past what a float can
+    hold is refused here, before any history is read.
     """
     doc = read_json(path)
     try:
@@ -155,6 +161,7 @@ def read_case(path) -> CaseData:
         raise ParseError(
             f"tariffs.elec_price has {len(tariffs.elec_price)} entries, "
             f"planning.hours_per_day is {case.hours_per_day}", path=path)
+    _build(case.time_grid, path, "$.planning", 1)
     return case
 
 

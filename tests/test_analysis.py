@@ -1,4 +1,5 @@
 """Reporting layer: cost parts, chance audit, tables, recheck, sweep."""
+import collections
 import csv
 import dataclasses
 import json
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import with_pv_less_overlap
-from hubplan.analysis import (chance_audit, cost_breakdown, dispatch_table,
+from hubplan.analysis import (_PLAN_TOL, PlanCheck, chance_audit,
+                              cost_breakdown, dispatch_table,
                               select_extreme_scenario, soc_table,
                               sweep_carbon_tax, verify_plan,
                               write_cost_breakdown, write_plan_summary)
@@ -17,7 +19,8 @@ from hubplan.core import annualization_factor
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
 from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
-from hubplan.milp import branch_and_bound, extract_solution
+from hubplan.milp import (branch_and_bound, check_solution,
+                          extract_solution)
 from hubplan.model import ModelConfig, assemble_model
 from hubplan.scengen import generate_scenarios
 
@@ -167,6 +170,8 @@ _BREAKS = [
     ("ev chain", "ev_e", (0, 0, 2), 1.0),
     ("bess soc low", "bess_e", (0, 1), -1.0),
     ("bess soc high", "bess_e", (0, 2), 1.0),
+    ("tess soc low", "tess_e", (0, 2), -50.0),
+    ("tess soc high", "tess_e", (0, 3), 50.0),
     ("ev soc low", "ev_e", (0, 0, 1), -20.0),
     ("ev soc high", "ev_e", (0, 0, 3), 30.0),
     ("departure soc", "e_dep", (0, 0), -1.0),
@@ -204,6 +209,196 @@ def test_plan_check_issues_print_plain_numbers(tiny, tiny_solved):
     for issue in chk.issues:
         assert "np.float64" not in issue
         float(issue.rpartition(": ")[2])
+
+
+def test_each_tess_break_fails_check_solution(tiny, tiny_solved):
+    # the TESS window uses the column bounds' tolerance: a plan it fails
+    # is one whose x check_solution already rejects at the same column
+    model, x = tiny_solved.model, tiny_solved.sol.x
+    for label, _name, at, delta in _BREAKS:
+        if not label.startswith("tess soc"):
+            continue
+        col = "TE{}_{}".format(*at)
+        bad = x.copy()
+        bad[model.col_names.index(col)] += delta
+        report = check_solution(model, bad)
+        assert [c for c, _v in report.bad_bounds] == [col], label
+
+
+# The scalar loop version of verify_plan, scenario-first: the reference
+# that the whole-array laws of hubplan.analysis must match, apart from the
+# TESS window it never checked.
+
+def _verify_plan_py(solution, scenario_set, catalog, tariffs):
+    """Recheck a plan from physics, without the model or the solver.
+
+    Electric balance residuals are scaled by (1 + max electric load); heat
+    surplus must be >= -_PLAN_TOL absolutely; storage dynamics, cyclic closure
+    and SOC windows are checked to _PLAN_TOL on energies. A store may not
+    charge and discharge more than _PLAN_TOL each in the same hour.
+    """
+    issues = []
+    worst = 0.0
+
+    def resid(label, value, bar):
+        # balance/chain residual: always counts toward max_residual
+        nonlocal worst
+        worst = max(worst, abs(value))
+        if abs(value) > bar:
+            issues.append(f"{label}: {float(value)!r}")
+
+    def flag(cond, label, value):
+        # window/integrality check: counts only when violated
+        if not cond:
+            issues.append(f"{label}: {float(value)!r}")
+
+    bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
+    n = scenario_set.grid.n_scenarios
+    t_day = scenario_set.grid.hours_per_day
+    max_e_load = max(max(sc.elec_load) for sc in scenario_set.scenarios)
+    e_scale = 1.0 + max_e_load
+
+    for s, sc in enumerate(scenario_set.scenarios):
+        for t in range(t_day):
+            supply = (solution.grid[s, t] + solution.pv[s, t]
+                      - solution.bess_ch[s, t] / bess.eta_ch
+                      + bess.eta_dis * solution.bess_dis[s, t])
+            for i, fc in enumerate(catalog.fuel_cells):
+                supply += fc.gas_to_elec * solution.fuel[s, t, i]
+            for j in range(solution.ev_ch.shape[1]):
+                ch = solution.ev_ch[s, j, t]
+                if not np.isnan(ch):
+                    supply -= ch / fleet.eta_ch
+                    supply += fleet.eta_dis * solution.ev_dis[s, j, t]
+            resid(f"elec balance s{s} t{t}",
+                  (supply - sc.elec_load[t]) / e_scale, _PLAN_TOL)
+
+            heat = (- solution.tess_ch[s, t] / tess.eta_ch
+                    + tess.eta_dis * solution.tess_dis[s, t])
+            for i, fc in enumerate(catalog.fuel_cells):
+                heat += fc.gas_to_heat * solution.fuel[s, t, i]
+            surplus = heat - sc.heat_load[t]
+            flag(surplus >= -_PLAN_TOL, f"heat surplus s{s} t{t}", surplus)
+
+        # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
+        for t in range(t_day):
+            t_next = (t + 1) % t_day
+            r_b = (solution.bess_e[s, t_next] - solution.bess_e[s, t]
+                   - solution.bess_ch[s, t] + solution.bess_dis[s, t])
+            resid(f"bess chain s{s} t{t}", r_b, _PLAN_TOL)
+            r_t = (solution.tess_e[s, t_next] - solution.tess_e[s, t]
+                   - solution.tess_ch[s, t] + solution.tess_dis[s, t])
+            resid(f"tess chain s{s} t{t}", r_t, _PLAN_TOL)
+
+        cap = solution.x_ess
+        for t in range(t_day):
+            e = solution.bess_e[s, t]
+            flag(e >= bess.soc_min * cap - _PLAN_TOL * (1 + cap),
+                 f"bess soc low s{s} t{t}", e)
+            flag(e <= bess.soc_max * cap + _PLAN_TOL * (1 + cap),
+                 f"bess soc high s{s} t{t}", e)
+
+        for j in range(solution.ev_e.shape[1]):
+            span = ~np.isnan(solution.ev_e[s, j])
+            hours = np.flatnonzero(span)
+            arrive, depart = int(hours[0]), int(hours[-1])
+            for t in range(arrive, depart):
+                r = (solution.ev_e[s, j, t + 1] - solution.ev_e[s, j, t]
+                     - solution.ev_ch[s, j, t] + solution.ev_dis[s, j, t])
+                resid(f"ev chain s{s} j{j} t{t}", r, _PLAN_TOL)
+            for t in range(arrive + 1, depart + 1):
+                e = solution.ev_e[s, j, t]
+                cap_ev = fleet.capacity
+                flag(e >= fleet.soc_min * cap_ev - _PLAN_TOL * (1 + cap_ev),
+                     f"ev soc low s{s} j{j} t{t}", e)
+                flag(e <= fleet.soc_max * cap_ev + _PLAN_TOL * (1 + cap_ev),
+                     f"ev soc high s{s} j{j} t{t}", e)
+            # z=0 scenarios owe every EV its target at departure
+            if solution.z[s] == 0:
+                dep_soc = solution.e_dep[s, j] / fleet.capacity
+                flag(dep_soc >= fleet.target_departure_soc
+                     - _PLAN_TOL * (1 + fleet.target_departure_soc),
+                     f"departure soc s{s} j{j}", dep_soc)
+
+    for store, ch, dis in (("bess", solution.bess_ch, solution.bess_dis),
+                           ("tess", solution.tess_ch, solution.tess_dis),
+                           ("ev", solution.ev_ch, solution.ev_dis)):
+        both = np.fmin(ch, dis)  # NaN outside a vehicle's window
+        for at in np.argwhere(both > _PLAN_TOL).tolist():
+            where = (f"s{at[0]} t{at[1]}" if len(at) == 2
+                     else f"s{at[0]} j{at[1]} t{at[2]}")
+            issues.append(f"{store} charges and discharges {where}: "
+                          f"{float(both[tuple(at)])!r}")
+
+    for fc_id, units in solution.x_fc.items():
+        flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",
+             units)
+    for s in range(n):
+        flag(solution.z[s] in (0, 1), f"binary z s{s}", solution.z[s])
+
+    return PlanCheck(ok=not issues, max_residual=worst, issues=issues)
+
+
+def _same_check(got, ref):
+    """got, less its TESS window lines, has ref's issues and bit-equal
+    max_residual; returns the TESS window lines."""
+    tess = [i for i in got.issues if i.startswith("tess soc")]
+    assert collections.Counter(got.issues) - collections.Counter(tess) \
+        == collections.Counter(ref.issues)
+    assert float(got.max_residual).hex() == float(ref.max_residual).hex()
+    assert got.ok == (ref.ok and not tess)
+    return tess
+
+
+def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
+    # 1-3 entries of the tiny plan's fields, NaN entries included, moved by
+    # 1e-8 to 1e2 either way
+    plan = tiny_solved.plan
+    names = [f.name for f in dataclasses.fields(plan)]
+    rng = np.random.default_rng(25)
+    flagged = tess = 0
+    for _case in range(1000):
+        changed = {}
+        for _k in range(rng.integers(1, 4)):
+            name = names[rng.integers(len(names))]
+            val = changed.get(name, getattr(plan, name))
+            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 2)
+            if name == "x_ess":
+                val = val + delta
+            elif name == "x_fc":
+                val = {k: v + delta for k, v in val.items()}
+            else:
+                val = val.astype(float)
+                val[tuple(rng.integers(n) for n in val.shape)] += delta
+            changed[name] = val
+        broken = dataclasses.replace(plan, **changed)
+        ref = _verify_plan_py(broken, tiny.scen, tiny.catalog, tiny.tariffs)
+        tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog,
+                                            tiny.tariffs), ref))
+        flagged += not ref.ok
+    assert flagged > 500 and tess > 0
+
+
+@pytest.mark.parametrize("seed, n_issues", [(7, 0), (11, 2), (12, 1)])
+def test_verify_plan_matches_scalar_reference_on_bundled_plans(
+        data_dir, seed, n_issues):
+    # the README's plan at three seeds, as branch and bound returns it,
+    # before solve_level repairs its overlaps
+    case = read_case(os.path.join(data_dir, "case.json"))
+    history = read_history(os.path.join(data_dir, "history_loads.csv"),
+                           os.path.join(data_dir, "history_ev.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        scen, _ = generate_scenarios(case, *history, n_scenarios=10,
+                                     seed=seed)
+    tariffs = case.tariffs.with_carbon_tax(40)
+    model = assemble_model(scen.grid, case.catalog, tariffs, scen,
+                           ModelConfig())
+    plan = extract_solution(branch_and_bound(model), model.var_index)
+    got = verify_plan(plan, scen, case.catalog, tariffs)
+    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog,
+                                            tariffs)) == []
+    assert len(got.issues) == n_issues
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):

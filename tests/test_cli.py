@@ -121,6 +121,31 @@ def test_one_hour_day_exits_before_reading_inputs(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, where", [
+    ("fuel_cells", "max_units", 10 ** 400, "$.fuel_cells[0].max_units"),
+    ("planning", "planning_years", 20000, "$.planning"),
+])
+def test_overflowing_case_number_exits_before_reading_inputs(
+        data_dir, tmp_path, capsys, monkeypatch, section, key, value, where):
+    # a number float arithmetic cannot hold fails at read, not after
+    # scenario generation has written its files
+    monkeypatch.setattr(cli, "read_history", _must_not_read)
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    (doc[section][0] if section == "fuel_cells" else doc[section])[key] = value
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = cli.main(["plan", "--case", str(case), "--history-loads",
+                   os.path.join(data_dir, "history_loads.csv"),
+                   "--history-ev", os.path.join(data_dir, "history_ev.csv"),
+                   "--n", "3", "--carbon-tax", "40", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {case}: ") and where in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, status", [
     (["--max-nodes", "1"], "node_limit"),
     (["--time-limit", "1e-9"], "time_limit"),

@@ -456,6 +456,16 @@ def _set(value, *path):
      "expected an integer at $.ev_fleet.n_ev, got inf"),
     (_set(10 ** 400, "bess", "max_capacity"),
      "bad value in case file: int too large to convert to float"),
+    # an integer that float arithmetic cannot hold, or a planning period
+    # whose discount overflows, is refused at its key path
+    (_set(10 ** 400, "fuel_cells", 0, "max_units"),
+     "expected a finite number at $.fuel_cells[0].max_units, got an integer "
+     "too large for a float"),
+    (_set(20000, "planning", "planning_years"),
+     "$.planning: planning_years 20000 at discount_rate 0.06 overflows a "
+     "float"),
+    (_set(0, "planning", "planning_years"),
+     "$.planning: planning_years must be >= 1"),
     # a value its spec refuses is named by file and section
     (_set("MCFC", "fuel_cells", 0, "id"),
      "$.fuel_cells[0]: fc_id must be one of ('SOFC', 'PEM_gas', 'PEM_H2'), "
