@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import MONEY_SCALE, annualization_factor
+from .core import FEAS_TOL, INT_TOL, MONEY_SCALE, annualization_factor
 from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
 from .fileio import write_table_csv
 from .milp import (BnbSolution, PlanSolution, VerifyReport,
@@ -19,8 +19,6 @@ from .milp import (BnbSolution, PlanSolution, VerifyReport,
 from .model import (assemble_model, build_objective, max_substandard,
                     repair_overlap)
 
-_SOC_EPS = 1e-9  # below-target slack before a departure counts substandard
-_PLAN_TOL = 1e-6  # verify_plan's tolerance on energies and residuals
 EXTREMES = ("elec", "heat")  # the legal select_extreme_scenario(which=)
 
 
@@ -49,10 +47,9 @@ class CostBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _finite_nonneg(arr, label, issues, mask=None):
+def _finite_nonneg(arr, label, issues, mask=True):
     a = np.asarray(arr, dtype=float)
-    sel = np.ones(a.shape, dtype=bool) if mask is None else mask
-    bad = sel & ~(np.isfinite(a) & (a >= -1e-9))
+    bad = mask & ~(np.isfinite(a) & (a >= -FEAS_TOL))
     for idx in np.argwhere(bad)[:5]:
         issues.append(f"{label}{tuple(int(i) for i in idx)} = "
                       f"{float(a[tuple(idx)])!r}")
@@ -62,11 +59,12 @@ def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
     """Recompute the annualized cost parts of a solved plan.
 
     m is the annualization factor. Dispatch quantities must be finite and
-    nonnegative; anything else makes the costs meaningless and raises
-    InfeasibleSolutionError with the offending entries.
+    at least -FEAS_TOL, as check_solution's bounds allow; anything else
+    makes the costs meaningless and raises InfeasibleSolutionError with the
+    offending entries.
     """
     issues = []
-    if not (math.isfinite(solution.x_ess) and solution.x_ess >= -1e-9):
+    if not (math.isfinite(solution.x_ess) and solution.x_ess >= -FEAS_TOL):
         issues.append(f"x_ess = {solution.x_ess!r}")
     for fc_id, units in solution.x_fc.items():
         if units < 0:
@@ -74,9 +72,8 @@ def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
     _finite_nonneg(solution.grid, "grid", issues)
     _finite_nonneg(solution.fuel, "fuel", issues)
     _finite_nonneg(solution.shortfall, "shortfall", issues)
-    win = ~np.isnan(solution.ev_ch)
-    _finite_nonneg(np.nan_to_num(solution.ev_ch, nan=0.0), "ev_ch", issues,
-                   mask=win)
+    _finite_nonneg(solution.ev_ch, "ev_ch", issues,
+                   mask=~np.isnan(solution.ev_ch))  # NaN outside the window
     if issues:
         raise InfeasibleSolutionError(issues)
 
@@ -86,7 +83,7 @@ def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
 
     price = np.asarray(tariffs.elec_price)
     emis = np.asarray(tariffs.grid_emission)
-    # the screen admits values down to -1e-9; clamp so the parts stay >= 0
+    # the screen admits values down to -FEAS_TOL; clamp so parts stay >= 0
     grid_kwh = np.maximum(solution.grid, 0.0)  # (N, T), one-hour steps
     fuel_kwh_all = np.maximum(solution.fuel, 0.0)
     short_kwh = np.maximum(solution.shortfall, 0.0)
@@ -118,8 +115,8 @@ class ChanceAudit:
 
     worst_soc[s] is the lowest departure SOC in scenario s (1.0 when the
     scenario has no vehicles); substandard lists every (scenario, vehicle,
-    soc) below target; count is the number of distinct substandard
-    scenarios, capped by limit = floor(N * zeta) for a pass.
+    soc) that falls short of the target; count is the number of distinct
+    substandard scenarios, capped by limit = floor(N * zeta) for a pass.
     """
 
     worst_soc: np.ndarray
@@ -140,31 +137,32 @@ class ChanceAudit:
         }
 
 
+def _substandard(soc, target):
+    """Where the departure SOCs soc fall short of target: by more than
+    FEAS_TOL * (1 + target), the tolerance of every verdict on a plan. A
+    NaN SOC never does."""
+    return soc < target - FEAS_TOL * (1.0 + target)
+
+
 def chance_audit(solution, fleet, zeta, n_scenarios) -> ChanceAudit:
     """Audit departure SOCs against the chance-constraint budget.
 
-    A departure is substandard when its SOC is more than 1e-9 below the
-    fleet target; the audit passes when the number of scenarios containing
-    one is at most floor(N * zeta).
+    A departure is substandard when _substandard says so; the audit passes
+    when the number of scenarios containing one is at most floor(N * zeta).
     """
-    n, n_ev = solution.e_dep.shape
+    n = solution.e_dep.shape[0]
     if n != n_scenarios:
         raise InvalidParameterError(
             f"solution has {n} scenarios, audit asked about {n_scenarios}")
-    worst = np.ones(n)
-    bad = []
-    threshold = fleet.target_departure_soc - _SOC_EPS
-    for s in range(n):
-        for j in range(n_ev):
-            soc = solution.e_dep[s, j] / fleet.capacity
-            worst[s] = min(worst[s], soc)
-            if soc < threshold:
-                bad.append((s, j, float(soc)))
-    bad_scen = sorted({s for s, _j, _v in bad})
+    soc = solution.e_dep / fleet.capacity
+    short = _substandard(soc, fleet.target_departure_soc)
+    count = int(short.any(axis=1).sum())
     limit = max_substandard(n_scenarios, zeta)
-    return ChanceAudit(worst_soc=worst, substandard=bad,
-                       count=len(bad_scen), limit=limit,
-                       passed=len(bad_scen) <= limit)
+    return ChanceAudit(
+        worst_soc=np.fmin.reduce(soc, axis=1, initial=1.0),
+        substandard=[(s, j, float(soc[s, j]))
+                     for s, j in np.argwhere(short).tolist()],
+        count=count, limit=limit, passed=count <= limit)
 
 
 def select_extreme_scenario(scenario_set, which) -> int:
@@ -324,8 +322,7 @@ def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
             model, bnb.infeasible_rows))
     if bnb.x is None:
         return LevelSolve(bnb)
-    x, overlap, unrepaired = repair_overlap(model.var_index, catalog, bnb.x,
-                                            _PLAN_TOL)
+    x, overlap, unrepaired = repair_overlap(model.var_index, catalog, bnb.x)
     bnb = replace(bnb, x=x)
     grid = scenario_set.grid
     plan = extract_solution(bnb, model.var_index)
@@ -419,7 +416,7 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
                      key=lambda lv: lv.carbon_tax)
     for a, b in zip(ordered, ordered[1:]):
         lo, hi = a.solve.breakdown.total, b.solve.breakdown.total
-        if hi < lo - 1e-6 * (1.0 + abs(hi)):
+        if hi < lo - FEAS_TOL * (1.0 + abs(hi)):
             raise SolverError(
                 f"total cost fell from {lo} at tax {a.carbon_tax} to {hi} "
                 f"at tax {b.carbon_tax}; must be non-decreasing")
@@ -486,18 +483,19 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
 
     The laws, each checked over whole arrays and reported in this order:
     the electric balance, its residual scaled by (1 + max electric load);
-    the heat surplus, >= -_PLAN_TOL; then for the BESS, the TESS and the
-    vehicles in turn the storage law E(t+1) = E(t) + ch(t) - dis(t)
-    (cyclic over the day for BESS and TESS, over the parked hours for a
-    vehicle), the energy window widened by _PLAN_TOL * (1 + cap) (BESS
-    soc_min..soc_max times x_ess, TESS 0..capacity, a vehicle
+    the heat surplus; then for the BESS, the TESS and the vehicles in turn
+    the storage law E(t+1) = E(t) + ch(t) - dis(t) (cyclic over the day for
+    BESS and TESS, over the parked hours for a vehicle), the energy window
+    (BESS soc_min..soc_max times x_ess, TESS 0..capacity, a vehicle
     soc_min..soc_max times its capacity over the hours after its arrival,
-    whose energy is data) and no charging and discharging of more than
-    _PLAN_TOL each in one hour; the departure target in every z = 0
-    scenario; integral x_fc and binary z. Issues of one law come by
-    scenario, vehicle and hour. Balance and storage-law residuals make
-    max_residual; a NaN one neither counts nor is reported, while a NaN in
-    any other test is reported.
+    whose energy is data) and no charging and discharging in one hour; no
+    departure that _substandard flags in a z = 0 scenario; integral x_fc
+    and binary z. Each law allows FEAS_TOL: on a residual, below the heat
+    load, on each of charge and discharge, and as FEAS_TOL * (1 + cap)
+    outside a window; x_fc may sit INT_TOL from an integer. Issues of one
+    law come by scenario, vehicle and hour. Balance and storage-law
+    residuals make max_residual; a NaN one neither counts nor is reported,
+    while a NaN in any other test is reported.
     """
     sol, days = solution, scenario_set.scenarios
     bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
@@ -506,7 +504,7 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
     def resid(label, r, axes):
         nonlocal worst
         worst = max(worst, np.fmax.reduce(np.abs(r), axis=None, initial=0.0))
-        issues.extend(_issues(label, np.abs(r) > _PLAN_TOL, r, axes))
+        issues.extend(_issues(label, np.abs(r) > FEAS_TOL, r, axes))
 
     def flag(label, ok, values, axes):
         issues.extend(_issues(label, ~ok, values, axes))
@@ -525,7 +523,7 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
     elec = np.array([d.elec_load for d in days])
     resid("elec balance", (supply - elec) / (1.0 + elec.max()), "st")
     surplus = heat - np.array([d.heat_load for d in days])
-    flag("heat surplus", surplus >= -_PLAN_TOL, surplus, "st")
+    flag("heat surplus", surplus >= -FEAS_TOL, surplus, "st")
 
     # each store's energy path: BESS and TESS wrap to hour 0, a vehicle's
     # is NaN outside its parking window
@@ -546,19 +544,19 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
              fleet.capacity)):
         axes = "st" if ch.ndim == 2 else "sjt"
         resid(f"{name} chain", e[..., 1:] - e[..., :-1] - ch + dis, axes)
-        tol = _PLAN_TOL * (1 + cap)
+        tol = FEAS_TOL * (1 + cap)
         flag(f"{name} soc low", ~window | (e >= lo * cap - tol), e, axes)
         flag(f"{name} soc high", ~window | (e <= hi * cap + tol), e, axes)
         both = np.fmin(ch, dis)  # NaN outside a vehicle's window
         issues.extend(_issues(f"{name} charges and discharges",
-                              both > _PLAN_TOL, both, axes))
+                              both > FEAS_TOL, both, axes))
 
-    target = fleet.target_departure_soc
     dep_soc = sol.e_dep / fleet.capacity
+    short = _substandard(dep_soc, fleet.target_departure_soc)
     flag("departure soc", (sol.z != 0)[:, None]
-         | (dep_soc >= target - _PLAN_TOL * (1 + target)), dep_soc, "sj")
+         | ~(short | np.isnan(dep_soc)), dep_soc, "sj")
     for fc_id, units in sol.x_fc.items():
-        if not abs(units - np.rint(units)) <= _PLAN_TOL:
+        if not abs(units - np.rint(units)) <= INT_TOL:
             issues.append(f"integral x_fc {fc_id}: {float(units)!r}")
     flag("binary z", np.isin(sol.z, (0, 1)), sol.z, "s")
     return PlanCheck(ok=not issues, max_residual=worst, issues=issues)

@@ -6,7 +6,10 @@ Conventions used throughout the package:
 * power in kW, energy in kWh, money in units of 1e4 yuan (``MONEY_SCALE``);
 * per-kWh tariffs and prices are quoted in yuan and divided by
   ``MONEY_SCALE`` when they enter an objective;
-* emission factors in kg CO2 per kWh, carbon tax in yuan per kg.
+* emission factors in kg CO2 per kWh, carbon tax in yuan per kg;
+* every verdict on a solved plan (the solution check, the cost screen, the
+  physics recheck, the chance audit) allows ``FEAS_TOL``, and an integer
+  column may sit ``INT_TOL`` from an integer.
 
 All domain types are frozen dataclasses validated at construction; vector
 fields are stored as plain tuples so instances stay immutable and compare
@@ -23,6 +26,9 @@ MONEY_SCALE = 1.0e4  # yuan per model money unit
 FC_IDS = ("SOFC", "PEM_gas", "PEM_H2")
 
 DAYS_PER_YEAR = 365
+
+FEAS_TOL = 1e-6  # the one tolerance of a verdict on a solved plan
+INT_TOL = FEAS_TOL  # distance from an integer an integer column may keep
 
 
 def _check(cond, msg):

@@ -82,9 +82,10 @@ def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
     Each value is converted by its field's type (a str is kept as read;
-    an int field refuses a fractional number or one too large for a float,
-    a float field a non-finite one); an absent key takes the field's
-    default where it has one. A key that names no field is refused.
+    an int field refuses a fractional number, a float field a non-finite
+    one, and both an integer too large for a float); an absent key takes
+    the field's default where it has one. A key that names no field is
+    refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -96,13 +97,14 @@ def _read_fields(obj, spec_fields, path, where):
         if f.type is int and isinstance(val, float) and not val.is_integer():
             raise ParseError(f"expected an integer at {where}.{key}, "
                              f"got {val!r}", path=path)
+        if f.type is not str and isinstance(val, int) \
+                and abs(val) > sys.float_info.max:
+            raise ParseError(f"expected a finite number at {where}.{key}, "
+                             "got an integer too large for a float", path=path)
         val = val if f.type is str else f.type(val)
         if f.type is float and not np.isfinite(val):
             raise ParseError(f"expected a finite number at {where}.{key}, "
                              f"got {val!r}", path=path)
-        if f.type is int and abs(val) > sys.float_info.max:
-            raise ParseError(f"expected a finite number at {where}.{key}, "
-                             "got an integer too large for a float", path=path)
         kwargs[f.name] = val
     _no_other_keys(obj, [_JSON_KEY.get(f.name, f.name) for f in spec_fields],
                    path, where)

@@ -3,13 +3,12 @@
 Nodes are ordered by (parent LP bound, creation id) and solved lazily at
 pop time, so the tree explores the most promising bound first and the id
 makes the order — and therefore the node count and incumbent — fully
-deterministic. An integer column counts as integral within INT_TOL
-(1e-6, shared with the checker); branching picks the most fractional one,
-ties to the lowest column id. A single rounding dive from the root supplies
-an early incumbent; every incumbent must pass the independent checker, at
-its default tolerances, before it is accepted. No cuts, and no presolve
-beyond fixed columns never pricing in and empty rows keeping their slack
-basic.
+deterministic. An integer column counts as integral within core.INT_TOL,
+as in the checker; branching picks the most fractional one, ties to the
+lowest column id. A single rounding dive from the root supplies an early
+incumbent; every incumbent must pass the independent checker before it is
+accepted. No cuts, and no presolve beyond fixed columns never pricing in
+and empty rows keeping their slack basic.
 
 Only the root LP can start cold. Each child node's LP starts from its
 parent's optimal basis (both children share the parent's arrays), and each
@@ -51,8 +50,8 @@ class BnbSolution:
     status is one of optimal, infeasible, node_limit (max_nodes reached) and
     time_limit (time_limit_s passed). objective is the incumbent value
     (inf when none was found), best_bound the proven lower bound, and x the
-    incumbent column values with integer columns within INT_TOL (1e-6)
-    of integers. gap is relative to max(1, |objective|).
+    incumbent column values with integer columns within INT_TOL of
+    integers. gap is relative to max(1, |objective|).
 
     root_warm is the root LP's final (basis, stat), to pass as warm= to a
     solve of a model with the same rows and columns; None when the root's

@@ -10,11 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import FEAS_TOL, INT_TOL
 from ..model import CONT, EQ, GE, LE
-
-# distance from an integer that an integer column may keep; branch and bound
-# and extract_solution use it too
-INT_TOL = 1e-6
 
 
 @dataclass
@@ -32,12 +29,13 @@ class VerifyReport:
     bad_integrality: list = field(default_factory=list)
 
 
-def check_solution(model, x, feas_tol=1e-6, int_tol=INT_TOL) -> VerifyReport:
+def check_solution(model, x) -> VerifyReport:
     """Check x against all rows, bounds and integrality marks of model.
 
-    Row residuals are measured relative to max(1, |rhs|); bounds relative
-    to 1 + |bound|. Integer and binary columns must sit within int_tol of
-    an integer (binaries additionally inside [0, 1] via their bounds).
+    Row residuals, relative to max(1, |rhs|), and bound violations,
+    relative to 1 + |bound|, may reach FEAS_TOL. Integer and binary columns
+    must sit within INT_TOL of an integer (binaries additionally inside
+    [0, 1] via their bounds).
     """
     x = np.asarray(x, dtype=float)
     act = model.a_matrix @ x
@@ -55,7 +53,7 @@ def check_solution(model, x, feas_tol=1e-6, int_tol=INT_TOL) -> VerifyReport:
     resid[eq] = np.abs(over[eq])
 
     bad_rows = [(model.row_names[i], float(act[i] - rhs[i]))
-                for i in np.flatnonzero(resid > feas_tol)]
+                for i in np.flatnonzero(resid > FEAS_TOL)]
 
     lo_gap = (model.col_lb - x) / (1.0 + np.abs(np.where(
         np.isfinite(model.col_lb), model.col_lb, 0.0)))
@@ -65,12 +63,12 @@ def check_solution(model, x, feas_tol=1e-6, int_tol=INT_TOL) -> VerifyReport:
     up_gap[~np.isfinite(model.col_ub)] = -np.inf
     bound_viol = np.maximum(lo_gap, up_gap)
     bad_bounds = [(model.col_names[j], float(x[j]))
-                  for j in np.flatnonzero(bound_viol > feas_tol)]
+                  for j in np.flatnonzero(bound_viol > FEAS_TOL)]
 
     frac = np.abs(x - np.rint(x))
     is_int = model.col_kind != CONT
     bad_int = [(model.col_names[j], float(x[j]))
-               for j in np.flatnonzero(is_int & (frac > int_tol))]
+               for j in np.flatnonzero(is_int & (frac > INT_TOL))]
 
     max_resid = float(max(resid.max(initial=0.0),
                           bound_viol.max(initial=0.0)))

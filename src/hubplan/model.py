@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-from .core import MONEY_SCALE, annualization_factor
+from .core import FEAS_TOL, MONEY_SCALE, annualization_factor
 from .errors import InvalidParameterError, ModelBuildError
 
 # variable kinds
@@ -201,7 +201,7 @@ class VarIndex:
                 self.names[col] = _NAME_FMT[k].format(*at)
 
 
-def repair_overlap(index, catalog, x, tol):
+def repair_overlap(index, catalog, x):
     """Take each store-hour's overlap, min(charge, discharge), off both its
     charge and its discharge, and curtail PV by what the bus gains.
 
@@ -217,7 +217,7 @@ def repair_overlap(index, catalog, x, tol):
 
     Returns (x', found, left): the repaired copy of x, and the names of
     the charge columns of the store-hours whose charge and discharge both
-    exceed tol in x and in x'.
+    exceed FEAS_TOL in x and in x'.
     """
     ids, bess, fleet = index.ids, catalog.bess, catalog.ev_fleet
     x = np.asarray(x, dtype=float)
@@ -237,8 +237,8 @@ def repair_overlap(index, catalog, x, tol):
     out[ids[K_PV][cut]] -= gain[cut]
 
     def overlapping(v):
-        return [index.names[c] for ch, dis in stores
-                for c in ch[(ch >= 0) & (np.minimum(v[ch], v[dis]) > tol)]]
+        return [index.names[c] for ch, dis in stores for c in
+                ch[(ch >= 0) & (np.minimum(v[ch], v[dis]) > FEAS_TOL)]]
     return out, overlapping(x), overlapping(out)
 
 

@@ -288,7 +288,7 @@ def test_c4_lattice_oracle_brackets_bnb(tiny, tiny_solved):
         w = _lattice_witness(model, lp.x)
         if w is None:
             continue
-        rep = check_solution(model, w, feas_tol=1e-6)
+        rep = check_solution(model, w)
         if rep.ok:
             feasible += 1
             best = min(best, float(model.obj @ w))
@@ -357,8 +357,7 @@ def test_c5_exclusivity_without_binaries(tiny):
         model = assemble_model(grid, catalog, tariffs, scen, config)
         sol = branch_and_bound(model)
         assert sol.status == "optimal", label
-        x, _found, left = repair_overlap(model.var_index, catalog, sol.x,
-                                         1e-6)
+        x, _found, left = repair_overlap(model.var_index, catalog, sol.x)
         assert left == [] and model.obj @ x == model.obj @ sol.x, label
         worst = max(worst, _overlap(extract_solution(
             dataclasses.replace(sol, x=x), model.var_index)))
@@ -465,7 +464,7 @@ def test_c8_all_solutions_reverify():
     assert len(VERIFIED) >= 32   # c3 (20) + c4 + c5 (6) + c6 (5)
     worst = 0.0
     for label, model, x in VERIFIED:
-        rep = check_solution(model, x, feas_tol=1e-6, int_tol=1e-6)
+        rep = check_solution(model, x)
         assert rep.ok, (label, rep.bad_rows[:3], rep.bad_bounds[:3],
                         rep.bad_integrality[:3])
         worst = max(worst, rep.max_residual)

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 from conftest import with_pv_less_overlap
-from hubplan.analysis import (_PLAN_TOL, PlanCheck, chance_audit,
+from hubplan.analysis import (ChanceAudit, PlanCheck, chance_audit,
                               cost_breakdown, dispatch_table,
                               select_extreme_scenario, soc_table,
                               sweep_carbon_tax, verify_plan,
                               write_cost_breakdown, write_plan_summary)
-from hubplan.core import annualization_factor
+from hubplan.core import FEAS_TOL, INT_TOL, annualization_factor
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
 from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
 from hubplan.milp import (branch_and_bound, check_solution,
                           extract_solution)
-from hubplan.model import ModelConfig, assemble_model
+from hubplan.model import ModelConfig, assemble_model, max_substandard
 from hubplan.scengen import generate_scenarios
 
 
@@ -70,9 +70,24 @@ def test_breakdown_screens_negative(tiny, tiny_solved, priced):
     m, _ = priced
     fuel = tiny_solved.plan.fuel.copy()
     fuel[0, 0, 0] = -3.0
-    with pytest.raises(InfeasibleSolutionError):
-        cost_breakdown(dataclasses.replace(tiny_solved.plan, fuel=fuel),
+    bad = dataclasses.replace(tiny_solved.plan, fuel=fuel, x_ess=-1.0,
+                              x_fc={"PEM_gas": -1})
+    with pytest.raises(InfeasibleSolutionError) as ei:
+        cost_breakdown(bad, tiny.catalog, tiny.tariffs, m)
+    for issue in ("x_ess = -1.0", "x_fc[PEM_gas] = -1", "fuel(0, 0, 0)"):
+        assert issue in str(ei.value)
+
+
+def test_breakdown_screens_infinite_charging(tiny, tiny_solved, priced):
+    # a vehicle's charging inside its window must be finite, as its column
+    # bounds require; outside the window it is NaN and not screened
+    m, _ = priced
+    ev_ch = tiny_solved.plan.ev_ch.copy()
+    ev_ch[0, 0, 1] = np.inf
+    with pytest.raises(InfeasibleSolutionError) as ei:
+        cost_breakdown(dataclasses.replace(tiny_solved.plan, ev_ch=ev_ch),
                        tiny.catalog, tiny.tariffs, m)
+    assert "ev_ch(0, 0, 1) = inf" in str(ei.value)
 
 
 def test_breakdown_clamps_roundoff(tiny, tiny_solved, priced):
@@ -84,6 +99,46 @@ def test_breakdown_clamps_roundoff(tiny, tiny_solved, priced):
                                             shortfall=short),
                         tiny.catalog, tiny.tariffs, m)
     assert bd.soc_penalty == 0.0
+
+
+@pytest.mark.parametrize("value, ok", [(-5e-7, True), (-2e-6, False)])
+def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
+                                           value, ok):
+    # a grid entry below its bound of 0: within FEAS_TOL every verdict
+    # takes it (and its cost part is clamped), beyond it both the solution
+    # check and the cost screen refuse it
+    m, base = priced
+    model, sol = tiny_solved.model, tiny_solved.sol
+    x = sol.x.copy()
+    x[model.col_names.index("GR1_2")] = value
+    plan = extract_solution(dataclasses.replace(sol, x=x), model.var_index)
+    assert plan.grid[1, 2] == value
+    assert check_solution(model, x).ok is ok
+    if ok:
+        assert verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs).ok
+        bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
+        assert bd.as_dict() == base.as_dict()
+    else:
+        with pytest.raises(InfeasibleSolutionError, match=r"grid\(1, 2\)"):
+            cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
+
+
+@pytest.mark.parametrize("below, short", [(2e-7, False), (1e-5, True)])
+def test_departure_verdicts_agree(tiny, tiny_solved, below, short):
+    # a z = 0 departure below target is substandard for the chance audit
+    # exactly when the plan check flags it: FEAS_TOL * (1 + target) below
+    fleet = tiny.fleet
+    e_dep = tiny_solved.plan.e_dep.copy()
+    e_dep[0, 0] = (fleet.target_departure_soc - below) * fleet.capacity
+    plan = dataclasses.replace(tiny_solved.plan, e_dep=e_dep)
+    soc = float(e_dep[0, 0] / fleet.capacity)
+    audit = chance_audit(plan, fleet, 0.0, 2)
+    assert audit.worst_soc[0] == soc
+    assert (audit.count, audit.passed) == ((1, False) if short
+                                           else (0, True))
+    assert audit.substandard == ([(0, 0, soc)] if short else [])
+    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
+    assert chk.issues == ([f"departure soc s0 j0: {soc!r}"] if short else [])
 
 
 def test_chance_audit_zeta_zero(tiny, tiny_solved):
@@ -105,6 +160,12 @@ def test_chance_audit_flags_shortfall(tiny, tiny_solved):
     assert not audit.passed and audit.count == 1
     audit_ok = chance_audit(bad, tiny.fleet, 0.5, 2)
     assert audit_ok.passed and audit_ok.limit == 1
+
+
+def test_chance_audit_refuses_other_scenario_count(tiny, tiny_solved):
+    with pytest.raises(InvalidParameterError) as ei:
+        chance_audit(tiny_solved.plan, tiny.fleet, 0.0, 3)
+    assert str(ei.value) == "solution has 2 scenarios, audit asked about 3"
 
 
 def test_dispatch_table(tiny, tiny_solved):
@@ -233,9 +294,9 @@ def _verify_plan_py(solution, scenario_set, catalog, tariffs):
     """Recheck a plan from physics, without the model or the solver.
 
     Electric balance residuals are scaled by (1 + max electric load); heat
-    surplus must be >= -_PLAN_TOL absolutely; storage dynamics, cyclic closure
-    and SOC windows are checked to _PLAN_TOL on energies. A store may not
-    charge and discharge more than _PLAN_TOL each in the same hour.
+    surplus must be >= -FEAS_TOL absolutely; storage dynamics, cyclic closure
+    and SOC windows are checked to FEAS_TOL on energies. A store may not
+    charge and discharge more than FEAS_TOL each in the same hour.
     """
     issues = []
     worst = 0.0
@@ -271,31 +332,31 @@ def _verify_plan_py(solution, scenario_set, catalog, tariffs):
                     supply -= ch / fleet.eta_ch
                     supply += fleet.eta_dis * solution.ev_dis[s, j, t]
             resid(f"elec balance s{s} t{t}",
-                  (supply - sc.elec_load[t]) / e_scale, _PLAN_TOL)
+                  (supply - sc.elec_load[t]) / e_scale, FEAS_TOL)
 
             heat = (- solution.tess_ch[s, t] / tess.eta_ch
                     + tess.eta_dis * solution.tess_dis[s, t])
             for i, fc in enumerate(catalog.fuel_cells):
                 heat += fc.gas_to_heat * solution.fuel[s, t, i]
             surplus = heat - sc.heat_load[t]
-            flag(surplus >= -_PLAN_TOL, f"heat surplus s{s} t{t}", surplus)
+            flag(surplus >= -FEAS_TOL, f"heat surplus s{s} t{t}", surplus)
 
         # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
         for t in range(t_day):
             t_next = (t + 1) % t_day
             r_b = (solution.bess_e[s, t_next] - solution.bess_e[s, t]
                    - solution.bess_ch[s, t] + solution.bess_dis[s, t])
-            resid(f"bess chain s{s} t{t}", r_b, _PLAN_TOL)
+            resid(f"bess chain s{s} t{t}", r_b, FEAS_TOL)
             r_t = (solution.tess_e[s, t_next] - solution.tess_e[s, t]
                    - solution.tess_ch[s, t] + solution.tess_dis[s, t])
-            resid(f"tess chain s{s} t{t}", r_t, _PLAN_TOL)
+            resid(f"tess chain s{s} t{t}", r_t, FEAS_TOL)
 
         cap = solution.x_ess
         for t in range(t_day):
             e = solution.bess_e[s, t]
-            flag(e >= bess.soc_min * cap - _PLAN_TOL * (1 + cap),
+            flag(e >= bess.soc_min * cap - FEAS_TOL * (1 + cap),
                  f"bess soc low s{s} t{t}", e)
-            flag(e <= bess.soc_max * cap + _PLAN_TOL * (1 + cap),
+            flag(e <= bess.soc_max * cap + FEAS_TOL * (1 + cap),
                  f"bess soc high s{s} t{t}", e)
 
         for j in range(solution.ev_e.shape[1]):
@@ -305,38 +366,58 @@ def _verify_plan_py(solution, scenario_set, catalog, tariffs):
             for t in range(arrive, depart):
                 r = (solution.ev_e[s, j, t + 1] - solution.ev_e[s, j, t]
                      - solution.ev_ch[s, j, t] + solution.ev_dis[s, j, t])
-                resid(f"ev chain s{s} j{j} t{t}", r, _PLAN_TOL)
+                resid(f"ev chain s{s} j{j} t{t}", r, FEAS_TOL)
             for t in range(arrive + 1, depart + 1):
                 e = solution.ev_e[s, j, t]
                 cap_ev = fleet.capacity
-                flag(e >= fleet.soc_min * cap_ev - _PLAN_TOL * (1 + cap_ev),
+                flag(e >= fleet.soc_min * cap_ev - FEAS_TOL * (1 + cap_ev),
                      f"ev soc low s{s} j{j} t{t}", e)
-                flag(e <= fleet.soc_max * cap_ev + _PLAN_TOL * (1 + cap_ev),
+                flag(e <= fleet.soc_max * cap_ev + FEAS_TOL * (1 + cap_ev),
                      f"ev soc high s{s} j{j} t{t}", e)
             # z=0 scenarios owe every EV its target at departure
             if solution.z[s] == 0:
                 dep_soc = solution.e_dep[s, j] / fleet.capacity
                 flag(dep_soc >= fleet.target_departure_soc
-                     - _PLAN_TOL * (1 + fleet.target_departure_soc),
+                     - FEAS_TOL * (1 + fleet.target_departure_soc),
                      f"departure soc s{s} j{j}", dep_soc)
 
     for store, ch, dis in (("bess", solution.bess_ch, solution.bess_dis),
                            ("tess", solution.tess_ch, solution.tess_dis),
                            ("ev", solution.ev_ch, solution.ev_dis)):
         both = np.fmin(ch, dis)  # NaN outside a vehicle's window
-        for at in np.argwhere(both > _PLAN_TOL).tolist():
+        for at in np.argwhere(both > FEAS_TOL).tolist():
             where = (f"s{at[0]} t{at[1]}" if len(at) == 2
                      else f"s{at[0]} j{at[1]} t{at[2]}")
             issues.append(f"{store} charges and discharges {where}: "
                           f"{float(both[tuple(at)])!r}")
 
     for fc_id, units in solution.x_fc.items():
-        flag(abs(units - round(units)) <= _PLAN_TOL, f"integral x_fc {fc_id}",
+        flag(abs(units - round(units)) <= INT_TOL, f"integral x_fc {fc_id}",
              units)
     for s in range(n):
         flag(solution.z[s] in (0, 1), f"binary z s{s}", solution.z[s])
 
     return PlanCheck(ok=not issues, max_residual=worst, issues=issues)
+
+
+def _chance_audit_py(solution, fleet, zeta, n_scenarios):
+    """The loop version of chance_audit, scenario-first: the reference that
+    its whole-array form must match exactly."""
+    n, n_ev = solution.e_dep.shape
+    target = fleet.target_departure_soc
+    threshold = target - FEAS_TOL * (1.0 + target)
+    worst = np.ones(n)
+    bad = []
+    for s in range(n):
+        for j in range(n_ev):
+            soc = solution.e_dep[s, j] / fleet.capacity
+            worst[s] = min(worst[s], soc)
+            if soc < threshold:
+                bad.append((s, j, float(soc)))
+    count = len({s for s, _j, _soc in bad})
+    limit = max_substandard(n_scenarios, zeta)
+    return ChanceAudit(worst_soc=worst, substandard=bad, count=count,
+                       limit=limit, passed=count <= limit)
 
 
 def _same_check(got, ref):
@@ -373,6 +454,8 @@ def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
             changed[name] = val
         broken = dataclasses.replace(plan, **changed)
         ref = _verify_plan_py(broken, tiny.scen, tiny.catalog, tiny.tariffs)
+        assert chance_audit(broken, tiny.fleet, 0.5, 2).as_dict() \
+            == _chance_audit_py(broken, tiny.fleet, 0.5, 2).as_dict()
         tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog,
                                             tiny.tariffs), ref))
         flagged += not ref.ok
@@ -395,6 +478,9 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
     model = assemble_model(scen.grid, case.catalog, tariffs, scen,
                            ModelConfig())
     plan = extract_solution(branch_and_bound(model), model.var_index)
+    fleet = case.catalog.ev_fleet
+    assert chance_audit(plan, fleet, 0.05, 10).as_dict() \
+        == _chance_audit_py(plan, fleet, 0.05, 10).as_dict()
     got = verify_plan(plan, scen, case.catalog, tariffs)
     assert _same_check(got, _verify_plan_py(plan, scen, case.catalog,
                                             tariffs)) == []
@@ -498,6 +584,9 @@ def test_sweep_refuses_a_bad_level_before_solving(tiny, monkeypatch):
         with pytest.raises(InvalidParameterError, match="carbon_tax"):
             analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
                                       tiny.scen, tiny.config, [40.0, bad])
+    with pytest.raises(InvalidParameterError, match="must not be empty"):
+        analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+                                  tiny.scen, tiny.config, [])
 
 
 def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,

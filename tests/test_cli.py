@@ -300,6 +300,7 @@ def _must_not_read(*args, **kwargs):
     ([], {"seed": 1.5}),
     ([], {"max_nodes": 2.5}),
     ([], {"carbon_tax": True}),  # not taken as 1 yuan/t
+    ([], {"case": 5}),  # a path that is not a string
     (["--seed", "99999999999999999999999"], {}),  # beyond 2**63
     (["--out", os.path.abspath(__file__)], {}),  # an existing file
     # below an existing file

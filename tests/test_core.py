@@ -1,4 +1,5 @@
 """Core data types: validation rules, the annualization weight, helpers."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -192,6 +193,16 @@ def test_validate_scenario_set_flags(tiny):
     assert {"elec_load", "pv_avail", "arrive_hour", "depart_hour",
             "initial_soc"} <= fields
     assert any("scenario 0" in str(v) for v in out)
+
+
+def test_validate_flags_record_count(tiny):
+    # each scenario holds one record per fleet vehicle; the tiny fleet has 1
+    first, second = tiny.scen.scenarios
+    bad = dataclasses.replace(tiny.scen, scenarios=(
+        first, dataclasses.replace(second, ev_records=second.ev_records * 2)))
+    out = validate_scenario_set(bad, tiny.catalog, tiny.tariffs)
+    assert [str(v) for v in out] == [
+        "scenario 1: ev_records: 2 records, fleet has 1"]
 
 
 def test_validate_flags_tariff_length(tiny):

@@ -454,10 +454,11 @@ def _set(value, *path):
      "expected a finite number at $.fuel_cells[1].fuel_price, got nan"),
     (_set(float("inf"), "ev_fleet", "n_ev"),
      "expected an integer at $.ev_fleet.n_ev, got inf"),
-    (_set(10 ** 400, "bess", "max_capacity"),
-     "bad value in case file: int too large to convert to float"),
     # an integer that float arithmetic cannot hold, or a planning period
     # whose discount overflows, is refused at its key path
+    (_set(10 ** 400, "bess", "max_capacity"),
+     "expected a finite number at $.bess.max_capacity, got an integer too "
+     "large for a float"),
     (_set(10 ** 400, "fuel_cells", 0, "max_units"),
      "expected a finite number at $.fuel_cells[0].max_units, got an integer "
      "too large for a float"),

@@ -39,6 +39,14 @@ def _audit_keys():
                                       re.M)}
 
 
+def _layout_modules():
+    """The modules named in the README's Package layout table."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Package layout\n")[1].split("\n## ")[0]
+    return re.findall(r"^\| `(hubplan[\w.]*)` \|", section, re.M)
+
+
 def _commands():
     """argv of every ``hubplan`` command in the README's sh blocks."""
     out = []
@@ -68,6 +76,21 @@ def test_readme_lists_every_config_key():
     keys = _config_keys()
     assert len(keys) == len(set(keys))
     assert set(keys) == set(cli._OPTIONS)
+
+
+def test_readme_lists_every_module():
+    # every module under src/hubplan, once; a package's __init__ only
+    # re-exports, so the packages themselves have no row
+    root = os.path.dirname(cli.__file__)
+    modules = []
+    for folder, _dirs, files in os.walk(root):
+        package = os.path.relpath(folder, os.path.dirname(root))
+        modules += [".".join([*package.split(os.sep), name[:-3]])
+                    for name in files
+                    if name.endswith(".py") and name != "__init__.py"]
+    listed = _layout_modules()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(modules)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

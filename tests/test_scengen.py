@@ -43,6 +43,52 @@ def test_sample_moments_constant_column():
         sample_moments(x)
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(8), "values must be 2-D (observations x dimensions)"),
+    (np.eye(3), "need at least 4 observations, got 3"),
+])
+def test_sample_moments_refuses_its_shape(values, message):
+    with pytest.raises(InvalidParameterError) as ei:
+        sample_moments(values)
+    assert str(ei.value) == message
+
+
+def _targets(**changed):
+    """Two-dimensional standard normal targets with changed fields."""
+    fields = dict(mean=np.zeros(2), variance=np.ones(2),
+                  skewness=np.zeros(2), kurtosis=np.full(2, 3.0),
+                  correlation=np.eye(2))
+    return MomentTargets(**{**fields, **changed})
+
+
+@pytest.mark.parametrize("changed, message", [
+    ({"correlation": np.eye(3)}, "correlation must be 2x2, got (3, 3)"),
+    ({"kurtosis": np.full(3, 3.0)}, "kurtosis length != 2"),
+    ({"variance": np.array([1.0, 0.0])}, "variance[1] must be > 0"),
+    ({"correlation": np.array([[1.0, 0.5], [0.4, 1.0]])},
+     "correlation must be symmetric"),
+    ({"correlation": np.array([[1.0, 0.5], [0.5, 2.0]])},
+     "correlation diagonal must be 1"),
+])
+def test_moment_targets_refusals(changed, message):
+    with pytest.raises(InvalidParameterError) as ei:
+        _targets(**changed)
+    assert str(ei.value) == message
+
+
+def test_hmm_generate_refusals():
+    with pytest.raises(InvalidParameterError, match="n must be >= 2"):
+        hmm_generate(_targets(), 1, seed=0)
+    # kurtosis must reach skewness^2 + 1 for any distribution to have both
+    bad = _targets(skewness=np.array([0.0, 2.0]),
+                   kurtosis=np.array([3.0, 4.5]))
+    with pytest.raises(MomentFitError) as ei:
+        hmm_generate(bad, 64, seed=0)
+    assert ei.value.dimension == 1
+    assert str(ei.value) == ("dimension 1: kurtosis 4.5 below feasibility "
+                             "bound 5.0")
+
+
 def test_cholesky_lower_matches_numpy():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(5, 5))
