@@ -140,8 +140,8 @@ class ChanceAudit:
 def _substandard(soc, target):
     """Where the departure SOCs soc fall short of target: by more than
     FEAS_TOL * (1 + target), the tolerance of every verdict on a plan. A
-    NaN SOC never does."""
-    return soc < target - FEAS_TOL * (1.0 + target)
+    NaN SOC does."""
+    return ~(soc >= target - FEAS_TOL * (1.0 + target))
 
 
 def chance_audit(solution, fleet, zeta, n_scenarios) -> ChanceAudit:
@@ -260,10 +260,16 @@ def _infeasible_hint(model, rows):
 
 @dataclass
 class LevelSolve:
-    """One branch-and-bound solve of a priced model and the verdicts on it:
-    the plan, solution check, cost breakdown, chance audit and plan check
-    of its incumbent when it has one (a solve stopped by a limit may), and
-    an infeasible one's hint.
+    """One carbon-tax level: its branch-and-bound solve of a priced model
+    and the verdicts on it, the plan, solution check, cost breakdown,
+    chance audit and plan check of its incumbent when it has one (a solve
+    stopped by a limit may), and an infeasible one's hint.
+
+    status is branch and bound's, or error when the solve raised (bnb is
+    then None and the level holds only its tax and error) or an optimal
+    incumbent failed its solution check, plan check or chance audit; error
+    says why a level is not optimal, naming each failed verdict. Only an
+    optimal level has a total.
 
     bnb.x is the incumbent after repair_overlap. overlap names the
     store-hours (by charge column) that charged and discharged at once in
@@ -271,7 +277,10 @@ class LevelSolve:
     had to leave, which plan_check fails.
     """
 
-    bnb: BnbSolution
+    carbon_tax: float  # yuan per ton
+    bnb: BnbSolution = None
+    status: str = "error"
+    error: str = None
     infeasible_hint: str = None
     plan: PlanSolution = None
     check: VerifyReport = None
@@ -282,10 +291,17 @@ class LevelSolve:
     unrepaired: list = None
 
     def as_dict(self):
-        """The solve as audit.json records it."""
+        """The level as audit.json records it, for plan and for each level
+        of a sweep."""
+        doc = {"carbon_tax_yuan_per_ton": self.carbon_tax,
+               "status": self.status, "error": self.error,
+               "total": self.breakdown.total if self.status == "optimal"
+               else None}
         bnb = self.bnb
-        doc = {"status": bnb.status, "nodes": bnb.n_nodes,
-               **bnb.lp_counters(), "wall_time_s": bnb.wall_time}
+        if bnb is None:
+            return doc
+        doc.update(nodes=bnb.n_nodes, **bnb.lp_counters(),
+                   wall_time_s=bnb.wall_time)
         if self.infeasible_hint is not None:
             doc["infeasible_hint"] = self.infeasible_hint
             return doc
@@ -308,59 +324,46 @@ class LevelSolve:
         return doc
 
 
-def solve_level(model, scenario_set, catalog, tariffs, config, warm=None,
-                **limits) -> LevelSolve:
+def solve_level(model, scenario_set, catalog, tariffs, config,
+                carbon_tax=None, warm=None, **limits) -> LevelSolve:
     """Solve model, assembled from scenario_set, catalog and config and
-    priced at tariffs, by branch_and_bound (warm root basis, limits),
-    repair its incumbent's charge/discharge overlaps, and return the
-    verdicts on the repaired incumbent, if any, never acting on them. An
-    infeasible model's hint names the families of the rows its root LP
-    left violated."""
+    priced at tariffs (carbon_tax yuan per ton), by branch_and_bound (warm
+    root basis, limits), repair its incumbent's charge/discharge overlaps,
+    judge the repaired incumbent, if any, and return the level with the
+    one status plan and sweep report. An infeasible model's hint names the
+    families of the rows its root LP left violated."""
     bnb = branch_and_bound(model, warm=warm, **limits)
-    if bnb.status == "infeasible":
-        return LevelSolve(bnb, infeasible_hint=_infeasible_hint(
-            model, bnb.infeasible_rows))
+    status = bnb.status
+    error = None if status == "optimal" else f"solver ended {status}"
+    if status == "infeasible":
+        return LevelSolve(carbon_tax, bnb, status, error,
+                          infeasible_hint=_infeasible_hint(
+                              model, bnb.infeasible_rows))
     if bnb.x is None:
-        return LevelSolve(bnb)
+        return LevelSolve(carbon_tax, bnb, status, error)
     x, overlap, unrepaired = repair_overlap(model.var_index, catalog, bnb.x)
     bnb = replace(bnb, x=x)
     grid = scenario_set.grid
     plan = extract_solution(bnb, model.var_index)
-    return LevelSolve(
-        bnb, plan=plan, check=check_solution(model, x),
-        breakdown=cost_breakdown(plan, catalog, tariffs,
-                                 annualization_factor(grid)),
-        audit=chance_audit(plan, catalog.ev_fleet, config.zeta,
-                           grid.n_scenarios),
-        plan_check=verify_plan(plan, scenario_set, catalog, tariffs),
-        overlap=overlap, unrepaired=unrepaired)
-
-
-@dataclass
-class SweepLevel:
-    """One carbon-tax level of a sweep. solve is None when the level raised;
-    error says why a level is not optimal, and an optimal solution that
-    fails check_solution makes the status error."""
-
-    carbon_tax: float  # yuan per ton
-    status: str
-    solve: LevelSolve = None
-    error: str = None
-
-    @property
-    def optimal(self):
-        """The level's solve when its status is optimal, else None."""
-        return self.solve if self.status == "optimal" else None
-
-    def as_dict(self):
-        """The level as sweep's audit.json records it: its solve's
-        as_dict with the level's tax, status, error and total."""
-        doc = {} if self.solve is None else self.solve.as_dict()
-        doc.update({"carbon_tax_yuan_per_ton": self.carbon_tax,
-                    "status": self.status, "error": self.error,
-                    "total": None if self.optimal is None
-                    else self.optimal.breakdown.total})
-        return doc
+    check = check_solution(model, x)
+    breakdown = cost_breakdown(plan, catalog, tariffs,
+                               annualization_factor(grid))
+    audit = chance_audit(plan, catalog.ev_fleet, config.zeta,
+                         grid.n_scenarios)
+    plan_check = verify_plan(plan, scenario_set, catalog, tariffs)
+    failed = [f"{name}: {what}" for name, ok, what in (
+        ("solution check", check.ok, (check.bad_rows + check.bad_bounds
+                                      + check.bad_integrality)[:3]),
+        ("plan check", plan_check.ok, plan_check.issues[:3]),
+        ("chance audit", audit.passed,
+         f"{audit.count} substandard scenarios, limit {audit.limit}"))
+        if not ok]
+    if status == "optimal" and failed:
+        status, error = "error", f"optimal solution failed {'; '.join(failed)}"
+    return LevelSolve(carbon_tax, bnb, status, error, plan=plan, check=check,
+                      breakdown=breakdown, audit=audit,
+                      plan_check=plan_check, overlap=overlap,
+                      unrepaired=unrepaired)
 
 
 @dataclass
@@ -371,11 +374,13 @@ class SweepResult:
 
 def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
                      tax_levels, **solver_kwargs) -> SweepResult:
-    """Solve the plan at each carbon-tax level (yuan per ton).
+    """Solve the plan at each carbon-tax level (yuan per ton): one
+    LevelSolve per level, with the status solve_level decides.
 
-    Scenarios and every other input stay fixed across levels. A level that
-    fails keeps its error message and the sweep continues. Total cost must
-    be non-decreasing in the tax over the successful levels (same feasible
+    Scenarios and every other input stay fixed across levels. A level whose
+    solve raises is a LevelSolve of its tax and error, and the sweep
+    continues. Total cost must be non-decreasing in the tax over the
+    optimal levels (same feasible
     set, pointwise-larger objective); a violation is a solver defect and
     raises SolverError. Trend observations (fuel-cell mix, substandard
     counts) are reported in notes, never asserted.
@@ -399,23 +404,18 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
         model = replace(base, obj=build_objective(base.var_index, catalog,
                                                   tar, m))
         try:
-            solve = solve_level(model, scenario_set, catalog, tar, config,
-                                warm=warm, **solver_kwargs)
+            level = solve_level(model, scenario_set, catalog, tar, config,
+                                float(tax), warm, **solver_kwargs)
         except (SolverError, InfeasibleSolutionError) as exc:
-            levels.append(SweepLevel(float(tax), "error", error=str(exc)))
-            continue
-        warm, status, error = solve.bnb.root_warm, solve.bnb.status, None
-        if status != "optimal":
-            error = f"solver ended {status}"
-        elif not solve.check.ok:
-            status, error = "error", ("optimal solution failed verification: "
-                                      f"{solve.check.bad_rows[:3]}")
-        levels.append(SweepLevel(float(tax), status, solve, error))
+            level = LevelSolve(float(tax), error=str(exc))
+        else:
+            warm = level.bnb.root_warm
+        levels.append(level)
 
     ordered = sorted((lv for lv in levels if lv.status == "optimal"),
                      key=lambda lv: lv.carbon_tax)
     for a, b in zip(ordered, ordered[1:]):
-        lo, hi = a.solve.breakdown.total, b.solve.breakdown.total
+        lo, hi = a.breakdown.total, b.breakdown.total
         if hi < lo - FEAS_TOL * (1.0 + abs(hi)):
             raise SolverError(
                 f"total cost fell from {lo} at tax {a.carbon_tax} to {hi} "
@@ -424,20 +424,20 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
     notes = []
     if len(ordered) >= 2:
         for fc in catalog.fuel_cells:
-            counts = [lv.solve.plan.x_fc.get(fc.fc_id, 0) for lv in ordered]
+            counts = [lv.plan.x_fc.get(fc.fc_id, 0) for lv in ordered]
             notes.append(f"{fc.fc_id} units across taxes: {counts}")
         notes.append("substandard scenarios across taxes: "
-                     f"{[lv.solve.audit.count for lv in ordered]}")
+                     f"{[lv.audit.count for lv in ordered]}")
     return SweepResult(levels=levels, notes=notes)
 
 
 def _write_levels(path, sweep, names, cells):
     """Write one row per level of sweep: its tax, then the columns named by
-    names, cells(solve) of an optimal level and empty otherwise, then its
+    names, cells(level) of an optimal level and empty otherwise, then its
     status."""
     rows = [[lv.carbon_tax,
-             *([None] * len(names) if lv.optimal is None
-               else cells(lv.optimal)), lv.status] for lv in sweep.levels]
+             *(cells(lv) if lv.status == "optimal"
+               else [None] * len(names)), lv.status] for lv in sweep.levels]
     write_table_csv(path, ["carbon_tax_yuan_per_ton", *names, "status"],
                     rows)
 
@@ -553,8 +553,7 @@ def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
 
     dep_soc = sol.e_dep / fleet.capacity
     short = _substandard(dep_soc, fleet.target_departure_soc)
-    flag("departure soc", (sol.z != 0)[:, None]
-         | ~(short | np.isnan(dep_soc)), dep_soc, "sj")
+    flag("departure soc", (sol.z != 0)[:, None] | ~short, dep_soc, "sj")
     for fc_id, units in sol.x_fc.items():
         if not abs(units - np.rint(units)) <= INT_TOL:
             issues.append(f"integral x_fc {fc_id}: {float(units)!r}")

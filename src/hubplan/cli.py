@@ -2,9 +2,12 @@
 hub, sweep carbon taxes, export the model as MPS.
 
 Exit codes are a stable scripting contract: 0 success, 1 input error,
-2 best-effort (tolerance or limit not met), 3 infeasible model. Given the
-same inputs and seed, reruns write byte-identical CSVs; audit.json differs
-only in its wall-time field.
+2 best-effort (tolerance or limit not met, a solved plan failing its
+verdicts, a sweep with no level verified optimal, or a solver failure),
+3 a model proven infeasible, reported with a hint. plan and every sweep
+level report the one status analysis.solve_level decides. Given the same
+inputs and seed, reruns write byte-identical CSVs; audit.json differs only
+in its wall-time field.
 """
 
 import argparse
@@ -22,9 +25,8 @@ from .analysis import (EXTREMES, dispatch_table, select_extreme_scenario,
 # them through hubplan.analysis
 from .analysis import (branch_and_bound, chance_audit, check_solution,
                        cost_breakdown, extract_solution, verify_plan)
-from .errors import (HubplanError, InfeasibleSolutionError,
-                     InvalidParameterError, ModelBuildError, MomentFitError,
-                     MpsFormatError, ParseError, SolverError)
+from .errors import (HubplanError, InvalidParameterError, ModelBuildError,
+                     MomentFitError, MpsFormatError, ParseError)
 from .fileio import (read_case, read_history, read_json, read_scenario_set,
                      write_audit_json, write_scenario_set, write_table_csv,
                      write_text)
@@ -264,16 +266,11 @@ def cmd_plan(cfg):
     tariffs = case.tariffs if tax is None else case.tariffs.with_carbon_tax(tax)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     level = solve_level(model, scen, case.catalog, tariffs, config,
+                        tariffs.carbon_tax * 1000.0 if tax is None else tax,
                         **cfg["limits"])
 
-    audit_doc = {
-        "command": "plan",
-        **level.as_dict(),
-        "zeta": config.zeta,
-        "carbon_tax_yuan_per_ton": tax if tax is not None
-        else tariffs.carbon_tax * 1000.0,
-        **source,
-    }
+    audit_doc = {"command": "plan", **level.as_dict(), "zeta": config.zeta,
+                 **source}
     plan, audit, bnb = level.plan, level.audit, level.bnb
     if plan is not None:
         s_id = select_extreme_scenario(scen, cfg["extreme"])
@@ -294,7 +291,7 @@ def cmd_plan(cfg):
           f"x_fc {plan.x_fc}, bess {plan.x_ess:.1f} kWh; "
           f"audit {'passed' if audit.passed else 'FAILED'} "
           f"({audit.count}/{audit.limit} substandard)")
-    if not (level.check.ok and level.plan_check.ok and audit.passed):
+    if level.error is not None:
         print("verification failed; see audit.json", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
@@ -324,8 +321,7 @@ def cmd_sweep(cfg):
     })
     n_ok = sum(lv.status == "optimal" for lv in sweep.levels)
     for lv in sweep.levels:
-        total = "-" if lv.optimal is None \
-            else f"{lv.optimal.breakdown.total:.1f}"
+        total = "-" if lv.status != "optimal" else f"{lv.breakdown.total:.1f}"
         print(f"tax {lv.carbon_tax:7.1f}: {lv.status:10s} total {total}")
     return EXIT_OK if n_ok >= 1 else EXIT_PARTIAL
 
@@ -393,10 +389,7 @@ def main(argv=None) -> int:
             MpsFormatError, MomentFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleSolutionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (SolverError, HubplanError) as exc:
+    except HubplanError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
 

@@ -35,7 +35,8 @@ def check_solution(model, x) -> VerifyReport:
     Row residuals, relative to max(1, |rhs|), and bound violations,
     relative to 1 + |bound|, may reach FEAS_TOL. Integer and binary columns
     must sit within INT_TOL of an integer (binaries additionally inside
-    [0, 1] via their bounds).
+    [0, 1] via their bounds). A value that is not finite fails its bounds,
+    and a NaN residual fails its row.
     """
     x = np.asarray(x, dtype=float)
     act = model.a_matrix @ x
@@ -52,8 +53,9 @@ def check_solution(model, x) -> VerifyReport:
     resid[ge] = np.maximum(under[ge], 0.0)
     resid[eq] = np.abs(over[eq])
 
+    # written as "not within tolerance", so a NaN residual fails too
     bad_rows = [(model.row_names[i], float(act[i] - rhs[i]))
-                for i in np.flatnonzero(resid > FEAS_TOL)]
+                for i in np.flatnonzero(~(resid <= FEAS_TOL))]
 
     lo_gap = (model.col_lb - x) / (1.0 + np.abs(np.where(
         np.isfinite(model.col_lb), model.col_lb, 0.0)))
@@ -61,14 +63,16 @@ def check_solution(model, x) -> VerifyReport:
         np.isfinite(model.col_ub), model.col_ub, 0.0)))
     lo_gap[~np.isfinite(model.col_lb)] = -np.inf
     up_gap[~np.isfinite(model.col_ub)] = -np.inf
-    bound_viol = np.maximum(lo_gap, up_gap)
+    # a value that is not finite is outside every bound
+    bound_viol = np.where(np.isfinite(x), np.maximum(lo_gap, up_gap), np.inf)
     bad_bounds = [(model.col_names[j], float(x[j]))
-                  for j in np.flatnonzero(bound_viol > FEAS_TOL)]
+                  for j in np.flatnonzero(~(bound_viol <= FEAS_TOL))]
 
-    frac = np.abs(x - np.rint(x))
+    with np.errstate(invalid="ignore"):  # an infinite x gives a NaN frac
+        frac = np.abs(x - np.rint(x))
     is_int = model.col_kind != CONT
     bad_int = [(model.col_names[j], float(x[j]))
-               for j in np.flatnonzero(is_int & (frac > INT_TOL))]
+               for j in np.flatnonzero(is_int & ~(frac <= INT_TOL))]
 
     max_resid = float(max(resid.max(initial=0.0),
                           bound_viol.max(initial=0.0)))

@@ -244,10 +244,9 @@ def repair_overlap(index, catalog, x):
 
 @dataclass
 class MilpModel:
-    """A concrete MILP: min c'x s.t. rows, bounds, integrality."""
+    """A concrete MILP: min c'x s.t. rows, bounds, integrality; its size is
+    a_matrix's shape."""
 
-    n_rows: int
-    n_cols: int
     obj: np.ndarray
     a_matrix: sparse.csr_matrix
     row_sense: np.ndarray
@@ -259,6 +258,14 @@ class MilpModel:
     col_names: list
     var_index: VarIndex = None
 
+    @property
+    def n_rows(self):
+        return self.a_matrix.shape[0]
+
+    @property
+    def n_cols(self):
+        return self.a_matrix.shape[1]
+
     def check(self):
         if len(set(self.row_names)) != self.n_rows:
             raise ModelBuildError("duplicate row names")
@@ -268,8 +275,6 @@ class MilpModel:
             raise ModelBuildError("NaN column bound")
         if np.any(self.col_lb > self.col_ub + 1e-12):
             raise ModelBuildError("crossed column bounds")
-        if self.a_matrix.shape != (self.n_rows, self.n_cols):
-            raise ModelBuildError("matrix shape mismatch")
 
 
 def build_objective(index, catalog, tariffs, m) -> np.ndarray:
@@ -457,7 +462,7 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     a_matrix = sparse.csr_matrix((vv[keep], (ri[keep], ci[keep])),
                                  shape=(n_rows, index.n_cols))
     model = MilpModel(
-        n_rows=n_rows, n_cols=index.n_cols, obj=obj, a_matrix=a_matrix,
+        obj=obj, a_matrix=a_matrix,
         row_sense=np.array(senses, dtype=np.int8),
         rhs=np.array(rhs, dtype=float), row_names=list(names),
         col_lb=index.lb.copy(), col_ub=index.ub.copy(),

@@ -132,22 +132,32 @@ def sample_moments(values: np.ndarray) -> MomentTargets:
     n, d = x.shape
     if n < 4:
         raise InvalidParameterError(f"need at least 4 observations, got {n}")
-    mean = x.mean(axis=0)
-    cen = x - mean
-    var = np.mean(cen ** 2, axis=0)
+    mean, var, skew, kurt, corr = _moments(x)
     floor = _VAR_FLOOR * np.maximum(1.0, mean ** 2)
     for j in range(d):
         if var[j] <= floor[j]:
             raise DegenerateColumnError(column=j)
-    std = np.sqrt(var)
-    z = cen / std
-    skew = np.mean(z ** 3, axis=0)
-    kurt = np.mean(z ** 4, axis=0)
-    corr = (z.T @ z) / n
-    np.fill_diagonal(corr, 1.0)
-    corr = 0.5 * (corr + corr.T)
     return MomentTargets(mean=mean, variance=var, skewness=skew,
-                         kurtosis=kurt, correlation=corr)
+                         kurtosis=kurt, correlation=0.5 * (corr + corr.T))
+
+
+def _moments(x):
+    """Population mean, variance, skewness, kurtosis and correlation (unit
+    diagonal) of the columns of x, the standard deviation floored at
+    sqrt(_VAR_FLOOR)."""
+    mean = x.mean(axis=0)
+    cen = x - mean
+    var = np.mean(cen ** 2, axis=0)
+    z = cen / np.sqrt(np.maximum(var, _VAR_FLOOR))
+    corr = (z.T @ z) / x.shape[0]
+    np.fill_diagonal(corr, 1.0)
+    return mean, var, np.mean(z ** 3, axis=0), np.mean(z ** 4, axis=0), corr
+
+
+def _below_kurtosis_bound(skew, kurt):
+    """Whether kurt falls below the feasibility bound skew^2 + 1 (by more
+    than 1e-9)."""
+    return kurt < skew * skew + 1.0 - 1e-9
 
 
 def _raw_targets(mean, var, skew, kurt):
@@ -314,7 +324,7 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
     m = np.asarray(seed_moments, dtype=float)
     if m.size < 13:
         raise InvalidParameterError("seed_moments must reach order 12")
-    if kurt < skew * skew + 1.0 - 1e-9:
+    if _below_kurtosis_bound(skew, kurt):
         raise MomentFitError(
             f"infeasible targets: kurtosis {kurt} below bound {skew * skew + 1.0}")
     m = m[None, :13]
@@ -377,20 +387,11 @@ def _standardize(rows):
 
 def _panel_errors(w, targets):
     """(moment error, correlation error) of a standardized-target panel."""
-    n, d = w.shape
-    mean = w.mean(axis=0)
-    cen = w - mean
-    var = np.mean(cen ** 2, axis=0)
-    std = np.sqrt(np.maximum(var, _VAR_FLOOR))
-    z = cen / std
-    skew = np.mean(z ** 3, axis=0)
-    kurt = np.mean(z ** 4, axis=0)
+    mean, var, skew, kurt, corr = _moments(w)
     moment_err = max(float(np.max(np.abs(mean))),
                      float(np.max(np.abs(var - 1.0))),
                      float(np.max(np.abs(skew - targets.skewness))),
                      float(np.max(np.abs(kurt - targets.kurtosis))))
-    corr = (z.T @ z) / n
-    np.fill_diagonal(corr, 1.0)
     corr_err = float(np.max(np.abs(corr - targets.correlation)))
     return moment_err, corr_err
 
@@ -414,7 +415,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     if n < 8 * d:
         warnings.warn(f"n = {n} is small for {d} dimensions; "
                       f"moment estimates will be noisy", stacklevel=2)
-    short = targets.kurtosis < targets.skewness ** 2 + 1.0 - 1e-9
+    short = _below_kurtosis_bound(targets.skewness, targets.kurtosis)
     if np.any(short):
         j = int(np.argmax(short))
         s, k = targets.skewness[j], targets.kurtosis[j]

@@ -24,7 +24,7 @@ def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
     if kinds is None:
         kinds = np.zeros(n, dtype=np.int8)
     return MilpModel(
-        n_rows=m, n_cols=n, obj=np.asarray(obj, dtype=float), a_matrix=a,
+        obj=np.asarray(obj, dtype=float), a_matrix=a,
         row_sense=np.asarray(senses, dtype=np.int8),
         rhs=np.asarray(rhs, dtype=float),
         row_names=[f"R{i}" for i in range(m)],
@@ -63,7 +63,6 @@ def with_exclusivity_flags(model):
     tails = [model.col_names[c][2:] for c in ch]
     letters = [model.col_names[c][0] for c in ch]
     return MilpModel(
-        n_rows=model.n_rows + 2 * k, n_cols=n + k,
         obj=np.concatenate([model.obj, np.zeros(k)]),
         a_matrix=sparse.vstack([wide, flags], format="csr"),
         row_sense=np.concatenate([model.row_sense,

@@ -198,7 +198,7 @@ def parse_mps(text) -> MilpModel:
     else:
         a = sparse.csr_matrix((m, n))
     model = MilpModel(
-        n_rows=m, n_cols=n, obj=obj, a_matrix=a,
+        obj=obj, a_matrix=a,
         row_sense=np.asarray(row_sense, dtype=np.int8), rhs=rhs,
         row_names=row_names, col_lb=lb, col_ub=ub,
         col_kind=np.asarray(col_kind, dtype=np.int8), col_names=col_names)

@@ -141,6 +141,22 @@ def test_departure_verdicts_agree(tiny, tiny_solved, below, short):
     assert chk.issues == ([f"departure soc s0 j0: {soc!r}"] if short else [])
 
 
+def test_nan_departure_fails_both_verdicts(tiny, tiny_solved):
+    # a NaN departure energy is substandard for the chance audit, as the
+    # plan check flags it, and the gate refuses the vector it came from
+    model, sol = tiny_solved.model, tiny_solved.sol
+    x = sol.x.copy()
+    x[model.col_names.index("VE0_3_0")] = np.nan
+    assert not check_solution(model, x).ok
+    plan = extract_solution(dataclasses.replace(sol, x=x), model.var_index)
+    assert np.isnan(plan.e_dep[0, 0])
+    audit = chance_audit(plan, tiny.fleet, 0.0, 2)
+    assert (audit.count, audit.passed) == (1, False)
+    assert [(s, j) for s, j, _soc in audit.substandard] == [(0, 0)]
+    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
+    assert "departure soc s0 j0: nan" in chk.issues
+
+
 def test_chance_audit_zeta_zero(tiny, tiny_solved):
     audit = chance_audit(tiny_solved.plan, tiny.fleet, 0.0, 2)
     assert audit.passed and audit.count == 0 and audit.limit == 0
@@ -412,7 +428,7 @@ def _chance_audit_py(solution, fleet, zeta, n_scenarios):
         for j in range(n_ev):
             soc = solution.e_dep[s, j] / fleet.capacity
             worst[s] = min(worst[s], soc)
-            if soc < threshold:
+            if not soc >= threshold:  # a NaN SOC is substandard
                 bad.append((s, j, float(soc)))
     count = len({s for s, _j, _soc in bad})
     limit = max_substandard(n_scenarios, zeta)
@@ -550,7 +566,7 @@ def test_sweep_monotone_and_convertible(tiny):
     sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0, 1000.0])
     assert [lv.status for lv in sw.levels] == ["optimal", "optimal"]
-    lo, hi = (lv.solve.breakdown.total for lv in sw.levels)
+    lo, hi = (lv.breakdown.total for lv in sw.levels)
     assert hi >= lo - 1e-9
 
     tar40 = dataclasses.replace(tiny.tariffs, carbon_tax=0.04)
@@ -566,9 +582,9 @@ def test_sweep_levels_carry_plan(tiny):
                           tiny.config, [40.0])
     lv = sw.levels[0]
     assert lv.carbon_tax == 40.0
-    assert lv.solve.audit.count == 0
-    assert lv.solve.plan.x_fc["PEM_gas"] >= 0 and lv.solve.plan.x_ess >= 0.0
-    assert lv.solve.bnb.n_nodes >= 1 and lv.solve.bnb.wall_time >= 0.0
+    assert lv.audit.count == 0
+    assert lv.plan.x_fc["PEM_gas"] >= 0 and lv.plan.x_ess >= 0.0
+    assert lv.bnb.n_nodes >= 1 and lv.bnb.wall_time >= 0.0
 
 
 def test_sweep_refuses_a_bad_level_before_solving(tiny, monkeypatch):
@@ -600,8 +616,8 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
     sw = analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
                                    tiny.scen, tiny.config, [40.0])
     lv, = sw.levels
-    assert lv.status == "error" and lv.optimal is None
-    assert lv.error == ("optimal solution failed verification: "
+    assert (lv.status, lv.bnb.status) == ("error", "optimal")
+    assert lv.error == ("optimal solution failed solution check: "
                         "[('EB0_0', 1.0)]")
     doc = lv.as_dict()
     assert doc["total"] is None and doc["solution_check"]["ok"] is False
@@ -621,11 +637,10 @@ def test_stopped_level_reports_its_incumbent(tiny, tmp_path):
                           tiny.config, [40.0], max_nodes=1)
     lv, = sw.levels
     assert (lv.status, lv.error) == ("node_limit", "solver ended node_limit")
-    assert lv.optimal is None and lv.solve.check.ok
-    assert lv.solve.breakdown.total == pytest.approx(lv.solve.bnb.objective,
-                                                     rel=1e-9)
+    assert lv.check.ok
+    assert lv.breakdown.total == pytest.approx(lv.bnb.objective, rel=1e-9)
     doc = lv.as_dict()
-    assert doc["objective"] == lv.solve.bnb.objective
+    assert doc["objective"] == lv.bnb.objective
     assert doc["total"] is None and doc["gap"] > 0
     ps, cb = tmp_path / "plan_summary.csv", tmp_path / "cost_breakdown.csv"
     write_plan_summary(str(ps), sw, tiny.catalog)

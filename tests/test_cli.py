@@ -182,13 +182,59 @@ def test_plan_whose_plan_check_fails_exits_2(ws, tmp_path, capsys,
     assert rc == 2
     assert "verification failed; see audit.json" in capsys.readouterr().err
     doc = json.loads((out / "audit.json").read_text())
-    assert doc["status"] == "optimal"
+    assert (doc["status"], doc["total"]) == ("error", None)
+    assert doc["error"] == "optimal solution failed plan check: ['stub']"
     assert doc["plan_check"] == {"ok": False, "max_residual": 1.0,
                                  "issues": ["stub"]}
 
 
+def _failing_verdict(name):
+    """A stub of hubplan.analysis's verdict name that always fails."""
+    from hubplan import analysis
+    from hubplan.milp import VerifyReport
+    return {"check_solution": lambda model, x: VerifyReport(
+                ok=False, max_residual=1.0, bad_rows=[("EB0_0", 1.0)]),
+            "verify_plan": lambda *args: analysis.PlanCheck(
+                ok=False, max_residual=1.0, issues=["stub"]),
+            "chance_audit": lambda *args: analysis.ChanceAudit(
+                worst_soc=[0.0, 1.0], substandard=[(0, 0, 0.0)], count=1,
+                limit=0, passed=False)}[name]
+
+
+@pytest.mark.parametrize("verdict, error", [
+    ("check_solution", "solution check: [('EB0_0', 1.0)]"),
+    ("verify_plan", "plan check: ['stub']"),
+    ("chance_audit", "chance audit: 1 substandard scenarios, limit 0"),
+])
+def test_a_failed_verdict_is_one_error_for_plan_and_sweep(
+        ws, tmp_path, capsys, monkeypatch, verdict, error):
+    # plan and a sweep level report the status solve_level decides: an
+    # optimal incumbent failing any verdict is an error in both, and no
+    # table holds its numbers
+    from hubplan import analysis
+    monkeypatch.setattr(analysis, verdict, _failing_verdict(verdict))
+    po, so = tmp_path / "plan", tmp_path / "sweep"
+    assert cli.main(["plan"] + args_for(ws, "--out", str(po),
+                                        "--carbon-tax", "40")) == 2
+    assert "verification failed; see audit.json" in capsys.readouterr().err
+    plan = json.loads((po / "audit.json").read_text())
+    assert (plan["status"], plan["total"]) == ("error", None)
+    assert plan["error"] == f"optimal solution failed {error}"
+    assert cli.main(["sweep"] + args_for(ws, "--out", str(so),
+                                         "--carbon-tax", "40,1000")) == 2
+    levels = json.loads((so / "audit.json").read_text())["levels"]
+    assert [(lv["status"], lv["error"], lv["total"]) for lv in levels] \
+        == [("error", plan["error"], None)] * 2
+    for table in ("plan_summary.csv", "cost_breakdown.csv"):
+        with open(so / table) as fh:
+            rows = list(csv.reader(fh))
+        assert [r[1:] for r in rows[1:]] \
+            == [[""] * (len(rows[0]) - 2) + ["error"]] * 2
+
+
 @pytest.mark.parametrize("exc, rc, prefix", [
-    ("InfeasibleSolutionError", 3, "infeasible: "),
+    # a solution failing a verdict is not a model proven infeasible
+    ("InfeasibleSolutionError", 2, "solver failure: "),
     ("SolverError", 2, "solver failure: "),
     ("HubplanError", 2, "solver failure: "),
 ])

@@ -50,8 +50,7 @@ def test_round_trip_fuzz():
 
 
 def test_round_trip_empty():
-    empty = MilpModel(n_rows=0, n_cols=0, obj=np.zeros(0),
-                      a_matrix=sparse.csr_matrix((0, 0)),
+    empty = MilpModel(obj=np.zeros(0), a_matrix=sparse.csr_matrix((0, 0)),
                       row_sense=np.zeros(0, dtype=np.int8), rhs=np.zeros(0),
                       row_names=[], col_lb=np.zeros(0), col_ub=np.zeros(0),
                       col_kind=np.zeros(0, dtype=np.int8), col_names=[])

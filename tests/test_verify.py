@@ -1,5 +1,6 @@
 """Independent feasibility check of raw solution vectors."""
 import numpy as np
+import pytest
 
 from conftest import make_model
 from hubplan.milp import check_solution
@@ -30,6 +31,18 @@ def test_bound_violation_named(tiny_solved):
     x[j] = model.col_ub[j] + 1.0
     rep = check_solution(model, x)
     assert any(name == "XESS" for name, _ in rep.bad_bounds)
+
+
+@pytest.mark.parametrize("name", ["GR1_2", "VE0_3_0", "XFC0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_named(tiny_solved, name, value):
+    # a value that is not finite fails the gate, naming its column
+    model = tiny_solved.model
+    x = tiny_solved.sol.x.copy()
+    x[model.col_names.index(name)] = value
+    rep = check_solution(model, x)
+    assert not rep.ok
+    assert name in [col for col, _ in rep.bad_bounds]
 
 
 def test_integrality_violation_named(tiny_solved):
