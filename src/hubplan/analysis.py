@@ -109,14 +109,21 @@ def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
         carbon_from_gas=float(carbon_gas), soc_penalty=float(soc_pen))
 
 
+def _nan_as_none(v):
+    """float(v), NaN as None: null in audit.json, an empty CSV cell."""
+    v = float(v)
+    return None if math.isnan(v) else v
+
+
 @dataclass
 class ChanceAudit:
     """Departure-SOC audit over all scenarios.
 
     worst_soc[s] is the lowest departure SOC in scenario s (1.0 when the
-    scenario has no vehicles); substandard lists every (scenario, vehicle,
-    soc) that falls short of the target; count is the number of distinct
-    substandard scenarios, capped by limit = floor(N * zeta) for a pass.
+    scenario has no vehicles, NaN when one of its SOCs is NaN); substandard
+    lists every (scenario, vehicle, soc) that falls short of the target;
+    count is the number of distinct substandard scenarios, capped by
+    limit = floor(N * zeta) for a pass. as_dict writes a NaN SOC as None.
     """
 
     worst_soc: np.ndarray
@@ -127,9 +134,9 @@ class ChanceAudit:
 
     def as_dict(self):
         return {
-            "worst_soc": [float(v) for v in self.worst_soc],
+            "worst_soc": [_nan_as_none(v) for v in self.worst_soc],
             "substandard": [
-                {"scenario": s, "ev": j, "soc": soc}
+                {"scenario": s, "ev": j, "soc": _nan_as_none(soc)}
                 for s, j, soc in self.substandard],
             "count": self.count,
             "limit": self.limit,
@@ -159,7 +166,7 @@ def chance_audit(solution, fleet, zeta, n_scenarios) -> ChanceAudit:
     count = int(short.any(axis=1).sum())
     limit = max_substandard(n_scenarios, zeta)
     return ChanceAudit(
-        worst_soc=np.fmin.reduce(soc, axis=1, initial=1.0),
+        worst_soc=np.minimum.reduce(soc, axis=1, initial=1.0),
         substandard=[(s, j, float(soc[s, j]))
                      for s, j in np.argwhere(short).tolist()],
         count=count, limit=limit, passed=count <= limit)
@@ -190,7 +197,7 @@ def _table(columns):
     column first, then the columns' values as floats, NaN as None (an empty
     cell)."""
     cols = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    rows = [[t] + [None if math.isnan(v) else v for v in row]
+    rows = [[t] + [_nan_as_none(v) for v in row]
             for t, row in enumerate(zip(*cols))]
     return ["hour", *columns], rows
 
@@ -331,7 +338,8 @@ def solve_level(model, scenario_set, catalog, tariffs, config,
     root basis, limits), repair its incumbent's charge/discharge overlaps,
     judge the repaired incumbent, if any, and return the level with the
     one status plan and sweep report. An infeasible model's hint names the
-    families of the rows its root LP left violated."""
+    families of the rows its root LP left violated. sweep_carbon_tax is its
+    one caller, for plan's single level as for each of a sweep's."""
     bnb = branch_and_bound(model, warm=warm, **limits)
     status = bnb.status
     error = None if status == "optimal" else f"solver ended {status}"
@@ -350,7 +358,7 @@ def solve_level(model, scenario_set, catalog, tariffs, config,
                                annualization_factor(grid))
     audit = chance_audit(plan, catalog.ev_fleet, config.zeta,
                          grid.n_scenarios)
-    plan_check = verify_plan(plan, scenario_set, catalog, tariffs)
+    plan_check = verify_plan(plan, scenario_set, catalog)
     failed = [f"{name}: {what}" for name, ok, what in (
         ("solution check", check.ok, (check.bad_rows + check.bad_bounds
                                       + check.bad_integrality)[:3]),
@@ -375,7 +383,8 @@ class SweepResult:
 def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
                      tax_levels, **solver_kwargs) -> SweepResult:
     """Solve the plan at each carbon-tax level (yuan per ton): one
-    LevelSolve per level, with the status solve_level decides.
+    LevelSolve per level, with the status solve_level decides. hubplan plan
+    is a sweep of its one level.
 
     Scenarios and every other input stay fixed across levels. A level whose
     solve raises is a LevelSolve of its tax and error, and the sweep
@@ -478,7 +487,7 @@ def _issues(label, bad, values, axes):
             f"{float(values[tuple(at)])!r}" for at in np.argwhere(bad)]
 
 
-def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
+def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     """Recheck a plan from physics, without the model or the solver.
 
     The laws, each checked over whole arrays and reported in this order:

@@ -65,7 +65,8 @@ class TimeGrid:
 
     def __post_init__(self):
         # a daily storage cycle links each hour to a different hour before it
-        _check(self.hours_per_day >= 2, "hours_per_day must be >= 2")
+        _check(self.hours_per_day >= 2,
+               f"hours_per_day must be >= 2, got {self.hours_per_day}")
         _check(self.n_scenarios >= 1, "n_scenarios must be >= 1")
         _check(self.planning_years >= 1, "planning_years must be >= 1")
         _check(math.isfinite(self.discount_rate) and self.discount_rate >= 0.0,

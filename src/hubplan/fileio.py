@@ -156,14 +156,11 @@ def read_case(path) -> CaseData:
                              *(key for key, _cls in _SECTIONS)], path, "$")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad value in case file: {exc}", path=path) from exc
-    if case.hours_per_day < 2:  # as TimeGrid requires
-        raise ParseError("planning.hours_per_day must be >= 2, got "
-                         f"{case.hours_per_day}", path=path)
+    _build(case.time_grid, path, "$.planning", 1)
     if len(tariffs.elec_price) != case.hours_per_day:
         raise ParseError(
             f"tariffs.elec_price has {len(tariffs.elec_price)} entries, "
             f"planning.hours_per_day is {case.hours_per_day}", path=path)
-    _build(case.time_grid, path, "$.planning", 1)
     return case
 
 

@@ -552,7 +552,6 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     ev = ev[:, :fleet.n_ev, :]
 
     panel = np.hstack([elec, heat, pv, ev.reshape(n_days, -1)])
-    d_all = panel.shape[1]
     mean = panel.mean(axis=0)
     var = np.mean((panel - mean) ** 2, axis=0)
     active = var > _VAR_FLOOR * np.maximum(1.0, mean ** 2)

@@ -115,7 +115,7 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
     assert plan.grid[1, 2] == value
     assert check_solution(model, x).ok is ok
     if ok:
-        assert verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs).ok
+        assert verify_plan(plan, tiny.scen, tiny.catalog).ok
         bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
         assert bd.as_dict() == base.as_dict()
     else:
@@ -137,24 +137,41 @@ def test_departure_verdicts_agree(tiny, tiny_solved, below, short):
     assert (audit.count, audit.passed) == ((1, False) if short
                                            else (0, True))
     assert audit.substandard == ([(0, 0, soc)] if short else [])
-    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
+    chk = verify_plan(plan, tiny.scen, tiny.catalog)
     assert chk.issues == ([f"departure soc s0 j0: {soc!r}"] if short else [])
+
+
+def _nan_departure(tiny_solved):
+    """The tiny optimum's vector with VE0_3_0, the first vehicle's departure
+    energy in scenario 0, set to NaN, and its plan."""
+    model, sol = tiny_solved.model, tiny_solved.sol
+    x = sol.x.copy()
+    x[model.col_names.index("VE0_3_0")] = np.nan
+    return x, extract_solution(dataclasses.replace(sol, x=x), model.var_index)
 
 
 def test_nan_departure_fails_both_verdicts(tiny, tiny_solved):
     # a NaN departure energy is substandard for the chance audit, as the
     # plan check flags it, and the gate refuses the vector it came from
-    model, sol = tiny_solved.model, tiny_solved.sol
-    x = sol.x.copy()
-    x[model.col_names.index("VE0_3_0")] = np.nan
-    assert not check_solution(model, x).ok
-    plan = extract_solution(dataclasses.replace(sol, x=x), model.var_index)
+    x, plan = _nan_departure(tiny_solved)
+    assert not check_solution(tiny_solved.model, x).ok
     assert np.isnan(plan.e_dep[0, 0])
     audit = chance_audit(plan, tiny.fleet, 0.0, 2)
     assert (audit.count, audit.passed) == (1, False)
     assert [(s, j) for s, j, _soc in audit.substandard] == [(0, 0)]
-    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
+    chk = verify_plan(plan, tiny.scen, tiny.catalog)
     assert "departure soc s0 j0: nan" in chk.issues
+
+
+def test_nan_departure_reads_as_null(tiny, tiny_solved):
+    # its scenario's worst SOC is the NaN, not a full charge, and
+    # audit.json writes it as null, which strict JSON accepts
+    _x, plan = _nan_departure(tiny_solved)
+    audit = chance_audit(plan, tiny.fleet, 0.0, 2)
+    assert np.isnan(audit.worst_soc[0]) and audit.worst_soc[1] >= 0.9 - 1e-7
+    doc = json.loads(json.dumps(audit.as_dict(), allow_nan=False))
+    assert doc["worst_soc"][0] is None
+    assert doc["substandard"] == [{"scenario": 0, "ev": 0, "soc": None}]
 
 
 def test_chance_audit_zeta_zero(tiny, tiny_solved):
@@ -217,14 +234,14 @@ def test_select_extreme(tiny):
 
 
 def test_verify_plan_clean(tiny, tiny_solved):
-    chk = verify_plan(tiny_solved.plan, tiny.scen, tiny.catalog, tiny.tariffs)
+    chk = verify_plan(tiny_solved.plan, tiny.scen, tiny.catalog)
     assert chk.ok and chk.max_residual <= 1e-6 and chk.issues == []
 
 
 def test_verify_plan_catches_imbalance(tiny, tiny_solved):
     bad = dataclasses.replace(tiny_solved.plan,
                               grid=tiny_solved.plan.grid + 1.0)
-    chk = verify_plan(bad, tiny.scen, tiny.catalog, tiny.tariffs)
+    chk = verify_plan(bad, tiny.scen, tiny.catalog)
     assert not chk.ok
     assert any("elec balance" in s for s in chk.issues)
 
@@ -233,7 +250,7 @@ def test_verify_plan_catches_soc_break(tiny, tiny_solved):
     e = tiny_solved.plan.bess_e.copy()
     e[0, 2] += 5.0
     chk = verify_plan(dataclasses.replace(tiny_solved.plan, bess_e=e),
-                      tiny.scen, tiny.catalog, tiny.tariffs)
+                      tiny.scen, tiny.catalog)
     assert not chk.ok
 
 
@@ -273,14 +290,14 @@ def _broken(plan, breaks):
 @pytest.mark.parametrize("brk", _BREAKS, ids=[b[0] for b in _BREAKS])
 def test_verify_plan_names_each_check_family(tiny, tiny_solved, brk):
     chk = verify_plan(_broken(tiny_solved.plan, [brk]), tiny.scen,
-                      tiny.catalog, tiny.tariffs)
+                      tiny.catalog)
     assert not chk.ok
     assert any(issue.startswith(brk[0]) for issue in chk.issues), chk.issues
 
 
 def test_plan_check_issues_print_plain_numbers(tiny, tiny_solved):
     chk = verify_plan(_broken(tiny_solved.plan, _BREAKS), tiny.scen,
-                      tiny.catalog, tiny.tariffs)
+                      tiny.catalog)
     for label, *_rest in _BREAKS:
         assert any(issue.startswith(label) for issue in chk.issues), label
     for issue in chk.issues:
@@ -306,7 +323,7 @@ def test_each_tess_break_fails_check_solution(tiny, tiny_solved):
 # that the whole-array laws of hubplan.analysis must match, apart from the
 # TESS window it never checked.
 
-def _verify_plan_py(solution, scenario_set, catalog, tariffs):
+def _verify_plan_py(solution, scenario_set, catalog):
     """Recheck a plan from physics, without the model or the solver.
 
     Electric balance residuals are scaled by (1 + max electric load); heat
@@ -427,7 +444,7 @@ def _chance_audit_py(solution, fleet, zeta, n_scenarios):
     for s in range(n):
         for j in range(n_ev):
             soc = solution.e_dep[s, j] / fleet.capacity
-            worst[s] = min(worst[s], soc)
+            worst[s] = np.minimum(worst[s], soc)  # NaN propagates
             if not soc >= threshold:  # a NaN SOC is substandard
                 bad.append((s, j, float(soc)))
     count = len({s for s, _j, _soc in bad})
@@ -469,11 +486,11 @@ def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
                 val[tuple(rng.integers(n) for n in val.shape)] += delta
             changed[name] = val
         broken = dataclasses.replace(plan, **changed)
-        ref = _verify_plan_py(broken, tiny.scen, tiny.catalog, tiny.tariffs)
+        ref = _verify_plan_py(broken, tiny.scen, tiny.catalog)
         assert chance_audit(broken, tiny.fleet, 0.5, 2).as_dict() \
             == _chance_audit_py(broken, tiny.fleet, 0.5, 2).as_dict()
-        tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog,
-                                            tiny.tariffs), ref))
+        tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog),
+                                ref))
         flagged += not ref.ok
     assert flagged > 500 and tess > 0
 
@@ -497,9 +514,8 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
     fleet = case.catalog.ev_fleet
     assert chance_audit(plan, fleet, 0.05, 10).as_dict() \
         == _chance_audit_py(plan, fleet, 0.05, 10).as_dict()
-    got = verify_plan(plan, scen, case.catalog, tariffs)
-    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog,
-                                            tariffs)) == []
+    got = verify_plan(plan, scen, case.catalog)
+    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog)) == []
     assert len(got.issues) == n_issues
 
 
@@ -527,7 +543,7 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     raw, = solved
     assert (level.overlap, level.unrepaired) == (["BC4_10", "VC4_8_0"], [])
     raw_plan = extract_solution(raw, model.var_index)
-    assert not verify_plan(raw_plan, scen, case.catalog, tariffs).ok
+    assert not verify_plan(raw_plan, scen, case.catalog).ok
     assert level.check.ok and level.plan_check.ok
     assert level.bnb.objective == raw.objective
     assert model.obj @ level.bnb.x == model.obj @ raw.x

@@ -49,16 +49,19 @@ def test_dive_lps_stay_attributable():
 
 def test_level_solve_stays_attributable():
     # plan and sweep reach the solver and the report functions only through
-    # analysis.solve_level, which looks each one up as a module global of
-    # hubplan.analysis, where the tracer's hooks sit
+    # analysis.sweep_carbon_tax and its analysis.solve_level, which looks
+    # each one up as a module global of hubplan.analysis, where the
+    # tracer's hooks sit; plan is a sweep of one level
     import hubplan.analysis as analysis
     import hubplan.cli as cli
     steps = {"branch_and_bound", "check_solution", "extract_solution",
              "cost_breakdown", "chance_audit", "verify_plan"}
     assert steps <= set(analysis.solve_level.__code__.co_names)
     assert "solve_level" in analysis.sweep_carbon_tax.__code__.co_names
-    assert not steps & _names(cli.cmd_plan.__code__)
-    assert not steps & _names(cli.cmd_sweep.__code__)
+    for cmd in (cli.cmd_plan, cli.cmd_sweep):
+        names = _names(cmd.__code__)
+        assert "sweep_carbon_tax" in names
+        assert not (steps | {"solve_level", "assemble_model"}) & names
 
 
 def _names(code):

@@ -12,6 +12,7 @@ import pytest
 import hubplan
 from hubplan import cli
 from hubplan.core import EvRecord, ScenarioSet
+from hubplan.errors import InfeasibleSolutionError, SolverError
 from hubplan.fileio import CaseData, write_case, write_scenario_set
 from hubplan.milp import write_mps
 from hubplan.model import assemble_model
@@ -117,7 +118,7 @@ def test_one_hour_day_exits_before_reading_inputs(data_dir, tmp_path, capsys,
         os.path.join(data_dir, "history_loads.csv"), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: {case}: planning.hours_per_day must be >= 2, got 1\n")
+        f"error: {case}: $.planning: hours_per_day must be >= 2, got 1\n")
     assert not out.exists()
 
 
@@ -157,7 +158,8 @@ def test_plan_stopped_by_a_limit_exits_2(ws, tmp_path, capsys, flags, status):
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out), *flags))
     assert rc == 2
-    assert f"solver stopped early ({status}," in capsys.readouterr().err
+    assert capsys.readouterr().err \
+        == f"status {status}: solver ended {status}\n"
     doc = json.loads((out / "audit.json").read_text())
     assert doc["status"] == status and "gap" in doc
     assert ("objective" in doc) == incumbent
@@ -180,12 +182,40 @@ def test_plan_whose_plan_check_fails_exits_2(ws, tmp_path, capsys,
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out)))
     assert rc == 2
-    assert "verification failed; see audit.json" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("status error: optimal solution "
+                                       "failed plan check: ['stub']\n")
     doc = json.loads((out / "audit.json").read_text())
     assert (doc["status"], doc["total"]) == ("error", None)
     assert doc["error"] == "optimal solution failed plan check: ['stub']"
     assert doc["plan_check"] == {"ok": False, "max_residual": 1.0,
                                  "issues": ["stub"]}
+
+
+@pytest.mark.parametrize("stub, error", [
+    ("branch_and_bound", SolverError("stub solver failure")),
+    ("cost_breakdown", InfeasibleSolutionError(["x_ess = -1.0"])),
+], ids=["SolverError", "InfeasibleSolutionError"])
+def test_plan_whose_solve_raises_is_an_error_level(ws, tmp_path, capsys,
+                                                   monkeypatch, stub, error):
+    # plan records a raised solve as a sweep records such a level: an
+    # audit.json with status error and the message, one stderr line, exit 2
+    from hubplan import analysis
+
+    def raises(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(analysis, stub, raises)
+    out = tmp_path / "out"
+    rc = cli.main(["plan"] + args_for(ws, "--out", str(out),
+                                      "--carbon-tax", "40"))
+    assert rc == 2
+    assert capsys.readouterr().err == f"status error: {error}\n"
+    doc = json.loads((out / "audit.json").read_text())
+    assert {k: doc[k] for k in ("command", "carbon_tax_yuan_per_ton",
+                                "status", "error", "total")} == {
+        "command": "plan", "carbon_tax_yuan_per_ton": 40.0,
+        "status": "error", "error": str(error), "total": None}
+    assert not list(out.glob("dispatch_*.csv"))
 
 
 def _failing_verdict(name):
@@ -216,7 +246,8 @@ def test_a_failed_verdict_is_one_error_for_plan_and_sweep(
     po, so = tmp_path / "plan", tmp_path / "sweep"
     assert cli.main(["plan"] + args_for(ws, "--out", str(po),
                                         "--carbon-tax", "40")) == 2
-    assert "verification failed; see audit.json" in capsys.readouterr().err
+    assert capsys.readouterr().err \
+        == f"status error: optimal solution failed {error}\n"
     plan = json.loads((po / "audit.json").read_text())
     assert (plan["status"], plan["total"]) == ("error", None)
     assert plan["error"] == f"optimal solution failed {error}"
@@ -668,7 +699,8 @@ def test_plan_with_an_unrepaired_overlap_exits_2(ws, tiny, tmp_path, capsys,
     assert (doc["overlap_hours"], doc["overlap_unrepaired"]) == (
         1, ["VC0_0_0"])
     assert doc["solution_check"]["ok"] and not doc["plan_check"]["ok"]
-    assert "verification failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "status error: optimal solution failed plan check: ")
 
 
 def test_sweep_level_whose_solve_raises(ws, tmp_path, capsys, monkeypatch):

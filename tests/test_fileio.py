@@ -424,7 +424,7 @@ def _set(value, *path):
     (_set(3, "planning"), "expected an object at $.planning"),
     (lambda doc: doc.clear(), "missing key $.planning"),
     (_set(1, "planning", "hours_per_day"),
-     "planning.hours_per_day must be >= 2, got 1"),
+     "$.planning: hours_per_day must be >= 2, got 1"),
     (_set(24.9, "planning", "hours_per_day"),
      "expected an integer at $.planning.hours_per_day, got 24.9"),
     (_set(2.7, "fuel_cells", 0, "max_units"),
