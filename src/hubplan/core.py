@@ -71,7 +71,7 @@ class TimeGrid:
         _check(self.planning_years >= 1, "planning_years must be >= 1")
         _check(math.isfinite(self.discount_rate) and self.discount_rate >= 0.0,
                "discount_rate must be finite and >= 0")
-        try:  # annualization_factor's discount of the last year
+        try:  # the discount of the last year
             (1.0 + self.discount_rate) ** (self.planning_years - 1)
         except OverflowError:
             raise InvalidParameterError(
@@ -86,11 +86,16 @@ def annualization_factor(grid: TimeGrid) -> float:
 
     Multiplying a per-scenario-day operating cost summed over scenarios by m
     yields the discounted cost over the whole planning period; the 1/N is the
-    scenario-average weight.
+    scenario-average weight. The sum is taken in closed form: 365 PP / N at
+    gamma = 0, else the geometric series 365 / N (1 - (1+gamma)^-PP)
+    (1+gamma) / gamma, with (1+gamma)^-PP - 1 as expm1(-PP log1p(gamma)) so
+    that a small gamma keeps its digits.
     """
-    g = 1.0 + grid.discount_rate
-    return sum(DAYS_PER_YEAR / (grid.n_scenarios * g ** (y - 1))
-               for y in range(1, grid.planning_years + 1))
+    n, pp, rate = grid.n_scenarios, grid.planning_years, grid.discount_rate
+    if rate == 0.0:
+        return DAYS_PER_YEAR * pp / n
+    return (DAYS_PER_YEAR / n * -math.expm1(-pp * math.log1p(rate))
+            * (1.0 + rate) / rate)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,31 @@ def ratio_test(w, xb, lb_b, ub_b, gamma, sigma, enter_gap, prio):
     return t_min, best, int(hit_ub[best])
 
 
+def entering(d, dirn, wdirn, score, opt_tol, bland):
+    """Entering column of a primal pivot, or -1 when none prices in.
+
+    d holds the reduced costs, dirn the pricing signs (+1 at a lower
+    bound, -1 at an upper one, 0 basic or fixed) and wdirn dirn times each
+    column's steepest-edge weight; score is scratch. A column is eligible
+    when dirn d < -opt_tol. The eligible column with the smallest
+    wdirn d wins, the lowest index on ties; under Bland's rule the lowest
+    eligible index. The weighted minimum over all columns is almost always
+    eligible, so eligibility is masked only when it is not.
+    """
+    if not bland:
+        np.multiply(wdirn, d, out=score)
+        q = int(score.argmin())
+        if dirn[q] * d[q] < -opt_tol:
+            return q
+    elig = dirn * d < -opt_tol
+    if not elig.any():
+        return -1
+    if bland:
+        return int(elig.argmax())
+    score[~elig] = np.inf
+    return int(score.argmin())
+
+
 def dual_ratio_test(alpha, d, dirn, s, pivot_tol):
     """Entering column of a dual simplex pivot, and its dual step.
 

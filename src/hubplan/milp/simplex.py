@@ -6,12 +6,18 @@ is held as a sparse LU factorization plus a product-form eta file,
 refactorized every 50 basis changes. Phase 1 runs the composite method:
 the cost of each basic is its bound-violation code (-1 below its lower
 bound, 1 above its upper one, 0 within), so no auxiliary variables are
-added. Pricing is Dantzig with lowest-index tie-breaks, switching to
-Bland's rule after 1000 degenerate pivots in a row. Entering steps handle
-bound flips; the ratio test keeps feasible basics inside their bounds and
-walks infeasible ones back. Tolerances: 1e-7 on bound violations
-(relative to 1 + |bound|) and on reduced costs, 1e-9 on pivot elements
-and degenerate steps.
+added. Pricing is static steepest edge (Goldfarb & Reid 1977; Forrest &
+Goldfarb 1992) with the norms of the slack basis, where column j's edge
+B^-1 a_j is a_j itself: each column is weighted by
+1 / sqrt(1 + |a_j|^2), each slack by 1 / sqrt(2), once per solve. Among
+the columns whose unweighted reduced cost prices them in, the one with the
+most negative weighted reduced cost enters, lowest index on ties; the
+weights only rank, so every claim still reads the unweighted reduced
+costs. Both phases price this way, switching to Bland's rule after 1000
+degenerate pivots in a row. Entering steps handle bound flips; the ratio
+test keeps feasible basics inside their bounds and walks infeasible ones
+back. Tolerances: 1e-7 on bound violations (relative to 1 + |bound|) and
+on reduced costs, 1e-9 on pivot elements and degenerate steps.
 
 Only the structural block of the basis is factored: every basic slack is
 a unit column, so it is solved by substitution instead (slacks taken out
@@ -41,8 +47,11 @@ The ratio test runs on the rows with |w| above the pivot tolerance, the
 only ones that can block; they keep their index order, so every tie
 breaks as over all rows. Pricing multiplies the reduced costs by a sign
 vector (+1 at a lower bound, -1 at an upper one, 0 for basics and fixed
-columns), kept up to date at each pivot: every column has a finite bound
-to sit on, as solve_lp refuses a structural column with neither.
+columns) and by that vector times the steepest-edge weights, both kept up
+to date at each pivot: every column has a finite bound to sit on, as
+solve_lp refuses a structural column with neither. The weighted product
+is one pass over the columns; its minimum is almost always eligible, and
+only when it is not is eligibility masked (``_kernels.entering``).
 
 The reduced costs d are carried across primal pivots rather than priced
 afresh (Maros 2003, Computational Techniques of the Simplex Method, ch.
@@ -314,8 +323,13 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     stat[basis] = BASIC
     x[basis] = 0.0
     # pricing signs: a nonbasic at its lower bound improves when d < 0, one
-    # at its upper bound when d > 0; basics and fixed columns never price in
+    # at its upper bound when d > 0; basics and fixed columns never price in.
+    # wdirn weighs each sign by the column's steepest-edge weight at the
+    # slack basis, 1 / sqrt(1 + |a_j|^2) (1 / sqrt(2) for a slack)
     dirn = _SIGN[stat]
+    col_sq = np.concatenate([ker.spmv(at_s.power(2), np.ones(m)), np.ones(m)])
+    weight = 1.0 / np.sqrt(1.0 + col_sq)
+    wdirn = dirn * weight
     d = np.empty(n_tot)
     score = np.empty(n_tot)
 
@@ -432,9 +446,10 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         code = (NB_FIXED if lb[leave] == ub[leave]
                 else NB_UP if leave_up else NB_LO)
         stat[leave], dirn[leave] = code, _SIGN[code]
+        wdirn[leave] = _SIGN[code] * weight[leave]
         basis[pos] = q
         stat[q] = BASIC
-        dirn[q] = 0.0
+        dirn[q] = wdirn[q] = 0.0
         x[q] = xq_new
         xb[pos] = xq_new
         lb_b[pos] = lb[q]
@@ -543,9 +558,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             stale = False
             fresh = True
 
-        np.multiply(dirn, d, out=score)
-        q = int(score.argmin())
-        if score[q] >= -_OPT_TOL:
+        q = ker.entering(d, dirn, wdirn, score, _OPT_TOL, bland)
+        if q < 0:
             # a claim needs a fresh price on a clean factorization
             if n_eta > 0 and not cleaned:
                 refactor()
@@ -562,8 +576,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             return result("optimal", y)
         cleaned = False
 
-        if bland:
-            q = int(np.flatnonzero(score < -_OPT_TOL)[0])
         if iters >= max_iters:
             return result("iteration_limit", np.zeros(m))
 
@@ -605,6 +617,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             x[q] = ub[q] if stat[q] == NB_LO else lb[q]
             stat[q] = NB_UP if stat[q] == NB_LO else NB_LO
             dirn[q] = -dirn[q]
+            wdirn[q] = -wdirn[q]
             r = -1
         else:
             r = int(rows[pos])

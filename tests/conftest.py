@@ -82,16 +82,18 @@ def with_exclusivity_flags(model):
 
 def with_pv_less_overlap(model, fleet, x):
     """A copy of x, the tiny case's optimum, in which vehicle 0, charging
-    at its cap at s0 t0, also discharges 0.5 kW there and charges 0.5 kW
-    more at t1, the grid taking up the difference: still feasible, but an
-    overlap in an hour without PV to curtail, which cannot be repaired."""
+    at its cap at s0 t0 and t1, also discharges 0.5 kW at t0 and charges
+    0.5 kW more at t2, the grid taking up the difference: still feasible,
+    but an overlap in an hour without PV to curtail, which cannot be
+    repaired."""
     col = model.col_names.index
     x = x.copy()
     x[col("VD0_0_0")] += 0.5
     x[col("VE0_1_0")] -= 0.5
-    x[col("VC0_1_0")] += 0.5
+    x[col("VE0_2_0")] -= 0.5
+    x[col("VC0_2_0")] += 0.5
     x[col("GR0_0")] -= 0.5 * fleet.eta_dis
-    x[col("GR0_1")] += 0.5 / fleet.eta_ch
+    x[col("GR0_2")] += 0.5 / fleet.eta_ch
     return x
 
 

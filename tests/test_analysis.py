@@ -104,22 +104,23 @@ def test_breakdown_clamps_roundoff(tiny, tiny_solved, priced):
 @pytest.mark.parametrize("value, ok", [(-5e-7, True), (-2e-6, False)])
 def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
                                            value, ok):
-    # a grid entry below its bound of 0: within FEAS_TOL every verdict
+    # a shortfall entry below its bound of 0: within FEAS_TOL every verdict
     # takes it (and its cost part is clamped), beyond it both the solution
     # check and the cost screen refuse it
     m, base = priced
     model, sol = tiny_solved.model, tiny_solved.sol
     x = sol.x.copy()
-    x[model.col_names.index("GR1_2")] = value
+    x[model.col_names.index("SH1_0")] = value
     plan = extract_solution(dataclasses.replace(sol, x=x), model.var_index)
-    assert plan.grid[1, 2] == value
+    assert plan.shortfall[1, 0] == value
     assert check_solution(model, x).ok is ok
     if ok:
         assert verify_plan(plan, tiny.scen, tiny.catalog).ok
         bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
         assert bd.as_dict() == base.as_dict()
     else:
-        with pytest.raises(InfeasibleSolutionError, match=r"grid\(1, 2\)"):
+        with pytest.raises(InfeasibleSolutionError,
+                           match=r"shortfall\(1, 0\)"):
             cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
 
 
@@ -495,7 +496,7 @@ def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
     assert flagged > 500 and tess > 0
 
 
-@pytest.mark.parametrize("seed, n_issues", [(7, 0), (11, 2), (12, 1)])
+@pytest.mark.parametrize("seed, n_issues", [(7, 0), (11, 1), (12, 1)])
 def test_verify_plan_matches_scalar_reference_on_bundled_plans(
         data_dir, seed, n_issues):
     # the README's plan at three seeds, as branch and bound returns it,
@@ -520,9 +521,9 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
-    # the README's plan at seed 11 charges and discharges the BESS at s4
-    # t10 and vehicle 0 at s4 t8, with PV to curtail: solve_level repairs
-    # both, at the cost branch and bound found, to the bit
+    # the README's plan at seed 11 charges and discharges vehicle 0 at s4
+    # t8, with PV to curtail: solve_level repairs it, at the cost branch
+    # and bound found, to the bit
     import hubplan.analysis as analysis
     case = read_case(os.path.join(data_dir, "case.json"))
     history = read_history(os.path.join(data_dir, "history_loads.csv"),
@@ -541,7 +542,7 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     monkeypatch.setattr(analysis, "branch_and_bound", recorded)
     level = analysis.solve_level(model, scen, case.catalog, tariffs, config)
     raw, = solved
-    assert (level.overlap, level.unrepaired) == (["BC4_10", "VC4_8_0"], [])
+    assert (level.overlap, level.unrepaired) == (["VC4_8_0"], [])
     raw_plan = extract_solution(raw, model.var_index)
     assert not verify_plan(raw_plan, scen, case.catalog).ok
     assert level.check.ok and level.plan_check.ok
@@ -550,10 +551,9 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     assert level.breakdown.as_dict() == cost_breakdown(
         raw_plan, case.catalog, tariffs,
         annualization_factor(scen.grid)).as_dict()
-    # only the overlapping store-hours and their hours' PV moved
+    # only the overlapping store-hour and its hour's PV moved
     assert {model.col_names[c] for c in np.flatnonzero(
-        level.bnb.x != raw.x)} == {"BC4_10", "BD4_10", "PV4_10", "VC4_8_0",
-                                   "VD4_8_0", "PV4_8"}
+        level.bnb.x != raw.x)} == {"VC4_8_0", "VD4_8_0", "PV4_8"}
 
 
 def test_unrepairable_overlap_is_reported(tiny, tiny_solved, monkeypatch):

@@ -717,6 +717,23 @@ def _dual_ratio_test_py(alpha, d, dirn, s, pivot_tol):
     return best, t_min
 
 
+def _entering_py(d, dirn, weight, opt_tol, bland):
+    """Entering column of a primal pivot: among the eligible columns
+    (dirn d < -opt_tol), the lowest index under Bland's rule, else the one
+    with the smallest weight dirn d, the lowest index on ties; -1 when none
+    is eligible."""
+    best, best_score = -1, np.inf
+    for j in range(d.shape[0]):
+        if not dirn[j] * d[j] < -opt_tol:
+            continue
+        if bland:
+            return j
+        score = weight[j] * dirn[j] * d[j]
+        if score < best_score:
+            best, best_score = j, score
+    return best
+
+
 def test_spmv_is_scipys_product_bit_for_bit():
     # spmv calls scipy's private compiled kernels; a change there must fail
     # here, not move a pivot. Random CSR and CSC matrices, CSR views of
@@ -778,6 +795,53 @@ def test_dual_ratio_test_matches_scalar_reference():
             ratios = _dual_ratios_py(alpha, d, dirn, s, piv_tol)
             seen["tie"] += sum(r <= t + 1e-10 * (1 + t) for r in ratios) >= 2
     assert min(seen.values()) >= 10, seen
+
+
+def test_entering_matches_scalar_reference():
+    opt_tol = 1e-7
+    seen = dict(none=0, masked=0, tie=0, bland=0)
+    for trial in range(400):
+        rng = np.random.default_rng(2000 + trial)
+        n = int(rng.integers(1, 12))
+        dirn = rng.choice([-1.0, 0.0, 1.0], size=n)
+        # reduced costs from clearly priced to within the tolerance, and
+        # weights down to those of very long columns
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 1, n)
+        weight = 10.0 ** rng.uniform(-6, 0, n)
+        weight[rng.random(n) < 0.2] = 2.0 ** -0.5  # slacks
+        if rng.random() < 0.3:  # a short column just inside the tolerance
+            j = rng.integers(n)
+            dirn[j], d[j], weight[j] = 1.0, -0.9 * opt_tol, 1.0
+        if n >= 2 and rng.random() < 0.5:  # a tie: a copied column
+            i, j = rng.choice(n, 2, replace=False)
+            for arr in (d, dirn, weight):
+                arr[j] = arr[i]
+        bland = rng.random() < 0.2
+        want = _entering_py(d, dirn, weight, opt_tol, bland)
+        score = np.full(n, np.nan)
+        got = ker.entering(d, dirn, dirn * weight, score, opt_tol, bland)
+        assert got == want, trial
+        seen["none"] += want < 0
+        seen["bland"] += bland and want >= 0
+        if want >= 0 and not bland:
+            weighted = weight * dirn * d
+            k = weighted.argmin()  # the weighted minimum, eligible or not
+            seen["masked"] += not dirn[k] * d[k] < -opt_tol
+            elig = dirn * d < -opt_tol
+            seen["tie"] += np.sum(elig & (weighted == weighted[want])) >= 2
+    assert min(seen.values()) >= 10, seen
+
+
+def test_long_column_with_a_small_reduced_cost_blocks_the_claim():
+    # C0's column is long (weight about 1e-4), so its weighted score
+    # -1e-10 is above the tolerance, and C1's -9e-8 is the weighted minimum
+    # but not eligible; C0's reduced cost -1e-6 still prices it in
+    m = make_model([-1e-6, -9e-8], [[1e4, 0.0]], [LE], [1e4], [0.0, 0.0],
+                   [np.inf, 1.0])
+    s = solve_lp(m)
+    assert s.status == "optimal" and s.iterations == 1
+    assert s.x.tolist() == [1.0, 0.0]
+    assert s.objective == -1e-6
 
 
 def _random_basics(rng, m):
