@@ -111,7 +111,6 @@ class _Option(NamedTuple):
     convert: object  # (key, value) -> checked value, or InvalidParameterError
     flag: str = None  # None: set in the config file only
     help: str = None
-    choices: tuple = None
 
 
 # Every run option, in --help order. A key whose default is None may stay
@@ -131,7 +130,7 @@ _OPTIONS = {
     "extreme": _Option("elec", _checked(_text, EXTREMES.__contains__,
                                         f"one of {EXTREMES}"),
                        "--extreme", "which extreme scenario to report in "
-                       "detail", EXTREMES),
+                       f"detail: {' or '.join(EXTREMES)}"),
     "scenarios": _Option(None, _path, "--scenarios",
                          "scenario profile CSV (skip generation)"),
     "scenario_ev": _Option(None, _path, "--scenario-ev", "scenario EV CSV"),
@@ -147,8 +146,6 @@ _OPTIONS = {
                          "branch-and-bound node limit"),
     "time_limit_s": _Option(None, _float, "--time-limit",
                             "branch-and-bound time limit in seconds"),
-    "gen_tol": _Option(0.05, _checked(_float, math.isfinite, "finite")),
-    "gen_max_iters": _Option(50, _checked(_int, lambda n: n >= 0, ">= 0")),
 }
 
 _PATH_KEYS = tuple(k for k, opt in _OPTIONS.items() if opt.convert is _path)
@@ -210,7 +207,7 @@ def _read_inputs(cfg, out=None):
     elec, heat, pv, ev = read_history(loads, cfg["history_ev"])
     scen, raw = generate_scenarios(
         case, elec, heat, pv, ev, n_scenarios=cfg["n_scenarios"],
-        seed=cfg["seed"], tol=cfg["gen_tol"], max_iters=cfg["gen_max_iters"])
+        seed=cfg["seed"])
     log = {"seed": raw.seed, "converged": raw.converged,
            "best_iteration": raw.best_iteration,
            "iterations": raw.iteration_log}
@@ -232,9 +229,8 @@ def cmd_validate(cfg):
     elif cfg["history_loads"]:
         elec, heat, pv, ev = read_history(cfg["history_loads"],
                                           cfg["history_ev"])
-        n_ev = 0 if ev is None else ev.shape[1]
-        check_history(case, elec.shape[1], n_ev)
-        print(f"history ok: {elec.shape[0]} days, {n_ev} vehicles")
+        check_history(case, elec.shape[1], ev.shape[1])
+        print(f"history ok: {elec.shape[0]} days, {ev.shape[1]} vehicles")
     return EXIT_OK
 
 
@@ -357,8 +353,7 @@ def build_parser():
                         help="JSON config; flags override its keys")
     for key, opt in _OPTIONS.items():
         if opt.flag is not None:
-            common.add_argument(opt.flag, dest=key, choices=opt.choices,
-                                help=opt.help)
+            common.add_argument(opt.flag, dest=key, help=opt.help)
 
     scen = sub.add_parser("scen", help="scenario utilities")
     scen_sub = scen.add_subparsers(dest="scen_command", required=True)

@@ -271,7 +271,13 @@ class TariffSet:
         _check(self.pv_cap >= 0.0, "pv_cap must be >= 0")
 
     def with_carbon_tax(self, yuan_per_ton):
-        """These tariffs at a carbon tax quoted in yuan per ton of CO2."""
+        """These tariffs at a carbon tax quoted in yuan per ton of CO2.
+
+        The tariffs' own tax, quoted back as carbon_tax * 1000, returns them
+        unchanged: dividing it by 1000 can land one ulp off carbon_tax.
+        """
+        if yuan_per_ton == self.carbon_tax * 1000.0:
+            return self
         return replace(self, carbon_tax=float(yuan_per_ton) / 1000.0)
 
 

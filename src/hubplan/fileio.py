@@ -478,10 +478,10 @@ def read_history(loads_path, ev_path=None):
 
     Returns (elec, heat, pv, ev) where the profiles are (n_days, T) and ev is
     (n_days, n_ev, 3) columns (arrive, depart, initial_soc) with fractional
-    hours allowed, or None when no EV table is given.
+    hours allowed; with no EV table given it is (n_days, 0, 3).
     """
     n, _t, elec, heat, pv = _read_profile_table(loads_path)
-    ev = None
+    ev = np.zeros((n, 0, 3))
     if ev_path is not None:
         ev = _read_ev_table(ev_path, n, integer_hours=False)
     return elec, heat, pv, ev

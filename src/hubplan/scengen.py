@@ -6,7 +6,9 @@ dimension starts from counter-based normal seed noise, is pushed through a
 cubic transform fitted so its raw moments hit the targets (Fleishman 1978),
 and the panel is then re-mixed through Cholesky factors so the sample
 correlation matches the target exactly. Transform and mixing are alternated
-until both errors sit inside tolerance.
+until both errors are within 0.05 (_GEN_TOL), for at most 50 rounds
+(_GEN_ROUNDS); every round's errors go to the iteration log, and nothing
+is written to stderr or raised as a warning.
 
 All dimensions' cubics are fitted in one batched damped Newton solve per
 round (fit_cubic_batch): the seed moments come from one power table, the
@@ -32,7 +34,6 @@ bit-identical output.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,10 @@ def _selector(n):
 _JAC_ORDER = np.arange(1.0, 5.0)[:, None]
 # fit_cubic_batch's line search halves lam from 1 down to 2^-_LAM_HALVINGS
 _LAM_HALVINGS = 16
+# hmm_generate has converged once both errors are within _GEN_TOL, and runs
+# at most _GEN_ROUNDS rounds
+_GEN_TOL = 0.05
+_GEN_ROUNDS = 50
 
 
 def _hankel(seed_moments):
@@ -396,15 +401,16 @@ def _panel_errors(w, targets):
     return moment_err, corr_err
 
 
-def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
-                 max_iters=50) -> RawSampleMatrix:
+def hmm_generate(targets: MomentTargets, n: int, seed: int) -> RawSampleMatrix:
     """Generate n rows matching the target moments and correlation.
 
     Alternates a batched cubic re-fit of every dimension with correlation
-    re-mixing and returns the best iterate: the first round with the
-    smallest max(moment_err, corr_err), named by ``best_iteration``.
-    ``converged`` reports whether both the largest marginal-moment error
-    and the largest correlation-entry error made it below tol.
+    re-mixing, for at most _GEN_ROUNDS (50) rounds, and returns the best
+    iterate: the first round with the smallest max(moment_err, corr_err),
+    named by ``best_iteration``. ``converged`` reports whether both the
+    largest marginal-moment error and the largest correlation-entry error
+    reached _GEN_TOL (0.05). A small n for the number of dimensions shows
+    in those errors, which the iteration log records each round.
 
     Seed noise is drawn from a counter-based generator keyed on
     (seed, dimension), so results do not depend on evaluation order.
@@ -412,9 +418,6 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     d = targets.n_dims
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
-    if n < 8 * d:
-        warnings.warn(f"n = {n} is small for {d} dimensions; "
-                      f"moment estimates will be noisy", stacklevel=2)
     short = _below_kurtosis_bound(targets.skewness, targets.kurtosis)
     if np.any(short):
         j = int(np.argmax(short))
@@ -436,7 +439,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
     log = []
     best_w, best_err, best_it = w.copy(), math.inf, 0
     converged = False
-    for it in range(1, max_iters + 1):
+    for it in range(1, _GEN_ROUNDS + 1):
         wt = w.T
         m = _seed_moments(wt)
         coef, failed = fit_cubic_batch(target, m,
@@ -453,7 +456,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int, tol=0.05,
         if max(moment_err, corr_err) < best_err:
             best_err = max(moment_err, corr_err)
             best_w, best_it = w.copy(), it
-        if moment_err <= tol and corr_err <= tol:
+        if moment_err <= _GEN_TOL and corr_err <= _GEN_TOL:
             converged = True
             break
         if it - best_it >= 8:
@@ -521,13 +524,16 @@ def check_history(case, hours, vehicles):
 
 
 def generate_scenarios(case, history_elec, history_heat, history_pv,
-                       history_ev, n_scenarios, seed, tol=0.05, max_iters=50):
+                       history_ev, n_scenarios, seed):
     """Turn historical day tables into a moment-matched ScenarioSet.
 
-    The joint distribution spans 3*T hourly dimensions plus 3 fields per
-    vehicle. Numerically constant history columns (night PV, off-season heat)
-    are held at their mean instead of entering the fit. Generated profiles
-    are clamped to physical ranges and EV visits discretized to whole hours.
+    The profiles are (n_days, T) tables and history_ev an (n_days, n_ev, 3)
+    array of (arrive, depart, initial_soc), (n_days, 0, 3) for a history
+    without vehicles. The joint distribution spans 3*T hourly dimensions
+    plus 3 fields per vehicle. Numerically constant history columns (night
+    PV, off-season heat) are held at their mean instead of entering the
+    fit. Generated profiles are clamped to physical ranges and EV visits
+    discretized to whole hours.
 
     The fleet's n_ev vehicles take the history's first n_ev vehicle columns;
     a history with fewer vehicles is an InvalidParameterError. Correlations
@@ -544,10 +550,7 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     pv = np.asarray(history_pv, dtype=float)
     n_days, t_day = elec.shape
     fleet = case.catalog.ev_fleet
-    if history_ev is None:
-        ev = np.zeros((n_days, 0, 3))
-    else:
-        ev = np.asarray(history_ev, dtype=float)
+    ev = np.asarray(history_ev, dtype=float)
     check_history(case, t_day, ev.shape[1])
     ev = ev[:, :fleet.n_ev, :]
 
@@ -568,8 +571,7 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
                                 skewness=targets.skewness,
                                 kurtosis=targets.kurtosis,
                                 correlation=_nearest_corr(corr))
-        raw = hmm_generate(targets, n_scenarios, seed, tol=tol,
-                           max_iters=max_iters)
+        raw = hmm_generate(targets, n_scenarios, seed)
         out[:, active] = raw.values
 
     t3 = 3 * t_day

@@ -6,7 +6,6 @@ solution the earlier criteria produced, so file order matters.
 import dataclasses
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -391,10 +390,8 @@ def test_c6_carbon_tax_monotonicity(data_dir):
     elec, heat, pv, ev = read_history(
         os.path.join(data_dir, "history_loads.csv"),
         os.path.join(data_dir, "history_ev.csv"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        scen, _ = generate_scenarios(case, elec, heat, pv, ev,
-                                     n_scenarios=10, seed=7)
+    scen, _ = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=10,
+                                 seed=7)
     grid = case.time_grid(10)
     m = annualization_factor(grid)
     config = ModelConfig(zeta=0.05)

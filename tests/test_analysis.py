@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -504,10 +503,7 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
     case = read_case(os.path.join(data_dir, "case.json"))
     history = read_history(os.path.join(data_dir, "history_loads.csv"),
                            os.path.join(data_dir, "history_ev.csv"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        scen, _ = generate_scenarios(case, *history, n_scenarios=10,
-                                     seed=seed)
+    scen, _ = generate_scenarios(case, *history, n_scenarios=10, seed=seed)
     tariffs = case.tariffs.with_carbon_tax(40)
     model = assemble_model(scen.grid, case.catalog, tariffs, scen,
                            ModelConfig())
@@ -528,9 +524,7 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     case = read_case(os.path.join(data_dir, "case.json"))
     history = read_history(os.path.join(data_dir, "history_loads.csv"),
                            os.path.join(data_dir, "history_ev.csv"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        scen, _ = generate_scenarios(case, *history, n_scenarios=10, seed=11)
+    scen, _ = generate_scenarios(case, *history, n_scenarios=10, seed=11)
     tariffs, config = case.tariffs.with_carbon_tax(40), ModelConfig()
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
     solved, real = [], analysis.branch_and_bound

@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import hubplan
 from hubplan import cli
-from hubplan.core import EvRecord, ScenarioSet
+from hubplan.analysis import cost_breakdown
+from hubplan.core import EvRecord, ScenarioSet, annualization_factor
 from hubplan.errors import InfeasibleSolutionError, SolverError
 from hubplan.fileio import CaseData, write_case, write_scenario_set
 from hubplan.milp import write_mps
@@ -82,19 +84,22 @@ def test_help_exits_0(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["plan", "--bogus"], "unrecognized arguments: --bogus"),
+    # the flag has the config key's one check and message
     (["plan", "--extreme", "wind"],
-     "argument --extreme: invalid choice: 'wind' (choose from 'elec', "
-     "'heat')"),
+     "extreme must be one of ('elec', 'heat'), got 'wind'"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
     (["plan", "--mode", "binary"], "unrecognized arguments: --mode binary"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # 2 means a generation or solver failure; a usage error is an input
-    # error, reported on one line like the others
-    with pytest.raises(SystemExit) as ei:
-        cli.main(argv)
-    assert ei.value.code == 1
+    # error, reported on one line like the others, whether argparse or an
+    # option's check refuses it
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -334,6 +339,42 @@ def test_plan_tax_flag(ws, tmp_path):
     assert doc["carbon_tax_yuan_per_ton"] == 40.0
 
 
+def test_plan_prices_at_the_case_tax_exactly(data_dir, tmp_path,
+                                             monkeypatch):
+    # without --carbon-tax, plan prices at the case's own tax: a tax that
+    # times 1000 and back is one ulp off still prices its cost parts as
+    # cost_breakdown does at the case's tariffs
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    doc["tariffs"]["carbon_tax"] = 0.041694756064392845
+    (tmp_path / "case.json").write_text(json.dumps(doc))
+    days = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "data")
+    sweeps, real = [], cli.sweep_carbon_tax
+
+    def recorded(*args, **kwargs):
+        sweeps.append((args, real(*args, **kwargs)))
+        return sweeps[-1][1]
+
+    monkeypatch.setattr(cli, "sweep_carbon_tax", recorded)
+    out = tmp_path / "out"
+    assert cli.main([
+        "plan", "--case", str(tmp_path / "case.json"),
+        "--scenarios", os.path.join(days, "n3_scenarios.csv"),
+        "--scenario-ev", os.path.join(days, "n3_scenarios_ev.csv"),
+        "--out", str(out)]) == 0
+    (args, sweep), = sweeps
+    grid, catalog, tariffs = args[:3]
+    level, = sweep.levels
+    want = cost_breakdown(level.plan, catalog, tariffs,
+                          annualization_factor(grid)).as_dict()
+    assert want["carbon_from_elec"] == 12.487082662089543
+    assert want["carbon_from_gas"] == 8.160630648219907
+    assert level.breakdown.as_dict() == want
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["breakdown"] == want
+
+
 def test_plan_rejects_tax_list(ws, tmp_path, capsys):
     rc = cli.main(["plan"] + args_for(ws, "--out", str(tmp_path / "o"),
                                       "--carbon-tax", "40,100"))
@@ -371,7 +412,7 @@ def _must_not_read(*args, **kwargs):
     (["--carbon-tax", "-40"], {}),
     ([], {"carbon_tax": [40, -1]}),
     ([], {"seed": "abc"}),
-    ([], {"gen_tol": "x"}),
+    ([], {"gen_tol": 0.05}),  # the generator's tolerance is fixed
     ([], {"extreme": "wind"}),  # used only once the plan is solved
     ([], {"n_scenarios": 2.7}),  # not truncated to 2
     ([], {"seed": 1.5}),
@@ -581,10 +622,9 @@ def test_unwritable_output_exits_1(ws, data_dir, tmp_path, capsys):
         f"error: {out / 'audit.json'}: cannot write: Is a directory\n")
     out = tmp_path / "gen_out"
     (out / "scen_log.json").mkdir(parents=True)
-    with pytest.warns(UserWarning):
-        rc = cli.main(["scen", "gen", "--config",
-                       os.path.join(data_dir, "desk_run.json"), "--n", "6",
-                       "--seed", "3", "--out", str(out)])
+    rc = cli.main(["scen", "gen", "--config",
+                   os.path.join(data_dir, "desk_run.json"), "--n", "6",
+                   "--seed", "3", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {out / 'scen_log.json'}: cannot write: Is a directory\n")
@@ -795,22 +835,43 @@ def test_invalid_scenario_values_exit_before_solving(ws, tiny, tmp_path,
 
 
 def test_scen_gen(data_dir, tmp_path, capsys):
+    # the bundled case cut to two hours and no vehicles, and a year of a
+    # smooth two-hour history without an EV table: the draw matches its
+    # moments and correlations within the generator's tolerance
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    doc["planning"]["hours_per_day"] = 2
+    for key in ("elec_price", "grid_emission"):
+        doc["tariffs"][key] = doc["tariffs"][key][:2]
+    doc["ev_fleet"]["n_ev"] = 0
+    (tmp_path / "case.json").write_text(json.dumps(doc))
+    rng = np.random.default_rng(0)
+    elec = 20 + 5 * rng.standard_normal((365, 2)) + rng.gamma(2, 2, (365, 2))
+    heat = 10 + rng.gamma(3, 1.5, (365, 2))
+    pv = np.maximum(0, 10 + 3 * rng.standard_normal((365, 2)))
+    (tmp_path / "history.csv").write_text(
+        "scenario,hour,elec_load_kw,heat_load_kw,pv_avail_kw\n" + "".join(
+            f"{s},{t},{elec[s, t]},{heat[s, t]},{pv[s, t]}\n"
+            for s in range(365) for t in range(2)))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "case": os.path.join(data_dir, "case.json"),
-        "history_loads": os.path.join(data_dir, "history_loads.csv"),
-        "history_ev": os.path.join(data_dir, "history_ev.csv"),
-        "n_scenarios": 10, "gen_tol": 2.5}) + "\n")
+    cfg.write_text(json.dumps({"case": "case.json",
+                               "history_loads": "history.csv",
+                               "n_scenarios": 10}) + "\n")
     out = tmp_path / "out"
-    rc = cli.main(["scen", "gen", "--config", str(cfg), "--n", "5",
+    rc = cli.main(["scen", "gen", "--config", str(cfg), "--n", "50",
                    "--seed", "11", "--out", str(out)])
     assert rc == 0
-    assert "wrote 5 scenarios" in capsys.readouterr().out  # flag beat config
+    printed = capsys.readouterr()
+    assert "wrote 50 scenarios" in printed.out  # flag beat config
+    assert printed.err == ""
     with (out / "scenarios.csv").open() as fh:
         ids = {row["scenario"] for row in csv.DictReader(fh)}
-    assert ids == {"0", "1", "2", "3", "4"}
+    assert ids == {str(s) for s in range(50)}
+    assert (out / "scenarios_ev.csv").read_text().count("\n") == 1
     log = json.loads((out / "scen_log.json").read_text())
     assert log["converged"] is True and log["seed"] == 11
+    best = log["iterations"][log["best_iteration"] - 1]
+    assert max(best["moment_err"], best["corr_err"]) <= 0.05
 
 
 def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
@@ -818,8 +879,7 @@ def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
     cfg.write_text(json.dumps({
         "case": os.path.join(data_dir, "case.json"),
         "history_loads": os.path.join(data_dir, "history_loads.csv"),
-        "history_ev": os.path.join(data_dir, "history_ev.csv"),
-        "gen_tol": 1e-9, "gen_max_iters": 1}) + "\n")
+        "history_ev": os.path.join(data_dir, "history_ev.csv")}) + "\n")
     out = tmp_path / "out"
     rc = cli.main(["scen", "gen", "--config", str(cfg), "--n", "10",
                    "--out", str(out)])
@@ -831,12 +891,12 @@ def test_scen_gen_nonconverged(data_dir, tmp_path, capsys):
 def test_scen_gen_reports_the_round_it_wrote(data_dir, tmp_path, capsys):
     # the written panel is the best round's, not the last round's
     out = tmp_path / "out"
-    with pytest.warns(UserWarning):
-        rc = cli.main(["scen", "gen", "--case",
-                       os.path.join(data_dir, "case.json"), "--history-loads",
-                       os.path.join(data_dir, "history_loads.csv"),
-                       "--history-ev", os.path.join(data_dir, "history_ev.csv"),
-                       "--n", "10", "--seed", "7", "--out", str(out)])
+    rc = cli.main(["scen", "gen",
+                   "--case", os.path.join(data_dir, "case.json"),
+                   "--history-loads",
+                   os.path.join(data_dir, "history_loads.csv"),
+                   "--history-ev", os.path.join(data_dir, "history_ev.csv"),
+                   "--n", "10", "--seed", "7", "--out", str(out)])
     assert rc == 2
     log = json.loads((out / "scen_log.json").read_text())
     rounds = log["iterations"]
@@ -877,21 +937,25 @@ def test_scen_gen_rejects_non_finite_history(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_fresh_process_determinism(ws, tmp_path):
-    # the children import the hubplan these tests import, also when pytest
-    # put it on sys.path (pyproject's pythonpath) rather than PYTHONPATH
+def _fresh_hubplan(argv):
+    """Run hubplan with argv in a new interpreter, outside pytest's capture
+    and warning filters. The child imports the hubplan these tests import,
+    also when pytest put it on sys.path (pyproject's pythonpath) rather
+    than PYTHONPATH."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
         hubplan.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_root] + ([os.environ["PYTHONPATH"]]
                       if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-m", "hubplan.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_fresh_process_determinism(ws, tmp_path):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "hubplan.cli", "plan"]
-            + args_for(ws, "--out", str(out)),
-            capture_output=True, text=True, env=env)
+        proc = _fresh_hubplan(["plan"] + args_for(ws, "--out", str(out)))
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     a, b = outs
@@ -902,3 +966,20 @@ def test_fresh_process_determinism(ws, tmp_path):
     db = json.loads((b / "audit.json").read_text())
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert da == db
+
+
+def test_fresh_process_stderr_is_the_status_line(data_dir, tmp_path):
+    # a run that ends short of its goal says why on one stderr line, and
+    # scenario generation adds nothing to it
+    config = os.path.join(data_dir, "desk_run.json")
+    proc = _fresh_hubplan(["plan", "--config", config, "--carbon-tax", "40",
+                           "--max-nodes", "1", "--out", str(tmp_path / "p")])
+    assert proc.returncode == 2
+    assert proc.stderr == "status node_limit: solver ended node_limit\n"
+    out = tmp_path / "g"
+    (out / "scen_log.json").mkdir(parents=True)
+    proc = _fresh_hubplan(["scen", "gen", "--config", config, "--n", "6",
+                           "--seed", "3", "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: {out / 'scen_log.json'}: cannot write: Is a directory\n")

@@ -3,7 +3,6 @@ the Newton steps fit_cubic_batch reports."""
 import hashlib
 import importlib.util
 import os
-import warnings
 
 from hubplan import scengen
 from hubplan.fileio import read_case, read_history
@@ -24,10 +23,8 @@ def test_fit_grid_counts_the_shipped_fit(data_dir):
     hist = read_history(os.path.join(data_dir, "history_loads.csv"),
                         os.path.join(data_dir, "history_ev.csv"))
     batch = scengen.fit_cubic_batch
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _scen, raw = scengen.generate_scenarios(case, *hist, n_scenarios=6,
-                                                seed=3)
+    _scen, raw = scengen.generate_scenarios(case, *hist, n_scenarios=6,
+                                            seed=3)
     rec = _tool().run_case(case, hist, 6, 3)
     assert rec["rounds"] == len(raw.iteration_log)
     assert rec["rounds"] <= rec["steps"] <= 200 * rec["rounds"]

@@ -93,7 +93,6 @@ def test_readme_lists_every_module():
     assert set(listed) == set(modules)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_readme_lists_every_audit_key(data_dir, tiny, tmp_path):
     # an optimal plan and sweep of generated days, and an infeasible one
     # of the tiny case's days with a vehicle that cannot reach its target
@@ -126,13 +125,11 @@ def test_readme_lists_every_audit_key(data_dir, tiny, tmp_path):
     assert _audit_keys() == written
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_readme_library_example(data_copy):
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("argv", _commands(), ids=lambda argv: argv[0])
 def test_readme_command(data_copy, tmp_path, argv):
     out = str(tmp_path / "out")

@@ -304,10 +304,9 @@ def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
     batch, fits = scengen.fit_cubic_batch, []
     monkeypatch.setattr(scengen, "fit_cubic_batch",
                         lambda *args: fits.append(args) or batch(*args))
+    monkeypatch.setattr(scengen, "_GEN_ROUNDS", 1)
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6, seed=3,
-                           max_iters=1)
+    generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6, seed=3)
     (target, m, coef0), = fits
     shortest = 2.0 ** -scengen._LAM_HALVINGS
     for r in np.flatnonzero(batch(target, m, coef0)[1]):
@@ -438,11 +437,10 @@ def test_generate_scenarios_bundled(bundled, tmp_path):
     assert e1.read_bytes() == e2.read_bytes()
 
 
-def test_generate_scenarios_small_n_warns(bundled):
+def test_generate_scenarios_small_n(bundled):
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                       n_scenarios=10, seed=7)
+    scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=10,
+                                   seed=7)
     assert scen.grid.n_scenarios == 10
     # ten draws over many dimensions cannot hit every cross moment; the
     # result is still a valid scenario set with per-day variety
@@ -450,14 +448,14 @@ def test_generate_scenarios_small_n_warns(bundled):
     assert len(sums) > 1
 
 
-def test_fit_failures_are_counted(bundled):
+def test_fit_failures_are_counted(bundled, monkeypatch):
     # platykurtic load columns have no cubic-of-normal fit; each round
     # counts the dimensions that stayed affine, which is why this run
     # cannot converge
+    monkeypatch.setattr(scengen, "_GEN_ROUNDS", 1)
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=6, seed=1, max_iters=1)
+    _scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6,
+                                    seed=1)
     assert not raw.converged
     (entry,) = raw.iteration_log
     assert 0 < entry["fit_fails"] < raw.values.shape[1]
@@ -489,9 +487,8 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     monkeypatch.setattr(scengen, "_moment_system", counted_system)
     monkeypatch.setattr(scengen, "fit_cubic_batch", counted_batch)
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=6, seed=3)
+    _scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6,
+                                    seed=3)
     max_iters = inspect.signature(batch).parameters["max_iters"].default
     assert len(per_round) == len(raw.iteration_log)
     assert 1 < max(per_round) <= 2 * max_iters + 1
@@ -510,9 +507,8 @@ def test_shorter_ladder_keeps_the_panel(bundled, monkeypatch, n, seed):
     case, (elec, heat, pv, ev) = bundled
 
     def draw():
-        with pytest.warns(UserWarning):
-            return generate_scenarios(case, elec, heat, pv, ev,
-                                      n_scenarios=n, seed=seed)[1]
+        return generate_scenarios(case, elec, heat, pv, ev, n_scenarios=n,
+                                  seed=seed)[1]
 
     short = draw()
     monkeypatch.setattr(scengen, "_LAM_HALVINGS", 30)
@@ -530,10 +526,9 @@ def test_ladder_keeps_the_shortest_converging_step(bundled, monkeypatch):
     batch, fits = scengen.fit_cubic_batch, []
     monkeypatch.setattr(scengen, "fit_cubic_batch",
                         lambda *args: fits.append(args) or batch(*args))
+    monkeypatch.setattr(scengen, "_GEN_ROUNDS", 1)
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        generate_scenarios(case, elec, heat, pv, ev, n_scenarios=50, seed=4,
-                           max_iters=1)
+    generate_scenarios(case, elec, heat, pv, ev, n_scenarios=50, seed=4)
     (target, m, coef0), = fits
     _ref, ok, _err, lams = _ref_fit(target[25], m[25], coef0[25], halvings=30)
     assert ok and min(lams) == 2.0 ** -15
@@ -577,9 +572,8 @@ def test_generator_stays_on_numpy_blas(bundled, monkeypatch, n):
                  "lu_factor"):
         monkeypatch.setattr(scipy.linalg, name, _scipy_call)
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=n, seed=3)
+    _scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=n,
+                                    seed=3)
     assert raw.iteration_log and np.all(np.isfinite(raw.values))
 
 
@@ -597,9 +591,8 @@ def test_best_iteration_names_the_returned_round(bundled):
     # the panel comes from the first round with the smallest
     # max(moment_err, corr_err); here that is not the last round
     case, (elec, heat, pv, ev) = bundled
-    with pytest.warns(UserWarning):
-        _scen, raw = generate_scenarios(case, elec, heat, pv, ev,
-                                        n_scenarios=50, seed=3)
+    _scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=50,
+                                    seed=3)
     worst = [max(e["moment_err"], e["corr_err"]) for e in raw.iteration_log]
     assert raw.best_iteration == int(np.argmin(worst)) + 1
     assert raw.best_iteration < len(raw.iteration_log)

@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import time
-import warnings
 
 if __name__ == "__main__":  # before numpy starts its thread pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -60,10 +59,8 @@ def run_case(case, hist, n, seed):
 
     scengen.fit_cubic_batch = counted
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _scen, raw = scengen.generate_scenarios(case, *hist,
-                                                    n_scenarios=n, seed=seed)
+        _scen, raw = scengen.generate_scenarios(case, *hist, n_scenarios=n,
+                                                seed=seed)
     finally:
         scengen.fit_cubic_batch = batch
     log = json.dumps(raw.iteration_log, sort_keys=True).encode()
