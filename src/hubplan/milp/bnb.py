@@ -10,19 +10,20 @@ incumbent; every incumbent must pass the independent checker before it is
 accepted. No cuts, and no presolve beyond fixed columns never pricing in
 and empty rows keeping their slack basic.
 
-Only the root LP can start cold. Each child node's LP starts from its
-parent's optimal basis (both children share the parent's arrays), and each
-dive step from the previous step's basis; the tightened bound leaves that
-basis dual feasible and the branched column out of bounds, so the
-simplex's dual phase reoptimizes it. Once an incumbent exists, a node LP
-gets the cutoff inc_obj - rel_gap max(1, |inc_obj|), the objective at
-which the node would be pruned anyway: its dual phase stops as soon as a
-bound proves the node reaches it, and the node is pruned without being
-solved to the end. The root and the dive get no cutoff, so every node,
-child and incumbent is the one the full solve would give. The root
-itself starts from the caller's warm basis when one is given, and the run
-returns the root's final basis so that a related solve (the next
-carbon-tax level) can start from it.
+Only the root LP can start cold, from the model's start basis. Each child
+node's LP starts from its parent's optimal basis (both children share the
+parent's arrays), and each dive step from the previous step's basis; the
+tightened bound leaves that basis dual feasible and the branched column
+out of bounds, so the simplex's dual phase reoptimizes it. Once an
+incumbent exists, a node LP gets the cutoff
+inc_obj - rel_gap max(1, |inc_obj|), the objective at which the node
+would be pruned anyway: its dual phase stops as soon as a bound proves the
+node reaches it, and the node is pruned without being solved to the end.
+The root and the dive get no cutoff, so every node, child and incumbent is
+the one the full solve would give. The root itself starts from the
+caller's warm basis when one is given, and the run returns the root's
+final basis so that a related solve (the next carbon-tax level) can start
+from it.
 """
 
 import heapq
@@ -72,8 +73,9 @@ class BnbSolution:
     (an infeasible node LP may stop there first; it then counts here).
     incumbents holds the objective of each accepted incumbent in the order
     accepted, the dive's included. infeasible_rows lists the rows whose
-    slack the root LP's phase 1 left out of bounds (LpSolution's
-    infeasible_rows; empty unless the root LP ended infeasible).
+    slack or start column the root LP's phase 1 left out of bounds
+    (LpSolution's infeasible_rows; empty unless the root LP ended
+    infeasible).
     """
 
     status: str

@@ -29,8 +29,8 @@ B_21 = A[R2, basis[P_S]]. ftran solves B_K w[P_S] = v[R1] and sets
 w[P_L] = v[R2] - B_21 w[P_S]; btran sets y[R2] = u[P_L] and solves
 B_K^T y[R1] = u[P_S] - B_21^T u[P_L], skipping the product when u[P_L] is
 zero (every phase-2 btran of the costs, since slacks cost nothing). The
-basis is singular exactly when B_K is, and an all-slack basis (k = 0, the
-cold start) is a permutation with nothing to factor. B_K is factored by
+basis is singular exactly when B_K is, and an all-slack basis (k = 0) is
+a permutation with nothing to factor. B_K is factored by
 SuperLU (COLAMD ordering, partial pivoting) with relaxed supernodes and
 panels both set to one column, which factors and solves these very sparse
 blocks fastest. The eta file is applied as one block per ftran or btran
@@ -68,20 +68,25 @@ of a basic outside row r (the phase-1 costs changed beyond that row), and
 before every optimality or infeasibility claim, so the duals returned
 come from a fresh btran on a clean factor.
 
-A solve starts from the slack basis, or warm from the final ``(basis,
-stat)`` of a solve of the same rows: each nonbasic column is re-seated on
-the bound it sat at. New costs (a sweep level) leave that basis primal
-feasible, and the primal simplex carries on from it. Tightened bounds (a
-branch-and-bound child, a dive step) leave some basics out of bounds
-while the reduced costs keep their signs: when every nonbasic is then
-dual feasible (dirn * d >= -1e-7), a dual simplex phase (Lemke 1954;
-textbook ratio test, no bound flipping) reoptimizes first. It shares the
-factor, the eta file and the pivot bookkeeping with the primal. Its
-leaving row is the largest bound violation, lowest row on ties; its
-entering column the smallest ratio max(dirn * d, 0) / |alpha| over the
-pivot row alpha, ties to the largest |alpha|, then the lowest index. It
-hands the basis to the primal once the basics are within bounds, on a
-dual ray, after 1000 dual-degenerate pivots in a row, or if the pivot
+A cold solve starts from the model's ``start_basis``, one column per row:
+all slacks unless the model names structurals, as assemble_model does for
+the rows a column defines (grid import in the electric balances, storage
+and vehicle energies in their chain rows). Its kernel is factored like any
+other, every nonbasic sits on its lower bound when that is finite, else on
+its upper one, and the primal simplex runs from there. A warm solve starts
+from the final ``(basis, stat)`` of a solve of the same rows: each
+nonbasic column is re-seated on the bound it sat at. New costs (a sweep
+level) leave that basis primal feasible, and the primal simplex carries on
+from it. Tightened bounds (a branch-and-bound child, a dive step) leave
+some basics out of bounds while the reduced costs keep their signs: when
+every nonbasic is then dual feasible (dirn * d >= -1e-7), a dual simplex
+phase (Lemke 1954; textbook ratio test, no bound flipping) reoptimizes
+first. It shares the factor, the eta file and the pivot bookkeeping with
+the primal. Its leaving row is the largest bound violation, lowest row on
+ties; its entering column the smallest ratio max(dirn * d, 0) / |alpha|
+over the pivot row alpha, ties to the largest |alpha|, then the lowest
+index. It hands the basis to the primal once the basics are within bounds,
+on a dual ray, after 1000 dual-degenerate pivots in a row, or if the pivot
 element fails to match its row entry.
 
 The dual phase's objective only rises, so given a cutoff (branch and
@@ -98,8 +103,10 @@ an infinite bound. A bound at or above the cutoff ends the solve with
 status cutoff; a bound below it lets the dual phase go on, and the next
 check waits for the next refactorization. Otherwise only the primal
 claims a status, so an infeasibility claim and its infeasible rows always
-come from phase 1. Deterministic: identical inputs, warm start included,
-give identical pivot sequences.
+come from phase 1. A row counts as infeasible there when a basic out of
+bounds is its slack or the column its start basis names in it.
+Deterministic: identical inputs, warm start included, give identical
+pivot sequences.
 """
 
 from dataclasses import dataclass, field
@@ -137,8 +144,9 @@ class LpSolution:
     bound, duals the row prices that prove it, and x the basic solution the
     dual phase stopped at, which is not a solution (some basics are out of
     bounds).
-    infeasible_rows lists rows whose slack stayed out of bounds when phase 1
-    stalled (the irreducible-cause hint).
+    infeasible_rows lists, in ascending order, the rows whose slack or
+    start column (the model's start_basis) stayed basic and out of bounds
+    when phase 1 stalled (the irreducible-cause hint).
 
     basis holds the column id (structurals first, then one slack per row)
     basic in each row position when the solve ended, and stat the status
@@ -148,17 +156,17 @@ class LpSolution:
 
     The counters split the cost: dual_pivots of the iterations ran in the
     dual phase of a warm start, phase1_pivots in the primal while some
-    basic was out of bounds, degenerate_pivots stepped by at most 1e-9
-    (the dual step for a dual pivot), bland_pivots chose the entering
-    column by Bland's rule, and refactors counts the LU factorizations of
-    the basis's structural block, the first one included. A refactorization
-    of an all-slack basis (the cold start) factors nothing and is not
-    counted. kernel_cols sums the order k of the factored blocks, so
-    kernel_cols / refactors is their mean size. priced counts the full
-    pricing passes, each a btran of the basic costs and a product with A^T
-    (the dual phase's and each cutoff check's included); every other
-    primal pivot took its reduced costs from the row update of the pivot
-    before.
+    basic was out of bounds, degenerate_pivots stepped by at most 1e-9 (the
+    dual step for a dual pivot), bland_pivots chose the entering column by
+    Bland's rule, and refactors counts the LU factorizations of the basis's
+    structural block, the first one included (a cold start factors the
+    kernel of the model's start basis). A refactorization of an all-slack
+    basis factors nothing and is not counted. kernel_cols sums the order k
+    of the factored blocks, so kernel_cols / refactors is their mean size.
+    priced counts the full pricing passes, each a btran of the basic costs
+    and a product with A^T (the dual phase's and each cutoff check's
+    included); every other primal pivot took its reduced costs from the row
+    update of the pivot before.
     """
 
     status: str
@@ -272,7 +280,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     bounds (used for branching). Columns fixed by equal bounds never price
     in, which removes them from the search exactly as a presolve would.
     warm is the (basis, stat) of an earlier solve of the same rows and
-    columns, under any bounds and costs; None starts from the slack basis.
+    columns, under any bounds and costs; None starts from the model's
+    start_basis.
     The arrays are read, never written, so several solves may share them.
     cutoff lets the dual phase of a warm start stop with status cutoff once
     it proves the optimum is at least cutoff (see the module docstring);
@@ -311,7 +320,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     # start did not leave them on their upper one, else on their upper
     # bound; equal bounds make them fixed
     if warm is None:
-        basis = n_struct + np.arange(m, dtype=np.int64)
+        basis = np.array(model.start_basis, dtype=np.int64)
         kept_up = False
     else:
         basis = np.array(warm[0], dtype=np.int64)
@@ -569,10 +578,14 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                 stale = True
                 continue
             if phase1:
-                bad_rows = sorted({int(basis[p]) - n_struct
-                                   for p in np.flatnonzero(gamma != 0)
-                                   if basis[p] >= n_struct})
-                return result("infeasible", y, infeasible_rows=bad_rows)
+                # a slack names its row, and so does a row's start column
+                start = np.asarray(model.start_basis)
+                named = np.flatnonzero(start < n_struct)
+                owner = np.arange(n_tot) - n_struct
+                owner[start[named]] = named
+                bad = owner[basis[gamma != 0]]
+                rows = np.unique(bad[bad >= 0]).tolist()
+                return result("infeasible", y, infeasible_rows=rows)
             return result("optimal", y)
         cleaned = False
 

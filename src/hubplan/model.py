@@ -245,7 +245,12 @@ def repair_overlap(index, catalog, x):
 @dataclass
 class MilpModel:
     """A concrete MILP: min c'x s.t. rows, bounds, integrality; its size is
-    a_matrix's shape."""
+    a_matrix's shape.
+
+    start_basis holds, for each row, the column basic in it when an LP
+    solve starts cold: a structural column id, or n_cols + i for row i's
+    slack. It defaults to every row's slack; assemble_model names its own.
+    """
 
     obj: np.ndarray
     a_matrix: sparse.csr_matrix
@@ -257,6 +262,11 @@ class MilpModel:
     col_kind: np.ndarray
     col_names: list
     var_index: VarIndex = None
+    start_basis: np.ndarray = None
+
+    def __post_init__(self):
+        if self.start_basis is None:
+            self.start_basis = self.n_cols + np.arange(self.n_rows)
 
     @property
     def n_rows(self):
@@ -275,6 +285,16 @@ class MilpModel:
             raise ModelBuildError("NaN column bound")
         if np.any(self.col_lb > self.col_ub + 1e-12):
             raise ModelBuildError("crossed column bounds")
+        start = np.asarray(self.start_basis)
+        if start.shape != (self.n_rows,):
+            raise ModelBuildError(
+                f"start basis names {start.size} columns for {self.n_rows} "
+                "rows")
+        if start.size and not (
+                0 <= start.min() and start.max() < self.n_cols + self.n_rows):
+            raise ModelBuildError("start basis names a column out of range")
+        if np.unique(start).size != start.size:
+            raise ModelBuildError("start basis names a column twice")
 
 
 def build_objective(index, catalog, tariffs, m) -> np.ndarray:
@@ -301,7 +321,11 @@ def build_objective(index, catalog, tariffs, m) -> np.ndarray:
 
 
 def build_energy_balance(index, scenario_set, catalog) -> list:
-    """Hourly electric equality and heat covering rows, per scenario."""
+    """Hourly electric equality and heat covering rows, per scenario.
+
+    Each electric balance starts with its grid import basic (C_GRID = 1):
+    with every other column at 0, import equals the load. A heat balance
+    starts on its slack."""
     rows = []
     ids, fleet = index.ids, catalog.ev_fleet
     bess, tess, fcs = catalog.bess, catalog.tess, catalog.fuel_cells
@@ -318,11 +342,11 @@ def build_energy_balance(index, scenario_set, catalog) -> list:
                           ids[K_BDIS][s, t], *ids[K_VCH][s, t, parked],
                           *ids[K_VDIS][s, t, parked]],
                          elec + [-1.0 / fleet.eta_ch] * n_parked
-                         + [fleet.eta_dis] * n_parked))
+                         + [fleet.eta_dis] * n_parked, ids[K_GRID][s, t]))
         for t in range(index.hours):
             rows.append((f"HB{s}_{t}", GE, sc.heat_load[t],
                          [*ids[K_FUEL][s, t], ids[K_TCH][s, t],
-                          ids[K_TDIS][s, t]], heat))
+                          ids[K_TDIS][s, t]], heat, -1))
     return rows
 
 
@@ -331,7 +355,8 @@ def build_device_bounds(index, catalog) -> list:
 
     PV availability, grid import and dispatch rate limits are plain column
     bounds, materialized when the index is built; this emits the coupling
-    rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat.
+    rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat, each
+    starting on its slack.
     """
     rows = []
     fuel, x = index.ids[K_FUEL], index.ids[K_XFC]
@@ -340,24 +365,31 @@ def build_device_bounds(index, catalog) -> list:
             for i, fc in enumerate(catalog.fuel_cells):
                 cols = (fuel[s, t, i], x[i])
                 rows.append((f"FE{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_elec, -fc.max_elec)))
+                             (fc.gas_to_elec, -fc.max_elec), -1))
                 rows.append((f"FH{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_heat, -fc.max_heat)))
+                             (fc.gas_to_heat, -fc.max_heat), -1))
     return rows
 
 
 def _cyclic_chain(prefix, e, ch, dis) -> list:
     """Lossless daily cycle of one store in one scenario, hour 0 following
-    the last: E(t) = E(t-1) + P_ch(t-1) - P_dis(t-1)."""
+    the last: E(t) = E(t-1) + P_ch(t-1) - P_dis(t-1).
+
+    The row of hour t >= 1 starts with E(t) basic, so every energy starts
+    at 0. Hour 0's row closes the cycle and starts on its slack: over the
+    whole cycle the energy columns alone are singular (their rows sum to
+    zero), while without hour 0's row they are lower-bidiagonal."""
     return [(f"{prefix}{t}", EQ, 0.0, (e[t], e[t - 1], ch[t - 1], dis[t - 1]),
-             (1.0, -1.0, -1.0, 1.0)) for t in range(len(e))]
+             (1.0, -1.0, -1.0, 1.0), e[t] if t else -1)
+            for t in range(len(e))]
 
 
 def build_bess_constraints(index, grid, bess) -> list:
     """Battery SOC window, cyclic dynamics, rate caps, lifetime throughput.
 
     The lifetime row is the rearranged daily form:
-    sum_t P_ch(s,t) <= T_ch * X_ESS / (PP * 365).
+    sum_t P_ch(s,t) <= T_ch * X_ESS / (PP * 365). The chain rows start as
+    _cyclic_chain says; every other row on its slack.
     """
     rows = []
     t_day = grid.hours_per_day
@@ -367,16 +399,17 @@ def build_bess_constraints(index, grid, bess) -> list:
     for s in range(grid.n_scenarios):
         for t in range(t_day):
             rows.append((f"BL{s}_{t}", LE, 0.0, (x, e[s, t]),
-                         (bess.soc_min, -1.0)))
+                         (bess.soc_min, -1.0), -1))
             rows.append((f"BU{s}_{t}", LE, 0.0, (e[s, t], x),
-                         (1.0, -bess.soc_max)))
+                         (1.0, -bess.soc_max), -1))
         rows += _cyclic_chain(f"BS{s}_", e[s], ch[s], dis[s])
         for t in range(t_day):
             rows.append((f"BRC{s}_{t}", LE, 0.0, (ch[s, t], x),
-                         (1.0, -bess.rate_fraction)))
+                         (1.0, -bess.rate_fraction), -1))
             rows.append((f"BRD{s}_{t}", LE, 0.0, (dis[s, t], x),
-                         (1.0, -bess.rate_fraction)))
-        rows.append((f"BW{s}", LE, 0.0, [*ch[s], x], [1.0] * t_day + [-life]))
+                         (1.0, -bess.rate_fraction), -1))
+        rows.append((f"BW{s}", LE, 0.0, [*ch[s], x], [1.0] * t_day + [-life],
+                     -1))
     return rows
 
 
@@ -384,7 +417,7 @@ def build_tess_constraints(index) -> list:
     """Thermal store: cyclic dynamics.
 
     Capacity is a fixed datum, so the SOC window and rate caps are column
-    bounds; no lifetime row.
+    bounds; no lifetime row. The rows start as _cyclic_chain says.
     """
     ch, dis, e = index.ids[K_TCH], index.ids[K_TDIS], index.ids[K_TE]
     return [row for s in range(index.n_scenarios)
@@ -395,18 +428,21 @@ def build_ev_constraints(index) -> list:
     """Per-vehicle energy chains anchored at the arrival SOC.
 
     Charger and discharge rate caps are column bounds; the first chain row
-    carries the arrival energy as its right-hand side.
+    carries the arrival energy as its right-hand side. Each row starts with
+    the vehicle's energy at its hour basic, so every energy starts at the
+    arrival energy; no cycle closes, so every row of the chain can.
     """
     rows = []
     ch, dis, e = index.ids[K_VCH], index.ids[K_VDIS], index.ids[K_VE]
     for (s, j), (a, d) in index.windows.items():
         rows.append((f"VS{s}_{a + 1}_{j}", EQ, index.ev_init[(s, j)],
                      (e[s, a + 1, j], ch[s, a, j], dis[s, a, j]),
-                     (1.0, -1.0, 1.0)))
+                     (1.0, -1.0, 1.0), e[s, a + 1, j]))
         for t in range(a + 2, d + 1):
             rows.append((f"VS{s}_{t}_{j}", EQ, 0.0,
                          (e[s, t, j], ch[s, t - 1, j], dis[s, t - 1, j],
-                          e[s, t - 1, j]), (1.0, -1.0, 1.0, -1.0)))
+                          e[s, t - 1, j]), (1.0, -1.0, 1.0, -1.0),
+                         e[s, t, j]))
     return rows
 
 
@@ -414,7 +450,8 @@ def build_chance_constraints(index, fleet, config) -> list:
     """Shortfall definition, big-M activation, and the cardinality cap.
 
     Z(s)=0 forces every vehicle in scenario s to depart at or above the
-    target SOC; at most floor(N*zeta) scenarios may set Z=1.
+    target SOC; at most floor(N*zeta) scenarios may set Z=1. Every row
+    starts on its slack.
     """
     rows = []
     short, e, z = index.ids[K_SHORT], index.ids[K_VE], index.ids[K_Z]
@@ -422,19 +459,33 @@ def build_chance_constraints(index, fleet, config) -> list:
     m_soc = (fleet.target_departure_soc - fleet.soc_min) * fleet.capacity
     for (s, j), (_a, d) in index.windows.items():
         rows.append((f"SD{s}_{j}", GE, target, (short[s, j], e[s, d, j]),
-                     (1.0, 1.0)))
+                     (1.0, 1.0), -1))
         rows.append((f"SZ{s}_{j}", LE, 0.0, (short[s, j], z[s]),
-                     (1.0, -m_soc)))
+                     (1.0, -m_soc), -1))
     limit = max_substandard(index.n_scenarios, config.zeta)
-    rows.append(("CARD", LE, float(limit), z, [1.0] * index.n_scenarios))
+    rows.append(("CARD", LE, float(limit), z, [1.0] * index.n_scenarios,
+                 -1))
     return rows
 
 
 def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     """Index variables, run every builder, and freeze the sparse model.
 
-    Each row is (name, sense, rhs, columns, coefficients); a row that names
-    a column twice is refused, and zero coefficients are left out.
+    Each row is (name, sense, rhs, columns, coefficients, start); a row
+    that names a column twice is refused, and zero coefficients are left
+    out. start is the column basic in the row when an LP solve starts cold,
+    or -1 for the row's slack; together they are the model's start_basis.
+    The builders name the column each row defines: grid import in every
+    electric balance, a store's energy E(t) in its chain row of hour
+    t >= 1 (hour 0's row, which closes the cycle, keeps its slack) and a
+    vehicle's energy in each of its chain rows. Each has coefficient 1 in
+    its row and meets no other such row but the next hour's chain row, so
+    the start basis's structural block is unit lower-bidiagonal, nonsingular
+    by construction. With every nonbasic at its lower bound (0), those rows
+    hold at the start: import equals the load, store energies are 0 and
+    vehicle energies the arrival energy, within their bounds unless a load
+    exceeds grid_cap. From all slacks, every electric balance and every
+    vehicle's first chain row would start out of bounds instead.
     """
     index = VarIndex(grid, catalog, scenario_set, tariffs)
     m = annualization_factor(grid)
@@ -446,8 +497,11 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
             + build_ev_constraints(index)
             + build_chance_constraints(index, catalog.ev_fleet, config))
 
-    names, senses, rhs, cols, vals = zip(*rows)
+    names, senses, rhs, cols, vals, starts = zip(*rows)
     n_rows = len(rows)
+    start = np.array(starts, dtype=np.int64)
+    slack = start < 0
+    start[slack] = index.n_cols + np.flatnonzero(slack)
     ri = np.repeat(np.arange(n_rows), [len(c) for c in cols])
     ci = np.fromiter(chain.from_iterable(cols), np.int64, ri.size)
     vv = np.fromiter(chain.from_iterable(vals), float, ri.size)
@@ -467,6 +521,6 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
         rhs=np.array(rhs, dtype=float), row_names=list(names),
         col_lb=index.lb.copy(), col_ub=index.ub.copy(),
         col_kind=index.kind.copy(),
-        col_names=list(index.names), var_index=index)
+        col_names=list(index.names), var_index=index, start_basis=start)
     model.check()
     return model

@@ -20,7 +20,8 @@ from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
 from hubplan.milp import (branch_and_bound, check_solution,
                           extract_solution)
-from hubplan.model import ModelConfig, assemble_model, max_substandard
+from hubplan.model import (K_GRID, K_PV, K_VCH, K_VDIS, ModelConfig,
+                           assemble_model, max_substandard, repair_overlap)
 from hubplan.scengen import generate_scenarios
 
 
@@ -517,9 +518,11 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
-    # the README's plan at seed 11 charges and discharges vehicle 0 at s4
-    # t8, with PV to curtail: solve_level repairs it, at the cost branch
-    # and bound found, to the bit
+    # the README's plan at seed 11, its own overlaps repaired, is given an
+    # overlap of 0.5 kW at the first vehicle-hour, in (s, t, j) order,
+    # whose charge and discharge have room for it and whose hour uses PV
+    # enough to curtail; grid import makes up what the overlap costs the
+    # bus. solve_level repairs it at the cost it was given, to the bit
     import hubplan.analysis as analysis
     case = read_case(os.path.join(data_dir, "case.json"))
     history = read_history(os.path.join(data_dir, "history_loads.csv"),
@@ -527,27 +530,38 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     scen, _ = generate_scenarios(case, *history, n_scenarios=10, seed=11)
     tariffs, config = case.tariffs.with_carbon_tax(40), ModelConfig()
     model = assemble_model(scen.grid, case.catalog, tariffs, scen, config)
-    solved, real = [], analysis.branch_and_bound
-
-    def recorded(*args, **kwargs):
-        solved.append(real(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(analysis, "branch_and_bound", recorded)
-    level = analysis.solve_level(model, scen, case.catalog, tariffs, config)
-    raw, = solved
-    assert (level.overlap, level.unrepaired) == (["VC4_8_0"], [])
-    raw_plan = extract_solution(raw, model.var_index)
-    assert not verify_plan(raw_plan, scen, case.catalog).ok
+    sol = branch_and_bound(model)
+    index, catalog, ub = model.var_index, case.catalog, model.col_ub
+    x, _, left = repair_overlap(index, catalog, sol.x)
+    assert left == []
+    delta, fleet = 0.5, catalog.ev_fleet
+    gain = delta * (1.0 / fleet.eta_ch - fleet.eta_dis)
+    ch, dis = index.ids[K_VCH], index.ids[K_VDIS]
+    pv, grid = (np.broadcast_to(index.ids[k][..., None], ch.shape)
+                for k in (K_PV, K_GRID))
+    room = ((ch >= 0) & (x[ch] + delta <= ub[ch])
+            & (x[dis] + delta <= ub[dis]) & (x[pv] >= gain)
+            & (x[grid] + gain <= ub[grid]))
+    at = tuple(np.argwhere(room)[0])
+    built = x.copy()
+    built[[ch[at], dis[at]]] += delta
+    built[grid[at]] += gain
+    assert check_solution(model, built).ok
+    raw = dataclasses.replace(sol, x=built)
+    monkeypatch.setattr(analysis, "branch_and_bound", lambda *a, **k: raw)
+    level = analysis.solve_level(model, scen, catalog, tariffs, config)
+    assert (level.overlap, level.unrepaired) == ([model.col_names[ch[at]]],
+                                                 [])
+    raw_plan = extract_solution(raw, index)
+    assert not verify_plan(raw_plan, scen, catalog).ok
     assert level.check.ok and level.plan_check.ok
-    assert level.bnb.objective == raw.objective
-    assert model.obj @ level.bnb.x == model.obj @ raw.x
+    assert level.bnb.objective == sol.objective
+    assert model.obj @ level.bnb.x == model.obj @ built
     assert level.breakdown.as_dict() == cost_breakdown(
-        raw_plan, case.catalog, tariffs,
-        annualization_factor(scen.grid)).as_dict()
+        raw_plan, catalog, tariffs, annualization_factor(scen.grid)).as_dict()
     # only the overlapping store-hour and its hour's PV moved
-    assert {model.col_names[c] for c in np.flatnonzero(
-        level.bnb.x != raw.x)} == {"VC4_8_0", "VD4_8_0", "PV4_8"}
+    assert np.flatnonzero(level.bnb.x != built).tolist() == sorted(
+        [ch[at], dis[at], pv[at]])
 
 
 def test_unrepairable_overlap_is_reported(tiny, tiny_solved, monkeypatch):
@@ -673,6 +687,24 @@ def test_hint_when_only_integrality_binds():
     assert level.infeasible_hint == ("LP relaxation is feasible; integer "
                                      "restrictions bind")
     assert level.as_dict()["infeasible_hint"] == level.infeasible_hint
+
+
+def test_hint_names_rows_left_violated_by_their_start_column(tiny):
+    # one fuel cell and 5 kW of grid import cannot meet the loads. Grid
+    # import starts basic in each electric balance, so phase 1 leaves that
+    # column, not the row's slack, out of bounds; the hint still names the
+    # row's family
+    import hubplan.analysis as analysis
+    catalog = dataclasses.replace(tiny.catalog, fuel_cells=(
+        dataclasses.replace(tiny.fc, max_units=1),))
+    tariffs = dataclasses.replace(tiny.tariffs, grid_cap=5.0)
+    model = assemble_model(tiny.grid, catalog, tariffs, tiny.scen,
+                           tiny.config)
+    level = analysis.solve_level(model, tiny.scen, catalog, tariffs,
+                                 tiny.config)
+    assert level.status == "infeasible"
+    assert level.infeasible_hint == ("LP stage violates: electric balance, "
+                                     "heat balance, departure-SOC targets")
 
 
 def test_every_row_has_a_constraint_family(tiny):

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import with_exclusivity_flags
+from conftest import make_model, with_exclusivity_flags
 from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
                           TimeGrid)
@@ -239,6 +239,43 @@ def test_assemble_deterministic():
     assert a.col_names == b.col_names and a.row_names == b.row_names
     assert np.array_equal(a.obj, b.obj) and np.array_equal(a.rhs, b.rhs)
     assert np.array_equal(a.a_matrix.toarray(), b.a_matrix.toarray())
+    assert np.array_equal(a.start_basis, b.start_basis)
+
+
+def test_start_basis_rows():
+    # grid import starts basic in each electric balance, a store's energy
+    # in its chain row of each hour but the cycle-closing hour 0, and a
+    # vehicle's energy in each of its chain rows; other rows on their slack
+    m = assemble_model(*micro_case(1), ModelConfig(zeta=0.0))
+    named = {m.row_names[r]: m.col_names[c]
+             for r, c in enumerate(m.start_basis) if c < m.n_cols}
+    assert named == {"EB0_0": "GR0_0", "EB0_1": "GR0_1", "BS0_1": "BE0_1",
+                     "TS0_1": "TE0_1", "VS0_1_0": "VE0_1_0",
+                     "VS0_2_0": "VE0_2_0"}
+    slack = [r for r, c in enumerate(m.start_basis) if c >= m.n_cols]
+    assert [m.start_basis[r] - m.n_cols for r in slack] == slack
+
+
+def test_start_basis_defaults_to_the_slacks():
+    m = make_model([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [LE, EQ],
+                   [4.0, 0.0], [0.0, 0.0], [9.0, 9.0])
+    assert m.start_basis.tolist() == [2, 3]
+    m.check()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: s[:-1], "start basis names 92 columns for 93 rows"),
+    (lambda s: np.append(s, s[0]), "start basis names 94 columns for 93 rows"),
+    (lambda s: np.where(np.arange(s.size) == 0, -1, s), "out of range"),
+    (lambda s: s + (s == s.max()), "out of range"),
+    (lambda s: np.where(np.arange(s.size) == 1, s[0], s), "a column twice"),
+], ids=["short", "long", "negative", "past-the-slacks", "twice"])
+def test_check_refuses_a_bad_start_basis(tiny, change, message):
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           tiny.config)
+    bad = dataclasses.replace(model, start_basis=change(model.start_basis))
+    with pytest.raises(ModelBuildError, match=message):
+        bad.check()
 
 
 def test_var_index_lookup(tiny):
