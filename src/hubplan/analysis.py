@@ -331,8 +331,8 @@ class LevelSolve:
         return doc
 
 
-def solve_level(model, scenario_set, catalog, tariffs, config,
-                carbon_tax=None, warm=None, **limits) -> LevelSolve:
+def solve_level(model, scenario_set, catalog, tariffs, config, carbon_tax,
+                warm, **limits) -> LevelSolve:
     """Solve model, assembled from scenario_set, catalog and config and
     priced at tariffs (carbon_tax yuan per ton), by branch_and_bound (warm
     root basis, limits), repair its incumbent's charge/discharge overlaps,
@@ -380,8 +380,8 @@ class SweepResult:
     notes: list = field(default_factory=list)
 
 
-def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
-                     tax_levels, **solver_kwargs) -> SweepResult:
+def sweep_carbon_tax(catalog, tariffs, scenario_set, config, tax_levels,
+                     **solver_kwargs) -> SweepResult:
     """Solve the plan at each carbon-tax level (yuan per ton): one
     LevelSolve per level, with the status solve_level decides. hubplan plan
     is a sweep of its one level.
@@ -405,13 +405,13 @@ def sweep_carbon_tax(grid, catalog, tariffs, scenario_set, config,
         raise InvalidParameterError("tax_levels must not be empty")
     level_tariffs = [(tax, tariffs.with_carbon_tax(tax))
                      for tax in tax_levels]
-    m = annualization_factor(grid)
-    base = assemble_model(grid, catalog, tariffs, scenario_set, config)
+    base = assemble_model(scenario_set.grid, catalog, tariffs, scenario_set,
+                          config)
     levels = []
     warm = None
     for tax, tar in level_tariffs:
         model = replace(base, obj=build_objective(base.var_index, catalog,
-                                                  tar, m))
+                                                  tar))
         try:
             level = solve_level(model, scenario_set, catalog, tar, config,
                                 float(tax), warm, **solver_kwargs)
@@ -497,14 +497,19 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     BESS and TESS, over the parked hours for a vehicle), the energy window
     (BESS soc_min..soc_max times x_ess, TESS 0..capacity, a vehicle
     soc_min..soc_max times its capacity over the hours after its arrival,
-    whose energy is data) and no charging and discharging in one hour; no
-    departure that _substandard flags in a z = 0 scenario; integral x_fc
-    and binary z. Each law allows FEAS_TOL: on a residual, below the heat
-    load, on each of charge and discharge, and as FEAS_TOL * (1 + cap)
-    outside a window; x_fc may sit INT_TOL from an integer. Issues of one
-    law come by scenario, vehicle and hour. Balance and storage-law
-    residuals make max_residual; a NaN one neither counts nor is reported,
-    while a NaN in any other test is reported.
+    whose energy is data) and no charging and discharging in one hour.
+    Each vehicle's visit comes from its EvRecord in scenario_set: its
+    charge and discharge are NaN exactly outside [arrive, depart), its
+    energy exactly outside [arrive, depart]; its arrival energy is
+    initial_soc * capacity; its path at the recorded departure is the
+    departure, which _substandard must not flag in a z = 0 scenario, and
+    e_dep equals it. Then integral x_fc and binary z. Each law allows
+    FEAS_TOL: on a residual, below the heat load, on each of charge and
+    discharge, and as FEAS_TOL * (1 + cap) outside a window and off the
+    arrival and departure energies; x_fc may sit INT_TOL from an integer.
+    Issues of one law come by scenario, vehicle and hour. Balance and
+    storage-law residuals make max_residual; a NaN one neither counts nor
+    is reported, while a NaN in any other test is reported.
     """
     sol, days = solution, scenario_set.scenarios
     bess, tess, fleet = catalog.bess, catalog.tess, catalog.ev_fleet
@@ -539,16 +544,22 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     def cyclic(e):
         return np.concatenate([e, e[:, :1]], axis=1)
 
+    # each vehicle's visit from its record: arrival and departure hour and
+    # arrival SOC, each (s, j, 1), and its hours in [arrive, depart]
+    hour = np.arange(sol.grid.shape[1] + 1)
+    arrive, depart, soc0 = np.moveaxis(np.array(
+        [[(r.arrive_hour, r.depart_hour, r.initial_soc) for r in d.ev_records]
+         for d in days]).reshape(len(days), -1, 3), 2, 0)[..., None]
+    visit = (arrive <= hour) & (hour <= depart)
     # the hours whose energy is windowed: a cyclic store's day, without its
-    # wrap; a vehicle's parked hours after the arrival, whose energy is data
-    day = np.arange(sol.grid.shape[1] + 1) < sol.grid.shape[1]
-    parked = ~np.isnan(sol.ev_e)
+    # wrap; a vehicle's visit after the arrival, whose energy is data
+    day = hour < hour[-1]
     for name, e, window, ch, dis, lo, hi, cap in (
             ("bess", cyclic(sol.bess_e), day, sol.bess_ch, sol.bess_dis,
              bess.soc_min, bess.soc_max, sol.x_ess),
             ("tess", cyclic(sol.tess_e), day, sol.tess_ch, sol.tess_dis,
              0.0, 1.0, tess.capacity),
-            ("ev", sol.ev_e, parked & (parked.cumsum(axis=2) > 1),
+            ("ev", sol.ev_e, visit & (arrive < hour),
              sol.ev_ch, sol.ev_dis, fleet.soc_min, fleet.soc_max,
              fleet.capacity)):
         axes = "st" if ch.ndim == 2 else "sjt"
@@ -560,9 +571,25 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
         issues.extend(_issues(f"{name} charges and discharges",
                               both > FEAS_TOL, both, axes))
 
-    dep_soc = sol.e_dep / fleet.capacity
+    parked = (visit & (hour < depart))[..., :-1]
+    for name, v, inside in (("charge", sol.ev_ch, parked),
+                            ("discharge", sol.ev_dis, parked),
+                            ("energy", sol.ev_e, visit)):
+        flag(f"ev {name} window", np.isnan(v) != inside, v, "sjt")
+    # each vehicle's energy at its arrival and at its departure
+    arrived, departed = (
+        np.take_along_axis(sol.ev_e, h.astype(int), axis=2)[..., 0]
+        for h in (arrive, depart))
+    cap = fleet.capacity
+    tol = FEAS_TOL * (1 + cap)
+    flag("ev arrival", np.abs(arrived - soc0[..., 0] * cap) <= tol, arrived,
+         "sj")
+    dep_soc = departed / cap
     short = _substandard(dep_soc, fleet.target_departure_soc)
     flag("departure soc", (sol.z != 0)[:, None] | ~short, dep_soc, "sj")
+    flag("ev departure energy", np.isclose(sol.e_dep, departed, rtol=0.0,
+                                           atol=tol, equal_nan=True),
+         sol.e_dep, "sj")
     for fc_id, units in sol.x_fc.items():
         if not abs(units - np.rint(units)) <= INT_TOL:
             issues.append(f"integral x_fc {fc_id}: {float(units)!r}")

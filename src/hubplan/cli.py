@@ -109,8 +109,8 @@ def _can_be_dir(path):
 class _Option(NamedTuple):
     default: object
     convert: object  # (key, value) -> checked value, or InvalidParameterError
-    flag: str = None  # None: set in the config file only
-    help: str = None
+    flag: str
+    help: str
 
 
 # Every run option, in --help order. A key whose default is None may stay
@@ -262,8 +262,8 @@ def cmd_plan(cfg):
     case, scen, source, _log = _read_inputs(cfg, out)
     if tax is None:
         tax = case.tariffs.carbon_tax * 1000.0
-    level = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
-                             config, [tax], **cfg["limits"]).levels[0]
+    level = sweep_carbon_tax(case.catalog, case.tariffs, scen, config, [tax],
+                             **cfg["limits"]).levels[0]
 
     audit_doc = {"command": "plan", **level.as_dict(), "zeta": config.zeta,
                  **source}
@@ -298,7 +298,7 @@ def cmd_sweep(cfg):
     out = cfg["out"]
     case, scen, source, _log = _read_inputs(cfg, out)
     t0 = time.perf_counter()
-    sweep = sweep_carbon_tax(scen.grid, case.catalog, case.tariffs, scen,
+    sweep = sweep_carbon_tax(case.catalog, case.tariffs, scen,
                              cfg["model_config"], taxes, **cfg["limits"])
     wall = time.perf_counter() - t0
 
@@ -352,8 +352,7 @@ def build_parser():
     common.add_argument("--config",
                         help="JSON config; flags override its keys")
     for key, opt in _OPTIONS.items():
-        if opt.flag is not None:
-            common.add_argument(opt.flag, dest=key, help=opt.help)
+        common.add_argument(opt.flag, dest=key, help=opt.help)
 
     scen = sub.add_parser("scen", help="scenario utilities")
     scen_sub = scen.add_subparsers(dest="scen_command", required=True)

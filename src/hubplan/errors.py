@@ -53,9 +53,10 @@ class DecompositionError(HubplanError):
     """A matrix factorization failed; ``minor`` is the 1-based order of the
     first non-positive-definite leading minor."""
 
-    def __init__(self, minor, message=None):
+    def __init__(self, minor):
         self.minor = minor
-        super().__init__(message or f"matrix is not positive definite (leading minor {minor})")
+        super().__init__(
+            f"matrix is not positive definite (leading minor {minor})")
 
 
 class ModelBuildError(HubplanError):

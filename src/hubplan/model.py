@@ -100,10 +100,12 @@ class VarIndex:
     column. EV dispatch exists for parked hours t in [arrive, depart); EV
     energies for t in [arrive+1, depart], the arrival state being the fixed
     datum initial_soc * capacity. Columns come out in deterministic order
-    and all bounds are finite.
+    and all bounds are finite. grid is the scenario set's time grid, the
+    one every builder reads.
     """
 
-    def __init__(self, grid, catalog, scenario_set, tariffs):
+    def __init__(self, catalog, scenario_set, tariffs):
+        grid = self.grid = scenario_set.grid
         n = self.n_scenarios = grid.n_scenarios
         t_day = self.hours = grid.hours_per_day
         self.fc_ids = tuple(f.fc_id for f in catalog.fuel_cells)
@@ -281,10 +283,13 @@ class MilpModel:
             raise ModelBuildError("duplicate row names")
         if len(set(self.col_names)) != self.n_cols:
             raise ModelBuildError("duplicate column names")
-        if np.any(np.isnan(self.col_lb)) or np.any(np.isnan(self.col_ub)):
-            raise ModelBuildError("NaN column bound")
-        if np.any(self.col_lb > self.col_ub + 1e-12):
-            raise ModelBuildError("crossed column bounds")
+        lb, ub = self.col_lb, self.col_ub
+        for bad, what in ((np.isnan(lb) | np.isnan(ub), "NaN column bound"),
+                          (lb > ub + 1e-12, "crossed column bounds")):
+            if bad.any():  # name the first such column
+                j = int(np.argmax(bad))
+                raise ModelBuildError(f"{what}: {self.col_names[j]} in "
+                                      f"[{lb[j]}, {ub[j]}]")
         start = np.asarray(self.start_basis)
         if start.shape != (self.n_rows,):
             raise ModelBuildError(
@@ -297,15 +302,16 @@ class MilpModel:
             raise ModelBuildError("start basis names a column twice")
 
 
-def build_objective(index, catalog, tariffs, m) -> np.ndarray:
+def build_objective(index, catalog, tariffs) -> np.ndarray:
     """Dense objective vector in money units (1e4 yuan), minimization.
 
-    Investment costs land on the first-stage columns; m converts summed
-    per-scenario hourly costs into planning-horizon present value and already
-    carries the scenario-average weight. Only this vector depends on the
-    tariffs' prices and carbon tax.
+    Investment costs land on the first-stage columns; the index grid's
+    annualization factor m converts summed per-scenario hourly costs into
+    planning-horizon present value and already carries the scenario-average
+    weight. Only this vector depends on the tariffs' prices and carbon tax.
     """
     ids = index.ids
+    m = annualization_factor(index.grid)
     fcs = catalog.fuel_cells
     tax = tariffs.carbon_tax
     obj = np.zeros(index.n_cols)
@@ -384,7 +390,7 @@ def _cyclic_chain(prefix, e, ch, dis) -> list:
             for t in range(len(e))]
 
 
-def build_bess_constraints(index, grid, bess) -> list:
+def build_bess_constraints(index, bess) -> list:
     """Battery SOC window, cyclic dynamics, rate caps, lifetime throughput.
 
     The lifetime row is the rearranged daily form:
@@ -392,11 +398,11 @@ def build_bess_constraints(index, grid, bess) -> list:
     _cyclic_chain says; every other row on its slack.
     """
     rows = []
-    t_day = grid.hours_per_day
+    t_day = index.hours
     ch, dis, e = index.ids[K_BCH], index.ids[K_BDIS], index.ids[K_BE]
     x = int(index.ids[K_XESS])
-    life = bess.lifetime_cycles / (grid.planning_years * 365.0)
-    for s in range(grid.n_scenarios):
+    life = bess.lifetime_cycles / (index.grid.planning_years * 365.0)
+    for s in range(index.n_scenarios):
         for t in range(t_day):
             rows.append((f"BL{s}_{t}", LE, 0.0, (x, e[s, t]),
                          (bess.soc_min, -1.0), -1))
@@ -486,13 +492,18 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     vehicle energies the arrival energy, within their bounds unless a load
     exceeds grid_cap. From all slacks, every electric balance and every
     vehicle's first chain row would start out of bounds instead.
+
+    The time grid is scenario_set.grid; grid must equal it, or the model
+    is refused with a ModelBuildError naming both.
     """
-    index = VarIndex(grid, catalog, scenario_set, tariffs)
-    m = annualization_factor(grid)
-    obj = build_objective(index, catalog, tariffs, m)
+    if grid != scenario_set.grid:
+        raise ModelBuildError(f"grid {grid} is not the scenario set's grid "
+                              f"{scenario_set.grid}")
+    index = VarIndex(catalog, scenario_set, tariffs)
+    obj = build_objective(index, catalog, tariffs)
     rows = (build_energy_balance(index, scenario_set, catalog)
             + build_device_bounds(index, catalog)
-            + build_bess_constraints(index, grid, catalog.bess)
+            + build_bess_constraints(index, catalog.bess)
             + build_tess_constraints(index)
             + build_ev_constraints(index)
             + build_chance_constraints(index, catalog.ev_fleet, config))

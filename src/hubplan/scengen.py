@@ -201,8 +201,12 @@ def _selector(n):
 
 
 _JAC_ORDER = np.arange(1.0, 5.0)[:, None]
-# fit_cubic_batch's line search halves lam from 1 down to 2^-_LAM_HALVINGS
+# fit_cubic_batch's line search halves lam from 1 down to 2^-_LAM_HALVINGS;
+# a row has converged once its scaled residual is within _FIT_TOL, and
+# fails after _FIT_STEPS Newton steps short of it
 _LAM_HALVINGS = 16
+_FIT_TOL = 1e-10
+_FIT_STEPS = 200
 # hmm_generate has converged once both errors are within _GEN_TOL, and runs
 # at most _GEN_ROUNDS rounds
 _GEN_TOL = 0.05
@@ -243,7 +247,7 @@ def _newton_step(jac, rhs):
         return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
 
-def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
+def fit_cubic_batch(target, seed_moments, coef0):
     """Fit one cubic transform Y = p(X) per row so Y's raw moments hit target.
 
     target (d, 4) holds E[Y^k], k = 1..4; seed_moments (d, >= 13) the seed
@@ -262,8 +266,8 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     sooner; with 14 rungs that row fails and the (50, 4) panel changes.
 
     Returns (coef, failed, steps, rung). failed marks the rows that stalled
-    or were not within tol after max_iters steps; their coef is the last
-    iterate. steps counts each row's Newton steps, the stalling pass
+    or were not within _FIT_TOL after _FIT_STEPS steps; their coef is the
+    last iterate. steps counts each row's Newton steps, the stalling pass
     included; rows only ever leave the active set, so steps.max() is the
     loop's pass count. rung is the largest j of a step lam = 2^-j the row
     accepted, 0 when all its steps were full.
@@ -278,8 +282,8 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
     failed = np.zeros(coef.shape[0], dtype=bool)
     steps = np.zeros(coef.shape[0], dtype=int)
     rung = np.zeros(coef.shape[0], dtype=int)
-    for _ in range(max_iters):
-        act = np.flatnonzero(~(err <= tol) & ~failed)
+    for _ in range(_FIT_STEPS):
+        act = np.flatnonzero(~(err <= _FIT_TOL) & ~failed)
         if act.size == 0:
             break
         steps[act] += 1
@@ -312,16 +316,15 @@ def fit_cubic_batch(target, seed_moments, coef0, tol=1e-10, max_iters=200):
         take = act[ok]
         coef[take], ey[take], jac[take], err[take] = (
             cand[ok], ey_c[ok], jac_c[ok], err_c[ok])
-    return coef, failed | ~(err <= tol), steps, rung
+    return coef, failed | ~(err <= _FIT_TOL), steps, rung
 
 
-def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
-                        max_iters=200):
+def fit_cubic_transform(mean, var, skew, kurt, seed_moments):
     """Fit Y = a + bX + cX^2 + dX^3 so Y's first four moments hit the targets.
 
     seed_moments are the raw moments of the seed sample X up to order 12
     (seed_moments[k] = E[X^k], length >= 13). The one-row case of
-    fit_cubic_batch; tol is relative to max(1, |target|).
+    fit_cubic_batch, whose _FIT_TOL is relative to max(1, |target|).
 
     Raises MomentFitError when the targets violate the kurtosis feasibility
     bound (kurt >= skew^2 + 1) or Newton stalls.
@@ -334,14 +337,14 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments, tol=1e-10,
             f"infeasible targets: kurtosis {kurt} below bound {skew * skew + 1.0}")
     m = m[None, :13]
     target = _raw_targets(float(mean), float(var), float(skew), float(kurt))
-    coef, failed = fit_cubic_batch(target[None], m,
-                                   _affine_start(float(mean), float(var), m),
-                                   tol=tol, max_iters=max_iters)[:2]
+    coef0 = _affine_start(float(mean), float(var), m)
+    coef, failed = fit_cubic_batch(target[None], m, coef0)[:2]
     if failed[0]:
         ey, _jac = _moment_system(coef, _hankel(m))
         resid = np.abs(ey[0] - target) / np.maximum(1.0, np.abs(target))
         raise MomentFitError(
-            f"Newton stalled or not within {tol} after {max_iters} iterations",
+            f"Newton stalled or not within {_FIT_TOL} after {_FIT_STEPS} "
+            "iterations",
             residual=float(np.max(resid)))
     return tuple(coef[0])
 

@@ -3,6 +3,7 @@ import collections
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -14,14 +15,16 @@ from hubplan.analysis import (ChanceAudit, PlanCheck, chance_audit,
                               select_extreme_scenario, soc_table,
                               sweep_carbon_tax, verify_plan,
                               write_cost_breakdown, write_plan_summary)
-from hubplan.core import FEAS_TOL, INT_TOL, annualization_factor
+from hubplan.core import (FEAS_TOL, INT_TOL, EvRecord,
+                          annualization_factor)
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
 from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
 from hubplan.milp import (branch_and_bound, check_solution,
                           extract_solution)
-from hubplan.model import (K_GRID, K_PV, K_VCH, K_VDIS, ModelConfig,
-                           assemble_model, max_substandard, repair_overlap)
+from hubplan.model import (K_GRID, K_PV, K_SHORT, K_VCH, K_VDIS,
+                           ModelConfig, assemble_model, max_substandard,
+                           repair_overlap)
 from hubplan.scengen import generate_scenarios
 
 
@@ -106,13 +109,17 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
                                            value, ok):
     # a shortfall entry below its bound of 0: within FEAS_TOL every verdict
     # takes it (and its cost part is clamped), beyond it both the solution
-    # check and the cost screen refuse it
+    # check and the cost screen refuse it. The entry is the first shortfall
+    # column at its lower bound in the solved x, so the cost stays put
     m, base = priced
     model, sol = tiny_solved.model, tiny_solved.sol
+    short = model.var_index.ids[K_SHORT]
+    at = next(sj for sj in np.ndindex(short.shape)
+              if sol.x[short[sj]] == model.col_lb[short[sj]])
     x = sol.x.copy()
-    x[model.col_names.index("SH1_0")] = value
+    x[short[at]] = value
     plan = extract_solution(dataclasses.replace(sol, x=x), model.var_index)
-    assert plan.shortfall[1, 0] == value
+    assert plan.shortfall[at] == value
     assert check_solution(model, x).ok is ok
     if ok:
         assert verify_plan(plan, tiny.scen, tiny.catalog).ok
@@ -120,8 +127,22 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
         assert bd.as_dict() == base.as_dict()
     else:
         with pytest.raises(InfeasibleSolutionError,
-                           match=r"shortfall\(1, 0\)"):
+                           match=r"shortfall\({}, {}\)".format(*at)):
             cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
+
+
+def _departing_with(plan, fleet, kwh):
+    """plan with scenario 0's vehicle, parked hours 0-2, leaving at hour 3
+    with kwh, e_dep too; its hour-2 charge and that hour's grid import are
+    lowered to match, so its chain and the electric balance still hold."""
+    less = plan.ev_e[0, 0, 3] - kwh
+    ev_e, ev_ch, grid, e_dep = (a.copy() for a in (plan.ev_e, plan.ev_ch,
+                                                   plan.grid, plan.e_dep))
+    ev_e[0, 0, 3] = e_dep[0, 0] = kwh
+    ev_ch[0, 0, 2] -= less
+    grid[0, 2] -= less / fleet.eta_ch
+    return dataclasses.replace(plan, ev_e=ev_e, ev_ch=ev_ch, grid=grid,
+                               e_dep=e_dep)
 
 
 @pytest.mark.parametrize("below, short", [(2e-7, False), (1e-5, True)])
@@ -129,10 +150,9 @@ def test_departure_verdicts_agree(tiny, tiny_solved, below, short):
     # a z = 0 departure below target is substandard for the chance audit
     # exactly when the plan check flags it: FEAS_TOL * (1 + target) below
     fleet = tiny.fleet
-    e_dep = tiny_solved.plan.e_dep.copy()
-    e_dep[0, 0] = (fleet.target_departure_soc - below) * fleet.capacity
-    plan = dataclasses.replace(tiny_solved.plan, e_dep=e_dep)
-    soc = float(e_dep[0, 0] / fleet.capacity)
+    plan = _departing_with(tiny_solved.plan, fleet, (
+        fleet.target_departure_soc - below) * fleet.capacity)
+    soc = float(plan.e_dep[0, 0] / fleet.capacity)
     audit = chance_audit(plan, fleet, 0.0, 2)
     assert audit.worst_soc[0] == soc
     assert (audit.count, audit.passed) == ((1, False) if short
@@ -256,7 +276,8 @@ def test_verify_plan_catches_soc_break(tiny, tiny_solved):
 
 
 # (label, field, index, added value): each breaks one verify_plan check
-# family of the tiny plan (no BESS, one vehicle parked s0 t0..t3, z = 0)
+# family of the tiny plan (no BESS, one vehicle a day, parked s0 t0..t2
+# and s1 t1..t3, z = 0); a NaN inside a visit breaks its window
 _BREAKS = [
     ("elec balance", "grid", (0, 1), 1.0),
     ("heat surplus", "tess_ch", (0, 1), 50.0),
@@ -268,8 +289,13 @@ _BREAKS = [
     ("tess soc low", "tess_e", (0, 2), -50.0),
     ("tess soc high", "tess_e", (0, 3), 50.0),
     ("ev soc low", "ev_e", (0, 0, 1), -20.0),
-    ("ev soc high", "ev_e", (0, 0, 3), 30.0),
-    ("departure soc", "e_dep", (0, 0), -1.0),
+    ("ev soc high", "ev_e", (0, 0, 2), 30.0),
+    ("ev charge window", "ev_ch", (0, 0, 1), np.nan),
+    ("ev discharge window", "ev_dis", (1, 0, 2), np.nan),
+    ("ev energy window", "ev_e", (1, 0, 2), np.nan),
+    ("ev arrival", "ev_e", (0, 0, 0), 1.0),
+    ("departure soc", "ev_e", (0, 0, 3), -10.0),
+    ("ev departure energy", "e_dep", (0, 0), -1.0),
     ("tess charges and discharges", "tess_ch", (0, 0), 1.0),
     ("integral x_fc", "x_fc", "PEM_gas", 0.5),
     ("binary z", "z", (1,), 0.5),
@@ -330,7 +356,8 @@ def _verify_plan_py(solution, scenario_set, catalog):
     Electric balance residuals are scaled by (1 + max electric load); heat
     surplus must be >= -FEAS_TOL absolutely; storage dynamics, cyclic closure
     and SOC windows are checked to FEAS_TOL on energies. A store may not
-    charge and discharge more than FEAS_TOL each in the same hour.
+    charge and discharge more than FEAS_TOL each in the same hour. Each
+    vehicle's window, arrival energy and departure come from its record.
     """
     issues = []
     worst = 0.0
@@ -393,27 +420,43 @@ def _verify_plan_py(solution, scenario_set, catalog):
             flag(e <= bess.soc_max * cap + FEAS_TOL * (1 + cap),
                  f"bess soc high s{s} t{t}", e)
 
-        for j in range(solution.ev_e.shape[1]):
-            span = ~np.isnan(solution.ev_e[s, j])
-            hours = np.flatnonzero(span)
-            arrive, depart = int(hours[0]), int(hours[-1])
-            for t in range(arrive, depart):
-                r = (solution.ev_e[s, j, t + 1] - solution.ev_e[s, j, t]
-                     - solution.ev_ch[s, j, t] + solution.ev_dis[s, j, t])
+        cap_ev = fleet.capacity
+        tol_ev = FEAS_TOL * (1 + cap_ev)
+        for j, rec in enumerate(sc.ev_records):
+            arrive, depart = rec.arrive_hour, rec.depart_hour
+            ev_e = solution.ev_e[s, j]
+            # NaN outside the hours the plan has no value for, also in
+            # the chain
+            for t in range(t_day):
+                r = (ev_e[t + 1] - ev_e[t] - solution.ev_ch[s, j, t]
+                     + solution.ev_dis[s, j, t])
                 resid(f"ev chain s{s} j{j} t{t}", r, FEAS_TOL)
+                for name, v in (("charge", solution.ev_ch[s, j, t]),
+                                ("discharge", solution.ev_dis[s, j, t])):
+                    flag(np.isnan(v) != (arrive <= t < depart),
+                         f"ev {name} window s{s} j{j} t{t}", v)
+            for t in range(t_day + 1):
+                flag(np.isnan(ev_e[t]) != (arrive <= t <= depart),
+                     f"ev energy window s{s} j{j} t{t}", ev_e[t])
             for t in range(arrive + 1, depart + 1):
-                e = solution.ev_e[s, j, t]
-                cap_ev = fleet.capacity
-                flag(e >= fleet.soc_min * cap_ev - FEAS_TOL * (1 + cap_ev),
-                     f"ev soc low s{s} j{j} t{t}", e)
-                flag(e <= fleet.soc_max * cap_ev + FEAS_TOL * (1 + cap_ev),
-                     f"ev soc high s{s} j{j} t{t}", e)
-            # z=0 scenarios owe every EV its target at departure
+                flag(ev_e[t] >= fleet.soc_min * cap_ev - tol_ev,
+                     f"ev soc low s{s} j{j} t{t}", ev_e[t])
+                flag(ev_e[t] <= fleet.soc_max * cap_ev + tol_ev,
+                     f"ev soc high s{s} j{j} t{t}", ev_e[t])
+            flag(abs(ev_e[arrive] - rec.initial_soc * cap_ev) <= tol_ev,
+                 f"ev arrival s{s} j{j}", ev_e[arrive])
+            # z=0 scenarios owe every EV its target at departure, read
+            # from its path; e_dep repeats that energy
             if solution.z[s] == 0:
-                dep_soc = solution.e_dep[s, j] / fleet.capacity
+                dep_soc = ev_e[depart] / fleet.capacity
                 flag(dep_soc >= fleet.target_departure_soc
                      - FEAS_TOL * (1 + fleet.target_departure_soc),
                      f"departure soc s{s} j{j}", dep_soc)
+            e_dep = solution.e_dep[s, j]
+            flag(math.isclose(e_dep, ev_e[depart], rel_tol=0.0,
+                              abs_tol=tol_ev)
+                 or math.isnan(e_dep) and math.isnan(ev_e[depart]),
+                 f"ev departure energy s{s} j{j}", e_dep)
 
     for store, ch, dis in (("bess", solution.bess_ch, solution.bess_dis),
                            ("tess", solution.tess_ch, solution.tess_dis),
@@ -496,11 +539,13 @@ def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
     assert flagged > 500 and tess > 0
 
 
-@pytest.mark.parametrize("seed, n_issues", [(7, 0), (11, 1), (12, 1)])
-def test_verify_plan_matches_scalar_reference_on_bundled_plans(
-        data_dir, seed, n_issues):
+@pytest.mark.parametrize("seed", [7, 11, 12])
+def test_verify_plan_matches_scalar_reference_on_bundled_plans(data_dir,
+                                                               seed):
     # the README's plan at three seeds, as branch and bound returns it,
-    # before solve_level repairs its overlaps
+    # before solve_level repairs its overlaps; then with 0.5 kW more charge
+    # and discharge at the first TESS hour, which leaves the TESS chain as
+    # it was, so that the overlap law fires whatever vertex arrives
     case = read_case(os.path.join(data_dir, "case.json"))
     history = read_history(os.path.join(data_dir, "history_loads.csv"),
                            os.path.join(data_dir, "history_ev.csv"))
@@ -514,7 +559,57 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(
         == _chance_audit_py(plan, fleet, 0.05, 10).as_dict()
     got = verify_plan(plan, scen, case.catalog)
     assert _same_check(got, _verify_plan_py(plan, scen, case.catalog)) == []
-    assert len(got.issues) == n_issues
+    bump = np.zeros_like(plan.tess_ch)
+    bump[0, 0] = 0.5
+    plan = dataclasses.replace(plan, tess_ch=plan.tess_ch + bump,
+                               tess_dis=plan.tess_dis + bump)
+    got = verify_plan(plan, scen, case.catalog)
+    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog)) == []
+    assert any(issue.startswith("tess charges and discharges s0 t0: ")
+               for issue in got.issues)
+
+
+def test_verify_plan_reads_each_visit_from_its_record(tiny, tiny_solved):
+    # two plans whose every other law holds: scenario 0's vehicle arriving
+    # with 2 kWh more than its record's 0.4 * 40, and one whose path
+    # departs with 33 kWh (SOC 0.825) while e_dep still reads the target,
+    # which the chance audit takes
+    plan, fleet = tiny_solved.plan, tiny.fleet
+    ev_e, e_dep = plan.ev_e.copy(), plan.e_dep.copy()
+    ev_e[0, 0] += 2.0
+    e_dep[0, 0] += 2.0
+    early = dataclasses.replace(plan, ev_e=ev_e, e_dep=e_dep)
+    short = dataclasses.replace(_departing_with(plan, fleet, 33.0),
+                                e_dep=plan.e_dep)
+    assert chance_audit(short, fleet, 0.0, 2).passed
+    for bad, issues in (
+            (early, ["ev arrival s0 j0: 18.0"]),
+            (short, ["departure soc s0 j0: 0.825",
+                     f"ev departure energy s0 j0: "
+                     f"{float(plan.e_dep[0, 0])!r}"])):
+        got = verify_plan(bad, tiny.scen, tiny.catalog)
+        assert got.issues == issues
+        assert _same_check(got, _verify_plan_py(bad, tiny.scen,
+                                                tiny.catalog)) == []
+
+
+def test_verify_plan_judges_by_the_records_it_is_given(tiny, tiny_solved):
+    # the tiny plan against a scenario set whose first vehicle stays one
+    # hour longer and arrives with 0.45 of its capacity: the plan has no
+    # values for hour 3's dispatch or hour 4's energy, and arrives with 16
+    # kWh, not 18
+    first = dataclasses.replace(tiny.scen.scenarios[0],
+                                ev_records=(EvRecord(0, 4, 0.45),))
+    scen = dataclasses.replace(tiny.scen, scenarios=(
+        first, *tiny.scen.scenarios[1:]))
+    got = verify_plan(tiny_solved.plan, scen, tiny.catalog)
+    assert [issue.partition(":")[0] for issue in got.issues] == [
+        "ev soc low s0 j0 t4", "ev soc high s0 j0 t4",
+        "ev charge window s0 j0 t3", "ev discharge window s0 j0 t3",
+        "ev energy window s0 j0 t4", "ev arrival s0 j0",
+        "departure soc s0 j0", "ev departure energy s0 j0"]
+    assert _same_check(got, _verify_plan_py(tiny_solved.plan, scen,
+                                            tiny.catalog)) == []
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
@@ -549,7 +644,8 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     assert check_solution(model, built).ok
     raw = dataclasses.replace(sol, x=built)
     monkeypatch.setattr(analysis, "branch_and_bound", lambda *a, **k: raw)
-    level = analysis.solve_level(model, scen, catalog, tariffs, config)
+    level = analysis.solve_level(model, scen, catalog, tariffs, config, None,
+                                 None)
     assert (level.overlap, level.unrepaired) == ([model.col_names[ch[at]]],
                                                  [])
     raw_plan = extract_solution(raw, index)
@@ -573,7 +669,7 @@ def test_unrepairable_overlap_is_reported(tiny, tiny_solved, monkeypatch):
     monkeypatch.setattr(analysis, "branch_and_bound",
                         lambda *a, **k: dataclasses.replace(sol, x=x))
     level = analysis.solve_level(model, tiny.scen, tiny.catalog,
-                                 tiny.tariffs, tiny.config)
+                                 tiny.tariffs, tiny.config, None, None)
     assert level.bnb.x.tobytes() == x.tobytes()
     assert level.overlap == level.unrepaired == ["VC0_0_0"]
     doc = level.as_dict()
@@ -587,7 +683,7 @@ def test_unrepairable_overlap_is_reported(tiny, tiny_solved, monkeypatch):
 def test_sweep_monotone_and_convertible(tiny):
     # two levels in yuan/ton; the 40-level must replay the direct solve
     # at carbon_tax = 0.04 yuan/kg
-    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+    sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0, 1000.0])
     assert [lv.status for lv in sw.levels] == ["optimal", "optimal"]
     lo, hi = (lv.breakdown.total for lv in sw.levels)
@@ -602,7 +698,7 @@ def test_sweep_monotone_and_convertible(tiny):
 
 
 def test_sweep_levels_carry_plan(tiny):
-    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+    sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0])
     lv = sw.levels[0]
     assert lv.carbon_tax == 40.0
@@ -622,10 +718,10 @@ def test_sweep_refuses_a_bad_level_before_solving(tiny, monkeypatch):
     monkeypatch.setattr(analysis, "solve_level", must_not_run)
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InvalidParameterError, match="carbon_tax"):
-            analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+            analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs,
                                       tiny.scen, tiny.config, [40.0, bad])
     with pytest.raises(InvalidParameterError, match="must not be empty"):
-        analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+        analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs,
                                   tiny.scen, tiny.config, [])
 
 
@@ -637,7 +733,7 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
     monkeypatch.setattr(analysis, "check_solution", lambda model, x:
                         VerifyReport(ok=False, max_residual=1.0,
                                      bad_rows=[("EB0_0", 1.0)]))
-    sw = analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+    sw = analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs,
                                    tiny.scen, tiny.config, [40.0])
     lv, = sw.levels
     assert (lv.status, lv.bnb.status) == ("error", "optimal")
@@ -657,7 +753,7 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
 def test_stopped_level_reports_its_incumbent(tiny, tmp_path):
     # one node: the sweep level holds the dive's incumbent and its verdicts,
     # but keeps its status and reports no plan or total in the tables
-    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+    sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0], max_nodes=1)
     lv, = sw.levels
     assert (lv.status, lv.error) == ("node_limit", "solver ended node_limit")
@@ -681,7 +777,7 @@ def test_hint_when_only_integrality_binds():
     from conftest import make_model
     from hubplan.model import BINARY, EQ
     model = make_model([1.0], [[2.0]], [EQ], [1.0], [0.0], [1.0], [BINARY])
-    level = analysis.solve_level(model, None, None, None, None)
+    level = analysis.solve_level(model, None, None, None, None, None, None)
     assert level.bnb.status == "infeasible" and level.bnb.n_nodes > 1
     assert level.bnb.infeasible_rows == [] and level.plan is None
     assert level.infeasible_hint == ("LP relaxation is feasible; integer "
@@ -701,7 +797,7 @@ def test_hint_names_rows_left_violated_by_their_start_column(tiny):
     model = assemble_model(tiny.grid, catalog, tariffs, tiny.scen,
                            tiny.config)
     level = analysis.solve_level(model, tiny.scen, catalog, tariffs,
-                                 tiny.config)
+                                 tiny.config, None, None)
     assert level.status == "infeasible"
     assert level.infeasible_hint == ("LP stage violates: electric balance, "
                                      "heat balance, departure-SOC targets")
@@ -716,7 +812,7 @@ def test_every_row_has_a_constraint_family(tiny):
 
 
 def test_writers(tiny, tiny_solved, tmp_path):
-    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+    sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0, 1000.0])
     ps = tmp_path / "plan_summary.csv"
     cb = tmp_path / "cost_breakdown.csv"
@@ -747,7 +843,7 @@ def test_writers(tiny, tiny_solved, tmp_path):
 
 
 def test_writer_determinism(tiny, tmp_path):
-    sw = sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+    sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config, [40.0])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_plan_summary(str(p1), sw, tiny.catalog)
@@ -773,7 +869,7 @@ def test_sweep_assembles_once(tiny, monkeypatch):
     monkeypatch.setattr(analysis, "assemble_model", counted)
     monkeypatch.setattr(analysis, "branch_and_bound", captured)
     taxes = [40.0, 400.0, 1000.0]
-    sw = analysis.sweep_carbon_tax(tiny.grid, tiny.catalog, tiny.tariffs,
+    sw = analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs,
                                    tiny.scen, tiny.config, taxes)
     assert [lv.status for lv in sw.levels] == ["optimal"] * 3
     assert len(assembled) == 1 and len(solved) == 3

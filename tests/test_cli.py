@@ -364,10 +364,10 @@ def test_plan_prices_at_the_case_tax_exactly(data_dir, tmp_path,
         "--scenario-ev", os.path.join(days, "n3_scenarios_ev.csv"),
         "--out", str(out)]) == 0
     (args, sweep), = sweeps
-    grid, catalog, tariffs = args[:3]
+    catalog, tariffs, scen = args[:3]
     level, = sweep.levels
     want = cost_breakdown(level.plan, catalog, tariffs,
-                          annualization_factor(grid)).as_dict()
+                          annualization_factor(scen.grid)).as_dict()
     assert want["carbon_from_elec"] == 12.487082662089543
     assert want["carbon_from_gas"] == 8.160630648219907
     assert level.breakdown.as_dict() == want
@@ -423,6 +423,9 @@ def _must_not_read(*args, **kwargs):
     (["--out", os.path.abspath(__file__)], {}),  # an existing file
     # below an existing file
     (["--out", os.path.join(os.path.abspath(__file__), "sub")], {}),
+    (["--zeta", "abc"], {}),  # not a number
+    ([], {"rel_gap": "x"}),
+    (["--carbon-tax", "40,x"], {}),
 ])
 def test_bad_options_exit_before_generating(data_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,

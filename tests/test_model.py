@@ -278,6 +278,67 @@ def test_check_refuses_a_bad_start_basis(tiny, change, message):
         bad.check()
 
 
+@pytest.mark.parametrize("change", [
+    dict(planning_years=20), dict(n_scenarios=1), dict(n_scenarios=3)],
+    ids=["planning-years", "fewer-days", "more-days"])
+def test_assemble_refuses_a_grid_unlike_the_scenario_sets(tiny, change):
+    # the scenario set holds the model's time grid; a grid passed beside it
+    # must be the same one, or the model would be priced or sized by the
+    # other
+    grid = dataclasses.replace(tiny.grid, **change)
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                       tiny.config)
+    assert str(ei.value) == (f"grid {grid} is not the scenario set's grid "
+                             f"{tiny.scen.grid}")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: dict(row_names=m.row_names[:1] * m.n_rows),
+     "duplicate row names"),
+    (lambda m: dict(col_names=m.col_names[:1] * m.n_cols),
+     "duplicate column names"),
+    (lambda m: dict(col_ub=np.where(np.arange(m.n_cols) >= 1, np.nan,
+                                    m.col_ub)),
+     "NaN column bound: XFC0 in [0.0, nan]"),
+    (lambda m: dict(col_lb=np.where(np.arange(m.n_cols) >= 1, 11.0,
+                                    m.col_lb)),
+     "crossed column bounds: XFC0 in [11.0, 10.0]"),
+], ids=["row-names", "col-names", "nan-bound", "crossed-bounds"])
+def test_check_refuses_a_bad_layout_or_bound(tiny, change, message):
+    # the refusals name the first column whose bounds fail
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           tiny.config)
+    with pytest.raises(ModelBuildError) as ei:
+        dataclasses.replace(model, **change(model)).check()
+    assert str(ei.value) == message
+
+
+def test_negative_pv_is_a_crossed_bound(tiny):
+    # PV availability is the PV column's upper bound: -1 kW at s0 t1 crosses
+    # its lower bound of 0
+    first = tiny.scen.scenarios[0]
+    pv = list(first.pv_avail)
+    pv[1] = -1.0
+    scen = dataclasses.replace(tiny.scen, scenarios=(
+        dataclasses.replace(first, pv_avail=tuple(pv)),
+        *tiny.scen.scenarios[1:]))
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, scen,
+                       tiny.config)
+    assert str(ei.value) == "crossed column bounds: PV0_1 in [0.0, -1.0]"
+
+
+def test_assemble_refuses_a_row_naming_a_column_twice(tiny, monkeypatch):
+    import hubplan.model as model_mod
+    monkeypatch.setattr(model_mod, "build_tess_constraints", lambda index: [
+        ("TX", LE, 0.0, (5, 7, 5), (1.0, 1.0, 2.0), -1)])
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                       tiny.config)
+    assert str(ei.value) == "row TX: duplicate column 5"
+
+
 def test_var_index_lookup(tiny):
     from hubplan.model import K_GRID, K_VCH, K_XESS
     m = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,

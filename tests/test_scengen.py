@@ -1,5 +1,4 @@
 """Moment-matching scenario generation: estimators, transforms, pipeline."""
-import inspect
 import os
 
 import numpy as np
@@ -219,7 +218,7 @@ def test_fit_cubic_batch_matches_reference():
     # skew^2 + 1, so some fits converge and the platykurtic ones stall; all
     # rows go through one batched call
     rng = np.random.default_rng(21)
-    tol, rows = 1e-10, 300
+    tol, rows = scengen._FIT_TOL, 300
     m = np.empty((rows, 13))
     target = np.empty((rows, 4))
     for r in range(rows):
@@ -235,7 +234,7 @@ def test_fit_cubic_batch_matches_reference():
     b0 = np.sqrt((target[:, 1] - target[:, 0] ** 2) / (m[:, 2] - m[:, 1] ** 2))
     coef0 = np.column_stack([target[:, 0] - b0 * m[:, 1], b0,
                              np.zeros(rows), np.zeros(rows)])
-    coef, failed, steps, rung = fit_cubic_batch(target, m, coef0, tol=tol)
+    coef, failed, steps, rung = fit_cubic_batch(target, m, coef0)
     seen = {True: 0, False: 0}
     for r in range(rows):
         ref, ok, err, lams = _ref_fit(target[r], m[r], coef0[r], tol=tol)
@@ -277,15 +276,17 @@ def test_fit_batch_falls_back_per_row_on_a_singular_jacobian(monkeypatch):
     assert np.array_equal(coef[0], alone[0])  # bit for bit
 
 
-def test_fit_ladder_accepts_first_improving_halving():
+def test_fit_ladder_accepts_first_improving_halving(monkeypatch):
     # from this start the full step, 1/2 and 1/4 all raise the residual
     target = np.array([0.0, 1.0, 1.3, 5.0])  # mean 0, var 1, skew 1.3, kurt 5
     coef0 = np.array([0.4, -0.35, 0.45, -0.15])
     m = np.array(_NORMAL_MOMENTS)
     ref, _ok, _err, lams = _ref_fit(target, m, coef0, max_iters=1)
     assert lams == [0.125]
-    coef, failed, steps, rung = fit_cubic_batch(target[None], m[None],
-                                                coef0[None], max_iters=1)
+    with monkeypatch.context() as one_step:
+        one_step.setattr(scengen, "_FIT_STEPS", 1)
+        coef, failed, steps, rung = fit_cubic_batch(target[None], m[None],
+                                                    coef0[None])
     assert failed[0]  # one step does not reach tol
     assert steps.tolist() == [1] and rung.tolist() == [3]  # lam = 2^-3
     np.testing.assert_allclose(coef[0], ref, rtol=1e-12)
@@ -323,8 +324,8 @@ def test_fit_stalls_below_the_shortest_rung(bundled, monkeypatch):
         pytest.fail("no failed row crawls below the shortest rung")
     _ref, ok, _err, lams = _ref_fit(target[r], m[r], c, max_iters=1)
     assert not ok and lams == []
-    coef, failed, steps, rung = batch(target[r][None], m[r][None], c[None],
-                                      max_iters=1)
+    monkeypatch.setattr(scengen, "_FIT_STEPS", 1)
+    coef, failed, steps, rung = batch(target[r][None], m[r][None], c[None])
     # the pass that found no improving rung is a step, and took no rung
     assert failed[0] and steps.tolist() == [1] and rung.tolist() == [0]
     assert np.array_equal(coef[0], c)
@@ -489,7 +490,7 @@ def test_fit_work_per_round_is_bounded(bundled, monkeypatch):
     case, (elec, heat, pv, ev) = bundled
     _scen, raw = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=6,
                                     seed=3)
-    max_iters = inspect.signature(batch).parameters["max_iters"].default
+    max_iters = scengen._FIT_STEPS
     assert len(per_round) == len(raw.iteration_log)
     assert 1 < max(per_round) <= 2 * max_iters + 1
     assert max(per_round) <= 2 * (max_iters // 2) + 1
