@@ -55,12 +55,13 @@ def _finite_nonneg(arr, label, issues, mask=True):
                       f"{float(a[tuple(idx)])!r}")
 
 
-def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
+def cost_breakdown(solution, catalog, tariffs) -> CostBreakdown:
     """Recompute the annualized cost parts of a solved plan.
 
-    m is the annualization factor. Dispatch quantities must be finite and
-    at least -FEAS_TOL, as check_solution's bounds allow; anything else
-    makes the costs meaningless and raises InfeasibleSolutionError with the
+    The operating costs are weighted by the annualization factor m of the
+    plan's time grid. Dispatch quantities must be finite and at least
+    -FEAS_TOL, as check_solution's bounds allow; anything else makes the
+    costs meaningless and raises InfeasibleSolutionError with the
     offending entries.
     """
     issues = []
@@ -77,6 +78,7 @@ def cost_breakdown(solution, catalog, tariffs, m) -> CostBreakdown:
     if issues:
         raise InfeasibleSolutionError(issues)
 
+    m = annualization_factor(solution.time_grid)
     fc_inv = sum(catalog.fc(fc_id).invest_cost * units
                  for fc_id, units in solution.x_fc.items())
     bess_inv = catalog.bess.invest_cost * max(float(solution.x_ess), 0.0)
@@ -354,8 +356,7 @@ def solve_level(model, scenario_set, catalog, tariffs, config, carbon_tax,
     grid = scenario_set.grid
     plan = extract_solution(bnb, model.var_index)
     check = check_solution(model, x)
-    breakdown = cost_breakdown(plan, catalog, tariffs,
-                               annualization_factor(grid))
+    breakdown = cost_breakdown(plan, catalog, tariffs)
     audit = chance_audit(plan, catalog.ev_fleet, config.zeta,
                          grid.n_scenarios)
     plan_check = verify_plan(plan, scenario_set, catalog)

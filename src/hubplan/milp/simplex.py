@@ -70,7 +70,8 @@ come from a fresh btran on a clean factor.
 
 A cold solve starts from the model's ``start_basis``, one column per row:
 all slacks unless the model names structurals, as assemble_model does for
-the rows a column defines (grid import in the electric balances, storage
+the rows a column defines (grid import in the electric balances, one fuel
+cell's fuel in the heat balances and its count in one capacity row, storage
 and vehicle energies in their chain rows). Its kernel is factored like any
 other, every nonbasic sits on its lower bound when that is finite, else on
 its upper one, and the primal simplex runs from there. A warm solve starts

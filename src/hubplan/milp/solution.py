@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import TimeGrid
 from ..errors import SolverError
 from ..model import (K_BCH, K_BDIS, K_BE, K_FUEL, K_GRID, K_PV, K_SHORT,
                      K_TCH, K_TDIS, K_TE, K_VCH, K_VDIS, K_VE, K_XESS, K_XFC,
@@ -20,9 +21,11 @@ class PlanSolution:
     or vehicle where present); EV arrays hold NaN outside each vehicle's
     parking window, and ev_e spans T+1 points with the arrival datum at
     index arrive. e_dep is the departure energy (kWh), z the per-scenario
-    substandard flags. A plan that analysis.solve_level reports comes from
-    the incumbent after model.repair_overlap: no store charges and
-    discharges in the same hour, or verify_plan says where one does.
+    substandard flags. time_grid is the model's time grid (grid is the
+    grid import): analysis.cost_breakdown prices the plan over it. A plan
+    that analysis.solve_level reports comes from the incumbent after
+    model.repair_overlap: no store charges and discharges in the same
+    hour, or verify_plan says where one does.
     """
 
     x_ess: float
@@ -42,6 +45,7 @@ class PlanSolution:
     shortfall: np.ndarray
     e_dep: np.ndarray
     z: np.ndarray
+    time_grid: TimeGrid
 
 
 def extract_solution(bnb, index) -> PlanSolution:
@@ -91,4 +95,4 @@ def extract_solution(bnb, index) -> PlanSolution:
         bess_ch=gather(K_BCH), bess_dis=gather(K_BDIS), bess_e=gather(K_BE),
         tess_ch=gather(K_TCH), tess_dis=gather(K_TDIS), tess_e=gather(K_TE),
         ev_ch=ev(gather(K_VCH)), ev_dis=ev(gather(K_VDIS)), ev_e=ev_e,
-        shortfall=gather(K_SHORT), e_dep=e_dep)
+        shortfall=gather(K_SHORT), e_dep=e_dep, time_grid=index.grid)

@@ -326,12 +326,50 @@ def build_objective(index, catalog, tariffs) -> np.ndarray:
     return obj
 
 
-def build_energy_balance(index, scenario_set, catalog) -> list:
+def _heat_start(index, scenario_set, catalog, obj):
+    """The fuel cell whose fuel starts basic in every heat balance, and the
+    capacity row its unit count starts basic in.
+
+    Fuel cell i covers the set's peak heat load P when
+    P * max(1 / max_heat, gas_to_elec / (gas_to_heat * max_elec)) <=
+    max_units: its fuel alone then meets every heat load within the fuel's
+    bound, and the units that takes within max_units. Of the cells that
+    cover P, the one whose fuel costs least per unit of heat in obj,
+    obj[FU] / gas_to_heat, is chosen, the lowest index on ties. Its count
+    starts in the FE or FH row (both carry -max_elec or -max_heat, nonzero
+    for a covering cell) that needs the most units at that fuel, the first
+    in row order on ties; every other capacity row then holds.
+
+    Returns (i, (s, t, k)), k = 0 for FE and 1 for FH, or None when no
+    fuel cell covers P.
+    """
+    fcs = catalog.fuel_cells
+    heat = np.array([sc.heat_load for sc in scenario_set.scenarios])
+
+    def units_per_kw(fc):  # of heat met by fc's fuel, in its FE and FH rows
+        return np.array([fc.gas_to_elec / (fc.gas_to_heat * fc.max_elec),
+                         1.0 / fc.max_heat])
+
+    cover = [i for i, fc in enumerate(fcs)
+             if fc.gas_to_heat > 0.0 and fc.max_heat > 0.0
+             and heat.max() * units_per_kw(fc).max() <= fc.max_units]
+    if not cover:
+        return None
+    i = min(cover, key=lambda i: obj[index.ids[K_FUEL][0, 0, i]]
+            / fcs[i].gas_to_heat)
+    units = heat[..., None] * units_per_kw(fcs[i])
+    at = np.unravel_index(np.argmax(units), units.shape)
+    return i, tuple(int(a) for a in at)
+
+
+def build_energy_balance(index, scenario_set, catalog, heat_fc) -> list:
     """Hourly electric equality and heat covering rows, per scenario.
 
-    Each electric balance starts with its grid import basic (C_GRID = 1):
-    with every other column at 0, import equals the load. A heat balance
-    starts on its slack."""
+    Each electric balance starts with its grid import basic (C_GRID = 1).
+    Each heat balance starts with fuel cell heat_fc's fuel basic, or on its
+    slack when heat_fc is None. With every other column at 0, the fuel
+    meets the heat load exactly and import the electric load less that
+    fuel's electric output."""
     rows = []
     ids, fleet = index.ids, catalog.ev_fleet
     bess, tess, fcs = catalog.bess, catalog.tess, catalog.fuel_cells
@@ -350,19 +388,22 @@ def build_energy_balance(index, scenario_set, catalog) -> list:
                          elec + [-1.0 / fleet.eta_ch] * n_parked
                          + [fleet.eta_dis] * n_parked, ids[K_GRID][s, t]))
         for t in range(index.hours):
+            fuel = ids[K_FUEL][s, t]
             rows.append((f"HB{s}_{t}", GE, sc.heat_load[t],
-                         [*ids[K_FUEL][s, t], ids[K_TCH][s, t],
-                          ids[K_TDIS][s, t]], heat, -1))
+                         [*fuel, ids[K_TCH][s, t], ids[K_TDIS][s, t]], heat,
+                         -1 if heat_fc is None else fuel[heat_fc]))
     return rows
 
 
-def build_device_bounds(index, catalog) -> list:
+def build_device_bounds(index, catalog, x_start) -> list:
     """Fuel-cell output caps tied to installed counts.
 
     PV availability, grid import and dispatch rate limits are plain column
     bounds, materialized when the index is built; this emits the coupling
-    rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat, each
-    starting on its slack.
+    rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat. Fuel
+    cell i's count X starts basic in its row (s, t, k) when x_start is
+    (i, (s, t, k)), k = 0 for the electric cap and 1 for the heat cap;
+    every other row starts on its slack.
     """
     rows = []
     fuel, x = index.ids[K_FUEL], index.ids[K_XFC]
@@ -370,10 +411,12 @@ def build_device_bounds(index, catalog) -> list:
         for t in range(index.hours):
             for i, fc in enumerate(catalog.fuel_cells):
                 cols = (fuel[s, t, i], x[i])
+                start = [x[i] if x_start == (i, (s, t, k)) else -1
+                         for k in (0, 1)]
                 rows.append((f"FE{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_elec, -fc.max_elec), -1))
+                             (fc.gas_to_elec, -fc.max_elec), start[0]))
                 rows.append((f"FH{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_heat, -fc.max_heat), -1))
+                             (fc.gas_to_heat, -fc.max_heat), start[1]))
     return rows
 
 
@@ -484,14 +527,23 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     The builders name the column each row defines: grid import in every
     electric balance, a store's energy E(t) in its chain row of hour
     t >= 1 (hour 0's row, which closes the cycle, keeps its slack) and a
-    vehicle's energy in each of its chain rows. Each has coefficient 1 in
-    its row and meets no other such row but the next hour's chain row, so
-    the start basis's structural block is unit lower-bidiagonal, nonsingular
-    by construction. With every nonbasic at its lower bound (0), those rows
-    hold at the start: import equals the load, store energies are 0 and
-    vehicle energies the arrival energy, within their bounds unless a load
-    exceeds grid_cap. From all slacks, every electric balance and every
-    vehicle's first chain row would start out of bounds instead.
+    vehicle's energy in each of its chain rows. When a fuel cell covers
+    the peak heat load (_heat_start), its fuel is basic in every heat
+    balance and its count in one of its capacity rows. The start basis's
+    structural block is then lower triangular with a nonzero diagonal,
+    nonsingular by construction, once its rows are taken in this order:
+    the heat balances (each fixes its hour's fuel, the only basic in it),
+    the capacity row (fixes the count, given that hour's fuel), the
+    electric balances (each fixes its import, given its hour's fuel), then
+    the chains (each fixes its energy, given the hour before; grid import,
+    store and vehicle energies have coefficient 1). With every nonbasic at
+    its lower bound (0), those rows hold at the start: the fuel meets each
+    heat load, the count every capacity row, import the electric load less
+    the fuel cell's output, store energies are 0 and vehicle energies the
+    arrival energy, within their bounds unless a load exceeds grid_cap or
+    the fuel cell's output an electric load. From all slacks, every heat
+    and electric balance and every vehicle's first chain row would start
+    out of bounds instead.
 
     The time grid is scenario_set.grid; grid must equal it, or the model
     is refused with a ModelBuildError naming both.
@@ -501,8 +553,10 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
                               f"{scenario_set.grid}")
     index = VarIndex(catalog, scenario_set, tariffs)
     obj = build_objective(index, catalog, tariffs)
-    rows = (build_energy_balance(index, scenario_set, catalog)
-            + build_device_bounds(index, catalog)
+    heat = _heat_start(index, scenario_set, catalog, obj)
+    rows = (build_energy_balance(index, scenario_set, catalog,
+                                 None if heat is None else heat[0])
+            + build_device_bounds(index, catalog, heat)
             + build_bess_constraints(index, catalog.bess)
             + build_tess_constraints(index)
             + build_ev_constraints(index)

@@ -8,12 +8,13 @@ import pytest
 from scipy import sparse
 
 import hubplan
-from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
-                          FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
-                          TimeGrid)
+from hubplan.core import (FEAS_TOL, BessSpec, EquipmentCatalog, EvFleetSpec,
+                          EvRecord, FcSpec, Scenario, ScenarioSet, TariffSet,
+                          TessSpec, TimeGrid)
 from hubplan.milp import branch_and_bound, extract_solution
-from hubplan.model import (BINARY, K_BCH, K_BDIS, K_TCH, K_TDIS, K_VCH,
-                           K_VDIS, LE, MilpModel, ModelConfig, assemble_model)
+from hubplan.model import (BINARY, K_BCH, K_BDIS, K_GRID, K_PV, K_TCH,
+                           K_TDIS, K_VCH, K_VDIS, K_VE, LE, MilpModel,
+                           ModelConfig, assemble_model)
 
 
 def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
@@ -81,20 +82,44 @@ def with_exclusivity_flags(model):
 
 
 def with_pv_less_overlap(model, fleet, x):
-    """A copy of x, the tiny case's optimum, in which vehicle 0, charging
-    at its cap at s0 t0 and t1, also discharges 0.5 kW at t0 and charges
-    0.5 kW more at t2, the grid taking up the difference: still feasible,
-    but an overlap in an hour without PV to curtail, which cannot be
-    repaired."""
-    col = model.col_names.index
-    x = x.copy()
-    x[col("VD0_0_0")] += 0.5
-    x[col("VE0_1_0")] -= 0.5
-    x[col("VE0_2_0")] -= 0.5
-    x[col("VC0_2_0")] += 0.5
-    x[col("GR0_0")] -= 0.5 * fleet.eta_dis
-    x[col("GR0_2")] += 0.5 / fleet.eta_ch
-    return x
+    """A copy of x, a solved x of the tiny case, with one charge/discharge
+    overlap that cannot be repaired.
+
+    The overlap hour is the first parked vehicle-hour, in (scenario,
+    vehicle, hour) order, without PV, with at least 0.5 kW of charging, no
+    discharging and 0.5 kW of grid import. There the vehicle also
+    discharges 0.5 kW, and it charges 0.5 kW more at the first later
+    parked hour with room to (charging 0.5 kW below its cap, no
+    discharging, grid import 0.5 kW below its cap, energies at least
+    0.5 kWh above their floor until then); the energies in between fall by
+    0.5 kWh and the grid takes up the difference. x stays feasible, but
+    the overlap sits in an hour without PV to curtail.
+    """
+    index, lb, ub = model.var_index, model.col_lb, model.col_ub
+    ids = index.ids
+    ch, dis, e = ids[K_VCH], ids[K_VDIS], ids[K_VE]
+    grid, pv = ids[K_GRID], ids[K_PV]
+    cut, add = 0.5 * fleet.eta_dis, 0.5 / fleet.eta_ch
+    for (s, j), (a, d) in sorted(index.windows.items()):
+        for t in range(a, d):
+            if not (x[pv[s, t]] <= FEAS_TOL and x[dis[s, t, j]] <= FEAS_TOL
+                    and x[dis[s, t, j]] + 0.5 <= ub[dis[s, t, j]]
+                    and x[ch[s, t, j]] >= 0.5 and x[grid[s, t]] >= cut):
+                continue
+            for u in range(t + 1, d):
+                drop = e[s, t + 1:u + 1, j]
+                if (x[dis[s, u, j]] <= FEAS_TOL
+                        and x[ch[s, u, j]] + 0.5 <= ub[ch[s, u, j]]
+                        and x[grid[s, u]] + add <= ub[grid[s, u]]
+                        and (x[drop] - 0.5 >= lb[drop]).all()):
+                    x = x.copy()
+                    x[dis[s, t, j]] += 0.5
+                    x[drop] -= 0.5
+                    x[ch[s, u, j]] += 0.5
+                    x[grid[s, t]] -= cut
+                    x[grid[s, u]] += add
+                    return x
+    raise ValueError("x has no vehicle-hour to overlap")
 
 
 def tiny_case():

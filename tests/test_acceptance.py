@@ -46,7 +46,9 @@ REF_PLANS = [
 ]
 
 
-def _zero_plan(n, t, n_fc, n_ev, x_ess, x_fc):
+def _zero_plan(grid, n_fc, n_ev, x_ess, x_fc):
+    n, t = grid.n_scenarios, grid.hours_per_day
+
     def z(*shape):
         return np.zeros(shape)
 
@@ -57,15 +59,14 @@ def _zero_plan(n, t, n_fc, n_ev, x_ess, x_fc):
         ev_ch=np.full((n, n_ev, t), np.nan),
         ev_dis=np.full((n, n_ev, t), np.nan),
         ev_e=np.full((n, n_ev, t + 1), np.nan), shortfall=z(n, n_ev),
-        e_dep=z(n, n_ev), z=np.zeros(n, dtype=np.int64))
+        e_dep=z(n, n_ev), z=np.zeros(n, dtype=np.int64), time_grid=grid)
 
 
 def _ref_breakdown(case, row):
     units, kwh, _, _ = row
-    m = annualization_factor(case.time_grid(1))
-    plan = _zero_plan(1, case.hours_per_day, 3, case.catalog.ev_fleet.n_ev,
+    plan = _zero_plan(case.time_grid(1), 3, case.catalog.ev_fleet.n_ev,
                       kwh, dict(zip(("SOFC", "PEM_gas", "PEM_H2"), units)))
-    return cost_breakdown(plan, case.catalog, case.tariffs, m)
+    return cost_breakdown(plan, case.catalog, case.tariffs)
 
 
 def test_c1_reference_investment_parts(data_dir):
@@ -393,7 +394,6 @@ def test_c6_carbon_tax_monotonicity(data_dir):
     scen, _ = generate_scenarios(case, elec, heat, pv, ev, n_scenarios=10,
                                  seed=7)
     grid = case.time_grid(10)
-    m = annualization_factor(grid)
     config = ModelConfig(zeta=0.05)
     totals = []
     slowest = 0.0
@@ -406,7 +406,7 @@ def test_c6_carbon_tax_monotonicity(data_dir):
         slowest = max(slowest, el)
         assert sol.status == "optimal" and el < 60.0, (tax, sol.status, el)
         plan = extract_solution(sol, model.var_index)
-        bd = cost_breakdown(plan, case.catalog, tariffs, m)
+        bd = cost_breakdown(plan, case.catalog, tariffs)
         totals.append(bd.total)
         VERIFIED.append((f"c6[{tax:.0f}]", model, sol.x))
     for lo, hi in zip(totals, totals[1:]):

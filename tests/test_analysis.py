@@ -15,8 +15,7 @@ from hubplan.analysis import (ChanceAudit, PlanCheck, chance_audit,
                               select_extreme_scenario, soc_table,
                               sweep_carbon_tax, verify_plan,
                               write_cost_breakdown, write_plan_summary)
-from hubplan.core import (FEAS_TOL, INT_TOL, EvRecord,
-                          annualization_factor)
+from hubplan.core import FEAS_TOL, INT_TOL, EvRecord
 from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
 from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
@@ -30,13 +29,11 @@ from hubplan.scengen import generate_scenarios
 
 @pytest.fixture(scope="module")
 def priced(tiny, tiny_solved):
-    m = annualization_factor(tiny.grid)
-    bd = cost_breakdown(tiny_solved.plan, tiny.catalog, tiny.tariffs, m)
-    return m, bd
+    return cost_breakdown(tiny_solved.plan, tiny.catalog, tiny.tariffs)
 
 
 def test_breakdown_equals_objective(tiny_solved, priced):
-    _, bd = priced
+    bd = priced
     obj = tiny_solved.sol.objective
     assert abs(bd.total - obj) <= 1e-6 * (1 + abs(obj))
     parts = bd.as_dict()
@@ -46,13 +43,12 @@ def test_breakdown_equals_objective(tiny_solved, priced):
 
 
 def test_breakdown_zero_dispatch(tiny, tiny_solved, priced):
-    m, _ = priced
     zero = dataclasses.replace(
         tiny_solved.plan, x_ess=100.0, x_fc={"PEM_gas": 3},
         grid=np.zeros_like(tiny_solved.plan.grid),
         fuel=np.zeros_like(tiny_solved.plan.fuel),
         shortfall=np.zeros_like(tiny_solved.plan.shortfall))
-    bd = cost_breakdown(zero, tiny.catalog, tiny.tariffs, m)
+    bd = cost_breakdown(zero, tiny.catalog, tiny.tariffs)
     assert bd.fc_investment == 90.0
     assert bd.bess_investment == 15.0
     assert bd.gas_cost == 0.0 and bd.carbon_from_gas == 0.0
@@ -60,23 +56,21 @@ def test_breakdown_zero_dispatch(tiny, tiny_solved, priced):
 
 
 def test_breakdown_screens_nan(tiny, tiny_solved, priced):
-    m, _ = priced
     grid = tiny_solved.plan.grid.copy()
     grid[1, 2] = np.nan
     with pytest.raises(InfeasibleSolutionError) as ei:
         cost_breakdown(dataclasses.replace(tiny_solved.plan, grid=grid),
-                       tiny.catalog, tiny.tariffs, m)
+                       tiny.catalog, tiny.tariffs)
     assert "grid(1, 2)" in str(ei.value)
 
 
 def test_breakdown_screens_negative(tiny, tiny_solved, priced):
-    m, _ = priced
     fuel = tiny_solved.plan.fuel.copy()
     fuel[0, 0, 0] = -3.0
     bad = dataclasses.replace(tiny_solved.plan, fuel=fuel, x_ess=-1.0,
                               x_fc={"PEM_gas": -1})
     with pytest.raises(InfeasibleSolutionError) as ei:
-        cost_breakdown(bad, tiny.catalog, tiny.tariffs, m)
+        cost_breakdown(bad, tiny.catalog, tiny.tariffs)
     for issue in ("x_ess = -1.0", "x_fc[PEM_gas] = -1", "fuel(0, 0, 0)"):
         assert issue in str(ei.value)
 
@@ -84,23 +78,21 @@ def test_breakdown_screens_negative(tiny, tiny_solved, priced):
 def test_breakdown_screens_infinite_charging(tiny, tiny_solved, priced):
     # a vehicle's charging inside its window must be finite, as its column
     # bounds require; outside the window it is NaN and not screened
-    m, _ = priced
     ev_ch = tiny_solved.plan.ev_ch.copy()
     ev_ch[0, 0, 1] = np.inf
     with pytest.raises(InfeasibleSolutionError) as ei:
         cost_breakdown(dataclasses.replace(tiny_solved.plan, ev_ch=ev_ch),
-                       tiny.catalog, tiny.tariffs, m)
+                       tiny.catalog, tiny.tariffs)
     assert "ev_ch(0, 0, 1) = inf" in str(ei.value)
 
 
 def test_breakdown_clamps_roundoff(tiny, tiny_solved, priced):
     # a -1e-15 from the solver must price as zero, not as a negative part
-    m, _ = priced
     short = tiny_solved.plan.shortfall.copy()
     short[:] = -1e-15
     bd = cost_breakdown(dataclasses.replace(tiny_solved.plan,
                                             shortfall=short),
-                        tiny.catalog, tiny.tariffs, m)
+                        tiny.catalog, tiny.tariffs)
     assert bd.soc_penalty == 0.0
 
 
@@ -111,7 +103,7 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
     # takes it (and its cost part is clamped), beyond it both the solution
     # check and the cost screen refuse it. The entry is the first shortfall
     # column at its lower bound in the solved x, so the cost stays put
-    m, base = priced
+    base = priced
     model, sol = tiny_solved.model, tiny_solved.sol
     short = model.var_index.ids[K_SHORT]
     at = next(sj for sj in np.ndindex(short.shape)
@@ -123,12 +115,12 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
     assert check_solution(model, x).ok is ok
     if ok:
         assert verify_plan(plan, tiny.scen, tiny.catalog).ok
-        bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
+        bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs)
         assert bd.as_dict() == base.as_dict()
     else:
         with pytest.raises(InfeasibleSolutionError,
                            match=r"shortfall\({}, {}\)".format(*at)):
-            cost_breakdown(plan, tiny.catalog, tiny.tariffs, m)
+            cost_breakdown(plan, tiny.catalog, tiny.tariffs)
 
 
 def _departing_with(plan, fleet, kwh):
@@ -509,10 +501,11 @@ def _same_check(got, ref):
 
 
 def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
-    # 1-3 entries of the tiny plan's fields, NaN entries included, moved by
-    # 1e-8 to 1e2 either way
+    # 1-3 entries of the tiny plan's value fields (all but its time grid),
+    # NaN entries included, moved by 1e-8 to 1e2 either way
     plan = tiny_solved.plan
-    names = [f.name for f in dataclasses.fields(plan)]
+    names = [f.name for f in dataclasses.fields(plan)
+             if f.name != "time_grid"]
     rng = np.random.default_rng(25)
     flagged = tess = 0
     for _case in range(1000):
@@ -654,7 +647,7 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     assert level.bnb.objective == sol.objective
     assert model.obj @ level.bnb.x == model.obj @ built
     assert level.breakdown.as_dict() == cost_breakdown(
-        raw_plan, catalog, tariffs, annualization_factor(scen.grid)).as_dict()
+        raw_plan, catalog, tariffs).as_dict()
     # only the overlapping store-hour and its hour's PV moved
     assert np.flatnonzero(level.bnb.x != built).tolist() == sorted(
         [ch[at], dis[at], pv[at]])
@@ -801,6 +794,29 @@ def test_hint_names_rows_left_violated_by_their_start_column(tiny):
     assert level.status == "infeasible"
     assert level.infeasible_hint == ("LP stage violates: electric balance, "
                                      "heat balance, departure-SOC targets")
+
+
+@pytest.mark.parametrize("max_units, grid_cap, families", [
+    (1, math.inf, "heat balance"),
+    (2, math.inf, "heat balance"),
+    (3, 0.0, "electric balance, departure-SOC targets"),
+    (3, 5.0, "departure-SOC targets"),
+])
+def test_hint_with_and_without_a_heat_start(tiny, max_units, grid_cap,
+                                            families):
+    # the tiny case's peak heat load needs 2.8 fuel-cell units: with 1 or
+    # 2 the heat balances start on their slacks, with 3 on the fuel; the
+    # hint names the families phase 1 leaves violated either way
+    import hubplan.analysis as analysis
+    catalog = dataclasses.replace(tiny.catalog, fuel_cells=(
+        dataclasses.replace(tiny.fc, max_units=max_units),))
+    tariffs = dataclasses.replace(tiny.tariffs, grid_cap=grid_cap)
+    model = assemble_model(tiny.grid, catalog, tariffs, tiny.scen,
+                           tiny.config)
+    level = analysis.solve_level(model, tiny.scen, catalog, tariffs,
+                                 tiny.config, None, None)
+    assert level.status == "infeasible"
+    assert level.infeasible_hint == f"LP stage violates: {families}"
 
 
 def test_every_row_has_a_constraint_family(tiny):

@@ -13,7 +13,7 @@ import pytest
 import hubplan
 from hubplan import cli
 from hubplan.analysis import cost_breakdown
-from hubplan.core import EvRecord, ScenarioSet, annualization_factor
+from hubplan.core import EvRecord, ScenarioSet
 from hubplan.errors import InfeasibleSolutionError, SolverError
 from hubplan.fileio import CaseData, write_case, write_scenario_set
 from hubplan.milp import write_mps
@@ -366,8 +366,7 @@ def test_plan_prices_at_the_case_tax_exactly(data_dir, tmp_path,
     (args, sweep), = sweeps
     catalog, tariffs, scen = args[:3]
     level, = sweep.levels
-    want = cost_breakdown(level.plan, catalog, tariffs,
-                          annualization_factor(scen.grid)).as_dict()
+    want = cost_breakdown(level.plan, catalog, tariffs).as_dict()
     assert want["carbon_from_elec"] == 12.487082662089543
     assert want["carbon_from_gas"] == 8.160630648219907
     assert level.breakdown.as_dict() == want

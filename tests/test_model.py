@@ -243,17 +243,48 @@ def test_assemble_deterministic():
 
 
 def test_start_basis_rows():
-    # grid import starts basic in each electric balance, a store's energy
-    # in its chain row of each hour but the cycle-closing hour 0, and a
-    # vehicle's energy in each of its chain rows; other rows on their slack
+    # grid import starts basic in each electric balance, the fuel cell's
+    # fuel in each heat balance, its count in the capacity row needing the
+    # most units (12 kW of heat at t1 needs 12 / 5 units, 2.4 > 12 * 0.45 /
+    # (0.5 * 6)), a store's energy in its chain row of each hour but the
+    # cycle-closing hour 0, and a vehicle's energy in each of its chain
+    # rows; other rows on their slack
     m = assemble_model(*micro_case(1), ModelConfig(zeta=0.0))
     named = {m.row_names[r]: m.col_names[c]
              for r, c in enumerate(m.start_basis) if c < m.n_cols}
-    assert named == {"EB0_0": "GR0_0", "EB0_1": "GR0_1", "BS0_1": "BE0_1",
+    assert named == {"EB0_0": "GR0_0", "EB0_1": "GR0_1",
+                     "HB0_0": "FU0_0_0", "HB0_1": "FU0_1_0",
+                     "FH0_1_0": "XFC0", "BS0_1": "BE0_1",
                      "TS0_1": "TE0_1", "VS0_1_0": "VE0_1_0",
                      "VS0_2_0": "VE0_2_0"}
     slack = [r for r, c in enumerate(m.start_basis) if c >= m.n_cols]
     assert [m.start_basis[r] - m.n_cols for r in slack] == slack
+
+
+@pytest.mark.parametrize("sofc, heat_cell", [
+    (dict(max_units=2), "PEM_gas"),
+    (dict(max_units=3, fuel_price=0.2), "SOFC"),
+    (dict(max_units=3), "SOFC"),
+    (dict(max_units=3, fuel_price=0.3), "PEM_gas"),
+    (dict(max_units=3, fuel_emission=0.5), "PEM_gas"),
+    (dict(max_units=3, gas_to_heat=0.0), "PEM_gas"),
+], ids=["small", "cheaper", "tie", "dearer", "dirtier", "no-heat"])
+def test_heat_balances_start_on_the_cheapest_covering_fuel_cell(sofc,
+                                                                 heat_cell):
+    # the peak heat load of 12 kW needs 2.4 units of either cell: of the
+    # cells that cover it, the fuel cheapest per unit of heat at the
+    # model's prices (carbon tax included) starts in the heat balances,
+    # the first cell on ties
+    grid, catalog, tariffs, scen = micro_case()
+    pem = catalog.fuel_cells[0]
+    cells = (dataclasses.replace(pem, fc_id="SOFC", **sofc), pem)
+    m = assemble_model(grid, dataclasses.replace(catalog, fuel_cells=cells),
+                       tariffs, scen, ModelConfig(zeta=0.0))
+    i = [fc.fc_id for fc in cells].index(heat_cell)
+    named = {m.row_names[r]: m.col_names[c]
+             for r, c in enumerate(m.start_basis) if c < m.n_cols}
+    assert {r: c for r, c in named.items() if r[0] in "HF"} == {
+        "HB0_0": f"FU0_0_{i}", "HB0_1": f"FU0_1_{i}", f"FH0_1_{i}": f"XFC{i}"}
 
 
 def test_start_basis_defaults_to_the_slacks():

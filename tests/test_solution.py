@@ -78,9 +78,8 @@ def test_nonnegative_dispatch(tiny_solved):
 def test_extraction_round_trips_objective(tiny, tiny_solved):
     # reprice the extracted dispatch; must equal the solver objective
     from hubplan.analysis import cost_breakdown
-    from hubplan.core import annualization_factor
-    m = annualization_factor(tiny.grid)
-    bd = cost_breakdown(tiny_solved.plan, tiny.catalog, tiny.tariffs, m)
+    assert tiny_solved.plan.time_grid == tiny.grid
+    bd = cost_breakdown(tiny_solved.plan, tiny.catalog, tiny.tariffs)
     assert bd.total == pytest.approx(tiny_solved.sol.objective, rel=1e-9)
 
 
