@@ -82,10 +82,10 @@ def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
     Each value is converted by its field's type (a str is kept as read;
-    an int field refuses a fractional number, a float field a non-finite
-    one, and both an integer too large for a float); an absent key takes
-    the field's default where it has one. A key that names no field is
-    refused.
+    an int or float field refuses a JSON true or false, an int field a
+    fractional number, a float field a non-finite one, and both an integer
+    too large for a float); an absent key takes the field's default where
+    it has one. A key that names no field is refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -94,6 +94,9 @@ def _read_fields(obj, spec_fields, path, where):
             val = f.default
         else:
             val = _get(obj, key, path, where)
+        if f.type in (int, float) and isinstance(val, bool):
+            raise ParseError(f"expected a number at {where}.{key}, "
+                             f"got {val!r}", path=path)
         if f.type is int and isinstance(val, float) and not val.is_integer():
             raise ParseError(f"expected an integer at {where}.{key}, "
                              f"got {val!r}", path=path)

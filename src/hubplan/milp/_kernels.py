@@ -23,8 +23,9 @@ pricing update and of its dual phase.
 The ratio test takes only rows whose |w| is above the pivot tolerance
 (the others cannot block), so it divides by no zero. Bound-violation codes
 compare each value with its bounds shifted out by the feasibility
-tolerance (``shifted_bounds``); the simplex keeps those per basis position
-and updates the codes of the rows a pivot moved by the same comparison.
+tolerance (``shifted_bounds``); the simplex keeps those per column, reads
+them through the basis, and updates the codes of the rows a pivot moved by
+the same comparison.
 
 Sparse matrix-vector products (``spmv``) call the compiled kernel that
 scipy's ``@`` dispatches to, without the Python dispatch around it, which

@@ -202,8 +202,8 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     t0 = time.monotonic()
     deadline = math.inf if time_limit_s is None else t0 + time_limit_s
     int_cols = np.flatnonzero(model.col_kind != CONT)
-    lb0 = model.col_lb.astype(float).copy()
-    ub0 = model.col_ub.astype(float).copy()
+    lb0 = model.col_lb.astype(float)
+    ub0 = model.col_ub.astype(float)
     # integer bounds can be tightened to integers once, up front
     lb0[int_cols] = np.ceil(lb0[int_cols] - INT_TOL)
     ub0[int_cols] = np.floor(ub0[int_cols] + INT_TOL)

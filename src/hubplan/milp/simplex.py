@@ -40,9 +40,12 @@ blocks fastest. The eta file is applied as one block per ftran or btran
 A pivot touches only the rows where the entering column w = B^-1 a_q is
 nonzero: a median of about ten of the 3951 rows of the bundled plan. The
 basic values and their bound-violation codes are updated on those rows
-alone: a code is two comparisons with the basic's bounds shifted out by
-the tolerance, kept per position (the codes are recomputed in full at
-each factorization, by the same formula, so the two agree bit for bit).
+alone. Each value lives once, in x, and each bound once, per column: the
+basics' values and bounds are read through the basis (x[basis[rows]]), and
+only the codes are kept per position. A code is two comparisons with the
+basic's bounds shifted out by the tolerance (the codes are recomputed in
+full at each factorization, by the same formula, so the two agree bit for
+bit).
 The ratio test runs on the rows with |w| above the pivot tolerance, the
 only ones that can block; they keep their index order, so every tie
 breaks as over all rows. Pricing multiplies the reduced costs by a sign
@@ -95,7 +98,7 @@ bound's incumbent less its gap) it can stop early: the objective cutoff
 of the dual simplex (Koberstein 2005, PhD thesis, Paderborn). Before each
 dual pivot the objective c.x of the current basic solution is compared
 with the cutoff. Once it reaches it, one fresh btran of the basic costs,
-into new arrays (no refactorization; the carried d and xb stay as
+into new arrays (no refactorization; the carried d and x stay as
 they are), gives row prices y, which take the sign that each slack's
 infinite bound asks for, and the rigorous bound b.y + sum over the
 nonbasics of min(d_j lb_j, d_j ub_j) (Neumaier & Shcherbina 2004, Math.
@@ -113,7 +116,6 @@ pivot sequences.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from ..errors import InvalidParameterError, SolverError
@@ -206,10 +208,12 @@ class _BlockBasis:
     row_perm lists the rows R1 then R2 (the basic slacks' rows, in position
     order), pos_perm the positions P_S then P_L, so that past index k a
     basic slack's row and position sit at the same index; row_at and
-    pos_at are their inverses. b_k is the kernel A[R1, struct_cols] in
-    CSC, for the caller to factor into lu; b21 is A[R2, struct_cols] in CSC
-    and b21t its transpose (a CSR view). A slack basic in two positions
-    makes the basis singular.
+    pos_at are their inverses. The basic structural columns are sliced out
+    of A (CSC) and their row indices renumbered along row_perm; slicing
+    rows before k gives the kernel b_k = A[R1, struct_cols], for the
+    caller to factor into lu, and the rows from k on b21 = A[R2,
+    struct_cols], both in CSC, with b21t the transpose of b21 (a CSR
+    view). A slack basic in two positions makes the basis singular.
     """
 
     def __init__(self, a_s, basis, n_struct):
@@ -233,21 +237,12 @@ class _BlockBasis:
         self.lu = self.b_k = self.b21 = self.b21t = None
         if k == 0:
             return
-        # the entries of the basic structural columns in column order, rows
-        # renumbered along row_perm: rows before k form B_K, the rest B_21
-        start = a_s.indptr[cols]
-        size = a_s.indptr[cols + 1] - start
-        ptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(size, out=ptr[1:])
-        at = np.repeat(start - ptr[:-1], size) + np.arange(ptr[-1])
-        rows = self.row_at[a_s.indices[at]]
-        data = a_s.data[at]
-        top = rows < k
-        top_ptr = np.concatenate([[0], np.cumsum(top)])[ptr]
-        self.b_k = sparse.csc_matrix((data[top], rows[top], top_ptr),
-                                     shape=(k, k))
-        self.b21 = sparse.csc_matrix(
-            (data[~top], rows[~top] - k, ptr - top_ptr), shape=(m - k, k))
+        # the basic structural columns, rows renumbered along row_perm:
+        # rows before k form B_K, the rest B_21
+        a_b = a_s[:, cols]
+        a_b.indices[:] = self.row_at[a_b.indices]
+        self.b_k = a_b[:k]
+        self.b21 = a_b[k:]
         self.b21t = self.b21.T
 
     def solve(self, v):
@@ -343,14 +338,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     d = np.empty(n_tot)
     score = np.empty(n_tot)
 
-    xb = np.zeros(m)
     gamma = np.zeros(m, dtype=np.int8)
-    lb_b = lb[basis].copy()
-    ub_b = ub[basis].copy()
     # a basic is out of bounds exactly when it is outside these
     lo_sh, hi_sh = ker.shifted_bounds(lb, ub, _FEAS_TOL)
-    lo_s = lo_sh[basis]
-    hi_s = hi_sh[basis]
     etas = np.empty((_REFACTOR_EVERY, m))
     tri = np.empty((_REFACTOR_EVERY, _REFACTOR_EVERY))
     eta_piv = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
@@ -373,15 +363,16 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         n_eta = 0
         x[basis] = 0.0
         resid = b - (ker.spmv(a_s, x[:n_struct]) + x[n_struct:])
-        xb[:] = blk.solve(resid)
-        x[basis] = xb
-        gamma[:] = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[0]
+        x[basis] = blk.solve(resid)
+        gamma[:] = ker.basic_state(x[basis], lb[basis], ub[basis],
+                                   _FEAS_TOL)[0]
 
     def update_state(rows):
         """Recompute the violation codes of the given rows by comparison
         with the shifted bounds; returns them."""
-        xr = xb[rows]
-        g = (xr > hi_s[rows]).view(np.int8) - (xr < lo_s[rows]).view(np.int8)
+        cols = basis[rows]
+        xr = x[cols]
+        g = (xr > hi_sh[cols]).view(np.int8) - (xr < lo_sh[cols]).view(np.int8)
         gamma[rows] = g
         return g
 
@@ -428,7 +419,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         """Row prices y from a fresh btran of the basic costs, and the
         bound b.y + sum over the nonbasics of min(d_j lb_j, d_j ub_j) on
         the optimum, -inf when a d_j of the wrong sign meets an infinite
-        bound; d and xb are left as they are. The bound holds for any y, so
+        bound; d and x are left as they are. The bound holds for any y, so
         y is first given the sign that a slack's infinite bound asks for
         (y_i <= 0 on a <= row, >= 0 on a >= row): rounding leaves some
         1e-18 of the wrong sign there, which would forbid every claim."""
@@ -461,19 +452,14 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         stat[q] = BASIC
         dirn[q] = wdirn[q] = 0.0
         x[q] = xq_new
-        xb[pos] = xq_new
-        lb_b[pos] = lb[q]
-        ub_b[pos] = ub[q]
-        lo_s[pos] = lo_sh[q]
-        hi_s[pos] = hi_sh[q]
         ker.push_eta(etas, tri, eta_piv, n_eta, w, pos)
         n_eta += 1
         return leave
 
     def result(status, duals, **extra):
-        x[basis] = xb
         extra.setdefault("objective", float(c @ x))
-        max_viol = ker.basic_state(xb, lb_b, ub_b, _FEAS_TOL)[1]
+        max_viol = ker.basic_state(x[basis], lb[basis], ub[basis],
+                                   _FEAS_TOL)[1]
         return LpSolution(status=status, x=x[:n_struct].copy(),
                           duals=np.asarray(duals), iterations=iters,
                           max_violation=max_viol, basis=basis, stat=stat,
@@ -503,7 +489,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                 price(False)
                 check_cutoff = cutoff < np.inf
             if check_cutoff:
-                x[basis] = xb
                 if c @ x >= cutoff:
                     y, bound = dual_bound()
                     if bound >= cutoff:
@@ -514,8 +499,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             rows = (gamma != 0).nonzero()[0]
             if rows.size == 0:
                 break
-            viol = np.where(gamma[rows] < 0, lb_b[rows] - xb[rows],
-                            xb[rows] - ub_b[rows])
+            cols = basis[rows]
+            viol = np.where(gamma[rows] < 0, lb[cols] - x[cols],
+                            x[cols] - ub[cols])
             r = int(rows[viol.argmax()])
             s = float(gamma[r])
             rho = btran_row(r)
@@ -529,11 +515,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                 # w[r] (ftran) and alpha[q] (btran) are the same pivot
                 # element; a tiny one means the two solves disagree
                 break
-            step = (xb[r] - (ub_b[r] if s > 0 else lb_b[r])) / w[r]
+            p = basis[r]
+            step = (x[p] - (ub[p] if s > 0 else lb[p])) / w[r]
             theta = s * t
             d -= theta * alpha
             nz = (w != 0.0).nonzero()[0]
-            xb[nz] -= step * w[nz]
+            x[basis[nz]] -= step * w[nz]
             leave = pivot(q, r, s > 0, x[q] + step, w)
             d[q] = 0.0
             d[leave] = -theta
@@ -548,7 +535,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
 
     degen_streak = 0
     bland = False
-    cleaned = False
     # d holds the reduced costs of the current basis, from a full price or
     # carried from one by the row update of each pivot since; stale asks
     # for a full price, fresh says no pivot was made since the last one
@@ -571,9 +557,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         q = ker.entering(d, dirn, wdirn, score, _OPT_TOL, bland)
         if q < 0:
             # a claim needs a fresh price on a clean factorization
-            if n_eta > 0 and not cleaned:
+            if n_eta > 0:
                 refactor()
-                cleaned = stale = True
+                stale = True
                 continue
             if not fresh:
                 stale = True
@@ -588,7 +574,6 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                 rows = np.unique(bad[bad >= 0]).tolist()
                 return result("infeasible", y, infeasible_rows=rows)
             return result("optimal", y)
-        cleaned = False
 
         if iters >= max_iters:
             return result("iteration_limit", np.zeros(m))
@@ -601,8 +586,9 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         nz = (w != 0.0).nonzero()[0]
         rows = nz[np.abs(w[nz]) > _PIVOT_TOL]
         w_r = w[rows]
-        prio = basis[rows].astype(np.float64) if bland else -np.abs(w_r)
-        t, pos, bcode = ker.ratio_test(w_r, xb[rows], lb_b[rows], ub_b[rows],
+        cols = basis[rows]
+        prio = cols.astype(np.float64) if bland else -np.abs(w_r)
+        t, pos, bcode = ker.ratio_test(w_r, x[cols], lb[cols], ub[cols],
                                        gamma[rows], sigma, gap, prio)
         if pos == ker.POS_UNBOUNDED:
             if phase1:
@@ -623,8 +609,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         iters += 1
         fresh = False
 
-        # xb moves only on the nonzeros of w, the pivot row among them
-        xb[nz] -= (sigma * t) * w[nz]
+        # the basics move only on the nonzeros of w, the pivot row among them
+        x[basis[nz]] -= (sigma * t) * w[nz]
         g_old = gamma[nz] if phase1 else None
         if pos == ker.POS_FLIP:
             # the basis and the costs stay: so do the reduced costs

@@ -349,15 +349,14 @@ def fit_cubic_transform(mean, var, skew, kurt, seed_moments):
     return tuple(coef[0])
 
 
-def impose_correlation(values: np.ndarray, corr: np.ndarray, *,
-                       l_tgt=None) -> np.ndarray:
-    """Re-mix standardized columns so their sample correlation becomes corr.
+def impose_correlation(values: np.ndarray, l_tgt: np.ndarray) -> np.ndarray:
+    """Re-mix standardized columns so their sample correlation becomes the
+    target whose Cholesky factor is l_tgt (cholesky_lower(target), which a
+    caller re-mixing towards one target many times computes once).
 
     Whitens with the Cholesky factor of the input's own sample correlation and
-    colors with the factor of the target, so the result is exact (up to float
-    arithmetic) for any full-rank input; columns keep unit sample variance.
-    l_tgt, when given, is cholesky_lower(corr), which a caller re-mixing
-    towards one target many times computes once.
+    colors with l_tgt, so the result is exact (up to float arithmetic) for any
+    full-rank input; columns keep unit sample variance.
 
     With fewer rows than dimensions the sample correlation is singular, so
     the whitening factor comes from a shrunk matrix (1-lam)*cur + lam*I with
@@ -378,8 +377,6 @@ def impose_correlation(values: np.ndarray, corr: np.ndarray, *,
             continue
     else:  # lam = 0.5: PD by construction
         l_cur = cholesky_lower(0.5 * cur + 0.5 * np.eye(cur.shape[0]))
-    if l_tgt is None:
-        l_tgt = cholesky_lower(np.asarray(corr, dtype=float))
     return (l_tgt @ np.linalg.solve(l_cur, w.T)).T
 
 
@@ -450,8 +447,7 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int) -> RawSampleMatrix:
         # a failed dimension stays affine (standardized) this round
         c, x = coef[~failed].T[:, :, None], wt[~failed]
         wt[~failed] = c[0] + x * (c[1] + x * (c[2] + x * c[3]))
-        w = impose_correlation(_standardize(wt).T, targets.correlation,
-                               l_tgt=l_tgt)
+        w = impose_correlation(_standardize(wt).T, l_tgt)
         moment_err, corr_err = _panel_errors(w, targets)
         log.append({"iteration": it, "moment_err": moment_err, "corr_err": corr_err,
                     "fit_fails": int(failed.sum()),

@@ -16,7 +16,8 @@ from hubplan.analysis import (ChanceAudit, PlanCheck, chance_audit,
                               sweep_carbon_tax, verify_plan,
                               write_cost_breakdown, write_plan_summary)
 from hubplan.core import FEAS_TOL, INT_TOL, EvRecord
-from hubplan.errors import InfeasibleSolutionError, InvalidParameterError
+from hubplan.errors import (InfeasibleSolutionError, InvalidParameterError,
+                             SolverError)
 from hubplan.fileio import (read_case, read_history, write_audit_json,
                             write_table_csv)
 from hubplan.milp import (branch_and_bound, check_solution,
@@ -716,6 +717,26 @@ def test_sweep_refuses_a_bad_level_before_solving(tiny, monkeypatch):
     with pytest.raises(InvalidParameterError, match="must not be empty"):
         analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs,
                                   tiny.scen, tiny.config, [])
+
+
+def test_sweep_refuses_a_total_that_falls_with_the_tax(tiny, monkeypatch):
+    # same feasible set, pointwise-larger objective: a lower total at the
+    # higher tax is a solver defect, named by both levels
+    import hubplan.analysis as analysis
+    totals = iter([5.0, 3.0])
+    real = analysis.cost_breakdown
+
+    def falling(plan, catalog, tariffs):
+        bd = real(plan, catalog, tariffs)
+        bd.total = next(totals)
+        return bd
+
+    monkeypatch.setattr(analysis, "cost_breakdown", falling)
+    with pytest.raises(SolverError) as ei:
+        analysis.sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
+                                  tiny.config, [40.0, 1000.0])
+    assert str(ei.value) == ("total cost fell from 5.0 at tax 40.0 to 3.0 "
+                             "at tax 1000.0; must be non-decreasing")
 
 
 def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,

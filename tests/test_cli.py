@@ -69,6 +69,28 @@ def test_validate_checks_history_against_case(data_dir, tmp_path, capsys):
         "error: fleet has 20 vehicles, history provides 10\n")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["scen", "gen"]])
+def test_history_of_other_day_length_exits_1(data_dir, tmp_path, capsys,
+                                             command):
+    # the bundled days cut to 23 hours cannot feed the 24-hour case
+    with open(os.path.join(data_dir, "history_loads.csv")) as fh:
+        rows = list(csv.reader(fh))
+    loads = tmp_path / "loads.csv"
+    with open(loads, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [rows[0]] + [r for r in rows[1:] if int(r[1]) < 23])
+    out = tmp_path / "o"
+    rc = cli.main(command + [
+        "--case", os.path.join(data_dir, "case.json"),
+        "--history-loads", str(loads),
+        "--history-ev", os.path.join(data_dir, "history_ev.csv"),
+        "--n", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: history spans 23 hours, case expects 24\n")
+    assert not out.exists()
+
+
 def test_version():
     with pytest.raises(SystemExit) as ei:
         cli.main(["--version"])

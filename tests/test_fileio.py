@@ -498,6 +498,46 @@ def test_case_not_an_object(tmp_path):
     assert str(ei.value) == f"{p}: expected an object at $"
 
 
+def _edited_case(data_dir, tmp_path, edit):
+    import json
+    with open(os.path.join(data_dir, "case.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize("value, path, where", [
+    (True, ("fuel_cells", 0, "max_units"), "$.fuel_cells[0].max_units"),
+    (True, ("bess", "invest_cost"), "$.bess.invest_cost"),
+    (False, ("planning", "hours_per_day"), "$.planning.hours_per_day"),
+])
+def test_case_refuses_a_bool_in_a_numeric_field(data_dir, tmp_path, capsys,
+                                                value, path, where):
+    # JSON true is not the number 1, in an int field as in a float one;
+    # validate reports it as an input error
+    from hubplan import cli
+    p = _edited_case(data_dir, tmp_path, _set(value, *path))
+    message = f"{p}: expected a number at {where}, got {value!r}"
+    with pytest.raises(ParseError) as ei:
+        read_case(str(p))
+    assert str(ei.value) == message
+    assert cli.main(["validate", "--case", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_case_reads_numeric_strings(data_dir, tmp_path):
+    def edit(doc):
+        doc["fuel_cells"][0]["max_units"] = "3"
+        doc["bess"]["invest_cost"] = "0.25"
+        doc["planning"]["hours_per_day"] = "24"
+    case = read_case(str(_edited_case(data_dir, tmp_path, edit)))
+    assert case.catalog.fuel_cells[0].max_units == 3
+    assert case.catalog.bess.invest_cost == 0.25
+    assert case.hours_per_day == 24
+
+
 def test_case_departure_soc_defaults(data_dir, tmp_path):
     import json
     with open(os.path.join(data_dir, "case.json")) as fh:

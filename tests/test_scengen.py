@@ -336,7 +336,7 @@ def test_impose_correlation_exact_full_rank():
     x = rng.normal(size=(300, 3))
     x = (x - x.mean(axis=0)) / x.std(axis=0)  # the caller standardizes first
     target = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.0], [0.2, 0.0, 1.0]])
-    y = impose_correlation(x, target)
+    y = impose_correlation(x, cholesky_lower(target))
     zc = y - y.mean(axis=0)
     cov = zc.T @ zc / len(y)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
@@ -349,7 +349,7 @@ def test_impose_correlation_rank_deficient_best_effort():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, 6))
     target = np.eye(6)
-    y = impose_correlation(x, target)
+    y = impose_correlation(x, cholesky_lower(target))
     assert y.shape == (5, 6) and np.all(np.isfinite(y))
 
 
