@@ -82,10 +82,11 @@ def _read_fields(obj, spec_fields, path, where):
     """Keyword arguments for spec_fields read from the JSON object obj.
 
     Each value is converted by its field's type (a str is kept as read;
-    an int or float field refuses a JSON true or false, an int field a
-    fractional number, a float field a non-finite one, and both an integer
-    too large for a float); an absent key takes the field's default where
-    it has one. A key that names no field is refused.
+    an int or float field refuses a JSON true or false, and so does a
+    tuple field among its entries; an int field refuses a fractional
+    number, a float field a non-finite one, and both an integer too large
+    for a float); an absent key takes the field's default where it has
+    one. A key that names no field is refused.
     """
     kwargs = {}
     for f in spec_fields:
@@ -97,6 +98,11 @@ def _read_fields(obj, spec_fields, path, where):
         if f.type in (int, float) and isinstance(val, bool):
             raise ParseError(f"expected a number at {where}.{key}, "
                              f"got {val!r}", path=path)
+        if f.type is tuple and isinstance(val, list):
+            for i, v in enumerate(val):
+                if isinstance(v, bool):
+                    raise ParseError(f"expected a number at {where}.{key}"
+                                     f"[{i}], got {v!r}", path=path)
         if f.type is int and isinstance(val, float) and not val.is_integer():
             raise ParseError(f"expected an integer at {where}.{key}, "
                              f"got {val!r}", path=path)

@@ -1,26 +1,31 @@
-"""Best-first branch and bound over the bounded-variable simplex.
+"""Branch and bound over the bounded-variable simplex: a plunge to the
+first incumbent, then best-first.
 
-Nodes are ordered by (parent LP bound, creation id) and solved lazily at
-pop time, so the tree explores the most promising bound first and the id
-makes the order — and therefore the node count and incumbent — fully
-deterministic. An integer column counts as integral within core.INT_TOL,
-as in the checker; branching picks the most fractional one, ties to the
-lowest column id. A single rounding dive from the root supplies an early
-incumbent; every incumbent must pass the independent checker before it is
-accepted. No cuts, and no presolve beyond fixed columns never pricing in
-and empty rows keeping their slack basic.
+Nodes are solved lazily, when taken from the open nodes. Until the first
+incumbent the tree plunges: it takes the open node created last, and of
+two children the one on the side of the branched column's nearest integer
+(np.rint) first, so an infeasible child hands over to its sibling. The
+plunge gives node- and time-limited runs an early incumbent and solves
+no LP twice. At the first incumbent the open nodes are put in a heap
+ordered by (parent LP bound, creation id), and the tree goes best-first
+from there; the id makes the order, and therefore the node count and
+incumbent, fully deterministic. An integer column counts as integral
+within core.INT_TOL, as in the checker; branching picks the most
+fractional one, ties to the lowest column id. Every incumbent must pass
+the independent checker before it is accepted. No cuts, and no presolve
+beyond fixed columns never pricing in and empty rows keeping their slack
+basic.
 
-Only the root LP can start cold, from the model's start basis. Each child
+Only the root LP can start cold, from the model's start point. Each child
 node's LP starts from its parent's optimal basis (both children share the
-parent's arrays), and each dive step from the previous step's basis; the
-tightened bound leaves that basis dual feasible and the branched column
-out of bounds, so the simplex's dual phase reoptimizes it. Once an
-incumbent exists, a node LP gets the cutoff
+parent's arrays); the tightened bound leaves that basis dual feasible and
+the branched column out of bounds, so the simplex's dual phase
+reoptimizes it. Once an incumbent exists, a node LP gets the cutoff
 inc_obj - rel_gap max(1, |inc_obj|), the objective at which the node
 would be pruned anyway: its dual phase stops as soon as a bound proves the
 node reaches it, and the node is pruned without being solved to the end.
-The root and the dive get no cutoff, so every node, child and incumbent is
-the one the full solve would give. The root itself starts from the
+The root and the plunge get no cutoff, so every node, child and incumbent
+is the one the full solve would give. The root itself starts from the
 caller's warm basis when one is given, and the run returns the root's
 final basis so that a related solve (the next carbon-tax level) can start
 from it.
@@ -56,12 +61,12 @@ class BnbSolution:
 
     root_warm is the root LP's final (basis, stat), to pass as warm= to a
     solve of a model with the same rows and columns; None when the root's
-    bounds crossed. The counters split the simplex pivots: the root LP's,
-    the node LPs' (one per node after the root) and the rounding dive's.
-    phase1_pivots, dual_pivots, refactors, kernel_cols, degenerate_pivots,
-    bland_pivots and priced are the LpSolution counters summed over all of
-    those LPs; kernel_cols / refactors is the mean order of the factored
-    basis blocks.
+    bounds crossed. The counters split the simplex pivots: the root LP's
+    and the node LPs' (one per node after the root). phase1_pivots,
+    dual_pivots, refactors, kernel_cols, degenerate_pivots, bland_pivots
+    and priced are the LpSolution counters summed over all of those LPs;
+    kernel_cols / refactors is the mean order of the factored basis
+    blocks.
 
     node_log holds one dict per node LP, in the order solved: its depth,
     the parent's LP bound, its pivots and dual_pivots, its status, and
@@ -72,10 +77,10 @@ class BnbSolution:
     cutoff_nodes those whose dual phase stopped at the incumbent's cutoff
     (an infeasible node LP may stop there first; it then counts here).
     incumbents holds the objective of each accepted incumbent in the order
-    accepted, the dive's included. infeasible_rows lists the rows whose
-    slack or start column the root LP's phase 1 left out of bounds
-    (LpSolution's infeasible_rows; empty unless the root LP ended
-    infeasible).
+    accepted; the node log's first incumbent entry is where the plunge
+    ended. infeasible_rows lists the rows whose slack or start column the
+    root LP's phase 1 left out of bounds (LpSolution's infeasible_rows;
+    empty unless the root LP ended infeasible).
     """
 
     status: str
@@ -89,8 +94,6 @@ class BnbSolution:
     root_pivots: int = 0
     node_lps: int = 0
     node_pivots: int = 0
-    dive_lps: int = 0
-    dive_pivots: int = 0
     phase1_pivots: int = 0
     dual_pivots: int = 0
     refactors: int = 0
@@ -109,9 +112,9 @@ class BnbSolution:
         """The pivot and tree counters and the node log by name, as
         audit.json records them."""
         return {key: getattr(self, key) for key in (
-            "root_pivots", "node_lps", "node_pivots", "dive_lps",
-            "dive_pivots", *LP_COUNTERS, "max_depth", "infeasible_nodes",
-            "cutoff_nodes", "incumbents", "node_log")}
+            "root_pivots", "node_lps", "node_pivots", *LP_COUNTERS,
+            "max_depth", "infeasible_nodes", "cutoff_nodes", "incumbents",
+            "node_log")}
 
 
 def _count(totals, lp):
@@ -129,46 +132,6 @@ def _fractional(x, int_cols):
     dist = np.abs(vals - np.rint(vals))
     j = int(np.argmax(dist))
     return -1 if dist[j] <= INT_TOL else int(int_cols[j])
-
-
-def _dive(model, lb0, ub0, int_cols, root, deadline, totals, pivots):
-    """Rounding dive from the root relaxation.
-
-    Fixes the most fractional column to its nearest integer and re-solves
-    from the previous step's basis; on infeasibility retries the other side
-    once, abandoning the dive when both fail or when time.monotonic() has
-    passed deadline before an LP. Returns x or None, adds each LP's
-    counters to totals and appends its pivots to pivots.
-    """
-    lb, ub, sol = lb0, ub0, root
-    for _ in range(int_cols.size):
-        j = _fractional(sol.x, int_cols)
-        if j < 0:
-            return sol.x
-        xj = sol.x[j]
-        lo_try = float(np.rint(xj))
-        lo_try = min(max(lo_try, lb[j]), ub[j])
-        alt = lo_try + 1.0 if lo_try <= xj else lo_try - 1.0
-        step = None
-        for fix in (lo_try, alt):
-            if fix < lb[j] - 0.5 or fix > ub[j] + 0.5:
-                continue
-            if time.monotonic() > deadline:
-                return None
-            lb_t, ub_t = lb.copy(), ub.copy()
-            lb_t[j] = ub_t[j] = fix
-            cand = solve_lp(model, col_lb=lb_t, col_ub=ub_t,
-                            warm=(sol.basis, sol.stat))
-            _count(totals, cand)
-            pivots.append(cand.iterations)
-            if cand.status == "optimal":
-                lb, ub, step = lb_t, ub_t, cand
-                break
-        if step is None:
-            return None
-        sol = step
-    j = _fractional(sol.x, int_cols)
-    return sol.x if j < 0 else None
 
 
 def check_limits(rel_gap, max_nodes, time_limit_s):
@@ -191,12 +154,12 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     Returns status optimal once the relative gap between incumbent and
     best outstanding bound is at most rel_gap (or the tree is exhausted),
     infeasible when no integer point exists, node_limit/time_limit when a
-    limit strikes first — carrying the incumbent if any. time_limit_s is
-    checked before each dive LP and each node LP; the root LP and an LP
-    already started run to their end. LP failures (singular bases,
-    iteration stalls) propagate as SolverError. warm is a (basis, stat) for
-    the root LP, as solve_lp takes it. Limits outside their range
-    (check_limits) raise InvalidParameterError.
+    limit strikes first — carrying the incumbent if any, with the least
+    bound over the open nodes. time_limit_s is checked before each node
+    LP; the root LP and an LP already started run to their end. LP
+    failures (singular bases, iteration stalls) propagate as SolverError.
+    warm is a (basis, stat) for the root LP, as solve_lp takes it. Limits
+    outside their range (check_limits) raise InvalidParameterError.
     """
     check_limits(rel_gap, max_nodes, time_limit_s)
     t0 = time.monotonic()
@@ -212,7 +175,6 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
     inc_obj = np.inf
     incumbents = []
     node_log = []
-    dive_log = []  # pivots of each dive LP
     totals = dict.fromkeys(LP_COUNTERS, 0)
 
     def finish(status, bound):
@@ -224,7 +186,6 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             root_warm=None if root.basis is None else (root.basis, root.stat),
             root_pivots=root.iterations, node_lps=len(node_log),
             node_pivots=sum(e["pivots"] for e in node_log),
-            dive_lps=len(dive_log), dive_pivots=sum(dive_log),
             max_depth=max((e["depth"] for e in node_log), default=0),
             infeasible_nodes=statuses.count("infeasible"),
             cutoff_nodes=statuses.count("cutoff"), incumbents=incumbents,
@@ -238,8 +199,9 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
 
     def accept(x, obj):
         """Make x, of objective obj, the incumbent once the checker passes
-        it. Only improvements come: no incumbent exists at the root or after
-        the dive, and the gap prune skips node LPs not below the incumbent."""
+        it. Only improvements come: no incumbent exists at the root or
+        during the plunge, and the gap prune skips node LPs not below the
+        incumbent."""
         nonlocal inc_x, inc_obj
         report = check_solution(model, x)
         if not report.ok:
@@ -262,23 +224,36 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         accept(root.x, root.objective)
         return finish("optimal", root.objective)
 
-    dive_x = _dive(model, lb0, ub0, int_cols, root, deadline, totals,
-                   dive_log)
-    if dive_x is not None:
-        accept(dive_x, float(model.obj @ dive_x))
-
+    # the open nodes: a stack until the first incumbent (the plunge), then
+    # a heap ordered by (bound, id)
     next_id = 1
-    heap = []
-    for half in _split(lb0, ub0, j0, root.x[j0]):
-        heapq.heappush(heap, (root.objective, next_id, half, 1,
-                              (root.basis, root.stat)))
-        next_id += 1
+    open_nodes = []
 
-    while heap:
-        bound_est, _nid, (lb, ub), depth, parent = heapq.heappop(heap)
-        # the heap is bound-ordered, so this is the weakest open bound; the
-        # incumbent itself bounds whatever the open nodes still hide
-        global_bound = min(bound_est, inc_obj)
+    def branch(lp, lb, ub, j, depth):
+        """Open lp's children on column j; during the plunge, the child on
+        the side of j's nearest integer goes on top of the stack."""
+        nonlocal next_id
+        kids = []
+        for half in _split(lb, ub, j, lp.x[j]):
+            kids.append((lp.objective, next_id, half, depth,
+                         (lp.basis, lp.stat)))
+            next_id += 1
+        if inc_x is not None:
+            for kid in kids:
+                heapq.heappush(open_nodes, kid)
+            return
+        if np.rint(lp.x[j]) < lp.x[j]:
+            kids.reverse()  # the down child on top
+        open_nodes.extend(kids)
+
+    branch(root, lb0, ub0, j0, 1)
+    while open_nodes:
+        # the weakest open bound: the heap's top once best-first, else the
+        # least over the plunge's stack; the incumbent itself bounds
+        # whatever the open nodes still hide
+        low = (open_nodes[0][0] if inc_x is not None
+               else min(node[0] for node in open_nodes))
+        global_bound = min(low, inc_obj)
         if _gap(inc_obj, global_bound) <= rel_gap:
             return finish("optimal", global_bound)
         if 1 + len(node_log) >= max_nodes:
@@ -286,6 +261,9 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         if time.monotonic() > deadline:
             return finish("time_limit", global_bound)
 
+        bound_est, _nid, (lb, ub), depth, parent = (
+            heapq.heappop(open_nodes) if inc_x is not None
+            else open_nodes.pop())
         # the objective at which the gap test below prunes the node
         cutoff = (inc_obj - rel_gap * max(1.0, abs(inc_obj))
                   if np.isfinite(inc_obj) else np.inf)
@@ -304,13 +282,12 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
             continue
         j = _fractional(node.x, int_cols)
         if j < 0:
+            if inc_x is None:
+                heapq.heapify(open_nodes)  # the plunge ends: best-first
             accept(node.x, node.objective)
             entry["incumbent"] = True
             continue
-        for half in _split(lb, ub, j, node.x[j]):
-            heapq.heappush(heap, (node.objective, next_id, half, depth + 1,
-                                  (node.basis, node.stat)))
-            next_id += 1
+        branch(node, lb, ub, j, depth + 1)
 
     if inc_x is None:
         return finish("infeasible", np.inf)

@@ -71,27 +71,31 @@ of a basic outside row r (the phase-1 costs changed beyond that row), and
 before every optimality or infeasibility claim, so the duals returned
 come from a fresh btran on a clean factor.
 
-A cold solve starts from the model's ``start_basis``, one column per row:
-all slacks unless the model names structurals, as assemble_model does for
-the rows a column defines (grid import in the electric balances, one fuel
-cell's fuel in the heat balances and its count in one capacity row, storage
-and vehicle energies in their chain rows). Its kernel is factored like any
-other, every nonbasic sits on its lower bound when that is finite, else on
-its upper one, and the primal simplex runs from there. A warm solve starts
-from the final ``(basis, stat)`` of a solve of the same rows: each
-nonbasic column is re-seated on the bound it sat at. New costs (a sweep
-level) leave that basis primal feasible, and the primal simplex carries on
-from it. Tightened bounds (a branch-and-bound child, a dive step) leave
-some basics out of bounds while the reduced costs keep their signs: when
-every nonbasic is then dual feasible (dirn * d >= -1e-7), a dual simplex
-phase (Lemke 1954; textbook ratio test, no bound flipping) reoptimizes
-first. It shares the factor, the eta file and the pivot bookkeeping with
-the primal. Its leaving row is the largest bound violation, lowest row on
-ties; its entering column the smallest ratio max(dirn * d, 0) / |alpha|
-over the pivot row alpha, ties to the largest |alpha|, then the lowest
-index. It hands the basis to the primal once the basics are within bounds,
-on a dual ray, after 1000 dual-degenerate pivots in a row, or if the pivot
-element fails to match its row entry.
+A cold solve starts from the point the model names: its ``start_basis``,
+one column per row, and its ``start_upper``, the nonbasic columns seated
+on their upper bound (all slacks and no column, unless the model names
+them). assemble_model names structurals for the rows a column defines
+(grid import in the electric balances, one fuel cell's fuel in the heat
+balances and its count in one capacity row, storage and vehicle energies
+in their chain rows, a vehicle's charge in its departure row) and seats
+the charges and PV it plans on their upper bound. A warm solve starts from
+the final ``(basis, stat)`` of a solve of the same rows: each nonbasic
+column is re-seated on the bound it sat at. Both take the one path: the
+basis's kernel is factored like any other, every nonbasic not seated up
+sits on its lower bound when that is finite, else on its upper one, and
+the simplex runs from there. New costs (a sweep level) leave a warm basis
+primal feasible, and the primal simplex carries on from it. Tightened
+bounds (a branch-and-bound child) leave some basics out of bounds while
+the reduced costs keep their signs: when every nonbasic is then dual
+feasible (dirn * d >= -1e-7), a dual simplex phase (Lemke 1954; textbook
+ratio test, no bound flipping) reoptimizes first. It shares the factor,
+the eta file and the pivot bookkeeping with the primal. Its leaving row is
+the largest bound violation, lowest row on ties; its entering column the
+smallest ratio max(dirn * d, 0) / |alpha| over the pivot row alpha, ties
+to the largest |alpha|, then the lowest index. It hands the basis to the
+primal once the basics are within bounds, on a dual ray, after 1000
+dual-degenerate pivots in a row, or if the pivot element fails to match
+its row entry.
 
 The dual phase's objective only rises, so given a cutoff (branch and
 bound's incumbent less its gap) it can stop early: the objective cutoff
@@ -277,7 +281,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     in, which removes them from the search exactly as a presolve would.
     warm is the (basis, stat) of an earlier solve of the same rows and
     columns, under any bounds and costs; None starts from the model's
-    start_basis.
+    start_basis and start_upper.
     The arrays are read, never written, so several solves may share them.
     cutoff lets the dual phase of a warm start stop with status cutoff once
     it proves the optimum is at least cutoff (see the module docstring);
@@ -312,12 +316,13 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
                           max_violation=np.inf)
     b = model.rhs.astype(float)
 
-    # nonbasics sit on their lower bound when it is finite and the warm
-    # start did not leave them on their upper one, else on their upper
-    # bound; equal bounds make them fixed
+    # nonbasics sit on their lower bound when it is finite and the start
+    # (the model's start_upper, or the warm start's final seats) does not
+    # put them on their upper one, else on their upper bound; equal bounds
+    # make them fixed
     if warm is None:
         basis = np.array(model.start_basis, dtype=np.int64)
-        kept_up = False
+        kept_up = np.concatenate([model.start_upper, np.zeros(m, bool)])
     else:
         basis = np.array(warm[0], dtype=np.int64)
         kept_up = warm[1] == NB_UP

@@ -252,6 +252,9 @@ class MilpModel:
     start_basis holds, for each row, the column basic in it when an LP
     solve starts cold: a structural column id, or n_cols + i for row i's
     slack. It defaults to every row's slack; assemble_model names its own.
+    start_upper marks the structural columns that such a solve seats on
+    their upper bound while nonbasic; the others sit on their lower bound.
+    It defaults to no column.
     """
 
     obj: np.ndarray
@@ -265,10 +268,13 @@ class MilpModel:
     col_names: list
     var_index: VarIndex = None
     start_basis: np.ndarray = None
+    start_upper: np.ndarray = None
 
     def __post_init__(self):
         if self.start_basis is None:
             self.start_basis = self.n_cols + np.arange(self.n_rows)
+        if self.start_upper is None:
+            self.start_upper = np.zeros(self.n_cols, dtype=bool)
 
     @property
     def n_rows(self):
@@ -300,6 +306,11 @@ class MilpModel:
             raise ModelBuildError("start basis names a column out of range")
         if np.unique(start).size != start.size:
             raise ModelBuildError("start basis names a column twice")
+        upper = np.asarray(self.start_upper)
+        if upper.shape != (self.n_cols,) or upper.dtype != bool:
+            raise ModelBuildError(
+                f"start_upper must be a bool mask over the {self.n_cols} "
+                f"columns, got {upper.dtype} of shape {upper.shape}")
 
 
 def build_objective(index, catalog, tariffs) -> np.ndarray:
@@ -360,6 +371,60 @@ def _heat_start(index, scenario_set, catalog, obj):
     units = heat[..., None] * units_per_kw(fcs[i])
     at = np.unravel_index(np.argmax(units), units.shape)
     return i, tuple(int(a) for a in at)
+
+
+def _charge_start(index, scenario_set, catalog, obj, heat):
+    """The columns that start at their upper bound, and the charge column
+    each departure row starts basic in.
+
+    At the start, with every other column at 0, an hour's grid import is
+    its electric load less the heat fuel cell's electric output (its fuel
+    meets the heat load exactly, see _heat_start), plus what the vehicles
+    charge in it. Each visit (s, j) whose need, target less arrival
+    energy, is above 0 walks its window's charge columns from the hour of
+    cheapest import in obj to the dearest, the earliest first on ties,
+    and uses an hour only if its import, once that hour's charge is added,
+    stays within [0, grid_cap]. Each hour used charges at its upper bound,
+    charger_power, until the need left is at most that: the hour that
+    takes this remainder starts basic in SD{s}_{j}. A visit whose hours
+    cannot meet its need keeps the charges it has, and its departure row
+    its slack. Then PV{s}_{t} starts at its upper bound where that bound
+    is at most the hour's import, charging included, so that import stays
+    at or above 0.
+
+    Returns (upper, sd_start): a bool mask over the columns, and a dict
+    (s, j) -> the charge column basic in SD{s}_{j}.
+    """
+    ids, fleet = index.ids, catalog.ev_fleet
+    imports = np.array([sc.elec_load for sc in scenario_set.scenarios])
+    if heat is not None:
+        fc = catalog.fuel_cells[heat[0]]
+        imports -= fc.gas_to_elec / fc.gas_to_heat * np.array(
+            [sc.heat_load for sc in scenario_set.scenarios])
+    cost, cap = obj[ids[K_GRID]], index.ub[ids[K_GRID]]
+    power = fleet.charger_power
+    target = fleet.target_departure_soc * fleet.capacity
+    upper = np.zeros(index.n_cols, dtype=bool)
+    sd_start = {}
+    for (s, j), (a, d) in index.windows.items():
+        need = target - index.ev_init[(s, j)]
+        if need <= 0.0:
+            continue
+        for t in sorted(range(a, d), key=lambda t: (cost[s, t], t)):
+            take = min(need, power)
+            load = imports[s, t] + take / fleet.eta_ch
+            if not 0.0 <= load <= cap[s, t]:
+                continue
+            imports[s, t] = load
+            col = ids[K_VCH][s, t, j]
+            if take == need:
+                sd_start[(s, j)] = col
+                break
+            upper[col] = True
+            need -= take
+    pv = ids[K_PV]
+    upper[pv] = index.ub[pv] <= imports
+    return upper, sd_start
 
 
 def build_energy_balance(index, scenario_set, catalog, heat_fc) -> list:
@@ -495,12 +560,13 @@ def build_ev_constraints(index) -> list:
     return rows
 
 
-def build_chance_constraints(index, fleet, config) -> list:
+def build_chance_constraints(index, fleet, config, sd_start) -> list:
     """Shortfall definition, big-M activation, and the cardinality cap.
 
     Z(s)=0 forces every vehicle in scenario s to depart at or above the
-    target SOC; at most floor(N*zeta) scenarios may set Z=1. Every row
-    starts on its slack.
+    target SOC; at most floor(N*zeta) scenarios may set Z=1. The departure
+    row SD{s}_{j} starts with the charge column sd_start[(s, j)] basic
+    where there is one; every other row starts on its slack.
     """
     rows = []
     short, e, z = index.ids[K_SHORT], index.ids[K_VE], index.ids[K_Z]
@@ -508,7 +574,7 @@ def build_chance_constraints(index, fleet, config) -> list:
     m_soc = (fleet.target_departure_soc - fleet.soc_min) * fleet.capacity
     for (s, j), (_a, d) in index.windows.items():
         rows.append((f"SD{s}_{j}", GE, target, (short[s, j], e[s, d, j]),
-                     (1.0, 1.0), -1))
+                     (1.0, 1.0), sd_start.get((s, j), -1)))
         rows.append((f"SZ{s}_{j}", LE, 0.0, (short[s, j], z[s]),
                      (1.0, -m_soc), -1))
     limit = max_substandard(index.n_scenarios, config.zeta)
@@ -529,20 +595,36 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     t >= 1 (hour 0's row, which closes the cycle, keeps its slack) and a
     vehicle's energy in each of its chain rows. When a fuel cell covers
     the peak heat load (_heat_start), its fuel is basic in every heat
-    balance and its count in one of its capacity rows. The start basis's
-    structural block is then lower triangular with a nonzero diagonal,
+    balance and its count in one of its capacity rows. The model's
+    start_upper seats the charges and PV that _charge_start plans on
+    their upper bound, and a departure row SD{s}_{j} starts with the
+    charge column of the hour that takes the visit's remainder basic.
+
+    The start basis's structural block is block lower triangular, and
     nonsingular by construction, once its rows are taken in this order:
     the heat balances (each fixes its hour's fuel, the only basic in it),
-    the capacity row (fixes the count, given that hour's fuel), the
-    electric balances (each fixes its import, given its hour's fuel), then
-    the chains (each fixes its energy, given the hour before; grid import,
-    store and vehicle energies have coefficient 1). With every nonbasic at
-    its lower bound (0), those rows hold at the start: the fuel meets each
-    heat load, the count every capacity row, import the electric load less
-    the fuel cell's output, store energies are 0 and vehicle energies the
-    arrival energy, within their bounds unless a load exceeds grid_cap or
-    the fuel cell's output an electric load. From all slacks, every heat
-    and electric balance and every vehicle's first chain row would start
+    the capacity row (fixes the count, given that hour's fuel), each
+    store's chain rows and each visit's chain and departure rows (they fix
+    the energies and the charge basic in the departure row), then the
+    electric balances (each fixes its import, given its hour's fuel and
+    charges). Every diagonal block is a nonzero scalar (the fuel, the
+    count, and grid import, store and vehicle energies with coefficient
+    1) except that of a visit whose departure row starts on a charge.
+    That charge does not enter its departure row, but the block stays
+    nonsingular: the departure row fixes the energy E(d); the chain rows,
+    which sum to E(d) less the arrival energy less the window's net
+    charge, fix the charge (coefficient 1); then each chain row fixes its
+    energy given the hour before.
+
+    With the nonbasics on the bounds start_upper names, those rows hold
+    at the start: the fuel meets each heat load, the count every
+    capacity row, store energies are 0, a vehicle's energies rise from
+    its arrival energy to its departure target, and import meets the
+    electric load less the fuel cell's output and PV, plus the charging.
+    The basics are within their bounds unless a load exceeds grid_cap,
+    the fuel cell's output exceeds an electric load, or a visit cannot
+    reach its target. From all slacks, every heat and electric balance,
+    every vehicle's first chain row and every departure row would start
     out of bounds instead.
 
     The time grid is scenario_set.grid; grid must equal it, or the model
@@ -554,13 +636,15 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     index = VarIndex(catalog, scenario_set, tariffs)
     obj = build_objective(index, catalog, tariffs)
     heat = _heat_start(index, scenario_set, catalog, obj)
+    upper, sd_start = _charge_start(index, scenario_set, catalog, obj, heat)
     rows = (build_energy_balance(index, scenario_set, catalog,
                                  None if heat is None else heat[0])
             + build_device_bounds(index, catalog, heat)
             + build_bess_constraints(index, catalog.bess)
             + build_tess_constraints(index)
             + build_ev_constraints(index)
-            + build_chance_constraints(index, catalog.ev_fleet, config))
+            + build_chance_constraints(index, catalog.ev_fleet, config,
+                                       sd_start))
 
     names, senses, rhs, cols, vals, starts = zip(*rows)
     n_rows = len(rows)
@@ -586,6 +670,7 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
         rhs=np.array(rhs, dtype=float), row_names=list(names),
         col_lb=index.lb.copy(), col_ub=index.ub.copy(),
         col_kind=index.kind.copy(),
-        col_names=list(index.names), var_index=index, start_basis=start)
+        col_names=list(index.names), var_index=index, start_basis=start,
+        start_upper=upper)
     model.check()
     return model

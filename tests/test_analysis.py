@@ -765,10 +765,13 @@ def test_sweep_level_failing_its_check_is_an_error(tiny, monkeypatch,
 
 
 def test_stopped_level_reports_its_incumbent(tiny, tmp_path):
-    # one node: the sweep level holds the dive's incumbent and its verdicts,
-    # but keeps its status and reports no plan or total in the tables
+    # at zeta 0.5 and tax 5000 the plunge reaches its incumbent at the
+    # fourth node with the tree still open (on the tiny case's own tree
+    # that incumbent is the optimum): the sweep level holds the incumbent
+    # and its verdicts, but keeps its status and reports no plan or total
+    # in the tables
     sw = sweep_carbon_tax(tiny.catalog, tiny.tariffs, tiny.scen,
-                          tiny.config, [40.0], max_nodes=1)
+                          ModelConfig(zeta=0.5), [5000.0], max_nodes=4)
     lv, = sw.levels
     assert (lv.status, lv.error) == ("node_limit", "solver ended node_limit")
     assert lv.check.ok
@@ -779,9 +782,9 @@ def test_stopped_level_reports_its_incumbent(tiny, tmp_path):
     ps, cb = tmp_path / "plan_summary.csv", tmp_path / "cost_breakdown.csv"
     write_plan_summary(str(ps), sw, tiny.catalog)
     write_cost_breakdown(str(cb), sw)
-    assert list(csv.reader(ps.open()))[1] == ["40.0", "", "", "",
+    assert list(csv.reader(ps.open()))[1] == ["5000.0", "", "", "",
                                               "node_limit"]
-    assert list(csv.reader(cb.open()))[1] == (["40.0"] + [""] * 8
+    assert list(csv.reader(cb.open()))[1] == (["5000.0"] + [""] * 8
                                               + ["node_limit"])
 
 

@@ -39,11 +39,9 @@ def test_tracer_hooks_resolve():
     assert gone == []
 
 
-def test_dive_lps_stay_attributable():
-    # dive LPs are told apart by their caller's name, and every LP is seen
-    # only while branch and bound calls solve_lp through its module global
-    assert callable(getattr(bnb_mod, "_dive", None))
-    assert "solve_lp" in bnb_mod._dive.__code__.co_names
+def test_bnb_lps_stay_attributable():
+    # every LP is seen only while branch and bound calls solve_lp through
+    # its module global
     assert "solve_lp" in bnb_mod.branch_and_bound.__code__.co_names
 
 

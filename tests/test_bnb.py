@@ -52,15 +52,16 @@ def test_lp_infeasible_propagates():
     assert s.infeasible_rows == solve_lp(m).infeasible_rows != []
 
 
-def test_time_limit_stops_the_dive(tiny_solved):
-    # the root LP runs to its end; the limit has passed before the dive's
-    # first LP and before the first node LP
-    assert tiny_solved.sol.dive_lps > 0
+def test_time_limit_stops_before_the_first_node_lp(tiny_solved):
+    # the root LP runs to its end; the limit has passed before the
+    # plunge's first node LP, so no incumbent exists
+    assert tiny_solved.sol.node_lps > 0
     s = branch_and_bound(tiny_solved.model, time_limit_s=1e-9)
     assert s.status == "time_limit" and s.x is None
-    assert (s.dive_lps, s.dive_pivots, s.n_nodes) == (0, 0, 1)
+    assert (s.n_nodes, s.node_lps, s.node_pivots) == (1, 0, 0)
     assert s.incumbents == [] and s.gap == np.inf
     assert s.root_pivots == tiny_solved.sol.root_pivots
+    assert s.best_bound == pytest.approx(tiny_solved.sol.node_log[0]["bound"])
 
 
 def test_deterministic_replay():
@@ -129,34 +130,36 @@ def test_fuzz_against_scipy_milp():
     assert agree > 30
 
 
-def _solve_recording(monkeypatch, model):
+def _solve_recording(monkeypatch, model, bounds=None):
     """branch_and_bound(model), and the (warm, LpSolution) of each LP it
-    solved in solve order: root, dive steps, nodes."""
+    solved in solve order: the root, then the nodes. When bounds is a
+    list, each LP's (col_lb, col_ub) is appended to it."""
     calls = []
     real = bnb_mod.solve_lp
 
     def recording(*args, warm=None, **kwargs):
         lp = real(*args, warm=warm, **kwargs)
         calls.append((warm, lp))
+        if bounds is not None:
+            bounds.append((kwargs["col_lb"], kwargs["col_ub"]))
         return lp
 
     with monkeypatch.context() as mp:
         mp.setattr(bnb_mod, "solve_lp", recording)
         s = branch_and_bound(model)
-    assert len(calls) == 1 + s.dive_lps + s.node_lps
+    assert len(calls) == 1 + s.node_lps
     return s, calls
 
 
 def test_warm_started_lps_cost_less_than_the_root(tiny_solved, monkeypatch):
-    # the tiny hub case branches once: root, dive and two node LPs
+    # the tiny hub case branches once: the root and two node LPs
     s, calls = _solve_recording(monkeypatch, tiny_solved.model)
     assert s.objective == tiny_solved.sol.objective
-    assert s.n_nodes > 1 and s.node_lps == s.n_nodes - 1 and s.dive_lps > 0
+    assert s.n_nodes > 1 and s.node_lps == s.n_nodes - 1
     pivots = [lp.iterations for _w, lp in calls]
     assert s.root_pivots == pivots[0]
-    assert sum(pivots) == s.root_pivots + s.dive_pivots + s.node_pivots
+    assert sum(pivots) == s.root_pivots + s.node_pivots
     assert s.node_pivots < s.root_pivots
-    assert s.dive_pivots < s.root_pivots
 
 
 def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
@@ -175,9 +178,10 @@ def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
     for key in bnb_mod.LP_COUNTERS:
         assert getattr(s, key) == sum(getattr(lp, key) for lp in lps), key
         assert s.lp_counters()[key] == getattr(s, key)
-    # the cold root walks out of an infeasible slack basis first; warm node
-    # and dive LPs are reoptimized by the dual phase
-    assert lps[0].phase1_pivots > 0 and lps[0].dual_pivots == 0
+    # the cold root starts at the model's start point, which holds every
+    # row and bound of the tiny case, so it needs no phase 1; warm node LPs
+    # are reoptimized by the dual phase
+    assert lps[0].phase1_pivots == 0 and lps[0].dual_pivots == 0
     assert s.dual_pivots > 0
 
 
@@ -193,7 +197,7 @@ def test_bad_limits_are_rejected(limits):
 
 def _tiny_models(tiny):
     """The tiny case's model and, as "binary", the same with exclusivity
-    flags, which give a tree of about 30 nodes."""
+    flags, which give a tree of about 50 nodes."""
     model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                            ModelConfig(zeta=0.0))
     return {"relaxed": model, "binary": with_exclusivity_flags(model)}
@@ -202,17 +206,91 @@ def _tiny_models(tiny):
 def test_each_lp_starts_from_its_parent_basis(tiny, monkeypatch):
     for mode, model in _tiny_models(tiny).items():
         s, calls = _solve_recording(monkeypatch, model)
-        # the root starts cold, a dive step from the last optimal LP before
-        # it, a node from an earlier optimal LP (its parent)
-        assert calls[0][0] is None
+        # the root starts cold, a node from an earlier optimal LP (its
+        # parent)
+        assert calls[0][0] is None, mode
         solved = [calls[0][1]]
         for k, (warm, lp) in enumerate(calls[1:], start=1):
-            if k <= s.dive_lps:
-                assert warm[0] is solved[-1].basis, (mode, k)
-            else:
-                assert any(warm[0] is p.basis for p in solved), (mode, k)
+            assert any(warm[0] is p.basis for p in solved), (mode, k)
             if lp.status == "optimal":
                 solved.append(lp)
+
+
+def _tree(calls, bounds):
+    """For each node LP in calls, in solve order: the index in calls of
+    its parent (the LP whose basis it starts from), the bound it was
+    opened with (the parent's objective), and its creation id as
+    branch_and_bound numbers it: (parent index, 0 for the down child and
+    1 for the up one), which orders as the ids do."""
+    nodes = []
+    for k, (warm, _lp) in enumerate(calls[1:], start=1):
+        p = next(i for i in range(k) if warm[0] is calls[i][1].basis)
+        j = int(np.flatnonzero((bounds[k][0] != bounds[p][0])
+                               | (bounds[k][1] != bounds[p][1]))[0])
+        up = bounds[k][0][j] > bounds[p][0][j]
+        nodes.append((p, calls[p][1].objective, (p, int(up)), j))
+    return nodes
+
+
+def _plunge_fixtures(tiny, data_dir):
+    """The tiny models, the benchmark's three days at tax 40, and a
+    chance-recipe day (rng seed 1001), whose tree branches on binaries:
+    there fixing a column and branching on it give the same bounds."""
+    from test_acceptance import _c3_fixture
+    grid, catalog, tariffs, scen, _n = _c3_fixture(1)
+    return [*_tiny_models(tiny).items(),
+            ("n3 tax 40", _n3_model(data_dir, 40)),
+            ("c3-1001", assemble_model(grid, catalog, tariffs, scen,
+                                       ModelConfig(zeta=0.05)))]
+
+
+def test_no_lp_is_solved_twice(tiny, data_dir, monkeypatch):
+    for name, model in _plunge_fixtures(tiny, data_dir):
+        bounds = []
+        s, calls = _solve_recording(monkeypatch, model, bounds)
+        assert s.status == "optimal" and s.node_lps > 0, name
+        seen = {(lb.tobytes(), ub.tobytes()) for lb, ub in bounds}
+        assert len(seen) == len(calls), name
+
+
+def test_plunge_to_the_first_incumbent_then_best_first(tiny, data_dir,
+                                                       monkeypatch):
+    # until the first incumbent, each node LP is the newest open node: a
+    # child of the latest LP solved with a child still open, the one on
+    # the side of its branched column's nearest integer first. From the
+    # first incumbent on, each node LP is the open node least by (bound,
+    # id)
+    for name, model in _plunge_fixtures(tiny, data_dir):
+        bounds = []
+        s, calls = _solve_recording(monkeypatch, model, bounds)
+        nodes = _tree(calls, bounds)
+        first = next(k for k, e in enumerate(s.node_log) if e["incumbent"])
+        assert s.incumbents[0] == calls[1 + first][1].objective, name
+        opened = {0: 2}  # children not yet solved, by parent index
+        for k, (p, bound, (_p, up), j) in enumerate(nodes[:first + 1]):
+            assert p == max(i for i, n in opened.items() if n), (name, k)
+            assert bound == s.node_log[k]["bound"], (name, k)
+            xj = calls[p][1].x[j]
+            if opened[p] == 2:
+                assert up == (np.rint(xj) > xj), (name, k)
+            opened[p] -= 1
+            lp = calls[k + 1][1]
+            if lp.status == "optimal" and k < first:
+                opened[k + 1] = 2
+        # the open nodes by id; an LP none of whose children was solved
+        # is left out, its children never being least
+        parents = {p for p, *_rest in nodes}
+        keys = {}
+        for k, lp in enumerate(lp for _w, lp in calls):
+            if k in parents:
+                keys.update({(k, side): (lp.objective, (k, side))
+                             for side in (0, 1)})
+            if k < len(nodes):
+                _p, bound, nid, _j = nodes[k]
+                if k > first:
+                    assert min(keys.values()) == (bound, nid), (name, k)
+                del keys[nid]
+        assert s.n_nodes == 1 + len(nodes), name
 
 
 def test_root_warm_start_skips_the_root_pivots(tiny_solved):
@@ -224,14 +302,14 @@ def test_root_warm_start_skips_the_root_pivots(tiny_solved):
 
 def test_tree_counters(tiny, monkeypatch):
     # the relaxed model branches once; with exclusivity flags the tree has
-    # about 30 nodes, some of them infeasible, and improves on the dive's
+    # about 50 nodes, some of them infeasible, and improves on the plunge's
     # incumbent
     for mode, model in _tiny_models(tiny).items():
         s, calls = _solve_recording(monkeypatch, model)
         assert s.n_nodes > 1 and s.max_depth >= 1, mode
         # no node sits deeper than the number of nodes after the root
         assert s.max_depth <= s.node_lps, mode
-        node_lps = [lp for _w, lp in calls[1 + s.dive_lps:]]
+        node_lps = [lp for _w, lp in calls[1:]]
         assert s.infeasible_nodes == sum(lp.status == "infeasible"
                                          for lp in node_lps), mode
         assert 0 <= s.infeasible_nodes <= s.node_lps, mode
@@ -262,12 +340,10 @@ def test_tree_counters(tiny, monkeypatch):
             if lp.status in ("optimal", "cutoff"):
                 assert e["bound"] <= lp.objective + 1e-9 * (
                     1 + abs(lp.objective)), mode
-        # the flagged nodes gave the incumbents after the dive's
+        # the flagged nodes gave every incumbent
         found = [lp.objective for e, lp in zip(log, node_lps)
                  if e["incumbent"]]
-        assert len(found) in (len(s.incumbents), len(s.incumbents) - 1), \
-            mode
-        assert found == s.incumbents[len(s.incumbents) - len(found):], mode
+        assert found == s.incumbents, mode
 
 
 def _n3_model(data_dir, tax):

@@ -175,12 +175,14 @@ def test_overflowing_case_number_exits_before_reading_inputs(
 
 
 @pytest.mark.parametrize("flags, status", [
-    (["--max-nodes", "1"], "node_limit"),
+    (["--zeta", "0.5", "--carbon-tax", "5000", "--max-nodes", "4"],
+     "node_limit"),
     (["--time-limit", "1e-9"], "time_limit"),
 ])
 def test_plan_stopped_by_a_limit_exits_2(ws, tmp_path, capsys, flags, status):
-    # one node holds the dive's incumbent, which is reported; the time
-    # limit has passed before the dive's first LP
+    # at zeta 0.5 and tax 5000, four nodes hold the plunge's incumbent with
+    # the tree still open, and it is reported; the time limit has passed
+    # before the first node LP
     incumbent = status == "node_limit"
     out = tmp_path / "out"
     rc = cli.main(["plan"] + args_for(ws, "--out", str(out), *flags))
@@ -198,7 +200,7 @@ def test_plan_stopped_by_a_limit_exits_2(ws, tmp_path, capsys, flags, status):
                                                           rel=1e-9)
         assert (out / f"soc_{doc['extreme_scenario']}.csv").exists()
     else:
-        assert doc["dive_lps"] == 0 and doc["incumbents"] == []
+        assert doc["node_lps"] == 0 and doc["incumbents"] == []
 
 
 def test_plan_whose_plan_check_fails_exits_2(ws, tmp_path, capsys,
@@ -322,17 +324,19 @@ def test_plan_writes_reports(ws, tmp_path, capsys):
     assert doc["breakdown"]["total"] == pytest.approx(doc["objective"],
                                                       rel=1e-9)
     assert doc["node_lps"] == doc["nodes"] - 1
-    assert doc["node_pivots"] + doc["dive_pivots"] < doc["root_pivots"]
-    pivots = doc["root_pivots"] + doc["node_pivots"] + doc["dive_pivots"]
-    assert 0 < doc["phase1_pivots"] <= pivots
-    # the dual phase reoptimizes node and dive LPs only, never the cold root
-    assert 0 < doc["dual_pivots"] <= doc["node_pivots"] + doc["dive_pivots"]
+    assert doc["node_pivots"] < doc["root_pivots"]
+    pivots = doc["root_pivots"] + doc["node_pivots"]
+    # the cold root starts at the model's start point, which holds every
+    # row of the tiny case; the dual phase reoptimizes node LPs only, never
+    # the cold root
+    assert doc["phase1_pivots"] == 0
+    assert 0 < doc["dual_pivots"] <= doc["node_pivots"]
     assert doc["phase1_pivots"] + doc["dual_pivots"] <= pivots
     assert doc["degenerate_pivots"] <= pivots
     assert doc["bland_pivots"] <= pivots
     # most primal pivots carry the reduced costs by the row update
     assert 1 <= doc["priced"] < pivots
-    assert doc["refactors"] >= 1 + doc["node_lps"] + doc["dive_lps"]
+    assert doc["refactors"] >= 1 + doc["node_lps"]
     assert doc["kernel_cols"] >= doc["refactors"]
     assert 0 <= doc["infeasible_nodes"] <= doc["node_lps"]
     assert doc["infeasible_nodes"] + doc["cutoff_nodes"] <= doc["node_lps"]
@@ -707,8 +711,9 @@ def test_sweep_audit(ws, tmp_path, capsys):
     assert levels[0]["total"] <= levels[1]["total"] + 1e-9
     # the second level's root starts from the first level's root basis
     assert levels[1]["root_pivots"] < levels[0]["root_pivots"]
-    # the cold first root starts outside the feasible region
-    assert levels[0]["phase1_pivots"] > 0
+    # the cold first root starts at the model's start point, which holds
+    # every row of the tiny case
+    assert levels[0]["phase1_pivots"] == 0
     assert all(lv["kernel_cols"] >= lv["refactors"] >= 1 for lv in levels)
     for lv in levels:
         assert 0 <= lv["infeasible_nodes"] <= lv["node_lps"]
@@ -716,7 +721,7 @@ def test_sweep_audit(ws, tmp_path, capsys):
                    for e in lv["node_log"]) == lv["cutoff_nodes"]
         assert lv["incumbents"] == sorted(lv["incumbents"], reverse=True)
         assert lv["incumbents"][-1] == pytest.approx(lv["total"], rel=1e-9)
-        assert 0 <= lv["dual_pivots"] <= lv["node_pivots"] + lv["dive_pivots"]
+        assert 0 <= lv["dual_pivots"] <= lv["node_pivots"]
         assert len(lv["node_log"]) == lv["node_lps"]
         assert sum(e["pivots"] for e in lv["node_log"]) == lv["node_pivots"]
     # sweep levels' roots start primal feasible: the dual serves the tree

@@ -512,6 +512,8 @@ def _edited_case(data_dir, tmp_path, edit):
     (True, ("fuel_cells", 0, "max_units"), "$.fuel_cells[0].max_units"),
     (True, ("bess", "invest_cost"), "$.bess.invest_cost"),
     (False, ("planning", "hours_per_day"), "$.planning.hours_per_day"),
+    (True, ("tariffs", "elec_price", 0), "$.tariffs.elec_price[0]"),
+    (False, ("tariffs", "grid_emission", 5), "$.tariffs.grid_emission[5]"),
 ])
 def test_case_refuses_a_bool_in_a_numeric_field(data_dir, tmp_path, capsys,
                                                 value, path, where):
@@ -532,10 +534,14 @@ def test_case_reads_numeric_strings(data_dir, tmp_path):
         doc["fuel_cells"][0]["max_units"] = "3"
         doc["bess"]["invest_cost"] = "0.25"
         doc["planning"]["hours_per_day"] = "24"
+        doc["tariffs"]["elec_price"][0] = "0.5"
+        doc["tariffs"]["grid_emission"][5] = "0.75"
     case = read_case(str(_edited_case(data_dir, tmp_path, edit)))
     assert case.catalog.fuel_cells[0].max_units == 3
     assert case.catalog.bess.invest_cost == 0.25
     assert case.hours_per_day == 24
+    assert case.tariffs.elec_price[0] == 0.5
+    assert case.tariffs.grid_emission[5] == 0.75
 
 
 def test_case_departure_soc_defaults(data_dir, tmp_path):

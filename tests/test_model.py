@@ -240,6 +240,7 @@ def test_assemble_deterministic():
     assert np.array_equal(a.obj, b.obj) and np.array_equal(a.rhs, b.rhs)
     assert np.array_equal(a.a_matrix.toarray(), b.a_matrix.toarray())
     assert np.array_equal(a.start_basis, b.start_basis)
+    assert np.array_equal(a.start_upper, b.start_upper)
 
 
 def test_start_basis_rows():
@@ -291,6 +292,7 @@ def test_start_basis_defaults_to_the_slacks():
     m = make_model([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [LE, EQ],
                    [4.0, 0.0], [0.0, 0.0], [9.0, 9.0])
     assert m.start_basis.tolist() == [2, 3]
+    assert m.start_upper.tolist() == [False, False]
     m.check()
 
 
@@ -306,6 +308,18 @@ def test_check_refuses_a_bad_start_basis(tiny, change, message):
                            tiny.config)
     bad = dataclasses.replace(model, start_basis=change(model.start_basis))
     with pytest.raises(ModelBuildError, match=message):
+        bad.check()
+
+
+@pytest.mark.parametrize("change", [
+    lambda u: u[:-1], lambda u: u.astype(float)], ids=["short", "float"])
+def test_check_refuses_a_bad_start_upper(tiny, change):
+    model = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
+                           tiny.config)
+    assert model.start_upper.any()
+    bad = dataclasses.replace(model, start_upper=change(model.start_upper))
+    with pytest.raises(ModelBuildError, match="start_upper must be a bool "
+                       f"mask over the {model.n_cols} columns"):
         bad.check()
 
 

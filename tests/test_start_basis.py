@@ -10,17 +10,19 @@ from scipy.sparse.linalg import splu
 
 from test_acceptance import _c3_fixture
 from test_bnb import _n3_model
-from hubplan.core import FEAS_TOL
+from hubplan.core import FEAS_TOL, EvRecord
 from hubplan.fileio import read_case, read_history
 from hubplan.milp import solve_lp
 from hubplan.milp.simplex import NB_LO, _BlockBasis
-from hubplan.model import K_FUEL, K_XFC, ModelConfig, assemble_model
+from hubplan.model import (K_FUEL, K_GRID, K_PV, K_VCH, K_VE, K_XFC,
+                           ModelConfig, assemble_model)
 from hubplan.scengen import generate_scenarios
 
 # the row families that start on a structural, and the column each names;
-# of the capacity rows, only one of the heat fuel cell's names its count
+# of the capacity rows, only one of the heat fuel cell's names its count,
+# and a departure row names the charge that takes its visit's remainder
 FAMILIES = {("EB", "GR"), ("HB", "FU"), ("FE", "XF"), ("FH", "XF"),
-            ("BS", "BE"), ("TS", "TE"), ("VS", "VE")}
+            ("BS", "BE"), ("TS", "TE"), ("VS", "VE"), ("SD", "VC")}
 
 
 def _rows(model, prefix):
@@ -50,13 +52,16 @@ def _heat_cell(model):
 
 
 def _start_point(model):
-    """The basic solution of the start basis, every nonbasic column at 0."""
+    """The basic solution of the start basis, every nonbasic column on its
+    upper bound where start_upper marks it, else on its lower bound, and
+    every nonbasic slack at 0."""
+    x = np.where(model.start_upper, model.col_ub, model.col_lb)
+    named = model.start_basis < model.n_cols
+    x[model.start_basis[named]] = 0.0
     blk = _BlockBasis(model.a_matrix.tocsc(), model.start_basis,
                       model.n_cols)
     blk.lu = splu(blk.b_k)
-    w = blk.solve(model.rhs.astype(float))
-    x = np.zeros(model.n_cols)
-    named = model.start_basis < model.n_cols
+    w = blk.solve(model.rhs - model.a_matrix @ x)
     x[model.start_basis[named]] = w[named]
     return x
 
@@ -104,7 +109,8 @@ def test_start_columns_are_unit_in_their_own_rows(model):
     # the peak heat load, and then one capacity row of that cell, on its
     # count
     capacity = [r for r in rows if model.row_names[r][:2] in ("FE", "FH")]
-    assert rows.tolist() == sorted(capacity + [
+    departure = [r for r in rows if model.row_names[r][:2] == "SD"]
+    assert rows.tolist() == sorted(capacity + departure + [
         r for r, name in enumerate(model.row_names)
         if name[:2] in ("EB", "VS")
         or name[:2] in ("BS", "TS") and not name.endswith("_0")
@@ -123,28 +129,36 @@ def test_start_columns_are_unit_in_their_own_rows(model):
         assert model.row_names[r].endswith(f"_{h}")
         assert start[r] == ids[K_XFC][h]
         assert model.a_matrix[r, start[r]] != 0.0
+    # a departure row starts on a charge of its own visit, in its window
+    for r in departure:
+        s, j = map(int, model.row_names[r][2:].split("_"))
+        assert start[r] in ids[K_VCH][s, :, j]
     # every other row starts on its own slack
     others = np.flatnonzero(start >= n)
     assert (start[others] == n + others).all()
 
 
 def test_start_kernel_factors(model):
-    # the structural block of the start basis is lower triangular with a
-    # nonzero diagonal once its rows run heat balances (fixing the fuel),
-    # the capacity row (fixing the count), electric balances (fixing
-    # import), then the chains: nonsingular by construction
+    # without the departure rows and their charges, the structural block
+    # of the start basis is lower triangular with a nonzero diagonal once
+    # its rows run heat balances (fixing the fuel), the capacity row
+    # (fixing the count), electric balances (fixing import), then the
+    # chains; with them it is block triangular (assemble_model), and
+    # nonsingular: it factors, and its LU solves it
     start, n = model.start_basis, model.n_cols
     named = [r for r in range(model.n_rows) if start[r] < n]
     family = {"HB": 0, "FE": 1, "FH": 1, "EB": 2}
-    order = sorted(named, key=lambda r: (
-        family.get(model.row_names[r][:2], 3), r))
+    order = sorted((r for r in named if model.row_names[r][:2] != "SD"),
+                   key=lambda r: (family.get(model.row_names[r][:2], 3), r))
     kernel = model.a_matrix[order][:, start[order]]
     assert np.all(kernel.diagonal() != 0.0)
     assert sparse.triu(kernel, 1).nnz == 0
     blk = _BlockBasis(model.a_matrix.tocsc(), start, n)
     assert blk.k == len(named)
     lu = splu(blk.b_k)
-    assert np.isfinite(lu.solve(np.ones(blk.k))).all()
+    w = lu.solve(np.ones(blk.k))
+    assert np.isfinite(w).all()
+    assert np.abs(blk.b_k @ w - 1.0).max() <= 1e-9 * (1.0 + np.abs(w).max())
 
 
 def test_start_point_holds_the_heat_and_capacity_rows(model):
@@ -162,6 +176,152 @@ def test_start_point_holds_the_heat_and_capacity_rows(model):
         cols = np.append(ids[K_FUEL][..., h].ravel(), ids[K_XFC][h])
         assert (x[cols] <= model.col_ub[cols] + FEAS_TOL).all()
         assert (x[cols] >= model.col_lb[cols] - FEAS_TOL).all()
+
+
+def _visits(model):
+    """(departure row, charge columns of the window, need) of each visit;
+    need is the target less the arrival energy."""
+    index = model.var_index
+    out = []
+    for (s, j), (a, d) in index.windows.items():
+        sd = model.row_names.index(f"SD{s}_{j}")
+        out.append((sd, index.ids[K_VCH][s, a:d, j],
+                    model.rhs[sd] - index.ev_init[(s, j)]))
+    return out
+
+
+def test_start_point_meets_every_reachable_departure_target(model):
+    # each visit that its window can charge to its target at the
+    # charger's power starts at that target, its remainder basic in the
+    # departure row; the others (the chance days' one-hour visits at 20 %)
+    # charge in every hour at the bound and keep the row's slack. Charges,
+    # vehicle energies and PV start within their bounds, import at or
+    # below grid_cap
+    x = _start_point(model)
+    lhs = model.a_matrix @ x
+    lb, ub, n = model.col_lb, model.col_ub, model.n_cols
+    for sd, charge, need in _visits(model):
+        if need <= 0.0:
+            assert model.start_basis[sd] == n + sd
+            assert not model.start_upper[charge].any()
+        elif need <= ub[charge].sum():
+            assert model.start_basis[sd] in charge
+            assert lhs[sd] >= model.rhs[sd] - FEAS_TOL
+        else:
+            assert model.start_basis[sd] == n + sd
+            assert model.start_upper[charge].all()
+    ids = model.var_index.ids
+    cols = np.concatenate([ids[k][ids[k] >= 0] for k in (K_VCH, K_VE,
+                                                         K_PV)])
+    assert (x[cols] >= lb[cols] - FEAS_TOL).all()
+    assert (x[cols] <= ub[cols] + FEAS_TOL).all()
+    grid = ids[K_GRID].ravel()
+    assert (x[grid] <= ub[grid] + FEAS_TOL).all()
+
+
+def _tiny_model(tiny, tariffs=None, **scenario_0):
+    """The tiny case's model, with its tariffs and scenario 0's fields
+    replaced as given."""
+    scen = tiny.scen
+    if scenario_0:
+        first = dataclasses.replace(scen.scenarios[0], **scenario_0)
+        scen = dataclasses.replace(scen, scenarios=(first,
+                                                    *scen.scenarios[1:]))
+    return assemble_model(tiny.grid, tiny.catalog, tariffs or tiny.tariffs,
+                          scen, tiny.config)
+
+
+def test_charges_take_the_cheapest_hours_first(tiny):
+    # scenario 1's vehicle, parked in hours 1-3 at 50 %, needs 16 kWh:
+    # hour 3 imports at 0.3 and hours 1 and 2 at 1.0, so hours 3 and 1
+    # (the earlier of the tie) charge 7 kWh each at the bound, and hour 2
+    # takes the last 2 kWh, basic in the departure row
+    model = _tiny_model(tiny)
+    ids = model.var_index.ids
+    charge = ids[K_VCH][1, 1:4, 0]
+    assert model.start_upper[charge].tolist() == [True, False, True]
+    sd = model.row_names.index("SD1_0")
+    assert model.start_basis[sd] == charge[1]
+    x = _start_point(model)
+    assert x[charge] == pytest.approx([7.0, 2.0, 7.0], abs=1e-12)
+
+
+def test_a_visit_short_of_its_target_keeps_its_charge(tiny):
+    # parked one hour at 20 %, the vehicle needs 28 kWh and the charger
+    # gives 7: the hour charges at its bound and the departure row keeps
+    # its slack
+    model = _tiny_model(tiny, ev_records=(EvRecord(3, 4, 0.2),))
+    charge = model.col_names.index("VC0_3_0")
+    sd = model.row_names.index("SD0_0")
+    assert model.start_upper[charge]
+    assert model.start_basis[sd] == model.n_cols + sd
+    x = _start_point(model)
+    assert x[charge] == model.col_ub[charge] == tiny.fleet.charger_power
+
+
+def test_no_hour_is_charged_past_grid_cap(tiny):
+    # at the start, scenario 0 imports 11, 16.5 and 13.75 kW in the
+    # vehicle's hours 0-2 and charging 7 kW adds 7.37; under a 22 kW cap
+    # hour 1 (then 23.9 kW) is skipped, so the vehicle falls 6 kWh short
+    # and its departure row keeps its slack
+    model = _tiny_model(tiny, dataclasses.replace(tiny.tariffs,
+                                                  grid_cap=22.0))
+    ids = model.var_index.ids
+    x = _start_point(model)
+    grid = ids[K_GRID].ravel()
+    assert (x[grid] <= 22.0 + FEAS_TOL).all()
+    charged = [model.col_names[c] for c in ids[K_VCH][0, :, 0]
+               if c >= 0 and model.start_upper[c]]
+    assert charged == ["VC0_0_0", "VC0_2_0"]
+    sd = model.row_names.index("SD0_0")
+    assert model.start_basis[sd] == model.n_cols + sd
+    free = _tiny_model(tiny)
+    assert free.col_names[free.start_basis[sd]] == "VC0_2_0"
+
+
+def _check_pv(model):
+    """PV starts at its bound exactly where the bound is at most the
+    hour's import (charging included), and import then stays at or above
+    0; elsewhere PV starts at 0. Returns how many PV columns with a
+    nonzero bound start at 0."""
+    ids = model.var_index.ids
+    x = _start_point(model)
+    pv, grid = ids[K_PV].ravel(), ids[K_GRID].ravel()
+    before = x[grid] + x[pv]  # the import with PV at 0
+    up = model.start_upper[pv]
+    assert (up == (model.col_ub[pv] <= before)).all()
+    assert (x[grid][up] >= -FEAS_TOL).all()
+    assert (x[pv][~up] == 0.0).all()
+    return int(np.count_nonzero(~up & (model.col_ub[pv] > 0.0)))
+
+
+def test_pv_starts_at_its_bound_within_the_import(model):
+    _check_pv(model)
+
+
+def test_pv_above_the_import_starts_at_0(tiny):
+    # 30 kW of PV in hour 1 exceeds its start import of 23.9 kW
+    model = _tiny_model(tiny, pv_avail=(0.0, 30.0, 12.0, 2.0))
+    assert _check_pv(model) == 1
+    x = _start_point(model)
+    assert x[model.col_names.index("PV0_1")] == 0.0
+
+
+def test_infeasible_rows_name_a_departure_row_left_by_its_charge(tiny):
+    # with vehicle 0's charger capped at 1 kW, its visit cannot reach the
+    # target, which zeta = 0 enforces; its departure row starts on the
+    # charge of hour 2, which phase 1 leaves above its bound
+    model = _tiny_model(tiny)
+    ub = model.col_ub.copy()
+    charge = model.var_index.ids[K_VCH][0, :, 0]
+    ub[charge[charge >= 0]] = 1.0
+    lp = solve_lp(model, col_ub=ub)
+    assert lp.status == "infeasible"
+    assert [model.row_names[r] for r in lp.infeasible_rows] == ["SD0_0"]
+    sd = model.row_names.index("SD0_0")
+    q = model.start_basis[sd]
+    assert model.col_names[q] == "VC0_2_0" and q in lp.basis
+    assert lp.x[q] > ub[q] + FEAS_TOL
 
 
 @pytest.mark.parametrize("max_units", [1, 2])
