@@ -493,9 +493,12 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
 
     The laws, each checked over whole arrays and reported in this order:
     the electric balance, its residual scaled by (1 + max electric load);
-    the heat surplus; then for the BESS, the TESS and the vehicles in turn
-    the storage law E(t+1) = E(t) + ch(t) - dis(t) (cyclic over the day for
-    BESS and TESS, over the parked hours for a vehicle), the energy window
+    the heat surplus; each fuel cell's electric, then heat, output
+    gas_to_elec * fuel (gas_to_heat * fuel) within its cap max_elec * x_fc
+    (max_heat * x_fc), labelled by the cell's id; then for the BESS, the
+    TESS and the vehicles in turn the storage law E(t+1) = E(t) + ch(t) -
+    dis(t) (cyclic over the day for BESS and TESS, over the parked hours
+    for a vehicle), the energy window
     (BESS soc_min..soc_max times x_ess, TESS 0..capacity, a vehicle
     soc_min..soc_max times its capacity over the hours after its arrival,
     whose energy is data) and no charging and discharging in one hour.
@@ -506,8 +509,9 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     departure, which _substandard must not flag in a z = 0 scenario, and
     e_dep equals it. Then integral x_fc and binary z. Each law allows
     FEAS_TOL: on a residual, below the heat load, on each of charge and
-    discharge, and as FEAS_TOL * (1 + cap) outside a window and off the
-    arrival and departure energies; x_fc may sit INT_TOL from an integer.
+    discharge, and as FEAS_TOL * (1 + cap) above a port's cap, outside a
+    window and off the arrival and departure energies; x_fc may sit
+    INT_TOL from an integer.
     Issues of one law come by scenario, vehicle and hour. Balance and
     storage-law residuals make max_residual; a NaN one neither counts nor
     is reported, while a NaN in any other test is reported.
@@ -539,6 +543,12 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     resid("elec balance", (supply - elec) / (1.0 + elec.max()), "st")
     surplus = heat - np.array([d.heat_load for d in days])
     flag("heat surplus", surplus >= -FEAS_TOL, surplus, "st")
+    for port in ("elec", "heat"):
+        for i, fc in enumerate(catalog.fuel_cells):
+            out = getattr(fc, f"gas_to_{port}") * sol.fuel[:, :, i]
+            cap = getattr(fc, f"max_{port}") * sol.x_fc[fc.fc_id]
+            flag(f"fc {port} output {fc.fc_id}",
+                 out <= cap + FEAS_TOL * (1 + cap), out, "st")
 
     # each store's energy path: BESS and TESS wrap to hour 0, a vehicle's
     # is NaN outside its parking window

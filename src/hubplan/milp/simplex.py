@@ -38,7 +38,7 @@ blocks fastest. The eta file is applied as one block per ftran or btran
 ``_kernels``), not eta by eta.
 
 A pivot touches only the rows where the entering column w = B^-1 a_q is
-nonzero: a median of about ten of the 3951 rows of the bundled plan. The
+nonzero: a median of 30 of the 3231 rows at the bundled plan's root. The
 basic values and their bound-violation codes are updated on those rows
 alone. Each value lives once, in x, and each bound once, per column: the
 basics' values and bounds are read through the basis (x[basis[rows]]), and
@@ -76,7 +76,7 @@ one column per row, and its ``start_upper``, the nonbasic columns seated
 on their upper bound (all slacks and no column, unless the model names
 them). assemble_model names structurals for the rows a column defines
 (grid import in the electric balances, one fuel cell's fuel in the heat
-balances and its count in one capacity row, storage and vehicle energies
+balances and its count in one fuel-limit row, storage and vehicle energies
 in their chain rows, a vehicle's charge in its departure row) and seats
 the charges and PV it plans on their upper bound. A warm solve starts from
 the final ``(basis, stat)`` of a solve of the same rows: each nonbasic

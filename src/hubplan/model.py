@@ -91,6 +91,14 @@ def max_substandard(n_scenarios: int, zeta: float) -> int:
     return int(math.floor(n_scenarios * zeta + 1e-9))
 
 
+def _fuel_per_unit(fc):
+    """The most fuel one unit of fc burns in an hour: max_elec/gas_to_elec,
+    or max_heat/gas_to_heat where that is less and fc yields heat."""
+    if fc.gas_to_heat > 0.0:
+        return min(fc.max_elec / fc.gas_to_elec, fc.max_heat / fc.gas_to_heat)
+    return fc.max_elec / fc.gas_to_elec
+
+
 class VarIndex:
     """The MILP's column layout.
 
@@ -99,9 +107,10 @@ class VarIndex:
     fuel cell i and vehicle j, all 0-based), -1 where the variable has no
     column. EV dispatch exists for parked hours t in [arrive, depart); EV
     energies for t in [arrive+1, depart], the arrival state being the fixed
-    datum initial_soc * capacity. Columns come out in deterministic order
-    and all bounds are finite. grid is the scenario set's time grid, the
-    one every builder reads.
+    datum initial_soc * capacity; ev_target, target_departure_soc *
+    capacity, is every visit's departure target. Columns come out in
+    deterministic order and all bounds are finite. grid is the scenario
+    set's time grid, the one every builder reads.
     """
 
     def __init__(self, catalog, scenario_set, tariffs):
@@ -113,6 +122,8 @@ class VarIndex:
         n_ev = self.n_ev = catalog.ev_fleet.n_ev
         self.windows = {}  # (s, j) -> (arrive, depart)
         self.ev_init = {}  # (s, j) -> arrival energy datum (kWh)
+        fleet = catalog.ev_fleet
+        self.ev_target = fleet.target_departure_soc * fleet.capacity
         shapes = {K_XESS: (), K_XFC: (n_fc,), K_FUEL: (n, t_day, n_fc),
                   K_VCH: (n, t_day, n_ev), K_VDIS: (n, t_day, n_ev),
                   K_VE: (n, t_day + 1, n_ev), K_SHORT: (n, n_ev), K_Z: (n,)}
@@ -137,7 +148,6 @@ class VarIndex:
         for q, k in enumerate((K_BCH, K_BDIS, K_BE, K_TCH, K_TDIS, K_TE)):
             ids[k][:] = hour[..., 2 + n_fc + q]
 
-        fleet = catalog.ev_fleet
         for s, sc in enumerate(scenario_set.scenarios):
             if len(sc.ev_records) != n_ev:
                 raise ModelBuildError(
@@ -163,14 +173,6 @@ class VarIndex:
             values[ids[kind][have]] = np.broadcast_to(v, have.shape)[have]
 
         bess, tess, fcs = catalog.bess, catalog.tess, catalog.fuel_cells
-        fuel_ub = []
-        for fc in fcs:
-            caps = []
-            if fc.gas_to_elec > 0.0:
-                caps.append(fc.max_elec / fc.gas_to_elec)
-            if fc.gas_to_heat > 0.0:
-                caps.append(fc.max_heat / fc.gas_to_heat)
-            fuel_ub.append(fc.max_units * min(caps) if caps else 0.0)
         rate = bess.rate_fraction * bess.max_capacity
         trate = tess.rate_fraction * tess.capacity
         upper = {
@@ -179,7 +181,8 @@ class VarIndex:
             K_GRID: tariffs.grid_cap,
             K_PV: np.minimum([sc.pv_avail for sc in scenario_set.scenarios],
                              tariffs.pv_cap),
-            K_FUEL: fuel_ub, K_BCH: rate, K_BDIS: rate,
+            K_FUEL: [fc.max_units * _fuel_per_unit(fc) for fc in fcs],
+            K_BCH: rate, K_BDIS: rate,
             K_BE: bess.soc_max * bess.max_capacity,
             K_TCH: trate, K_TDIS: trate, K_TE: tess.capacity,
             K_VCH: fleet.charger_power,
@@ -339,38 +342,31 @@ def build_objective(index, catalog, tariffs) -> np.ndarray:
 
 def _heat_start(index, scenario_set, catalog, obj):
     """The fuel cell whose fuel starts basic in every heat balance, and the
-    capacity row its unit count starts basic in.
+    fuel-limit row its unit count starts basic in.
 
     Fuel cell i covers the set's peak heat load P when
-    P * max(1 / max_heat, gas_to_elec / (gas_to_heat * max_elec)) <=
-    max_units: its fuel alone then meets every heat load within the fuel's
-    bound, and the units that takes within max_units. Of the cells that
-    cover P, the one whose fuel costs least per unit of heat in obj,
-    obj[FU] / gas_to_heat, is chosen, the lowest index on ties. Its count
-    starts in the FE or FH row (both carry -max_elec or -max_heat, nonzero
-    for a covering cell) that needs the most units at that fuel, the first
-    in row order on ties; every other capacity row then holds.
+    P <= max_units * gas_to_heat * u, u = _fuel_per_unit(fc): its fuel
+    alone then meets every heat load within the fuel's bound, and the
+    units that takes within max_units. A cell with gas_to_heat or max_heat
+    0 never does. Of the cells that cover P, the one whose fuel costs
+    least per unit of heat in obj, obj[FU] / gas_to_heat, is chosen, the
+    lowest index on ties. Its count starts in its FL row at the hour of
+    the peak heat load, the first in row order on ties: that row needs the
+    most units, so every other FL row then holds.
 
-    Returns (i, (s, t, k)), k = 0 for FE and 1 for FH, or None when no
-    fuel cell covers P.
+    Returns (i, (s, t)), or None when no fuel cell covers P.
     """
     fcs = catalog.fuel_cells
     heat = np.array([sc.heat_load for sc in scenario_set.scenarios])
-
-    def units_per_kw(fc):  # of heat met by fc's fuel, in its FE and FH rows
-        return np.array([fc.gas_to_elec / (fc.gas_to_heat * fc.max_elec),
-                         1.0 / fc.max_heat])
-
     cover = [i for i, fc in enumerate(fcs)
-             if fc.gas_to_heat > 0.0 and fc.max_heat > 0.0
-             and heat.max() * units_per_kw(fc).max() <= fc.max_units]
+             if fc.gas_to_heat > 0.0 and fc.max_heat > 0.0 and heat.max()
+             <= fc.max_units * fc.gas_to_heat * _fuel_per_unit(fc)]
     if not cover:
         return None
     i = min(cover, key=lambda i: obj[index.ids[K_FUEL][0, 0, i]]
             / fcs[i].gas_to_heat)
-    units = heat[..., None] * units_per_kw(fcs[i])
-    at = np.unravel_index(np.argmax(units), units.shape)
-    return i, tuple(int(a) for a in at)
+    s, t = np.unravel_index(np.argmax(heat), heat.shape)
+    return i, (int(s), int(t))
 
 
 def _charge_start(index, scenario_set, catalog, obj, heat):
@@ -403,11 +399,10 @@ def _charge_start(index, scenario_set, catalog, obj, heat):
             [sc.heat_load for sc in scenario_set.scenarios])
     cost, cap = obj[ids[K_GRID]], index.ub[ids[K_GRID]]
     power = fleet.charger_power
-    target = fleet.target_departure_soc * fleet.capacity
     upper = np.zeros(index.n_cols, dtype=bool)
     sd_start = {}
     for (s, j), (a, d) in index.windows.items():
-        need = target - index.ev_init[(s, j)]
+        need = index.ev_target - index.ev_init[(s, j)]
         if need <= 0.0:
             continue
         for t in sorted(range(a, d), key=lambda t: (cost[s, t], t)):
@@ -461,28 +456,22 @@ def build_energy_balance(index, scenario_set, catalog, heat_fc) -> list:
 
 
 def build_device_bounds(index, catalog, x_start) -> list:
-    """Fuel-cell output caps tied to installed counts.
+    """Fuel-cell fuel limits tied to installed counts.
 
     PV availability, grid import and dispatch rate limits are plain column
-    bounds, materialized when the index is built; this emits the coupling
-    rows C_ge*P_fuel <= X*max_elec and C_gh*P_fuel <= X*max_heat. Fuel
-    cell i's count X starts basic in its row (s, t, k) when x_start is
-    (i, (s, t, k)), k = 0 for the electric cap and 1 for the heat cap;
-    every other row starts on its slack.
+    bounds, materialized when the index is built; this emits one row per
+    (s, t, i), FL: P_fuel <= u_i * X_i, u_i = _fuel_per_unit. It states
+    both port caps, C_ge*P_fuel <= max_elec*X and C_gh*P_fuel <=
+    max_heat*X: each is a positive multiple of P_fuel <= cap*X, so only
+    the lesser cap binds. Fuel cell i's count starts basic in its row
+    (s, t) when x_start is (i, (s, t)); every other row on its slack.
     """
-    rows = []
     fuel, x = index.ids[K_FUEL], index.ids[K_XFC]
-    for s in range(index.n_scenarios):
-        for t in range(index.hours):
-            for i, fc in enumerate(catalog.fuel_cells):
-                cols = (fuel[s, t, i], x[i])
-                start = [x[i] if x_start == (i, (s, t, k)) else -1
-                         for k in (0, 1)]
-                rows.append((f"FE{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_elec, -fc.max_elec), start[0]))
-                rows.append((f"FH{s}_{t}_{i}", LE, 0.0, cols,
-                             (fc.gas_to_heat, -fc.max_heat), start[1]))
-    return rows
+    units = [_fuel_per_unit(fc) for fc in catalog.fuel_cells]
+    return [(f"FL{s}_{t}_{i}", LE, 0.0, (fuel[s, t, i], x[i]), (1.0, -u),
+             x[i] if x_start == (i, (s, t)) else -1)
+            for s in range(index.n_scenarios) for t in range(index.hours)
+            for i, u in enumerate(units)]
 
 
 def _cyclic_chain(prefix, e, ch, dis) -> list:
@@ -560,23 +549,23 @@ def build_ev_constraints(index) -> list:
     return rows
 
 
-def build_chance_constraints(index, fleet, config, sd_start) -> list:
+def build_chance_constraints(index, config, sd_start) -> list:
     """Shortfall definition, big-M activation, and the cardinality cap.
 
     Z(s)=0 forces every vehicle in scenario s to depart at or above the
-    target SOC; at most floor(N*zeta) scenarios may set Z=1. The departure
-    row SD{s}_{j} starts with the charge column sd_start[(s, j)] basic
-    where there is one; every other row starts on its slack.
+    target SOC; at most floor(N*zeta) scenarios may set Z=1. The big-M is
+    the shortfall column's upper bound. The departure row SD{s}_{j}
+    starts with the charge column sd_start[(s, j)] basic where there is
+    one; every other row starts on its slack.
     """
     rows = []
     short, e, z = index.ids[K_SHORT], index.ids[K_VE], index.ids[K_Z]
-    target = fleet.target_departure_soc * fleet.capacity
-    m_soc = (fleet.target_departure_soc - fleet.soc_min) * fleet.capacity
     for (s, j), (_a, d) in index.windows.items():
-        rows.append((f"SD{s}_{j}", GE, target, (short[s, j], e[s, d, j]),
-                     (1.0, 1.0), sd_start.get((s, j), -1)))
+        rows.append((f"SD{s}_{j}", GE, index.ev_target,
+                     (short[s, j], e[s, d, j]), (1.0, 1.0),
+                     sd_start.get((s, j), -1)))
         rows.append((f"SZ{s}_{j}", LE, 0.0, (short[s, j], z[s]),
-                     (1.0, -m_soc), -1))
+                     (1.0, -index.ub[short[s, j]]), -1))
     limit = max_substandard(index.n_scenarios, config.zeta)
     rows.append(("CARD", LE, float(limit), z, [1.0] * index.n_scenarios,
                  -1))
@@ -595,7 +584,7 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     t >= 1 (hour 0's row, which closes the cycle, keeps its slack) and a
     vehicle's energy in each of its chain rows. When a fuel cell covers
     the peak heat load (_heat_start), its fuel is basic in every heat
-    balance and its count in one of its capacity rows. The model's
+    balance and its count in its FL row of the peak hour. The model's
     start_upper seats the charges and PV that _charge_start plans on
     their upper bound, and a departure row SD{s}_{j} starts with the
     charge column of the hour that takes the visit's remainder basic.
@@ -603,7 +592,7 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     The start basis's structural block is block lower triangular, and
     nonsingular by construction, once its rows are taken in this order:
     the heat balances (each fixes its hour's fuel, the only basic in it),
-    the capacity row (fixes the count, given that hour's fuel), each
+    the FL row (fixes the count, given that hour's fuel), each
     store's chain rows and each visit's chain and departure rows (they fix
     the energies and the charge basic in the departure row), then the
     electric balances (each fixes its import, given its hour's fuel and
@@ -617,10 +606,10 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     energy given the hour before.
 
     With the nonbasics on the bounds start_upper names, those rows hold
-    at the start: the fuel meets each heat load, the count every
-    capacity row, store energies are 0, a vehicle's energies rise from
-    its arrival energy to its departure target, and import meets the
-    electric load less the fuel cell's output and PV, plus the charging.
+    at the start: the fuel meets each heat load, the count every FL row,
+    store energies are 0, a vehicle's energies rise from its arrival
+    energy to its departure target, and import meets the electric load
+    less the fuel cell's output and PV, plus the charging.
     The basics are within their bounds unless a load exceeds grid_cap,
     the fuel cell's output exceeds an electric load, or a visit cannot
     reach its target. From all slacks, every heat and electric balance,
@@ -643,8 +632,7 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
             + build_bess_constraints(index, catalog.bess)
             + build_tess_constraints(index)
             + build_ev_constraints(index)
-            + build_chance_constraints(index, catalog.ev_fleet, config,
-                                       sd_start))
+            + build_chance_constraints(index, config, sd_start))
 
     names, senses, rhs, cols, vals, starts = zip(*rows)
     n_rows = len(rows)

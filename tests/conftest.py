@@ -1,5 +1,6 @@
-"""Shared fixtures: a four-hour two-day hub case, a raw-model builder and
-the binary exclusivity formulation as a reference."""
+"""Shared fixtures: a four-hour two-day hub case, a raw-model builder, and
+the binary exclusivity formulation and the per-port fuel-cell rows as
+references."""
 import os
 from types import SimpleNamespace
 
@@ -12,9 +13,9 @@ from hubplan.core import (FEAS_TOL, BessSpec, EquipmentCatalog, EvFleetSpec,
                           EvRecord, FcSpec, Scenario, ScenarioSet, TariffSet,
                           TessSpec, TimeGrid)
 from hubplan.milp import branch_and_bound, extract_solution
-from hubplan.model import (BINARY, K_BCH, K_BDIS, K_GRID, K_PV, K_TCH,
-                           K_TDIS, K_VCH, K_VDIS, K_VE, LE, MilpModel,
-                           ModelConfig, assemble_model)
+from hubplan.model import (BINARY, K_BCH, K_BDIS, K_FUEL, K_GRID, K_PV,
+                           K_TCH, K_TDIS, K_VCH, K_VDIS, K_VE, K_XFC, LE,
+                           MilpModel, ModelConfig, assemble_model)
 
 
 def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
@@ -79,6 +80,43 @@ def with_exclusivity_flags(model):
         col_names=model.col_names + [f"Y{a}{t}"
                                      for a, t in zip(letters, tails)],
         var_index=model.var_index)
+
+
+def with_port_caps(model, catalog):
+    """The per-port formulation that each FL row of hubplan.model states
+    at once: model, as assemble_model builds it, with the rows
+    FE: gas_to_elec * P_fuel <= max_elec * X and
+    FH: gas_to_heat * P_fuel <= max_heat * X of each scenario, hour and
+    fuel cell appended after its last row, named like that FL row
+    (FE0_1_0, FH0_1_0), the FE row first; zero coefficients are left out.
+    The new rows start on their slacks, the others as in model.
+    """
+    ids, n, m = model.var_index.ids, model.n_cols, model.n_rows
+    shape = ids[K_FUEL].shape  # (s, t, i), the FL rows' order
+    fuel = ids[K_FUEL].ravel()
+    units = np.broadcast_to(ids[K_XFC], shape).ravel()
+    k = 2 * fuel.size
+    rows = np.repeat(np.arange(k), 2)
+    cols = np.stack([fuel, units, fuel, units], axis=1).ravel()
+    ports = [(fc.gas_to_elec, -fc.max_elec, fc.gas_to_heat, -fc.max_heat)
+             for fc in catalog.fuel_cells]
+    vals = np.broadcast_to(ports, shape + (4,)).ravel()
+    caps = sparse.csr_matrix((vals, (rows, cols)), shape=(k, n))
+    caps.eliminate_zeros()
+    tails = [name[2:] for name in model.row_names if name.startswith("FL")]
+    return MilpModel(
+        obj=model.obj, a_matrix=sparse.vstack([model.a_matrix, caps],
+                                              format="csr"),
+        row_sense=np.concatenate([model.row_sense,
+                                  np.full(k, LE, dtype=np.int8)]),
+        rhs=np.concatenate([model.rhs, np.zeros(k)]),
+        row_names=model.row_names + [f"F{p}{t}" for t in tails
+                                     for p in "EH"],
+        col_lb=model.col_lb, col_ub=model.col_ub, col_kind=model.col_kind,
+        col_names=model.col_names, var_index=model.var_index,
+        start_basis=np.concatenate([model.start_basis,
+                                    n + m + np.arange(k)]),
+        start_upper=model.start_upper)
 
 
 def with_pv_less_overlap(model, fleet, x):

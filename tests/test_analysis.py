@@ -347,7 +347,9 @@ def _verify_plan_py(solution, scenario_set, catalog):
     """Recheck a plan from physics, without the model or the solver.
 
     Electric balance residuals are scaled by (1 + max electric load); heat
-    surplus must be >= -FEAS_TOL absolutely; storage dynamics, cyclic closure
+    surplus must be >= -FEAS_TOL absolutely; each fuel cell's electric and
+    heat output may exceed its cap, max_elec or max_heat times x_fc, by
+    FEAS_TOL * (1 + cap); storage dynamics, cyclic closure
     and SOC windows are checked to FEAS_TOL on energies. A store may not
     charge and discharge more than FEAS_TOL each in the same hour. Each
     vehicle's window, arrival energy and departure come from its record.
@@ -394,6 +396,14 @@ def _verify_plan_py(solution, scenario_set, catalog):
                 heat += fc.gas_to_heat * solution.fuel[s, t, i]
             surplus = heat - sc.heat_load[t]
             flag(surplus >= -FEAS_TOL, f"heat surplus s{s} t{t}", surplus)
+            for i, fc in enumerate(catalog.fuel_cells):
+                units = solution.x_fc[fc.fc_id]
+                for port, gain, most in (
+                        ("elec", fc.gas_to_elec, fc.max_elec),
+                        ("heat", fc.gas_to_heat, fc.max_heat)):
+                    out, cap = gain * solution.fuel[s, t, i], most * units
+                    flag(out <= cap + FEAS_TOL * (1 + cap),
+                         f"fc {port} output {fc.fc_id} s{s} t{t}", out)
 
         # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
         for t in range(t_day):
@@ -604,6 +614,43 @@ def test_verify_plan_judges_by_the_records_it_is_given(tiny, tiny_solved):
         "departure soc s0 j0", "ev departure energy s0 j0"]
     assert _same_check(got, _verify_plan_py(tiny_solved.plan, scen,
                                             tiny.catalog)) == []
+
+
+def test_verify_plan_holds_the_heat_port_to_its_cap(tiny, tiny_solved):
+    # scenario 0's hour 1 burns fuel for 1 kW of heat past its cap,
+    # max_heat * x_fc; the electric output it adds, within max_elec *
+    # x_fc at the 3 or more units the peak heat load of 14 kW takes,
+    # comes off grid import, so every other law holds
+    plan, fc = tiny_solved.plan, tiny.fc
+    cap = fc.max_heat * plan.x_fc["PEM_gas"]
+    fuel, grid = plan.fuel.copy(), plan.grid.copy()
+    extra = (cap + 1.0) / fc.gas_to_heat - fuel[0, 1, 0]
+    fuel[0, 1, 0] += extra
+    grid[0, 1] -= fc.gas_to_elec * extra
+    bad = dataclasses.replace(plan, fuel=fuel, grid=grid)
+    got = verify_plan(bad, tiny.scen, tiny.catalog)
+    assert got.issues == ["fc heat output PEM_gas s0 t1: "
+                          f"{float(fc.gas_to_heat * fuel[0, 1, 0])!r}"]
+    assert _same_check(got, _verify_plan_py(bad, tiny.scen,
+                                            tiny.catalog)) == []
+
+
+def test_verify_plan_reads_the_port_caps_from_its_catalog(tiny,
+                                                          tiny_solved):
+    # the tiny plan against a catalog whose PEM_gas gives at most 4 kW
+    # of electricity a unit: every hour whose fuel yields more at the
+    # plan's count is reported, and only those
+    plan, fc = tiny_solved.plan, tiny.fc
+    catalog = dataclasses.replace(tiny.catalog, fuel_cells=(
+        dataclasses.replace(fc, max_elec=4.0),))
+    cap = 4.0 * plan.x_fc["PEM_gas"]
+    out = fc.gas_to_elec * plan.fuel[..., 0]
+    got = verify_plan(plan, tiny.scen, catalog)
+    assert got.issues == [
+        f"fc elec output PEM_gas s{s} t{t}: {float(out[s, t])!r}"
+        for s, t in np.argwhere(out > cap + 1e-3)]
+    assert got.issues
+    assert _same_check(got, _verify_plan_py(plan, tiny.scen, catalog)) == []
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):

@@ -5,13 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_model, with_exclusivity_flags
+from conftest import make_model, with_exclusivity_flags, with_port_caps
+from test_acceptance import _c3_fixture
 from hubplan.core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord,
                           FcSpec, Scenario, ScenarioSet, TariffSet, TessSpec,
                           TimeGrid)
 from hubplan.errors import InvalidParameterError, ModelBuildError
-from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
-                           assemble_model, max_substandard)
+from hubplan.milp import branch_and_bound
+from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, K_FUEL, K_XFC, LE,
+                           ModelConfig, _fuel_per_unit, assemble_model,
+                           max_substandard)
 
 
 def micro_case(n_ev=0):
@@ -41,7 +44,9 @@ def test_census_no_ev():
     # per scenario-hour: grid, pv, fuel, bess ch/dis/E, tess ch/dis/E (9 each)
     # plus X_ess, X_fc and one Z
     assert m.n_cols == 21
-    assert m.n_rows == 22
+    # per hour: EB, HB, one FL per fuel cell, BL, BU, BS, BRC, BRD, TS (9
+    # each), plus BW and CARD
+    assert m.n_rows == 20
 
 
 def test_census_one_ev():
@@ -82,13 +87,70 @@ def test_heat_balance_row():
 
 
 def test_fuel_cell_port_caps():
+    # both port caps in one row, fuel <= u * X: the heat port's 5 / 0.5 =
+    # 10 kW of fuel per unit is below the electric port's 6 / 0.45
     m = assemble_model(*micro_case(0), ModelConfig(zeta=0.0))
-    sense, rhs, c = row(m, "FE0_0_0")
+    sense, rhs, c = row(m, "FL0_0_0")
     assert sense == LE and rhs == 0.0
-    assert c == {"FU0_0_0": 0.45, "XFC0": -6.0}
-    sense, rhs, c = row(m, "FH0_0_0")
-    assert sense == LE and rhs == 0.0
-    assert c == {"FU0_0_0": 0.5, "XFC0": -5.0}
+    assert c == {"FU0_0_0": 1.0, "XFC0": -10.0}
+    assert not any(r.startswith(("FE", "FH")) for r in m.row_names)
+
+
+def _port_case(name, tiny):
+    """(grid, catalog, tariffs, scenario set, config) of one case of
+    test_fuel_limits_keep_the_per_port_optimum."""
+    if name == "micro":
+        return (*micro_case(0), ModelConfig(zeta=0.0))
+    if name.startswith("c3-"):
+        return (*_c3_fixture(int(name[3:]) - 1000)[:4],
+                ModelConfig(zeta=0.05))
+    catalog = tiny.catalog
+    if name != "tiny":
+        # a cheap SOFC beside the PEM_gas cell, its heat port binding
+        # (5 / 0.4 kW of fuel per unit, below 6 / 0.45) unless changed
+        sofc = dataclasses.replace(tiny.fc, fc_id="SOFC", invest_cost=1.0,
+                                   fuel_price=0.1, **{
+                                       "heat-port": {},
+                                       "elec-port": dict(max_heat=8.0),
+                                       "no-heat": dict(gas_to_heat=0.0),
+                                       "no-heat-port": dict(max_heat=0.0),
+                                   }[name])
+        catalog = dataclasses.replace(catalog, fuel_cells=(sofc, tiny.fc))
+    return tiny.grid, catalog, tiny.tariffs, tiny.scen, tiny.config
+
+
+@pytest.mark.parametrize("name", [
+    "tiny", "micro", "c3-1001", "c3-1002", "c3-1004", "c3-1007",
+    "heat-port", "elec-port", "no-heat", "no-heat-port"])
+def test_fuel_limits_keep_the_per_port_optimum(tiny, name):
+    # one FL row, fuel <= u * X, per scenario, hour and fuel cell states
+    # both port caps: the optimum is that of the model with the per-port
+    # rows added, the fuel column's bound is max_units * u to the bit, and
+    # the SOFC's limit binds somewhere at the optimum unless it may burn
+    # no fuel (max_heat 0)
+    grid, catalog, tariffs, scen, config = _port_case(name, tiny)
+    model = assemble_model(grid, catalog, tariffs, scen, config)
+    ids, a = model.var_index.ids, model.a_matrix.tocsr()
+    fuel, units = ids[K_FUEL], ids[K_XFC]
+    fl = [r for r, n in enumerate(model.row_names) if n.startswith("FL")]
+    assert len(fl) == fuel.size
+    for r, (s, t, i) in zip(fl, np.ndindex(fuel.shape)):
+        u = _fuel_per_unit(catalog.fuel_cells[i])
+        assert model.row_names[r] == f"FL{s}_{t}_{i}"
+        want = {fuel[s, t, i]: 1.0, units[i]: -u} if u else {
+            fuel[s, t, i]: 1.0}
+        assert dict(zip(a[r].indices, a[r].data)) == want
+        assert model.col_ub[fuel[s, t, i]] == u * catalog.fuel_cells[
+            i].max_units
+    got = branch_and_bound(model)
+    ref = branch_and_bound(with_port_caps(model, catalog))
+    assert got.status == ref.status == "optimal"
+    assert got.objective == pytest.approx(ref.objective, rel=1e-9)
+    if name.endswith("-port") or name == "no-heat":
+        x, u = ref.x, _fuel_per_unit(catalog.fuel_cells[0])
+        assert x[fuel[..., 0]].max() == pytest.approx(u * x[units[0]],
+                                                      abs=1e-6)
+        assert (x[units[0]] > 0.0) == (name != "no-heat-port")
 
 
 def test_bess_rows():
@@ -245,17 +307,17 @@ def test_assemble_deterministic():
 
 def test_start_basis_rows():
     # grid import starts basic in each electric balance, the fuel cell's
-    # fuel in each heat balance, its count in the capacity row needing the
-    # most units (12 kW of heat at t1 needs 12 / 5 units, 2.4 > 12 * 0.45 /
-    # (0.5 * 6)), a store's energy in its chain row of each hour but the
-    # cycle-closing hour 0, and a vehicle's energy in each of its chain
-    # rows; other rows on their slack
+    # fuel in each heat balance, its count in the fuel-limit row needing
+    # the most units (12 kW of heat at t1, the peak, needs 24 kW of fuel,
+    # 2.4 units of 10 kW), a store's energy in its chain row of each hour
+    # but the cycle-closing hour 0, and a vehicle's energy in each of its
+    # chain rows; other rows on their slack
     m = assemble_model(*micro_case(1), ModelConfig(zeta=0.0))
     named = {m.row_names[r]: m.col_names[c]
              for r, c in enumerate(m.start_basis) if c < m.n_cols}
     assert named == {"EB0_0": "GR0_0", "EB0_1": "GR0_1",
                      "HB0_0": "FU0_0_0", "HB0_1": "FU0_1_0",
-                     "FH0_1_0": "XFC0", "BS0_1": "BE0_1",
+                     "FL0_1_0": "XFC0", "BS0_1": "BE0_1",
                      "TS0_1": "TE0_1", "VS0_1_0": "VE0_1_0",
                      "VS0_2_0": "VE0_2_0"}
     slack = [r for r, c in enumerate(m.start_basis) if c >= m.n_cols]
@@ -285,7 +347,7 @@ def test_heat_balances_start_on_the_cheapest_covering_fuel_cell(sofc,
     named = {m.row_names[r]: m.col_names[c]
              for r, c in enumerate(m.start_basis) if c < m.n_cols}
     assert {r: c for r, c in named.items() if r[0] in "HF"} == {
-        "HB0_0": f"FU0_0_{i}", "HB0_1": f"FU0_1_{i}", f"FH0_1_{i}": f"XFC{i}"}
+        "HB0_0": f"FU0_0_{i}", "HB0_1": f"FU0_1_{i}", f"FL0_1_{i}": f"XFC{i}"}
 
 
 def test_start_basis_defaults_to_the_slacks():
@@ -297,8 +359,8 @@ def test_start_basis_defaults_to_the_slacks():
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda s: s[:-1], "start basis names 92 columns for 93 rows"),
-    (lambda s: np.append(s, s[0]), "start basis names 94 columns for 93 rows"),
+    (lambda s: s[:-1], "start basis names 84 columns for 85 rows"),
+    (lambda s: np.append(s, s[0]), "start basis names 86 columns for 85 rows"),
     (lambda s: np.where(np.arange(s.size) == 0, -1, s), "out of range"),
     (lambda s: s + (s == s.max()), "out of range"),
     (lambda s: np.where(np.arange(s.size) == 1, s[0], s), "a column twice"),
@@ -462,7 +524,7 @@ def _model_digest(model):
 
 
 @pytest.mark.parametrize("mode, digest", [
-    ("relaxed", "2a1fe074c89df285"),
+    ("relaxed", "4e73d240ff688626"),
 ])
 def test_tiny_model_is_pinned(tiny, mode, digest):
     # any change to row order, column order, a bound or a coefficient of

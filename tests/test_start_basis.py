@@ -19,9 +19,9 @@ from hubplan.model import (K_FUEL, K_GRID, K_PV, K_VCH, K_VE, K_XFC,
 from hubplan.scengen import generate_scenarios
 
 # the row families that start on a structural, and the column each names;
-# of the capacity rows, only one of the heat fuel cell's names its count,
+# of the fuel-limit rows, only one of the heat fuel cell's names its count,
 # and a departure row names the charge that takes its visit's remainder
-FAMILIES = {("EB", "GR"), ("HB", "FU"), ("FE", "XF"), ("FH", "XF"),
+FAMILIES = {("EB", "GR"), ("HB", "FU"), ("FL", "XF"),
             ("BS", "BE"), ("TS", "TE"), ("VS", "VE"), ("SD", "VC")}
 
 
@@ -36,16 +36,17 @@ def _heat_cell(model):
     within max_units, the cheapest per unit of heat, lowest index on ties;
     None when none does."""
     ids, a = model.var_index.ids, model.a_matrix.tocsr()
-    peak = model.rhs[_rows(model, "HB")].max()
+    heat = _rows(model, "HB")
+    peak = model.rhs[heat].max()
     best = None
     for i, x in enumerate(ids[K_XFC]):
         fu = ids[K_FUEL][0, 0, i]
-        fe, fh = (model.row_names.index(f"{f}0_0_{i}") for f in ("FE", "FH"))
-        g_e, m_e, g_h, m_h = a[fe, fu], -a[fe, x], a[fh, fu], -a[fh, x]
-        if g_h <= 0.0 or m_h <= 0.0:
+        g_h = a[heat[0], fu]
+        u = -a[model.row_names.index(f"FL0_0_{i}"), x]
+        if g_h <= 0.0 or u <= 0.0:
             continue
         cost = model.obj[fu] / g_h
-        if (peak * max(1.0 / m_h, g_e / (g_h * m_e)) <= model.col_ub[x]
+        if (peak <= model.col_ub[x] * g_h * u
                 and (best is None or cost < best[0])):
             best = cost, i
     return None if best is None else best[1]
@@ -106,9 +107,9 @@ def test_start_columns_are_unit_in_their_own_rows(model):
     # every row of the unit families starts on its column, save each
     # store cycle's hour 0, which closes the cycle; so does every heat
     # balance, on the heat fuel cell's fuel, when some fuel cell covers
-    # the peak heat load, and then one capacity row of that cell, on its
-    # count
-    capacity = [r for r in rows if model.row_names[r][:2] in ("FE", "FH")]
+    # the peak heat load, and then that cell's fuel-limit row at the hour
+    # of the peak, on its count
+    capacity = [r for r in rows if model.row_names[r][:2] == "FL"]
     departure = [r for r in rows if model.row_names[r][:2] == "SD"]
     assert rows.tolist() == sorted(capacity + departure + [
         r for r, name in enumerate(model.row_names)
@@ -127,6 +128,10 @@ def test_start_columns_are_unit_in_their_own_rows(model):
         assert len(capacity) == 1
         r = capacity[0]
         assert model.row_names[r].endswith(f"_{h}")
+        # its hour's heat load is the peak, the first in row order on ties
+        hb = model.row_names.index(
+            "HB" + model.row_names[r][2:].rpartition("_")[0])
+        assert hb == max(heat, key=lambda q: model.rhs[q])
         assert start[r] == ids[K_XFC][h]
         assert model.a_matrix[r, start[r]] != 0.0
     # a departure row starts on a charge of its own visit, in its window
@@ -141,13 +146,13 @@ def test_start_columns_are_unit_in_their_own_rows(model):
 def test_start_kernel_factors(model):
     # without the departure rows and their charges, the structural block
     # of the start basis is lower triangular with a nonzero diagonal once
-    # its rows run heat balances (fixing the fuel), the capacity row
+    # its rows run heat balances (fixing the fuel), the fuel-limit row
     # (fixing the count), electric balances (fixing import), then the
     # chains; with them it is block triangular (assemble_model), and
     # nonsingular: it factors, and its LU solves it
     start, n = model.start_basis, model.n_cols
     named = [r for r in range(model.n_rows) if start[r] < n]
-    family = {"HB": 0, "FE": 1, "FH": 1, "EB": 2}
+    family = {"HB": 0, "FL": 1, "EB": 2}
     order = sorted((r for r in named if model.row_names[r][:2] != "SD"),
                    key=lambda r: (family.get(model.row_names[r][:2], 3), r))
     kernel = model.a_matrix[order][:, start[order]]
@@ -163,11 +168,11 @@ def test_start_kernel_factors(model):
 
 def test_start_point_holds_the_heat_and_capacity_rows(model):
     # with every nonbasic at 0, the heat fuel cell's fuel meets each heat
-    # load and its count every capacity row, within the columns' bounds
+    # load and its count every fuel-limit row, within the columns' bounds
     x = _start_point(model)
     lhs = model.a_matrix @ x
     heat = _rows(model, "HB")
-    caps = _rows(model, "FE") + _rows(model, "FH")
+    caps = _rows(model, "FL")
     assert (lhs[heat] >= model.rhs[heat] - FEAS_TOL).all()
     assert (lhs[caps] <= model.rhs[caps] + FEAS_TOL).all()
     h = _heat_cell(model)
@@ -334,7 +339,7 @@ def test_heat_rows_keep_their_slacks_when_no_fuel_cell_covers_the_peak(
                            tiny.config)
     assert _heat_cell(model) is None
     rows = [r for r, name in enumerate(model.row_names)
-            if name[:2] in ("HB", "FE", "FH")]
+            if name[:2] in ("HB", "FL")]
     assert (model.start_basis[rows] == model.n_cols + np.array(rows)).all()
     full = assemble_model(tiny.grid, tiny.catalog, tiny.tariffs, tiny.scen,
                           tiny.config)
