@@ -359,7 +359,7 @@ def solve_level(model, scenario_set, catalog, tariffs, config, carbon_tax,
     breakdown = cost_breakdown(plan, catalog, tariffs)
     audit = chance_audit(plan, catalog.ev_fleet, config.zeta,
                          grid.n_scenarios)
-    plan_check = verify_plan(plan, scenario_set, catalog)
+    plan_check = verify_plan(plan, scenario_set, catalog, tariffs)
     failed = [f"{name}: {what}" for name, ok, what in (
         ("solution check", check.ok, (check.bad_rows + check.bad_bounds
                                       + check.bad_integrality)[:3]),
@@ -488,14 +488,16 @@ def _issues(label, bad, values, axes):
             f"{float(values[tuple(at)])!r}" for at in np.argwhere(bad)]
 
 
-def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
+def verify_plan(solution, scenario_set, catalog, tariffs) -> PlanCheck:
     """Recheck a plan from physics, without the model or the solver.
 
     The laws, each checked over whole arrays and reported in this order:
     the electric balance, its residual scaled by (1 + max electric load);
     the heat surplus; each fuel cell's electric, then heat, output
     gas_to_elec * fuel (gas_to_heat * fuel) within its cap max_elec * x_fc
-    (max_heat * x_fc), labelled by the cell's id; then for the BESS, the
+    (max_heat * x_fc), labelled by the cell's id; PV within
+    [0, min(pv_avail, pv_cap)] and grid import within [0, grid_cap], from
+    the scenario's availability and the tariffs; then for the BESS, the
     TESS and the vehicles in turn the storage law E(t+1) = E(t) + ch(t) -
     dis(t) (cyclic over the day for BESS and TESS, over the parked hours
     for a vehicle), the energy window
@@ -509,9 +511,9 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
     departure, which _substandard must not flag in a z = 0 scenario, and
     e_dep equals it. Then integral x_fc and binary z. Each law allows
     FEAS_TOL: on a residual, below the heat load, on each of charge and
-    discharge, and as FEAS_TOL * (1 + cap) above a port's cap, outside a
-    window and off the arrival and departure energies; x_fc may sit
-    INT_TOL from an integer.
+    discharge, and as FEAS_TOL * (1 + cap) above a port's cap, outside the
+    PV and import ranges, outside a window and off the arrival and
+    departure energies; x_fc may sit INT_TOL from an integer.
     Issues of one law come by scenario, vehicle and hour. Balance and
     storage-law residuals make max_residual; a NaN one neither counts nor
     is reported, while a NaN in any other test is reported.
@@ -549,6 +551,11 @@ def verify_plan(solution, scenario_set, catalog) -> PlanCheck:
             cap = getattr(fc, f"max_{port}") * sol.x_fc[fc.fc_id]
             flag(f"fc {port} output {fc.fc_id}",
                  out <= cap + FEAS_TOL * (1 + cap), out, "st")
+    pv_cap = np.minimum([d.pv_avail for d in days], tariffs.pv_cap)
+    for label, v, cap in (("pv", sol.pv, pv_cap),
+                          ("grid import", sol.grid, tariffs.grid_cap)):
+        tol = FEAS_TOL * (1 + cap)
+        flag(label, (v >= -tol) & (v <= cap + tol), v, "st")
 
     # each store's energy path: BESS and TESS wrap to hour 0, a vehicle's
     # is NaN outside its parking window

@@ -17,10 +17,13 @@ beyond fixed columns never pricing in and empty rows keeping their slack
 basic.
 
 Only the root LP can start cold, from the model's start point. Each child
-node's LP starts from its parent's optimal basis (both children share the
-parent's arrays); the tightened bound leaves that basis dual feasible and
-the branched column out of bounds, so the simplex's dual phase
-reoptimizes it. Once an incumbent exists, a node LP gets the cutoff
+node's LP starts from its parent's optimal basis and from the factor of it
+that the parent's LP ended on (LpSolution.factor; both children share the
+parent's arrays and factor), so it factors nothing and rebuilds no matrix
+to begin; the tightened bound leaves that basis dual feasible and the
+branched column out of bounds, so the simplex's dual phase reoptimizes
+it. The factors stay inside the tree: the returned root_warm has none.
+Once an incumbent exists, a node LP gets the cutoff
 inc_obj - rel_gap max(1, |inc_obj|), the objective at which the node
 would be pruned anyway: its dual phase stops as soon as a bound proves the
 node reaches it, and the node is pruned without being solved to the end.
@@ -236,7 +239,7 @@ def branch_and_bound(model, rel_gap=1e-6, max_nodes=100000,
         kids = []
         for half in _split(lb, ub, j, lp.x[j]):
             kids.append((lp.objective, next_id, half, depth,
-                         (lp.basis, lp.stat)))
+                         (lp.basis, lp.stat, lp.factor)))
             next_id += 1
         if inc_x is not None:
             for kid in kids:

@@ -80,11 +80,17 @@ balances and its count in one fuel-limit row, storage and vehicle energies
 in their chain rows, a vehicle's charge in its departure row) and seats
 the charges and PV it plans on their upper bound. A warm solve starts from
 the final ``(basis, stat)`` of a solve of the same rows: each nonbasic
-column is re-seated on the bound it sat at. Both take the one path: the
-basis's kernel is factored like any other, every nonbasic not seated up
-sits on its lower bound when that is finite, else on its upper one, and
-the simplex runs from there. New costs (a sweep level) leave a warm basis
-primal feasible, and the primal simplex carries on from it. Tightened
+column is re-seated on the bound it sat at. A cold start and a bare warm
+start factor the basis's kernel like any other. A solve that claims
+optimal or infeasible does so on a clean factor of the basis it returns,
+and hands that factor on with the arrays derived from the model's matrix
+(``LpSolution.factor``); a warm start that carries it, on the same matrix
+object, takes them as they are and factors nothing to begin. Either way
+every nonbasic not seated up sits on its lower bound when that is finite,
+else on its upper one, the basics are solved for under the solve's own
+bounds, and the simplex runs from there. New costs (a sweep level)
+leave a warm basis primal feasible, and the primal simplex carries on
+from it. Tightened
 bounds (a branch-and-bound child) leave some basics out of bounds while
 the reduced costs keep their signs: when every nonbasic is then dual
 feasible (dirn * d >= -1e-7), a dual simplex phase (Lemke 1954; textbook
@@ -117,7 +123,7 @@ Deterministic: identical inputs, warm start included, give identical
 pivot sequences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -160,15 +166,22 @@ class LpSolution:
     code of every column (NB_LO, NB_UP, BASIC, NB_FIXED). Passed
     back as ``warm=(basis, stat)`` they restart a related solve from here;
     both are None when the bounds crossed before any basis was formed.
+    factor holds what solve_lp derived from the model's matrix (LpFactor)
+    and, after an optimal or infeasible claim, the factor of basis; passed
+    back as ``warm=(basis, stat, factor)``, a solve on the same matrix
+    object starts without factoring. It keeps an LU alive as long as it is
+    held.
 
     The counters split the cost: dual_pivots of the iterations ran in the
     dual phase of a warm start, phase1_pivots in the primal while some
     basic was out of bounds, degenerate_pivots stepped by at most 1e-9 (the
     dual step for a dual pivot), bland_pivots chose the entering column by
     Bland's rule, and refactors counts the LU factorizations of the basis's
-    structural block, the first one included (a cold start factors the
-    kernel of the model's start basis). A refactorization of an all-slack
-    basis factors nothing and is not counted. kernel_cols sums the order k
+    structural block that this solve made, the first one included (a cold
+    start factors the kernel of the model's start basis); a warm start that
+    carries its factor makes none to begin, so one that claims without a
+    pivot counts 0. A refactorization of an all-slack basis factors nothing
+    and is not counted. kernel_cols sums the order k
     of the factored blocks, so kernel_cols / refactors is their mean size.
     priced counts the full pricing passes, each a btran of the basic costs
     and a product with A^T (the dual phase's and each cutoff check's
@@ -192,6 +205,21 @@ class LpSolution:
     dual_pivots: int = 0
     kernel_cols: int = 0
     priced: int = 0
+    factor: "LpFactor" = field(default=None, repr=False)
+
+
+@dataclass
+class LpFactor:
+    """What a solve derived from a_matrix, the model's matrix: A in CSC,
+    A^T in CSR and the static steepest-edge weights of every column, and
+    blk, the factored _BlockBasis of the basis the solve returned (None
+    unless it claimed optimal or infeasible). All are read, never written."""
+
+    a_matrix: object
+    a_s: object
+    at_s: object
+    weight: np.ndarray
+    blk: "_BlockBasis" = None
 
 
 def _slack_bounds(senses):
@@ -280,8 +308,10 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     bounds (used for branching). Columns fixed by equal bounds never price
     in, which removes them from the search exactly as a presolve would.
     warm is the (basis, stat) of an earlier solve of the same rows and
-    columns, under any bounds and costs; None starts from the model's
-    start_basis and start_upper.
+    columns, under any bounds and costs, or (basis, stat, factor) with that
+    solve's LpSolution.factor, whose arrays and factored basis are taken as
+    they are when its a_matrix is model.a_matrix; None starts from the
+    model's start_basis and start_upper.
     The arrays are read, never written, so several solves may share them.
     cutoff lets the dual phase of a warm start stop with status cutoff once
     it proves the optimum is at least cutoff (see the module docstring);
@@ -298,9 +328,18 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             f"warm start has {len(warm[0])} basics and {len(warm[1])} "
             f"columns; the model needs {m} and {n_tot}")
 
-    a_s = model.a_matrix.tocsc()
-    # reduced costs are c_s - A^T y on the structurals and -y on the slacks
-    at_s = a_s.T.tocsr()
+    factor = warm[2] if warm is not None and len(warm) > 2 else None
+    if factor is None or factor.a_matrix is not model.a_matrix:
+        a_s = model.a_matrix.tocsc()
+        # reduced costs are c_s - A^T y on the structurals and -y on the
+        # slacks; each column's steepest-edge weight at the slack basis is
+        # 1 / sqrt(1 + |a_j|^2) (1 / sqrt(2) for a slack)
+        at_s = a_s.T.tocsr()
+        col_sq = np.concatenate([ker.spmv(at_s.power(2), np.ones(m)),
+                                 np.ones(m)])
+        factor = LpFactor(model.a_matrix, a_s, at_s,
+                          1.0 / np.sqrt(1.0 + col_sq))
+    a_s, at_s, weight = factor.a_s, factor.at_s, factor.weight
     c = np.concatenate([model.obj, np.zeros(m)])
     s_lo, s_hi = _slack_bounds(model.row_sense)
     lb = np.concatenate([model.col_lb if col_lb is None else col_lb, s_lo])
@@ -334,11 +373,8 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     x[basis] = 0.0
     # pricing signs: a nonbasic at its lower bound improves when d < 0, one
     # at its upper bound when d > 0; basics and fixed columns never price in.
-    # wdirn weighs each sign by the column's steepest-edge weight at the
-    # slack basis, 1 / sqrt(1 + |a_j|^2) (1 / sqrt(2) for a slack)
+    # wdirn weighs each sign by the column's steepest-edge weight
     dirn = _SIGN[stat]
-    col_sq = np.concatenate([ker.spmv(at_s.power(2), np.ones(m)), np.ones(m)])
-    weight = 1.0 / np.sqrt(1.0 + col_sq)
     wdirn = dirn * weight
     d = np.empty(n_tot)
     score = np.empty(n_tot)
@@ -352,10 +388,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
     n_eta = 0
     blk = None
 
-    def refactor():
+    def refactor(carried=None):
+        """Factor the basis, or take carried, a factor of it; then solve
+        for the basics and recompute their violation codes."""
         nonlocal blk, n_eta, refactors, kernel_cols
-        blk = _BlockBasis(a_s, basis, n_struct)
-        if blk.k:
+        blk = _BlockBasis(a_s, basis, n_struct) if carried is None else carried
+        if carried is None and blk.k:
             refactors += 1
             kernel_cols += blk.k
             try:
@@ -465,16 +503,19 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         extra.setdefault("objective", float(c @ x))
         max_viol = ker.basic_state(x[basis], lb[basis], ub[basis],
                                    _FEAS_TOL)[1]
+        # optimal and infeasible are claimed on a clean factor of basis
+        clean = blk if status in ("optimal", "infeasible") else None
         return LpSolution(status=status, x=x[:n_struct].copy(),
                           duals=np.asarray(duals), iterations=iters,
                           max_violation=max_viol, basis=basis, stat=stat,
                           phase1_pivots=phase1_pivots, refactors=refactors,
                           degenerate_pivots=degenerate_pivots,
                           bland_pivots=bland_pivots, dual_pivots=dual_pivots,
-                          kernel_cols=kernel_cols, priced=priced, **extra)
+                          kernel_cols=kernel_cols, priced=priced,
+                          factor=replace(factor, blk=clean), **extra)
 
     refactors = kernel_cols = priced = 0
-    refactor()
+    refactor(factor.blk)
     iters = phase1_pivots = degenerate_pivots = bland_pivots = 0
     dual_pivots = 0
 

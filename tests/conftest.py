@@ -36,6 +36,15 @@ def make_model(obj, a, senses, rhs, lb, ub, kinds=None):
         col_names=[f"C{j}" for j in range(n)])
 
 
+def same_lp(got, ref):
+    """Assert that two LpSolutions agree bit for bit: status, iterations,
+    objective, x, duals, basis and stat."""
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert float(got.objective).hex() == float(ref.objective).hex()
+    for key in ("x", "duals", "basis", "stat"):
+        assert getattr(got, key).tobytes() == getattr(ref, key).tobytes(), key
+
+
 def with_exclusivity_flags(model):
     """The binary formulation that hubplan.model.repair_overlap replaces:
     model, as assemble_model builds it, with one flag column Y per

@@ -115,7 +115,7 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
     assert plan.shortfall[at] == value
     assert check_solution(model, x).ok is ok
     if ok:
-        assert verify_plan(plan, tiny.scen, tiny.catalog).ok
+        assert verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs).ok
         bd = cost_breakdown(plan, tiny.catalog, tiny.tariffs)
         assert bd.as_dict() == base.as_dict()
     else:
@@ -126,15 +126,16 @@ def test_breakdown_screen_matches_the_gate(tiny, tiny_solved, priced,
 
 def _departing_with(plan, fleet, kwh):
     """plan with scenario 0's vehicle, parked hours 0-2, leaving at hour 3
-    with kwh, e_dep too; its hour-2 charge and that hour's grid import are
-    lowered to match, so its chain and the electric balance still hold."""
+    with kwh, e_dep too; its hour-2 charge and that hour's PV are lowered
+    to match, so its chain and the electric balance still hold (the hour
+    imports too little to give up 3 kW, but uses 12 kW of PV)."""
     less = plan.ev_e[0, 0, 3] - kwh
-    ev_e, ev_ch, grid, e_dep = (a.copy() for a in (plan.ev_e, plan.ev_ch,
-                                                   plan.grid, plan.e_dep))
+    ev_e, ev_ch, pv, e_dep = (a.copy() for a in (plan.ev_e, plan.ev_ch,
+                                                 plan.pv, plan.e_dep))
     ev_e[0, 0, 3] = e_dep[0, 0] = kwh
     ev_ch[0, 0, 2] -= less
-    grid[0, 2] -= less / fleet.eta_ch
-    return dataclasses.replace(plan, ev_e=ev_e, ev_ch=ev_ch, grid=grid,
+    pv[0, 2] -= less / fleet.eta_ch
+    return dataclasses.replace(plan, ev_e=ev_e, ev_ch=ev_ch, pv=pv,
                                e_dep=e_dep)
 
 
@@ -151,7 +152,7 @@ def test_departure_verdicts_agree(tiny, tiny_solved, below, short):
     assert (audit.count, audit.passed) == ((1, False) if short
                                            else (0, True))
     assert audit.substandard == ([(0, 0, soc)] if short else [])
-    chk = verify_plan(plan, tiny.scen, tiny.catalog)
+    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
     assert chk.issues == ([f"departure soc s0 j0: {soc!r}"] if short else [])
 
 
@@ -173,7 +174,7 @@ def test_nan_departure_fails_both_verdicts(tiny, tiny_solved):
     audit = chance_audit(plan, tiny.fleet, 0.0, 2)
     assert (audit.count, audit.passed) == (1, False)
     assert [(s, j) for s, j, _soc in audit.substandard] == [(0, 0)]
-    chk = verify_plan(plan, tiny.scen, tiny.catalog)
+    chk = verify_plan(plan, tiny.scen, tiny.catalog, tiny.tariffs)
     assert "departure soc s0 j0: nan" in chk.issues
 
 
@@ -248,14 +249,15 @@ def test_select_extreme(tiny):
 
 
 def test_verify_plan_clean(tiny, tiny_solved):
-    chk = verify_plan(tiny_solved.plan, tiny.scen, tiny.catalog)
+    chk = verify_plan(tiny_solved.plan, tiny.scen, tiny.catalog,
+                      tiny.tariffs)
     assert chk.ok and chk.max_residual <= 1e-6 and chk.issues == []
 
 
 def test_verify_plan_catches_imbalance(tiny, tiny_solved):
     bad = dataclasses.replace(tiny_solved.plan,
                               grid=tiny_solved.plan.grid + 1.0)
-    chk = verify_plan(bad, tiny.scen, tiny.catalog)
+    chk = verify_plan(bad, tiny.scen, tiny.catalog, tiny.tariffs)
     assert not chk.ok
     assert any("elec balance" in s for s in chk.issues)
 
@@ -264,7 +266,7 @@ def test_verify_plan_catches_soc_break(tiny, tiny_solved):
     e = tiny_solved.plan.bess_e.copy()
     e[0, 2] += 5.0
     chk = verify_plan(dataclasses.replace(tiny_solved.plan, bess_e=e),
-                      tiny.scen, tiny.catalog)
+                      tiny.scen, tiny.catalog, tiny.tariffs)
     assert not chk.ok
 
 
@@ -310,14 +312,14 @@ def _broken(plan, breaks):
 @pytest.mark.parametrize("brk", _BREAKS, ids=[b[0] for b in _BREAKS])
 def test_verify_plan_names_each_check_family(tiny, tiny_solved, brk):
     chk = verify_plan(_broken(tiny_solved.plan, [brk]), tiny.scen,
-                      tiny.catalog)
+                      tiny.catalog, tiny.tariffs)
     assert not chk.ok
     assert any(issue.startswith(brk[0]) for issue in chk.issues), chk.issues
 
 
 def test_plan_check_issues_print_plain_numbers(tiny, tiny_solved):
     chk = verify_plan(_broken(tiny_solved.plan, _BREAKS), tiny.scen,
-                      tiny.catalog)
+                      tiny.catalog, tiny.tariffs)
     for label, *_rest in _BREAKS:
         assert any(issue.startswith(label) for issue in chk.issues), label
     for issue in chk.issues:
@@ -343,13 +345,14 @@ def test_each_tess_break_fails_check_solution(tiny, tiny_solved):
 # that the whole-array laws of hubplan.analysis must match, apart from the
 # TESS window it never checked.
 
-def _verify_plan_py(solution, scenario_set, catalog):
+def _verify_plan_py(solution, scenario_set, catalog, tariffs):
     """Recheck a plan from physics, without the model or the solver.
 
     Electric balance residuals are scaled by (1 + max electric load); heat
     surplus must be >= -FEAS_TOL absolutely; each fuel cell's electric and
     heat output may exceed its cap, max_elec or max_heat times x_fc, by
-    FEAS_TOL * (1 + cap); storage dynamics, cyclic closure
+    FEAS_TOL * (1 + cap); so may PV leave [0, min(pv_avail, pv_cap)] and
+    grid import [0, grid_cap]; storage dynamics, cyclic closure
     and SOC windows are checked to FEAS_TOL on energies. A store may not
     charge and discharge more than FEAS_TOL each in the same hour. Each
     vehicle's window, arrival energy and departure come from its record.
@@ -404,6 +407,12 @@ def _verify_plan_py(solution, scenario_set, catalog):
                     out, cap = gain * solution.fuel[s, t, i], most * units
                     flag(out <= cap + FEAS_TOL * (1 + cap),
                          f"fc {port} output {fc.fc_id} s{s} t{t}", out)
+            for label, v, cap in (
+                    ("pv", solution.pv[s, t],
+                     min(sc.pv_avail[t], tariffs.pv_cap)),
+                    ("grid import", solution.grid[s, t], tariffs.grid_cap)):
+                tol = FEAS_TOL * (1 + cap)
+                flag(-tol <= v <= cap + tol, f"{label} s{s} t{t}", v)
 
         # storage chains with cyclic wrap: E(t+1) = E(t) + ch(t) - dis(t)
         for t in range(t_day):
@@ -534,10 +543,11 @@ def test_verify_plan_matches_scalar_reference(tiny, tiny_solved):
                 val[tuple(rng.integers(n) for n in val.shape)] += delta
             changed[name] = val
         broken = dataclasses.replace(plan, **changed)
-        ref = _verify_plan_py(broken, tiny.scen, tiny.catalog)
+        ref = _verify_plan_py(broken, tiny.scen, tiny.catalog, tiny.tariffs)
         assert chance_audit(broken, tiny.fleet, 0.5, 2).as_dict() \
             == _chance_audit_py(broken, tiny.fleet, 0.5, 2).as_dict()
-        tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog),
+        tess += len(_same_check(verify_plan(broken, tiny.scen, tiny.catalog,
+                                            tiny.tariffs),
                                 ref))
         flagged += not ref.ok
     assert flagged > 500 and tess > 0
@@ -561,14 +571,16 @@ def test_verify_plan_matches_scalar_reference_on_bundled_plans(data_dir,
     fleet = case.catalog.ev_fleet
     assert chance_audit(plan, fleet, 0.05, 10).as_dict() \
         == _chance_audit_py(plan, fleet, 0.05, 10).as_dict()
-    got = verify_plan(plan, scen, case.catalog)
-    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog)) == []
+    got = verify_plan(plan, scen, case.catalog, tariffs)
+    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog,
+                                            tariffs)) == []
     bump = np.zeros_like(plan.tess_ch)
     bump[0, 0] = 0.5
     plan = dataclasses.replace(plan, tess_ch=plan.tess_ch + bump,
                                tess_dis=plan.tess_dis + bump)
-    got = verify_plan(plan, scen, case.catalog)
-    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog)) == []
+    got = verify_plan(plan, scen, case.catalog, tariffs)
+    assert _same_check(got, _verify_plan_py(plan, scen, case.catalog,
+                                            tariffs)) == []
     assert any(issue.startswith("tess charges and discharges s0 t0: ")
                for issue in got.issues)
 
@@ -591,10 +603,10 @@ def test_verify_plan_reads_each_visit_from_its_record(tiny, tiny_solved):
             (short, ["departure soc s0 j0: 0.825",
                      f"ev departure energy s0 j0: "
                      f"{float(plan.e_dep[0, 0])!r}"])):
-        got = verify_plan(bad, tiny.scen, tiny.catalog)
+        got = verify_plan(bad, tiny.scen, tiny.catalog, tiny.tariffs)
         assert got.issues == issues
-        assert _same_check(got, _verify_plan_py(bad, tiny.scen,
-                                                tiny.catalog)) == []
+        assert _same_check(got, _verify_plan_py(
+            bad, tiny.scen, tiny.catalog, tiny.tariffs)) == []
 
 
 def test_verify_plan_judges_by_the_records_it_is_given(tiny, tiny_solved):
@@ -606,14 +618,14 @@ def test_verify_plan_judges_by_the_records_it_is_given(tiny, tiny_solved):
                                 ev_records=(EvRecord(0, 4, 0.45),))
     scen = dataclasses.replace(tiny.scen, scenarios=(
         first, *tiny.scen.scenarios[1:]))
-    got = verify_plan(tiny_solved.plan, scen, tiny.catalog)
+    got = verify_plan(tiny_solved.plan, scen, tiny.catalog, tiny.tariffs)
     assert [issue.partition(":")[0] for issue in got.issues] == [
         "ev soc low s0 j0 t4", "ev soc high s0 j0 t4",
         "ev charge window s0 j0 t3", "ev discharge window s0 j0 t3",
         "ev energy window s0 j0 t4", "ev arrival s0 j0",
         "departure soc s0 j0", "ev departure energy s0 j0"]
-    assert _same_check(got, _verify_plan_py(tiny_solved.plan, scen,
-                                            tiny.catalog)) == []
+    assert _same_check(got, _verify_plan_py(
+        tiny_solved.plan, scen, tiny.catalog, tiny.tariffs)) == []
 
 
 def test_verify_plan_holds_the_heat_port_to_its_cap(tiny, tiny_solved):
@@ -628,11 +640,11 @@ def test_verify_plan_holds_the_heat_port_to_its_cap(tiny, tiny_solved):
     fuel[0, 1, 0] += extra
     grid[0, 1] -= fc.gas_to_elec * extra
     bad = dataclasses.replace(plan, fuel=fuel, grid=grid)
-    got = verify_plan(bad, tiny.scen, tiny.catalog)
+    got = verify_plan(bad, tiny.scen, tiny.catalog, tiny.tariffs)
     assert got.issues == ["fc heat output PEM_gas s0 t1: "
                           f"{float(fc.gas_to_heat * fuel[0, 1, 0])!r}"]
-    assert _same_check(got, _verify_plan_py(bad, tiny.scen,
-                                            tiny.catalog)) == []
+    assert _same_check(got, _verify_plan_py(
+        bad, tiny.scen, tiny.catalog, tiny.tariffs)) == []
 
 
 def test_verify_plan_reads_the_port_caps_from_its_catalog(tiny,
@@ -645,12 +657,59 @@ def test_verify_plan_reads_the_port_caps_from_its_catalog(tiny,
         dataclasses.replace(fc, max_elec=4.0),))
     cap = 4.0 * plan.x_fc["PEM_gas"]
     out = fc.gas_to_elec * plan.fuel[..., 0]
-    got = verify_plan(plan, tiny.scen, catalog)
+    got = verify_plan(plan, tiny.scen, catalog, tiny.tariffs)
     assert got.issues == [
         f"fc elec output PEM_gas s{s} t{t}: {float(out[s, t])!r}"
         for s, t in np.argwhere(out > cap + 1e-3)]
     assert got.issues
-    assert _same_check(got, _verify_plan_py(plan, tiny.scen, catalog)) == []
+    assert _same_check(got, _verify_plan_py(plan, tiny.scen, catalog,
+                                           tiny.tariffs)) == []
+
+
+def _pv_for_import(plan):
+    """5 kW of PV at s0 t0, whose availability is 0, and 5 kW less
+    import."""
+    pv, grid = plan.pv.copy(), plan.grid.copy()
+    pv[0, 0] += 5.0
+    grid[0, 0] -= 5.0
+    return dataclasses.replace(plan, pv=pv, grid=grid)
+
+
+def _export(plan, fleet):
+    """1 kW of export at s1 t2, where the plan imports nothing: scenario
+    1's vehicle charges 1 kW of grid power less then and more at t3, with
+    its energy at t3 lower between them."""
+    grid, ev_ch, ev_e = plan.grid.copy(), plan.ev_ch.copy(), plan.ev_e.copy()
+    assert grid[1, 2] == 0.0
+    grid[1, 2:] += (-1.0, 1.0)
+    ev_ch[1, 0, 2:] += (-fleet.eta_ch, fleet.eta_ch)
+    ev_e[1, 0, 3] -= fleet.eta_ch
+    return dataclasses.replace(plan, grid=grid, ev_ch=ev_ch, ev_e=ev_e)
+
+
+@pytest.mark.parametrize("case", ["pv above availability", "export",
+                                  "grid_cap", "pv_cap"])
+def test_verify_plan_holds_pv_and_import_to_their_ranges(tiny, tiny_solved,
+                                                         case):
+    # plans that pass every other law: the tiny plan with PV where none is
+    # available, or exporting, and the tiny plan itself against tariffs
+    # with a grid_cap 1 kW below its largest import, or a pv_cap of 11 kW
+    plan, tariffs = tiny_solved.plan, tiny.tariffs
+    bad, issues = {
+        "pv above availability": (_pv_for_import(plan), ["pv s0 t0: 5.0"]),
+        "export": (_export(plan, tiny.fleet),
+                   [f"grid import s1 t2: {-1.0!r}"]),
+        "grid_cap": (plan, [f"grid import s0 t0: {float(plan.grid[0, 0])!r}"]),
+        "pv_cap": (plan, ["pv s0 t2: 12.0", "pv s1 t2: 15.0"])}[case]
+    if case == "grid_cap":
+        tariffs = dataclasses.replace(tariffs,
+                                      grid_cap=plan.grid.max() - 1.0)
+    elif case == "pv_cap":
+        tariffs = dataclasses.replace(tariffs, pv_cap=11.0)
+    got = verify_plan(bad, tiny.scen, tiny.catalog, tariffs)
+    assert got.issues == issues
+    assert _same_check(got, _verify_plan_py(bad, tiny.scen, tiny.catalog,
+                                            tariffs)) == []
 
 
 def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
@@ -690,7 +749,7 @@ def test_repair_keeps_the_cost_of_a_bundled_plan(data_dir, monkeypatch):
     assert (level.overlap, level.unrepaired) == ([model.col_names[ch[at]]],
                                                  [])
     raw_plan = extract_solution(raw, index)
-    assert not verify_plan(raw_plan, scen, catalog).ok
+    assert not verify_plan(raw_plan, scen, catalog, tariffs).ok
     assert level.check.ok and level.plan_check.ok
     assert level.bnb.objective == sol.objective
     assert model.obj @ level.bnb.x == model.obj @ built

@@ -1,12 +1,14 @@
 """Branch and bound: small closed forms, limits, and a fuzz run vs milp."""
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import hubplan.milp.bnb as bnb_mod
-from conftest import make_model, with_exclusivity_flags
+from conftest import make_model, same_lp, with_exclusivity_flags
 from hubplan.errors import InvalidParameterError
 from hubplan.fileio import read_case, read_scenario_set
 from hubplan.milp import branch_and_bound, solve_lp
@@ -165,13 +167,19 @@ def test_warm_started_lps_cost_less_than_the_root(tiny_solved, monkeypatch):
 def test_lp_counters_sum_over_every_lp(tiny_solved, monkeypatch):
     s, calls = _solve_recording(monkeypatch, tiny_solved.model)
     lps = [lp for _w, lp in calls]
+    # the cold root factors its start basis; a node LP counts only the
+    # factorizations it made, as it starts on its parent's factor: none
+    # when it claims without a pivot, at least one when it claims after
+    # one (a claim needs a clean factor)
+    assert lps[0].refactors >= 1
     for lp in lps:
         assert 0 <= lp.phase1_pivots <= lp.iterations
         assert 0 <= lp.dual_pivots <= lp.iterations - lp.phase1_pivots
         assert 0 <= lp.degenerate_pivots <= lp.iterations
         assert 0 <= lp.bland_pivots <= lp.iterations
         assert lp.priced >= 1
-        assert lp.refactors >= 1
+        claimed = lp.status in ("optimal", "infeasible")
+        assert lp.refactors >= (claimed and lp.iterations > 0)
         # each factored block is 1 to n_rows structural columns
         assert (lp.refactors <= lp.kernel_cols
                 <= lp.refactors * tiny_solved.model.n_rows)
@@ -242,6 +250,78 @@ def _plunge_fixtures(tiny, data_dir):
             ("n3 tax 40", _n3_model(data_dir, 40)),
             ("c3-1001", assemble_model(grid, catalog, tariffs, scen,
                                        ModelConfig(zeta=0.05)))]
+
+
+def test_node_lps_on_their_parents_factor_match_a_fresh_one(
+        tiny, data_dir, monkeypatch):
+    # each node LP solved twice, on its parent's factor and from the bare
+    # (basis, stat), ends bit for bit alike with one factorization fewer;
+    # so does the tree with every factor dropped
+    from test_acceptance import _c3_fixture
+    models = [*_tiny_models(tiny).items(),
+              ("n3 tax 40", _n3_model(data_dir, 40))]
+    for k in range(20):
+        grid, catalog, tariffs, scen, _n = _c3_fixture(k)
+        if grid.n_scenarios == 20:
+            models.append((f"c3[{k}]", assemble_model(
+                grid, catalog, tariffs, scen, ModelConfig(zeta=0.05))))
+    real = bnb_mod.solve_lp
+    pairs = []
+
+    def both(*args, warm=None, **kwargs):
+        lp = real(*args, warm=warm, **kwargs)
+        if warm is not None and len(warm) == 3:
+            pairs.append((lp, real(*args, warm=warm[:2], **kwargs)))
+        return lp
+
+    def dropped(*args, warm=None, **kwargs):
+        return real(*args, warm=warm and warm[:2], **kwargs)
+
+    for name, model in models:
+        pairs.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(bnb_mod, "solve_lp", both)
+            carried = branch_and_bound(model)
+            mp.setattr(bnb_mod, "solve_lp", dropped)
+            fresh = branch_and_bound(model)
+        assert len(pairs) == carried.node_lps > 0, name
+        for lp, ref in pairs:
+            same_lp(lp, ref)
+            # the parent's basis has structural basics, so a kernel to factor
+            assert lp.refactors == ref.refactors - 1, name
+            assert lp.kernel_cols < ref.kernel_cols, name
+            # only a claim hands its factor on
+            assert (lp.factor.blk is None) == (
+                lp.status not in ("optimal", "infeasible")), name
+        assert carried.node_log == fresh.node_log, name
+        assert carried.x.tobytes() == fresh.x.tobytes(), name
+        assert float(carried.objective).hex() == \
+            float(fresh.objective).hex(), name
+
+
+def test_no_factor_outlives_the_tree(tiny, monkeypatch):
+    # every factor branch and bound was handed is gone once it returns,
+    # while its result is still held; root_warm is (basis, stat)
+    real = bnb_mod.solve_lp
+    refs = []
+
+    def tracking(*args, **kwargs):
+        lp = real(*args, **kwargs)
+        refs.append(weakref.ref(lp.factor))
+        if lp.factor.blk is not None:
+            refs.append(weakref.ref(lp.factor.blk))
+        return lp
+
+    for name, model in _tiny_models(tiny).items():
+        refs.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(bnb_mod, "solve_lp", tracking)
+            s = branch_and_bound(model)
+        gc.collect()
+        # the root's factor and its blocks, then one factor per node LP
+        assert s.node_lps > 0 and len(refs) >= 2 + s.node_lps, name
+        assert [ref() for ref in refs] == [None] * len(refs), name
+        assert len(s.root_warm) == 2, name
 
 
 def test_no_lp_is_solved_twice(tiny, data_dir, monkeypatch):

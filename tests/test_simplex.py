@@ -1,5 +1,6 @@
 """Bounded-variable primal simplex against closed forms and linprog."""
 import collections
+import dataclasses
 import sys
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from conftest import make_model
+from conftest import make_model, same_lp
 from hubplan.errors import InvalidParameterError, SolverError
 from hubplan.milp import _kernels as ker
 from hubplan.milp import simplex as simplex_mod
 from hubplan.milp import solve_lp
 from hubplan.milp._kernels import POS_FLIP, POS_UNBOUNDED
-from hubplan.model import EQ, GE, LE
+from hubplan.model import EQ, GE, K_XFC, LE
 
 
 def test_single_bound_optimum():
@@ -487,6 +488,49 @@ def test_cutoff_claims_are_valid_bounds():
             assert np.array_equal(got.x, warm.x)
             assert got.iterations == warm.iterations
     assert claims >= 10, claims
+
+
+def test_a_carried_factor_is_taken_as_it_is(monkeypatch):
+    # a warm start from a solve's own optimum that carries its factor
+    # claims on that factor: it factors nothing and derives no array anew
+    model, parent = _branched_parent()
+    assert parent.factor.blk.k == 1 and parent.factor.a_matrix is \
+        model.a_matrix
+    ref = solve_lp(model, warm=(parent.basis, parent.stat))
+    monkeypatch.setattr(simplex_mod, "splu", None)  # a call would raise
+    again = solve_lp(model, warm=(parent.basis, parent.stat, parent.factor))
+    same_lp(again, ref)
+    assert again.iterations == again.refactors == again.kernel_cols == 0
+    for f in dataclasses.fields(parent.factor):
+        assert getattr(again.factor, f.name) is \
+            getattr(parent.factor, f.name), f.name
+
+
+def test_a_factor_of_another_matrix_is_not_taken(tiny_solved):
+    # the tiny root's factor offered to its up child on a copy of the
+    # model's matrix, and on one with a fuel-limit coefficient changed:
+    # the child factors afresh and ends as it does from the bare basis
+    model = tiny_solved.model
+    root = solve_lp(model)
+    j = model.var_index.ids[K_XFC][0]
+    lb = model.col_lb.copy()
+    lb[j] = np.ceil(root.x[j])
+    own = solve_lp(model, col_lb=lb,
+                   warm=(root.basis, root.stat, root.factor))
+    changed = model.a_matrix.copy()
+    changed[model.row_names.index("FL0_1_0"), j] *= 1.5
+    for a in (model.a_matrix.copy(), changed):
+        other = dataclasses.replace(model, a_matrix=a)
+        got = solve_lp(other, col_lb=lb,
+                       warm=(root.basis, root.stat, root.factor))
+        same_lp(got, solve_lp(other, col_lb=lb,
+                              warm=(root.basis, root.stat)))
+        assert got.status == "optimal" and got.refactors >= 1
+        assert got.factor.a_matrix is a and got.factor.at_s is not \
+            root.factor.at_s
+    # the changed coefficient moves the child's optimum, which the root's
+    # factor would have missed
+    assert got.objective < own.objective
 
 
 def test_warm_start_shape_is_checked():
