@@ -14,16 +14,15 @@ from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
                    MONEY_SCALE, Scenario, ScenarioSet, TariffSet, TessSpec,
                    TimeGrid, annualization_factor, validate_scenario_set)
 from .errors import (DecompositionError, DegenerateColumnError, HubplanError,
-                     InfeasibleSolutionError, InvalidParameterError,
-                     ModelBuildError, MomentFitError, MpsFormatError,
-                     ParseError, SolverError)
+                     InvalidParameterError, ModelBuildError, MomentFitError,
+                     MpsFormatError, ParseError, SolverError)
 
 __all__ = [
     "BessSpec", "EquipmentCatalog", "EvFleetSpec", "EvRecord", "FcSpec",
     "MONEY_SCALE", "Scenario", "ScenarioSet", "TariffSet", "TessSpec",
     "TimeGrid", "annualization_factor", "validate_scenario_set",
     "DecompositionError", "DegenerateColumnError", "HubplanError",
-    "InfeasibleSolutionError", "InvalidParameterError", "ModelBuildError",
-    "MomentFitError", "MpsFormatError", "ParseError", "SolverError",
+    "InvalidParameterError", "ModelBuildError", "MomentFitError",
+    "MpsFormatError", "ParseError", "SolverError",
     "__version__",
 ]

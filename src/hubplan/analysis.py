@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import FEAS_TOL, INT_TOL, MONEY_SCALE, annualization_factor
-from .errors import InfeasibleSolutionError, InvalidParameterError, SolverError
+from .errors import InvalidParameterError, SolverError
 from .fileio import write_table_csv
 from .milp import (BnbSolution, PlanSolution, VerifyReport,
                    branch_and_bound, check_solution, extract_solution)
@@ -47,37 +47,14 @@ class CostBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _finite_nonneg(arr, label, issues, mask=True):
-    a = np.asarray(arr, dtype=float)
-    bad = mask & ~(np.isfinite(a) & (a >= -FEAS_TOL))
-    for idx in np.argwhere(bad)[:5]:
-        issues.append(f"{label}{tuple(int(i) for i in idx)} = "
-                      f"{float(a[tuple(idx)])!r}")
-
-
 def cost_breakdown(solution, catalog, tariffs) -> CostBreakdown:
     """Recompute the annualized cost parts of a solved plan.
 
     The operating costs are weighted by the annualization factor m of the
-    plan's time grid. Dispatch quantities must be finite and at least
-    -FEAS_TOL, as check_solution's bounds allow; anything else makes the
-    costs meaningless and raises InfeasibleSolutionError with the
-    offending entries.
+    plan's time grid. The plan is one whose x check_solution passed:
+    cost_breakdown judges nothing itself, and CostBreakdown refuses a part
+    that is not finite or is negative.
     """
-    issues = []
-    if not (math.isfinite(solution.x_ess) and solution.x_ess >= -FEAS_TOL):
-        issues.append(f"x_ess = {solution.x_ess!r}")
-    for fc_id, units in solution.x_fc.items():
-        if units < 0:
-            issues.append(f"x_fc[{fc_id}] = {units}")
-    _finite_nonneg(solution.grid, "grid", issues)
-    _finite_nonneg(solution.fuel, "fuel", issues)
-    _finite_nonneg(solution.shortfall, "shortfall", issues)
-    _finite_nonneg(solution.ev_ch, "ev_ch", issues,
-                   mask=~np.isnan(solution.ev_ch))  # NaN outside the window
-    if issues:
-        raise InfeasibleSolutionError(issues)
-
     m = annualization_factor(solution.time_grid)
     fc_inv = sum(catalog.fc(fc_id).invest_cost * units
                  for fc_id, units in solution.x_fc.items())
@@ -85,7 +62,7 @@ def cost_breakdown(solution, catalog, tariffs) -> CostBreakdown:
 
     price = np.asarray(tariffs.elec_price)
     emis = np.asarray(tariffs.grid_emission)
-    # the screen admits values down to -FEAS_TOL; clamp so parts stay >= 0
+    # check_solution passes values down to -FEAS_TOL; clamp so parts stay >= 0
     grid_kwh = np.maximum(solution.grid, 0.0)  # (N, T), one-hour steps
     fuel_kwh_all = np.maximum(solution.fuel, 0.0)
     short_kwh = np.maximum(solution.shortfall, 0.0)
@@ -416,7 +393,7 @@ def sweep_carbon_tax(catalog, tariffs, scenario_set, config, tax_levels,
         try:
             level = solve_level(model, scenario_set, catalog, tar, config,
                                 float(tax), warm, **solver_kwargs)
-        except (SolverError, InfeasibleSolutionError) as exc:
+        except SolverError as exc:
             level = LevelSolve(float(tax), error=str(exc))
         else:
             warm = level.bnb.root_warm

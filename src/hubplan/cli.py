@@ -22,8 +22,9 @@ from . import __version__
 from .analysis import (EXTREMES, dispatch_table, select_extreme_scenario,
                        soc_table, sweep_carbon_tax, write_cost_breakdown,
                        write_plan_summary)
-# perfbench/tracer.py hooks these names on this module; the pipeline calls
-# them through hubplan.analysis
+# the pipeline calls these through hubplan.analysis. perfbench reads them
+# here: workloads.Capture.install wraps cli.branch_and_bound in every run,
+# traced or not, and tracer.py hooks all six when tracing
 from .analysis import (branch_and_bound, chance_audit, check_solution,
                        cost_breakdown, extract_solution, verify_plan)
 from .errors import (HubplanError, InvalidParameterError, ModelBuildError,

@@ -7,9 +7,9 @@ Conventions used throughout the package:
 * per-kWh tariffs and prices are quoted in yuan and divided by
   ``MONEY_SCALE`` when they enter an objective;
 * emission factors in kg CO2 per kWh, carbon tax in yuan per kg;
-* every verdict on a solved plan (the solution check, the cost screen, the
-  physics recheck, the chance audit) allows ``FEAS_TOL``, and an integer
-  column may sit ``INT_TOL`` from an integer.
+* every verdict on a solved plan (the solution check, the physics
+  recheck, the chance audit) allows ``FEAS_TOL``, and an integer column may
+  sit ``INT_TOL`` from an integer.
 
 All domain types are frozen dataclasses validated at construction; vector
 fields are stored as plain tuples so instances stay immutable and compare
@@ -335,6 +335,25 @@ class ScenarioSet:
             _check(isinstance(sc, Scenario), f"scenario {s} is not a Scenario")
             _check(len(sc.elec_load) == t,
                    f"scenario {s}: profile length {len(sc.elec_load)} != T={t}")
+
+    @classmethod
+    def from_days(cls, grid, elec, heat, pv, ev):
+        """The set of the days given as (N, T) profiles and (N, n_ev, 3)
+        visits (arrive, depart, initial_soc) in whole hours.
+
+        A visit EvRecord refuses raises its InvalidParameterError, prefixed
+        ``scenario {s}: ``.
+        """
+        scenarios = []
+        for s, visits in enumerate(ev):
+            try:
+                recs = tuple(EvRecord(int(a), int(d), float(soc))
+                             for a, d, soc in visits)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"scenario {s}: {exc}") from exc
+            scenarios.append(Scenario(tuple(elec[s]), tuple(heat[s]),
+                                      tuple(pv[s]), recs))
+        return cls(grid=grid, scenarios=tuple(scenarios))
 
 
 @dataclass(frozen=True)

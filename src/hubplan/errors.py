@@ -67,13 +67,5 @@ class SolverError(HubplanError):
     """The solver hit a numerical or resource condition it cannot recover from."""
 
 
-class InfeasibleSolutionError(HubplanError):
-    """A solution failed independent feasibility verification."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"solution fails verification: {report}")
-
-
 class MpsFormatError(HubplanError):
     """A model cannot be represented in, or read from, MPS text."""

@@ -28,8 +28,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, EvRecord, FcSpec,
-                   Scenario, ScenarioSet, TariffSet, TessSpec, TimeGrid,
+from .core import (BessSpec, EquipmentCatalog, EvFleetSpec, FcSpec,
+                   ScenarioSet, TariffSet, TessSpec, TimeGrid,
                    validate_scenario_set)
 from .errors import InvalidParameterError, ParseError
 
@@ -452,15 +452,10 @@ def read_scenario_set(loads_path, case: CaseData, ev_path=None) -> ScenarioSet:
     elif n_ev > 0:
         raise ParseError(f"fleet has {n_ev} vehicles but no EV table was given",
                          path=loads_path)
-    scenarios = []
-    for s in range(n):
-        try:
-            recs = tuple(EvRecord(int(ev[s, j, 0]), int(ev[s, j, 1]), ev[s, j, 2])
-                         for j in range(n_ev))
-        except InvalidParameterError as exc:
-            raise ParseError(f"scenario {s}: {exc}", path=ev_path) from exc
-        scenarios.append(Scenario(tuple(elec[s]), tuple(heat[s]), tuple(pv[s]), recs))
-    scen_set = ScenarioSet(grid=case.time_grid(n), scenarios=tuple(scenarios))
+    try:
+        scen_set = ScenarioSet.from_days(case.time_grid(n), elec, heat, pv, ev)
+    except InvalidParameterError as exc:
+        raise ParseError(str(exc), path=ev_path) from exc
     bad = validate_scenario_set(scen_set, case.catalog, case.tariffs)
     if bad:
         more = f" (and {len(bad) - 3} more)" if len(bad) > 3 else ""

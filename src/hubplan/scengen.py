@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .core import EvRecord, Scenario, ScenarioSet
+from .core import ScenarioSet
 from .errors import (DecompositionError, DegenerateColumnError,
                      InvalidParameterError, MomentFitError)
 
@@ -468,21 +468,22 @@ def hmm_generate(targets: MomentTargets, n: int, seed: int) -> RawSampleMatrix:
                            converged=converged, best_iteration=best_it)
 
 
-def discretize_ev_fields(arrive, depart, soc, hours_per_day, fleet):
-    """Round one vehicle's sampled visit to a valid whole-hour record.
+def clamp_days(case, elec, heat, pv, ev):
+    """Clamp day rows to the ranges a ScenarioSet of case takes.
 
-    Hours are rounded to the nearest integer then clamped into the day;
-    an inverted or empty window is repaired to depart = arrive + 1; the SOC
-    is clipped into the fleet's band.
+    Loads are floored at 0 and PV clipped into [0, pv_cap]. In the
+    (N, n_ev, 3) visits ev, hours are rounded to the nearest integer and
+    clamped into the day, an empty window becoming depart = arrive + 1,
+    and each SOC is clipped into the fleet's band. Returns new (elec,
+    heat, pv, ev) arrays.
     """
-    a = int(np.rint(arrive))
-    d = int(np.rint(depart))
-    a = min(max(a, 0), hours_per_day - 1)
-    d = min(max(d, 1), hours_per_day)
-    if d <= a:
-        d = a + 1
-    s = min(max(float(soc), fleet.soc_min), fleet.soc_max)
-    return EvRecord(arrive_hour=a, depart_hour=d, initial_soc=s)
+    t_day, fleet = case.hours_per_day, case.catalog.ev_fleet
+    arrive = np.clip(np.rint(ev[..., 0]), 0, t_day - 1)
+    depart = np.maximum(np.clip(np.rint(ev[..., 1]), 1, t_day), arrive + 1)
+    soc = np.clip(ev[..., 2], fleet.soc_min, fleet.soc_max)
+    return (np.maximum(elec, 0.0), np.maximum(heat, 0.0),
+            np.clip(pv, 0.0, case.tariffs.pv_cap),
+            np.stack([arrive, depart, soc], axis=-1))
 
 
 def _block_mask(t_day, n_ev):
@@ -531,8 +532,7 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     without vehicles. The joint distribution spans 3*T hourly dimensions
     plus 3 fields per vehicle. Numerically constant history columns (night
     PV, off-season heat) are held at their mean instead of entering the
-    fit. Generated profiles are clamped to physical ranges and EV visits
-    discretized to whole hours.
+    fit. Generated days go through clamp_days and ScenarioSet.from_days.
 
     The fleet's n_ev vehicles take the history's first n_ev vehicle columns;
     a history with fewer vehicles is an InvalidParameterError. Correlations
@@ -548,10 +548,9 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
     heat = np.asarray(history_heat, dtype=float)
     pv = np.asarray(history_pv, dtype=float)
     n_days, t_day = elec.shape
-    fleet = case.catalog.ev_fleet
     ev = np.asarray(history_ev, dtype=float)
     check_history(case, t_day, ev.shape[1])
-    ev = ev[:, :fleet.n_ev, :]
+    ev = ev[:, :case.catalog.ev_fleet.n_ev, :]
 
     panel = np.hstack([elec, heat, pv, ev.reshape(n_days, -1)])
     mean = panel.mean(axis=0)
@@ -573,18 +572,6 @@ def generate_scenarios(case, history_elec, history_heat, history_pv,
         raw = hmm_generate(targets, n_scenarios, seed)
         out[:, active] = raw.values
 
-    t3 = 3 * t_day
-    out[:, :t3] = np.maximum(out[:, :t3], 0.0)
-    out[:, 2 * t_day:t3] = np.minimum(out[:, 2 * t_day:t3], case.tariffs.pv_cap)
-
-    scenarios = []
-    for s in range(n_scenarios):
-        recs = tuple(
-            discretize_ev_fields(out[s, t3 + 3 * j], out[s, t3 + 3 * j + 1],
-                                 out[s, t3 + 3 * j + 2], t_day, fleet)
-            for j in range(ev.shape[1]))
-        scenarios.append(Scenario(tuple(out[s, :t_day]),
-                                  tuple(out[s, t_day:2 * t_day]),
-                                  tuple(out[s, 2 * t_day:t3]), recs))
-    grid = case.time_grid(n_scenarios)
-    return ScenarioSet(grid=grid, scenarios=tuple(scenarios)), raw
+    *profiles, visits = np.split(out, [t_day, 2 * t_day, 3 * t_day], axis=1)
+    days = clamp_days(case, *profiles, visits.reshape(n_scenarios, -1, 3))
+    return ScenarioSet.from_days(case.time_grid(n_scenarios), *days), raw

@@ -1,4 +1,5 @@
 """Branch and bound: small closed forms, limits, and a fuzz run vs milp."""
+import dataclasses
 import gc
 import os
 import weakref
@@ -9,9 +10,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import hubplan.milp.bnb as bnb_mod
 from conftest import make_model, same_lp, with_exclusivity_flags
-from hubplan.errors import InvalidParameterError
+from hubplan.errors import InvalidParameterError, SolverError
 from hubplan.fileio import read_case, read_scenario_set
-from hubplan.milp import branch_and_bound, solve_lp
+from hubplan.milp import VerifyReport, branch_and_bound, solve_lp
 from hubplan.model import (BINARY, CONT, EQ, GE, INTEGER, LE, ModelConfig,
                            assemble_model)
 
@@ -479,3 +480,30 @@ def test_tree_counters_without_branching():
     assert s.status == "optimal" and s.n_nodes == 1
     assert (s.max_depth, s.infeasible_nodes) == (0, 0)
     assert s.incumbents == [s.objective]
+
+
+def test_an_incumbent_the_checker_fails_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(bnb_mod, "check_solution",
+                        lambda model, x: VerifyReport(False, 1.0, ["R0 1.0"]))
+    with pytest.raises(SolverError, match="failed independent verification"):
+        branch_and_bound(make_model([-1.0], [[1.0]], [LE], [3.0], [0], [5],
+                                    [INTEGER]))
+
+
+@pytest.mark.parametrize("kind, at", [("root", 0), ("node", 1)])
+def test_an_lp_out_of_iterations_is_a_solver_error(tiny_solved, monkeypatch,
+                                                   kind, at):
+    # the tiny hub case branches at the root, so its second LP is a node's
+    real, calls = bnb_mod.solve_lp, []
+
+    def limited(*args, **kwargs):
+        lp = real(*args, **kwargs)
+        calls.append(lp)
+        if len(calls) == at + 1:
+            return dataclasses.replace(lp, status="iteration_limit")
+        return lp
+
+    monkeypatch.setattr(bnb_mod, "solve_lp", limited)
+    with pytest.raises(SolverError,
+                       match=f"^{kind} relaxation ended iteration_limit$"):
+        branch_and_bound(tiny_solved.model)

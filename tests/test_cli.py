@@ -14,7 +14,7 @@ import hubplan
 from hubplan import cli
 from hubplan.analysis import cost_breakdown
 from hubplan.core import EvRecord, ScenarioSet
-from hubplan.errors import InfeasibleSolutionError, SolverError
+from hubplan.errors import SolverError
 from hubplan.fileio import CaseData, write_case, write_scenario_set
 from hubplan.milp import write_mps
 from hubplan.model import assemble_model
@@ -222,8 +222,8 @@ def test_plan_whose_plan_check_fails_exits_2(ws, tmp_path, capsys,
 
 @pytest.mark.parametrize("stub, error", [
     ("branch_and_bound", SolverError("stub solver failure")),
-    ("cost_breakdown", InfeasibleSolutionError(["x_ess = -1.0"])),
-], ids=["SolverError", "InfeasibleSolutionError"])
+    ("cost_breakdown", SolverError("stub failure after the solve")),
+], ids=["SolverError", "SolverError_after_solve"])
 def test_plan_whose_solve_raises_is_an_error_level(ws, tmp_path, capsys,
                                                    monkeypatch, stub, error):
     # plan records a raised solve as a sweep records such a level: an
@@ -293,8 +293,6 @@ def test_a_failed_verdict_is_one_error_for_plan_and_sweep(
 
 
 @pytest.mark.parametrize("exc, rc, prefix", [
-    # a solution failing a verdict is not a model proven infeasible
-    ("InfeasibleSolutionError", 2, "solver failure: "),
     ("SolverError", 2, "solver failure: "),
     ("HubplanError", 2, "solver failure: "),
 ])

@@ -194,6 +194,19 @@ def test_scenario_set_shape_checks():
                  pv_avail=(0.0, 0.0))
 
 
+def test_scenario_set_from_days():
+    g = TimeGrid(2, 2, 1, 0.0)
+    loads = [(1.0, 2.0), (0.0, 0.0)]
+    visits = [[(0.0, 2.0, 0.5)], [(1.0, 2.0, 0.25)]]
+    got = ScenarioSet.from_days(g, loads, loads, loads, visits)
+    assert got.scenarios[1] == Scenario((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
+                                        (EvRecord(1, 2, 0.25),))
+    visits[1][0] = (1.0, 1.0, 0.25)
+    with pytest.raises(InvalidParameterError,
+                       match="^scenario 1: depart_hour must exceed"):
+        ScenarioSet.from_days(g, loads, loads, loads, visits)
+
+
 def test_catalog_duplicate_fc_rejected(tiny):
     with pytest.raises(InvalidParameterError):
         EquipmentCatalog(fuel_cells=(tiny.fc, tiny.fc), bess=tiny.bess,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from hubplan import scengen
+from hubplan.core import ScenarioSet, validate_scenario_set
 from hubplan.errors import (DecompositionError, DegenerateColumnError,
                             InvalidParameterError, MomentFitError)
 from hubplan.fileio import read_case, read_history, write_scenario_set
-from hubplan.scengen import (MomentTargets, cholesky_lower,
-                             discretize_ev_fields, fit_cubic_batch,
+from hubplan.scengen import (MomentTargets, cholesky_lower, fit_cubic_batch,
                              fit_cubic_transform, generate_scenarios,
                              hmm_generate, impose_correlation, sample_moments)
 
@@ -393,23 +393,47 @@ def test_hmm_generate_mean_variance_pinned():
     assert abs(((v - v.mean()) ** 2).mean() - 2.0) < 1e-9
 
 
-def test_discretize_ev_fields(tiny):
-    cases = [(7.6, 17.2, 0.55), (-1.0, 0.4, 0.05), (2.2, 2.4, 1.3)]
-    out = [discretize_ev_fields(a, d, s, 24, tiny.fleet) for a, d, s in cases]
-    for r in out:
-        assert isinstance(r.arrive_hour, int) and isinstance(r.depart_hour, int)
-        assert 0 <= r.arrive_hour < r.depart_hour <= 24
-        assert tiny.fleet.soc_min <= r.initial_soc <= tiny.fleet.soc_max
-    assert (out[0].arrive_hour, out[0].depart_hour) == (8, 17)
-    assert out[2].depart_hour == out[2].arrive_hour + 1  # window repaired
-
-
 @pytest.fixture(scope="module")
 def bundled(data_dir):
     case = read_case(os.path.join(data_dir, "case.json"))
     hist = read_history(os.path.join(data_dir, "history_loads.csv"),
                         os.path.join(data_dir, "history_ev.csv"))
     return case, hist
+
+
+def test_clamp_days(bundled):
+    case = bundled[0]
+    fleet, t_day, cap = (case.catalog.ev_fleet, case.hours_per_day,
+                         case.tariffs.pv_cap)
+    loads = np.full((1, t_day), 5.0)
+    loads[0, 3] = -1.0
+    pv = np.zeros((1, t_day))
+    pv[0, :2] = -2.0, cap + 1.0
+    ev = np.array([[(7.6, 17.2, 0.55), (-1.0, 0.4, 0.05), (2.2, 2.4, 1.3)]])
+    elec, heat, pv, ev = scengen.clamp_days(case, loads, loads, pv, ev)
+    assert elec[0, 3] == heat[0, 3] == 0.0 and elec[0, 4] == 5.0
+    assert tuple(pv[0, :3]) == (0.0, cap, 0.0)
+    recs = ScenarioSet.from_days(case.time_grid(1), elec, heat, pv,
+                                 ev).scenarios[0].ev_records
+    for r in recs:
+        assert isinstance(r.arrive_hour, int) and isinstance(r.depart_hour, int)
+        assert isinstance(r.initial_soc, float)
+        assert 0 <= r.arrive_hour < r.depart_hour <= t_day
+        assert fleet.soc_min <= r.initial_soc <= fleet.soc_max
+    assert (recs[0].arrive_hour, recs[0].depart_hour) == (8, 17)
+    assert (recs[1].arrive_hour, recs[1].depart_hour) == (0, 1)
+    assert recs[2].depart_hour == recs[2].arrive_hour + 1  # window repaired
+
+
+def test_history_days_make_a_valid_set(bundled):
+    # the fleet takes the history's first n_ev vehicles, as in
+    # generate_scenarios
+    case, (elec, heat, pv, ev) = bundled
+    days = scengen.clamp_days(case, elec, heat, pv,
+                              ev[:, :case.catalog.ev_fleet.n_ev])
+    scen = ScenarioSet.from_days(case.time_grid(len(elec)), *days)
+    assert len(scen.scenarios) == 365
+    assert validate_scenario_set(scen, case.catalog, case.tariffs) == []
 
 
 def test_generate_scenarios_bundled(bundled, tmp_path):

@@ -157,3 +157,14 @@ def test_non_integral_column_refused(tiny_solved, key, name):
         extract_solution(SimpleNamespace(x=x, objective=0.0), ix)
     assert str(ei.value) == (f"column {name} = 0.25 is not integral "
                              f"within {INT_TOL}")
+
+
+def test_column_vector_of_the_wrong_length_refused(tiny_solved):
+    from types import SimpleNamespace
+    from hubplan.errors import SolverError
+    ix = tiny_solved.model.var_index
+    x = tiny_solved.sol.x[:-1]
+    with pytest.raises(SolverError) as ei:
+        extract_solution(SimpleNamespace(x=x), ix)
+    assert str(ei.value) == (f"column vector has {ix.n_cols - 1} entries, "
+                             f"index describes {ix.n_cols}")

@@ -264,6 +264,17 @@ def test_a_visit_short_of_its_target_keeps_its_charge(tiny):
     assert x[charge] == model.col_ub[charge] == tiny.fleet.charger_power
 
 
+@pytest.mark.parametrize("soc", [0.9, 1.0])
+def test_a_visit_at_its_target_gets_no_charge(tiny, soc):
+    # arriving at or above the 90 % target, the vehicle needs nothing: no
+    # hour charges at its bound and the departure row keeps its slack
+    model = _tiny_model(tiny, ev_records=(EvRecord(1, 4, soc),))
+    charge = model.var_index.ids[K_VCH][0, 1:4, 0]
+    sd = model.row_names.index("SD0_0")
+    assert not model.start_upper[charge].any()
+    assert model.start_basis[sd] == model.n_cols + sd
+
+
 def test_no_hour_is_charged_past_grid_cap(tiny):
     # at the start, scenario 0 imports 11, 16.5 and 13.75 kW in the
     # vehicle's hours 0-2 and charging 7 kW adds 7.37; under a 22 kW cap
