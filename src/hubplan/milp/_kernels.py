@@ -22,10 +22,10 @@ pricing update and of its dual phase.
 
 The ratio test takes only rows whose |w| is above the pivot tolerance
 (the others cannot block), so it divides by no zero. Bound-violation codes
-compare each value with its bounds shifted out by the feasibility
-tolerance (``shifted_bounds``); the simplex keeps those per column, reads
-them through the basis, and updates the codes of the rows a pivot moved by
-the same comparison.
+(``basic_state``) are two comparisons of each basic with its bounds
+shifted out by the feasibility tolerance (``shifted_bounds``); the simplex
+shifts each column's bounds once per solve and reads them through the
+basis.
 
 Sparse matrix-vector products (``spmv``) call the compiled kernel that
 scipy's ``@`` dispatches to, without the Python dispatch around it, which
@@ -195,21 +195,7 @@ def shifted_bounds(lb, ub, feas_tol):
     return lb - feas_tol * (1.0 + np.abs(lb)), ub + feas_tol * (1.0 + np.abs(ub))
 
 
-def basic_state(xb, lb_b, ub_b, feas_tol):
-    """Bound-violation code of each basic (-1 below, 1 above, 0 within
-    feas_tol, relative to 1 + |bound|) and the largest violation.
-
-    The codes compare xb with shifted_bounds, so a caller that keeps the
-    shifted bounds gets the same codes bit for bit by comparison."""
-    lo_s, hi_s = shifted_bounds(lb_b, ub_b, feas_tol)
-    gamma = (xb > hi_s).view(np.int8) - (xb < lo_s).view(np.int8)
-    m = xb.shape[0]
-    lo_viol = np.zeros(m)
-    up_viol = np.zeros(m)
-    np.divide(lb_b - xb, 1.0 + np.abs(lb_b), out=lo_viol,
-              where=np.isfinite(lb_b))
-    np.divide(xb - ub_b, 1.0 + np.abs(ub_b), out=up_viol,
-              where=np.isfinite(ub_b))
-    max_viol = max(float(lo_viol.max(initial=0.0)),
-                   float(up_viol.max(initial=0.0)))
-    return gamma, max_viol
+def basic_state(xb, lo_s, hi_s):
+    """Bound-violation code of each basic: -1 below lo_s, 1 above hi_s, 0
+    within, where lo_s and hi_s are the basics' shifted_bounds."""
+    return (xb > hi_s).view(np.int8) - (xb < lo_s).view(np.int8)

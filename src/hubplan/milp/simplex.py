@@ -43,9 +43,9 @@ basic values and their bound-violation codes are updated on those rows
 alone. Each value lives once, in x, and each bound once, per column: the
 basics' values and bounds are read through the basis (x[basis[rows]]), and
 only the codes are kept per position. A code is two comparisons with the
-basic's bounds shifted out by the tolerance (the codes are recomputed in
-full at each factorization, by the same formula, so the two agree bit for
-bit).
+basic's bounds shifted out by the tolerance; the codes recomputed in full
+at each factorization and those updated at a pivot both compare against
+the solve's one set of shifted bounds.
 The ratio test runs on the rows with |w| above the pivot tolerance, the
 only ones that can block; they keep their index order, so every tie
 breaks as over all rows. Pricing multiplies the reduced costs by a sign
@@ -194,7 +194,6 @@ class LpSolution:
     x: np.ndarray
     duals: np.ndarray
     iterations: int
-    max_violation: float = 0.0
     infeasible_rows: list = field(default_factory=list)
     basis: np.ndarray = None
     stat: np.ndarray = None
@@ -351,8 +350,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
             f"column {model.col_names[unbounded[0]]} has no finite bound")
     if np.any(lb[:n_struct] > ub[:n_struct] + 1e-12):
         return LpSolution(status="infeasible", objective=np.inf,
-                          x=np.zeros(n_struct), duals=np.zeros(m), iterations=0,
-                          max_violation=np.inf)
+                          x=np.zeros(n_struct), duals=np.zeros(m), iterations=0)
     b = model.rhs.astype(float)
 
     # nonbasics sit on their lower bound when it is finite and the start
@@ -407,8 +405,7 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
         x[basis] = 0.0
         resid = b - (ker.spmv(a_s, x[:n_struct]) + x[n_struct:])
         x[basis] = blk.solve(resid)
-        gamma[:] = ker.basic_state(x[basis], lb[basis], ub[basis],
-                                   _FEAS_TOL)[0]
+        gamma[:] = ker.basic_state(x[basis], lo_sh[basis], hi_sh[basis])
 
     def update_state(rows):
         """Recompute the violation codes of the given rows by comparison
@@ -501,14 +498,12 @@ def solve_lp(model, col_lb=None, col_ub=None, warm=None,
 
     def result(status, duals, **extra):
         extra.setdefault("objective", float(c @ x))
-        max_viol = ker.basic_state(x[basis], lb[basis], ub[basis],
-                                   _FEAS_TOL)[1]
         # optimal and infeasible are claimed on a clean factor of basis
         clean = blk if status in ("optimal", "infeasible") else None
         return LpSolution(status=status, x=x[:n_struct].copy(),
                           duals=np.asarray(duals), iterations=iters,
-                          max_violation=max_viol, basis=basis, stat=stat,
-                          phase1_pivots=phase1_pivots, refactors=refactors,
+                          basis=basis, stat=stat, phase1_pivots=phase1_pivots,
+                          refactors=refactors,
                           degenerate_pivots=degenerate_pivots,
                           bland_pivots=bland_pivots, dual_pivots=dual_pivots,
                           kernel_cols=kernel_cols, priced=priced,

@@ -617,11 +617,17 @@ def assemble_model(grid, catalog, tariffs, scenario_set, config) -> MilpModel:
     out of bounds instead.
 
     The time grid is scenario_set.grid; grid must equal it, or the model
-    is refused with a ModelBuildError naming both.
+    is refused with a ModelBuildError naming both. The tariffs must price
+    as many hours as the grid's day (elec_price and grid_emission have one
+    length), or the model is refused naming both hour counts.
     """
     if grid != scenario_set.grid:
         raise ModelBuildError(f"grid {grid} is not the scenario set's grid "
                               f"{scenario_set.grid}")
+    if len(tariffs.elec_price) != grid.hours_per_day:
+        raise ModelBuildError(
+            f"tariffs have {len(tariffs.elec_price)} hours, the scenario "
+            f"set's grid has {grid.hours_per_day}")
     index = VarIndex(catalog, scenario_set, tariffs)
     obj = build_objective(index, catalog, tariffs)
     heat = _heat_start(index, scenario_set, catalog, obj)

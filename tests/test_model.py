@@ -400,6 +400,21 @@ def test_assemble_refuses_a_grid_unlike_the_scenario_sets(tiny, change):
                              f"{tiny.scen.grid}")
 
 
+@pytest.mark.parametrize("hours", [-1, 1], ids=["short", "long"])
+def test_assemble_refuses_tariffs_of_other_hours(tiny, hours):
+    # prices for more or fewer hours than the grid's day are refused by
+    # name before any column is built, not left to numpy's broadcast
+    t_day = tiny.grid.hours_per_day
+    price = (tiny.tariffs.elec_price * 2)[:t_day + hours]
+    tariffs = dataclasses.replace(tiny.tariffs, elec_price=price,
+                                  grid_emission=(0.5,) * len(price))
+    with pytest.raises(ModelBuildError) as ei:
+        assemble_model(tiny.grid, tiny.catalog, tariffs, tiny.scen,
+                       tiny.config)
+    assert str(ei.value) == (f"tariffs have {t_day + hours} hours, the "
+                             f"scenario set's grid has {t_day}")
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda m: dict(row_names=m.row_names[:1] * m.n_rows),
      "duplicate row names"),

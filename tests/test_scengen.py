@@ -162,6 +162,20 @@ def test_fit_cubic_infeasible_kurtosis():
     assert info.value.residual > 1e-10
 
 
+def test_fit_cubic_refuses_short_seed_moments():
+    with pytest.raises(InvalidParameterError,
+                       match="^seed_moments must reach order 12$"):
+        fit_cubic_transform(0.0, 1.0, 0.0, 3.0, _NORMAL_MOMENTS[:12])
+
+
+def test_standardize_refuses_a_constant_row():
+    rows = np.array([np.arange(5.0), np.full(5, 2.0)])
+    with pytest.raises(DegenerateColumnError,
+                       match="^seed column collapsed$") as ei:
+        scengen._standardize(rows)
+    assert ei.value.column == 1
+
+
 # The scalar damped Newton fit that fit_cubic_batch replaces, kept as its
 # reference: one row at a time, halving lam from 1 down to 2^-halvings (by
 # default the shipped ladder's 2^-_LAM_HALVINGS) until the largest scaled

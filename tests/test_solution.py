@@ -145,20 +145,6 @@ def test_binary_plan_entries_are_their_columns(tiny):
     assert set(plan.z.tolist()) <= {0, 1}   # exact integer flags
 
 
-@pytest.mark.parametrize("key, name", [((K_XFC, 0), "XFC0"), ((K_Z, 1), "Z1")])
-def test_non_integral_column_refused(tiny_solved, key, name):
-    from types import SimpleNamespace
-    from hubplan.errors import SolverError
-    from hubplan.milp.verify import INT_TOL
-    ix = tiny_solved.model.var_index
-    x = tiny_solved.sol.x.copy()
-    x[ix.ids[key[0]][key[1:]]] = 0.25
-    with pytest.raises(SolverError) as ei:
-        extract_solution(SimpleNamespace(x=x, objective=0.0), ix)
-    assert str(ei.value) == (f"column {name} = 0.25 is not integral "
-                             f"within {INT_TOL}")
-
-
 def test_column_vector_of_the_wrong_length_refused(tiny_solved):
     from types import SimpleNamespace
     from hubplan.errors import SolverError
